@@ -1043,11 +1043,10 @@ pub fn e22_thread_scaling(thread_counts: &[usize], master_seed: u64) -> (Table, 
     use rand::{RngExt, SeedableRng};
 
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(master_seed);
-    // Heavy phases on purpose: the worker fan-out costs a scoped spawn
-    // per round, so each group's machine phase must carry enough
-    // simulated traffic to dominate both the spawn and the (serial)
-    // admission stage — a light workload here would measure overhead,
-    // not the engine. 64-flit worms put the weight in the phases.
+    // Heavy phases on purpose: each group's round must carry enough
+    // simulated traffic to dominate the per-round worker hand-off — a
+    // light workload here would measure overhead, not the engine.
+    // 64-flit worms put the weight in the phases.
     let cfg = TenantsConfig {
         host_dims: E22_HOST_DIMS,
         capacity: 4,

@@ -279,12 +279,13 @@ pub const IDA_ROWOPS_SPEEDUP_MIN: f64 = 2.0;
 
 /// Minimum `tenants/reference / tenants/pooled` wall-clock ratio: the
 /// pooled multi-tenant engine (persistent per-group simulator arenas,
-/// flat admission scratch, memoized fault projections) against the
-/// per-round-allocating reference. Both records are measured serially in
-/// the same process, so machine speed cancels and the ratio isolates the
-/// pooling. Measured ≈ 1.5x in-container (median of warmed full-rep
-/// runs); the floor leaves margin for noisy shared runners.
-pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.1;
+/// one-probe ledger admission on flat scratch, memoized fault
+/// projections) against the per-round-allocating reference. Both records
+/// are measured serially in the same process, so machine speed cancels
+/// and the ratio isolates the pooled path. Measured ≈ 3x on a 2-vCPU VM
+/// (median of warmed full-rep runs); the floor is half of that, so a 2x
+/// regression of the pooled round fails the gate.
+pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.5;
 
 /// Enforces the cross-record speedup floors on a *fresh* run (no baseline
 /// involved: both sides of each ratio come from the same process, so
@@ -750,13 +751,14 @@ mod tests {
         assert!(r.passed(), "{}", r.render());
         assert_eq!(r.time_checks, 2);
 
-        // Pooling slipped below the floor at one size: one issue.
+        // The pooled round regressed ~2x from the healthy 3x at one size:
+        // one issue.
         let slipped =
-            doc(&[("tenants/reference/n16", &[], 1_050), ("tenants/pooled/n16", &[], 1_000)]);
+            doc(&[("tenants/reference/n16", &[], 3_000), ("tenants/pooled/n16", &[], 2_100)]);
         let r = check_speedups(&slipped).unwrap();
         assert_eq!(r.issues.len(), 1);
         assert_eq!(r.issues[0].record, "tenants/pooled/n16");
-        assert!(r.issues[0].detail.contains("floor 1.1x"), "{}", r.issues[0].detail);
+        assert!(r.issues[0].detail.contains("floor 1.5x"), "{}", r.issues[0].detail);
 
         // A measured reference with no pooled counterpart is an issue —
         // the suite must measure what the gate enforces.

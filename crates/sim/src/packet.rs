@@ -859,6 +859,15 @@ impl PacketArena {
         self.total_injected = 0;
     }
 
+    /// Reserves room for `flows` more flows of `hops` hop links in total,
+    /// so loading a round of known size does not grow the flow arena step
+    /// by step.
+    pub fn reserve(&mut self, flows: usize, hops: usize) {
+        self.flow_off.reserve(flows);
+        self.flow_packets.reserve(flows);
+        self.hop_links.reserve(hops);
+    }
+
     /// Adds one flow as a sequence of directed link indices
     /// ([`Hypercube::dir_edge_index`]) that must chain head-to-tail —
     /// exactly the links [`PacketSim::add_flow`] would derive from the

@@ -37,6 +37,7 @@
 //! experiment E19.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use hyperpath_core::bounds::congestion_lower_bound;
@@ -219,11 +220,11 @@ pub struct TenantsConfig {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TenantFaultPlan {
     /// Permanent cuts: link → first round it is down.
-    cuts: HashMap<u64, u32>,
+    cuts: LinkMap<u32>,
     /// Transient outages: link → list of `[from, until)` round windows.
-    outages: HashMap<u64, Vec<(u32, u32)>>,
+    outages: LinkMap<Vec<(u32, u32)>>,
     /// Links that corrupt every payload crossing them.
-    corrupt: HashSet<u64>,
+    corrupt: HashSet<u64, BuildHasherDefault<LinkHasher>>,
 }
 
 impl TenantFaultPlan {
@@ -345,21 +346,62 @@ pub const QUARANTINE_AGE_CAP: u32 = 4;
 /// before re-entering admission.
 pub const BACKOFF_SHIFT_CAP: u32 = 3;
 
+/// A std-only multiply-rotate hasher for the engine's link ids. The keys
+/// are dense link indices the engine computes itself, never untrusted
+/// input, so SipHash's flood resistance buys nothing here and one
+/// multiply per key is enough.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkHasher(u64);
+
+impl Hasher for LinkHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+/// A map keyed by link id.
+type LinkMap<V> = HashMap<u64, V, BuildHasherDefault<LinkHasher>>;
+
+/// Everything the ledger knows about one link, so that a commit, release
+/// or probe is one map lookup.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkState {
+    /// Width committed now.
+    committed: u32,
+    /// Consecutive NACKed phases since the link's last ACK.
+    strikes: u32,
+    /// First round the link is re-admitted after its latest quarantine.
+    quarantine_until: u32,
+    /// Quarantines so far. Kept after expiry, so repeat offenders serve
+    /// longer.
+    offenses: u32,
+    /// Slots ever committed, net of refunds.
+    cumulative: u64,
+    /// Whether a path was ever committed over the link.
+    touched: bool,
+}
+
 /// Per-link width accounting for the shared host. Sparse — state is
 /// `O(links actually touched)`, never `O(n · 2^{n-1})`, which is what
-/// makes admission over an implicit million-node host feasible.
+/// makes admission over an implicit million-node host feasible. Entries
+/// stay at zero load once created, so steady-state rounds never insert.
 #[derive(Debug, Clone)]
 pub struct LinkLedger {
     capacity: u32,
-    committed: HashMap<u64, u32>,
-    cumulative: HashMap<u64, u64>,
+    links: LinkMap<LinkState>,
     total_slots: u64,
     peak_concurrent: u32,
-    /// Consecutive NACKed phases per link since its last ACK.
-    strikes: HashMap<u64, u32>,
-    /// Quarantine record per link: (first round re-admitted, offenses so
-    /// far). The entry survives expiry so repeat offenders serve longer.
-    quarantine: HashMap<u64, (u32, u32)>,
+    links_touched: usize,
 }
 
 impl LinkLedger {
@@ -367,12 +409,10 @@ impl LinkLedger {
     pub fn new(capacity: u32) -> Self {
         LinkLedger {
             capacity,
-            committed: HashMap::new(),
-            cumulative: HashMap::new(),
+            links: LinkMap::default(),
             total_slots: 0,
             peak_concurrent: 0,
-            strikes: HashMap::new(),
-            quarantine: HashMap::new(),
+            links_touched: 0,
         }
     }
 
@@ -381,9 +421,13 @@ impl LinkLedger {
         self.capacity
     }
 
+    fn state(&self, link: u64) -> LinkState {
+        self.links.get(&link).copied().unwrap_or_default()
+    }
+
     /// Width currently committed on `link`.
     pub fn load(&self, link: u64) -> u32 {
-        self.committed.get(&link).copied().unwrap_or(0)
+        self.state(link).committed
     }
 
     /// Whether one more path over `links` fits under capacity.
@@ -393,26 +437,30 @@ impl LinkLedger {
 
     /// Commits one path: each link's concurrent width rises by 1 (caller
     /// must have checked [`LinkLedger::fits`]) and its cumulative slot
-    /// count by 1.
-    pub fn commit(&mut self, links: &[u64]) {
+    /// count by 1. Returns the widest link's new width.
+    pub fn commit(&mut self, links: &[u64]) -> u32 {
+        let mut widest = 0;
         for &l in links {
-            let c = self.committed.entry(l).or_insert(0);
-            *c += 1;
-            debug_assert!(*c <= self.capacity, "commit past capacity on link {l}");
-            self.peak_concurrent = self.peak_concurrent.max(*c);
-            *self.cumulative.entry(l).or_insert(0) += 1;
+            let s = self.links.entry(l).or_default();
+            s.committed += 1;
+            debug_assert!(s.committed <= self.capacity, "commit past capacity on link {l}");
+            widest = widest.max(s.committed);
+            s.cumulative += 1;
+            if !s.touched {
+                s.touched = true;
+                self.links_touched += 1;
+            }
             self.total_slots += 1;
         }
+        self.peak_concurrent = self.peak_concurrent.max(widest);
+        widest
     }
 
     /// Releases one committed path.
     pub fn release(&mut self, links: &[u64]) {
         for &l in links {
-            let c = self.committed.get_mut(&l).expect("releasing an uncommitted link");
-            *c -= 1;
-            if *c == 0 {
-                self.committed.remove(&l);
-            }
+            let s = self.links.get_mut(&l).filter(|s| s.committed > 0);
+            s.expect("releasing an uncommitted link").committed -= 1;
         }
     }
 
@@ -425,7 +473,7 @@ impl LinkLedger {
     /// Max cumulative slots any one link ever carried — the measured
     /// congestion the gap column compares against the bound.
     pub fn max_cumulative(&self) -> u64 {
-        self.cumulative.values().copied().max().unwrap_or(0)
+        self.links.values().map(|s| s.cumulative).max().unwrap_or(0)
     }
 
     /// High-water mark of concurrent width on any link.
@@ -435,7 +483,7 @@ impl LinkLedger {
 
     /// Number of distinct host links ever committed.
     pub fn links_touched(&self) -> usize {
-        self.cumulative.len()
+        self.links_touched
     }
 
     /// Refunds one already-released path's cumulative accounting: the
@@ -443,14 +491,14 @@ impl LinkLedger {
     /// must not be charged its phantom congestion (the demand numerator
     /// of the congestion bound, `total_slots`, and `max_cumulative` both
     /// shrink). Concurrent width and `peak_concurrent` are untouched —
-    /// the slots genuinely were occupied during the failed phase.
+    /// the slots genuinely were occupied during the failed phase — and so
+    /// is `links_touched`.
     pub fn refund(&mut self, links: &[u64]) {
         for &l in links {
-            let c = self.cumulative.get_mut(&l).expect("refunding an uncommitted link");
-            debug_assert!(*c > 0, "refund past zero on link {l}");
-            // The entry stays even at zero so `links_touched` still
-            // counts every link ever committed.
-            *c -= 1;
+            let s = self.links.get_mut(&l).filter(|s| s.touched);
+            let s = s.expect("refunding an uncommitted link");
+            debug_assert!(s.cumulative > 0, "refund past zero on link {l}");
+            s.cumulative -= 1;
             self.total_slots -= 1;
         }
     }
@@ -462,14 +510,13 @@ impl LinkLedger {
     /// rounds — doubling per repeat offense, so flapping links are
     /// re-admitted quickly at first and held out longer each relapse.
     pub fn nack(&mut self, link: u64, round: u32) {
-        let s = self.strikes.entry(link).or_insert(0);
-        *s += 1;
-        if *s >= QUARANTINE_STRIKES {
-            *s = 0;
-            let e = self.quarantine.entry(link).or_insert((0, 0));
-            let hold = QUARANTINE_BASE_ROUNDS << e.1.min(QUARANTINE_AGE_CAP);
-            e.0 = e.0.max(round + 1 + hold);
-            e.1 += 1;
+        let s = self.links.entry(link).or_default();
+        s.strikes += 1;
+        if s.strikes >= QUARANTINE_STRIKES {
+            s.strikes = 0;
+            let hold = QUARANTINE_BASE_ROUNDS << s.offenses.min(QUARANTINE_AGE_CAP);
+            s.quarantine_until = s.quarantine_until.max(round + 1 + hold);
+            s.offenses += 1;
         }
     }
 
@@ -477,21 +524,40 @@ impl LinkLedger {
     /// so its strike count resets (offense history is kept — aged
     /// re-admission stays skeptical of repeat offenders).
     pub fn ack(&mut self, link: u64) {
-        self.strikes.remove(&link);
+        if let Some(s) = self.links.get_mut(&link) {
+            s.strikes = 0;
+        }
     }
 
     /// Whether `link` is quarantined during `round` (expiry is passive:
     /// the round simply passes the re-admission mark).
     pub fn is_quarantined(&self, link: u64, round: u32) -> bool {
-        self.quarantine.get(&link).is_some_and(|&(until, _)| round < until)
+        round < self.state(link).quarantine_until
     }
 
     /// Every link ever quarantined, ascending. Sorted so reports are
     /// deterministic despite the hash map.
     pub fn ever_quarantined(&self) -> Vec<u64> {
-        let mut links: Vec<u64> = self.quarantine.keys().copied().collect();
+        let mut links: Vec<u64> = self.quarantined().collect();
         links.sort_unstable();
         links
+    }
+
+    /// Every link ever quarantined, in map order.
+    fn quarantined(&self) -> impl Iterator<Item = u64> + '_ {
+        self.links.iter().filter(|(_, s)| s.offenses > 0).map(|(&l, _)| l)
+    }
+
+    /// Folds this ledger into a report summary by the shard merge rule:
+    /// slot and link counts add up, congestion and peak take the max, and
+    /// quarantined links join the (unsorted) union. Shards cover disjoint
+    /// link sets, so the fold of every shard equals one global ledger.
+    fn fold_into(&self, summary: &mut LedgerSummary, quarantined: &mut Vec<u64>) {
+        summary.links_touched += self.links_touched;
+        summary.total_slots += self.total_slots;
+        summary.max_cumulative = summary.max_cumulative.max(self.max_cumulative());
+        summary.peak_concurrent = summary.peak_concurrent.max(self.peak_concurrent);
+        quarantined.extend(self.quarantined());
     }
 }
 
@@ -677,10 +743,11 @@ impl EngineReport {
     }
 }
 
-/// A pending request: tenant (by index into the sorted spec table), guest
-/// edge, and its retry state.
+/// A pending request: tenant, guest edge, and its retry state.
 #[derive(Debug, Clone, Copy)]
 struct Request {
+    /// Index into the owner's tenant table: the engine's id-sorted specs
+    /// for the reference, the group's `tenants` slots for a pooled run.
     tenant: usize,
     edge: u64,
     /// Requeues so far (admission rejects and fault failures combined).
@@ -879,15 +946,8 @@ impl TenantEngine {
         let mut stats = vec![FlowStats::default(); self.specs.len()];
         // Per-tenant request streams keyed by id — draws are identical
         // whatever order the tenants were listed or admitted in.
-        let mut rngs: Vec<ChaCha8Rng> = self
-            .specs
-            .iter()
-            .map(|s| {
-                let mut r = ChaCha8Rng::seed_from_u64(cfg.seed);
-                r.set_stream(u64::from(s.id) + 1);
-                r
-            })
-            .collect();
+        let mut rngs: Vec<ChaCha8Rng> =
+            self.specs.iter().map(|s| tenant_rng(cfg.seed, s.id)).collect();
         let mut backlog: Vec<Request> = Vec::new();
         let mut total_steps = 0u64;
 
@@ -1120,10 +1180,36 @@ impl TenantEngine {
             stats[req.tenant].lost += 1;
         }
 
-        let quarantined = ledger.ever_quarantined();
+        self.report(cfg.rounds, stats, total_steps, [&ledger])
+    }
+
+    /// Freezes a run into its report. `ledgers` are the run's ledger
+    /// shards — one per window group, or the reference's single global
+    /// ledger — merged by `LinkLedger::fold_into`.
+    fn report<'l>(
+        &self,
+        rounds: u32,
+        stats: Vec<FlowStats>,
+        total_steps: u64,
+        ledgers: impl IntoIterator<Item = &'l LinkLedger>,
+    ) -> EngineReport {
+        let mut ledger = LedgerSummary {
+            capacity: self.cfg.capacity,
+            links_touched: 0,
+            total_slots: 0,
+            max_cumulative: 0,
+            peak_concurrent: 0,
+            quarantined_links: 0,
+        };
+        let mut quarantined = Vec::new();
+        for shard in ledgers {
+            shard.fold_into(&mut ledger, &mut quarantined);
+        }
+        quarantined.sort_unstable();
+        ledger.quarantined_links = quarantined.len();
         EngineReport {
-            host_dims: cfg.host_dims,
-            rounds: cfg.rounds,
+            host_dims: self.cfg.host_dims,
+            rounds,
             tenants: self
                 .specs
                 .iter()
@@ -1131,14 +1217,7 @@ impl TenantEngine {
                 .map(|(s, st)| TenantReport { id: s.id, name: s.name.clone(), stats: st })
                 .collect(),
             total_steps,
-            ledger: LedgerSummary {
-                capacity: ledger.capacity(),
-                links_touched: ledger.links_touched(),
-                total_slots: ledger.total_slots(),
-                max_cumulative: ledger.max_cumulative(),
-                peak_concurrent: ledger.peak_concurrent(),
-                quarantined_links: quarantined.len(),
-            },
+            ledger,
             quarantined,
         }
     }
@@ -1333,7 +1412,7 @@ fn run_group_reference<R: Recorder>(
             // Committed load is committed load whether or not shares
             // then die, so an empty plan stays bit-identical; outcomes
             // are graded analytically per path.
-            let mut load: HashMap<u64, u64> = HashMap::new();
+            let mut load: LinkMap<u64> = LinkMap::default();
             let mut longest = 0u64;
             for a in batch {
                 for p in &a.paths {
@@ -1510,42 +1589,34 @@ fn path_slice<'x>(links: &'x [u64], off: &[u32], p: usize) -> &'x [u64] {
     &links[off[p] as usize..off[p + 1] as usize]
 }
 
-/// An admitted request in the pooled engine's flat round arena: its
-/// committed paths are `first_path..first_path + num_paths` of the
-/// round's shared path table, in chosen (least-loaded-first) order.
+/// An admitted request in a group's flat round arena: its committed paths
+/// are `first_path..first_path + num_paths` of the group's path table, in
+/// chosen (least-loaded-first) order.
 #[derive(Debug, Clone, Copy)]
 struct AdmHeader {
     req: Request,
-    group: u32,
     first_path: u32,
     num_paths: u32,
 }
 
-/// Read-only round state shared by every group execution — what makes the
-/// parallel dispatch safe to borrow from rayon workers.
-struct RoundCtx<'a> {
-    admitted: &'a [AdmHeader],
-    adm_links: &'a [u64],
-    adm_off: &'a [u32],
-    plan: Option<&'a TenantFaultPlan>,
-    round: u32,
-    host_dims: u32,
-}
-
-impl RoundCtx<'_> {
-    #[inline]
-    fn path(&self, p: u32) -> &[u64] {
-        path_slice(self.adm_links, self.adm_off, p as usize)
+impl AdmHeader {
+    fn paths(&self) -> std::ops::Range<usize> {
+        self.first_path as usize..(self.first_path + self.num_paths) as usize
     }
 }
 
-/// Persistent per-group execution state of the pooled engine: the root
-/// subcube (its [`Hypercube`] is constructed once, inside the machine
-/// arena, not per round), the machine arena for the resolved execution
-/// mode, the memoized dense fault-plan projection, and every per-round
-/// scratch buffer. Window groups live on disjoint root subcubes, so an
-/// arena is written only by its own group's phase — the invariant the
-/// parallel dispatch rests on.
+/// One window group's shard of a pooled run. Window groups live on
+/// disjoint root subcubes, so their host-link sets are disjoint and
+/// everything a round does to one group — request draws, ledger
+/// admission, the machine phase, ACK/NACK learning, grading and release —
+/// reads and writes only this struct (DESIGN §6 item 18). That is what
+/// lets [`TenantRun::step_round`] run whole rounds of different groups on
+/// different threads.
+///
+/// It holds the root subcube's persistent machine arena (its
+/// [`Hypercube`] is built once, not per round), the memoized dense
+/// fault-plan projection, the group's ledger shard, its tenants' request
+/// streams, stats and backlog, and every per-round scratch buffer.
 struct GroupArena {
     root_dims: u32,
     root_base: u64,
@@ -1565,18 +1636,36 @@ struct GroupArena {
     /// Every plan-hazard host link inside this window with its local
     /// directed edge — the only bits of `dense` that can change.
     group_faults: Vec<(u64, DirEdge)>,
-    /// Admitted-request indices routed to this group this round.
-    batch: Vec<u32>,
+    /// The group's tenants in id order; [`Request::tenant`] indexes this
+    /// list.
+    tenants: Vec<TenantSlot>,
+    ledger: LinkLedger,
+    backlog: Vec<Request>,
+    total_steps: u64,
+    // Round scratch, reused across rounds.
+    requests: Vec<Request>,
+    waiting: Vec<Request>,
+    admitted: Vec<AdmHeader>,
+    adm_links: Vec<u64>,
+    adm_off: Vec<u32>,
+    cand_links: Vec<u64>,
+    cand_off: Vec<u32>,
+    /// Admission keys of one request's candidate paths:
+    /// `key << 32 | path index`, where `key` is the load of the path's
+    /// hottest link, or `u32::MAX` if the path crosses a suspect link.
+    keys: Vec<u64>,
     /// Directed local-link scratch for one path.
     hops: Vec<u32>,
-    /// Flat per-share outcomes in batch × path order. Planned rounds
+    /// Flat per-share outcomes in admission × path order. Planned rounds
     /// only: plain rounds deliver every share (debug-asserted) and leave
     /// this empty.
     outcomes: Vec<PathOutcome>,
-    /// Machine steps of this group's phase this round.
-    steps: u64,
-    /// Structural-mode link-load scratch.
-    load: HashMap<u64, u64>,
+    /// Widest committed link and longest admitted path of this round —
+    /// the structural-mode serialization bound's inputs. Every earlier
+    /// round's width has been released by the time a round admits, so
+    /// the ledger's committed width is exactly this round's link load.
+    round_widest: u32,
+    round_longest: usize,
 }
 
 /// Flips the memoized projection's cut bits to `round`'s state: a hazard
@@ -1597,15 +1686,31 @@ fn sync_dense_cuts(
     }
 }
 
+/// One tenant of a [`GroupArena`]: its spec, request stream and stats.
+struct TenantSlot {
+    /// Index into the engine's id-sorted specs.
+    spec: usize,
+    rng: ChaCha8Rng,
+    stats: FlowStats,
+}
+
+/// Tenant `id`'s request stream — keyed by id, so draws are identical
+/// whatever order the tenants were listed or admitted in.
+fn tenant_rng(seed: u64, id: u32) -> ChaCha8Rng {
+    let mut r = ChaCha8Rng::seed_from_u64(seed);
+    r.set_stream(u64::from(id) + 1);
+    r
+}
+
 impl GroupArena {
     fn new(
         root_dims: u32,
         root_base: u64,
-        cfg_exec: ExecMode,
+        cfg: &TenantsConfig,
         plan: Option<&TenantFaultPlan>,
-        host_dims: u32,
     ) -> Self {
-        let exec = match cfg_exec {
+        let host_dims = cfg.host_dims;
+        let exec = match cfg.exec {
             ExecMode::Structural => ExecMode::Structural,
             e if root_dims > ENGINE_MAX_DIMS => {
                 debug_assert!(matches!(e, ExecMode::Packet | ExecMode::Wormhole { .. }));
@@ -1646,264 +1751,474 @@ impl GroupArena {
             worm,
             dense,
             group_faults,
-            batch: Vec::new(),
+            tenants: Vec::new(),
+            ledger: LinkLedger::new(cfg.capacity),
+            backlog: Vec::new(),
+            total_steps: 0,
+            requests: Vec::new(),
+            waiting: Vec::new(),
+            admitted: Vec::new(),
+            adm_links: Vec::new(),
+            adm_off: Vec::new(),
+            cand_links: Vec::new(),
+            cand_off: Vec::new(),
+            keys: Vec::new(),
             hops: Vec::new(),
             outcomes: Vec::new(),
-            steps: 0,
-            load: HashMap::new(),
+            round_widest: 0,
+            round_longest: 0,
         }
     }
 
-    /// Runs this group's phase for the round described by `ctx`,
-    /// reporting machine events to `rec`. Results land in `self.steps`
-    /// and (planned rounds) `self.outcomes`; nothing allocates once the
-    /// scratch buffers are warm.
-    fn execute<R: Recorder>(&mut self, ctx: &RoundCtx<'_>, rec: &mut R) {
-        self.steps = 0;
+    /// Sizes the round scratch, the machine arena and the ledger shard for
+    /// one round of the group's roster: its fresh requests, their
+    /// full-width bundles (path lengths taken from each plan's first
+    /// bundle) and, when `planned`, their share outcomes, and as many
+    /// distinct links as those bundles have slots —
+    /// never more than the root subcube has, so the shard stays sparse.
+    /// Done once, at the first round rather than in `begin`, it spares a
+    /// fresh run the step-by-step growth; a buffer that needs more still
+    /// grows.
+    fn reserve(&mut self, engine: &TenantEngine, planned: bool) {
+        let per_tenant = engine.cfg.requests_per_round as usize;
+        let (mut paths, mut slots, mut width, mut longest) = (0, 0, 0, 0);
+        for slot in &self.tenants {
+            let plan = &engine.specs[slot.spec].plan;
+            let mut len = 0;
+            if plan.num_edges() > 0 {
+                plan.for_each_path(0, &mut |p| len = len.max(p.len()));
+            }
+            let w = plan.width() as usize;
+            paths += per_tenant * w;
+            slots += per_tenant * w * len;
+            width = width.max(w);
+            longest = longest.max(len);
+        }
+        let requests = per_tenant * self.tenants.len();
+        for v in [&mut self.requests, &mut self.waiting, &mut self.backlog] {
+            v.reserve(requests);
+        }
+        self.admitted.reserve(requests);
+        self.adm_off.reserve(paths + 1);
+        self.adm_links.reserve(slots);
+        self.cand_off.reserve(width + 1);
+        self.cand_links.reserve(width * longest);
+        self.keys.reserve(width);
+        self.hops.reserve(longest);
+        if planned {
+            self.outcomes.reserve(paths);
+        }
+        if let Some(arena) = &mut self.packet {
+            arena.reserve(paths, slots);
+        }
+        if let Some(arena) = &mut self.worm {
+            arena.reserve(paths, slots);
+        }
+        let root_links = u64::from(self.root_dims) << self.root_dims.saturating_sub(1);
+        self.ledger.links.reserve(slots.min(usize::try_from(root_links).unwrap_or(usize::MAX)));
+    }
+
+    /// Runs one whole round of this group. Nothing allocates once the
+    /// scratch buffers and the ledger shard have reached working size.
+    fn step_round<R: Recorder>(
+        &mut self,
+        engine: &TenantEngine,
+        fault: Option<(&TenantFaultPlan, FaultRouting)>,
+        round: u32,
+        rec: &mut R,
+    ) {
+        let plan = fault.map(|(p, _)| p);
+        if round == 0 {
+            self.reserve(engine, plan.is_some());
+        }
+        self.draw_requests(engine, round);
+        self.admit(engine, fault, round);
+        self.total_steps += self.execute(plan, round, engine.cfg.host_dims, rec);
+        self.settle(engine, plan.is_some(), round);
+    }
+
+    /// Backlog entries whose backoff has expired first (stable order),
+    /// then this round's fresh requests in canonical tenant order — the
+    /// reference's queue order restricted to this group.
+    fn draw_requests(&mut self, engine: &TenantEngine, round: u32) {
+        self.requests.clear();
+        self.waiting.clear();
+        for r in self.backlog.drain(..) {
+            if r.ready <= round {
+                self.requests.push(r);
+            } else {
+                self.waiting.push(r);
+            }
+        }
+        std::mem::swap(&mut self.backlog, &mut self.waiting);
+        for (t, slot) in self.tenants.iter_mut().enumerate() {
+            let edges = engine.specs[slot.spec].plan.num_edges();
+            for _ in 0..engine.cfg.requests_per_round {
+                let edge = draw_edge(&mut slot.rng, edges);
+                slot.stats.requested += 1;
+                self.requests.push(Request {
+                    tenant: t,
+                    edge,
+                    age: 0,
+                    ready: round,
+                    faulted: false,
+                    issued: round,
+                });
+            }
+        }
+    }
+
+    /// Admission in request order — the reference's decisions exactly
+    /// (same candidates, same order, same ledger state at every choice),
+    /// on flat reusable arenas instead of per-request `Vec`s.
+    fn admit(
+        &mut self,
+        engine: &TenantEngine,
+        fault: Option<(&TenantFaultPlan, FaultRouting)>,
+        round: u32,
+    ) {
+        let cfg = &engine.cfg;
+        let n = cfg.host_dims;
+        self.admitted.clear();
+        self.adm_links.clear();
+        self.adm_off.clear();
+        self.adm_off.push(0);
+        self.round_widest = 0;
+        self.round_longest = 0;
+        for ri in 0..self.requests.len() {
+            let req = self.requests[ri];
+            let spec = &engine.specs[self.tenants[req.tenant].spec];
+            let width = spec.plan.width();
+            let m = spec.plan.dims();
+            self.cand_links.clear();
+            self.cand_off.clear();
+            self.cand_off.push(0);
+            {
+                let cand_links = &mut self.cand_links;
+                let cand_off = &mut self.cand_off;
+                spec.plan.for_each_path(req.edge, &mut |p| {
+                    // lift_path, flattened in place.
+                    for &l in p {
+                        let d = l % u64::from(m);
+                        let base = l / u64::from(m);
+                        cand_links.push(((spec.window << m) | base) * u64::from(n) + d);
+                    }
+                    cand_off.push(cand_links.len() as u32);
+                });
+            }
+            // One pass per candidate, one ledger probe per link: the key
+            // is the load of the path's hottest link, or u32::MAX when
+            // the path crosses a suspect link (quarantined, or for the
+            // omniscient baseline a plan hazard). Suspect paths are thus
+            // never chosen, and the bundle degrades toward the IDA
+            // threshold instead of wasting commits on links known to eat
+            // shares.
+            self.keys.clear();
+            for i in 0..self.cand_off.len() - 1 {
+                let mut hottest = 0u32;
+                let mut suspect = false;
+                for &l in path_slice(&self.cand_links, &self.cand_off, i) {
+                    let s = self.ledger.state(l);
+                    hottest = hottest.max(s.committed);
+                    suspect |= match fault {
+                        None => false,
+                        Some((_, FaultRouting::Learned)) => round < s.quarantine_until,
+                        Some((plan, FaultRouting::Omniscient)) => plan.is_hazard(l),
+                    };
+                }
+                let key = if suspect { u32::MAX } else { hottest };
+                self.keys.push((u64::from(key) << 32) | i as u64);
+            }
+            // Least-loaded first, bundle order breaking ties. Nothing is
+            // committed until the choice is made, so a path fits exactly
+            // when its key is below capacity, and the paths that fit are
+            // a prefix of the sorted keys — the reference's filter by
+            // `LinkLedger::fits`.
+            self.keys.sort_unstable();
+            let chosen = self
+                .keys
+                .iter()
+                .take_while(|&&k| k >> 32 < u64::from(cfg.capacity))
+                .take(width as usize)
+                .count();
+            if (chosen as u32) < width.div_ceil(2) {
+                if req.age >= cfg.max_requeues {
+                    self.tenants[req.tenant].stats.lost += 1;
+                } else {
+                    self.tenants[req.tenant].stats.requeues += 1;
+                    self.backlog.push(Request { age: req.age + 1, ready: round + 1, ..req });
+                }
+                continue;
+            }
+            let first_path = (self.adm_off.len() - 1) as u32;
+            for &k in &self.keys[..chosen] {
+                let path = path_slice(&self.cand_links, &self.cand_off, k as u32 as usize);
+                self.round_widest = self.round_widest.max(self.ledger.commit(path));
+                self.round_longest = self.round_longest.max(path.len());
+                self.adm_links.extend_from_slice(path);
+                self.adm_off.push(self.adm_links.len() as u32);
+            }
+            self.tenants[req.tenant].stats.shares_committed += chosen as u64;
+            self.admitted.push(AdmHeader { req, first_path, num_paths: chosen as u32 });
+        }
+    }
+
+    /// Runs this group's phase, reporting machine events to `rec`, and
+    /// returns its machine steps. Planned rounds leave per-share results
+    /// in `self.outcomes`.
+    fn execute<R: Recorder>(
+        &mut self,
+        plan: Option<&TenantFaultPlan>,
+        round: u32,
+        n: u32,
+        rec: &mut R,
+    ) -> u64 {
         self.outcomes.clear();
-        if self.batch.is_empty() {
-            return;
+        if self.admitted.is_empty() {
+            return 0;
         }
         match self.exec {
-            ExecMode::Structural => self.execute_structural(ctx),
-            ExecMode::Packet => self.execute_packet(ctx, rec),
-            ExecMode::Wormhole { flits } => self.execute_wormhole(ctx, flits, rec),
+            ExecMode::Structural => self.execute_structural(plan, round),
+            ExecMode::Packet => self.execute_packet(plan, round, n, rec),
+            ExecMode::Wormhole { flits } => self.execute_wormhole(plan, round, n, flits, rec),
         }
     }
 
-    fn execute_structural(&mut self, ctx: &RoundCtx<'_>) {
+    fn execute_structural(&mut self, plan: Option<&TenantFaultPlan>, round: u32) -> u64 {
         // Serialization bound: the hottest link forwards one share per
         // step, each share crosses ≤ max path length links. Committed
         // load is committed load whether or not shares then die.
-        self.load.clear();
-        let mut longest = 0u64;
-        for &ai in &self.batch {
-            let h = &ctx.admitted[ai as usize];
-            for j in 0..h.num_paths {
-                let p = ctx.path(h.first_path + j);
-                longest = longest.max(p.len() as u64);
-                for &l in p {
-                    *self.load.entry(l).or_insert(0) += 1;
-                }
+        if let Some(plan) = plan {
+            for p in 0..self.adm_off.len() - 1 {
+                let path = path_slice(&self.adm_links, &self.adm_off, p);
+                self.outcomes.push(structural_outcome(path, Some((plan, round))));
             }
         }
-        let hottest = self.load.values().copied().max().unwrap_or(0);
-        self.steps = hottest.saturating_add(longest.saturating_sub(1));
-        if let Some(plan) = ctx.plan {
-            for &ai in &self.batch {
-                let h = &ctx.admitted[ai as usize];
-                for j in 0..h.num_paths {
-                    self.outcomes.push(structural_outcome(
-                        ctx.path(h.first_path + j),
-                        Some((plan, ctx.round)),
-                    ));
-                }
-            }
-        }
+        u64::from(self.round_widest).saturating_add(self.round_longest.saturating_sub(1) as u64)
     }
 
-    fn execute_packet<R: Recorder>(&mut self, ctx: &RoundCtx<'_>, rec: &mut R) {
+    fn execute_packet<R: Recorder>(
+        &mut self,
+        plan: Option<&TenantFaultPlan>,
+        round: u32,
+        n: u32,
+        rec: &mut R,
+    ) -> u64 {
         let arena = self.packet.as_mut().expect("packet arena for packet mode");
         let cube = arena.host();
         arena.clear();
-        for &ai in &self.batch {
-            let h = &ctx.admitted[ai as usize];
-            for j in 0..h.num_paths {
-                local_hops_into(
-                    ctx.path(h.first_path + j),
-                    ctx.host_dims,
-                    self.root_dims,
-                    self.root_base,
-                    &cube,
-                    &mut self.hops,
-                );
-                arena.add_flow_links(&self.hops, 1);
-            }
+        for p in 0..self.adm_off.len() - 1 {
+            let path = path_slice(&self.adm_links, &self.adm_off, p);
+            local_hops_into(path, n, self.root_dims, self.root_base, &cube, &mut self.hops);
+            arena.add_flow_links(&self.hops, 1);
         }
         let flows = arena.num_flows() as u64;
         // Work-conserving machine: ≤ 3 hops per share, so hops+shares
         // steps always finish the phase (the reference's budget).
         let max_steps = flows * 4 + 4;
-        match ctx.plan {
-            None => {
-                let report = arena.run(max_steps, rec);
-                debug_assert_eq!(report.delivered, flows);
-                self.steps = report.makespan;
-            }
-            Some(plan) => {
-                let dense = self.dense.as_mut().expect("dense projection for planned run");
-                sync_dense_cuts(dense, &self.group_faults, &cube, plan, ctx.round);
-                self.steps = arena.run_planned(max_steps, dense, rec).makespan;
-                for f in 0..flows as usize {
-                    let delivered = arena.flow_delivered()[f] == 1;
-                    let corrupted = arena.flow_corrupted()[f] == 1;
-                    let blame = if !delivered {
-                        Some(host_link_of(
-                            &cube,
-                            arena.flow_dropped_at()[f],
-                            ctx.host_dims,
-                            self.root_base,
-                        ))
-                    } else if corrupted {
-                        Some(host_link_of(
-                            &cube,
-                            arena.flow_corrupted_at()[f],
-                            ctx.host_dims,
-                            self.root_base,
-                        ))
-                    } else {
-                        None
-                    };
-                    self.outcomes.push(PathOutcome { delivered, corrupted, blame });
-                }
-            }
+        let Some(plan) = plan else {
+            let report = arena.run(max_steps, rec);
+            debug_assert_eq!(report.delivered, flows);
+            return report.makespan;
+        };
+        let dense = self.dense.as_mut().expect("dense projection for planned run");
+        sync_dense_cuts(dense, &self.group_faults, &cube, plan, round);
+        let steps = arena.run_planned(max_steps, dense, rec).makespan;
+        for f in 0..flows as usize {
+            let delivered = arena.flow_delivered()[f] == 1;
+            let corrupted = arena.flow_corrupted()[f] == 1;
+            let blame = if !delivered {
+                Some(host_link_of(&cube, arena.flow_dropped_at()[f], n, self.root_base))
+            } else if corrupted {
+                Some(host_link_of(&cube, arena.flow_corrupted_at()[f], n, self.root_base))
+            } else {
+                None
+            };
+            self.outcomes.push(PathOutcome { delivered, corrupted, blame });
         }
+        steps
     }
 
-    fn execute_wormhole<R: Recorder>(&mut self, ctx: &RoundCtx<'_>, flits: u64, rec: &mut R) {
+    fn execute_wormhole<R: Recorder>(
+        &mut self,
+        plan: Option<&TenantFaultPlan>,
+        round: u32,
+        n: u32,
+        flits: u64,
+        rec: &mut R,
+    ) -> u64 {
         let arena = self.worm.as_mut().expect("wormhole arena for wormhole mode");
         let cube = arena.host();
         arena.clear();
-        for &ai in &self.batch {
-            let h = &ctx.admitted[ai as usize];
-            for j in 0..h.num_paths {
-                local_hops_into(
-                    ctx.path(h.first_path + j),
-                    ctx.host_dims,
-                    self.root_dims,
-                    self.root_base,
-                    &cube,
-                    &mut self.hops,
-                );
-                arena.add_worm_links(&self.hops, flits);
-            }
+        for p in 0..self.adm_off.len() - 1 {
+            let path = path_slice(&self.adm_links, &self.adm_off, p);
+            local_hops_into(path, n, self.root_dims, self.root_base, &cube, &mut self.hops);
+            arena.add_worm_links(&self.hops, flits);
         }
         let worms = arena.num_worms() as u64;
         let max_steps = worms * (flits + 3) + flits + 4;
-        match ctx.plan {
-            None => {
-                self.steps = arena.run(max_steps, rec);
-            }
-            Some(plan) => {
-                let dense = self.dense.as_mut().expect("dense projection for planned run");
-                sync_dense_cuts(dense, &self.group_faults, &cube, plan, ctx.round);
-                self.steps = arena.run_planned(max_steps, dense, rec);
-                for w in 0..worms as usize {
-                    let delivered = !arena.lost()[w];
-                    let corrupted = delivered && arena.corrupted()[w];
-                    let blame = if !delivered {
-                        Some(host_link_of(
-                            &cube,
-                            arena.dropped_at()[w],
-                            ctx.host_dims,
-                            self.root_base,
-                        ))
-                    } else if corrupted {
-                        Some(host_link_of(
-                            &cube,
-                            arena.corrupted_at()[w],
-                            ctx.host_dims,
-                            self.root_base,
-                        ))
+        let Some(plan) = plan else {
+            return arena.run(max_steps, rec);
+        };
+        let dense = self.dense.as_mut().expect("dense projection for planned run");
+        sync_dense_cuts(dense, &self.group_faults, &cube, plan, round);
+        let steps = arena.run_planned(max_steps, dense, rec);
+        for w in 0..worms as usize {
+            let delivered = !arena.lost()[w];
+            let corrupted = delivered && arena.corrupted()[w];
+            let blame = if !delivered {
+                Some(host_link_of(&cube, arena.dropped_at()[w], n, self.root_base))
+            } else if corrupted {
+                Some(host_link_of(&cube, arena.corrupted_at()[w], n, self.root_base))
+            } else {
+                None
+            };
+            self.outcomes.push(PathOutcome { delivered, corrupted, blame });
+        }
+        steps
+    }
+
+    /// Settles the round in admission order. Per request: ACK/NACK its
+    /// shares' links, grade it, refund and requeue it with backoff if it
+    /// fell below the IDA threshold, then release its width. The
+    /// reference makes these separate passes over all requests; they
+    /// touch disjoint per-link fields (strikes and quarantine, cumulative
+    /// slots, committed width), so one fused pass ends in the same state.
+    /// Plan-free runs grade on committed width (their engines deliver
+    /// every committed share); plan runs grade on shares that arrived
+    /// clean.
+    fn settle(&mut self, engine: &TenantEngine, planned: bool, round: u32) {
+        let max_requeues = engine.cfg.max_requeues;
+        let mut o = 0usize;
+        for h in &self.admitted {
+            let t = h.req.tenant;
+            let slot = &mut self.tenants[t];
+            let width = engine.specs[slot.spec].plan.width();
+            let st = &mut slot.stats;
+            let committed = u64::from(h.num_paths);
+            if !planned {
+                st.shares_delivered += committed;
+                if h.num_paths == width {
+                    st.full += 1;
+                } else {
+                    st.degraded += 1;
+                }
+            } else {
+                let (mut delivered, mut corrupted) = (0u64, 0u64);
+                for p in h.paths() {
+                    let out = self.outcomes[o];
+                    o += 1;
+                    if out.delivered {
+                        delivered += 1;
+                        if out.corrupted {
+                            corrupted += 1;
+                            if let Some(b) = out.blame {
+                                self.ledger.nack(b, round);
+                            }
+                        } else {
+                            // The whole path carried a clean share:
+                            // every hop is healthy.
+                            for &l in path_slice(&self.adm_links, &self.adm_off, p) {
+                                self.ledger.ack(l);
+                            }
+                        }
+                    } else if let Some(b) = out.blame {
+                        self.ledger.nack(b, round);
+                    }
+                }
+                let clean = delivered - corrupted;
+                st.shares_delivered += delivered;
+                st.shares_lost += committed - delivered;
+                st.shares_corrupted += corrupted;
+                if clean >= u64::from(width.div_ceil(2)) {
+                    if clean == u64::from(width) {
+                        st.full += 1;
                     } else {
-                        None
-                    };
-                    self.outcomes.push(PathOutcome { delivered, corrupted, blame });
+                        st.degraded += 1;
+                    }
+                    if h.req.faulted {
+                        st.recovered += 1;
+                        st.recovery_rounds += u64::from(round - h.req.issued);
+                    }
+                } else {
+                    // Below the IDA threshold: the message did not
+                    // reconstruct. Refund its congestion and retry with
+                    // exponential backoff.
+                    for p in h.paths() {
+                        self.ledger.refund(path_slice(&self.adm_links, &self.adm_off, p));
+                    }
+                    if h.req.age >= max_requeues {
+                        st.lost += 1;
+                    } else {
+                        st.requeues += 1;
+                        let delay = 1u32 << h.req.age.min(BACKOFF_SHIFT_CAP);
+                        self.backlog.push(Request {
+                            age: h.req.age + 1,
+                            ready: round + delay,
+                            faulted: true,
+                            ..h.req
+                        });
+                    }
                 }
             }
+            // Requests complete within their round: free the width.
+            for p in h.paths() {
+                self.ledger.release(path_slice(&self.adm_links, &self.adm_off, p));
+            }
         }
+        debug_assert_eq!(o, self.outcomes.len());
     }
 }
 
 /// One pooled run of a [`TenantEngine`], in round-stepping form.
 ///
-/// Holds the per-group arena pool (one persistent [`PacketArena`] /
-/// [`WormholeArena`] plus memoized fault projection per window group,
-/// created once) and every per-round scratch buffer, so a warmed-up
+/// The run is sharded by window group: one [`GroupArena`] per group holds
+/// the group's persistent [`PacketArena`] / [`WormholeArena`], memoized
+/// fault projection, ledger shard, tenant streams, stats, backlog and
+/// round scratch, all created once. A warmed-up
 /// [`step_round`](Self::step_round) allocates nothing at all —
-/// `bench/tests/alloc_zero.rs` pins the exact-zero behavior.
+/// `bench/tests/alloc_zero.rs` pins the exact-zero behavior, serially and
+/// on a worker pool.
 ///
-/// **Parallel groups, deterministic reports.** When the recorder is a
-/// nop ([`Recorder::IS_NOP`]) and there is more than one group, the
-/// per-round phases execute on rayon workers. Window groups live on
-/// disjoint root subcubes: their machines share no state, their
-/// host-link sets are disjoint, and each group writes only its own
-/// arena. The merge below then walks groups in ascending index order —
-/// the exact order the serial loop uses — so every ledger ACK/NACK and
-/// stat update lands in the serial sequence whatever the thread count.
-/// That is what keeps [`EngineReport`]s (and the E19/E21 artifacts built
-/// from them) byte-identical under any `RAYON_NUM_THREADS` (CI pins 1,
-/// 2, and 4). A non-nop recorder forces serial order so it observes the
-/// canonical event stream.
+/// **Parallel groups, deterministic reports.** Window groups live on
+/// disjoint root subcubes, so their host-link sets are disjoint: no
+/// admission decision, ledger update or machine step of one group can see
+/// another group's. Each group's round therefore depends only on its own
+/// shard, and when the recorder is a nop ([`Recorder::IS_NOP`]) and there
+/// is more than one group, whole group rounds run on rayon workers.
+/// [`finish`](Self::finish) merges the shards in a fixed way (sums, maxima
+/// and a sorted union; see `LinkLedger::fold_into`), so
+/// [`EngineReport`]s — and the E19/E21 artifacts built from them — are
+/// byte-identical under any `RAYON_NUM_THREADS` (CI pins 1, 2, and 4) and
+/// to the unsharded reference. A non-nop recorder walks the groups
+/// serially, in order, so it observes the canonical event stream.
 pub struct TenantRun<'a> {
     engine: &'a TenantEngine,
     fault: Option<(&'a TenantFaultPlan, FaultRouting)>,
     round: u32,
-    total_steps: u64,
-    ledger: LinkLedger,
-    stats: Vec<FlowStats>,
-    rngs: Vec<ChaCha8Rng>,
-    backlog: Vec<Request>,
-    arenas: Vec<GroupArena>,
-    // Round scratch, reused across rounds.
-    requests: Vec<Request>,
-    waiting: Vec<Request>,
-    admitted: Vec<AdmHeader>,
-    adm_links: Vec<u64>,
-    adm_off: Vec<u32>,
-    cand_links: Vec<u64>,
-    cand_off: Vec<u32>,
-    order: Vec<usize>,
-    chosen: Vec<usize>,
-    delivered_shares: Vec<u64>,
-    corrupted_shares: Vec<u64>,
+    groups: Vec<GroupArena>,
 }
 
 impl<'a> TenantRun<'a> {
     fn new(engine: &'a TenantEngine, fault: Option<(&'a TenantFaultPlan, FaultRouting)>) -> Self {
         let cfg = &engine.cfg;
         let plan = fault.map(|(p, _)| p);
-        let arenas: Vec<GroupArena> = engine
+        let mut groups: Vec<GroupArena> = engine
             .groups
             .iter()
-            .map(|&(root_dims, root_base)| {
-                GroupArena::new(root_dims, root_base, cfg.exec, plan, cfg.host_dims)
-            })
+            .map(|&(root_dims, root_base)| GroupArena::new(root_dims, root_base, cfg, plan))
             .collect();
         // Satellite regression: the pool is exactly one persistent arena
         // per window group, never rebuilt mid-run.
-        assert_eq!(arenas.len(), engine.num_groups());
-        let rngs = engine
-            .specs
-            .iter()
-            .map(|s| {
-                let mut r = ChaCha8Rng::seed_from_u64(cfg.seed);
-                r.set_stream(u64::from(s.id) + 1);
-                r
-            })
-            .collect();
-        TenantRun {
-            engine,
-            fault,
-            round: 0,
-            total_steps: 0,
-            ledger: LinkLedger::new(cfg.capacity),
-            stats: vec![FlowStats::default(); engine.specs.len()],
-            rngs,
-            backlog: Vec::new(),
-            arenas,
-            requests: Vec::new(),
-            waiting: Vec::new(),
-            admitted: Vec::new(),
-            adm_links: Vec::new(),
-            adm_off: vec![0],
-            cand_links: Vec::new(),
-            cand_off: vec![0],
-            order: Vec::new(),
-            chosen: Vec::new(),
-            delivered_shares: Vec::new(),
-            corrupted_shares: Vec::new(),
+        assert_eq!(groups.len(), engine.num_groups());
+        for (t, (spec, &g)) in engine.specs.iter().zip(&engine.group_of).enumerate() {
+            groups[g].tenants.push(TenantSlot {
+                spec: t,
+                rng: tenant_rng(cfg.seed, spec.id),
+                stats: FlowStats::default(),
+            });
         }
+        TenantRun { engine, fault, round: 0, groups }
     }
 
     /// Rounds stepped so far.
@@ -1924,316 +2239,37 @@ impl<'a> TenantRun<'a> {
     /// a nop).
     pub fn step_round_recorded<R: Recorder>(&mut self, rec: &mut R) {
         let engine = self.engine;
-        let cfg = &engine.cfg;
-        assert!(self.round < cfg.rounds, "stepped past the configured rounds");
-        let round = self.round;
-        let n = cfg.host_dims;
-        let fault = self.fault;
-
-        // Backlog entries whose backoff has expired first (stable
-        // order), then this round's fresh requests in canonical tenant
-        // order — identical queue order to the reference engine.
-        self.requests.clear();
-        self.waiting.clear();
-        for r in self.backlog.drain(..) {
-            if r.ready <= round {
-                self.requests.push(r);
-            } else {
-                self.waiting.push(r);
-            }
-        }
-        std::mem::swap(&mut self.backlog, &mut self.waiting);
-        for (t, spec) in engine.specs.iter().enumerate() {
-            let edges = spec.plan.num_edges();
-            for _ in 0..cfg.requests_per_round {
-                let edge = draw_edge(&mut self.rngs[t], edges);
-                self.stats[t].requested += 1;
-                self.requests.push(Request {
-                    tenant: t,
-                    edge,
-                    age: 0,
-                    ready: round,
-                    faulted: false,
-                    issued: round,
-                });
-            }
-        }
-
-        // Admission in request order — the reference's decisions exactly
-        // (same candidate order, same keys, same ledger state at every
-        // check), on flat reusable arenas instead of per-request Vecs.
-        self.admitted.clear();
-        self.adm_links.clear();
-        self.adm_off.truncate(1);
-        for ri in 0..self.requests.len() {
-            let req = self.requests[ri];
-            let t = req.tenant;
-            let spec = &engine.specs[t];
-            let width = spec.plan.width();
-            let threshold = width.div_ceil(2);
-            let m = spec.plan.dims();
-            self.cand_links.clear();
-            self.cand_off.truncate(1);
-            {
-                let cand_links = &mut self.cand_links;
-                let cand_off = &mut self.cand_off;
-                spec.plan.for_each_path(req.edge, &mut |p| {
-                    // lift_path, flattened in place.
-                    for &l in p {
-                        let d = l % u64::from(m);
-                        let base = l / u64::from(m);
-                        cand_links.push(((spec.window << m) | base) * u64::from(n) + d);
-                    }
-                    cand_off.push(cand_links.len() as u32);
-                });
-            }
-            let num_paths = self.cand_off.len() - 1;
-            let cand_links = &self.cand_links;
-            let cand_off = &self.cand_off;
-            let ledger = &self.ledger;
-            // Health-aware re-routing: paths through suspect links are
-            // not candidates at all — the bundle degrades gracefully
-            // toward the IDA threshold instead of wasting commits on
-            // links known to eat shares.
-            let suspect = |links: &[u64]| -> bool {
-                match fault {
-                    None => false,
-                    Some((_, FaultRouting::Learned)) => {
-                        links.iter().any(|&l| ledger.is_quarantined(l, round))
-                    }
-                    Some((plan, FaultRouting::Omniscient)) => {
-                        links.iter().any(|&l| plan.is_hazard(l))
-                    }
-                }
-            };
-            // Least-loaded-first: order candidate paths by the hottest
-            // link each would cross, keeping bundle order as the
-            // tiebreak. Keys are unique (the index breaks ties), so the
-            // allocation-free unstable sort is deterministic and matches
-            // the reference's stable sort order.
-            self.order.clear();
-            self.order
-                .extend((0..num_paths).filter(|&i| !suspect(path_slice(cand_links, cand_off, i))));
-            self.order.sort_unstable_by_key(|&i| {
-                (
-                    path_slice(cand_links, cand_off, i)
-                        .iter()
-                        .map(|&l| ledger.load(l))
-                        .max()
-                        .unwrap_or(0),
-                    i,
-                )
-            });
-            self.chosen.clear();
-            self.chosen.extend(
-                self.order
-                    .iter()
-                    .copied()
-                    .filter(|&i| ledger.fits(path_slice(cand_links, cand_off, i)))
-                    .take(width as usize),
-            );
-            if (self.chosen.len() as u32) < threshold {
-                if req.age >= cfg.max_requeues {
-                    self.stats[t].lost += 1;
-                } else {
-                    self.stats[t].requeues += 1;
-                    self.backlog.push(Request { age: req.age + 1, ready: round + 1, ..req });
-                }
-                continue;
-            }
-            let first_path = (self.adm_off.len() - 1) as u32;
-            for ci in 0..self.chosen.len() {
-                let i = self.chosen[ci];
-                let s = self.cand_off[i] as usize;
-                let e = self.cand_off[i + 1] as usize;
-                self.ledger.commit(&self.cand_links[s..e]);
-                self.adm_links.extend_from_slice(&self.cand_links[s..e]);
-                self.adm_off.push(self.adm_links.len() as u32);
-            }
-            self.stats[t].shares_committed += self.chosen.len() as u64;
-            self.admitted.push(AdmHeader {
-                req,
-                group: engine.group_of[t] as u32,
-                first_path,
-                num_paths: self.chosen.len() as u32,
-            });
-        }
-
-        // Route each admitted request to its group's arena, then execute
-        // one phase per group — in parallel when nobody is recording
-        // (disjoint subcubes; see the type-level docs), serially
-        // otherwise so `rec` observes the canonical event order.
-        for ga in &mut self.arenas {
-            ga.batch.clear();
-        }
-        for (i, h) in self.admitted.iter().enumerate() {
-            self.arenas[h.group as usize].batch.push(i as u32);
-        }
-        let ctx = RoundCtx {
-            admitted: &self.admitted,
-            adm_links: &self.adm_links,
-            adm_off: &self.adm_off,
-            plan: fault.map(|(p, _)| p),
-            round,
-            host_dims: n,
-        };
-        if R::IS_NOP && self.arenas.len() > 1 {
-            self.arenas.par_iter_mut().for_each(|ga| ga.execute(&ctx, &mut NopRecorder));
+        assert!(self.round < engine.cfg.rounds, "stepped past the configured rounds");
+        let (round, fault) = (self.round, self.fault);
+        if R::IS_NOP && self.groups.len() > 1 {
+            self.groups
+                .par_iter_mut()
+                .for_each(|g| g.step_round(engine, fault, round, &mut NopRecorder));
         } else {
-            for ga in &mut self.arenas {
-                ga.execute(&ctx, rec);
+            for g in &mut self.groups {
+                g.step_round(engine, fault, round, rec);
             }
         }
-
-        // Merge per-group results in ascending group order — the serial
-        // loop's exact ledger ACK/NACK and step-accumulation sequence.
-        self.delivered_shares.clear();
-        self.delivered_shares.resize(self.admitted.len(), 0);
-        self.corrupted_shares.clear();
-        self.corrupted_shares.resize(self.admitted.len(), 0);
-        match fault {
-            None => {
-                for ga in &self.arenas {
-                    self.total_steps += ga.steps;
-                    for &ai in &ga.batch {
-                        self.delivered_shares[ai as usize] =
-                            u64::from(self.admitted[ai as usize].num_paths);
-                    }
-                }
-            }
-            Some(_) => {
-                for ga in &self.arenas {
-                    self.total_steps += ga.steps;
-                    let mut o = 0usize;
-                    for &ai in &ga.batch {
-                        let h = self.admitted[ai as usize];
-                        for j in 0..h.num_paths {
-                            let out = ga.outcomes[o];
-                            o += 1;
-                            if out.delivered {
-                                self.delivered_shares[ai as usize] += 1;
-                                if out.corrupted {
-                                    self.corrupted_shares[ai as usize] += 1;
-                                    if let Some(b) = out.blame {
-                                        self.ledger.nack(b, round);
-                                    }
-                                } else {
-                                    // The whole path carried a clean
-                                    // share: every hop is healthy.
-                                    let p = (h.first_path + j) as usize;
-                                    for &l in path_slice(&self.adm_links, &self.adm_off, p) {
-                                        self.ledger.ack(l);
-                                    }
-                                }
-                            } else if let Some(b) = out.blame {
-                                self.ledger.nack(b, round);
-                            }
-                        }
-                    }
-                    debug_assert_eq!(o, ga.outcomes.len());
-                }
-            }
-        }
-
-        // Post-phase SLO grading. Plan-free runs grade on committed
-        // width (their engines deliver every committed share); plan runs
-        // grade on shares that arrived clean, refund fault-failed
-        // requests' phantom congestion, and requeue them with backoff.
-        for i in 0..self.admitted.len() {
-            let h = self.admitted[i];
-            let t = h.req.tenant;
-            let width = engine.specs[t].plan.width();
-            let threshold = u64::from(width.div_ceil(2));
-            let committed = u64::from(h.num_paths);
-            self.stats[t].shares_delivered += self.delivered_shares[i];
-            match fault {
-                None => {
-                    if committed as u32 == width {
-                        self.stats[t].full += 1;
-                    } else {
-                        self.stats[t].degraded += 1;
-                    }
-                }
-                Some(_) => {
-                    let clean = self.delivered_shares[i] - self.corrupted_shares[i];
-                    self.stats[t].shares_lost += committed - self.delivered_shares[i];
-                    self.stats[t].shares_corrupted += self.corrupted_shares[i];
-                    if clean >= threshold {
-                        if clean == u64::from(width) {
-                            self.stats[t].full += 1;
-                        } else {
-                            self.stats[t].degraded += 1;
-                        }
-                        if h.req.faulted {
-                            self.stats[t].recovered += 1;
-                            self.stats[t].recovery_rounds += u64::from(round - h.req.issued);
-                        }
-                    } else {
-                        // Below the IDA threshold: the message did not
-                        // reconstruct. Refund its congestion and retry
-                        // with exponential backoff.
-                        for j in 0..h.num_paths {
-                            let p = (h.first_path + j) as usize;
-                            self.ledger.refund(path_slice(&self.adm_links, &self.adm_off, p));
-                        }
-                        if h.req.age >= cfg.max_requeues {
-                            self.stats[t].lost += 1;
-                        } else {
-                            self.stats[t].requeues += 1;
-                            let delay = 1u32 << h.req.age.min(BACKOFF_SHIFT_CAP);
-                            self.backlog.push(Request {
-                                age: h.req.age + 1,
-                                ready: round + delay,
-                                faulted: true,
-                                ..h.req
-                            });
-                        }
-                    }
-                }
-            }
-        }
-
-        // Requests complete within their round: free the width.
-        for h in &self.admitted {
-            for j in 0..h.num_paths {
-                let p = (h.first_path + j) as usize;
-                self.ledger.release(path_slice(&self.adm_links, &self.adm_off, p));
-            }
-        }
-
         self.round += 1;
     }
 
     /// Drains the remaining backlog as lost (backed-off retries that
-    /// never got another round count too) and freezes the report. Step
-    /// exactly [`TenantsConfig::rounds`] rounds first for the report to
-    /// equal [`TenantEngine::run`]'s.
+    /// never got another round count too), merges the group shards and
+    /// freezes the report. Step exactly [`TenantsConfig::rounds`] rounds
+    /// first for the report to equal [`TenantEngine::run`]'s.
     pub fn finish(self) -> EngineReport {
-        let TenantRun { engine, round, total_steps, ledger, mut stats, backlog, .. } = self;
-        for req in backlog {
-            stats[req.tenant].lost += 1;
+        let mut stats = vec![FlowStats::default(); self.engine.specs.len()];
+        let mut total_steps = 0;
+        for g in &self.groups {
+            total_steps += g.total_steps;
+            for slot in &g.tenants {
+                stats[slot.spec] = slot.stats.clone();
+            }
+            for req in &g.backlog {
+                stats[g.tenants[req.tenant].spec].lost += 1;
+            }
         }
-        let quarantined = ledger.ever_quarantined();
-        EngineReport {
-            host_dims: engine.cfg.host_dims,
-            rounds: round,
-            tenants: engine
-                .specs
-                .iter()
-                .zip(stats)
-                .map(|(s, st)| TenantReport { id: s.id, name: s.name.clone(), stats: st })
-                .collect(),
-            total_steps,
-            ledger: LedgerSummary {
-                capacity: ledger.capacity(),
-                links_touched: ledger.links_touched(),
-                total_slots: ledger.total_slots(),
-                max_cumulative: ledger.max_cumulative(),
-                peak_concurrent: ledger.peak_concurrent(),
-                quarantined_links: quarantined.len(),
-            },
-            quarantined,
-        }
+        self.engine.report(self.round, stats, total_steps, self.groups.iter().map(|g| &g.ledger))
     }
 }
 
@@ -2640,34 +2676,24 @@ mod tests {
 
     #[test]
     fn pooled_run_is_identical_at_any_thread_count() {
-        // Three disjoint groups: the parallel dispatch kicks in, and the
-        // ascending-order merge keeps the report byte-identical.
+        // Three disjoint groups: whole group rounds run on the parallel
+        // dispatch, and the shard merge keeps the report byte-identical
+        // to the serial run and to the unsharded reference.
         let specs = [grid_spec(0, 0), grid_spec(1, 1), tree_spec(2, 2)];
         let engine = TenantEngine::new(cfg(6, 8), &specs).unwrap();
-        let one = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| engine.run());
-        let four = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| engine.run());
-        assert_eq!(one, four);
         let mut tplan = TenantFaultPlan::none();
         tplan.cut_node_at(0, 6, 3);
-        let p1 = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| engine.run_planned(&tplan, FaultRouting::Learned));
-        let p4 = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap()
-            .install(|| engine.run_planned(&tplan, FaultRouting::Learned));
-        assert_eq!(p1, p4);
+        let plain = engine.run_reference();
+        let planned = engine.run_planned_reference(&tplan, FaultRouting::Learned);
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            assert_eq!(pool.install(|| engine.run()), plain, "{threads} thread(s)");
+            assert_eq!(
+                pool.install(|| engine.run_planned(&tplan, FaultRouting::Learned)),
+                planned,
+                "{threads} thread(s), planned"
+            );
+        }
     }
 
     #[test]

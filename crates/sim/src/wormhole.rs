@@ -625,6 +625,15 @@ impl WormholeArena {
         self.worm_flits.clear();
     }
 
+    /// Reserves room for `worms` more worms of `hops` hop links in total,
+    /// so loading a round of known size does not grow the worm arena step
+    /// by step.
+    pub fn reserve(&mut self, worms: usize, hops: usize) {
+        self.worm_off.reserve(worms);
+        self.worm_flits.reserve(worms);
+        self.worm_links.reserve(hops);
+    }
+
     /// Adds one worm as a sequence of directed link indices
     /// ([`Hypercube::dir_edge_index`]) that must chain head-to-tail —
     /// exactly the links [`WormholeSim::add_worm`] would derive from the
