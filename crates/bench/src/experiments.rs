@@ -258,21 +258,40 @@ pub fn e12_faults_with_threads(
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use rayon::prelude::*;
+    use std::collections::HashMap;
+
+    /// What every grid point of one dimension shares.
+    struct Built {
+        host: hyperpath_topology::Hypercube,
+        width: usize,
+        gray_paths: SlicedPaths,
+        t1_paths: SlicedPaths,
+    }
+
+    // The constructions and their bit-sliced path tables are deterministic
+    // and fault-independent, so build them once per distinct dimension up
+    // front, serially (as E18 does for its plans): no grid point or trial
+    // rebuilds them, and the embeddings are dropped once resolved.
+    let mut built: HashMap<u32, Built> = HashMap::new();
+    for &n in ns {
+        built.entry(n).or_insert_with(|| {
+            let t1 = theorem1(n).expect("theorem 1");
+            Built {
+                host: t1.embedding.host,
+                width: t1.claimed_width,
+                gray_paths: SlicedPaths::new(&gray_cycle_embedding(n)),
+                t1_paths: SlicedPaths::new(&t1.embedding),
+            }
+        });
+    }
 
     let mut sweep = Sweep::new("e12_faults", master_seed);
     if let Some(t) = threads {
         sweep = sweep.threads(t);
     }
     let out = sweep.run(e12_grid(ns), move |p, rng| {
-        let gray = gray_cycle_embedding(p.n);
-        let t1 = theorem1(p.n).expect("theorem 1");
-        let w = t1.claimed_width;
+        let Built { host, width: w, gray_paths, t1_paths } = &built[&p.n];
         let k_half = w.div_ceil(2);
-        let host = t1.embedding.host;
-        // Hoisted out of the trial loops: the bit-sliced path tables are
-        // fault-independent, so no trial rebuilds them.
-        let gray_paths = SlicedPaths::new(&gray);
-        let t1_paths = SlicedPaths::new(&t1.embedding);
         // One seed per trial drawn *serially* from the point's stream: the
         // sweep's byte-stability across worker counts rests on this.
         let seeds: Vec<u64> = (0..trials).map(|_| rng.random()).collect();
@@ -288,7 +307,7 @@ pub fn e12_faults_with_threads(
             .map(|chunk| {
                 let mut lane_rngs: Vec<StdRng> =
                     chunk.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-                let block = BitTrialBlock256::draw_compat(&host, p.p, &mut lane_rngs);
+                let block = BitTrialBlock256::draw_compat(host, p.p, &mut lane_rngs);
                 [
                     count_lanes_256(gray_paths.all_bundles_ge_256(&block, 1)),
                     count_lanes_256(t1_paths.all_bundles_ge_256(&block, 1)),

@@ -37,7 +37,7 @@ use hyperpath_sim::bitslice::{
 use hyperpath_sim::chaos::random_plan;
 use hyperpath_sim::delivery::{deliver_phase, DeliveryConfig};
 use hyperpath_sim::faults::{random_fault_set, surviving_paths};
-use hyperpath_sim::protocol::{deliver_adaptive, PlanNetwork};
+use hyperpath_sim::protocol::{deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork};
 use hyperpath_sim::routing::{ecube_path, random_permutation};
 use hyperpath_sim::trace::CountingRecorder;
 use hyperpath_sim::{FaultTimeline, PacketSim, Worm, WormholeSim};
@@ -488,7 +488,9 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         });
     }
 
-    // --- Oracle-free adaptive delivery under the mixed adversary. ---
+    // --- Oracle-free adaptive delivery under the mixed adversary: one
+    // phase over a hoisted setup, as E16, the chaos harness and the
+    // benchmark run it, with the phase's exact allocation profile. ---
     {
         let n = *cfg.packet_ns.last().expect("non-empty packet grid");
         let t1 = theorem1(n).expect("theorem 1");
@@ -498,7 +500,11 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         let k_half = t1.claimed_width.div_ceil(2);
         let dcfg = DeliveryConfig { threshold: k_half, max_retries: 2, message_len: 64 };
         let key = PERF_SEED ^ 0xfeed;
-        let r = deliver_adaptive(e, &dcfg, key, &mut PlanNetwork::new(e, &plan));
+        let setup = AdaptiveSetup::new(e, &dcfg);
+        let phase = || deliver_adaptive_prepared(&setup, key, &mut PlanNetwork::new(e, &plan));
+        let r = phase();
+        let (again, allocs) = measure_allocs(phase); // post-warmup
+        assert_eq!(again, r, "adaptive phase drifted between runs");
         records.push(PerfRecord {
             name: format!("delivery/deliver_adaptive/n{n}"),
             counters: vec![
@@ -510,10 +516,10 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("shares_resent".into(), r.shares_resent),
                 ("rejected_shares".into(), r.rejected_shares),
                 ("wrong_reconstructions".into(), r.wrong_reconstructions),
+                ("alloc_calls".into(), allocs.calls),
+                ("alloc_bytes".into(), allocs.bytes),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
-                deliver_adaptive(e, &dcfg, key, &mut PlanNetwork::new(e, &plan))
-            }),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, phase),
         });
     }
 

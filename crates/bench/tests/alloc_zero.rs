@@ -166,6 +166,35 @@ fn kernel_disperse_allocation_count_is_exact() {
     assert_eq!(calls, 1 + 2 * 4, "k=1 fast path must stay growth-free");
 }
 
+/// `Ida::reconstruct` selects its shares into a fixed stack array, so its
+/// allocation-call count is a closed formula as well: for a non-empty
+/// message, exactly 2 for `k ≥ 2` (the message and one scratch buffer
+/// holding the augmented `k × 2k` inverse and the output plane) and 1 for
+/// `k = 1` (the message), whatever the share order, extras or duplicates.
+#[test]
+fn kernel_reconstruct_allocation_count_is_exact() {
+    let _serial = serial();
+    let message: Vec<u8> = (0..4096u32).map(|i| (i * 31 % 251) as u8).collect();
+    for (w, k) in [(8usize, 4usize), (5, 3), (5, 2), (3, 3), (4, 1)] {
+        let ida = Ida::new(w as u8, k as u8);
+        let shares = ida.disperse(&message);
+        // The last share twice, then every share backwards: selection
+        // skips the duplicates and picks the first k distinct indices.
+        let offered: Vec<_> =
+            shares.last().into_iter().chain(shares.iter().rev()).cloned().collect();
+        let calls = fewest(|| {
+            let (out, d) = measure_allocs(|| ida.reconstruct(&offered));
+            assert_eq!(out.expect("k distinct shares reconstruct"), message);
+            d.calls
+        });
+        let expected = if k == 1 { 1 } else { 2 };
+        assert_eq!(
+            calls, expected,
+            "reconstruct(w={w}, k={k}) made {calls} allocation calls, expected exactly {expected}"
+        );
+    }
+}
+
 /// A tenant engine on a `Q_6` host with a grid and a tree guest
 /// (`Q_4` each) per window in `windows`.
 fn tenant_engine(rounds: u32, windows: &[u64]) -> TenantEngine {

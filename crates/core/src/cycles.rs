@@ -97,7 +97,9 @@ fn widen_edge(u: Node, v: Node, i: Dim, base: u32, w: u32, direct: bool) -> Vec<
 
 /// Certifies the schedule: tries the paper's natural schedule first (all
 /// paths at step 0, plus for Theorem 1 a second direct-path packet at step
-/// 2), falling back to the greedy placer when the natural one collides.
+/// 2), falling back to the phase-aligned placer when the natural one
+/// collides. Every candidate schedule is verified exactly once, and the
+/// certified `(packets, cost)` are read off the one that passed.
 fn certify(
     embedding: MultiPathEmbedding,
     claimed_width: usize,
@@ -115,10 +117,9 @@ fn certify(
             // Fall back to the phase-aligned certifier (middle-edge rounds),
             // which realizes the paper's "+1 to the cost" argument exactly.
             let mut g = PhaseSchedule::phase_aligned(&embedding);
+            let before = g.transmissions.len();
             if extra_direct_at.is_some() {
-                // Try to re-add the second direct packet at the final step;
-                // drop it if anything collides there.
-                let before = g.transmissions.len();
+                // Try to re-add the second direct packet at the final step.
                 let makespan = g.makespan(&embedding);
                 for ge in 0..embedding.guest.num_edges() {
                     g.transmissions.push(Transmission::consecutive(
@@ -128,14 +129,17 @@ fn certify(
                         1,
                     ));
                 }
-                if g.verify(&embedding).is_err() {
-                    g.transmissions.truncate(before);
-                }
+            }
+            // Verify the extended schedule; if there is nothing to extend
+            // or the extra packets collide, verify it without them.
+            if g.transmissions.len() == before || g.verify(&embedding).is_err() {
+                g.transmissions.truncate(before);
+                g.verify(&embedding)?;
             }
             (g, false)
         }
     };
-    let (packets, cost) = schedule.certified_cost(&embedding)?;
+    let (packets, cost) = (schedule.packets_per_edge(&embedding), schedule.makespan(&embedding));
     Ok(CycleEmbedding { embedding, schedule, claimed_width, packets, cost, natural_schedule_ok })
 }
 

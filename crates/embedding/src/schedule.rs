@@ -12,6 +12,7 @@
 //! cost is at most `c`.
 
 use crate::map::MultiPathEmbedding;
+use hyperpath_topology::LinkBuildHasher;
 use std::collections::HashMap;
 
 /// One packet transmission: guest edge `guest_edge` sends one packet along
@@ -113,13 +114,16 @@ impl PhaseSchedule {
                 hop_starts: Vec::with_capacity(p.len()),
             })
             .collect();
+        // Rounds taken so far on each directed link within the current hop
+        // class.
+        let mut rounds = vec![0u64; host.num_directed_edges() as usize];
         let mut offset = 0u64;
         for h in 0..max_hops {
-            let mut rounds: HashMap<usize, u64> = HashMap::new();
+            rounds.fill(0);
             let mut class_width = 0u64;
             for (ti, (_, _, path)) in e.all_paths().enumerate() {
                 if let Some(edge) = path.edges().nth(h) {
-                    let r = rounds.entry(host.dir_edge_index(edge)).or_insert(0);
+                    let r = &mut rounds[host.dir_edge_index(edge)];
                     transmissions[ti].hop_starts.push(offset + *r);
                     class_width = class_width.max(*r + 1);
                     *r += 1;
@@ -147,10 +151,14 @@ impl PhaseSchedule {
 
     /// Verifies the schedule: indices in range, hop steps strictly
     /// increasing and matching the path length, and **no directed host edge
-    /// is crossed by two packets in the same step**.
+    /// is crossed by two packets in the same step**. The busy map is keyed
+    /// by `(step, link)` and sized from the hop count, so memory stays
+    /// proportional to the hops whatever the step values.
     pub fn verify(&self, e: &MultiPathEmbedding) -> Result<(), String> {
         let host = e.host;
-        let mut busy: HashMap<(u64, usize), (usize, usize)> = HashMap::new();
+        let hops = self.transmissions.iter().map(|t| t.hop_starts.len()).sum();
+        let mut busy: HashMap<(u64, usize), (usize, usize), LinkBuildHasher> =
+            HashMap::with_capacity_and_hasher(hops, LinkBuildHasher::default());
         for (ti, t) in self.transmissions.iter().enumerate() {
             let bundle = e
                 .edge_paths
@@ -186,6 +194,9 @@ impl PhaseSchedule {
 
     /// Verifies and summarizes: returns `(p, cost)` where every guest edge
     /// ships at least `p` packets and all packets arrive within `cost` steps.
+    /// A caller that has just verified the schedule reads
+    /// [`packets_per_edge`](Self::packets_per_edge) and
+    /// [`makespan`](Self::makespan) instead of verifying twice.
     pub fn certified_cost(&self, e: &MultiPathEmbedding) -> Result<(u64, u64), String> {
         self.verify(e)?;
         Ok((self.packets_per_edge(e), self.makespan(e)))

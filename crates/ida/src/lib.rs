@@ -259,9 +259,21 @@ impl Ida {
     /// indices are tolerated only while their payloads agree — a
     /// disagreement means corruption and is reported as
     /// [`IdaError::ConflictingDuplicate`].
+    ///
+    /// The selection lives in a fixed stack array, so a non-empty message
+    /// costs exactly two heap allocations for `k ≥ 2` (the message and one
+    /// scratch buffer holding the augmented `k × 2k` inverse and the
+    /// output plane) and one for `k = 1`; `bench/tests/alloc_zero.rs` pins
+    /// both counts.
     pub fn reconstruct(&self, shares: &[Share]) -> Result<Vec<u8>, IdaError> {
         let k = usize::from(self.k);
-        let (picked, msg_len, payload_len) = self.select_shares(shares)?;
+        let Some(first) = shares.first() else {
+            return Err(IdaError::NotEnoughShares { needed: k, got: 0 });
+        };
+        // `first` only fills the slots selection has not reached yet.
+        let mut picked = [first; 255];
+        let (msg_len, payload_len) = self.select_shares(shares, &mut picked)?;
+        let picked = &picked[..k];
         let mut out = vec![0u8; msg_len];
         if k == 1 {
             // inv is the 1×1 identity: the selected payload *is* the
@@ -269,25 +281,21 @@ impl Ida {
             out.copy_from_slice(&picked[0].data[8..8 + msg_len]);
             return Ok(out);
         }
-        let inv = vandermonde_inverse(&picked, k);
+        let mut scratch = vec![0u8; 2 * k * k + payload_len];
+        let (aug, plane) = scratch.split_at_mut(2 * k * k);
+        invert_vandermonde(picked.iter().map(|s| s.index), k, aug);
         // plane_j = Σ_r inv[j][r] · payload_r — one kernel row op per
         // (j, r) pair — then re-interleaved into the output at stride k.
-        let mut plane = vec![0u8; payload_len];
-        for (j, inv_row) in inv.iter().enumerate() {
+        for (j, row) in aug.chunks_exact(2 * k).enumerate() {
             if j >= msg_len {
                 break; // whole plane lands past the declared length
             }
             plane.fill(0);
-            for (r, s) in picked.iter().enumerate() {
-                kernel::mul_row_acc(&mut plane, &s.data[8..], inv_row[r].value());
+            for (s, &c) in picked.iter().zip(&row[k..]) {
+                kernel::mul_row_acc(plane, &s.data[8..], c);
             }
-            let mut idx = j;
-            for &b in &plane {
-                if idx >= msg_len {
-                    break;
-                }
-                out[idx] = b;
-                idx += k;
+            for (o, &b) in out[j..].iter_mut().step_by(k).zip(plane.iter()) {
+                *o = b;
             }
         }
         Ok(out)
@@ -354,23 +362,24 @@ impl Ida {
         Ok(out)
     }
 
-    /// Selects the first `k` distinct in-range shares and validates their
-    /// headers; shared by [`Self::reconstruct`] and mirrored verbatim in
-    /// [`Self::reconstruct_reference`]. Returns `(picked, msg_len,
-    /// payload_len)`.
+    /// Selects the first `k` distinct in-range shares into `picked[..k]`
+    /// and validates their headers; used by [`Self::reconstruct`] and
+    /// mirrored verbatim in [`Self::reconstruct_reference`]. Returns
+    /// `(msg_len, payload_len)`.
     fn select_shares<'s>(
         &self,
         shares: &'s [Share],
-    ) -> Result<(Vec<&'s Share>, usize, usize), IdaError> {
+        picked: &mut [&'s Share; 255],
+    ) -> Result<(usize, usize), IdaError> {
         let k = usize::from(self.k);
-        let mut picked: Vec<&Share> = Vec::with_capacity(k);
+        let mut got = 0;
         let mut seen = [false; 256];
         for s in shares {
             if s.index >= self.w {
                 return Err(IdaError::IndexOutOfRange { index: s.index, width: self.w });
             }
             if seen[usize::from(s.index)] {
-                if let Some(prev) = picked.iter().find(|p| p.index == s.index) {
+                if let Some(prev) = picked[..got].iter().find(|p| p.index == s.index) {
                     if prev.data != s.data {
                         return Err(IdaError::ConflictingDuplicate { index: s.index });
                     }
@@ -378,13 +387,15 @@ impl Ida {
                 continue;
             }
             seen[usize::from(s.index)] = true;
-            if picked.len() < k {
-                picked.push(s);
+            if got < k {
+                picked[got] = s;
+                got += 1;
             }
         }
-        if picked.len() < k {
-            return Err(IdaError::NotEnoughShares { needed: k, got: picked.len() });
+        if got < k {
+            return Err(IdaError::NotEnoughShares { needed: k, got });
         }
+        let picked = &picked[..k];
         let header =
             picked[0].data.get(..8).ok_or(IdaError::ShareTooShort { index: picked[0].index })?;
         let msg_len = u64::from_le_bytes(header.try_into().unwrap()) as usize;
@@ -398,7 +409,7 @@ impl Ida {
                 capacity: payload_len * k,
             });
         }
-        Ok((picked, msg_len, payload_len))
+        Ok((msg_len, payload_len))
     }
 
     /// [`disperse`](Self::disperse), with each share fingerprinted under
@@ -429,49 +440,55 @@ impl Ida {
     }
 }
 
-/// Inverts the `k×k` Vandermonde system of the picked shares' evaluation
-/// points by Gauss-Jordan elimination (fields this small need no
-/// cleverness). Distinct points — enforced during selection — make the
-/// system nonsingular.
-fn vandermonde_inverse(picked: &[&Share], k: usize) -> Vec<Vec<Gf256>> {
-    let mut a: Vec<Vec<Gf256>> = picked
-        .iter()
-        .map(|s| {
-            let x = Gf256::new(s.index);
-            let mut row = Vec::with_capacity(k);
-            let mut p = Gf256::ONE;
-            for _ in 0..k {
-                row.push(p);
-                p = p * x;
-            }
-            row
-        })
-        .collect();
-    let mut inv: Vec<Vec<Gf256>> = (0..k)
-        .map(|i| (0..k).map(|j| if i == j { Gf256::ONE } else { Gf256::ZERO }).collect())
-        .collect();
+/// Inverts the `k×k` Vandermonde matrix of the evaluation points `xs` by
+/// Gauss-Jordan elimination on one row-major augmented matrix
+/// `aug = [V | I]` (`k` rows of `2k` entries); on return the right half of
+/// each row holds the matching row of `V⁻¹`. Distinct points — enforced
+/// during selection — make the system nonsingular (fields this small need
+/// no cleverness).
+fn invert_vandermonde(xs: impl Iterator<Item = u8>, k: usize, aug: &mut [u8]) {
+    let n = 2 * k;
+    debug_assert_eq!(aug.len(), k * n);
+    for (i, (row, x)) in aug.chunks_exact_mut(n).zip(xs).enumerate() {
+        let x = Gf256::new(x);
+        let mut p = Gf256::ONE;
+        for v in &mut row[..k] {
+            *v = p.value();
+            p = p * x;
+        }
+        row[k..].fill(0);
+        row[k + i] = 1;
+    }
     for col in 0..k {
         let pivot = (col..k)
-            .find(|&r| a[r][col] != Gf256::ZERO)
+            .find(|&r| aug[r * n + col] != 0)
             .expect("Vandermonde system with distinct points is nonsingular");
-        a.swap(col, pivot);
-        inv.swap(col, pivot);
-        let inv_p = a[col][col].inverse();
-        for j in 0..k {
-            a[col][j] = a[col][j] * inv_p;
-            inv[col][j] = inv[col][j] * inv_p;
+        if pivot != col {
+            let (upper, lower) = aug.split_at_mut(pivot * n);
+            upper[col * n..(col + 1) * n].swap_with_slice(&mut lower[..n]);
+        }
+        let inv_p = Gf256::new(aug[col * n + col]).inverse();
+        for v in &mut aug[col * n..(col + 1) * n] {
+            *v = (Gf256::new(*v) * inv_p).value();
         }
         for r in 0..k {
-            if r != col && a[r][col] != Gf256::ZERO {
-                let f = a[r][col];
-                for j in 0..k {
-                    a[r][j] = a[r][j] + f * a[col][j];
-                    inv[r][j] = inv[r][j] + f * inv[col][j];
+            let f = Gf256::new(aug[r * n + col]);
+            if r != col && f != Gf256::ZERO {
+                for j in 0..n {
+                    let acc = Gf256::new(aug[r * n + j]) + f * Gf256::new(aug[col * n + j]);
+                    aug[r * n + j] = acc.value();
                 }
             }
         }
     }
-    inv
+}
+
+/// [`invert_vandermonde`] over the picked shares' points, returned as the
+/// nested rows [`Ida::reconstruct_reference`] reads.
+fn vandermonde_inverse(picked: &[&Share], k: usize) -> Vec<Vec<Gf256>> {
+    let mut aug = vec![0u8; 2 * k * k];
+    invert_vandermonde(picked.iter().map(|s| s.index), k, &mut aug);
+    aug.chunks_exact(2 * k).map(|row| row[k..].iter().map(|&v| Gf256::new(v)).collect()).collect()
 }
 
 #[cfg(test)]

@@ -139,7 +139,7 @@ impl PacketSim {
 
     /// Adds one flow; returns its id.
     pub fn add_flow(&mut self, flow: Flow) -> u32 {
-        assert!(self.host.validate_walk(&flow.path).is_ok(), "flow path must be a hypercube walk");
+        assert!(self.host.is_walk(&flow.path), "flow path must be a hypercube walk");
         self.flows.push(flow);
         (self.flows.len() - 1) as u32
     }
@@ -326,10 +326,7 @@ impl PacketSim {
         let mut hop_links: Vec<u32> = Vec::new();
         flow_off.push(0);
         for flow in &self.flows {
-            for w in flow.path.windows(2) {
-                let dim = (w[0] ^ w[1]).trailing_zeros();
-                hop_links.push(self.host.dir_edge_index(DirEdge::new(w[0], dim)) as u32);
-            }
+            hop_links.extend(walk_links(self.host, &flow.path));
             flow_off.push(hop_links.len() as u32);
         }
 
@@ -497,6 +494,14 @@ impl PacketSim {
             max_queue,
         }
     }
+}
+
+/// The directed-link indices ([`Hypercube::dir_edge_index`]) a walk
+/// crosses, in order. The caller has checked the walk.
+fn walk_links(host: Hypercube, path: &[Node]) -> impl Iterator<Item = u32> + '_ {
+    path.windows(2).map(move |w| {
+        host.dir_edge_index(DirEdge::new(w[0], (w[0] ^ w[1]).trailing_zeros())) as u32
+    })
 }
 
 /// Every buffer the step machine mutates, grouped so a pooled caller
@@ -878,6 +883,24 @@ impl PacketArena {
             "hop link out of range for this host"
         );
         self.hop_links.extend_from_slice(links);
+        self.push_flow(packets)
+    }
+
+    /// Adds one flow as a node walk, the pooled form of
+    /// [`PacketSim::add_flow`]: the same walk check, with the hop links
+    /// derived straight into the arena (no per-flow `Vec`). A zero-hop
+    /// walk delivers instantly. Returns the flow id.
+    ///
+    /// # Panics
+    /// Panics if `path` is not a walk in the host cube.
+    pub fn add_flow_walk(&mut self, path: &[Node], packets: u64) -> u32 {
+        assert!(self.host.is_walk(path), "flow path must be a hypercube walk");
+        self.hop_links.extend(walk_links(self.host, path));
+        self.push_flow(packets)
+    }
+
+    /// Closes the flow whose hops were just appended to `hop_links`.
+    fn push_flow(&mut self, packets: u64) -> u32 {
         self.flow_off.push(self.hop_links.len() as u32);
         self.flow_packets.push(packets);
         self.total_injected += packets;

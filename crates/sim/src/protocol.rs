@@ -29,19 +29,22 @@
 //! The function is oracle-free *by construction*: its signature admits no
 //! fault type — all fault state lives behind the [`RoundNetwork`] trait,
 //! whose production implementation [`PlanNetwork`] runs each round through
-//! the plan-aware packet engine ([`PacketSim::run_planned`]) and flips the
-//! payload bytes of corrupted deliveries with the plan's seeded RNG.
+//! the plan-aware packet engine ([`PacketArena::run_planned`], one pooled
+//! arena per network) and flips the payload bytes of corrupted deliveries
+//! with the plan's seeded RNG.
 //! `tests/adaptive_conformance.rs` (bench crate) pins this protocol
 //! against the omniscient pipeline: equal delivery on every static
 //! fail-stop draw, and never a silently wrong reconstruction anywhere.
 
 use crate::delivery::{message_for_edge, DeliveryConfig, EdgeDelivery, EdgeOutcome};
 use crate::faults::FaultPlan;
-use crate::packet::{Flow, PacketSim};
+use crate::packet::PacketArena;
+use crate::trace::NopRecorder;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_ida::{share_fingerprint, Ida, Share, TaggedShare};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Step cap per simulated round (a stuck round is a workload bug).
 const MAX_STEPS: u64 = 10_000_000;
@@ -91,16 +94,21 @@ pub trait RoundNetwork {
 /// with its bytes flipped by an RNG seeded from the plan's
 /// [`corrupt_seed`](FaultPlan::corrupt_seed), the round, and the
 /// submission index (deterministic, so every run replays identically).
+///
+/// The network builds one [`PacketArena`] for its host on its first
+/// non-empty round and reuses it for every later round, so a phase pays
+/// for the link-indexed machine state once, not once per round.
 #[derive(Debug, Clone)]
 pub struct PlanNetwork<'a> {
     e: &'a MultiPathEmbedding,
     plan: &'a FaultPlan,
+    arena: Option<PacketArena>,
 }
 
 impl<'a> PlanNetwork<'a> {
     /// A network routing over `e`'s bundles under `plan`.
     pub fn new(e: &'a MultiPathEmbedding, plan: &'a FaultPlan) -> Self {
-        PlanNetwork { e, plan }
+        PlanNetwork { e, plan, arena: None }
     }
 }
 
@@ -143,21 +151,27 @@ impl RoundNetwork for PlanNetwork<'_> {
         if subs.is_empty() {
             return Vec::new();
         }
-        let mut sim = PacketSim::new(self.e.host);
+        let e = self.e;
+        let path = |sub: &Submission| e.edge_paths[sub.guest_edge][sub.via].nodes();
+        let arena = self.arena.get_or_insert_with(|| PacketArena::new(e.host));
+        arena.clear();
+        let hops = subs.iter().map(|sub| path(sub).len().saturating_sub(1)).sum();
+        arena.reserve(subs.len(), hops);
         for sub in subs {
-            let path = &self.e.edge_paths[sub.guest_edge][sub.via];
-            // Zero-hop paths are legal: the engine delivers them instantly
-            // and they can never cross a (corrupting) link.
-            sim.add_flow(Flow { path: path.nodes().to_vec(), packets: 1 });
+            // Submission `i` is flow `i`, so arbitration follows submission
+            // order. Zero-hop paths are legal: the engine delivers them
+            // instantly and they can never cross a (corrupting) link.
+            arena.add_flow_walk(path(sub), 1);
         }
-        let pr = sim.run_planned(MAX_STEPS, self.plan);
+        arena.run_planned(MAX_STEPS, self.plan, &mut NopRecorder);
+        let (delivered, corrupted) = (arena.flow_delivered(), arena.flow_corrupted());
         subs.iter()
             .enumerate()
             .map(|(i, sub)| {
-                if pr.flow_delivered[i] != 1 {
+                if delivered[i] != 1 {
                     return None;
                 }
-                if pr.flow_corrupted[i] == 1 {
+                if corrupted[i] == 1 {
                     Some(corrupt_payload(&sub.payload, self.plan.corrupt_seed(), round, i))
                 } else {
                     Some(sub.payload.clone())
@@ -219,6 +233,9 @@ pub struct AdaptiveSetup<'a> {
     e: &'a MultiPathEmbedding,
     cfg: DeliveryConfig,
     edges: Vec<AdaptiveEdgeSetup>,
+    /// Every edge's untagged shares, edge after edge: share `i` of an edge
+    /// sits at its [`offset`](AdaptiveEdgeSetup::offset) `+ i`.
+    shares: Vec<Share>,
 }
 
 /// Per-edge precomputed state of an [`AdaptiveSetup`].
@@ -226,12 +243,23 @@ struct AdaptiveEdgeSetup {
     threshold: usize,
     ida: Ida,
     message: Vec<u8>,
-    shares: Vec<Share>,
+    /// Where the edge's shares start in the phase-wide per-share arrays;
+    /// share `i` travels first on bundle path `i`, so path state shares
+    /// the indexing.
+    offset: usize,
+}
+
+impl AdaptiveEdgeSetup {
+    /// The edge's slots in the phase-wide per-share arrays.
+    fn slots(&self) -> Range<usize> {
+        self.offset..self.offset + usize::from(self.ida.shares())
+    }
 }
 
 impl<'a> AdaptiveSetup<'a> {
     /// Disperses every edge's message once (untagged).
     pub fn new(e: &'a MultiPathEmbedding, cfg: &DeliveryConfig) -> Self {
+        let mut shares = Vec::with_capacity(e.edge_paths.iter().map(Vec::len).sum());
         let edges: Vec<AdaptiveEdgeSetup> = e
             .edge_paths
             .iter()
@@ -245,11 +273,12 @@ impl<'a> AdaptiveSetup<'a> {
                 let threshold = cfg.threshold.clamp(1, w);
                 let ida = Ida::new(w as u8, threshold as u8);
                 let message = message_for_edge(eid, cfg.message_len);
-                let shares = ida.disperse(&message);
-                AdaptiveEdgeSetup { threshold, ida, message, shares }
+                let offset = shares.len();
+                shares.extend(ida.disperse(&message));
+                AdaptiveEdgeSetup { threshold, ida, message, offset }
             })
             .collect();
-        AdaptiveSetup { e, cfg: *cfg, edges }
+        AdaptiveSetup { e, cfg: *cfg, edges, shares }
     }
 }
 
@@ -280,6 +309,11 @@ pub fn deliver_adaptive<N: RoundNetwork>(
 /// [`deliver_adaptive`] against a prebuilt [`AdaptiveSetup`]: dispersal is
 /// reused from the setup and only tagging, simulation rounds, and grading
 /// run per call.
+///
+/// Per-share state lives in phase-wide arrays indexed by each edge's share
+/// offset, so a phase allocates a fixed handful of buffers plus, per round,
+/// the submission list and the network's answer, and per recovered edge
+/// only what [`Ida::reconstruct`] allocates.
 pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     setup: &AdaptiveSetup<'_>,
     key: u64,
@@ -289,21 +323,14 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     let cfg = &setup.cfg;
     let n_edges = e.edge_paths.len();
 
+    #[derive(Clone, Default)]
     struct EdgeState {
-        threshold: usize,
-        ida: Ida,
-        message: Vec<u8>,
-        tagged: Vec<TaggedShare>,
-        /// Verified arrivals, by share index.
-        verified: Vec<Option<TaggedShare>>,
-        /// Paths observed dead (NACKed) so far.
-        path_dead: Vec<bool>,
         first_round_arrivals: usize,
         recovered_in_round: Option<u32>, // 0 = initial round
         /// Consecutive full-bundle probes (all-dead resets) that verified
         /// nothing new; at [`MAX_FRUITLESS_PROBES`] the edge is written off.
         fruitless_probes: u32,
-        /// `verified_count()` snapshot taken when this round is a full
+        /// Verified-share count snapshot taken when this round is a full
         /// probe, compared after the round to detect fruitlessness.
         probe_baseline: Option<usize>,
         /// Written off: every path probed [`MAX_FRUITLESS_PROBES`] times
@@ -311,80 +338,65 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
         given_up: bool,
     }
 
-    impl EdgeState {
-        fn verified_count(&self) -> usize {
-            self.verified.iter().filter(|v| v.is_some()).count()
-        }
-    }
-
-    let mut states: Vec<EdgeState> = setup
-        .edges
+    // Phase-wide per-share state, indexed by `offset + i`: the keyed
+    // tagged shares, the verified arrivals (by share index), and the paths
+    // observed dead (NACKed) so far.
+    let tagged: Vec<TaggedShare> = setup
+        .shares
         .iter()
-        .map(|es| {
-            let w = es.shares.len();
-            let tagged: Vec<TaggedShare> = es
-                .shares
-                .iter()
-                .map(|share| {
-                    let tag = share_fingerprint(key, share.index, &share.data);
-                    TaggedShare { share: share.clone(), tag }
-                })
-                .collect();
-            EdgeState {
-                threshold: es.threshold,
-                ida: es.ida,
-                message: es.message.clone(),
-                tagged,
-                verified: vec![None; w],
-                path_dead: vec![false; w],
-                first_round_arrivals: 0,
-                recovered_in_round: None,
-                fruitless_probes: 0,
-                probe_baseline: None,
-                given_up: false,
-            }
+        .map(|share| {
+            let tag = share_fingerprint(key, share.index, &share.data);
+            TaggedShare { share: share.clone(), tag }
         })
         .collect();
+    let mut verified: Vec<Option<Share>> = vec![None; tagged.len()];
+    let mut path_dead = vec![false; tagged.len()];
+    let mut states = vec![EdgeState::default(); n_edges];
+    let verified_count = |verified: &[Option<Share>], es: &AdaptiveEdgeSetup| {
+        verified[es.slots()].iter().filter(|v| v.is_some()).count()
+    };
 
     let mut rejected_shares = 0u64;
 
     // One round through the network: submissions out, verified shares in.
-    // Returns via `states`: verified slots filled, NACKed paths marked.
-    let mut run_round = |round: u32, subs: Vec<Submission>, states: &mut Vec<EdgeState>| {
-        let results = net.ship(round, &subs);
+    // Fills verified slots and marks NACKed paths.
+    let mut run_round = |round: u32,
+                         subs: &[Submission],
+                         verified: &mut [Option<Share>],
+                         path_dead: &mut [bool]| {
+        let results = net.ship(round, subs);
         assert_eq!(results.len(), subs.len(), "network must answer every submission");
         for (sub, res) in subs.iter().zip(results) {
-            let st = &mut states[sub.guest_edge];
+            let es = &setup.edges[sub.guest_edge];
+            let dead = &mut path_dead[es.slots()][sub.via];
             match res {
-                Some(ts) if st.ida.verify_share(key, &ts) => {
-                    let idx = usize::from(ts.share.index);
-                    st.verified[idx] = Some(ts);
+                Some(ts) if es.ida.verify_share(key, &ts) => {
+                    let slot = es.offset + usize::from(ts.share.index);
+                    verified[slot] = Some(ts.share);
                     // An ACK via this path: it worked this round.
-                    st.path_dead[sub.via] = false;
+                    *dead = false;
                 }
                 Some(_) => {
                     // Arrived but mangled: corruption observed as erasure.
                     rejected_shares += 1;
-                    st.path_dead[sub.via] = true;
+                    *dead = true;
                 }
-                None => {
-                    st.path_dead[sub.via] = true;
-                }
+                None => *dead = true,
             }
         }
     };
 
     // Round 0: share `i` rides path `i` of its bundle.
-    let mut subs: Vec<Submission> = Vec::new();
-    for (eid, st) in states.iter().enumerate() {
-        for (i, ts) in st.tagged.iter().enumerate() {
+    let mut subs: Vec<Submission> = Vec::with_capacity(tagged.len());
+    for (eid, es) in setup.edges.iter().enumerate() {
+        for (i, ts) in tagged[es.slots()].iter().enumerate() {
             subs.push(Submission { guest_edge: eid, via: i, payload: ts.clone() });
         }
     }
-    run_round(0, subs, &mut states);
-    for st in &mut states {
-        st.first_round_arrivals = st.verified_count();
-        if st.first_round_arrivals >= st.threshold {
+    run_round(0, &subs, &mut verified, &mut path_dead);
+    for (st, es) in states.iter_mut().zip(&setup.edges) {
+        st.first_round_arrivals = verified_count(&verified, es);
+        if st.first_round_arrivals >= es.threshold {
             st.recovered_in_round = Some(0);
         }
     }
@@ -398,14 +410,15 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     // identical fruitless rounds essentially forever.
     let mut shares_resent = 0u64;
     let mut rounds_run = 0u32;
+    let mut alive: Vec<usize> = Vec::new();
     for round in 1..=cfg.max_retries.min(MAX_ADAPTIVE_ROUNDS) {
-        let mut subs: Vec<Submission> = Vec::new();
-        for (eid, st) in states.iter_mut().enumerate() {
+        subs.clear();
+        for (eid, (st, es)) in states.iter_mut().zip(&setup.edges).enumerate() {
             if st.recovered_in_round.is_some() || st.given_up {
                 continue;
             }
-            let w = st.path_dead.len();
-            if st.path_dead.iter().all(|&d| d) {
+            let dead = &mut path_dead[es.slots()];
+            if dead.iter().all(|&d| d) {
                 // Every path written off. After MAX_FRUITLESS_PROBES full
                 // re-probes that verified nothing, further identical
                 // probes are pure waste: write the edge off for good.
@@ -415,25 +428,22 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
                 }
                 // Otherwise reset the observations and try every path
                 // again — a transient outage may have healed.
-                st.path_dead.iter_mut().for_each(|d| *d = false);
-                st.probe_baseline = Some(st.verified_count());
+                dead.fill(false);
+                st.probe_baseline = Some(verified_count(&verified, es));
             }
-            let alive: Vec<usize> = (0..w).filter(|&i| !st.path_dead[i]).collect();
+            alive.clear();
+            alive.extend(dead.iter().enumerate().filter(|&(_, &d)| !d).map(|(i, _)| i));
             // Up to 2^(round-1) copies of each missing share, saturated at
             // the live-path count (the cap binds from round 9 on, since a
             // bundle holds at most 255 paths — no shift ever overflows).
             let copies =
                 if round >= 9 { alive.len() } else { (1usize << (round - 1)).min(alive.len()) }
                     .max(1);
-            let missing: Vec<usize> = (0..w).filter(|&i| st.verified[i].is_none()).collect();
-            for (j, &share_i) in missing.iter().enumerate() {
+            let missing = es.slots().filter(|&slot| verified[slot].is_none());
+            for (j, slot) in missing.enumerate() {
                 for c in 0..copies {
                     let via = alive[(j + c) % alive.len()];
-                    subs.push(Submission {
-                        guest_edge: eid,
-                        via,
-                        payload: st.tagged[share_i].clone(),
-                    });
+                    subs.push(Submission { guest_edge: eid, via, payload: tagged[slot].clone() });
                 }
             }
         }
@@ -442,16 +452,17 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
         }
         rounds_run = round;
         shares_resent += subs.len() as u64;
-        run_round(round, subs, &mut states);
-        for st in &mut states {
+        run_round(round, &subs, &mut verified, &mut path_dead);
+        for (st, es) in states.iter_mut().zip(&setup.edges) {
+            let count = verified_count(&verified, es);
             if let Some(base) = st.probe_baseline.take() {
-                if st.verified_count() == base {
+                if count == base {
                     st.fruitless_probes += 1;
                 } else {
                     st.fruitless_probes = 0;
                 }
             }
-            if st.recovered_in_round.is_none() && st.verified_count() >= st.threshold {
+            if st.recovered_in_round.is_none() && count >= es.threshold {
                 st.recovered_in_round = Some(round);
             }
         }
@@ -462,19 +473,16 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     let mut edges = Vec::with_capacity(n_edges);
     let (mut delivered, mut degraded, mut lost) = (0usize, 0usize, 0usize);
     let mut wrong_reconstructions = 0u64;
-    for (eid, st) in states.iter().enumerate() {
-        let arrived_total = st.verified_count();
+    let mut subset: Vec<Share> =
+        Vec::with_capacity(setup.edges.iter().map(|es| es.threshold).max().unwrap_or(0));
+    for (eid, (st, es)) in states.iter().zip(&setup.edges).enumerate() {
+        let arrived_total = verified_count(&verified, es);
         let outcome = match st.recovered_in_round {
             Some(round) => {
-                let subset: Vec<Share> = st
-                    .verified
-                    .iter()
-                    .flatten()
-                    .map(|ts| ts.share.clone())
-                    .take(st.threshold)
-                    .collect();
-                match st.ida.reconstruct(&subset) {
-                    Ok(bytes) if bytes == st.message => {
+                subset.clear();
+                subset.extend(verified[es.slots()].iter().flatten().take(es.threshold).cloned());
+                match es.ida.reconstruct(&subset) {
+                    Ok(bytes) if bytes == es.message => {
                         if round == 0 {
                             delivered += 1;
                             EdgeOutcome::Delivered
@@ -505,7 +513,7 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
         edges.push(EdgeDelivery {
             guest_edge: eid,
             width: e.edge_paths[eid].len(),
-            threshold: st.threshold,
+            threshold: es.threshold,
             first_round_arrivals: st.first_round_arrivals,
             outcome,
         });
@@ -526,8 +534,11 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::random_plan;
     use crate::faults::FaultSet;
+    use crate::packet::{Flow, PacketSim};
     use hyperpath_core::cycles::theorem1;
+    use hyperpath_embedding::HostPath;
     use hyperpath_topology::DirEdge;
 
     const KEY: u64 = 0x0dd5_ba11_c0de_cafe;
@@ -704,6 +715,90 @@ mod tests {
         let c = corrupt_payload(&tagged[1], 123, 3, 7);
         assert_ne!(a.share.data, c.share.data, "round is part of the stream seed");
         assert!(!ida.verify_share(9, &a), "corrupted payload must fail verification");
+    }
+
+    /// The one-shot ship `PlanNetwork` used before it pooled an arena: a
+    /// fresh `PacketSim` per round. It lives on only here, as the oracle
+    /// for the pooled network.
+    fn fresh_sim_ship(
+        e: &MultiPathEmbedding,
+        plan: &FaultPlan,
+        round: u32,
+        subs: &[Submission],
+    ) -> Vec<Option<TaggedShare>> {
+        let mut sim = PacketSim::new(e.host);
+        for sub in subs {
+            let path = e.edge_paths[sub.guest_edge][sub.via].nodes().to_vec();
+            sim.add_flow(Flow { path, packets: 1 });
+        }
+        let pr = sim.run_planned(MAX_STEPS, plan);
+        subs.iter()
+            .enumerate()
+            .map(|(i, sub)| {
+                (pr.flow_delivered[i] == 1).then(|| {
+                    if pr.flow_corrupted[i] == 1 {
+                        corrupt_payload(&sub.payload, plan.corrupt_seed(), round, i)
+                    } else {
+                        sub.payload.clone()
+                    }
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn plan_network_reuses_one_arena_across_rounds_like_fresh_sims() {
+        let mut e = theorem1(6).unwrap().embedding;
+        // A zero-hop path on every fifth bundle: it must deliver instantly
+        // and untouched, whatever the plan.
+        for bundle in e.edge_paths.iter_mut().step_by(5) {
+            let source = bundle[0].nodes()[0];
+            bundle.push(HostPath::new(vec![source]));
+        }
+        let tagged = Ida::new(4, 2).disperse_tagged(b"pooled arena, fresh answers", KEY);
+        let every_path = |keep: &dyn Fn(usize) -> bool| -> Vec<Submission> {
+            e.all_paths()
+                .filter(|&(eid, _, _)| keep(eid))
+                .map(|(eid, via, _)| Submission {
+                    guest_edge: eid,
+                    via,
+                    payload: tagged[(eid + via) % tagged.len()].clone(),
+                })
+                .collect()
+        };
+        // Rounds shrink, empty out and regrow, so the arena is reused at
+        // every size.
+        let mut reversed = every_path(&|_| true);
+        reversed.reverse();
+        let rounds = [every_path(&|_| true), every_path(&|eid| eid % 3 == 1), Vec::new(), reversed];
+        let (mut zero_hop, mut dropped, mut corrupted) = (0, 0, 0);
+        for draw in 0..4u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(draw);
+            let plan = random_plan(&e.host, false, &mut rng);
+            let mut net = PlanNetwork::new(&e, &plan);
+            for (round, subs) in rounds.iter().enumerate() {
+                let round = round as u32;
+                let got = net.ship(round, subs);
+                assert_eq!(
+                    got,
+                    fresh_sim_ship(&e, &plan, round, subs),
+                    "draw {draw} round {round}"
+                );
+                for (sub, res) in subs.iter().zip(&got) {
+                    let hops = e.edge_paths[sub.guest_edge][sub.via].len();
+                    match res {
+                        _ if hops == 0 => {
+                            assert_eq!(res.as_ref(), Some(&sub.payload), "zero-hop delivery");
+                            zero_hop += 1;
+                        }
+                        None => dropped += 1,
+                        Some(ts) if *ts != sub.payload => corrupted += 1,
+                        Some(_) => {}
+                    }
+                }
+            }
+        }
+        assert!(zero_hop > 0 && dropped > 0 && corrupted > 0, "{zero_hop} {dropped} {corrupted}");
     }
 
     #[test]

@@ -36,13 +36,11 @@
 //! `hyperpath_core::bounds::congestion_lower_bound` — the gap column of
 //! experiment E19.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use hyperpath_core::bounds::congestion_lower_bound;
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
-use hyperpath_topology::{DirEdge, Hypercube, Node};
+use hyperpath_topology::{DirEdge, Hypercube, LinkMap, LinkSet, Node};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -224,7 +222,7 @@ pub struct TenantFaultPlan {
     /// Transient outages: link → list of `[from, until)` round windows.
     outages: LinkMap<Vec<(u32, u32)>>,
     /// Links that corrupt every payload crossing them.
-    corrupt: HashSet<u64, BuildHasherDefault<LinkHasher>>,
+    corrupt: LinkSet,
 }
 
 impl TenantFaultPlan {
@@ -345,32 +343,6 @@ pub const QUARANTINE_AGE_CAP: u32 = 4;
 /// `age` prior requeues waits `2^min(age, BACKOFF_SHIFT_CAP)` rounds
 /// before re-entering admission.
 pub const BACKOFF_SHIFT_CAP: u32 = 3;
-
-/// A std-only multiply-rotate hasher for the engine's link ids. The keys
-/// are dense link indices the engine computes itself, never untrusted
-/// input, so SipHash's flood resistance buys nothing here and one
-/// multiply per key is enough.
-#[derive(Debug, Clone, Copy, Default)]
-struct LinkHasher(u64);
-
-impl Hasher for LinkHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-/// A map keyed by link id.
-type LinkMap<V> = HashMap<u64, V, BuildHasherDefault<LinkHasher>>;
 
 /// Everything the ledger knows about one link, so that a commit, release
 /// or probe is one map lookup.
@@ -2172,7 +2144,7 @@ impl GroupArena {
 
 /// One pooled run of a [`TenantEngine`], in round-stepping form.
 ///
-/// The run is sharded by window group: one [`GroupArena`] per group holds
+/// The run is sharded by window group: one `GroupArena` per group holds
 /// the group's persistent [`PacketArena`] / [`WormholeArena`], memoized
 /// fault projection, ledger shard, tenant streams, stats, backlog and
 /// round scratch, all created once. A warmed-up

@@ -101,7 +101,7 @@ impl WormholeSim {
 
     /// Adds a worm; returns its id. Lower ids win link arbitration.
     pub fn add_worm(&mut self, worm: Worm) -> u32 {
-        assert!(self.host.validate_walk(&worm.path).is_ok(), "worm path must be a walk");
+        assert!(self.host.is_walk(&worm.path), "worm path must be a walk");
         assert!(worm.flits >= 1);
         self.worms.push(worm);
         (self.worms.len() - 1) as u32

@@ -223,6 +223,16 @@ impl Hypercube {
             })
             .collect()
     }
+
+    /// Whether `path` is a walk in this cube, by exactly
+    /// [`validate_walk`](Self::validate_walk)'s rules (every node in range,
+    /// consecutive nodes adjacent) but without building the dimension
+    /// list, so per-flow checks on hot paths allocate nothing.
+    #[inline]
+    pub fn is_walk(&self, path: &[Node]) -> bool {
+        path.iter().all(|&v| self.contains(v))
+            && path.windows(2).all(|w| self.edge_dim(w[0], w[1]).is_some())
+    }
 }
 
 #[cfg(test)]
@@ -313,6 +323,10 @@ mod tests {
         let path = [0b000u64, 0b001, 0b011, 0b010, 0b110];
         let dims = q.validate_walk(&path).unwrap();
         assert_eq!(dims, vec![0, 1, 0, 2]);
+        assert!(q.is_walk(&path));
+        for walk in [&[][..], &[0b101], &[0b111, 0b011]] {
+            assert!(q.validate_walk(walk).is_ok() && q.is_walk(walk), "{walk:?}");
+        }
     }
 
     #[test]
@@ -320,6 +334,12 @@ mod tests {
         let q = Hypercube::new(3);
         assert!(q.validate_walk(&[0b000, 0b011]).is_err());
         assert!(q.validate_walk(&[0b000, 0b1000]).is_err());
+        // The allocation-free check rejects exactly the same walks: jumps,
+        // out-of-range nodes (also a lone one), and standing still.
+        for walk in [&[0b000, 0b011][..], &[0b000, 0b1000], &[0b1000], &[0b010, 0b010], &[0, 1, 7]]
+        {
+            assert!(q.validate_walk(walk).is_err() && !q.is_walk(walk), "{walk:?}");
+        }
     }
 
     #[test]

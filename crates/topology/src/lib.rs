@@ -16,6 +16,8 @@
 //! * [`window`] — ordered dimension subsets ("windows"), node signatures
 //!   `σ_W(v)`, and common-prefix helpers `ρ_i`/`λ` (Section 5.1), used by the
 //!   multiple-copy CCC embedding.
+//! * [`hash`] — [`LinkHasher`], the std-only multiply-rotate hasher for
+//!   maps keyed by link ids and schedule steps.
 //! * [`hamiltonian`] — constructive Hamiltonian decompositions of `Q_n`
 //!   (Lemma 1 / Alspach–Bermond–Sotteau): `⌊n/2⌋` edge-disjoint Hamiltonian
 //!   cycles (plus a perfect matching when `n` is odd), and the derived
@@ -32,6 +34,7 @@
 pub mod cube;
 pub mod gray;
 pub mod hamiltonian;
+pub mod hash;
 pub mod host;
 pub mod moment;
 pub mod window;
@@ -41,6 +44,7 @@ pub use gray::{gray_code, gray_rank, transition, transition_sequence};
 pub use hamiltonian::{
     decompose, directed_cycles, verify_decomposition, Decomposition, DirectedHamCycle, HamCycle,
 };
+pub use hash::{LinkBuildHasher, LinkHasher, LinkMap, LinkSet};
 pub use host::{
     gray_dim_permutation, BinomialTreePlan, EdgeColor, GridPlan, HostTopology, ImplicitColoring,
     ImplicitQn, Theorem1Plan, Theorem2Plan,
