@@ -7,12 +7,16 @@ fn sim(c: &mut Criterion) {
     let t1 = hyperpath_core::cycles::theorem1(10).unwrap();
     c.bench_function("packet_sim_theorem1_n10_m40", |b| {
         b.iter(|| {
-            hyperpath_sim::PacketSim::phase_workload(black_box(&t1.embedding), 40).run(1_000_000)
+            hyperpath_sim::PacketSim::phase_workload(black_box(&t1.embedding), 40)
+                .run(1_000_000, &mut hyperpath_sim::NopRecorder)
         })
     });
     let gray = hyperpath_core::baseline::gray_cycle_embedding(10);
     c.bench_function("packet_sim_gray_n10_m40", |b| {
-        b.iter(|| hyperpath_sim::PacketSim::phase_workload(black_box(&gray), 40).run(1_000_000))
+        b.iter(|| {
+            hyperpath_sim::PacketSim::phase_workload(black_box(&gray), 40)
+                .run(1_000_000, &mut hyperpath_sim::NopRecorder)
+        })
     });
     let ida = hyperpath_ida::Ida::new(8, 4);
     let msg = vec![0xabu8; 64 * 1024];

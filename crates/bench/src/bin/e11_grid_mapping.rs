@@ -7,7 +7,7 @@ use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::grid_embedding;
 use hyperpath_core::large_copy::large_copy_cycle;
-use hyperpath_sim::PacketSim;
+use hyperpath_sim::{NopRecorder, PacketSim};
 
 fn main() {
     let opts = parse_cli(false);
@@ -33,7 +33,9 @@ fn main() {
                                                                      // Phase time under approach 2: the 2a-dim torus embedding ships
                                                                      // M/N boundary packets per edge.
             let g = grid_embedding(&[a, a], true).expect("torus");
-            let steps = PacketSim::phase_workload(&g.embedding, ratio).run(10_000_000).makespan;
+            let steps = PacketSim::phase_workload(&g.embedding, ratio)
+                .run(10_000_000, &mut NopRecorder)
+                .makespan;
             // Approach 1 sanity: the large-copy cycle exists (its per-phase
             // step count is 1 packet/edge by construction).
             let _ = large_copy_cycle(2 * a).expect("large copy");

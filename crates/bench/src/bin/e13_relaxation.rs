@@ -9,7 +9,7 @@
 use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::grid_embedding;
-use hyperpath_sim::PacketSim;
+use hyperpath_sim::{NopRecorder, PacketSim};
 
 fn main() {
     let opts = parse_cli(false);
@@ -31,9 +31,11 @@ fn main() {
                 continue; // keep the big host quick
             }
             let classical = PacketSim::phase_workload_with_width(&g.embedding, ratio, 1)
-                .run(100_000_000)
+                .run(100_000_000, &mut NopRecorder)
                 .makespan;
-            let wide = PacketSim::phase_workload(&g.embedding, ratio).run(100_000_000).makespan;
+            let wide = PacketSim::phase_workload(&g.embedding, ratio)
+                .run(100_000_000, &mut NopRecorder)
+                .makespan;
             let sched = g.cost * ratio.div_ceil(g.width as u64 + 1); // +1: direct path rides along
             let best = wide.min(sched);
             t.row(vec![

@@ -6,7 +6,7 @@ use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::grid_embedding;
 use hyperpath_core::trees::theorem5;
-use hyperpath_sim::PacketSim;
+use hyperpath_sim::{NopRecorder, PacketSim};
 
 fn main() {
     let opts = parse_cli(false);
@@ -30,13 +30,16 @@ fn main() {
         let grid_steps = b_bytes / (w_pins / 4);
         let packets = b_bytes / (w_pins / (2 * u64::from(a)));
         let g = grid_embedding(&[a, a], false).expect("torus");
-        let free = PacketSim::phase_workload(&g.embedding, packets).run(100_000_000).makespan;
+        let free = PacketSim::phase_workload(&g.embedding, packets)
+            .run(100_000_000, &mut NopRecorder)
+            .makespan;
         let sched = g.cost * packets.div_ceil(g.width as u64 + 1);
         let cube_steps = free.min(sched);
         // Tree pattern: one CBT phase on the cube (O(1)-cost Theorem 5
         // embedding) vs the grid's diameter lower bound for root-leaf flows.
         let t5 = theorem5(a).expect("tree");
-        let tree_steps = PacketSim::phase_workload(&t5.embedding, 4).run(100_000_000).makespan;
+        let tree_steps =
+            PacketSim::phase_workload(&t5.embedding, 4).run(100_000_000, &mut NopRecorder).makespan;
         let grid_diameter = 2 * ((1u64 << a) - 1);
         t.row(vec![
             a.to_string(),

@@ -28,7 +28,7 @@ use hyperpath_sim::tenants::{
     run_tenants, run_tenants_planned, EngineReport, ExecMode, FaultRouting, FlowStats,
     TenantEngine, TenantFaultPlan, TenantPlan, TenantSpec, TenantsConfig,
 };
-use hyperpath_sim::{PacketSim, Worm, WormholeSim};
+use hyperpath_sim::{NopRecorder, PacketSim, Worm, WormholeSim};
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
 use std::sync::Arc;
 
@@ -78,8 +78,9 @@ pub fn e1_cycle_speedup(ns: &[u32]) -> (Table, SweepOutput) {
     let out = Sweep::new("e1_cycle_speedup", 0).run(e1_grid(ns), |p, _rng| {
         let gray = gray_cycle_embedding(p.n);
         let t1 = theorem1(p.n).expect("theorem 1");
-        let g = PacketSim::phase_workload(&gray, p.m).run(SIM_CAP).makespan;
-        let w = PacketSim::phase_workload(&t1.embedding, p.m).run(SIM_CAP).makespan;
+        let g = PacketSim::phase_workload(&gray, p.m).run(SIM_CAP, &mut NopRecorder).makespan;
+        let w =
+            PacketSim::phase_workload(&t1.embedding, p.m).run(SIM_CAP, &mut NopRecorder).makespan;
         // Repeating the certified schedule back-to-back ships `packets`
         // packets every `cost` steps with zero conflicts.
         let sched = t1.cost * p.m.div_ceil(t1.packets);
@@ -157,7 +158,7 @@ pub fn e10_wormhole(ns: &[u32], master_seed: u64) -> (Table, SweepOutput) {
                 single.add_worm(Worm { path: ecube_path(src, dst), flits: p.flits });
             }
         }
-        let r1 = single.run(SIM_CAP).makespan;
+        let r1 = single.run(SIM_CAP, &mut NopRecorder).makespan;
         // Split: n worms of flits/n flits along the CCC copy routes.
         let mut split = WormholeSim::new(host);
         let piece = (p.flits / u64::from(p.n)).max(1);
@@ -169,7 +170,7 @@ pub fn e10_wormhole(ns: &[u32], master_seed: u64) -> (Table, SweepOutput) {
                 }
             }
         }
-        let r2 = split.run(SIM_CAP).makespan;
+        let r2 = split.run(SIM_CAP, &mut NopRecorder).makespan;
         Json::object([
             ("host_dims", host.dims().to_json()),
             ("single_path", r1.to_json()),
@@ -234,7 +235,7 @@ pub fn e12_grid(ns: &[u32]) -> Vec<FaultPoint> {
 /// operation): the fault draws are static fail-stop and no trace is
 /// requested, so the delivery columns take the fail-stop fast path —
 /// [`SlicedPaths::all_bundles_recovered_256`] evaluates the per-lane
-/// [`deliver_phase_prepared`](hyperpath_sim::delivery::deliver_phase_prepared)
+/// [`deliver_phase_plan_prepared`](hyperpath_sim::delivery::deliver_phase_plan_prepared)
 /// grades straight from bundle survival words, skipping the packet engine
 /// entirely. Each kernel lane replays the
 /// scalar [`surviving_paths`](hyperpath_sim::faults::surviving_paths)

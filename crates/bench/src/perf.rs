@@ -18,11 +18,11 @@
 //!
 //! The suite is the repo's defense of PR 1's zero-allocation and speedup
 //! claims: `packet/run` vs `packet/run_reference`, `wormhole/run` vs
-//! `wormhole/run_reference`, the fault-aware variants on empty and
-//! non-empty timelines, IDA disperse/reconstruct, `PhaseSchedule::verify`,
-//! and a full `deliver_phase` — plus, appended after the original suite,
-//! the plan-aware engines under a mixed adversary, tagged dispersal, and
-//! the oracle-free adaptive delivery protocol.
+//! `wormhole/run_reference`, the planned runs on empty and static-cut
+//! plans, IDA disperse/reconstruct, `PhaseSchedule::verify`, and a full
+//! `deliver_phase_plan` — plus, appended after the original suite, the
+//! planned engines under a mixed adversary, tagged dispersal, and the
+//! oracle-free adaptive delivery protocol.
 
 use crate::json::{Json, ToJson};
 use crate::measure::{measure_allocs, measure_peak, median_wall_ns};
@@ -35,12 +35,12 @@ use hyperpath_sim::bitslice::{
     SlicedPaths,
 };
 use hyperpath_sim::chaos::random_plan;
-use hyperpath_sim::delivery::{deliver_phase, DeliveryConfig};
+use hyperpath_sim::delivery::{deliver_phase_plan, DeliveryConfig};
 use hyperpath_sim::faults::{random_fault_set, surviving_paths};
 use hyperpath_sim::protocol::{deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork};
 use hyperpath_sim::routing::{ecube_path, random_permutation};
-use hyperpath_sim::trace::CountingRecorder;
-use hyperpath_sim::{FaultTimeline, PacketSim, Worm, WormholeSim};
+use hyperpath_sim::trace::{CountingRecorder, NopRecorder};
+use hyperpath_sim::{FaultPlan, PacketSim, Worm, WormholeSim};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -200,22 +200,22 @@ impl PerfConfig {
     }
 }
 
-/// Per-link fault probability of the non-empty-timeline workloads.
+/// Per-link fault probability of the static-cut plan workloads.
 const FAULT_P: f64 = 0.02;
 /// Master seed for every randomized workload (ChaCha — identical on every
 /// platform and rustc version).
 const PERF_SEED: u64 = 0x9e3779b97f4a7c15;
 
-fn fault_timeline_for(host: &hyperpath_topology::Hypercube, salt: u64) -> FaultTimeline {
+fn fault_plan_for(host: &hyperpath_topology::Hypercube, salt: u64) -> FaultPlan {
     let mut rng = ChaCha8Rng::seed_from_u64(PERF_SEED ^ salt);
-    FaultTimeline::from_set(random_fault_set(host, FAULT_P, &mut rng))
+    FaultPlan::from_set(random_fault_set(host, FAULT_P, &mut rng))
 }
 
 /// Runs the whole suite under `cfg`.
 pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
     let mut records = Vec::new();
 
-    // --- Packet engine: production vs reference, plain vs fault-aware. ---
+    // --- Packet engine: production vs reference, plain vs planned. ---
     for &n in &cfg.packet_ns {
         let t1 = theorem1(n).expect("theorem 1");
         let e = &t1.embedding;
@@ -223,8 +223,8 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
 
         // Production engine: full counter set + allocation profile.
         let mut c = CountingRecorder::new();
-        let report = sim.run_recorded(SIM_CAP, &mut c);
-        let (_, allocs) = measure_allocs(|| sim.run(SIM_CAP)); // post-warmup
+        let report = sim.run(SIM_CAP, &mut c);
+        let (_, allocs) = measure_allocs(|| sim.run(SIM_CAP, &mut NopRecorder)); // post-warmup
         records.push(PerfRecord {
             name: format!("packet/run/n{n}"),
             counters: vec![
@@ -236,7 +236,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("alloc_calls".into(), allocs.calls),
                 ("alloc_bytes".into(), allocs.bytes),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run(SIM_CAP)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run(SIM_CAP, &mut NopRecorder)),
         });
 
         // Reference engine: the specification the production engine must
@@ -253,35 +253,39 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_reference(SIM_CAP)),
         });
 
-        // Fault-aware engine, empty timeline: must cost like the plain run.
-        let empty = FaultTimeline::none(&e.host);
-        let fr = sim.run_faulty(SIM_CAP, &empty);
-        let (_, fa) = measure_allocs(|| sim.run_faulty(SIM_CAP, &empty));
+        // Planned engine, empty plan: must cost like the plain run.
+        let empty = FaultPlan::none(&e.host);
+        let pr = sim.run_planned(SIM_CAP, &empty, &mut NopRecorder);
+        let (_, pa) = measure_allocs(|| sim.run_planned(SIM_CAP, &empty, &mut NopRecorder));
         records.push(PerfRecord {
-            name: format!("packet/run_faulty/empty/n{n}"),
+            name: format!("packet/run_planned/empty/n{n}"),
             counters: vec![
-                ("steps".into(), fr.report.makespan),
-                ("packet_hops".into(), fr.report.packet_hops),
-                ("delivered".into(), fr.report.delivered),
-                ("lost".into(), fr.lost),
-                ("alloc_calls".into(), fa.calls),
-                ("alloc_bytes".into(), fa.bytes),
+                ("steps".into(), pr.report.makespan),
+                ("packet_hops".into(), pr.report.packet_hops),
+                ("delivered".into(), pr.report.delivered),
+                ("lost".into(), pr.lost),
+                ("alloc_calls".into(), pa.calls),
+                ("alloc_bytes".into(), pa.bytes),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_faulty(SIM_CAP, &empty)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                sim.run_planned(SIM_CAP, &empty, &mut NopRecorder)
+            }),
         });
 
-        // Fault-aware engine, seeded non-empty timeline.
-        let tl = fault_timeline_for(&e.host, u64::from(n));
-        let fr = sim.run_faulty(SIM_CAP, &tl);
+        // Planned engine, seeded static cuts.
+        let cuts = fault_plan_for(&e.host, u64::from(n));
+        let pr = sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder);
         records.push(PerfRecord {
-            name: format!("packet/run_faulty/faults/n{n}"),
+            name: format!("packet/run_planned/cuts/n{n}"),
             counters: vec![
-                ("steps".into(), fr.report.makespan),
-                ("packet_hops".into(), fr.report.packet_hops),
-                ("delivered".into(), fr.report.delivered),
-                ("lost".into(), fr.lost),
+                ("steps".into(), pr.report.makespan),
+                ("packet_hops".into(), pr.report.packet_hops),
+                ("delivered".into(), pr.report.delivered),
+                ("lost".into(), pr.lost),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_faulty(SIM_CAP, &tl)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder)
+            }),
         });
     }
 
@@ -300,8 +304,8 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         }
 
         let mut c = CountingRecorder::new();
-        let report = sim.run_recorded(SIM_CAP, &mut c);
-        let (_, allocs) = measure_allocs(|| sim.run(SIM_CAP));
+        let report = sim.run(SIM_CAP, &mut c);
+        let (_, allocs) = measure_allocs(|| sim.run(SIM_CAP, &mut NopRecorder));
         records.push(PerfRecord {
             name: format!("wormhole/run/ccc{n}"),
             counters: vec![
@@ -313,7 +317,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("alloc_calls".into(), allocs.calls),
                 ("alloc_bytes".into(), allocs.bytes),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run(SIM_CAP)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run(SIM_CAP, &mut NopRecorder)),
         });
 
         let ref_report = sim.run_reference(SIM_CAP);
@@ -324,26 +328,30 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_reference(SIM_CAP)),
         });
 
-        let empty = FaultTimeline::none(&host);
-        let fr = sim.run_with_faults(SIM_CAP, &empty);
+        let empty = FaultPlan::none(&host);
+        let wr = sim.run_planned(SIM_CAP, &empty, &mut NopRecorder);
         records.push(PerfRecord {
-            name: format!("wormhole/run_with_faults/empty/ccc{n}"),
+            name: format!("wormhole/run_planned/empty/ccc{n}"),
             counters: vec![
-                ("makespan".into(), fr.report.makespan),
-                ("lost".into(), fr.lost_count() as u64),
+                ("makespan".into(), wr.report.makespan),
+                ("lost".into(), wr.lost_count() as u64),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_with_faults(SIM_CAP, &empty)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                sim.run_planned(SIM_CAP, &empty, &mut NopRecorder)
+            }),
         });
 
-        let tl = fault_timeline_for(&host, u64::from(n) << 8);
-        let fr = sim.run_with_faults(SIM_CAP, &tl);
+        let cuts = fault_plan_for(&host, u64::from(n) << 8);
+        let wr = sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder);
         records.push(PerfRecord {
-            name: format!("wormhole/run_with_faults/faults/ccc{n}"),
+            name: format!("wormhole/run_planned/cuts/ccc{n}"),
             counters: vec![
-                ("makespan".into(), fr.report.makespan),
-                ("lost".into(), fr.lost_count() as u64),
+                ("makespan".into(), wr.report.makespan),
+                ("lost".into(), wr.lost_count() as u64),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_with_faults(SIM_CAP, &tl)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder)
+            }),
         });
     }
 
@@ -399,10 +407,10 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         let n = *cfg.packet_ns.last().expect("non-empty packet grid");
         let t1 = theorem1(n).expect("theorem 1");
         let e = &t1.embedding;
-        let tl = fault_timeline_for(&e.host, 0xde11);
+        let cuts = fault_plan_for(&e.host, 0xde11);
         let k_half = t1.claimed_width.div_ceil(2);
         let dcfg = DeliveryConfig { threshold: k_half, max_retries: 2, message_len: 64 };
-        let r = deliver_phase(e, &tl, &dcfg);
+        let r = deliver_phase_plan(e, &cuts, &dcfg);
         records.push(PerfRecord {
             name: format!("delivery/deliver_phase/n{n}"),
             counters: vec![
@@ -414,7 +422,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("shares_resent".into(), r.shares_resent),
                 ("initial_makespan".into(), r.initial.report.makespan),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || deliver_phase(e, &tl, &dcfg)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || deliver_phase_plan(e, &cuts, &dcfg)),
         });
     }
 
@@ -428,7 +436,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         let mut rng = ChaCha8Rng::seed_from_u64(PERF_SEED ^ (u64::from(n) << 16));
         let plan = random_plan(&e.host, false, &mut rng);
         let mut c = CountingRecorder::new();
-        let pr = sim.run_planned_recorded(SIM_CAP, &plan, &mut c);
+        let pr = sim.run_planned(SIM_CAP, &plan, &mut c);
         records.push(PerfRecord {
             name: format!("packet/run_planned/mixed/n{n}"),
             counters: vec![
@@ -438,7 +446,9 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("lost".into(), pr.lost),
                 ("corrupted".into(), pr.corrupted),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_planned(SIM_CAP, &plan)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                sim.run_planned(SIM_CAP, &plan, &mut NopRecorder)
+            }),
         });
     }
 
@@ -455,7 +465,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
             }
         }
         let plan = random_plan(&host, false, &mut rng);
-        let wr = sim.run_planned(SIM_CAP, &plan);
+        let wr = sim.run_planned(SIM_CAP, &plan, &mut NopRecorder);
         records.push(PerfRecord {
             name: format!("wormhole/run_planned/mixed/ccc{n}"),
             counters: vec![
@@ -463,7 +473,9 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("lost".into(), wr.lost_count() as u64),
                 ("corrupted".into(), wr.corrupted_count() as u64),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_planned(SIM_CAP, &plan)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                sim.run_planned(SIM_CAP, &plan, &mut NopRecorder)
+            }),
         });
     }
 
@@ -914,12 +926,12 @@ mod tests {
         for prefix in [
             "packet/run/",
             "packet/run_reference/",
-            "packet/run_faulty/empty/",
-            "packet/run_faulty/faults/",
+            "packet/run_planned/empty/",
+            "packet/run_planned/cuts/",
             "wormhole/run/",
             "wormhole/run_reference/",
-            "wormhole/run_with_faults/empty/",
-            "wormhole/run_with_faults/faults/",
+            "wormhole/run_planned/empty/",
+            "wormhole/run_planned/cuts/",
             "ida/disperse/",
             "ida/reconstruct/",
             "schedule/verify/",

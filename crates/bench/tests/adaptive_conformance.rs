@@ -27,8 +27,7 @@ use hyperpath_bench::experiments::e16_adaptive;
 use hyperpath_bench::Json;
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::chaos::random_plan;
-use hyperpath_sim::delivery::{deliver_phase, deliver_phase_plan, DeliveryConfig};
-use hyperpath_sim::faults::{random_fault_set, FaultPlan, FaultTimeline};
+use hyperpath_sim::delivery::{deliver_phase_plan, DeliveryConfig};
 use hyperpath_sim::protocol::{deliver_adaptive, PlanNetwork};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -65,30 +64,6 @@ fn adaptive_equals_oracle_on_random_static_fail_stop_plans() {
                 assert_eq!(adaptive.rejected_shares, 0, "fail-stop plans never corrupt");
             }
         }
-    }
-}
-
-#[test]
-fn adaptive_equals_the_timeline_oracle_too() {
-    // The PR-3 oracle (`deliver_phase` over a `FaultTimeline`) and the
-    // adaptive protocol under the equivalent `FaultPlan` agree on outcome
-    // fields — three oracles, one answer.
-    let t1 = theorem1(6).unwrap();
-    let e = &t1.embedding;
-    let k = t1.claimed_width.div_ceil(2);
-    let cfg = DeliveryConfig { threshold: k, max_retries: 2, message_len: 64 };
-    for trial in 0..10u64 {
-        let mut rng = ChaCha8Rng::seed_from_u64(0xbead ^ trial);
-        let tl = FaultTimeline::from_set(random_fault_set(&e.host, 0.04, &mut rng));
-        let plan = FaultPlan::from_timeline(&tl);
-        let timeline_oracle = deliver_phase(e, &tl, &cfg);
-        let adaptive = deliver_adaptive(e, &cfg, KEY ^ trial, &mut PlanNetwork::new(e, &plan));
-        assert_eq!(
-            (adaptive.delivered, adaptive.degraded, adaptive.lost),
-            (timeline_oracle.delivered, timeline_oracle.degraded, timeline_oracle.lost),
-            "trial {trial}"
-        );
-        assert_eq!(adaptive.edges, timeline_oracle.edges, "trial {trial}");
     }
 }
 

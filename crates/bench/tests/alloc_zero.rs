@@ -24,7 +24,7 @@ use hyperpath_sim::tenants::{
     TenantsConfig,
 };
 use hyperpath_sim::trace::Recorder;
-use hyperpath_sim::{PacketSim, Worm, WormholeSim};
+use hyperpath_sim::{NopRecorder, PacketSim, Worm, WormholeSim};
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -107,10 +107,10 @@ fn packet_step_loop_is_allocation_free() {
     let _serial = serial();
     let t1 = theorem1(8).expect("theorem 1");
     let sim = PacketSim::phase_workload(&t1.embedding, 8);
-    sim.run(100_000); // warmup: one-time lazy setup out of the way
+    sim.run(100_000, &mut NopRecorder); // warmup: one-time lazy setup out of the way
     assert_step_loop_allocation_free("PacketSim::run", || {
         let mut guard = StepAllocGuard::with_capacity(100_000);
-        let report = sim.run_recorded(100_000, &mut guard);
+        let report = sim.run(100_000, &mut guard);
         assert!(report.delivered > 0, "workload must actually route packets");
         guard.first_allocating_step("PacketSim::run", 5)
     });
@@ -129,10 +129,10 @@ fn wormhole_step_loop_is_allocation_free() {
             sim.add_worm(Worm { path: ecube_path(src, dst), flits: 16 });
         }
     }
-    sim.run(100_000); // warmup
+    sim.run(100_000, &mut NopRecorder); // warmup
     assert_step_loop_allocation_free("WormholeSim::run", || {
         let mut guard = StepAllocGuard::with_capacity(100_000);
-        let report = sim.run_recorded(100_000, &mut guard);
+        let report = sim.run(100_000, &mut guard);
         assert!(report.makespan > 0, "workload must actually route worms");
         guard.first_allocating_step("WormholeSim::run", 20)
     });

@@ -9,8 +9,6 @@
 //!   consumption order;
 //! * per-trial bundle survival bits from [`SlicedPaths`] equal the scalar
 //!   [`surviving_paths`] counts at every threshold `k`;
-//! * [`delivery_probability_bitsliced`] returns the same number as the
-//!   scalar [`delivery_probability`] on an identically seeded caller RNG;
 //! * `from_fault_sets` / `lane_fault_set` round-trip losslessly.
 //!
 //! The whole file is thread-count independent (pure per-trial evaluation,
@@ -20,10 +18,10 @@
 use hyperpath_core::baseline::gray_cycle_embedding;
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::bitslice::{
-    delivery_probability_bitsliced, stream_bundles_ge_into, streamed_all_bundles_ge, BitTrialBlock,
-    BundleSource, IndexedTrials, SlicedPaths,
+    stream_bundles_ge_into, streamed_all_bundles_ge, BitTrialBlock, BundleSource, IndexedTrials,
+    SlicedPaths,
 };
-use hyperpath_sim::faults::{delivery_probability, random_fault_set, surviving_paths, FaultSet};
+use hyperpath_sim::faults::{random_fault_set, surviving_paths, FaultSet};
 use hyperpath_topology::{Hypercube, Theorem1Plan};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -95,38 +93,6 @@ fn sliced_survival_bits_match_scalar_surviving_paths_at_every_threshold() {
                         surv.iter().all(|&s| s >= k),
                         "all_bundles_ge(k={k}) lane {t} of n={n} embedding {ei} \
                          disagrees with the scalar conjunction"
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn bitsliced_delivery_probability_equals_scalar_estimator() {
-    // Trial counts straddling the 64-lane chunk boundary, k across the
-    // bundle width; both estimators get identically seeded caller RNGs.
-    for n in [4u32, 6, 7, 9, 10] {
-        let t1 = theorem1(n).expect("theorem 1");
-        let e = &t1.embedding;
-        let k_half = t1.claimed_width.div_ceil(2).max(1);
-        for trials in [1u32, 63, 64, 65, 200] {
-            for p in [0.0, 0.02, 0.5] {
-                for k in [1usize, k_half] {
-                    let seed = 0xde1143a ^ u64::from(n) << 32 ^ u64::from(trials);
-                    let scalar =
-                        delivery_probability(e, p, k, trials, &mut StdRng::seed_from_u64(seed));
-                    let sliced = delivery_probability_bitsliced(
-                        e,
-                        p,
-                        k,
-                        trials,
-                        &mut StdRng::seed_from_u64(seed),
-                    );
-                    assert_eq!(
-                        scalar.to_bits(),
-                        sliced.to_bits(),
-                        "estimators diverged at n={n}, p={p}, k={k}, trials={trials}"
                     );
                 }
             }

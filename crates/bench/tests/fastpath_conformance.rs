@@ -1,15 +1,15 @@
 //! Conformance: the fail-stop fast path against the packet engine.
 //!
-//! [`deliver_phase_outcome`] / [`deliver_phase_plan_outcome`] grade static
-//! fail-stop phases in closed form from path survival, never constructing
-//! a `PacketSim`. These tests pin that shortcut to the engine three ways:
+//! [`deliver_phase_plan_outcome`] grades static fail-stop phases in closed
+//! form from path survival, never constructing a `PacketSim`. These tests pin that shortcut to the engine three ways:
 //!
 //! * **property**: on random static fail-stop plans — every dimension
 //!   `6..=10`, both guest cycle theorems (Theorem 1 and both Theorem 2
 //!   variants), thresholds across the bundle width, retries on and off —
 //!   the fast-path [`DeliveryOutcome`] equals the engine-backed report's
 //!   [`outcome()`](hyperpath_sim::DeliveryReport::outcome) field for
-//!   field, in both the timeline and plan flavors;
+//!   field, whether the plan was drawn cut by cut or built from its
+//!   fault set ([`FaultPlan::from_set`]);
 //! * **lane-by-lane**: the 256-lane recovery words
 //!   ([`SlicedPaths::all_bundles_recovered_256`]) that the E12 sweep
 //!   popcounts agree with a per-lane engine run on every one of 256
@@ -18,7 +18,7 @@
 //! * **fallback**: non-static inputs route through the engine, so the
 //!   outcome entry points are total, not partial.
 //!
-//! [`deliver_phase_outcome`]: hyperpath_sim::delivery::deliver_phase_outcome
+//! [`FaultPlan::from_set`]: hyperpath_sim::FaultPlan::from_set
 //! [`deliver_phase_plan_outcome`]: hyperpath_sim::delivery::deliver_phase_plan_outcome
 //! [`DeliveryOutcome`]: hyperpath_sim::DeliveryOutcome
 //! [`SlicedPaths::all_bundles_recovered_256`]: hyperpath_sim::SlicedPaths::all_bundles_recovered_256
@@ -28,10 +28,9 @@ use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_sim::bitslice::{BitTrialBlock256, SlicedPaths};
 use hyperpath_sim::chaos::random_plan;
 use hyperpath_sim::delivery::{
-    deliver_phase_outcome, deliver_phase_plan_outcome, deliver_phase_plan_prepared,
-    deliver_phase_prepared, DeliveryConfig, PhaseSetup,
+    deliver_phase_plan_outcome, deliver_phase_plan_prepared, DeliveryConfig, PhaseSetup,
 };
-use hyperpath_sim::faults::{random_fault_set, FaultTimeline};
+use hyperpath_sim::faults::{random_fault_set, FaultPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -73,13 +72,13 @@ proptest! {
         let engine = deliver_phase_plan_prepared(&setup, &plan).outcome();
         prop_assert_eq!(&fast, &engine, "plan flavor: n={} pick={}", n, pick);
 
-        // Same fault world through the timeline flavor.
-        let tl = FaultTimeline::from_set(plan.initial().clone());
-        let fast_tl = deliver_phase_outcome(&setup, &tl);
-        let engine_tl = deliver_phase_prepared(&setup, &tl).outcome();
-        prop_assert_eq!(&fast_tl, &engine_tl, "timeline flavor: n={} pick={}", n, pick);
-        // Fail-stop timelines and fail-stop plans are the same adversary.
-        prop_assert_eq!(&fast, &fast_tl);
+        // Same fault world, rebuilt from its fault set.
+        let from_set = FaultPlan::from_set(plan.initial().clone());
+        let fast_set = deliver_phase_plan_outcome(&setup, &from_set);
+        let engine_set = deliver_phase_plan_prepared(&setup, &from_set).outcome();
+        prop_assert_eq!(&fast_set, &engine_set, "from_set plan: n={} pick={}", n, pick);
+        // A static plan is the same adversary however it was built.
+        prop_assert_eq!(&fast, &fast_set);
     }
 }
 
@@ -108,8 +107,8 @@ fn recovered_words_match_engine_grades_lane_by_lane() {
             let setup = PhaseSetup::new(&t1.embedding, &cfg);
             for (lane, &seed) in seeds.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let tl = FaultTimeline::from_set(random_fault_set(&host, p, &mut rng));
-                let engine = deliver_phase_prepared(&setup, &tl);
+                let plan = FaultPlan::from_set(random_fault_set(&host, p, &mut rng));
+                let engine = deliver_phase_plan_prepared(&setup, &plan);
                 let bit = (word[lane / 64] >> (lane % 64)) & 1 == 1;
                 assert_eq!(bit, engine.all_delivered(), "lane {lane} k={k} retries={retries}");
             }
@@ -133,9 +132,9 @@ fn fast_path_and_kernel_agree_with_engine_outcome_totals() {
     let word = paths.all_bundles_recovered_256(&block, k, true);
     for (lane, &seed) in seeds.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed);
-        let tl = FaultTimeline::from_set(random_fault_set(&host, 0.08, &mut rng));
-        let fast = deliver_phase_outcome(&setup, &tl);
-        let engine = deliver_phase_prepared(&setup, &tl);
+        let plan = FaultPlan::from_set(random_fault_set(&host, 0.08, &mut rng));
+        let fast = deliver_phase_plan_outcome(&setup, &plan);
+        let engine = deliver_phase_plan_prepared(&setup, &plan);
         assert_eq!(fast, engine.outcome(), "lane {lane}");
         let bit = (word[lane / 64] >> (lane % 64)) & 1 == 1;
         assert_eq!(bit, fast.all_delivered(), "lane {lane}");

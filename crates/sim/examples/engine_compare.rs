@@ -7,7 +7,7 @@
 //! ```
 
 use hyperpath_core::cycles::theorem1;
-use hyperpath_sim::PacketSim;
+use hyperpath_sim::{NopRecorder, PacketSim};
 use std::time::Instant;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
         let e = theorem1(n).unwrap().embedding;
         let sim = PacketSim::phase_workload(&e, m);
         let t0 = Instant::now();
-        let new = sim.run(1_000_000);
+        let new = sim.run(1_000_000, &mut NopRecorder);
         let t_new = t0.elapsed();
         let t0 = Instant::now();
         let reference = sim.run_reference(1_000_000);

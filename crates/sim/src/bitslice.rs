@@ -1,8 +1,7 @@
 //! SIMD-within-a-register fault Monte Carlo: 64 trials per machine word.
 //!
-//! The structural estimators ([`crate::faults::surviving_paths`],
-//! [`crate::faults::delivery_probability`], the e12 structural columns)
-//! ask one question per trial: *which paths avoid the failed links?* A
+//! The structural estimators ([`crate::faults::surviving_paths`], the
+//! e12 structural columns) ask one question per trial: *which paths avoid the failed links?* A
 //! scalar trial materializes a [`FaultSet`] (one `bool` per directed
 //! edge) and walks every path link by link. This module transposes the
 //! layout: a [`BitTrialBlock`] stores **one `u64` per undirected link**,
@@ -58,18 +57,15 @@
 //!
 //! # 256 lanes
 //!
-//! Every layer above also comes in a four-group [`W256`] width:
+//! The in-memory layer also comes in a four-group [`W256`] width:
 //! [`BitTrialBlock256`] packs 256 trials per link (group `g` of each
-//! word is bit-for-bit a 64-lane block over lanes `64g..64g+64`),
-//! [`IndexedTrials256`] streams four seeded groups side by side,
+//! word is bit-for-bit a 64-lane block over lanes `64g..64g+64`), and
 //! [`SlicedPaths::bundle_ge_256`] ripples all four groups through the
-//! survivor counters per pass, and [`stream_bundles_ge_into_256`] /
-//! [`streamed_all_bundles_ge_256`] widen the zero-allocation fold. The
-//! wider words amortize per-path loop control over 4x the trials and
-//! vectorize cleanly; the `wide-simd` cargo feature (nightly) issues the
-//! lane ops through `std::simd::u64x4` with byte-identical results —
-//! [`kernel_feature_path`] names the active path so artifacts can record
-//! which kernel produced them. The fail-stop delivery fast path
+//! survivor counters per pass. The wider words amortize per-path loop
+//! control over 4x the trials and vectorize cleanly; the `wide-simd`
+//! cargo feature (nightly) runs the lane ops through `std::simd::u64x4`
+//! with byte-identical results — [`kernel_feature_path`] names the active
+//! path so artifacts can record which kernel produced them. The fail-stop delivery fast path
 //! ([`SlicedPaths::all_bundles_recovered_256`]) grades "message
 //! recovered" for 256 static-fault trials per pass without touching the
 //! packet engine; `crates/bench/tests/fastpath_conformance.rs` pins it
@@ -79,7 +75,7 @@ use crate::faults::FaultSet;
 use hyperpath_embedding::{HostPath, MultiPathEmbedding};
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
 use hyperpath_topology::{gray_code, transition, DirEdge, Hypercube};
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, RngExt};
 
 /// Up to 64 independent fail-stop fault trials, bit-packed per link.
 ///
@@ -355,8 +351,9 @@ impl SlicedPaths {
     }
 
     /// Lanes in which **every** bundle keeps at least `k` alive paths —
-    /// the `(w, k)`-dispersal success event of
-    /// [`crate::faults::delivery_probability`], 64 trials at a time.
+    /// the `(w, k)`-dispersal success event ("every
+    /// [`surviving_paths`](crate::faults::surviving_paths) count is at
+    /// least `k`"), 64 trials at a time.
     pub fn all_bundles_ge(&self, block: &BitTrialBlock, k: usize) -> u64 {
         let mut acc = block.live_mask();
         for bundle in 0..self.bundles.len() {
@@ -678,44 +675,6 @@ pub fn streamed_all_bundles_ge(
     out
 }
 
-/// Bit-sliced drop-in for [`crate::faults::delivery_probability`]: same
-/// seed consumption from the caller's RNG, same per-trial draws (via
-/// [`BitTrialBlock::draw_compat`] over the per-trial `StdRng`s), same
-/// result to the last bit — evaluated 64 trials per word op. The scalar
-/// version stays as the conformance reference; the equality is pinned in
-/// `crates/bench/tests/bitslice_equiv.rs`.
-///
-/// # Panics
-/// Panics if `trials == 0`, like the scalar estimator.
-pub fn delivery_probability_bitsliced(
-    e: &MultiPathEmbedding,
-    p: f64,
-    k: usize,
-    trials: u32,
-    rng: &mut impl Rng,
-) -> f64 {
-    use rayon::prelude::*;
-    assert!(trials > 0, "delivery_probability needs at least one trial");
-    let p = p.clamp(0.0, 1.0);
-    // Identical serial seed draw to the scalar estimator, so both consume
-    // the caller's RNG the same way.
-    let seeds: Vec<u64> = (0..trials).map(|_| rng.random()).collect();
-    let sliced = SlicedPaths::new(e);
-    let host = e.host;
-    let chunks: Vec<&[u64]> = seeds.chunks(64).collect();
-    let per_chunk: Vec<u32> = chunks
-        .into_par_iter()
-        .map(|chunk| {
-            let mut lane_rngs: Vec<rand::rngs::StdRng> =
-                chunk.iter().map(|&s| rand::rngs::StdRng::seed_from_u64(s)).collect();
-            let block = BitTrialBlock::draw_compat(&host, p, &mut lane_rngs);
-            sliced.all_bundles_ge(&block, k).count_ones()
-        })
-        .collect();
-    let ok: u32 = per_chunk.iter().sum();
-    f64::from(ok) / f64::from(trials)
-}
-
 // ---------------------------------------------------------------------------
 // 256-lane blocks: four 64-lane groups per link word.
 // ---------------------------------------------------------------------------
@@ -1004,69 +963,6 @@ impl BitTrialBlock256 {
         }
         alive
     }
-
-    /// Materializes an [`IndexedTrials256`] block into a dense per-link
-    /// array: `link_alive_word(i) == trials.link_word(i)` for every
-    /// canonical link index.
-    pub fn draw_indexed(host: &Hypercube, trials: &IndexedTrials256) -> Self {
-        let mut words = vec![w256::ZERO; host.num_directed_edges() as usize];
-        for e in host.undirected_edges() {
-            let i = host.dir_edge_index(e);
-            words[i] = trials.link_word(i as u64);
-        }
-        BitTrialBlock256 { host: *host, words, lanes: trials.lanes() }
-    }
-}
-
-/// A 256-lane streaming trial block: four independent [`IndexedTrials`]
-/// groups queried side by side, so any link's [`W256`] alive word is a
-/// pure function of `(seeds, link_index)`. Group `g` reproduces
-/// `IndexedTrials::new(seeds[g], p, 64)` word for word (masked by the
-/// live lanes), which is what lets million-node sweeps chunk their serial
-/// seed lists by four without changing a single drawn bit.
-#[derive(Debug, Clone, Copy)]
-pub struct IndexedTrials256 {
-    groups: [IndexedTrials; 4],
-    lanes: u32,
-}
-
-impl IndexedTrials256 {
-    /// Defines a 256-lane trial block from four group seeds and a
-    /// per-link fail probability (same NaN/clamp normalization as the
-    /// other draws).
-    ///
-    /// # Panics
-    /// Panics unless `1 <= lanes <= 256`.
-    pub fn new(seeds: [u64; 4], p: f64, lanes: u32) -> Self {
-        assert!((1..=256).contains(&lanes), "need 1..=256 lanes, got {lanes}");
-        IndexedTrials256 { groups: seeds.map(|s| IndexedTrials::new(s, p, 64)), lanes }
-    }
-
-    /// Number of packed trials (1..=256).
-    #[inline]
-    pub fn lanes(&self) -> u32 {
-        self.lanes
-    }
-
-    /// Mask with one bit set per live lane.
-    #[inline]
-    pub fn live_mask(&self) -> W256 {
-        lane_mask256(self.lanes)
-    }
-
-    /// Alive word of the link with the given dense undirected index; bit
-    /// `t` of group `t / 64` set ⇔ the link is up in trial `t`.
-    #[inline]
-    pub fn link_word(&self, link: u64) -> W256 {
-        let m = lane_mask256(self.lanes);
-        let mut w = w256::ZERO;
-        for g in 0..4 {
-            if m[g] != 0 {
-                w[g] = self.groups[g].link_word(link) & m[g];
-            }
-        }
-        w
-    }
 }
 
 impl SlicedPaths {
@@ -1148,7 +1044,7 @@ impl SlicedPaths {
     /// the threshold is met by first-round arrivals, or — when `retries`
     /// — at least one non-empty path survives to carry the re-sent
     /// shares, after which all `w` shares are present and `w >= k`. This
-    /// is [`deliver_phase_outcome`](crate::delivery::deliver_phase_outcome)'s
+    /// is [`deliver_phase_plan_outcome`](crate::delivery::deliver_phase_plan_outcome)'s
     /// `all_delivered()` evaluated 256 trials per pass; the per-report
     /// byte-conformance against the engine is pinned by the fast-path
     /// conformance suite in the bench crate.
@@ -1200,93 +1096,6 @@ fn count_ge_256(cnt: &[W256; 8], k: usize, full: W256) -> W256 {
     w256::and(carry, full)
 }
 
-/// Folds "every bundle in `bundles` keeps ≥ `ks[j]` alive paths" into
-/// `acc[j]` — the [`W256`] widening of [`stream_bundles_ge_into`], still
-/// zero-allocation and order-independent over disjoint ranges.
-pub fn stream_bundles_ge_into_256(
-    src: &(impl BundleSource + ?Sized),
-    trials: &IndexedTrials256,
-    ks: &[usize],
-    bundles: std::ops::Range<u64>,
-    acc: &mut [W256],
-) {
-    assert_eq!(ks.len(), acc.len(), "one accumulator word per threshold");
-    let full = trials.live_mask();
-    for b in bundles {
-        if acc.iter().all(|&w| w256::is_zero(w)) {
-            return;
-        }
-        let mut cnt = [w256::ZERO; 8];
-        let mut n_paths = 0usize;
-        src.for_each_path(b, &mut |links| {
-            n_paths += 1;
-            let mut alive = full;
-            for &l in links {
-                alive = w256::and(alive, trials.link_word(l));
-                if w256::is_zero(alive) {
-                    break;
-                }
-            }
-            let mut carry = alive;
-            for plane in cnt.iter_mut() {
-                if w256::is_zero(carry) {
-                    break;
-                }
-                let overflow = w256::and(*plane, carry);
-                *plane = w256::xor(*plane, carry);
-                carry = overflow;
-            }
-        });
-        debug_assert!(n_paths < 256, "bundle too wide for 8-bit survivor counters");
-        for (a, &k) in acc.iter_mut().zip(ks) {
-            *a = w256::and(*a, streamed_count_ge_256(&cnt, k, n_paths, full));
-        }
-    }
-}
-
-/// `count >= k` from the shared survivor planes, mirroring
-/// [`streamed_count_ge`]'s edge cases at 256 lanes.
-#[inline]
-fn streamed_count_ge_256(cnt: &[W256; 8], k: usize, n_paths: usize, full: W256) -> W256 {
-    if k == 0 {
-        return full;
-    }
-    if k > n_paths {
-        return w256::ZERO;
-    }
-    count_ge_256(cnt, k, full)
-}
-
-/// Lanes in which **every** bundle of `src` keeps at least `ks[j]` alive
-/// paths, per threshold — the [`W256`] widening of
-/// [`streamed_all_bundles_ge`], same rayon chunking, same commutative
-/// AND fold, byte-identical at any thread count.
-pub fn streamed_all_bundles_ge_256(
-    src: &(impl BundleSource + Sync),
-    trials: &IndexedTrials256,
-    ks: &[usize],
-) -> Vec<W256> {
-    use rayon::prelude::*;
-    const CHUNK: u64 = 1 << 13;
-    let total = src.num_bundles();
-    let per_chunk: Vec<Vec<W256>> = (0..total.div_ceil(CHUNK) as usize)
-        .into_par_iter()
-        .map(|ci| {
-            let lo = ci as u64 * CHUNK;
-            let mut acc = vec![trials.live_mask(); ks.len()];
-            stream_bundles_ge_into_256(src, trials, ks, lo..(lo + CHUNK).min(total), &mut acc);
-            acc
-        })
-        .collect();
-    let mut out = vec![trials.live_mask(); ks.len()];
-    for acc in per_chunk {
-        for (x, y) in out.iter_mut().zip(&acc) {
-            *x = w256::and(*x, *y);
-        }
-    }
-    out
-}
-
 /// Total alive-lane count of a [`W256`] word — the 256-lane popcount
 /// sweeps fold into their success tallies.
 #[inline]
@@ -1297,11 +1106,11 @@ pub fn count_lanes_256(w: W256) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{delivery_probability, random_fault_set, surviving_paths};
+    use crate::faults::{random_fault_set, surviving_paths};
     use hyperpath_core::baseline::gray_cycle_embedding;
     use hyperpath_core::cycles::theorem1;
     use rand::rngs::StdRng;
-    use rand::RngCore;
+    use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
@@ -1516,26 +1325,6 @@ mod tests {
         assert_eq!(whole[0] & !trials.live_mask(), 0, "dead lanes must stay clear");
     }
 
-    #[test]
-    fn bitsliced_delivery_probability_matches_scalar_exactly() {
-        for n in [4u32, 6] {
-            let t1 = theorem1(n).unwrap();
-            let k_half = t1.claimed_width.div_ceil(2);
-            for k in [1usize, k_half] {
-                for trials in [1u32, 63, 64, 130] {
-                    let mut rng_a = StdRng::seed_from_u64(42);
-                    let mut rng_b = StdRng::seed_from_u64(42);
-                    let scalar = delivery_probability(&t1.embedding, 0.04, k, trials, &mut rng_a);
-                    let sliced =
-                        delivery_probability_bitsliced(&t1.embedding, 0.04, k, trials, &mut rng_b);
-                    assert_eq!(scalar, sliced, "n={n} k={k} trials={trials}");
-                    // Caller RNGs advanced identically.
-                    assert_eq!(rng_a.next_u64(), rng_b.next_u64());
-                }
-            }
-        }
-    }
-
     /// Draws a 256-lane compat block and the four 64-lane group blocks
     /// from the same seed list (must have 1..=256 entries).
     fn compat_block_and_groups(
@@ -1675,55 +1464,6 @@ mod tests {
         let block = BitTrialBlock256::from_fault_sets(&host, &sets);
         for (t, set) in sets.iter().enumerate() {
             assert_eq!(&block.lane_fault_set(t as u32), set, "lane {t}");
-        }
-    }
-
-    #[test]
-    fn indexed_trials_256_matches_its_64_lane_groups() {
-        let host = Hypercube::new(6);
-        let seeds = [11u64, 22, 33, 44];
-        let wide = IndexedTrials256::new(seeds, 0.07, 256);
-        let partial = IndexedTrials256::new(seeds, 0.07, 150);
-        let narrow: Vec<IndexedTrials> =
-            seeds.iter().map(|&s| IndexedTrials::new(s, 0.07, 64)).collect();
-        for e in host.undirected_edges() {
-            let i = host.dir_edge_index(e) as u64;
-            let w = wide.link_word(i);
-            let p = partial.link_word(i);
-            for g in 0..4 {
-                assert_eq!(w[g], narrow[g].link_word(i), "link {i} group {g}");
-                assert_eq!(p[g], narrow[g].link_word(i) & partial.live_mask()[g]);
-            }
-        }
-        let block = BitTrialBlock256::draw_indexed(&host, &wide);
-        assert_eq!(block.lanes(), 256);
-        for e in host.undirected_edges() {
-            let i = host.dir_edge_index(e);
-            assert_eq!(block.link_alive_word(i), wide.link_word(i as u64));
-        }
-    }
-
-    #[test]
-    fn streamed_256_matches_materialized_and_composes_over_ranges() {
-        for n in [4u32, 6] {
-            let t1 = theorem1(n).unwrap();
-            let sliced = SlicedPaths::new(&t1.embedding);
-            let plan = Theorem1Plan::new(n).unwrap();
-            let host = t1.embedding.host;
-            let trials = IndexedTrials256::new([1, 2, 3, 4], 0.15, 200);
-            let block = BitTrialBlock256::draw_indexed(&host, &trials);
-            let ks: Vec<usize> = (0..=(n as usize / 2 + 2)).collect();
-            let streamed = streamed_all_bundles_ge_256(&plan, &trials, &ks);
-            for (&k, &got) in ks.iter().zip(&streamed) {
-                assert_eq!(got, sliced.all_bundles_ge_256(&block, k), "n={n} k={k}");
-            }
-            // Uneven serial ranges AND-compose to the parallel fold.
-            let mut acc = vec![trials.live_mask(); ks.len()];
-            let total = BundleSource::num_bundles(&plan);
-            for r in [0..3u64, 3..11, 11..total] {
-                stream_bundles_ge_into_256(&plan, &trials, &ks, r, &mut acc);
-            }
-            assert_eq!(acc, streamed, "n={n}");
         }
     }
 

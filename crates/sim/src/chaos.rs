@@ -43,7 +43,7 @@ use crate::tenants::{
     lift_path, ExecMode, FaultRouting, FlowStats, TenantEngine, TenantFaultPlan, TenantPlan,
     TenantSpec, TenantsConfig,
 };
-use crate::trace::CountingRecorder;
+use crate::trace::{CountingRecorder, NopRecorder};
 use crate::wormhole::{Worm, WormholeSim};
 use hyperpath_core::cycles::theorem1;
 use hyperpath_embedding::MultiPathEmbedding;
@@ -225,7 +225,7 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
         }
     }
     let mut counts = CountingRecorder::default();
-    let pr = psim.run_planned_recorded(MAX_STEPS, &plan, &mut counts);
+    let pr = psim.run_planned(MAX_STEPS, &plan, &mut counts);
     check(
         counts.injected == counts.delivered + counts.dropped,
         "packet conservation: injected != delivered + dropped",
@@ -250,7 +250,7 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
             n_worms += 1;
         }
     }
-    let wr = wsim.run_planned(MAX_STEPS, &plan);
+    let wr = wsim.run_planned(MAX_STEPS, &plan, &mut NopRecorder);
     check(wr.lost.len() == n_worms, "wormhole loss vector has wrong length");
     check(wr.corrupted.len() == n_worms, "wormhole corruption vector has wrong length");
     if !plan.has_corruption() {

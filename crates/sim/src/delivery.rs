@@ -5,10 +5,10 @@
 //! This is the layer the paper's Sections 1–2 promise but never spell out:
 //! each guest edge's message is split by Rabin's IDA ([`Ida::disperse`])
 //! into `w` shares, share `i` rides path `i` of the edge's width-`w`
-//! bundle through the store-and-forward machine under a [`FaultTimeline`],
+//! bundle through the store-and-forward machine under a [`FaultPlan`],
 //! and the destination reconstructs ([`Ida::reconstruct`]) once any `k`
 //! shares arrive. A bounded retry pass re-sends the shares that died on
-//! severed links over the bundle's *surviving* paths (several shares may
+//! hazardous links over the bundle's *surviving* paths (several shares may
 //! share one surviving path — edge-disjointness is a bandwidth guarantee,
 //! not a routing restriction), so a single surviving path suffices to
 //! recover the whole message, at the cost of extra rounds.
@@ -21,8 +21,9 @@
 //! crate) pins the retry-free delivery rate to the structural
 //! [`surviving_paths`](crate::faults::surviving_paths) bound.
 
-use crate::faults::{FaultPlan, FaultSet, FaultTimeline};
-use crate::packet::{FaultReport, Flow, PacketSim};
+use crate::faults::{FaultPlan, FaultSet};
+use crate::packet::{Flow, PacketSim, PlanReport};
+use crate::trace::NopRecorder;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_ida::{Ida, Share};
 
@@ -97,7 +98,7 @@ pub struct DeliveryReport {
     /// Shares re-sent across all retry rounds.
     pub shares_resent: u64,
     /// The initial round's machine report (per-flow share outcomes).
-    pub initial: FaultReport,
+    pub initial: PlanReport,
 }
 
 impl DeliveryReport {
@@ -113,11 +114,13 @@ impl DeliveryReport {
     }
 
     /// Projects the machine telemetry away: everything in the report
-    /// that is a pure function of the fault set and the setup, with the
-    /// initial [`FaultReport`] reduced to its per-flow arrival bits.
-    /// This is the currency of the Monte-Carlo sweeps — and exactly what
-    /// the fail-stop fast path ([`deliver_phase_outcome`]) can compute
-    /// without running the packet engine.
+    /// that is a pure function of the fault plan and the setup, with the
+    /// initial [`PlanReport`] reduced to its per-flow arrival bits (set
+    /// only for a share that arrived uncorrupted, the same grading that
+    /// counts it toward `first_round_arrivals`). This is the currency of
+    /// the Monte-Carlo sweeps — and exactly what the fail-stop fast path
+    /// ([`deliver_phase_plan_outcome`]) can compute without running the
+    /// packet engine.
     pub fn outcome(&self) -> DeliveryOutcome {
         DeliveryOutcome {
             edges: self.edges.clone(),
@@ -126,7 +129,13 @@ impl DeliveryReport {
             lost: self.lost,
             rounds_run: self.rounds_run,
             shares_resent: self.shares_resent,
-            initial_flow_delivered: self.initial.flow_delivered.iter().map(|&c| c == 1).collect(),
+            initial_flow_delivered: self
+                .initial
+                .flow_delivered
+                .iter()
+                .zip(&self.initial.flow_corrupted)
+                .map(|(&arrived, &corrupted)| arrived == 1 && corrupted == 0)
+                .collect(),
         }
     }
 }
@@ -152,7 +161,8 @@ pub struct DeliveryOutcome {
     pub shares_resent: u64,
     /// Initial-round arrival bit of every simulated share flow, in
     /// [`PhaseSetup`] flow order (non-empty paths only — the same order
-    /// as [`FaultReport::flow_delivered`]).
+    /// as [`PlanReport::flow_delivered`]): set iff the share arrived
+    /// uncorrupted.
     pub initial_flow_delivered: Vec<bool>,
 }
 
@@ -184,7 +194,7 @@ pub(crate) fn message_for_edge(edge: usize, len: usize) -> Vec<u8> {
 /// (guest edge, path) order flows are injected in. A Monte-Carlo sweep
 /// that used to re-disperse every edge's message on every trial builds
 /// one `PhaseSetup` per sweep point instead and runs
-/// [`deliver_phase_prepared`] / [`deliver_phase_plan_prepared`] per draw.
+/// [`deliver_phase_plan_prepared`] per draw.
 ///
 /// # Panics
 /// [`PhaseSetup::new`] panics if any bundle is empty or wider than 255
@@ -253,46 +263,44 @@ impl<'a> PhaseSetup<'a> {
     }
 }
 
-/// Which fault model drives one phase run; decides the engine entry point
-/// for the initial round and the link set retries must avoid.
-enum PhaseFaults<'f> {
-    /// Fail-stop timeline: retries avoid [`FaultTimeline::final_set`].
-    Timeline(&'f FaultTimeline),
-    /// Generalized plan: a share arriving *corrupted* counts as an
-    /// erasure, and retries avoid the whole [`FaultPlan::hazard_set`].
-    Plan(&'f FaultPlan),
-}
-
-/// Runs one dispersal phase of `e` under `faults` and grades every guest
-/// edge's delivery. Fully deterministic: flows are injected in (guest
-/// edge, share) order and retries are planned in the same order.
+/// The *omniscient* counterpart of
+/// [`deliver_adaptive`](crate::protocol::deliver_adaptive) under the
+/// generalized fault model: one dispersal phase of `e` under `plan`, with
+/// retry planning that reads the plan directly — the sender knows the
+/// exact [`hazard_set`](FaultPlan::hazard_set) (every link that is down,
+/// will go down, or corrupts) and re-sends dead shares only over
+/// hazard-free paths.
 ///
-/// Convenience form of [`deliver_phase_prepared`] that builds the
-/// [`PhaseSetup`] on the spot; sweeps that draw many fault sets against
-/// one configuration should build the setup once instead.
+/// A share that arrives *corrupted* (its packet crossed a corrupting link)
+/// counts as an erasure, exactly as the fingerprint check on the receiving
+/// side would grade it: corruption degrades to loss, never to wrong bytes.
+/// Retry rounds run under the hazard set as static faults, so retried
+/// shares can neither be dropped by a later event nor corrupted.
+///
+/// The differential conformance suite in the bench crate pins the
+/// oracle-free adaptive protocol against this function.
+///
+/// Convenience form of [`deliver_phase_plan_prepared`] that builds the
+/// [`PhaseSetup`] on the spot; sweeps that draw many plans against one
+/// configuration should build the setup once instead.
 ///
 /// # Panics
-/// Panics if any bundle is empty or wider than 255 paths (the IDA share
-/// index is a byte), or if a simulation round exceeds its step cap.
-pub fn deliver_phase(
+/// Panics if any bundle is empty or wider than 255 paths, or if a
+/// simulation round exceeds its step cap.
+pub fn deliver_phase_plan(
     e: &MultiPathEmbedding,
-    faults: &FaultTimeline,
+    plan: &FaultPlan,
     cfg: &DeliveryConfig,
 ) -> DeliveryReport {
-    deliver_phase_prepared(&PhaseSetup::new(e, cfg), faults)
+    deliver_phase_plan_prepared(&PhaseSetup::new(e, cfg), plan)
 }
 
-/// [`deliver_phase`] against a prebuilt [`PhaseSetup`]: only the
+/// [`deliver_phase_plan`] against a prebuilt [`PhaseSetup`]: only the
 /// fault-dependent work (simulation rounds, retry planning, grading) runs
-/// per call; dispersal is reused from the setup.
-pub fn deliver_phase_prepared(setup: &PhaseSetup<'_>, faults: &FaultTimeline) -> DeliveryReport {
-    run_phase(setup, PhaseFaults::Timeline(faults))
-}
-
-/// The shared phase engine. Both public entry points funnel here, so the
-/// timeline and plan flavors cannot drift apart; the `match` arms are the
-/// complete behavioral difference between them.
-fn run_phase(setup: &PhaseSetup<'_>, faults: PhaseFaults<'_>) -> DeliveryReport {
+/// per call; dispersal is reused from the setup. Fully deterministic:
+/// flows are injected in (guest edge, share) order and retries are
+/// planned in the same order.
+pub fn deliver_phase_plan_prepared(setup: &PhaseSetup<'_>, plan: &FaultPlan) -> DeliveryReport {
     let e = setup.e;
     let host = e.host;
     let n_edges = e.edge_paths.len();
@@ -315,37 +323,18 @@ fn run_phase(setup: &PhaseSetup<'_>, faults: PhaseFaults<'_>) -> DeliveryReport 
         })
         .collect();
 
-    // Initial round: share `i` of edge `eid` rides bundle path `i`.
+    // Initial round: share `i` of edge `eid` rides bundle path `i`. A
+    // share only counts as arrived if delivered *untainted*.
     let mut sim = PacketSim::new(host);
     for &(eid, i) in &setup.flow_map {
         sim.add_flow(Flow { path: e.edge_paths[eid][i].nodes().to_vec(), packets: 1 });
     }
-    let initial: FaultReport = match faults {
-        PhaseFaults::Timeline(tl) => {
-            let fr = sim.run_faulty(MAX_STEPS, tl);
-            for (fid, &(eid, i)) in setup.flow_map.iter().enumerate() {
-                if fr.flow_delivered[fid] == 1 {
-                    trials[eid].arrived[i] = true;
-                }
-            }
-            fr
+    let initial = sim.run_planned(MAX_STEPS, plan, &mut NopRecorder);
+    for (fid, &(eid, i)) in setup.flow_map.iter().enumerate() {
+        if initial.flow_delivered[fid] == 1 && initial.flow_corrupted[fid] == 0 {
+            trials[eid].arrived[i] = true;
         }
-        PhaseFaults::Plan(plan) => {
-            // A share only counts as arrived if delivered *untainted*.
-            let pr = sim.run_planned(MAX_STEPS, plan);
-            for (fid, &(eid, i)) in setup.flow_map.iter().enumerate() {
-                if pr.flow_delivered[fid] == 1 && pr.flow_corrupted[fid] == 0 {
-                    trials[eid].arrived[i] = true;
-                }
-            }
-            FaultReport {
-                report: pr.report,
-                lost: pr.lost,
-                flow_delivered: pr.flow_delivered,
-                flow_lost: pr.flow_lost,
-            }
-        }
-    };
+    }
     for (st, es) in trials.iter_mut().zip(&setup.edges) {
         st.first_round_arrivals = st.arrived.iter().filter(|&&a| a).count();
         if st.first_round_arrivals >= es.threshold {
@@ -355,14 +344,10 @@ fn run_phase(setup: &PhaseSetup<'_>, faults: PhaseFaults<'_>) -> DeliveryReport 
 
     // Retry rounds re-send dead shares over the bundle's surviving paths
     // (round-robin; reusing one surviving path for several shares is
-    // legal — disjointness bounds bandwidth, not reuse). The timeline
-    // sender avoids the post-event fault set; the plan oracle avoids
-    // every hazardous link (down, going down, or corrupting).
-    let avoid: FaultSet = match faults {
-        PhaseFaults::Timeline(tl) => tl.final_set(&host),
-        PhaseFaults::Plan(plan) => plan.hazard_set(&host),
-    };
-    let static_faults = FaultTimeline::from_set(avoid.clone());
+    // legal — disjointness bounds bandwidth, not reuse). The oracle
+    // avoids every hazardous link (down, going down, or corrupting).
+    let avoid: FaultSet = plan.hazard_set(&host);
+    let static_faults = FaultPlan::from_set(avoid.clone());
     let mut shares_resent = 0u64;
     let mut rounds_run = 0u32;
     for round in 1..=cfg.max_retries {
@@ -396,7 +381,7 @@ fn run_phase(setup: &PhaseSetup<'_>, faults: PhaseFaults<'_>) -> DeliveryReport 
         }
         rounds_run = round;
         shares_resent += retry_map.len() as u64;
-        let rr = retry.run_faulty(MAX_STEPS, &static_faults);
+        let rr = retry.run_planned(MAX_STEPS, &static_faults, &mut NopRecorder);
         for (fid, &(eid, i)) in retry_map.iter().enumerate() {
             if rr.flow_delivered[fid] == 1 {
                 trials[eid].arrived[i] = true;
@@ -461,47 +446,10 @@ fn run_phase(setup: &PhaseSetup<'_>, faults: PhaseFaults<'_>) -> DeliveryReport 
     DeliveryReport { edges, delivered, degraded, lost, rounds_run, shares_resent, initial }
 }
 
-/// The *omniscient* counterpart of
-/// [`deliver_adaptive`](crate::protocol::deliver_adaptive) under the
-/// generalized fault model: one dispersal phase of `e` under `plan`, with
-/// retry planning that reads the plan directly — the sender knows the
-/// exact [`hazard_set`](FaultPlan::hazard_set) (every link that is down,
-/// will go down, or corrupts) and re-sends dead shares only over
-/// hazard-free paths.
-///
-/// A share that arrives *corrupted* (its packet crossed a corrupting link)
-/// counts as an erasure, exactly as the fingerprint check on the receiving
-/// side would grade it: corruption degrades to loss, never to wrong bytes.
-/// Retry rounds run under the hazard set as static faults, so retried
-/// shares can neither be dropped by a later event nor corrupted.
-///
-/// For a fail-stop `plan` (no mid-run events, no corruption) this is
-/// exactly [`deliver_phase`] with [`FaultTimeline::from_set`] of the
-/// initial faults; the differential conformance suite in the bench crate
-/// pins the oracle-free adaptive protocol against this function.
-///
-/// # Panics
-/// Panics if any bundle is empty or wider than 255 paths, or if a
-/// simulation round exceeds its step cap.
-pub fn deliver_phase_plan(
-    e: &MultiPathEmbedding,
-    plan: &FaultPlan,
-    cfg: &DeliveryConfig,
-) -> DeliveryReport {
-    deliver_phase_plan_prepared(&PhaseSetup::new(e, cfg), plan)
-}
-
-/// [`deliver_phase_plan`] against a prebuilt [`PhaseSetup`]: only the
-/// fault-dependent work (simulation rounds, retry planning, grading) runs
-/// per call; dispersal is reused from the setup.
-pub fn deliver_phase_plan_prepared(setup: &PhaseSetup<'_>, plan: &FaultPlan) -> DeliveryReport {
-    run_phase(setup, PhaseFaults::Plan(plan))
-}
-
 /// Grades a dispersal phase under **static fail-stop** faults without
 /// running the packet engine at all. With no mid-run events and no
-/// corruption, every grade in [`run_phase`] collapses to a closed form
-/// over path survival:
+/// corruption, every grade in [`deliver_phase_plan_prepared`] collapses
+/// to a closed form over path survival:
 ///
 /// * a share arrives iff its path is empty or avoids every failed link
 ///   (the engine delivers every unobstructed flow within the step cap);
@@ -566,28 +514,15 @@ fn fail_stop_outcome(setup: &PhaseSetup<'_>, faults: &FaultSet) -> DeliveryOutco
     }
 }
 
-/// Outcome-level [`deliver_phase_prepared`]: grades the phase and projects
-/// the machine telemetry away ([`DeliveryReport::outcome`]). When the
-/// timeline [is static](FaultTimeline::is_static) — no mid-run events, so
-/// retries avoid exactly the initial fault set — the grades are evaluated
-/// in closed form from path survival (`fail_stop_outcome`) and the
-/// packet engine (and any [`Recorder`](crate::trace::Recorder) hook) is
-/// skipped entirely; otherwise this falls back to the engine. Equality of
-/// the two paths on static timelines is pinned by the fast-path
-/// conformance suite in the bench crate.
-pub fn deliver_phase_outcome(setup: &PhaseSetup<'_>, faults: &FaultTimeline) -> DeliveryOutcome {
-    if faults.is_static() {
-        fail_stop_outcome(setup, faults.initial())
-    } else {
-        deliver_phase_prepared(setup, faults).outcome()
-    }
-}
-
-/// Outcome-level [`deliver_phase_plan_prepared`]: the fail-stop fast path
-/// applies when the plan [has no events and no
-/// corruption](FaultPlan::is_static_fail_stop) — then the hazard set the
-/// retry planner avoids is exactly the initial set; any corrupting bit or
-/// mid-run event falls back to the engine.
+/// Outcome-level [`deliver_phase_plan_prepared`]: grades the phase and
+/// projects the machine telemetry away ([`DeliveryReport::outcome`]).
+/// When the plan [has no events and no
+/// corruption](FaultPlan::is_static_fail_stop) the hazard set the retry
+/// planner avoids is exactly the initial set, so the grades are evaluated
+/// in closed form from path survival (`fail_stop_outcome`) and the packet
+/// engine is skipped entirely; any corrupting bit or mid-run event falls
+/// back to the engine. Equality of the two paths on static plans is
+/// pinned by the fast-path conformance suite in the bench crate.
 pub fn deliver_phase_plan_outcome(setup: &PhaseSetup<'_>, plan: &FaultPlan) -> DeliveryOutcome {
     if plan.is_static_fail_stop() {
         fail_stop_outcome(setup, plan.initial())
@@ -602,21 +537,21 @@ mod tests {
     use hyperpath_core::baseline::gray_cycle_embedding;
     use hyperpath_core::cycles::theorem1;
 
-    fn kill_paths(e: &MultiPathEmbedding, edge: usize, how_many: usize) -> FaultTimeline {
+    fn kill_paths(e: &MultiPathEmbedding, edge: usize, how_many: usize) -> FaultPlan {
         let host = e.host;
         let mut fs = FaultSet::none(&host);
         for path in e.edge_paths[edge].iter().take(how_many) {
             let mid = path.edges().next().expect("non-empty path");
             fs.fail_link(&host, mid);
         }
-        FaultTimeline::from_set(fs)
+        FaultPlan::from_set(fs)
     }
 
     #[test]
     fn fault_free_phase_delivers_everything_first_try() {
         let t1 = theorem1(6).unwrap();
         let cfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len: 96 };
-        let r = deliver_phase(&t1.embedding, &FaultTimeline::none(&t1.embedding.host), &cfg);
+        let r = deliver_phase_plan(&t1.embedding, &FaultPlan::none(&t1.embedding.host), &cfg);
         assert!(r.all_delivered());
         assert_eq!(r.delivered, t1.embedding.edge_paths.len());
         assert_eq!(r.degraded, 0);
@@ -633,8 +568,8 @@ mod tests {
         // dead shares over the one surviving path.
         let t1 = theorem1(6).unwrap();
         let cfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len: 64 };
-        let tl = kill_paths(&t1.embedding, 0, 2);
-        let r = deliver_phase(&t1.embedding, &tl, &cfg);
+        let plan = kill_paths(&t1.embedding, 0, 2);
+        let r = deliver_phase_plan(&t1.embedding, &plan, &cfg);
         let ed = &r.edges[0];
         assert!(ed.first_round_arrivals < 2, "first round must miss the threshold");
         assert_eq!(ed.outcome, EdgeOutcome::Degraded { rounds: 1 });
@@ -647,8 +582,8 @@ mod tests {
     fn without_retries_the_same_fault_loses_the_message() {
         let t1 = theorem1(6).unwrap();
         let cfg = DeliveryConfig { threshold: 2, max_retries: 0, message_len: 64 };
-        let tl = kill_paths(&t1.embedding, 0, 2);
-        let r = deliver_phase(&t1.embedding, &tl, &cfg);
+        let plan = kill_paths(&t1.embedding, 0, 2);
+        let r = deliver_phase_plan(&t1.embedding, &plan, &cfg);
         assert!(matches!(r.edges[0].outcome, EdgeOutcome::Lost { arrived: 1 }));
         assert!(!r.all_delivered());
         assert_eq!(r.rounds_run, 0);
@@ -659,8 +594,8 @@ mod tests {
         let t1 = theorem1(6).unwrap();
         let w = t1.embedding.edge_paths[0].len();
         let cfg = DeliveryConfig { threshold: 1, max_retries: 3, message_len: 32 };
-        let tl = kill_paths(&t1.embedding, 0, w);
-        let r = deliver_phase(&t1.embedding, &tl, &cfg);
+        let plan = kill_paths(&t1.embedding, 0, w);
+        let r = deliver_phase_plan(&t1.embedding, &plan, &cfg);
         assert!(matches!(r.edges[0].outcome, EdgeOutcome::Lost { arrived: 0 }));
         assert_eq!(r.lost, 1, "only the sabotaged edge is lost");
     }
@@ -673,25 +608,13 @@ mod tests {
         let t1 = theorem1(6).unwrap();
         let host = t1.embedding.host;
         let victim = t1.embedding.edge_paths[0][0].edges().next().unwrap();
-        let mut tl = FaultTimeline::none(&host);
-        tl.fail_link_at(0, victim);
+        let mut plan = FaultPlan::none(&host);
+        plan.cut_link_at(0, victim);
         let cfg = DeliveryConfig { threshold: t1.claimed_width, max_retries: 1, message_len: 64 };
-        let r = deliver_phase(&t1.embedding, &tl, &cfg);
+        let r = deliver_phase_plan(&t1.embedding, &plan, &cfg);
         assert!(r.all_delivered());
         // At least the victim's bundle needed the retry round.
         assert!(r.degraded >= 1);
-    }
-
-    #[test]
-    fn plan_oracle_matches_timeline_oracle_on_fail_stop_faults() {
-        let t1 = theorem1(6).unwrap();
-        let cfg = DeliveryConfig { threshold: 2, max_retries: 2, message_len: 64 };
-        for kills in [0usize, 1, 2, 3] {
-            let tl = kill_paths(&t1.embedding, 0, kills);
-            let a = deliver_phase(&t1.embedding, &tl, &cfg);
-            let b = deliver_phase_plan(&t1.embedding, &FaultPlan::from_timeline(&tl), &cfg);
-            assert_eq!(a, b, "kills={kills}");
-        }
     }
 
     #[test]
@@ -745,8 +668,8 @@ mod tests {
             for threshold in [1usize, 2, 3] {
                 for max_retries in [0u32, 2] {
                     let cfg = DeliveryConfig { threshold, max_retries, message_len: 32 };
-                    let tl = kill_paths(&t1.embedding, 0, kills);
-                    let r = deliver_phase(&t1.embedding, &tl, &cfg);
+                    let plan = kill_paths(&t1.embedding, 0, kills);
+                    let r = deliver_phase_plan(&t1.embedding, &plan, &cfg);
                     let ctx = format!("kills={kills} k={threshold} retries={max_retries}");
                     let by_outcome = |pred: &dyn Fn(&EdgeOutcome) -> bool| {
                         r.edges.iter().filter(|ed| pred(&ed.outcome)).count()
@@ -771,8 +694,8 @@ mod tests {
         // Width-1 bundles: killing the only path makes retries useless.
         let gray = gray_cycle_embedding(5);
         let cfg = DeliveryConfig { threshold: 1, max_retries: 5, message_len: 16 };
-        let tl = kill_paths(&gray, 0, 1);
-        let r = deliver_phase(&gray, &tl, &cfg);
+        let plan = kill_paths(&gray, 0, 1);
+        let r = deliver_phase_plan(&gray, &plan, &cfg);
         assert!(matches!(r.edges[0].outcome, EdgeOutcome::Lost { .. }));
     }
 
@@ -787,29 +710,22 @@ mod tests {
         let t1 = theorem1(6).unwrap();
         let host = t1.embedding.host;
         let mut rng = StdRng::seed_from_u64(0x0dd5eed);
-        let mut timelines: Vec<FaultTimeline> =
+        let mut plans: Vec<FaultPlan> =
             (0..[0usize, 1, 2, 3].len()).map(|kills| kill_paths(&t1.embedding, 0, kills)).collect();
         for p in [0.01, 0.05, 0.2] {
             for _ in 0..4 {
-                timelines.push(FaultTimeline::from_set(crate::faults::random_fault_set(
-                    &host, p, &mut rng,
-                )));
+                plans
+                    .push(FaultPlan::from_set(crate::faults::random_fault_set(&host, p, &mut rng)));
             }
         }
-        for tl in &timelines {
+        for plan in &plans {
             for threshold in [1usize, 2, 3] {
                 for max_retries in [0u32, 1, 2] {
                     let cfg = DeliveryConfig { threshold, max_retries, message_len: 32 };
                     let setup = PhaseSetup::new(&t1.embedding, &cfg);
-                    let engine = deliver_phase_prepared(&setup, tl).outcome();
-                    let fast = deliver_phase_outcome(&setup, tl);
+                    let engine = deliver_phase_plan_prepared(&setup, plan).outcome();
+                    let fast = deliver_phase_plan_outcome(&setup, plan);
                     assert_eq!(fast, engine, "k={threshold} retries={max_retries}");
-                    let plan = FaultPlan::from_timeline(tl);
-                    assert_eq!(
-                        deliver_phase_plan_outcome(&setup, &plan),
-                        deliver_phase_plan_prepared(&setup, &plan).outcome(),
-                        "plan flavor, k={threshold} retries={max_retries}"
-                    );
                 }
             }
         }
@@ -820,28 +736,28 @@ mod tests {
         let gray = gray_cycle_embedding(5);
         let cfg = DeliveryConfig { threshold: 1, max_retries: 5, message_len: 16 };
         let setup = PhaseSetup::new(&gray, &cfg);
-        let tl = kill_paths(&gray, 0, 1);
-        let fast = deliver_phase_outcome(&setup, &tl);
-        assert_eq!(fast, deliver_phase_prepared(&setup, &tl).outcome());
+        let plan = kill_paths(&gray, 0, 1);
+        let fast = deliver_phase_plan_outcome(&setup, &plan);
+        assert_eq!(fast, deliver_phase_plan_prepared(&setup, &plan).outcome());
         assert!(matches!(fast.edges[0].outcome, EdgeOutcome::Lost { arrived: 0 }));
     }
 
     #[test]
     fn non_static_inputs_fall_back_to_the_engine() {
-        // A timeline with a mid-run event and a plan with corruption are
-        // outside the fast path's model; the outcome entry points must
+        // A plan with a mid-run event and a plan with corruption are
+        // outside the fast path's model; the outcome entry point must
         // produce the engine's answer (trivially, by running it).
         let t1 = theorem1(6).unwrap();
         let host = t1.embedding.host;
         let victim = t1.embedding.edge_paths[0][0].edges().next().unwrap();
-        let mut tl = FaultTimeline::none(&host);
-        tl.fail_link_at(0, victim);
-        assert!(!tl.is_static());
+        let mut cut = FaultPlan::none(&host);
+        cut.cut_link_at(0, victim);
+        assert!(!cut.is_static_fail_stop());
         let cfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len: 32 };
         let setup = PhaseSetup::new(&t1.embedding, &cfg);
         assert_eq!(
-            deliver_phase_outcome(&setup, &tl),
-            deliver_phase_prepared(&setup, &tl).outcome()
+            deliver_phase_plan_outcome(&setup, &cut),
+            deliver_phase_plan_prepared(&setup, &cut).outcome()
         );
         let mut plan = FaultPlan::none(&host);
         plan.corrupt_link(&host, victim);
@@ -860,12 +776,48 @@ mod tests {
         let t1 = theorem1(6).unwrap();
         let cfg = DeliveryConfig { threshold: 2, max_retries: 0, message_len: 16 };
         let setup = PhaseSetup::new(&t1.embedding, &cfg);
-        let out = deliver_phase_outcome(&setup, &FaultTimeline::none(&t1.embedding.host));
+        let out = deliver_phase_plan_outcome(&setup, &FaultPlan::none(&t1.embedding.host));
         let n_flows: usize =
             t1.embedding.edge_paths.iter().flatten().filter(|p| !p.is_empty()).count();
         assert_eq!(out.initial_flow_delivered.len(), n_flows);
         assert!(out.initial_flow_delivered.iter().all(|&b| b));
         assert!(out.all_delivered());
         assert_eq!(out.recovered(), out.edges.len());
+    }
+
+    #[test]
+    fn initial_arrival_bits_count_only_uncorrupted_shares() {
+        // Each edge's zero-hop paths plus its set arrival bits are exactly
+        // its graded first-round arrivals: a share that arrived corrupted
+        // is an erasure in both views. Covers the engine (dynamic and
+        // corrupting plans) and the fail-stop fast path (static plans).
+        use rand::SeedableRng;
+        let mut e = theorem1(6).unwrap().embedding;
+        for bundle in e.edge_paths.iter_mut().step_by(5) {
+            let source = bundle[0].nodes()[0];
+            bundle.push(hyperpath_embedding::HostPath::new(vec![source]));
+        }
+        let host = e.host;
+        let mut corrupting = FaultPlan::none(&host);
+        corrupting.corrupt_link(&host, e.edge_paths[0][0].edges().next().unwrap());
+        let mut plans = vec![FaultPlan::none(&host), corrupting];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xa441);
+        for t in 0..12 {
+            plans.push(crate::chaos::random_plan(&host, t % 2 == 0, &mut rng));
+        }
+        let cfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len: 16 };
+        let setup = PhaseSetup::new(&e, &cfg);
+        for (pi, plan) in plans.iter().enumerate() {
+            let out = deliver_phase_plan_outcome(&setup, plan);
+            let mut bits = out.initial_flow_delivered.iter();
+            for (eid, bundle) in e.edge_paths.iter().enumerate() {
+                let arrivals = bundle
+                    .iter()
+                    .filter(|p| p.is_empty() || *bits.next().expect("one bit per flow"))
+                    .count();
+                assert_eq!(arrivals, out.edges[eid].first_round_arrivals, "plan {pi} edge {eid}");
+            }
+            assert!(bits.next().is_none(), "plan {pi}: one bit per simulated flow");
+        }
     }
 }

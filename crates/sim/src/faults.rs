@@ -5,21 +5,22 @@
 //! links; with Rabin's IDA (the `hyperpath-ida` crate) any `k` surviving
 //! paths reconstruct the message. This module provides:
 //!
-//! * [`FaultSet`] — a static set of severed links (both orientations);
-//! * [`FaultTimeline`] — a fault *schedule*: an initial fault set plus
-//!   links that fail mid-run at given step numbers, consumed by the
-//!   fault-aware simulator engines ([`PacketSim::run_faulty`],
-//!   [`WormholeSim::run_with_faults`]) and the delivery layer
-//!   ([`crate::delivery`]);
-//! * structural analysis — [`surviving_paths`] and the Monte-Carlo
-//!   [`delivery_probability`] estimate, which count fault-free paths
+//! * [`FaultPlan`] — the one fault model: links cut before step 0 or
+//!   mid-run, transient outages, byte-corrupting links and node faults,
+//!   consumed by the planned simulator runs
+//!   ([`PacketSim::run_planned`], [`WormholeSim::run_planned`]) and the
+//!   delivery layer ([`crate::delivery`]);
+//! * [`FaultSet`] — a static set of severed links (both orientations):
+//!   the value a static plan is built from ([`FaultPlan::from_set`]) and
+//!   what path-survival analysis reads;
+//! * structural analysis — [`surviving_paths`] counts fault-free paths
 //!   without routing a packet. The measured counterpart (packets actually
 //!   simulated, shares actually reconstructed) lives in
 //!   [`crate::delivery`]; `tests/delivery_conformance.rs` in the bench
 //!   crate pins the two views against each other.
 //!
-//! [`PacketSim::run_faulty`]: crate::packet::PacketSim::run_faulty
-//! [`WormholeSim::run_with_faults`]: crate::wormhole::WormholeSim::run_with_faults
+//! [`PacketSim::run_planned`]: crate::packet::PacketSim::run_planned
+//! [`WormholeSim::run_planned`]: crate::wormhole::WormholeSim::run_planned
 
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_topology::{DirEdge, Hypercube};
@@ -85,67 +86,6 @@ impl FaultSet {
     }
 }
 
-/// A fault *schedule*: which links are down from the start, and which fail
-/// mid-run. The fault-aware engines apply the event for step `s` at the
-/// **start** of step `s`, before any packet or flit moves in that step, so
-/// a link failing at step `s` transmits nothing at step `s` or later.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultTimeline {
-    initial: FaultSet,
-    /// `(step, edge)` failure events, sorted by step.
-    events: Vec<(u64, DirEdge)>,
-}
-
-impl FaultTimeline {
-    /// No faults, ever.
-    pub fn none(host: &Hypercube) -> Self {
-        FaultTimeline { initial: FaultSet::none(host), events: Vec::new() }
-    }
-
-    /// Static faults: `set` is down from before step 0 and nothing else
-    /// ever fails.
-    pub fn from_set(set: FaultSet) -> Self {
-        FaultTimeline { initial: set, events: Vec::new() }
-    }
-
-    /// Schedules the undirected link carrying `edge` to fail at the start
-    /// of `step` (step 0 events are equivalent to initial faults).
-    pub fn fail_link_at(&mut self, step: u64, edge: DirEdge) {
-        let at = self.events.partition_point(|&(s, _)| s <= step);
-        self.events.insert(at, (step, edge));
-    }
-
-    /// The faults present before step 0.
-    pub fn initial(&self) -> &FaultSet {
-        &self.initial
-    }
-
-    /// The scheduled mid-run failures, sorted by step.
-    pub fn events(&self) -> &[(u64, DirEdge)] {
-        &self.events
-    }
-
-    /// Whether the timeline contains no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.initial.is_empty() && self.events.is_empty()
-    }
-
-    /// Whether all faults are present from step 0 (no mid-run events).
-    pub fn is_static(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The fault set after every scheduled event has fired — what a retry
-    /// pass launched after the run sees.
-    pub fn final_set(&self, host: &Hypercube) -> FaultSet {
-        let mut set = self.initial.clone();
-        for &(_, edge) in &self.events {
-            set.fail_link(host, edge);
-        }
-        set
-    }
-}
-
 /// Direction of one scheduled link-state change in a [`FaultPlan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkEvent {
@@ -155,8 +95,10 @@ pub enum LinkEvent {
     Up,
 }
 
-/// The generalized adversarial fault model: everything a [`FaultTimeline`]
-/// can express, plus three further fault *kinds*:
+/// The adversarial fault model: fail-stop link cuts, from before step 0
+/// ([`FaultPlan::cut_link`], or a whole [`FaultSet`] via
+/// [`FaultPlan::from_set`]) or mid-run ([`FaultPlan::cut_link_at`]), plus
+/// three further fault *kinds*:
 ///
 /// * **transient outage** — a link is down over a step interval `[a, b)`
 ///   and healthy again afterwards ([`FaultPlan::outage`]);
@@ -171,9 +113,9 @@ pub enum LinkEvent {
 ///   many-to-many disjoint-path literature.
 ///
 /// Events apply at the **start** of their step, before any packet or flit
-/// moves, in insertion order within a step (same as [`FaultTimeline`]).
-/// An empty plan is a no-op: the plan-aware engine runs are bit-identical
-/// to the plain engines (pinned by `tests/props.rs`).
+/// moves, in insertion order within a step. An empty plan is a no-op:
+/// the planned engine runs are bit-identical to the plain ones (pinned by
+/// `tests/props.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultPlan {
     initial: FaultSet,
@@ -198,16 +140,11 @@ impl FaultPlan {
         }
     }
 
-    /// Lifts a fail-stop [`FaultTimeline`] into the generalized model:
-    /// same initial set, every timeline event becomes a permanent
-    /// [`LinkEvent::Down`], no corruption.
-    pub fn from_timeline(tl: &FaultTimeline) -> Self {
-        FaultPlan {
-            initial: tl.initial().clone(),
-            events: tl.events().iter().map(|&(s, e)| (s, e, LinkEvent::Down)).collect(),
-            corrupting: vec![false; tl.initial().bits().len()],
-            corrupt_seed: 0,
-        }
+    /// Static fail-stop faults: `set` is down from before step 0 and
+    /// nothing else ever fails or corrupts.
+    pub fn from_set(set: FaultSet) -> Self {
+        let corrupting = vec![false; set.bits().len()];
+        FaultPlan { initial: set, events: Vec::new(), corrupting, corrupt_seed: 0 }
     }
 
     /// Cuts the undirected link carrying `edge` from before step 0.
@@ -373,43 +310,6 @@ pub fn surviving_paths(e: &MultiPathEmbedding, faults: &FaultSet) -> Vec<usize> 
         .collect()
 }
 
-/// Monte-Carlo delivery probability: the fraction of `trials` random fault
-/// sets (per-link failure probability `p`) under which **every** guest edge
-/// keeps at least `k` surviving paths — i.e. a `(w, k)` dispersal scheme
-/// delivers every message of the phase.
-///
-/// This is the *structural* estimate (no packet is routed); the measured
-/// counterpart is [`crate::delivery::deliver_phase`]. `p` is clamped into
-/// `[0, 1]` (out-of-range inputs used to reach the RNG unvalidated).
-///
-/// # Panics
-/// Panics if `trials == 0` — a probability estimated from zero samples is
-/// not a number, and silently returning `NaN` poisoned downstream sweeps.
-pub fn delivery_probability(
-    e: &MultiPathEmbedding,
-    p: f64,
-    k: usize,
-    trials: u32,
-    rng: &mut impl Rng,
-) -> f64 {
-    use rand::SeedableRng;
-    use rayon::prelude::*;
-    assert!(trials > 0, "delivery_probability needs at least one trial");
-    let p = p.clamp(0.0, 1.0);
-    // One independent seed per trial so the parallel sweep stays
-    // deterministic for a given caller RNG state.
-    let seeds: Vec<u64> = (0..trials).map(|_| rng.random()).collect();
-    let ok = seeds
-        .par_iter()
-        .filter(|&&seed| {
-            let mut trial_rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let faults = random_fault_set(&e.host, p, &mut trial_rng);
-            surviving_paths(e, &faults).iter().all(|&s| s >= k)
-        })
-        .count() as u32;
-    f64::from(ok) / f64::from(trials)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,12 +381,21 @@ mod tests {
         fs.fail_link(&host, edge);
         let s = surviving_paths(&gray, &fs);
         assert!(s.contains(&0), "gray embedding has no redundancy");
-        // And its Monte-Carlo delivery probability at p=0.02 is clearly
-        // below the wide embedding's.
+        // And over seeded random draws at p=0.02, every bundle keeps a
+        // survivor far less often than in the wide embedding.
         let t1 = theorem1(6).unwrap();
-        let d_gray = delivery_probability(&gray, 0.02, 1, 60, &mut rng);
-        let d_t1 = delivery_probability(&t1.embedding, 0.02, 1, 60, &mut rng);
-        assert!(d_t1 > d_gray, "width-3 bundles should survive faults better: {d_t1} vs {d_gray}");
+        let every_bundle_survives =
+            |e: &MultiPathEmbedding, fs: &FaultSet| surviving_paths(e, fs).iter().all(|&s| s >= 1);
+        let (mut ok_gray, mut ok_t1) = (0u32, 0u32);
+        for _ in 0..60 {
+            let fs = random_fault_set(&host, 0.02, &mut rng);
+            ok_gray += u32::from(every_bundle_survives(&gray, &fs));
+            ok_t1 += u32::from(every_bundle_survives(&t1.embedding, &fs));
+        }
+        assert!(
+            ok_t1 > ok_gray,
+            "width-3 bundles should survive faults better: {ok_t1} vs {ok_gray}"
+        );
     }
 
     #[test]
@@ -513,26 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn delivery_probability_clamps_p() {
-        let t1 = theorem1(4).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        // p > 1 behaves like p = 1: every link fails, nothing survives.
-        assert_eq!(delivery_probability(&t1.embedding, 7.5, 1, 8, &mut rng), 0.0);
-        // p < 0 behaves like p = 0: nothing fails, everything survives.
-        assert_eq!(delivery_probability(&t1.embedding, -0.25, 1, 8, &mut rng), 1.0);
-        // And random_fault_set itself tolerates out-of-range p.
-        assert_eq!(random_fault_set(&t1.embedding.host, -3.0, &mut rng).count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one trial")]
-    fn delivery_probability_rejects_zero_trials() {
-        let t1 = theorem1(4).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let _ = delivery_probability(&t1.embedding, 0.01, 1, 0, &mut rng);
-    }
-
-    #[test]
     fn random_fault_set_treats_nan_p_as_zero() {
         // Regression: NaN passed through `clamp` and tripped the RNG's
         // `(0.0..=1.0).contains(&p)` assert deep inside `random_bool`.
@@ -541,11 +430,9 @@ mod tests {
         assert_eq!(random_fault_set(&host, f64::NAN, &mut rng).count(), 0);
         // Infinities clamp like ordinary out-of-range values.
         assert_eq!(random_fault_set(&host, f64::NEG_INFINITY, &mut rng).count(), 0);
+        assert_eq!(random_fault_set(&host, -3.0, &mut rng).count(), 0);
         let all = random_fault_set(&host, f64::INFINITY, &mut rng);
         assert_eq!(all.count(), host.num_directed_edges() as usize);
-        // And the Monte-Carlo estimator no longer panics on NaN either.
-        let t1 = theorem1(4).unwrap();
-        assert_eq!(delivery_probability(&t1.embedding, f64::NAN, 1, 4, &mut rng), 1.0);
     }
 
     #[test]
@@ -583,6 +470,18 @@ mod tests {
         assert!(hz.is_failed(&host, DirEdge::new(0, 1)));
         assert!(hz.is_failed(&host, DirEdge::new(3, 0)));
         assert!(hz.is_failed(&host, DirEdge::new(5, 2)));
+    }
+
+    #[test]
+    fn plan_from_set_is_static_fail_stop() {
+        let host = Hypercube::new(4);
+        let mut set = FaultSet::none(&host);
+        set.fail_link(&host, DirEdge::new(1, 3));
+        let plan = FaultPlan::from_set(set.clone());
+        assert!(plan.is_static_fail_stop() && !plan.is_empty());
+        assert_eq!(plan.initial(), &set);
+        assert_eq!(plan.hazard_set(&host), set);
+        assert_eq!(FaultPlan::from_set(FaultSet::none(&host)), FaultPlan::none(&host));
     }
 
     #[test]
@@ -626,19 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_from_timeline_matches_fail_stop_semantics() {
-        let host = Hypercube::new(4);
-        let mut tl = FaultTimeline::none(&host);
-        tl.fail_link_at(5, DirEdge::new(0, 1));
-        tl.fail_link_at(2, DirEdge::new(3, 0));
-        let plan = FaultPlan::from_timeline(&tl);
-        assert_eq!(plan.initial(), tl.initial());
-        assert!(plan.events().iter().all(|&(_, _, ev)| ev == LinkEvent::Down));
-        assert_eq!(plan.hazard_set(&host), tl.final_set(&host));
-        assert!(!plan.has_corruption() && !plan.is_static_fail_stop());
-    }
-
-    #[test]
     fn outage_zero_width_window_is_noop() {
         let host = Hypercube::new(4);
         let mut plan = FaultPlan::none(&host);
@@ -658,27 +544,5 @@ mod tests {
     fn outage_rejects_inverted_window() {
         let mut plan = FaultPlan::none(&Hypercube::new(4));
         plan.outage(DirEdge::new(0, 0), 6, 5);
-    }
-
-    #[test]
-    fn timeline_events_sorted_and_final_set() {
-        let host = Hypercube::new(4);
-        let mut tl = FaultTimeline::none(&host);
-        assert!(tl.is_empty() && tl.is_static());
-        tl.fail_link_at(5, DirEdge::new(0, 1));
-        tl.fail_link_at(2, DirEdge::new(3, 0));
-        tl.fail_link_at(5, DirEdge::new(7, 2));
-        assert!(!tl.is_empty() && !tl.is_static());
-        let steps: Vec<u64> = tl.events().iter().map(|&(s, _)| s).collect();
-        assert_eq!(steps, vec![2, 5, 5], "events stay sorted by step");
-        let fin = tl.final_set(&host);
-        assert_eq!(fin.count(), 6, "three links, both orientations each");
-        assert!(fin.is_failed(&host, DirEdge::new(0, 1)));
-        // Initial faults are carried into the final set too.
-        let mut set = FaultSet::none(&host);
-        set.fail_link(&host, DirEdge::new(1, 3));
-        let tl2 = FaultTimeline::from_set(set.clone());
-        assert!(tl2.is_static() && !tl2.is_empty());
-        assert_eq!(tl2.final_set(&host), set);
     }
 }

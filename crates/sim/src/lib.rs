@@ -9,24 +9,27 @@
 //!   paths, per-link FIFO queues, one packet per directed link per step,
 //!   deterministic arbitration (lowest flow id first). Includes flow
 //!   builders that turn an embedding (+ a packets-per-edge count) into a
-//!   simulation workload.
+//!   simulation workload. Each simulator has two runs: `run` (fault-free)
+//!   and `run_planned` (under a [`FaultPlan`]), both reporting to a
+//!   [`Recorder`].
 //! * [`wormhole`] — cut-through/wormhole mode for Section 7: an `F`-flit
 //!   worm holds each link from the step its head crosses until its tail
 //!   does; blocked heads stall the whole worm.
 //! * [`routing`] — path generators: greedy e-cube, Valiant two-phase
 //!   random-intermediate, and Section 7's CCC-copy split routes.
-//! * [`faults`] — link-fault injection: static [`FaultSet`]s plus
-//!   [`FaultTimeline`]s of mid-run link failures, which bundle paths
-//!   survive a fault set, and Monte-Carlo delivery probabilities for
-//!   width-`w` embeddings with a `(w, k)` dispersal scheme.
+//! * [`faults`] — the one fault model, [`FaultPlan`]: link cuts before
+//!   step 0 or mid-run, transient outages, byte-corrupting links and node
+//!   faults; plus the static [`FaultSet`] a plan is built from and which
+//!   bundle paths survive it.
 //! * [`bitslice`] — SIMD-within-a-register fault kernels: 64 Monte-Carlo
 //!   trials packed per `u64` ([`BitTrialBlock`]), path survival as word
 //!   AND-reductions ([`SlicedPaths`]), with a lane-extraction API that
 //!   reproduces the scalar draws bit for bit.
 //! * [`delivery`] — the end-to-end message layer: IDA-disperse each guest
-//!   edge's message over its bundle, run the shares through the faulty
-//!   machine, reconstruct at the destination, retry lost shares over
-//!   surviving paths, and grade every edge delivered/degraded/lost.
+//!   edge's message over its bundle, run the shares through the machine
+//!   under a [`FaultPlan`], reconstruct at the destination, retry lost
+//!   shares over surviving paths, and grade every edge
+//!   delivered/degraded/lost.
 //! * [`chaos`] — seed-pinned chaos harness: randomized adversarial
 //!   [`FaultPlan`]s through both engines and both delivery protocols,
 //!   under packet-conservation, no-wrong-bytes, oracle-equality and
@@ -41,8 +44,8 @@
 //!   selection down to the IDA threshold, and batched phases executed
 //!   exactly on the packet/wormhole engines per window group.
 //! * [`trace`] — zero-cost-when-off instrumentation: a [`Recorder`] event
-//!   sink the packet engine reports to, plus percentile summaries of busy
-//!   links, latencies and queue depths ([`PacketSim::run_traced`]).
+//!   sink every engine run reports to, plus percentile summaries of busy
+//!   links, latencies and queue depths ([`TraceRecorder::summary`]).
 //! * [`schedule_exec`] — executes a verified `PhaseSchedule` on this
 //!   machine model, so a theorem's certified cost can be checked against a
 //!   measured makespan.
@@ -64,32 +67,24 @@ pub mod tenants;
 pub mod trace;
 pub mod wormhole;
 
-pub use bitslice::{
-    delivery_probability_bitsliced, kernel_feature_path, BitTrialBlock, BitTrialBlock256,
-    IndexedTrials256, SlicedPaths, W256,
-};
+pub use bitslice::{kernel_feature_path, BitTrialBlock, BitTrialBlock256, SlicedPaths, W256};
 pub use chaos::{random_plan, run_chaos, ChaosConfig, ChaosReport, ChaosTrial};
 pub use delivery::{
-    deliver_phase, deliver_phase_outcome, deliver_phase_plan, deliver_phase_plan_outcome,
-    deliver_phase_plan_prepared, deliver_phase_prepared, DeliveryConfig, DeliveryOutcome,
-    DeliveryReport, EdgeDelivery, EdgeOutcome, PhaseSetup,
+    deliver_phase_plan, deliver_phase_plan_outcome, deliver_phase_plan_prepared, DeliveryConfig,
+    DeliveryOutcome, DeliveryReport, EdgeDelivery, EdgeOutcome, PhaseSetup,
 };
-pub use faults::{
-    random_fault_set, surviving_paths, FaultPlan, FaultSet, FaultTimeline, LinkEvent,
-};
-pub use packet::{FaultReport, Flow, PacketSim, PlanReport, SimReport};
+pub use faults::{random_fault_set, surviving_paths, FaultPlan, FaultSet, LinkEvent};
+pub use packet::{Flow, PacketSim, PlanReport, SimReport};
 pub use protocol::{
     deliver_adaptive, deliver_adaptive_prepared, AdaptiveReport, AdaptiveSetup, PlanNetwork,
     RoundNetwork, Submission, MAX_ADAPTIVE_ROUNDS, MAX_FRUITLESS_PROBES,
 };
 pub use routing::{ccc_copy_routes, ecube_path, valiant_path};
-pub use schedule_exec::{run_schedule, run_schedule_with_faults};
+pub use schedule_exec::run_schedule;
 pub use tenants::{
     run_tenants, run_tenants_recorded, EdgeGrade, EngineReport, ExecMode, FlowStats, LedgerSummary,
     LinkLedger, TenantEngine, TenantPlan, TenantReport, TenantRun, TenantSpec, TenantsConfig,
     ENGINE_MAX_DIMS,
 };
-pub use trace::{
-    CountingRecorder, NopRecorder, Recorder, TraceRecorder, TraceSummary, TracedReport,
-};
-pub use wormhole::{FaultWormReport, PlanWormReport, Worm, WormReport, WormholeSim};
+pub use trace::{CountingRecorder, NopRecorder, Recorder, TraceRecorder, TraceSummary};
+pub use wormhole::{PlanWormReport, Worm, WormReport, WormholeSim};

@@ -8,31 +8,35 @@
 //!
 //! Two engines implement these semantics:
 //!
-//! * [`PacketSim::run`] — the production engine. Packets live in a flat
+//! * [`PacketArena`] — the production engine. Packets live in a flat
 //!   slab whose ids are assigned in (flow, seq) injection order, so
 //!   ascending slab id *is* the arbitration order; per-link FIFOs are
 //!   intrusive lists over the slab; and packets moving in one step are
 //!   re-queued through per-destination-link buckets (sorted insertion into
 //!   at most `n` slots), which reproduces the global (flow, seq) sort
-//!   without sorting. The step loop allocates nothing.
+//!   without sorting. The step loop allocates nothing, and a warmed arena
+//!   allocates nothing per run. [`PacketSim`] is its node-walk front-end:
+//!   each [`PacketSim::run`] / [`PacketSim::run_planned`] loads a fresh
+//!   arena and returns what it reports.
 //! * [`PacketSim::run_reference`] — the original straightforward engine
 //!   (per-step `Vec`s plus an explicit `sort_by_key`). It is kept as the
 //!   executable specification; property tests in `tests/props.rs` assert
 //!   both engines produce bit-identical [`SimReport`]s.
 //!
-//! The production engine additionally reports to a [`Recorder`]
-//! (`sim::trace`); the default [`NopRecorder`] monomorphizes every hook to
+//! Every run reports to a [`Recorder`] (`sim::trace`); the
+//! [`NopRecorder`](crate::trace::NopRecorder) monomorphizes every hook to
 //! nothing, so tracing costs nothing when off.
 //!
-//! The same engine also runs *fault-aware* ([`PacketSim::run_faulty`]): a
-//! [`FaultTimeline`] marks links as severed — from the start or mid-run —
-//! and packets queued at a severed link are dropped instead of
-//! transmitted, reported per flow in a [`FaultReport`]. The fault logic is
-//! a `const`-generic switch on the one engine, so the fault-free path
-//! compiles to exactly the code the equivalence tests pin.
+//! The planned runs execute under a [`FaultPlan`]: links severed from the
+//! start or mid-run drop the packets queued at them instead of
+//! transmitting, transient outages restore links, and byte-corrupting
+//! links flag the packets that cross them — reported per flow in a
+//! [`PlanReport`]. The fault logic is one `const`-generic switch on the
+//! one engine, so the fault-free path compiles to exactly the code the
+//! equivalence tests pin.
 
-use crate::faults::{FaultPlan, FaultTimeline, LinkEvent};
-use crate::trace::{NopRecorder, Recorder};
+use crate::faults::{FaultPlan, LinkEvent};
+use crate::trace::Recorder;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use std::collections::VecDeque;
@@ -51,8 +55,8 @@ pub struct Flow {
 /// Simulation outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
-    /// Step after which every packet had arrived (or, in a fault-aware
-    /// run, been dropped).
+    /// Step after which every packet had arrived (or, in a planned run,
+    /// been dropped).
     pub makespan: u64,
     /// Total packets delivered.
     pub delivered: u64,
@@ -64,31 +68,16 @@ pub struct SimReport {
     pub max_queue: usize,
 }
 
-/// Outcome of a fault-aware run ([`PacketSim::run_faulty`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultReport {
-    /// The machine report. `delivered` counts only packets that actually
-    /// arrived; with an empty [`FaultTimeline`] this is bit-identical to
-    /// what [`PacketSim::run`] returns (pinned by `tests/props.rs`).
-    pub report: SimReport,
-    /// Packets dropped on failed links.
-    pub lost: u64,
-    /// Packets of each flow that arrived, indexed by flow id.
-    pub flow_delivered: Vec<u64>,
-    /// Packets of each flow dropped on failed links, indexed by flow id.
-    pub flow_lost: Vec<u64>,
-}
-
-/// Outcome of a plan-aware run ([`PacketSim::run_planned`]): the
-/// [`FaultReport`] fields plus corruption accounting. Corrupting links
+/// Outcome of a planned run ([`PacketSim::run_planned`]): the machine
+/// report plus per-flow loss and corruption accounting. Corrupting links
 /// never affect delivery — a corrupted packet still arrives — so
 /// `flow_corrupted[f] ≤ flow_delivered[f]`, while `corrupted` counts every
 /// packet flagged (including ones later dropped on a failed link).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanReport {
-    /// The machine report. With an empty [`FaultPlan`] this is
-    /// bit-identical to what [`PacketSim::run`] returns (pinned by
-    /// `tests/props.rs`).
+    /// The machine report. `delivered` counts only packets that actually
+    /// arrived; with an empty [`FaultPlan`] this is bit-identical to what
+    /// [`PacketSim::run`] returns (pinned by `tests/props.rs`).
     pub report: SimReport,
     /// Packets dropped on failed links.
     pub lost: u64,
@@ -114,7 +103,8 @@ pub struct PlanReport {
     pub flow_corrupted_at: Vec<u32>,
 }
 
-/// The simulator: a hypercube plus a set of flows.
+/// The simulator: a hypercube plus a set of flows given as node walks —
+/// the one-shot front-end of [`PacketArena`].
 #[derive(Debug, Clone)]
 pub struct PacketSim {
     host: Hypercube,
@@ -199,195 +189,49 @@ impl PacketSim {
         sim
     }
 
-    /// Runs to completion (or `max_steps`) and reports.
+    /// Loads the flows into a fresh [`PacketArena`].
+    fn arena(&self) -> PacketArena {
+        let mut arena = PacketArena::new(self.host);
+        let hops = self.flows.iter().map(|f| f.path.len().saturating_sub(1)).sum();
+        arena.reserve(self.flows.len(), hops);
+        for flow in &self.flows {
+            arena.add_flow_walk(&flow.path, flow.packets);
+        }
+        arena
+    }
+
+    /// Runs to completion (or `max_steps`) and reports, firing every
+    /// engine event on `rec`; pass
+    /// [`NopRecorder`](crate::trace::NopRecorder), which monomorphizes
+    /// every hook away, for an uninstrumented run.
     ///
     /// # Panics
     /// Panics if packets remain undelivered after `max_steps` (a stuck
     /// simulation is a bug in the workload, not a measurement).
-    pub fn run(&self, max_steps: u64) -> SimReport {
-        self.run_recorded(max_steps, &mut NopRecorder)
+    pub fn run<R: Recorder>(&self, max_steps: u64, rec: &mut R) -> SimReport {
+        self.arena().run(max_steps, rec)
     }
 
-    /// The production engine, reporting per-step/per-packet events to
-    /// `rec`. [`run`](Self::run) passes the no-op recorder, which
-    /// monomorphizes all hooks away; `run_traced` (in `sim::trace`) passes
-    /// a collecting recorder.
-    ///
-    /// # Panics
-    /// Panics if packets remain undelivered after `max_steps`.
-    pub fn run_recorded<R: Recorder>(&self, max_steps: u64, rec: &mut R) -> SimReport {
-        self.engine::<R, false, false>(max_steps, None, None, rec).report
-    }
-
-    /// Runs under the given fault timeline: a packet queued at a failed
-    /// link is dropped (the whole queue of a failed link drains as drops
-    /// in one step), reported per flow and via the
-    /// [`Recorder::record_drop`] hook. With an empty timeline the report
-    /// is bit-identical to [`run`](Self::run)'s.
+    /// Runs under `plan`: permanent cuts and node faults are fail-stop —
+    /// a packet queued at a failed link is dropped (the whole queue of a
+    /// failed link drains as drops in one step), reported per flow and via
+    /// the [`Recorder::record_drop`] hook; transient outages additionally
+    /// restore links ([`LinkEvent::Up`]); and byte-corrupting links flag
+    /// every packet that crosses them ([`Recorder::record_corrupt`])
+    /// without affecting delivery. With an empty plan the report is
+    /// bit-identical to [`run`](Self::run)'s.
     ///
     /// # Panics
     /// Panics if packets remain in flight after `max_steps`.
-    pub fn run_faulty(&self, max_steps: u64, faults: &FaultTimeline) -> FaultReport {
-        self.run_faulty_recorded(max_steps, faults, &mut NopRecorder)
-    }
-
-    /// [`run_faulty`](Self::run_faulty) with a recorder.
-    ///
-    /// # Panics
-    /// Panics if packets remain in flight after `max_steps`.
-    pub fn run_faulty_recorded<R: Recorder>(
-        &self,
-        max_steps: u64,
-        faults: &FaultTimeline,
-        rec: &mut R,
-    ) -> FaultReport {
-        let pr = self.engine::<R, true, false>(max_steps, Some(faults), None, rec);
-        FaultReport {
-            report: pr.report,
-            lost: pr.lost,
-            flow_delivered: pr.flow_delivered,
-            flow_lost: pr.flow_lost,
-        }
-    }
-
-    /// Runs under a generalized [`FaultPlan`]: permanent cuts and node
-    /// faults behave exactly like [`run_faulty`](Self::run_faulty)'s
-    /// fail-stop semantics, transient outages additionally restore links
-    /// ([`LinkEvent::Up`]), and byte-corrupting links flag every packet
-    /// that crosses them ([`Recorder::record_corrupt`]) without affecting
-    /// delivery. With an empty plan the report is bit-identical to
-    /// [`run`](Self::run)'s.
-    ///
-    /// # Panics
-    /// Panics if packets remain in flight after `max_steps`.
-    pub fn run_planned(&self, max_steps: u64, plan: &FaultPlan) -> PlanReport {
-        self.run_planned_recorded(max_steps, plan, &mut NopRecorder)
-    }
-
-    /// [`run_planned`](Self::run_planned) with a recorder.
-    ///
-    /// # Panics
-    /// Panics if packets remain in flight after `max_steps`.
-    pub fn run_planned_recorded<R: Recorder>(
+    pub fn run_planned<R: Recorder>(
         &self,
         max_steps: u64,
         plan: &FaultPlan,
         rec: &mut R,
     ) -> PlanReport {
-        self.engine::<R, true, true>(max_steps, None, Some(plan), rec)
-    }
-
-    /// The one engine behind [`run_recorded`](Self::run_recorded),
-    /// [`run_faulty_recorded`](Self::run_faulty_recorded) and
-    /// [`run_planned_recorded`](Self::run_planned_recorded). `FAULTY` and
-    /// `PLAN` are compile-time switches: the fault branches below
-    /// monomorphize away entirely on the fault-free path, so the hot loop
-    /// is exactly the one the engine-equivalence property tests pin
-    /// against `run_reference`; `PLAN` additionally enables
-    /// [`LinkEvent::Up`] restores and corruption flagging without touching
-    /// the timeline path (its allocation counts are pinned by
-    /// `bench/tests/alloc_zero.rs` and the committed perf baseline).
-    ///
-    /// Fault semantics: the timeline's/plan's events for step `s` fire at
-    /// the start of step `s`; during the pop phase a failed link transmits
-    /// nothing and instead drops its entire queue (each drop recorded at
-    /// the current step). Dropped packets count toward neither `busy` nor
-    /// `packet_hops`; `max_queue` still observes the doomed queue's depth.
-    fn engine<R: Recorder, const FAULTY: bool, const PLAN: bool>(
-        &self,
-        max_steps: u64,
-        faults: Option<&FaultTimeline>,
-        plan: Option<&FaultPlan>,
-        rec: &mut R,
-    ) -> PlanReport {
-        const {
-            assert!(FAULTY || !PLAN, "a plan-aware run is a fault-aware run");
-        }
-        let num_links = self.host.num_directed_edges() as usize;
-        let dims = self.host.dims() as usize;
-
-        // Fault state (compiled out when `FAULTY` is false).
-        let failed: Vec<bool> = if PLAN {
-            plan.expect("plan-aware run needs a plan").initial().bits().to_vec()
-        } else if FAULTY {
-            faults.expect("fault-aware run needs a timeline").initial().bits().to_vec()
-        } else {
-            Vec::new()
-        };
-        let events: &[(u64, DirEdge)] =
-            if FAULTY && !PLAN { faults.unwrap().events() } else { &[] };
-        let plan_events: &[(u64, DirEdge, LinkEvent)] =
-            if PLAN { plan.unwrap().events() } else { &[] };
-        let corrupting: &[bool] = if PLAN { plan.unwrap().corrupting_bits() } else { &[] };
-
-        // Per-flow directed-link sequences, precomputed once into a flat
-        // arena (the old engine recomputed XOR + edge index on every hop).
-        let mut flow_off: Vec<u32> = Vec::with_capacity(self.flows.len() + 1);
-        let mut hop_links: Vec<u32> = Vec::new();
-        flow_off.push(0);
-        for flow in &self.flows {
-            hop_links.extend(walk_links(self.host, &flow.path));
-            flow_off.push(hop_links.len() as u32);
-        }
-
-        let total_injected: u64 = self.flows.iter().map(|f| f.packets).sum();
-        assert!(total_injected < u64::from(u32::MAX), "packet slab holds at most u32::MAX - 1");
-        let total = total_injected as usize;
-
-        let mut bufs = PacketBufs {
-            failed,
-            flow_delivered: if FAULTY { vec![0; self.flows.len()] } else { Vec::new() },
-            flow_lost: if FAULTY { vec![0; self.flows.len()] } else { Vec::new() },
-            flow_corrupted: if PLAN { vec![0; self.flows.len()] } else { Vec::new() },
-            flow_dropped_at: if PLAN { vec![u32::MAX; self.flows.len()] } else { Vec::new() },
-            flow_corrupted_at: if PLAN { vec![u32::MAX; self.flows.len()] } else { Vec::new() },
-            pkt_flow: Vec::with_capacity(total),
-            pkt_pos: vec![0; total],
-            pkt_next: vec![NONE; total],
-            pkt_corrupt: if PLAN { vec![false; total] } else { Vec::new() },
-            q_head: vec![NONE; num_links],
-            q_tail: vec![NONE; num_links],
-            q_len: vec![0; num_links],
-            active: Vec::with_capacity(num_links),
-            in_active: vec![false; num_links],
-            moved: Vec::with_capacity(num_links),
-            touched: Vec::with_capacity(num_links),
-            stage: vec![0; num_links * dims],
-            stage_len: vec![0; num_links],
-        };
-        let out = engine_core::<R, _, FAULTY, PLAN>(
-            &self.host,
-            &flow_off,
-            &hop_links,
-            |f| self.flows[f].packets,
-            total_injected,
-            max_steps,
-            events,
-            plan_events,
-            corrupting,
-            &mut bufs,
-            rec,
-        );
-        PlanReport {
-            report: SimReport {
-                makespan: out.steps,
-                delivered: total_injected - out.lost,
-                packet_hops: out.packet_hops,
-                mean_utilization: if out.steps == 0 {
-                    0.0
-                } else {
-                    out.busy_accum as f64 / (out.steps as f64 * num_links as f64)
-                },
-                max_queue: out.max_queue,
-            },
-            lost: out.lost,
-            corrupted: out.corrupted,
-            flow_delivered: std::mem::take(&mut bufs.flow_delivered),
-            flow_lost: std::mem::take(&mut bufs.flow_lost),
-            flow_corrupted: std::mem::take(&mut bufs.flow_corrupted),
-            flow_dropped_at: std::mem::take(&mut bufs.flow_dropped_at),
-            flow_corrupted_at: std::mem::take(&mut bufs.flow_corrupted_at),
-        }
+        let mut arena = self.arena();
+        let (report, corrupted) = arena.run_core::<R, true>(max_steps, Some(plan), rec);
+        arena.into_plan_report(report, corrupted)
     }
 
     /// The original engine, kept verbatim as the executable specification:
@@ -498,7 +342,7 @@ impl PacketSim {
 
 /// The directed-link indices ([`Hypercube::dir_edge_index`]) a walk
 /// crosses, in order. The caller has checked the walk.
-fn walk_links(host: Hypercube, path: &[Node]) -> impl Iterator<Item = u32> + '_ {
+pub(crate) fn walk_links(host: Hypercube, path: &[Node]) -> impl Iterator<Item = u32> + '_ {
     path.windows(2).map(move |w| {
         host.dir_edge_index(DirEdge::new(w[0], (w[0] ^ w[1]).trailing_zeros())) as u32
     })
@@ -548,28 +392,34 @@ struct CoreOut {
     max_queue: usize,
 }
 
-/// The step machine shared by [`PacketSim`]'s one-shot engine and the
-/// pooled [`PacketArena`]: injection plus the pop/stage/flush loop,
-/// verbatim from the PR-1 engine, over caller-prepared buffers. The
-/// caller guarantees the per-run vectors in `bufs` are sized for this
-/// workload (see [`PacketBufs`]); nothing in here allocates.
+/// The step machine behind [`PacketArena`]: injection plus the
+/// pop/stage/flush loop over the arena's prepared buffers. The caller
+/// guarantees the per-run vectors in `bufs` are sized for this workload
+/// (see [`PacketBufs`]); nothing in here allocates.
+///
+/// `PLAN` is the one fault switch. Off, every fault branch below
+/// monomorphizes away, so the fault-free loop is exactly the one the
+/// engine-equivalence property tests pin against
+/// [`PacketSim::run_reference`]. On, the plan's events for step `s` fire
+/// at the start of step `s` (a [`LinkEvent::Down`] severs, an
+/// [`LinkEvent::Up`] restores); during the pop phase a failed link
+/// transmits nothing and instead drops its entire queue (each drop
+/// recorded at the current step), and a packet crossing a corrupting
+/// link is flagged once. Dropped packets count toward neither `busy` nor
+/// `packet_hops`; `max_queue` still observes the doomed queue's depth.
 #[allow(clippy::too_many_arguments)]
-fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: bool>(
+fn engine_core<R: Recorder, const PLAN: bool>(
     host: &Hypercube,
     flow_off: &[u32],
     hop_links: &[u32],
-    packets_of: F,
+    flow_packets: &[u64],
     total_injected: u64,
     max_steps: u64,
-    events: &[(u64, DirEdge)],
     plan_events: &[(u64, DirEdge, LinkEvent)],
     corrupting: &[bool],
     bufs: &mut PacketBufs,
     rec: &mut R,
 ) -> CoreOut {
-    const {
-        assert!(FAULTY || !PLAN, "a plan-aware run is a fault-aware run");
-    }
     assert!(total_injected < u64::from(u32::MAX), "packet slab holds at most u32::MAX - 1");
     let dims = host.dims() as usize;
     let num_flows = flow_off.len() - 1;
@@ -620,7 +470,7 @@ fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN:
     // Inject (flows in id order, packets in seq order ⇒ slab order).
     let mut pending = 0u64;
     for fid in 0..num_flows {
-        let packets = packets_of(fid);
+        let packets = flow_packets[fid];
         rec.record_injection(fid as u32, packets, 0);
         let hops = flow_off[fid + 1] - flow_off[fid];
         for _seq in 0..packets {
@@ -628,7 +478,7 @@ fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN:
             pkt_flow.push(fid as u32);
             if hops == 0 {
                 rec.record_delivery(fid as u32, 0); // delivered instantly
-                if FAULTY {
+                if PLAN {
                     flow_delivered[fid] += 1;
                 }
                 continue;
@@ -653,22 +503,14 @@ fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN:
         if step >= max_steps {
             panic!("simulation did not finish within {max_steps} steps ({pending} pending)");
         }
-        // Fault events for this step fire before anything moves. Plan
-        // events within a step apply in insertion order, so a same-step
-        // Down-then-Up pair nets out to Up.
+        // Fault events for this step fire before anything moves, in
+        // insertion order, so a same-step Down-then-Up pair nets out to Up.
         if PLAN {
             while next_event < plan_events.len() && plan_events[next_event].0 <= step {
                 let (_, edge, ev) = plan_events[next_event];
                 let down = matches!(ev, LinkEvent::Down);
                 failed[host.dir_edge_index(edge)] = down;
                 failed[host.dir_edge_index(edge.reversed())] = down;
-                next_event += 1;
-            }
-        } else if FAULTY {
-            while next_event < events.len() && events[next_event].0 <= step {
-                let edge = events[next_event].1;
-                failed[host.dir_edge_index(edge)] = true;
-                failed[host.dir_edge_index(edge.reversed())] = true;
                 next_event += 1;
             }
         }
@@ -684,7 +526,7 @@ fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN:
                 max_queue = depth;
             }
             rec.record_queue_depth(idx as u32, depth);
-            if FAULTY && failed[idx] {
+            if PLAN && failed[idx] {
                 // A severed link transmits nothing: its whole queue is
                 // lost this step and the link goes quiet.
                 let mut pid = q_head[idx];
@@ -692,7 +534,7 @@ fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN:
                     let f = pkt_flow[pid as usize] as usize;
                     rec.record_drop(f as u32, step);
                     flow_lost[f] += 1;
-                    if PLAN && flow_dropped_at[f] == u32::MAX {
+                    if flow_dropped_at[f] == u32::MAX {
                         flow_dropped_at[f] = idx as u32;
                     }
                     lost += 1;
@@ -751,11 +593,11 @@ fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN:
             if flow_off[f] + pos >= flow_off[f + 1] {
                 pending -= 1;
                 rec.record_delivery(f as u32, step + 1);
-                if FAULTY {
+                if PLAN {
                     flow_delivered[f] += 1;
-                }
-                if PLAN && pkt_corrupt[pid as usize] {
-                    flow_corrupted[f] += 1;
+                    if pkt_corrupt[pid as usize] {
+                        flow_corrupted[f] += 1;
+                    }
                 }
                 continue;
             }
@@ -795,19 +637,19 @@ fn engine_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN:
     CoreOut { steps: step, lost, corrupted, packet_hops, busy_accum, max_queue }
 }
 
-/// A persistent, pooled variant of [`PacketSim`]: all link-indexed machine
-/// state is allocated once for a fixed host cube and reused across runs,
-/// and flows are loaded as precomputed *directed-link* hop sequences
-/// instead of node walks. Once warmed up (every reusable vector at its
-/// steady-state capacity), [`run`](Self::run) and
-/// [`run_planned`](Self::run_planned) allocate nothing — a completed run
-/// leaves every per-link queue empty and every link inactive, so
-/// [`clear`](Self::clear) only truncates the flow arena and no O(links)
-/// reset ever happens. `bench/tests/alloc_zero.rs` pins the exact-zero
-/// behavior through the tenant engine.
+/// The packet engine: all link-indexed machine state is allocated once
+/// for a fixed host cube and reused across runs, and flows are loaded as
+/// precomputed *directed-link* hop sequences (or node walks, converted on
+/// load). Once warmed up (every reusable vector at its steady-state
+/// capacity), [`run`](Self::run) and [`run_planned`](Self::run_planned)
+/// allocate nothing — a completed run leaves every per-link queue empty
+/// and every link inactive, so [`clear`](Self::clear) only truncates the
+/// flow arena and no O(links) reset ever happens.
+/// `bench/tests/alloc_zero.rs` pins the exact-zero behavior through the
+/// tenant engine.
 ///
-/// Reports are bit-identical to [`PacketSim`] on the same workload (the
-/// engines share `engine_core`); `sim::tenants` tests pin this.
+/// [`PacketSim`] runs load a fresh arena, so its reports are this
+/// engine's by construction.
 #[derive(Debug, Clone)]
 pub struct PacketArena {
     host: Hypercube,
@@ -907,45 +749,13 @@ impl PacketArena {
         (self.flow_packets.len() - 1) as u32
     }
 
-    /// Runs the loaded flows fault-free; bit-identical to
-    /// [`PacketSim::run_recorded`] on the same workload.
+    /// Runs the loaded flows fault-free, firing every engine event on
+    /// `rec`.
     ///
     /// # Panics
     /// Panics if packets remain undelivered after `max_steps`.
     pub fn run<R: Recorder>(&mut self, max_steps: u64, rec: &mut R) -> SimReport {
-        let PacketArena { host, flow_off, hop_links, flow_packets, total_injected, bufs } = self;
-        let total = *total_injected as usize;
-        bufs.pkt_flow.clear();
-        bufs.pkt_flow.reserve(total);
-        bufs.pkt_pos.clear();
-        bufs.pkt_pos.resize(total, 0);
-        bufs.pkt_next.clear();
-        bufs.pkt_next.resize(total, NONE);
-        let out = engine_core::<R, _, false, false>(
-            host,
-            flow_off,
-            hop_links,
-            |f| flow_packets[f],
-            *total_injected,
-            max_steps,
-            &[],
-            &[],
-            &[],
-            bufs,
-            rec,
-        );
-        let num_links = host.num_directed_edges() as usize;
-        SimReport {
-            makespan: out.steps,
-            delivered: *total_injected - out.lost,
-            packet_hops: out.packet_hops,
-            mean_utilization: if out.steps == 0 {
-                0.0
-            } else {
-                out.busy_accum as f64 / (out.steps as f64 * num_links as f64)
-            },
-            max_queue: out.max_queue,
-        }
+        self.run_core::<R, false>(max_steps, None, rec).0
     }
 
     /// Runs the loaded flows under `plan` (semantics of
@@ -964,44 +774,62 @@ impl PacketArena {
         plan: &FaultPlan,
         rec: &mut R,
     ) -> SimReport {
+        self.run_core::<R, true>(max_steps, Some(plan), rec).0
+    }
+
+    /// The one buffer-preparation path: re-prepares the per-run vectors
+    /// (the fault state and per-flow outcomes only when `PLAN`), runs
+    /// [`engine_core`] and condenses its counters into the machine report,
+    /// returned with the number of packets flagged as corrupted.
+    fn run_core<R: Recorder, const PLAN: bool>(
+        &mut self,
+        max_steps: u64,
+        plan: Option<&FaultPlan>,
+        rec: &mut R,
+    ) -> (SimReport, u64) {
         let PacketArena { host, flow_off, hop_links, flow_packets, total_injected, bufs } = self;
         let total = *total_injected as usize;
-        let num_flows = flow_packets.len();
-        bufs.failed.clear();
-        bufs.failed.extend_from_slice(plan.initial().bits());
-        bufs.flow_delivered.clear();
-        bufs.flow_delivered.resize(num_flows, 0);
-        bufs.flow_lost.clear();
-        bufs.flow_lost.resize(num_flows, 0);
-        bufs.flow_corrupted.clear();
-        bufs.flow_corrupted.resize(num_flows, 0);
-        bufs.flow_dropped_at.clear();
-        bufs.flow_dropped_at.resize(num_flows, u32::MAX);
-        bufs.flow_corrupted_at.clear();
-        bufs.flow_corrupted_at.resize(num_flows, u32::MAX);
+        let (plan_events, corrupting) = match plan {
+            Some(plan) if PLAN => {
+                let num_flows = flow_packets.len();
+                bufs.failed.clear();
+                bufs.failed.extend_from_slice(plan.initial().bits());
+                bufs.flow_delivered.clear();
+                bufs.flow_delivered.resize(num_flows, 0);
+                bufs.flow_lost.clear();
+                bufs.flow_lost.resize(num_flows, 0);
+                bufs.flow_corrupted.clear();
+                bufs.flow_corrupted.resize(num_flows, 0);
+                bufs.flow_dropped_at.clear();
+                bufs.flow_dropped_at.resize(num_flows, u32::MAX);
+                bufs.flow_corrupted_at.clear();
+                bufs.flow_corrupted_at.resize(num_flows, u32::MAX);
+                bufs.pkt_corrupt.clear();
+                bufs.pkt_corrupt.resize(total, false);
+                (plan.events(), plan.corrupting_bits())
+            }
+            _ => (&[][..], &[][..]),
+        };
         bufs.pkt_flow.clear();
         bufs.pkt_flow.reserve(total);
         bufs.pkt_pos.clear();
         bufs.pkt_pos.resize(total, 0);
         bufs.pkt_next.clear();
         bufs.pkt_next.resize(total, NONE);
-        bufs.pkt_corrupt.clear();
-        bufs.pkt_corrupt.resize(total, false);
-        let out = engine_core::<R, _, true, true>(
+        let out = engine_core::<R, PLAN>(
             host,
             flow_off,
             hop_links,
-            |f| flow_packets[f],
+            flow_packets,
             *total_injected,
             max_steps,
-            &[],
-            plan.events(),
-            plan.corrupting_bits(),
+            plan_events,
+            corrupting,
             bufs,
             rec,
         );
         let num_links = host.num_directed_edges() as usize;
-        SimReport {
+        let report = SimReport {
             makespan: out.steps,
             delivered: *total_injected - out.lost,
             packet_hops: out.packet_hops,
@@ -1011,6 +839,30 @@ impl PacketArena {
                 out.busy_accum as f64 / (out.steps as f64 * num_links as f64)
             },
             max_queue: out.max_queue,
+        };
+        (report, out.corrupted)
+    }
+
+    /// Moves the last planned run's per-flow outcomes out into a
+    /// [`PlanReport`] around its machine `report` and `corrupted` count.
+    fn into_plan_report(self, report: SimReport, corrupted: u64) -> PlanReport {
+        let PacketBufs {
+            flow_delivered,
+            flow_lost,
+            flow_corrupted,
+            flow_dropped_at,
+            flow_corrupted_at,
+            ..
+        } = self.bufs;
+        PlanReport {
+            lost: self.total_injected - report.delivered,
+            report,
+            corrupted,
+            flow_delivered,
+            flow_lost,
+            flow_corrupted,
+            flow_dropped_at,
+            flow_corrupted_at,
         }
     }
 
@@ -1043,6 +895,8 @@ impl PacketArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSet;
+    use crate::trace::{CountingRecorder, NopRecorder};
     use hyperpath_core::baseline::gray_cycle_embedding;
     use hyperpath_core::cycles::theorem1;
 
@@ -1051,7 +905,7 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1], packets: 1 });
-        let r = sim.run(100);
+        let r = sim.run(100, &mut NopRecorder);
         assert_eq!(r.makespan, 1);
         assert_eq!(r.delivered, 1);
         assert_eq!(r.packet_hops, 1);
@@ -1062,7 +916,7 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1], packets: 10 });
-        let r = sim.run(100);
+        let r = sim.run(100, &mut NopRecorder);
         assert_eq!(r.makespan, 10, "one link, one packet per step");
     }
 
@@ -1071,7 +925,7 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3, 7], packets: 5 });
-        let r = sim.run(100);
+        let r = sim.run(100, &mut NopRecorder);
         // 3-hop path, 5 packets pipelined: 3 + 4 = 7 steps.
         assert_eq!(r.makespan, 7);
         assert_eq!(r.packet_hops, 15);
@@ -1084,7 +938,7 @@ mod tests {
         // Two flows crossing the same first link.
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 3 });
         sim.add_flow(Flow { path: vec![0, 1, 5], packets: 3 });
-        let r = sim.run(100);
+        let r = sim.run(100, &mut NopRecorder);
         // 6 packets over the shared link: last crosses at step 6, one more
         // hop: 7.
         assert_eq!(r.makespan, 7);
@@ -1099,7 +953,7 @@ mod tests {
         let e = gray_cycle_embedding(5);
         for m in [1u64, 4, 16] {
             let sim = PacketSim::phase_workload(&e, m);
-            let r = sim.run(10_000);
+            let r = sim.run(10_000, &mut NopRecorder);
             assert_eq!(r.makespan, m, "m={m}");
         }
     }
@@ -1115,8 +969,10 @@ mod tests {
         for n in [8u32, 12] {
             let gray = gray_cycle_embedding(n);
             let t1 = theorem1(n).unwrap();
-            let r_gray = PacketSim::phase_workload(&gray, m).run(100_000).makespan;
-            let r_t1 = PacketSim::phase_workload(&t1.embedding, m).run(100_000).makespan;
+            let r_gray =
+                PacketSim::phase_workload(&gray, m).run(100_000, &mut NopRecorder).makespan;
+            let r_t1 =
+                PacketSim::phase_workload(&t1.embedding, m).run(100_000, &mut NopRecorder).makespan;
             assert_eq!(r_gray, m, "n={n}");
             let w = (n / 2) as u64;
             assert!(r_t1 <= 3 * m / w + 8, "n={n}: theorem1 makespan {r_t1} above 3m/w + O(1)");
@@ -1129,7 +985,7 @@ mod tests {
     #[test]
     fn utilization_reported() {
         let e = gray_cycle_embedding(4);
-        let r = PacketSim::phase_workload(&e, 8).run(10_000);
+        let r = PacketSim::phase_workload(&e, 8).run(10_000, &mut NopRecorder);
         // Only 1/n of links ever busy.
         assert!(r.mean_utilization <= 0.26);
         assert!(r.mean_utilization > 0.2);
@@ -1141,7 +997,7 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1], packets: 100 });
-        let _ = sim.run(5);
+        let _ = sim.run(5, &mut NopRecorder);
     }
 
     #[test]
@@ -1151,7 +1007,7 @@ mod tests {
         let e = theorem1(6).unwrap().embedding;
         for m in [1u64, 5, 32] {
             let sim = PacketSim::phase_workload(&e, m);
-            assert_eq!(sim.run(100_000), sim.run_reference(100_000), "m={m}");
+            assert_eq!(sim.run(100_000, &mut NopRecorder), sim.run_reference(100_000), "m={m}");
         }
     }
 
@@ -1160,9 +1016,9 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 4 });
-        let mut fs = crate::faults::FaultSet::none(&host);
-        fs.fail_link(&host, hyperpath_topology::DirEdge::new(0, 0));
-        let r = sim.run_faulty(100, &crate::faults::FaultTimeline::from_set(fs));
+        let mut fs = FaultSet::none(&host);
+        fs.fail_link(&host, DirEdge::new(0, 0));
+        let r = sim.run_planned(100, &FaultPlan::from_set(fs), &mut NopRecorder);
         assert_eq!(r.lost, 4);
         assert_eq!(r.report.delivered, 0);
         assert_eq!(r.flow_lost, vec![4]);
@@ -1178,9 +1034,9 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 5 });
-        let mut tl = crate::faults::FaultTimeline::none(&host);
-        tl.fail_link_at(2, hyperpath_topology::DirEdge::new(0, 0));
-        let r = sim.run_faulty(100, &tl);
+        let mut plan = FaultPlan::none(&host);
+        plan.cut_link_at(2, DirEdge::new(0, 0));
+        let r = sim.run_planned(100, &plan, &mut NopRecorder);
         assert_eq!(r.flow_delivered, vec![2]);
         assert_eq!(r.flow_lost, vec![3]);
         assert_eq!(r.report.delivered, 2);
@@ -1194,55 +1050,25 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 3 });
-        let mut fs = crate::faults::FaultSet::none(&host);
-        fs.fail_link(&host, hyperpath_topology::DirEdge::new(1, 1));
-        let r = sim.run_faulty(100, &crate::faults::FaultTimeline::from_set(fs));
+        let mut fs = FaultSet::none(&host);
+        fs.fail_link(&host, DirEdge::new(1, 1));
+        let r = sim.run_planned(100, &FaultPlan::from_set(fs), &mut NopRecorder);
         assert_eq!(r.report.delivered, 0);
         assert_eq!(r.lost, 3);
         assert!(r.report.packet_hops > 0, "packets crossed the healthy first hop");
     }
 
     #[test]
-    fn empty_timeline_matches_plain_run_exactly() {
-        let e = theorem1(6).unwrap().embedding;
-        let sim = PacketSim::phase_workload(&e, 16);
-        let tl = crate::faults::FaultTimeline::none(&e.host);
-        let fr = sim.run_faulty(100_000, &tl);
-        assert_eq!(fr.report, sim.run(100_000));
-        assert_eq!(fr.lost, 0);
-        assert!(fr.flow_lost.iter().all(|&l| l == 0));
-        let per_flow: u64 = fr.flow_delivered.iter().sum();
-        assert_eq!(per_flow, fr.report.delivered);
-    }
-
-    #[test]
     fn empty_plan_matches_plain_run_exactly() {
         let e = theorem1(6).unwrap().embedding;
         let sim = PacketSim::phase_workload(&e, 16);
-        let plan = crate::faults::FaultPlan::none(&e.host);
-        let pr = sim.run_planned(100_000, &plan);
-        assert_eq!(pr.report, sim.run(100_000));
+        let plan = FaultPlan::none(&e.host);
+        let pr = sim.run_planned(100_000, &plan, &mut NopRecorder);
+        assert_eq!(pr.report, sim.run(100_000, &mut NopRecorder));
         assert_eq!((pr.lost, pr.corrupted), (0, 0));
         assert!(pr.flow_corrupted.iter().all(|&c| c == 0));
         let per_flow: u64 = pr.flow_delivered.iter().sum();
         assert_eq!(per_flow, pr.report.delivered);
-    }
-
-    #[test]
-    fn plan_with_static_cuts_matches_run_faulty() {
-        let e = theorem1(6).unwrap().embedding;
-        let sim = PacketSim::phase_workload(&e, 8);
-        let mut fs = crate::faults::FaultSet::none(&e.host);
-        fs.fail_link(&e.host, hyperpath_topology::DirEdge::new(0, 1));
-        fs.fail_link(&e.host, hyperpath_topology::DirEdge::new(5, 2));
-        let tl = crate::faults::FaultTimeline::from_set(fs);
-        let fr = sim.run_faulty(100_000, &tl);
-        let pr = sim.run_planned(100_000, &crate::faults::FaultPlan::from_timeline(&tl));
-        assert_eq!(pr.report, fr.report);
-        assert_eq!(pr.lost, fr.lost);
-        assert_eq!(pr.flow_delivered, fr.flow_delivered);
-        assert_eq!(pr.flow_lost, fr.flow_lost);
-        assert_eq!(pr.corrupted, 0);
     }
 
     #[test]
@@ -1254,9 +1080,9 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 5 });
-        let mut plan = crate::faults::FaultPlan::none(&host);
-        plan.outage(hyperpath_topology::DirEdge::new(1, 1), 0, 2);
-        let r = sim.run_planned(100, &plan);
+        let mut plan = FaultPlan::none(&host);
+        plan.outage(DirEdge::new(1, 1), 0, 2);
+        let r = sim.run_planned(100, &plan, &mut NopRecorder);
         assert_eq!(r.lost, 1, "only the packet queued during the outage dies");
         assert_eq!(r.flow_delivered, vec![4]);
         assert_eq!(r.flow_lost, vec![1]);
@@ -1268,14 +1094,18 @@ mod tests {
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 4 });
         sim.add_flow(Flow { path: vec![4, 5], packets: 2 });
-        let mut plan = crate::faults::FaultPlan::none(&host);
+        let mut plan = FaultPlan::none(&host);
         // Two corrupting links on flow 0's path: packets are still flagged
         // only once each.
-        plan.corrupt_link(&host, hyperpath_topology::DirEdge::new(0, 0));
-        plan.corrupt_link(&host, hyperpath_topology::DirEdge::new(1, 1));
-        let mut c = crate::trace::CountingRecorder::new();
-        let r = sim.run_planned_recorded(100, &plan, &mut c);
-        assert_eq!(r.report, sim.run(100), "corruption must not change the machine run");
+        plan.corrupt_link(&host, DirEdge::new(0, 0));
+        plan.corrupt_link(&host, DirEdge::new(1, 1));
+        let mut c = CountingRecorder::new();
+        let r = sim.run_planned(100, &plan, &mut c);
+        assert_eq!(
+            r.report,
+            sim.run(100, &mut NopRecorder),
+            "corruption must not change the machine run"
+        );
         assert_eq!(r.lost, 0);
         assert_eq!(r.corrupted, 4);
         assert_eq!(c.corrupted, 4, "record_corrupt fires once per packet");
@@ -1289,9 +1119,9 @@ mod tests {
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 3 }); // via node 1
         sim.add_flow(Flow { path: vec![4, 6], packets: 2 }); // avoids node 1
-        let mut plan = crate::faults::FaultPlan::none(&host);
+        let mut plan = FaultPlan::none(&host);
         plan.cut_node(&host, 1);
-        let r = sim.run_planned(100, &plan);
+        let r = sim.run_planned(100, &plan, &mut NopRecorder);
         assert_eq!(r.flow_lost, vec![3, 0], "every link into node 1 is severed");
         assert_eq!(r.flow_delivered, vec![0, 2]);
     }
@@ -1302,7 +1132,7 @@ mod tests {
         let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![4], packets: 3 });
         sim.add_flow(Flow { path: vec![0, 1], packets: 2 });
-        let r = sim.run(100);
+        let r = sim.run(100, &mut NopRecorder);
         assert_eq!(r, sim.run_reference(100));
         assert_eq!(r.delivered, 5);
         assert_eq!(r.makespan, 2);

@@ -1,8 +1,7 @@
 //! Oracle-free adaptive delivery: the sender learns path health **only**
 //! from per-round ACK/NACK feedback.
 //!
-//! [`crate::delivery::deliver_phase`] (and its generalized sibling
-//! [`deliver_phase_plan`](crate::delivery::deliver_phase_plan)) models an
+//! [`deliver_phase_plan`](crate::delivery::deliver_phase_plan) models an
 //! *omniscient* sender: retry planning reads the fault set directly. A
 //! real machine has no such oracle — it knows only which share indices
 //! came back verified. [`deliver_adaptive`] is that protocol:
@@ -29,7 +28,7 @@
 //! The function is oracle-free *by construction*: its signature admits no
 //! fault type — all fault state lives behind the [`RoundNetwork`] trait,
 //! whose production implementation [`PlanNetwork`] runs each round through
-//! the plan-aware packet engine ([`PacketArena::run_planned`], one pooled
+//! the planned packet engine ([`PacketArena::run_planned`], one pooled
 //! arena per network) and flips the payload bytes of corrupted deliveries
 //! with the plan's seeded RNG.
 //! `tests/adaptive_conformance.rs` (bench crate) pins this protocol
@@ -731,7 +730,7 @@ mod tests {
             let path = e.edge_paths[sub.guest_edge][sub.via].nodes().to_vec();
             sim.add_flow(Flow { path, packets: 1 });
         }
-        let pr = sim.run_planned(MAX_STEPS, plan);
+        let pr = sim.run_planned(MAX_STEPS, plan, &mut NopRecorder);
         subs.iter()
             .enumerate()
             .map(|(i, sub)| {

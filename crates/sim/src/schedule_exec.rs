@@ -12,7 +12,6 @@
 //!
 //! [`PacketSim::run`]: crate::packet::PacketSim::run
 
-use crate::faults::FaultTimeline;
 use crate::packet::SimReport;
 use hyperpath_embedding::{MultiPathEmbedding, PhaseSchedule};
 use std::collections::HashMap;
@@ -97,108 +96,6 @@ pub fn run_schedule(e: &MultiPathEmbedding, schedule: &PhaseSchedule) -> Result<
     })
 }
 
-/// Replays `schedule` under a fault timeline: a transmission whose hop
-/// would cross a link at or after the step that link fails is *lost* at
-/// that hop (its earlier hops still execute and still conflict-check).
-///
-/// Returns the measured report — `delivered` and `makespan` now cover only
-/// the surviving transmissions — plus a per-transmission lost mask. With
-/// an empty timeline this is exactly [`run_schedule`].
-pub fn run_schedule_with_faults(
-    e: &MultiPathEmbedding,
-    schedule: &PhaseSchedule,
-    faults: &FaultTimeline,
-) -> Result<(SimReport, Vec<bool>), String> {
-    let host = e.host;
-    let num_links = host.num_directed_edges() as usize;
-
-    // Step each directed link fails at (u64::MAX = never). Initial faults
-    // fail "at step 0"; a scheduled event at step `s` blocks crossings at
-    // step `s` and later, matching the engines (events fire at step
-    // start).
-    let mut fail_step: Vec<u64> = vec![u64::MAX; num_links];
-    for (idx, &down) in faults.initial().bits().iter().enumerate() {
-        if down {
-            fail_step[idx] = 0;
-        }
-    }
-    for &(step, edge) in faults.events() {
-        for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
-            fail_step[idx] = fail_step[idx].min(step);
-        }
-    }
-
-    let mut crossing: HashMap<(u64, u32), usize> = HashMap::new();
-    let mut queued: HashMap<(u64, u32), usize> = HashMap::new();
-    let mut lost = vec![false; schedule.transmissions.len()];
-
-    let mut makespan = 0u64;
-    let mut packet_hops = 0u64;
-    let mut delivered = 0u64;
-    let mut max_queue = 0usize;
-    for (ti, t) in schedule.transmissions.iter().enumerate() {
-        let bundle = e.edge_paths.get(t.guest_edge).ok_or_else(|| {
-            format!("transmission {ti}: guest edge {} out of range", t.guest_edge)
-        })?;
-        let path = bundle
-            .get(t.path_idx)
-            .ok_or_else(|| format!("transmission {ti}: path index {} out of range", t.path_idx))?;
-        if t.hop_starts.len() != path.len() {
-            return Err(format!(
-                "transmission {ti}: {} hop steps for a {}-hop path",
-                t.hop_starts.len(),
-                path.len()
-            ));
-        }
-        let mut arrived_at = 0u64;
-        for (h, (edge, &start)) in path.edges().zip(&t.hop_starts).enumerate() {
-            if start < arrived_at {
-                return Err(format!(
-                    "transmission {ti}: hop {h} starts at {start} before the packet \
-                     arrives at its source (step {arrived_at})"
-                ));
-            }
-            let link = host.dir_edge_index(edge) as u32;
-            if start >= fail_step[link as usize] {
-                lost[ti] = true;
-                break;
-            }
-            if let Some(&other) = crossing.get(&(start, link)) {
-                return Err(format!(
-                    "step {start}: directed link {edge:?} crossed by transmissions {other} and {ti}"
-                ));
-            }
-            crossing.insert((start, link), ti);
-            for s in arrived_at..=start {
-                let depth = queued.entry((s, link)).or_insert(0);
-                *depth += 1;
-                max_queue = max_queue.max(*depth);
-            }
-            packet_hops += 1;
-            arrived_at = start + 1;
-        }
-        if !lost[ti] {
-            delivered += 1;
-            makespan = makespan.max(t.arrival());
-        }
-    }
-
-    Ok((
-        SimReport {
-            makespan,
-            delivered,
-            packet_hops,
-            mean_utilization: if makespan == 0 {
-                0.0
-            } else {
-                packet_hops as f64 / (makespan as f64 * num_links as f64)
-            },
-            max_queue,
-        },
-        lost,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,43 +141,6 @@ mod tests {
         let t = s.transmissions.iter_mut().find(|t| t.hop_starts.len() >= 2).unwrap();
         t.hop_starts[1] = t.hop_starts[0];
         assert!(run_schedule(&t1.embedding, &s).is_err());
-    }
-
-    #[test]
-    fn faulty_replay_matches_plain_replay_without_faults() {
-        let t1 = theorem1(6).unwrap();
-        let plain = run_schedule(&t1.embedding, &t1.schedule).unwrap();
-        let tl = FaultTimeline::none(&t1.embedding.host);
-        let (r, lost) = run_schedule_with_faults(&t1.embedding, &t1.schedule, &tl).unwrap();
-        assert_eq!(r, plain);
-        assert!(lost.iter().all(|&l| !l));
-    }
-
-    #[test]
-    fn faulty_replay_loses_exactly_the_transmissions_crossing_the_cut() {
-        let t1 = theorem1(6).unwrap();
-        let host = t1.embedding.host;
-        // Sever the link the first transmission's first hop crosses.
-        let t0 = &t1.schedule.transmissions[0];
-        let edge = t1.embedding.edge_paths[t0.guest_edge][t0.path_idx].edges().next().unwrap();
-        let mut fs = crate::faults::FaultSet::none(&host);
-        fs.fail_link(&host, edge);
-        let (r, lost) =
-            run_schedule_with_faults(&t1.embedding, &t1.schedule, &FaultTimeline::from_set(fs))
-                .unwrap();
-        assert!(lost[0], "the transmission over the severed link is lost");
-        let n_lost = lost.iter().filter(|&&l| l).count();
-        assert_eq!(r.delivered + n_lost as u64, t1.schedule.transmissions.len() as u64);
-        // Disjointness keeps the damage local: the schedule loses only the
-        // transmissions whose own path crossed the severed link.
-        for (ti, t) in t1.schedule.transmissions.iter().enumerate() {
-            let path = &t1.embedding.edge_paths[t.guest_edge][t.path_idx];
-            let crosses = path.edges().any(|e| {
-                host.dir_edge_index(e) == host.dir_edge_index(edge)
-                    || host.dir_edge_index(e) == host.dir_edge_index(edge.reversed())
-            });
-            assert_eq!(lost[ti], crosses, "transmission {ti}");
-        }
     }
 
     #[test]

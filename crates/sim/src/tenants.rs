@@ -1417,7 +1417,7 @@ fn run_group_reference<R: Recorder>(
             let max_steps = flows * 4 + 4;
             match fault {
                 None => {
-                    let report = sim.run_recorded(max_steps, rec);
+                    let report = sim.run(max_steps, rec);
                     debug_assert_eq!(report.delivered, flows);
                     let outcomes = batch
                         .iter()
@@ -1427,7 +1427,7 @@ fn run_group_reference<R: Recorder>(
                 }
                 Some((plan, round)) => {
                     let dense = project_group_plan(batch, round, plan, &cube, n);
-                    let pr = sim.run_planned_recorded(max_steps, &dense, rec);
+                    let pr = sim.run_planned(max_steps, &dense, rec);
                     let mut f = 0usize;
                     let outcomes = batch
                         .iter()
@@ -1477,7 +1477,7 @@ fn run_group_reference<R: Recorder>(
             let max_steps = worms * (flits + 3) + flits + 4;
             match fault {
                 None => {
-                    let report = sim.run_recorded(max_steps, rec);
+                    let report = sim.run(max_steps, rec);
                     debug_assert_eq!(report.completion.len(), worms as usize);
                     let outcomes = batch
                         .iter()
@@ -1487,7 +1487,7 @@ fn run_group_reference<R: Recorder>(
                 }
                 Some((plan, round)) => {
                     let dense = project_group_plan(batch, round, plan, &cube, n);
-                    let wr = sim.run_planned_recorded(max_steps, &dense, rec);
+                    let wr = sim.run_planned(max_steps, &dense, rec);
                     let mut w = 0usize;
                     let outcomes = batch
                         .iter()

@@ -1,19 +1,20 @@
-//! Zero-cost-when-off instrumentation for the packet simulator.
+//! Zero-cost-when-off instrumentation for the simulators.
 //!
-//! [`PacketSim::run_recorded`] reports events to a [`Recorder`]. Every hook
-//! has an empty default body and the engine is generic over the recorder
-//! type, so running with [`NopRecorder`] (what [`PacketSim::run`] does)
-//! monomorphizes the instrumentation away entirely — the traced and
-//! untraced engines are the same code path, which is what lets the
-//! equivalence tests cover both at once.
+//! Every engine run ([`PacketSim::run`], [`PacketSim::run_planned`], the
+//! wormhole twins and the arenas) reports events to a [`Recorder`]. Every
+//! hook has an empty default body and the engines are generic over the
+//! recorder type, so running with [`NopRecorder`] monomorphizes the
+//! instrumentation away entirely — the traced and untraced engines are
+//! the same code path, which is what lets the equivalence tests cover
+//! both at once.
 //!
 //! [`TraceRecorder`] is the collecting implementation: per-step busy-link
 //! counts, per-flow injection/delivery accounting, and per-link queue-depth
 //! high-water marks, condensed by [`TraceRecorder::summary`] into a
-//! [`TraceSummary`] of nearest-rank percentiles. [`PacketSim::run_traced`]
-//! bundles it all into a [`TracedReport`].
-
-use crate::packet::{PacketSim, SimReport};
+//! [`TraceSummary`] of nearest-rank percentiles.
+//!
+//! [`PacketSim::run`]: crate::packet::PacketSim::run
+//! [`PacketSim::run_planned`]: crate::packet::PacketSim::run_planned
 
 /// Event sink for one simulation run. All hooks default to no-ops; a
 /// recorder implements only what it needs.
@@ -45,13 +46,13 @@ pub trait Recorder {
     fn record_delivery(&mut self, _flow: u32, _step: u64) {}
 
     /// One packet of `flow` was dropped on a failed link at `step` (only
-    /// the fault-aware engines emit this).
+    /// the planned runs emit this).
     #[inline]
     fn record_drop(&mut self, _flow: u32, _step: u64) {}
 
     /// One packet (or worm) of `flow` crossed a byte-corrupting link at
     /// `step` for the first time — it will still be delivered, but its
-    /// payload is no longer trustworthy. Only the plan-aware engines
+    /// payload is no longer trustworthy. Only the planned runs
     /// ([`PacketSim::run_planned`], [`WormholeSim::run_planned`]) emit
     /// this, and at most once per packet however many corrupting links it
     /// crosses.
@@ -74,7 +75,7 @@ pub trait Recorder {
     fn record_flit_moves(&mut self, _count: u64) {}
 }
 
-/// The do-nothing recorder behind [`PacketSim::run`].
+/// The do-nothing recorder: pass it for an uninstrumented run.
 pub struct NopRecorder;
 
 impl Recorder for NopRecorder {
@@ -107,7 +108,7 @@ pub struct CountingRecorder {
     /// Flits moved across links (wormhole runs only).
     pub flit_moves: u64,
     /// Packets (or worms) that crossed at least one byte-corrupting link
-    /// (plan-aware runs only; counted once per packet).
+    /// (planned runs only; counted once per packet).
     pub corrupted: u64,
 }
 
@@ -180,7 +181,7 @@ pub struct FlowTrace {
     pub latency_sum: u64,
     /// Latest delivery latency observed.
     pub max_latency: u64,
-    /// Packets dropped on failed links (0 unless a fault-aware run).
+    /// Packets dropped on failed links (0 unless a planned run).
     pub lost: u64,
 }
 
@@ -344,7 +345,7 @@ pub struct FlowSummary {
     pub injected: u64,
     /// Packets delivered.
     pub delivered: u64,
-    /// Packets dropped on failed links (0 unless a fault-aware run).
+    /// Packets dropped on failed links (0 unless a planned run).
     pub lost: u64,
     /// Mean delivery latency.
     pub mean_latency: f64,
@@ -352,32 +353,10 @@ pub struct FlowSummary {
     pub max_latency: u64,
 }
 
-/// A [`SimReport`] extended with its trace summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracedReport {
-    /// The plain report ([`PacketSim::run`] would return exactly this).
-    pub report: SimReport,
-    /// Percentile summaries of the run's event stream.
-    pub trace: TraceSummary,
-}
-
-impl PacketSim {
-    /// Like [`run`](PacketSim::run), additionally collecting a full trace.
-    /// The report is bit-identical to the untraced run's.
-    ///
-    /// # Panics
-    /// Panics if packets remain undelivered after `max_steps`.
-    pub fn run_traced(&self, max_steps: u64) -> TracedReport {
-        let mut rec = TraceRecorder::new();
-        let report = self.run_recorded(max_steps, &mut rec);
-        TracedReport { report, trace: rec.summary() }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Flow;
+    use crate::packet::{Flow, PacketSim};
     use hyperpath_core::cycles::theorem1;
     use hyperpath_topology::Hypercube;
 
@@ -401,25 +380,27 @@ mod tests {
     #[test]
     fn traced_report_matches_untraced() {
         let e = theorem1(6).unwrap().embedding;
-        let sim = crate::packet::PacketSim::phase_workload(&e, 16);
-        let traced = sim.run_traced(100_000);
-        assert_eq!(traced.report, sim.run(100_000));
-        assert_eq!(traced.trace.steps, traced.report.makespan);
-        assert_eq!(traced.trace.latency.count, traced.report.delivered);
-        assert_eq!(traced.trace.latency.max, traced.report.makespan);
-        assert_eq!(traced.trace.queue_high_water.max, traced.report.max_queue as u64);
-        let delivered: u64 = traced.trace.flows.iter().map(|f| f.delivered).sum();
-        assert_eq!(delivered, traced.report.delivered);
+        let sim = PacketSim::phase_workload(&e, 16);
+        let mut rec = TraceRecorder::new();
+        let report = sim.run(100_000, &mut rec);
+        let trace = rec.summary();
+        assert_eq!(report, sim.run(100_000, &mut NopRecorder));
+        assert_eq!(trace.steps, report.makespan);
+        assert_eq!(trace.latency.count, report.delivered);
+        assert_eq!(trace.latency.max, report.makespan);
+        assert_eq!(trace.queue_high_water.max, report.max_queue as u64);
+        let delivered: u64 = trace.flows.iter().map(|f| f.delivered).sum();
+        assert_eq!(delivered, report.delivered);
     }
 
     #[test]
     fn busy_counts_sum_to_packet_hops() {
         let host = Hypercube::new(3);
-        let mut sim = crate::packet::PacketSim::new(host);
+        let mut sim = PacketSim::new(host);
         sim.add_flow(Flow { path: vec![0, 1, 3, 7], packets: 5 });
         sim.add_flow(Flow { path: vec![0, 2, 3], packets: 2 });
         let mut rec = TraceRecorder::new();
-        let report = sim.run_recorded(1_000, &mut rec);
+        let report = sim.run(1_000, &mut rec);
         assert_eq!(rec.busy_per_step.iter().sum::<u64>(), report.packet_hops);
         assert_eq!(rec.busy_per_step.len() as u64, report.makespan);
     }
@@ -427,9 +408,9 @@ mod tests {
     #[test]
     fn counting_recorder_ties_out_with_the_report() {
         let e = theorem1(6).unwrap().embedding;
-        let sim = crate::packet::PacketSim::phase_workload(&e, 16);
+        let sim = PacketSim::phase_workload(&e, 16);
         let mut c = CountingRecorder::new();
-        let report = sim.run_recorded(100_000, &mut c);
+        let report = sim.run(100_000, &mut c);
         assert_eq!(c.steps, report.makespan);
         assert_eq!(c.busy_total, report.packet_hops);
         assert_eq!(c.delivered, report.delivered);
@@ -450,8 +431,8 @@ mod tests {
         sim.add_worm(Worm { path: vec![0, 1, 5], flits: 3 });
         sim.add_worm(Worm { path: vec![8], flits: 2 });
         let mut c = CountingRecorder::new();
-        let report = sim.run_recorded(10_000, &mut c);
-        assert_eq!(report, sim.run(10_000), "recording must not change the run");
+        let report = sim.run(10_000, &mut c);
+        assert_eq!(report, sim.run(10_000, &mut NopRecorder), "recording must not change the run");
         assert_eq!(c.steps, report.makespan);
         assert_eq!(c.injected, 3);
         assert_eq!(c.delivered, 3);
@@ -462,13 +443,15 @@ mod tests {
     #[test]
     fn per_flow_latencies_ordered_by_contention() {
         let host = Hypercube::new(3);
-        let mut sim = crate::packet::PacketSim::new(host);
+        let mut sim = PacketSim::new(host);
         // Flow 0 wins every arbitration on the shared first link.
         sim.add_flow(Flow { path: vec![0, 1, 3], packets: 4 });
         sim.add_flow(Flow { path: vec![0, 1, 5], packets: 4 });
-        let t = sim.run_traced(1_000);
-        assert!(t.trace.flows[1].mean_latency > t.trace.flows[0].mean_latency);
-        assert_eq!(t.trace.flows[0].delivered, 4);
-        assert_eq!(t.trace.flows[1].delivered, 4);
+        let mut rec = TraceRecorder::new();
+        sim.run(1_000, &mut rec);
+        let t = rec.summary();
+        assert!(t.flows[1].mean_latency > t.flows[0].mean_latency);
+        assert_eq!(t.flows[0].delivered, 4);
+        assert_eq!(t.flows[1].delivered, 4);
     }
 }

@@ -9,9 +9,20 @@
 //! re-queue*, i.e. `Θ(n·M)` for an `M`-flit message crossing `n` links
 //! under contention; wormhole pipelining charges `hops + M` when the path
 //! is clear — the contrast experiment E10 measures.
+//!
+//! [`WormholeArena`] is the production engine: per-worm link sequences
+//! are precomputed once into a flat arena (the reference engine
+//! recomputes XOR + edge index on every access), and finished worms leave
+//! the iteration via an in-place `retain` compaction of the active list —
+//! which preserves ascending worm-id order, i.e. exactly the reference
+//! engine's arbitration. [`WormholeSim`] is its node-walk front-end, and
+//! each of its runs loads a fresh arena. [`WormholeSim::run_reference`]
+//! keeps the original engine as the executable specification the
+//! property tests pin the production engine against.
 
-use crate::faults::{FaultPlan, FaultTimeline, LinkEvent};
-use crate::trace::{NopRecorder, Recorder};
+use crate::faults::{FaultPlan, LinkEvent};
+use crate::packet::walk_links;
+use crate::trace::Recorder;
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 
 /// One wormhole message.
@@ -32,31 +43,12 @@ pub struct WormReport {
     pub completion: Vec<u64>,
 }
 
-/// Outcome of a fault-aware run ([`WormholeSim::run_with_faults`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FaultWormReport {
-    /// The machine report. A killed worm's `completion` entry is the step
-    /// it died; with an empty [`FaultTimeline`] the report is
-    /// bit-identical to [`WormholeSim::run`]'s (pinned by
-    /// `tests/props.rs`).
-    pub report: WormReport,
-    /// Whether each worm was killed by a link fault, indexed by worm id.
-    pub lost: Vec<bool>,
-}
-
-impl FaultWormReport {
-    /// Number of worms killed by faults.
-    pub fn lost_count(&self) -> usize {
-        self.lost.iter().filter(|&&l| l).count()
-    }
-}
-
-/// Outcome of a plan-aware run ([`WormholeSim::run_planned`]).
+/// Outcome of a planned run ([`WormholeSim::run_planned`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanWormReport {
-    /// The machine report. With an empty [`FaultPlan`] this is
-    /// bit-identical to [`WormholeSim::run`]'s (pinned by
-    /// `tests/props.rs`).
+    /// The machine report. A killed worm's `completion` entry is the step
+    /// it died; with an empty [`FaultPlan`] the report is bit-identical
+    /// to [`WormholeSim::run`]'s (pinned by `tests/props.rs`).
     pub report: WormReport,
     /// Whether each worm was killed by a link fault, indexed by worm id.
     pub lost: Vec<bool>,
@@ -86,7 +78,8 @@ impl PlanWormReport {
     }
 }
 
-/// The wormhole simulator.
+/// The wormhole simulator: worms given as node walks — the one-shot
+/// front-end of [`WormholeArena`].
 #[derive(Debug, Clone)]
 pub struct WormholeSim {
     host: Hypercube,
@@ -107,168 +100,64 @@ impl WormholeSim {
         (self.worms.len() - 1) as u32
     }
 
-    /// Runs to completion (or panics after `max_steps`).
-    ///
-    /// The production engine: per-worm link sequences are precomputed once
-    /// into a flat arena (the reference engine recomputes XOR + edge index
-    /// on every access), and finished worms leave the iteration via an
-    /// in-place `retain` compaction of the active list — which preserves
-    /// ascending worm-id order, i.e. exactly the reference engine's
-    /// arbitration. Property tests assert both engines produce identical
-    /// [`WormReport`]s.
-    pub fn run(&self, max_steps: u64) -> WormReport {
-        self.run_recorded(max_steps, &mut NopRecorder)
+    /// Loads the worms into a fresh [`WormholeArena`].
+    fn arena(&self) -> WormholeArena {
+        let mut arena = WormholeArena::new(self.host);
+        let hops = self.worms.iter().map(|w| w.path.len().saturating_sub(1)).sum();
+        arena.reserve(self.worms.len(), hops);
+        for w in &self.worms {
+            arena.worm_links.extend(walk_links(self.host, &w.path));
+            arena.push_worm(w.flits);
+        }
+        arena
     }
 
-    /// [`run`](Self::run) reporting events to `rec`: one
-    /// [`Recorder::record_step`] per step with the number of head advances,
-    /// a [`Recorder::record_delivery`] plus `hops x flits`
-    /// [`Recorder::record_flit_moves`] when a worm's tail arrives. The
-    /// report is bit-identical to the unrecorded run's; the default
-    /// [`NopRecorder`] monomorphizes every hook away.
+    /// Runs to completion, firing every engine event on `rec`: one
+    /// [`Recorder::record_step`] per step with the number of head
+    /// advances, a [`Recorder::record_delivery`] plus `hops x flits`
+    /// [`Recorder::record_flit_moves`] when a worm's tail arrives. Pass
+    /// [`NopRecorder`](crate::trace::NopRecorder), which monomorphizes
+    /// every hook away, for an uninstrumented run.
     ///
     /// # Panics
     /// Panics if worms remain in flight after `max_steps`.
-    pub fn run_recorded<R: Recorder>(&self, max_steps: u64, rec: &mut R) -> WormReport {
-        self.engine::<R, false, false>(max_steps, None, None, rec).report
+    pub fn run<R: Recorder>(&self, max_steps: u64, rec: &mut R) -> WormReport {
+        let mut arena = self.arena();
+        let makespan = arena.run(max_steps, rec);
+        WormReport { makespan, completion: arena.bufs.completion }
     }
 
-    /// Runs under the given fault timeline. A worm dies the moment a fault
-    /// touches it: either its head tries to enter a severed link, or a
-    /// link it currently holds is severed mid-stream (the cut corrupts the
-    /// flit stream, so the whole message is lost). A killed worm releases
-    /// every link it held — worms blocked behind it may then proceed — and
-    /// its `completion` entry records the step it died. With an empty
-    /// timeline the report is bit-identical to [`run`](Self::run)'s.
+    /// Runs under `plan`. A worm dies the moment a fault touches it:
+    /// either its head tries to enter a severed link, or a link it
+    /// currently holds is severed mid-stream (the cut corrupts the flit
+    /// stream, so the whole message is lost). A killed worm releases
+    /// every link it held — worms blocked behind it may then proceed —
+    /// its `completion` entry records the step it died, and it emits
+    /// [`Recorder::record_drop`] instead of a delivery. Transient outages
+    /// restore links ([`LinkEvent::Up`] — a restored link is usable
+    /// again, but worms already killed stay dead), and a worm whose head
+    /// crosses a byte-corrupting link is flagged
+    /// ([`Recorder::record_corrupt`], once per worm) while still
+    /// streaming to completion. With an empty plan the report is
+    /// bit-identical to [`run`](Self::run)'s.
     ///
     /// # Panics
     /// Panics if worms remain in flight after `max_steps`.
-    pub fn run_with_faults(&self, max_steps: u64, faults: &FaultTimeline) -> FaultWormReport {
-        self.run_with_faults_recorded(max_steps, faults, &mut NopRecorder)
-    }
-
-    /// [`run_with_faults`](Self::run_with_faults) with a recorder; killed
-    /// worms emit [`Recorder::record_drop`] instead of a delivery.
-    ///
-    /// # Panics
-    /// Panics if worms remain in flight after `max_steps`.
-    pub fn run_with_faults_recorded<R: Recorder>(
-        &self,
-        max_steps: u64,
-        faults: &FaultTimeline,
-        rec: &mut R,
-    ) -> FaultWormReport {
-        let pr = self.engine::<R, true, false>(max_steps, Some(faults), None, rec);
-        FaultWormReport { report: pr.report, lost: pr.lost }
-    }
-
-    /// Runs under a generalized [`FaultPlan`]: fail-stop cuts and node
-    /// faults kill worms exactly as in
-    /// [`run_with_faults`](Self::run_with_faults), transient outages
-    /// additionally restore links ([`LinkEvent::Up`] — a restored link is
-    /// usable again, but worms already killed stay dead), and a worm whose
-    /// head crosses a byte-corrupting link is flagged
-    /// ([`Recorder::record_corrupt`], once per worm) while still streaming
-    /// to completion. With an empty plan the report is bit-identical to
-    /// [`run`](Self::run)'s.
-    ///
-    /// # Panics
-    /// Panics if worms remain in flight after `max_steps`.
-    pub fn run_planned(&self, max_steps: u64, plan: &FaultPlan) -> PlanWormReport {
-        self.run_planned_recorded(max_steps, plan, &mut NopRecorder)
-    }
-
-    /// [`run_planned`](Self::run_planned) with a recorder.
-    ///
-    /// # Panics
-    /// Panics if worms remain in flight after `max_steps`.
-    pub fn run_planned_recorded<R: Recorder>(
+    pub fn run_planned<R: Recorder>(
         &self,
         max_steps: u64,
         plan: &FaultPlan,
         rec: &mut R,
     ) -> PlanWormReport {
-        self.engine::<R, true, true>(max_steps, None, Some(plan), rec)
-    }
-
-    /// The one engine behind [`run`](Self::run),
-    /// [`run_with_faults`](Self::run_with_faults) and
-    /// [`run_planned`](Self::run_planned); `FAULTY` compiles the fault
-    /// branches out of the plain path entirely, and `PLAN` additionally
-    /// enables link restores and corruption flagging without touching the
-    /// timeline path.
-    fn engine<R: Recorder, const FAULTY: bool, const PLAN: bool>(
-        &self,
-        max_steps: u64,
-        faults: Option<&FaultTimeline>,
-        plan: Option<&FaultPlan>,
-        rec: &mut R,
-    ) -> PlanWormReport {
-        const {
-            assert!(FAULTY || !PLAN, "a plan-aware run is a fault-aware run");
-        }
-        let num_links = self.host.num_directed_edges() as usize;
-
-        // Fault state (compiled out when `FAULTY` is false).
-        let failed: Vec<bool> = if PLAN {
-            plan.expect("plan-aware run needs a plan").initial().bits().to_vec()
-        } else if FAULTY {
-            faults.expect("fault-aware run needs a timeline").initial().bits().to_vec()
-        } else {
-            Vec::new()
-        };
-        let events: &[(u64, DirEdge)] =
-            if FAULTY && !PLAN { faults.unwrap().events() } else { &[] };
-        let plan_events: &[(u64, DirEdge, LinkEvent)] =
-            if PLAN { plan.unwrap().events() } else { &[] };
-        let corrupting: &[bool] = if PLAN { plan.unwrap().corrupting_bits() } else { &[] };
-
-        // Flat per-worm arenas: link index and head-entry step per hop.
-        let mut worm_off: Vec<u32> = Vec::with_capacity(self.worms.len() + 1);
-        let mut worm_links: Vec<u32> = Vec::new();
-        worm_off.push(0);
-        for w in &self.worms {
-            for pair in w.path.windows(2) {
-                let dim = (pair[0] ^ pair[1]).trailing_zeros();
-                worm_links.push(self.host.dir_edge_index(DirEdge::new(pair[0], dim)) as u32);
-            }
-            worm_off.push(worm_links.len() as u32);
-        }
-
-        let mut bufs = WormBufs {
-            holder: vec![u32::MAX; num_links],
-            failed,
-            lost: vec![false; if FAULTY { self.worms.len() } else { 0 }],
-            corrupted: vec![false; if PLAN { self.worms.len() } else { 0 }],
-            dropped_at: vec![u32::MAX; if PLAN { self.worms.len() } else { 0 }],
-            corrupted_at: vec![u32::MAX; if PLAN { self.worms.len() } else { 0 }],
-            entered: vec![0; worm_links.len()],
-            head: vec![0; self.worms.len()],
-            completion: vec![0; self.worms.len()],
-            active: Vec::with_capacity(self.worms.len()),
-        };
-        worm_core::<R, _, FAULTY, PLAN>(
-            &self.host,
-            &worm_off,
-            &worm_links,
-            |w| self.worms[w].flits,
-            max_steps,
-            events,
-            plan_events,
-            corrupting,
-            &mut bufs,
-            rec,
-        );
-        let completion = std::mem::take(&mut bufs.completion);
+        let mut arena = self.arena();
+        let makespan = arena.run_planned(max_steps, plan, rec);
+        let WormBufs { completion, lost, corrupted, dropped_at, corrupted_at, .. } = arena.bufs;
         PlanWormReport {
-            report: WormReport {
-                makespan: completion.iter().copied().max().unwrap_or(0),
-                completion,
-            },
-            lost: std::mem::take(&mut bufs.lost),
-            corrupted: std::mem::take(&mut bufs.corrupted),
-            dropped_at: std::mem::take(&mut bufs.dropped_at),
-            corrupted_at: std::mem::take(&mut bufs.corrupted_at),
+            report: WormReport { makespan, completion },
+            lost,
+            corrupted,
+            dropped_at,
+            corrupted_at,
         }
     }
 
@@ -385,27 +274,26 @@ struct WormBufs {
     active: Vec<u32>,
 }
 
-/// The step machine shared by [`WormholeSim`]'s one-shot engine and the
-/// pooled [`WormholeArena`], verbatim from the PR-3 engine, over
-/// caller-prepared buffers (see [`WormBufs`]); nothing in here allocates
-/// beyond `active`'s reserved capacity. Results land in `bufs`
-/// (`completion`, `lost`, `corrupted`, `dropped_at`, `corrupted_at`).
+/// The step machine behind [`WormholeArena`], over the arena's prepared
+/// buffers (see [`WormBufs`]); nothing in here allocates beyond
+/// `active`'s reserved capacity. Results land in `bufs` (`completion`,
+/// and when `PLAN` also `lost`, `corrupted`, `dropped_at`,
+/// `corrupted_at`). `PLAN` is the one fault switch: off, every fault
+/// branch monomorphizes away; on, `plan_events` fire at the start of
+/// their step and corrupting links flag the worms whose heads enter
+/// them.
 #[allow(clippy::too_many_arguments)]
-fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: bool>(
+fn worm_core<R: Recorder, const PLAN: bool>(
     host: &Hypercube,
     worm_off: &[u32],
     worm_links: &[u32],
-    flits_of: F,
+    worm_flits: &[u64],
     max_steps: u64,
-    events: &[(u64, DirEdge)],
     plan_events: &[(u64, DirEdge, LinkEvent)],
     corrupting: &[bool],
     bufs: &mut WormBufs,
     rec: &mut R,
 ) {
-    const {
-        assert!(FAULTY || !PLAN, "a plan-aware run is a fault-aware run");
-    }
     let num_worms = worm_off.len() - 1;
     let WormBufs {
         holder,
@@ -442,7 +330,7 @@ fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: b
         // worm holding a newly severed link dies on the spot. A plan's
         // [`LinkEvent::Up`] merely reopens the link — dead worms stay
         // dead, but stalled heads may now enter it.
-        if FAULTY {
+        if PLAN {
             let mut any_killed = false;
             let mut sever = |idx: usize,
                              failed: &mut [bool],
@@ -464,34 +352,22 @@ fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: b
                     }
                     completion[w] = step;
                     lost[w] = true;
-                    if PLAN {
-                        dropped_at[w] = idx as u32;
-                    }
+                    dropped_at[w] = idx as u32;
                     any_killed = true;
                     rec.record_drop(wid, step);
                 }
             };
-            if PLAN {
-                while next_event < plan_events.len() && plan_events[next_event].0 <= step {
-                    let (_, edge, ev) = plan_events[next_event];
-                    for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
-                        match ev {
-                            LinkEvent::Down => {
-                                sever(idx, failed, holder, completion, lost, dropped_at, rec)
-                            }
-                            LinkEvent::Up => failed[idx] = false,
+            while next_event < plan_events.len() && plan_events[next_event].0 <= step {
+                let (_, edge, ev) = plan_events[next_event];
+                for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
+                    match ev {
+                        LinkEvent::Down => {
+                            sever(idx, failed, holder, completion, lost, dropped_at, rec)
                         }
+                        LinkEvent::Up => failed[idx] = false,
                     }
-                    next_event += 1;
                 }
-            } else {
-                while next_event < events.len() && events[next_event].0 <= step {
-                    let edge = events[next_event].1;
-                    for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
-                        sever(idx, failed, holder, completion, lost, dropped_at, rec);
-                    }
-                    next_event += 1;
-                }
+                next_event += 1;
             }
             if any_killed {
                 active.retain(|&wid| !lost[wid as usize]);
@@ -507,7 +383,7 @@ fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: b
                 // Try to advance the head across the next link; heads
                 // that cannot move stall (held links stay held).
                 let idx = worm_links[off + head[w]] as usize;
-                if FAULTY && failed[idx] {
+                if PLAN && failed[idx] {
                     // The head ran into a severed link: the worm dies,
                     // releasing everything it held.
                     for h in 0..head[w] {
@@ -518,9 +394,7 @@ fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: b
                     }
                     completion[w] = step;
                     lost[w] = true;
-                    if PLAN {
-                        dropped_at[w] = idx as u32;
-                    }
+                    dropped_at[w] = idx as u32;
                     rec.record_drop(wid, step);
                     return false;
                 }
@@ -542,14 +416,14 @@ fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: b
             } else {
                 // Head arrived; the tail clears the last link once
                 // `flits` flits have crossed it.
-                let release = entered[off + hops - 1] + flits_of(w);
+                let release = entered[off + hops - 1] + worm_flits[w];
                 if step + 1 >= release {
                     for h in 0..hops {
                         holder[worm_links[off + h] as usize] = u32::MAX;
                     }
                     completion[w] = release;
                     rec.record_delivery(wid, release);
-                    rec.record_flit_moves(hops as u64 * flits_of(w));
+                    rec.record_flit_moves(hops as u64 * worm_flits[w]);
                     false
                 } else {
                     true
@@ -562,7 +436,7 @@ fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: b
             let off = worm_off[w] as usize;
             for h in 0..head[w] {
                 let idx = worm_links[off + h] as usize;
-                if holder[idx] == wid && step + 1 >= entered[off + h] + flits_of(w) {
+                if holder[idx] == wid && step + 1 >= entered[off + h] + worm_flits[w] {
                     holder[idx] = u32::MAX;
                 }
             }
@@ -575,15 +449,14 @@ fn worm_core<R: Recorder, F: Fn(usize) -> u64, const FAULTY: bool, const PLAN: b
     }
 }
 
-/// A persistent, pooled variant of [`WormholeSim`]: the link-holder table
-/// is allocated once for a fixed host cube and reused across runs, and
-/// worms are loaded as precomputed *directed-link* hop sequences instead
-/// of node walks. Once warmed up, [`run`](Self::run) and
-/// [`run_planned`](Self::run_planned) allocate nothing — a completed run
-/// leaves every link released, so [`clear`](Self::clear) only truncates
-/// the worm arena. Reports are bit-identical to [`WormholeSim`] on the
-/// same workload (the engines share `worm_core`); `sim::tenants` tests
-/// pin this.
+/// The wormhole engine: the link-holder table is allocated once for a
+/// fixed host cube and reused across runs, and worms are loaded as
+/// precomputed *directed-link* hop sequences. Once warmed up,
+/// [`run`](Self::run) and [`run_planned`](Self::run_planned) allocate
+/// nothing — a completed run leaves every link released, so
+/// [`clear`](Self::clear) only truncates the worm arena.
+/// [`WormholeSim`] runs load a fresh arena, so its reports are this
+/// engine's by construction.
 #[derive(Debug, Clone)]
 pub struct WormholeArena {
     host: Hypercube,
@@ -645,41 +518,24 @@ impl WormholeArena {
             "hop link out of range for this host"
         );
         self.worm_links.extend_from_slice(links);
+        self.push_worm(flits)
+    }
+
+    /// Closes the worm whose hops were just appended to `worm_links`.
+    fn push_worm(&mut self, flits: u64) -> u32 {
         self.worm_off.push(self.worm_links.len() as u32);
         self.worm_flits.push(flits);
         (self.worm_flits.len() - 1) as u32
     }
 
-    /// Runs the loaded worms fault-free and returns the makespan;
-    /// per-worm completion times stay in the arena
-    /// ([`completion`](Self::completion)). Bit-identical to
-    /// [`WormholeSim::run_recorded`] on the same workload.
+    /// Runs the loaded worms fault-free, firing every engine event on
+    /// `rec`, and returns the makespan; per-worm completion times stay in
+    /// the arena ([`completion`](Self::completion)).
     ///
     /// # Panics
     /// Panics if worms remain in flight after `max_steps`.
     pub fn run<R: Recorder>(&mut self, max_steps: u64, rec: &mut R) -> u64 {
-        let WormholeArena { host, worm_off, worm_links, worm_flits, bufs } = self;
-        let num_worms = worm_flits.len();
-        bufs.entered.clear();
-        bufs.entered.resize(worm_links.len(), 0);
-        bufs.head.clear();
-        bufs.head.resize(num_worms, 0);
-        bufs.completion.clear();
-        bufs.completion.resize(num_worms, 0);
-        bufs.active.reserve(num_worms);
-        worm_core::<R, _, false, false>(
-            host,
-            worm_off,
-            worm_links,
-            |w| worm_flits[w],
-            max_steps,
-            &[],
-            &[],
-            &[],
-            bufs,
-            rec,
-        );
-        bufs.completion.iter().copied().max().unwrap_or(0)
+        self.run_core::<R, false>(max_steps, None, rec)
     }
 
     /// Runs the loaded worms under `plan` (semantics of
@@ -698,18 +554,36 @@ impl WormholeArena {
         plan: &FaultPlan,
         rec: &mut R,
     ) -> u64 {
+        self.run_core::<R, true>(max_steps, Some(plan), rec)
+    }
+
+    /// The one buffer-preparation path: re-prepares the per-worm vectors
+    /// (the fault state and per-worm outcomes only when `PLAN`) and runs
+    /// [`worm_core`].
+    fn run_core<R: Recorder, const PLAN: bool>(
+        &mut self,
+        max_steps: u64,
+        plan: Option<&FaultPlan>,
+        rec: &mut R,
+    ) -> u64 {
         let WormholeArena { host, worm_off, worm_links, worm_flits, bufs } = self;
         let num_worms = worm_flits.len();
-        bufs.failed.clear();
-        bufs.failed.extend_from_slice(plan.initial().bits());
-        bufs.lost.clear();
-        bufs.lost.resize(num_worms, false);
-        bufs.corrupted.clear();
-        bufs.corrupted.resize(num_worms, false);
-        bufs.dropped_at.clear();
-        bufs.dropped_at.resize(num_worms, u32::MAX);
-        bufs.corrupted_at.clear();
-        bufs.corrupted_at.resize(num_worms, u32::MAX);
+        let (plan_events, corrupting) = match plan {
+            Some(plan) if PLAN => {
+                bufs.failed.clear();
+                bufs.failed.extend_from_slice(plan.initial().bits());
+                bufs.lost.clear();
+                bufs.lost.resize(num_worms, false);
+                bufs.corrupted.clear();
+                bufs.corrupted.resize(num_worms, false);
+                bufs.dropped_at.clear();
+                bufs.dropped_at.resize(num_worms, u32::MAX);
+                bufs.corrupted_at.clear();
+                bufs.corrupted_at.resize(num_worms, u32::MAX);
+                (plan.events(), plan.corrupting_bits())
+            }
+            _ => (&[][..], &[][..]),
+        };
         bufs.entered.clear();
         bufs.entered.resize(worm_links.len(), 0);
         bufs.head.clear();
@@ -717,15 +591,14 @@ impl WormholeArena {
         bufs.completion.clear();
         bufs.completion.resize(num_worms, 0);
         bufs.active.reserve(num_worms);
-        worm_core::<R, _, true, true>(
+        worm_core::<R, PLAN>(
             host,
             worm_off,
             worm_links,
-            |w| worm_flits[w],
+            worm_flits,
             max_steps,
-            &[],
-            plan.events(),
-            plan.corrupting_bits(),
+            plan_events,
+            corrupting,
             bufs,
             rec,
         );
@@ -765,13 +638,15 @@ impl WormholeArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultSet;
+    use crate::trace::{CountingRecorder, NopRecorder};
 
     #[test]
     fn lone_worm_pipelines() {
         let host = Hypercube::new(4);
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1, 3, 7, 15], flits: 10 });
-        let r = sim.run(1000);
+        let r = sim.run(1000, &mut NopRecorder);
         // 4 hops + 10 flits: tail arrives at 4 - 1 + 10 = 13.
         assert_eq!(r.makespan, 13);
     }
@@ -781,7 +656,7 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1], flits: 5 });
-        let r = sim.run(100);
+        let r = sim.run(100, &mut NopRecorder);
         assert_eq!(r.makespan, 5);
     }
 
@@ -791,7 +666,7 @@ mod tests {
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1, 3], flits: 8 });
         sim.add_worm(Worm { path: vec![0, 1, 5], flits: 8 });
-        let r = sim.run(1000);
+        let r = sim.run(1000, &mut NopRecorder);
         // Worm 0 holds (0,1) during steps 0..8; worm 1 starts after.
         assert_eq!(r.completion[0], 9);
         assert!(r.completion[1] >= 16, "second worm waits for the shared link");
@@ -803,7 +678,7 @@ mod tests {
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1, 3], flits: 8 });
         sim.add_worm(Worm { path: vec![4, 6, 7], flits: 8 });
-        let r = sim.run(1000);
+        let r = sim.run(1000, &mut NopRecorder);
         assert_eq!(r.completion[0], 9);
         assert_eq!(r.completion[1], 9);
     }
@@ -813,7 +688,7 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![2], flits: 4 });
-        let r = sim.run(10);
+        let r = sim.run(10, &mut NopRecorder);
         assert_eq!(r.makespan, 0);
     }
 
@@ -822,9 +697,9 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1, 3], flits: 4 });
-        let mut fs = crate::faults::FaultSet::none(&host);
+        let mut fs = FaultSet::none(&host);
         fs.fail_link(&host, DirEdge::new(1, 1)); // second hop severed
-        let r = sim.run_with_faults(100, &crate::faults::FaultTimeline::from_set(fs));
+        let r = sim.run_planned(100, &FaultPlan::from_set(fs), &mut NopRecorder);
         assert_eq!(r.lost, vec![true]);
         assert_eq!(r.lost_count(), 1);
         // The head crosses hop one at step 0, dies entering hop two at
@@ -839,27 +714,14 @@ mod tests {
         // Worm 0 holds (0,1) for 50 flits; worm 1 needs that link.
         sim.add_worm(Worm { path: vec![0, 1, 3], flits: 50 });
         sim.add_worm(Worm { path: vec![0, 1, 5], flits: 2 });
-        let mut tl = crate::faults::FaultTimeline::none(&host);
-        tl.fail_link_at(3, DirEdge::new(1, 1)); // a link worm 0 holds by step 3
-        let r = sim.run_with_faults(1000, &tl);
+        let mut plan = FaultPlan::none(&host);
+        plan.cut_link_at(3, DirEdge::new(1, 1)); // a link worm 0 holds by step 3
+        let r = sim.run_planned(1000, &plan, &mut NopRecorder);
         assert_eq!(r.lost, vec![true, false]);
         assert_eq!(r.report.completion[0], 3, "killed the step its held link was cut");
         // Worm 1 then acquires (0,1) and finishes far sooner than worm 0's
         // 50-flit stream would have allowed.
         assert!(r.report.completion[1] < 10, "blocked worm freed by the kill");
-    }
-
-    #[test]
-    fn empty_timeline_matches_plain_run_exactly() {
-        let host = Hypercube::new(4);
-        let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3, 7], flits: 6 });
-        sim.add_worm(Worm { path: vec![0, 1, 5], flits: 3 });
-        sim.add_worm(Worm { path: vec![8], flits: 2 });
-        let tl = crate::faults::FaultTimeline::none(&host);
-        let fr = sim.run_with_faults(10_000, &tl);
-        assert_eq!(fr.report, sim.run(10_000));
-        assert_eq!(fr.lost_count(), 0);
     }
 
     #[test]
@@ -869,9 +731,9 @@ mod tests {
         sim.add_worm(Worm { path: vec![0, 1, 3, 7], flits: 6 });
         sim.add_worm(Worm { path: vec![0, 1, 5], flits: 3 });
         sim.add_worm(Worm { path: vec![8], flits: 2 });
-        let plan = crate::faults::FaultPlan::none(&host);
-        let pr = sim.run_planned(10_000, &plan);
-        assert_eq!(pr.report, sim.run(10_000));
+        let plan = FaultPlan::none(&host);
+        let pr = sim.run_planned(10_000, &plan, &mut NopRecorder);
+        assert_eq!(pr.report, sim.run(10_000, &mut NopRecorder));
         assert_eq!(pr.lost_count(), 0);
         assert_eq!(pr.corrupted_count(), 0);
     }
@@ -884,16 +746,16 @@ mod tests {
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1], flits: 12 });
         sim.add_worm(Worm { path: vec![0, 1, 3], flits: 2 });
-        let mut plan = crate::faults::FaultPlan::none(&host);
+        let mut plan = FaultPlan::none(&host);
         plan.outage(DirEdge::new(1, 1), 2, 10);
-        let r = sim.run_planned(1000, &plan);
+        let r = sim.run_planned(1000, &plan, &mut NopRecorder);
         assert_eq!(r.lost, vec![false, false], "nobody touches the link while it is down");
         assert_eq!(r.corrupted, vec![false, false]);
         // Under a permanent cut at the same step, worm 1 dies instead —
         // the restore is what saved it above.
-        let mut cut = crate::faults::FaultPlan::none(&host);
+        let mut cut = FaultPlan::none(&host);
         cut.cut_link_at(2, DirEdge::new(1, 1));
-        let r2 = sim.run_planned(1000, &cut);
+        let r2 = sim.run_planned(1000, &cut, &mut NopRecorder);
         assert_eq!(r2.lost, vec![false, true]);
     }
 
@@ -903,11 +765,15 @@ mod tests {
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1, 3], flits: 4 });
         sim.add_worm(Worm { path: vec![4, 6], flits: 2 });
-        let mut plan = crate::faults::FaultPlan::none(&host);
+        let mut plan = FaultPlan::none(&host);
         plan.corrupt_link(&host, DirEdge::new(0, 0));
-        let mut c = crate::trace::CountingRecorder::new();
-        let r = sim.run_planned_recorded(1000, &plan, &mut c);
-        assert_eq!(r.report, sim.run(1000), "corruption must not change the machine run");
+        let mut c = CountingRecorder::new();
+        let r = sim.run_planned(1000, &plan, &mut c);
+        assert_eq!(
+            r.report,
+            sim.run(1000, &mut NopRecorder),
+            "corruption must not change the machine run"
+        );
         assert_eq!(r.lost, vec![false, false]);
         assert_eq!(r.corrupted, vec![true, false]);
         assert_eq!(c.corrupted, 1);
@@ -919,9 +785,9 @@ mod tests {
         let mut sim = WormholeSim::new(host);
         sim.add_worm(Worm { path: vec![0, 1, 3], flits: 4 }); // via node 1
         sim.add_worm(Worm { path: vec![4, 6], flits: 2 }); // avoids node 1
-        let mut plan = crate::faults::FaultPlan::none(&host);
+        let mut plan = FaultPlan::none(&host);
         plan.cut_node(&host, 1);
-        let r = sim.run_planned(1000, &plan);
+        let r = sim.run_planned(1000, &plan, &mut NopRecorder);
         assert_eq!(r.lost, vec![true, false]);
         assert_eq!(r.corrupted_count(), 0);
     }
@@ -936,6 +802,6 @@ mod tests {
         sim.add_worm(Worm { path: vec![0, 1, 5], flits: 3 });
         sim.add_worm(Worm { path: vec![2, 3, 7, 15], flits: 9 });
         sim.add_worm(Worm { path: vec![8], flits: 2 });
-        assert_eq!(sim.run(10_000), sim.run_reference(10_000));
+        assert_eq!(sim.run(10_000, &mut NopRecorder), sim.run_reference(10_000));
     }
 }

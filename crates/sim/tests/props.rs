@@ -3,12 +3,13 @@
 //! The load-bearing ones are the old-vs-new engine equivalences: the
 //! reworked [`PacketSim::run`] / [`WormholeSim::run`] engines must produce
 //! bit-identical reports to the original straightforward implementations
-//! (kept as `run_reference`) on arbitrary workloads.
+//! (kept as `run_reference`) on arbitrary workloads, and the planned runs
+//! must keep the fail-stop guarantees of the one fault model.
 
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::faults::{random_fault_set, surviving_paths};
 use hyperpath_sim::routing::ecube_path;
-use hyperpath_sim::{FaultPlan, FaultTimeline, Flow, PacketSim, Worm, WormholeSim};
+use hyperpath_sim::{FaultPlan, Flow, NopRecorder, PacketSim, TraceRecorder, Worm, WormholeSim};
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -36,6 +37,11 @@ fn worm_from_seed(host: Hypercube, seed: u64) -> Worm {
     Worm { path: ecube_path(src, dst), flits: 1 + (seed >> 56) % 8 }
 }
 
+/// The directed edges a node walk crosses, in order.
+fn walk_edges(path: &[Node]) -> Vec<DirEdge> {
+    path.windows(2).map(|w| DirEdge::new(w[0], (w[0] ^ w[1]).trailing_zeros())).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -48,7 +54,7 @@ proptest! {
         for &s in &seeds {
             sim.add_flow(flow_from_seed(host, s));
         }
-        prop_assert_eq!(sim.run(1_000_000), sim.run_reference(1_000_000));
+        prop_assert_eq!(sim.run(1_000_000, &mut NopRecorder), sim.run_reference(1_000_000));
     }
 
     /// Same for the wormhole engine, on deadlock-free e-cube worm sets.
@@ -59,7 +65,7 @@ proptest! {
         for &s in &seeds {
             sim.add_worm(worm_from_seed(host, s));
         }
-        prop_assert_eq!(sim.run(1_000_000), sim.run_reference(1_000_000));
+        prop_assert_eq!(sim.run(1_000_000, &mut NopRecorder), sim.run_reference(1_000_000));
     }
 
     /// The traced run reports the same `SimReport` as the untraced one, and
@@ -71,48 +77,18 @@ proptest! {
         for &s in &seeds {
             sim.add_flow(flow_from_seed(host, s));
         }
-        let plain = sim.run(1_000_000);
-        let traced = sim.run_traced(1_000_000);
-        prop_assert_eq!(&traced.report, &plain);
-        prop_assert_eq!(traced.trace.steps, plain.makespan);
-        prop_assert_eq!(traced.trace.latency.count, plain.delivered);
+        let plain = sim.run(1_000_000, &mut NopRecorder);
+        let mut rec = TraceRecorder::new();
+        let traced = sim.run(1_000_000, &mut rec);
+        let trace = rec.summary();
+        prop_assert_eq!(&traced, &plain);
+        prop_assert_eq!(trace.steps, plain.makespan);
+        prop_assert_eq!(trace.latency.count, plain.delivered);
     }
 
-    /// Fault plumbing is free when unused: running the packet engine with
-    /// an *empty* fault timeline yields a bit-identical `SimReport`, zero
-    /// losses, and one delivery per injected packet.
-    #[test]
-    fn faultless_packet_run_is_bit_identical(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..12)) {
-        let host = Hypercube::new(n);
-        let mut sim = PacketSim::new(host);
-        for &s in &seeds {
-            sim.add_flow(flow_from_seed(host, s));
-        }
-        let plain = sim.run(1_000_000);
-        let faulty = sim.run_faulty(1_000_000, &FaultTimeline::none(&host));
-        prop_assert_eq!(&faulty.report, &plain);
-        prop_assert_eq!(faulty.lost, 0);
-        prop_assert_eq!(faulty.flow_lost.iter().sum::<u64>(), 0);
-        prop_assert_eq!(faulty.flow_delivered.iter().sum::<u64>(), plain.delivered);
-    }
-
-    /// Same for the wormhole engine: an empty timeline changes nothing and
-    /// marks no worm lost.
-    #[test]
-    fn faultless_wormhole_run_is_bit_identical(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..12)) {
-        let host = Hypercube::new(n);
-        let mut sim = WormholeSim::new(host);
-        for &s in &seeds {
-            sim.add_worm(worm_from_seed(host, s));
-        }
-        let plain = sim.run(1_000_000);
-        let faulty = sim.run_with_faults(1_000_000, &FaultTimeline::none(&host));
-        prop_assert_eq!(&faulty.report, &plain);
-        prop_assert_eq!(faulty.lost_count(), 0);
-    }
-
-    /// An *empty* `FaultPlan` is also free: the plan-aware packet engine
-    /// reproduces the plain run bit-for-bit, with nothing lost or tainted.
+    /// Fault plumbing is free when unused: under an *empty* `FaultPlan`
+    /// the planned packet run reproduces the fault-free run bit-for-bit,
+    /// with nothing lost or tainted and one delivery per injected packet.
     #[test]
     fn planless_packet_run_is_bit_identical(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..12)) {
         let host = Hypercube::new(n);
@@ -120,8 +96,8 @@ proptest! {
         for &s in &seeds {
             sim.add_flow(flow_from_seed(host, s));
         }
-        let plain = sim.run(1_000_000);
-        let planned = sim.run_planned(1_000_000, &FaultPlan::none(&host));
+        let plain = sim.run(1_000_000, &mut NopRecorder);
+        let planned = sim.run_planned(1_000_000, &FaultPlan::none(&host), &mut NopRecorder);
         prop_assert_eq!(&planned.report, &plain);
         prop_assert_eq!(planned.lost, 0);
         prop_assert_eq!(planned.corrupted, 0);
@@ -137,18 +113,20 @@ proptest! {
         for &s in &seeds {
             sim.add_worm(worm_from_seed(host, s));
         }
-        let plain = sim.run(1_000_000);
-        let planned = sim.run_planned(1_000_000, &FaultPlan::none(&host));
+        let plain = sim.run(1_000_000, &mut NopRecorder);
+        let planned = sim.run_planned(1_000_000, &FaultPlan::none(&host), &mut NopRecorder);
         prop_assert_eq!(&planned.report, &plain);
         prop_assert_eq!(planned.lost_count(), 0);
         prop_assert_eq!(planned.corrupted_count(), 0);
     }
 
-    /// A `FaultPlan` built from a `FaultTimeline` (static cuts plus timed
-    /// cuts, no outages or corruption) drives both engines to the same
-    /// observable outcome as the timeline path.
+    /// Fail-stop guarantees of the one plan engine on both simulators,
+    /// over random static cuts plus timed `cut_link_at` events: every
+    /// packet (worm) is either delivered or lost, a flow (worm) whose
+    /// links are never in the plan's `hazard_set` delivers everything,
+    /// and one whose first link is down from step 0 delivers nothing.
     #[test]
-    fn plan_from_timeline_agrees_with_faulty_engines(
+    fn fail_stop_plans_conserve_spare_and_kill(
         n in 2u32..6,
         seeds in proptest::collection::vec(0u64..u64::MAX, 1..10),
         cut_seed in 0u64..u64::MAX,
@@ -156,59 +134,60 @@ proptest! {
     ) {
         let host = Hypercube::new(n);
         let mut rng = StdRng::seed_from_u64(cut_seed);
-        let mut tl = FaultTimeline::from_set(random_fault_set(&host, 0.03, &mut rng));
+        let mut plan = FaultPlan::from_set(random_fault_set(&host, 0.03, &mut rng));
         for &(step, s) in &cuts {
             let node: Node = s % host.num_nodes();
             let dim = ((s >> 40) % u64::from(host.dims())) as u32;
-            tl.fail_link_at(step, DirEdge::new(node, dim));
+            plan.cut_link_at(step, DirEdge::new(node, dim));
         }
-        let plan = FaultPlan::from_timeline(&tl);
+        let hazard = plan.hazard_set(&host);
+        let mut down_at_start = plan.initial().clone();
+        for &(step, edge, _) in plan.events() {
+            if step == 0 {
+                down_at_start.fail_link(&host, edge);
+            }
+        }
+        let spared = |edges: &[DirEdge]| edges.iter().all(|&e| !hazard.is_failed(&host, e));
+        let doomed = |edges: &[DirEdge]| edges.first().is_some_and(|&e| down_at_start.is_failed(&host, e));
 
+        let flows: Vec<Flow> = seeds.iter().map(|&s| flow_from_seed(host, s)).collect();
         let mut psim = PacketSim::new(host);
-        for &s in &seeds {
-            psim.add_flow(flow_from_seed(host, s));
+        for f in &flows {
+            psim.add_flow(f.clone());
         }
-        let faulty = psim.run_faulty(1_000_000, &tl);
-        let planned = psim.run_planned(1_000_000, &plan);
-        prop_assert_eq!(&planned.report, &faulty.report);
-        prop_assert_eq!(planned.lost, faulty.lost);
-        prop_assert_eq!(&planned.flow_delivered, &faulty.flow_delivered);
-        prop_assert_eq!(&planned.flow_lost, &faulty.flow_lost);
-        prop_assert_eq!(planned.corrupted, 0);
+        let pr = psim.run_planned(1_000_000, &plan, &mut NopRecorder);
+        for (i, f) in flows.iter().enumerate() {
+            prop_assert_eq!(pr.flow_delivered[i] + pr.flow_lost[i], f.packets, "flow {}", i);
+            let edges = walk_edges(&f.path);
+            if spared(&edges) {
+                prop_assert_eq!(pr.flow_delivered[i], f.packets, "hazard-free flow {} lost packets", i);
+            }
+            if doomed(&edges) {
+                prop_assert_eq!(pr.flow_delivered[i], 0, "flow {} crossed a dead first link", i);
+            }
+        }
+        prop_assert_eq!(pr.report.delivered + pr.lost, flows.iter().map(|f| f.packets).sum::<u64>());
 
+        let worms: Vec<Worm> = seeds.iter().map(|&s| worm_from_seed(host, s)).collect();
         let mut wsim = WormholeSim::new(host);
-        for &s in &seeds {
-            wsim.add_worm(worm_from_seed(host, s));
+        for w in &worms {
+            wsim.add_worm(w.clone());
         }
-        let wfaulty = wsim.run_with_faults(1_000_000, &tl);
-        let wplanned = wsim.run_planned(1_000_000, &plan);
-        prop_assert_eq!(&wplanned.report, &wfaulty.report);
-        prop_assert_eq!(&wplanned.lost, &wfaulty.lost);
-        prop_assert_eq!(wplanned.corrupted_count(), 0);
-    }
-
-    /// `FaultTimeline::fail_link_at` keeps the event list sorted by step
-    /// with FIFO order inside each step, no matter the insertion order.
-    #[test]
-    fn timeline_events_sorted_fifo_within_step(
-        n in 2u32..6,
-        cuts in proptest::collection::vec((0u64..16, 0u64..u64::MAX), 0..24),
-    ) {
-        let host = Hypercube::new(n);
-        let mut tl = FaultTimeline::none(&host);
-        let mut expected: Vec<(u64, DirEdge)> = Vec::new();
-        for &(step, s) in &cuts {
-            let node: Node = s % host.num_nodes();
-            let dim = ((s >> 40) % u64::from(host.dims())) as u32;
-            let edge = DirEdge::new(node, dim);
-            tl.fail_link_at(step, edge);
-            // Stable insert: after every earlier-or-equal step (FIFO).
-            let pos = expected.partition_point(|&(t, _)| t <= step);
-            expected.insert(pos, (step, edge));
+        let mut rec = TraceRecorder::new();
+        let wr = wsim.run_planned(1_000_000, &plan, &mut rec);
+        let trace = rec.summary();
+        for (i, w) in worms.iter().enumerate() {
+            let (delivered, lost) = (trace.flows[i].delivered, trace.flows[i].lost);
+            prop_assert_eq!(delivered + lost, 1, "worm {}", i);
+            prop_assert_eq!(lost == 1, wr.lost[i], "worm {}", i);
+            let edges = walk_edges(&w.path);
+            if spared(&edges) {
+                prop_assert!(!wr.lost[i], "hazard-free worm {} was killed", i);
+            }
+            if doomed(&edges) {
+                prop_assert!(wr.lost[i], "worm {} entered a dead first link", i);
+            }
         }
-        let got: Vec<(u64, DirEdge)> = tl.events().to_vec();
-        prop_assert_eq!(&got, &expected);
-        prop_assert!(got.windows(2).all(|w| w[0].0 <= w[1].0), "events must be sorted by step");
     }
 
     /// `surviving_paths` is monotone under fault-set inclusion: failing

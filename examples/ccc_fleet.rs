@@ -6,7 +6,7 @@
 
 use hyperpath_suite::core::ccc_copies::ccc_multi_copy;
 use hyperpath_suite::embedding::metrics::multi_copy_metrics;
-use hyperpath_suite::sim::{Flow, PacketSim};
+use hyperpath_suite::sim::{Flow, NopRecorder, PacketSim};
 
 fn main() {
     let n = 8u32;
@@ -31,7 +31,7 @@ fn main() {
             sim.add_flow(Flow { path: path.nodes().to_vec(), packets: 1 });
         }
     }
-    let r = sim.run(1_000_000);
+    let r = sim.run(1_000_000, &mut NopRecorder);
     println!("one full phase of ALL {} copies simultaneously:", fleet.multi_copy.num_copies());
     println!("  makespan {} steps (congestion-2 bound: 2)", r.makespan);
     println!(

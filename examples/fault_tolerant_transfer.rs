@@ -9,8 +9,8 @@
 
 use hyperpath_suite::core::cycles::theorem1;
 use hyperpath_suite::ida::Ida;
-use hyperpath_suite::sim::delivery::{deliver_phase, DeliveryConfig};
-use hyperpath_suite::sim::faults::{random_fault_set, surviving_paths, FaultTimeline};
+use hyperpath_suite::sim::delivery::{deliver_phase_plan, DeliveryConfig};
+use hyperpath_suite::sim::faults::{random_fault_set, surviving_paths, FaultPlan};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -60,7 +60,7 @@ fn main() {
     let cfg = DeliveryConfig { threshold: usize::from(k), max_retries: 1, message_len: 64 };
     for p in [0.01f64, 0.05, 0.15] {
         let faults = random_fault_set(&t1.embedding.host, p, &mut rng);
-        let r = deliver_phase(&t1.embedding, &FaultTimeline::from_set(faults), &cfg);
+        let r = deliver_phase_plan(&t1.embedding, &FaultPlan::from_set(faults), &cfg);
         println!(
             "p = {p:<5} | {:>3} shares dropped in flight | messages: {} delivered, \
              {} degraded (retry saved them), {} lost of {} | {} shares re-sent",

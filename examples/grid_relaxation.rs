@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example grid_relaxation --release`
 
 use hyperpath_suite::core::grids::grid_embedding;
-use hyperpath_suite::sim::PacketSim;
+use hyperpath_suite::sim::{NopRecorder, PacketSim};
 
 fn main() {
     let a = 6u32; // N = 64 => 4096 processors in Q_12
@@ -23,9 +23,11 @@ fn main() {
         g.width, g.cost
     );
 
-    let classical =
-        PacketSim::phase_workload_with_width(&g.embedding, ratio, 1).run(10_000_000).makespan;
-    let free = PacketSim::phase_workload(&g.embedding, ratio).run(10_000_000).makespan;
+    let classical = PacketSim::phase_workload_with_width(&g.embedding, ratio, 1)
+        .run(10_000_000, &mut NopRecorder)
+        .makespan;
+    let free =
+        PacketSim::phase_workload(&g.embedding, ratio).run(10_000_000, &mut NopRecorder).makespan;
     // The certified schedule ships width+1 packets every `cost` steps.
     let wide = free.min(g.cost * ratio.div_ceil(g.width as u64 + 1));
     println!("\nboundary exchange of {ratio} packets per neighbor:");

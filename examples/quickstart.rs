@@ -7,7 +7,7 @@ use hyperpath_suite::core::baseline::gray_cycle_embedding;
 use hyperpath_suite::core::cycles::theorem1;
 use hyperpath_suite::embedding::metrics::multi_path_metrics;
 use hyperpath_suite::embedding::validate::validate_multi_path;
-use hyperpath_suite::sim::PacketSim;
+use hyperpath_suite::sim::{NopRecorder, PacketSim};
 
 fn main() {
     let n = 10;
@@ -40,8 +40,9 @@ fn main() {
 
     // Race them: one phase with m packets per cycle edge.
     let m = 8 * u64::from(n);
-    let g_steps = PacketSim::phase_workload(&gray, m).run(1_000_000).makespan;
-    let t_steps = PacketSim::phase_workload(&t1.embedding, m).run(1_000_000).makespan;
+    let g_steps = PacketSim::phase_workload(&gray, m).run(1_000_000, &mut NopRecorder).makespan;
+    let t_steps =
+        PacketSim::phase_workload(&t1.embedding, m).run(1_000_000, &mut NopRecorder).makespan;
     let sched = t1.cost * m.div_ceil(t1.packets);
     println!("\nOne phase, m = {m} packets per edge:");
     println!("  gray code:            {g_steps} steps");

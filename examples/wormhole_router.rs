@@ -6,7 +6,7 @@
 
 use hyperpath_suite::core::ccc_copies::ccc_multi_copy;
 use hyperpath_suite::sim::routing::{ecube_path, random_permutation, CccRouter};
-use hyperpath_suite::sim::{Worm, WormholeSim};
+use hyperpath_suite::sim::{NopRecorder, Worm, WormholeSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -32,8 +32,8 @@ fn main() {
             split.add_worm(Worm { path: route, flits: (m_flits / u64::from(n)).max(1) });
         }
     }
-    let r1 = single.run(100_000_000);
-    let r2 = split.run(100_000_000);
+    let r1 = single.run(100_000_000, &mut NopRecorder);
+    let r2 = split.run(100_000_000, &mut NopRecorder);
     println!("single worm per message : makespan {}", r1.makespan);
     println!(
         "split across {n} CCC copies: makespan {} ({:.2}x)",

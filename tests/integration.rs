@@ -13,7 +13,7 @@ use hyperpath_suite::embedding::metrics::{multi_copy_metrics, multi_path_metrics
 use hyperpath_suite::embedding::validate::{validate_multi_copy, validate_multi_path};
 use hyperpath_suite::ida::Ida;
 use hyperpath_suite::sim::faults::{random_fault_set, surviving_paths};
-use hyperpath_suite::sim::PacketSim;
+use hyperpath_suite::sim::{NopRecorder, PacketSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,7 +24,8 @@ fn certified_cost_is_achieved_in_simulation() {
     for n in [8u32, 9] {
         let t1 = theorem1(n).unwrap();
         // One batch: `packets` packets per edge over the bundle.
-        let r = PacketSim::phase_workload(&t1.embedding, t1.packets).run(1_000_000);
+        let r =
+            PacketSim::phase_workload(&t1.embedding, t1.packets).run(1_000_000, &mut NopRecorder);
         // Free-running may reorder across step classes, but a single batch
         // stays within a small factor of the certified cost.
         assert!(
@@ -42,8 +43,8 @@ fn theorem1_against_gray_end_to_end() {
     let m = 80u64;
     let gray = gray_cycle_embedding(n);
     let t1 = theorem1(n).unwrap();
-    let g = PacketSim::phase_workload(&gray, m).run(1_000_000).makespan;
-    let w = PacketSim::phase_workload(&t1.embedding, m).run(1_000_000).makespan;
+    let g = PacketSim::phase_workload(&gray, m).run(1_000_000, &mut NopRecorder).makespan;
+    let w = PacketSim::phase_workload(&t1.embedding, m).run(1_000_000, &mut NopRecorder).makespan;
     let sched = t1.cost * m.div_ceil(t1.packets);
     assert_eq!(g, m);
     assert!(w.min(sched) * 3 < m * 2, "multipath must clearly win at n=10");
@@ -55,7 +56,8 @@ fn theorem2_respects_lemma3_and_simulates() {
         let t2 = theorem2(n, Theorem2Variant::Cost3).unwrap();
         verify_lemma3_counting(n, t2.claimed_width as u32, t2.cost).unwrap();
         validate_multi_path(&t2.embedding, t2.claimed_width, Some(2)).unwrap();
-        let r = PacketSim::phase_workload(&t2.embedding, t2.claimed_width as u64).run(1_000_000);
+        let r = PacketSim::phase_workload(&t2.embedding, t2.claimed_width as u64)
+            .run(1_000_000, &mut NopRecorder);
         assert!(r.makespan <= 2 * t2.cost + 2, "n={n}: {} vs {}", r.makespan, t2.cost);
     }
 }
@@ -80,7 +82,7 @@ fn ccc_fleet_phase_takes_two_steps() {
             sim.add_flow(hyperpath_suite::sim::Flow { path: path.nodes().to_vec(), packets: 1 });
         }
     }
-    let r = sim.run(1_000);
+    let r = sim.run(1_000, &mut NopRecorder);
     assert_eq!(r.makespan, 2, "congestion 2 = two steps for a full fleet phase");
 }
 
@@ -89,7 +91,7 @@ fn theorem4_reproduces_theorem1_shape() {
     let copies = multi_copy_cycles(4).unwrap();
     let (x, claimed) = theorem4(&copies).unwrap();
     assert_eq!((x.cost, claimed), (3, 3));
-    let r = PacketSim::phase_workload(&x.embedding, 4).run(100_000);
+    let r = PacketSim::phase_workload(&x.embedding, 4).run(100_000, &mut NopRecorder);
     assert!(r.makespan <= 8);
 }
 
@@ -99,7 +101,7 @@ fn grids_compose_and_run() {
     assert_eq!(g.cost, 3);
     let m = multi_path_metrics(&g.embedding);
     assert_eq!(m.load, 1);
-    let r = PacketSim::phase_workload(&g.embedding, 6).run(100_000);
+    let r = PacketSim::phase_workload(&g.embedding, 6).run(100_000, &mut NopRecorder);
     assert!(r.makespan <= 12);
 }
 
@@ -108,14 +110,15 @@ fn tree_embedding_phase_is_constant_cost() {
     let t5 = theorem5(4).unwrap();
     let m = multi_path_metrics(&t5.embedding);
     assert_eq!(m.load, 1);
-    let r = PacketSim::phase_workload(&t5.embedding, t5.width as u64).run(100_000);
+    let r =
+        PacketSim::phase_workload(&t5.embedding, t5.width as u64).run(100_000, &mut NopRecorder);
     assert!(r.makespan <= 2 * t5.cost, "{} vs {}", r.makespan, t5.cost);
 }
 
 #[test]
 fn large_copy_cycle_saturates_links() {
     let e = large_copy_cycle(8).unwrap();
-    let r = PacketSim::phase_workload(&e, 1).run(1_000);
+    let r = PacketSim::phase_workload(&e, 1).run(1_000, &mut NopRecorder);
     assert_eq!(r.makespan, 1, "dilation 1, congestion 1: a phase is one step");
     assert!((r.mean_utilization - 1.0).abs() < 1e-12, "every link busy");
 }
