@@ -43,9 +43,7 @@ use hyperpath_bench::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-// Live allocation counters for this binary; see perf_suite.rs for why
-// this is guarded against the library-level feature.
-#[cfg(not(feature = "counting-alloc"))]
+// Live allocation counters for this binary.
 #[global_allocator]
 static COUNTING_ALLOC: hyperpath_bench::CountingAlloc = hyperpath_bench::CountingAlloc;
 

@@ -15,9 +15,10 @@
 //! round-parallel group phases. `--json` writes the full report
 //! (`CHAOS_SOAK.json`, or `CHAOS_TENANTS.json` in tenants mode, by
 //! default). The report is a pure function of the flags — identical
-//! bytes across runs and thread counts — so CI can diff two runs to
-//! prove it. Exits 1 if any invariant was violated, so the smoke jobs
-//! fail loudly.
+//! bytes across runs, builds and thread counts, with no build-dependent
+//! header field — so CI's determinism manifest diffs a default and a
+//! one-thread run of each mode to prove it. Exits 1 if any invariant was
+//! violated, so that job fails loudly.
 //!
 //! [`TenantFaultPlan`]: hyperpath_sim::tenants::TenantFaultPlan
 
@@ -40,9 +41,6 @@ fn config_to_json(c: &ChaosConfig) -> Json {
 fn report_to_json(r: &ChaosReport) -> Json {
     Json::object([
         ("suite", "chaos_soak".to_json()),
-        // Which bit-sliced kernel feature path produced this artifact
-        // ("portable" or "simd") — the payload must not depend on it.
-        ("kernel", hyperpath_sim::kernel_feature_path().to_json()),
         ("mode", "engines".to_json()),
         ("config", config_to_json(&r.config)),
         ("violations", r.violations.to_json()),
@@ -88,7 +86,6 @@ fn report_to_json(r: &ChaosReport) -> Json {
 fn tenants_report_to_json(r: &ChaosTenantsReport) -> Json {
     Json::object([
         ("suite", "chaos_soak".to_json()),
-        ("kernel", hyperpath_sim::kernel_feature_path().to_json()),
         ("mode", "tenants".to_json()),
         ("config", config_to_json(&r.config)),
         ("violations", r.violations.to_json()),

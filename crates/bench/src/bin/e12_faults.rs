@@ -9,9 +9,13 @@
 //! across thread counts.
 //!
 //! The `struct` columns count surviving paths combinatorially; the `sim`
-//! columns actually disperse a message per guest edge, push the shares as
-//! packets through the faulty simulated machine, and reconstruct at the
-//! destination — both evaluated against the *same* fault draw per trial.
+//! columns grade one IDA dispersal phase per trial (threshold `⌈w/2⌉`,
+//! without and with retries) by the fail-stop closed form — static
+//! fail-stop faults deliver a share iff its path is fault-free, so the
+//! grade follows from path survival without running the packet engine,
+//! and `tests/fastpath_conformance.rs` pins the closed form equal to the
+//! engine lane by lane. Both are evaluated against the *same* fault draw
+//! per trial, 256 trials per kernel word.
 
 use hyperpath_bench::experiments::{e12_faults, ida_sanity_line, maybe_write_json, parse_cli_with};
 

@@ -11,7 +11,7 @@
 //! `--json [PATH]` additionally writes the sweep artifact
 //! (`BENCH_E18_SCALE.json` by default). Block seeds are drawn serially
 //! per grid point and all folds commute, so the artifact is
-//! byte-identical at any `RAYON_NUM_THREADS` (CI's `scale-smoke` job
+//! byte-identical at any `RAYON_NUM_THREADS` (CI's determinism manifest
 //! compares two runs).
 
 use hyperpath_bench::experiments::{e18_scale, maybe_write_json, parse_cli_with};

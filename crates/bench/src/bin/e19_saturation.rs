@@ -12,8 +12,8 @@
 //! worker pool for the round-parallel group phases; `--json [PATH]`
 //! additionally writes the sweep artifact (`BENCH_E19_SATURATION.json` by
 //! default). The artifact is byte-identical at any `--threads` /
-//! `RAYON_NUM_THREADS` value (CI's `tenants-scaling` job compares runs
-//! at 1, 2 and 4 workers).
+//! `RAYON_NUM_THREADS` value (CI's determinism manifest compares runs
+//! at 1, 2, 3 and 4 workers).
 
 use hyperpath_bench::experiments::{
     e19_saturation_with_threads, maybe_write_json, parse_cli_for, CliAccepts,

@@ -13,7 +13,7 @@
 //! phases; `--json [PATH]` additionally writes the sweep artifact
 //! (`BENCH_E21_CHAOS_TENANTS.json` by default). The artifact is
 //! byte-identical at any `--threads` / `RAYON_NUM_THREADS` value (CI's
-//! `tenants-scaling` job compares runs at 1, 2 and 4 workers).
+//! determinism manifest compares runs at 1, 2, 3 and 4 workers).
 
 use hyperpath_bench::experiments::{
     e21_chaos_tenants_with_threads, maybe_write_json, parse_cli_for, CliAccepts,

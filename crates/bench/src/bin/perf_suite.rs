@@ -13,10 +13,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 // Installs the counting global allocator for this binary, so the
-// `alloc_calls` / `alloc_bytes` counters are live. When the library
-// feature already installs it workspace-wide, installing a second one
-// here would be a duplicate-lang-item error — hence the cfg guard.
-#[cfg(not(feature = "counting-alloc"))]
+// `alloc_calls` / `alloc_bytes` counters are live.
 #[global_allocator]
 static COUNTING_ALLOC: hyperpath_bench::CountingAlloc = hyperpath_bench::CountingAlloc;
 

@@ -17,8 +17,8 @@ use hyperpath_embedding::metrics::{multi_copy_metrics, multi_path_metrics};
 use hyperpath_embedding::validate::{validate_multi_copy, validate_multi_path};
 use hyperpath_ida::Ida;
 use hyperpath_sim::bitslice::{
-    count_lanes_256, streamed_all_bundles_ge, BitTrialBlock256, GrayCycleBundles, IndexedTrials,
-    SlicedPaths,
+    streamed_all_bundles_ge, BitTrialBlock, GrayCycleBundles, IndexedTrials, LaneWord, SlicedPaths,
+    W256,
 };
 use hyperpath_sim::chaos::random_plan;
 use hyperpath_sim::delivery::{deliver_phase_plan_outcome, DeliveryConfig, PhaseSetup};
@@ -231,10 +231,10 @@ pub fn e12_grid(ns: &[u32]) -> Vec<FaultPoint> {
 ///   retry rounds over the surviving paths.
 ///
 /// All five columns now ride the 256-lane bit-sliced kernel
-/// ([`SlicedPaths`] over [`BitTrialBlock256`], 256 trials per word
+/// ([`SlicedPaths`] over a `BitTrialBlock<W256>`, 256 trials per word
 /// operation): the fault draws are static fail-stop and no trace is
 /// requested, so the delivery columns take the fail-stop fast path —
-/// [`SlicedPaths::all_bundles_recovered_256`] evaluates the per-lane
+/// [`SlicedPaths::all_bundles_recovered`] evaluates the per-lane
 /// [`deliver_phase_plan_prepared`](hyperpath_sim::delivery::deliver_phase_plan_prepared)
 /// grades straight from bundle survival words, skipping the packet engine
 /// entirely. Each kernel lane replays the
@@ -296,30 +296,50 @@ pub fn e12_faults_with_threads(
         // One seed per trial drawn *serially* from the point's stream: the
         // sweep's byte-stability across worker counts rests on this.
         let seeds: Vec<u64> = (0..trials).map(|_| rng.random()).collect();
-        // Each 256-seed chunk becomes one BitTrialBlock256 whose lane `t`
+        // Each 256-seed chunk is drawn into a 256-lane block whose lane `t`
         // replays trial `chunk_start + t`'s fault draw bit for bit (the
         // lane streams are independent, so the chunk width cannot change
         // the drawn bits), and the popcount tallies match the scalar
-        // per-trial booleans exactly (u32 addition commutes, so worker
-        // count cannot change the totals either).
-        let chunks: Vec<&[u64]> = seeds.chunks(256).collect();
-        let per_chunk: Vec<[u32; 5]> = chunks
+        // per-trial booleans exactly. The chunks split into one contiguous
+        // run per worker; a run redraws one block and one set of lane RNGs
+        // in place, chunk after chunk. u32 addition commutes, so neither
+        // the worker count nor the run split can change the totals.
+        let tally = |block: &BitTrialBlock<W256>, counts: &mut [u32; 5]| {
+            let words = [
+                gray_paths.all_bundles_ge(block, 1),
+                t1_paths.all_bundles_ge(block, 1),
+                t1_paths.all_bundles_ge(block, k_half),
+                t1_paths.all_bundles_recovered(block, k_half, false),
+                t1_paths.all_bundles_recovered(block, k_half, true),
+            ];
+            for (a, w) in counts.iter_mut().zip(words) {
+                *a += w.count_ones();
+            }
+        };
+        let chunks_per_run = seeds.len().div_ceil(256).div_ceil(rayon::current_num_threads());
+        let runs: Vec<&[u64]> = seeds.chunks(256 * chunks_per_run.max(1)).collect();
+        let per_run: Vec<[u32; 5]> = runs
             .into_par_iter()
-            .map(|chunk| {
+            .map(|run| {
+                let mut chunks = run.chunks(256);
+                let first = chunks.next().expect("runs are non-empty");
                 let mut lane_rngs: Vec<StdRng> =
-                    chunk.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-                let block = BitTrialBlock256::draw_compat(host, p.p, &mut lane_rngs);
-                [
-                    count_lanes_256(gray_paths.all_bundles_ge_256(&block, 1)),
-                    count_lanes_256(t1_paths.all_bundles_ge_256(&block, 1)),
-                    count_lanes_256(t1_paths.all_bundles_ge_256(&block, k_half)),
-                    count_lanes_256(t1_paths.all_bundles_recovered_256(&block, k_half, false)),
-                    count_lanes_256(t1_paths.all_bundles_recovered_256(&block, k_half, true)),
-                ]
+                    first.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+                let mut block = BitTrialBlock::<W256>::draw_compat(host, p.p, &mut lane_rngs);
+                let mut counts = [0u32; 5];
+                tally(&block, &mut counts);
+                for chunk in chunks {
+                    for (lane_rng, &s) in lane_rngs.iter_mut().zip(chunk) {
+                        *lane_rng = StdRng::seed_from_u64(s);
+                    }
+                    block.redraw_compat(p.p, &mut lane_rngs[..chunk.len()]);
+                    tally(&block, &mut counts);
+                }
+                counts
             })
             .collect();
         let mut counts = [0u32; 5];
-        for c in &per_chunk {
+        for c in &per_run {
             for (a, &v) in counts.iter_mut().zip(c) {
                 *a += v;
             }
@@ -395,7 +415,7 @@ pub fn e18_grid(ns: &[u32]) -> Vec<ScalePoint> {
 /// block's fault world, preserving E12's "same draws" discipline; block
 /// seeds are drawn serially from the point's ChaCha stream and all folds
 /// commute, so the artifact is byte-identical at any worker count (CI's
-/// `scale-smoke` job pins this).
+/// determinism manifest pins this).
 ///
 /// There is no measured-simulation column here: packet simulation remains
 /// a materialized-scale (`n ≤ 12`) concern, which is exactly the split the
@@ -534,8 +554,8 @@ pub fn e19_specs(count: u32) -> Vec<TenantSpec> {
 ///
 /// Each point's engine seed is drawn from the point's own ChaCha stream
 /// and the engine itself is sequential and keyed by tenant id, so the
-/// artifact is byte-identical at any worker count (CI's `tenants-smoke`
-/// job compares two runs).
+/// artifact is byte-identical at any worker count (CI's determinism
+/// manifest compares runs at 1, 2, 3 and 4 workers).
 ///
 /// The fail-stop fast path deliberately does **not** apply here: E19's
 /// load-bearing columns (steps, throughput, congestion) are machine
@@ -946,7 +966,8 @@ fn e21_plan(host_dims: u32, p: f64, rng: &mut rand_chacha::ChaCha8Rng) -> Tenant
 ///
 /// Deterministic: each grid point draws its plan and engine seed from
 /// its own ChaCha stream, so the artifact is byte-identical at any
-/// worker count (CI's `chaos-tenants` job compares two runs).
+/// worker count (CI's determinism manifest compares runs at 1, 2, 3 and
+/// 4 workers).
 pub fn e21_chaos_tenants(rates: &[f64], counts: &[u32], master_seed: u64) -> (Table, SweepOutput) {
     e21_chaos_tenants_with_threads(rates, counts, master_seed, None)
 }
@@ -1057,7 +1078,7 @@ pub const E22_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// timings that describe divergent runs).
 ///
 /// Wall times and speedups are machine telemetry, so the E22 artifact is
-/// for plots, not CI byte-comparison — the `tenants-scaling` job pins the
+/// for plots, not CI byte-comparison — CI's determinism manifest pins the
 /// identity claim through the e19/e21 artifacts instead.
 pub fn e22_thread_scaling(thread_counts: &[usize], master_seed: u64) -> (Table, SweepOutput) {
     use rand::{RngExt, SeedableRng};

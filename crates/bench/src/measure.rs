@@ -21,12 +21,12 @@
 //! relaxed flag load) stays flat — the wall-clock speedup floors the gate
 //! enforces are measured under this same allocator, and always-on
 //! watermark updates were observed to compress kernel-vs-reference ratios
-//! on small workloads. It is installed as the `#[global_allocator]` by the
-//! `perf_suite` / `bench_gate` binaries and the `alloc_zero` regression
-//! test (each binary/test is its own program, so each installs its own),
-//! or library-wide via the `counting-alloc` feature. Code that reads the
-//! counters must first check [`counting_allocator_installed`] — without
-//! the installation the counters simply never move.
+//! on small workloads. It is installed as the `#[global_allocator]` by
+//! every program that reads the counters: the `perf_suite` / `bench_gate`
+//! binaries, the `alloc_zero` and `scale_stream` tests, and `hyperbench`
+//! (each is its own program, so each installs its own). Code that reads
+//! the counters must first check [`counting_allocator_installed`] —
+//! without the installation the counters simply never move.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
@@ -93,10 +93,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
 }
-
-#[cfg(feature = "counting-alloc")]
-#[global_allocator]
-static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 /// Allocation counters at one instant, or the difference of two instants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

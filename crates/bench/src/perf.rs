@@ -31,8 +31,7 @@ use hyperpath_core::ccc_copies::ccc_multi_copy;
 use hyperpath_core::cycles::theorem1;
 use hyperpath_ida::{kernel, Ida};
 use hyperpath_sim::bitslice::{
-    count_lanes_256, stream_bundles_ge_into, BitTrialBlock, BitTrialBlock256, IndexedTrials,
-    SlicedPaths,
+    stream_bundles_ge_into, BitTrialBlock, IndexedTrials, LaneWord, SlicedPaths, W256,
 };
 use hyperpath_sim::chaos::random_plan;
 use hyperpath_sim::delivery::{deliver_phase_plan, DeliveryConfig};
@@ -567,7 +566,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 .map(|chunk| {
                     let mut lane_rngs: Vec<StdRng> =
                         chunk.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-                    let block = BitTrialBlock::draw_compat(&host, FAULT_P, &mut lane_rngs);
+                    let block = BitTrialBlock::<u64>::draw_compat(&host, FAULT_P, &mut lane_rngs);
                     u64::from(sliced.all_bundles_ge(&block, k_half).count_ones())
                 })
                 .sum()
@@ -578,7 +577,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
             let mut ok = 0u64;
             while rem > 0 {
                 let lanes = rem.min(64);
-                let block = BitTrialBlock::draw_fast(&host, FAULT_P, lanes, &mut rng);
+                let block = BitTrialBlock::<u64>::draw_fast(&host, FAULT_P, lanes, &mut rng);
                 ok += u64::from(sliced.all_bundles_ge(&block, k_half).count_ones());
                 rem -= lanes;
             }
@@ -594,8 +593,8 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
             let mut ok = 0u64;
             while rem > 0 {
                 let lanes = rem.min(256);
-                let block = BitTrialBlock256::draw_fast(&host, FAULT_P, lanes, &mut rng);
-                ok += u64::from(count_lanes_256(sliced.all_bundles_ge_256(&block, k_half)));
+                let block = BitTrialBlock::<W256>::draw_fast(&host, FAULT_P, lanes, &mut rng);
+                ok += u64::from(sliced.all_bundles_ge(&block, k_half).count_ones());
                 rem -= lanes;
             }
             ok

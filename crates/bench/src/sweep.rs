@@ -48,17 +48,13 @@ pub struct SweepOutput {
 }
 
 impl SweepOutput {
-    /// The canonical JSON form. The `kernel` header field records which
-    /// feature path of the bit-sliced kernels produced the artifact
-    /// (`"portable"` or, under the `wide-simd` feature, `"simd"`); the
-    /// payload is byte-identical either way, and the CI feature matrix
-    /// `cmp`s the two builds' artifacts modulo exactly this field to
-    /// prove it.
+    /// The canonical JSON form: the experiment name, the master seed, the
+    /// point count and every record in grid order — nothing that depends
+    /// on the build, the machine or the thread count.
     pub fn to_json(&self) -> Json {
         Json::object([
             ("experiment", self.experiment.to_json()),
             ("master_seed", self.master_seed.to_json()),
-            ("kernel", hyperpath_sim::kernel_feature_path().to_json()),
             ("points", self.records.len().to_json()),
             (
                 "records",

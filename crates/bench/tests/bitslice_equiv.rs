@@ -45,7 +45,7 @@ fn compat_lanes_extract_to_scalar_fault_sets_on_every_cube() {
             let seeds = trial_seeds(0xb17511ce ^ (u64::from(n) << 8) ^ pi as u64, 64);
             let mut lane_rngs: Vec<StdRng> =
                 seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            let block = BitTrialBlock::draw_compat(&host, p, &mut lane_rngs);
+            let block = BitTrialBlock::<u64>::draw_compat(&host, p, &mut lane_rngs);
             assert_eq!(block.lanes(), 64);
             for (t, &seed) in seeds.iter().enumerate() {
                 let scalar = random_fault_set(&host, p, &mut StdRng::seed_from_u64(seed));
@@ -72,7 +72,7 @@ fn sliced_survival_bits_match_scalar_surviving_paths_at_every_threshold() {
             let seeds = trial_seeds(0x511ced ^ (u64::from(n) << 16) ^ (ei as u64) << 1, lanes);
             let mut lane_rngs: Vec<StdRng> =
                 seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            let block = BitTrialBlock::draw_compat(&host, 0.05, &mut lane_rngs);
+            let block = BitTrialBlock::<u64>::draw_compat(&host, 0.05, &mut lane_rngs);
             let w = e.edge_paths.iter().map(Vec::len).max().unwrap_or(0);
             for (t, &seed) in seeds.iter().enumerate() {
                 let faults = random_fault_set(&host, 0.05, &mut StdRng::seed_from_u64(seed));
@@ -163,7 +163,7 @@ fn fault_set_block_round_trips_losslessly() {
         for lanes in [1usize, 2, 63, 64] {
             let sets: Vec<FaultSet> =
                 (0..lanes).map(|_| random_fault_set(&host, 0.3, &mut rng)).collect();
-            let block = BitTrialBlock::from_fault_sets(&host, &sets);
+            let block = BitTrialBlock::<u64>::from_fault_sets(&host, &sets);
             assert_eq!(block.lanes() as usize, lanes);
             for (t, set) in sets.iter().enumerate() {
                 assert_eq!(

@@ -11,21 +11,21 @@
 //!   field, whether the plan was drawn cut by cut or built from its
 //!   fault set ([`FaultPlan::from_set`]);
 //! * **lane-by-lane**: the 256-lane recovery words
-//!   ([`SlicedPaths::all_bundles_recovered_256`]) that the E12 sweep
-//!   popcounts agree with a per-lane engine run on every one of 256
-//!   shared fault draws — the kernel, the closed form, and the machine
-//!   are one predicate;
+//!   ([`SlicedPaths::all_bundles_recovered`] over a `BitTrialBlock<W256>`)
+//!   that the E12 sweep popcounts agree with a per-lane engine run on
+//!   every one of 256 shared fault draws — the kernel, the closed form,
+//!   and the machine are one predicate;
 //! * **fallback**: non-static inputs route through the engine, so the
 //!   outcome entry points are total, not partial.
 //!
 //! [`FaultPlan::from_set`]: hyperpath_sim::FaultPlan::from_set
 //! [`deliver_phase_plan_outcome`]: hyperpath_sim::delivery::deliver_phase_plan_outcome
 //! [`DeliveryOutcome`]: hyperpath_sim::DeliveryOutcome
-//! [`SlicedPaths::all_bundles_recovered_256`]: hyperpath_sim::SlicedPaths::all_bundles_recovered_256
+//! [`SlicedPaths::all_bundles_recovered`]: hyperpath_sim::SlicedPaths::all_bundles_recovered
 
 use hyperpath_core::cycles::{theorem1, theorem2, Theorem2Variant};
 use hyperpath_embedding::MultiPathEmbedding;
-use hyperpath_sim::bitslice::{BitTrialBlock256, SlicedPaths};
+use hyperpath_sim::bitslice::{BitTrialBlock, LaneWord, SlicedPaths, W256};
 use hyperpath_sim::chaos::random_plan;
 use hyperpath_sim::delivery::{
     deliver_phase_plan_outcome, deliver_phase_plan_prepared, DeliveryConfig, PhaseSetup,
@@ -95,10 +95,10 @@ fn recovered_words_match_engine_grades_lane_by_lane() {
     let p = 0.06;
     let seeds: Vec<u64> = (0..256u64).map(|i| 0xfa57_c0de ^ (i * 7919)).collect();
     let mut lane_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    let block = BitTrialBlock256::draw_compat(&host, p, &mut lane_rngs);
+    let block = BitTrialBlock::<W256>::draw_compat(&host, p, &mut lane_rngs);
     for k in [1usize, w.div_ceil(2), w] {
         for retries in [false, true] {
-            let word = paths.all_bundles_recovered_256(&block, k, retries);
+            let word = paths.all_bundles_recovered(&block, k, retries);
             let cfg = DeliveryConfig {
                 threshold: k,
                 max_retries: if retries { 2 } else { 0 },
@@ -109,7 +109,7 @@ fn recovered_words_match_engine_grades_lane_by_lane() {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let plan = FaultPlan::from_set(random_fault_set(&host, p, &mut rng));
                 let engine = deliver_phase_plan_prepared(&setup, &plan);
-                let bit = (word[lane / 64] >> (lane % 64)) & 1 == 1;
+                let bit = word.lane(lane as u32);
                 assert_eq!(bit, engine.all_delivered(), "lane {lane} k={k} retries={retries}");
             }
         }
@@ -128,15 +128,15 @@ fn fast_path_and_kernel_agree_with_engine_outcome_totals() {
     let setup = PhaseSetup::new(&t1.embedding, &cfg);
     let seeds: Vec<u64> = (0..64u64).map(|i| 0xbeef ^ (i << 40) ^ i).collect();
     let mut lane_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    let block = BitTrialBlock256::draw_compat(&host, 0.08, &mut lane_rngs);
-    let word = paths.all_bundles_recovered_256(&block, k, true);
+    let block = BitTrialBlock::<W256>::draw_compat(&host, 0.08, &mut lane_rngs);
+    let word = paths.all_bundles_recovered(&block, k, true);
     for (lane, &seed) in seeds.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed);
         let plan = FaultPlan::from_set(random_fault_set(&host, 0.08, &mut rng));
         let fast = deliver_phase_plan_outcome(&setup, &plan);
         let engine = deliver_phase_plan_prepared(&setup, &plan);
         assert_eq!(fast, engine.outcome(), "lane {lane}");
-        let bit = (word[lane / 64] >> (lane % 64)) & 1 == 1;
+        let bit = word.lane(lane as u32);
         assert_eq!(bit, fast.all_delivered(), "lane {lane}");
         assert_eq!(fast.all_delivered(), engine.all_delivered(), "lane {lane}");
     }

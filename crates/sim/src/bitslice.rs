@@ -1,14 +1,14 @@
-//! SIMD-within-a-register fault Monte Carlo: 64 trials per machine word.
+//! SIMD-within-a-register fault Monte Carlo: 64 or 256 trials per link word.
 //!
 //! The structural estimators ([`crate::faults::surviving_paths`], the
 //! e12 structural columns) ask one question per trial: *which paths avoid the failed links?* A
 //! scalar trial materializes a [`FaultSet`] (one `bool` per directed
 //! edge) and walks every path link by link. This module transposes the
-//! layout: a [`BitTrialBlock`] stores **one `u64` per undirected link**,
-//! where bit `t` means "the link is alive in trial `t`" — so a path's
-//! survival across all 64 trials is an AND-reduction over its link words,
-//! "≥ k of w paths alive" is a bit-parallel ripple-carry count, and a
-//! whole sweep point's success tally is a popcount.
+//! layout: a [`BitTrialBlock`] stores **one [`LaneWord`] per undirected
+//! link**, where lane `t` means "the link is alive in trial `t`" — so a
+//! path's survival across all trials is an AND-reduction over its link
+//! words, "≥ k of w paths alive" is a bit-parallel ripple-carry count, and
+//! a whole sweep point's success tally is a popcount.
 //!
 //! # RNG-to-lane mapping
 //!
@@ -22,9 +22,10 @@
 //!   trial **bit for bit**, which is what lets e12 and the chaos harness
 //!   keep byte-identical outputs after the kernel swap (pinned by the
 //!   equality suite in `crates/bench/tests/bitslice_equiv.rs`).
-//! * [`BitTrialBlock::draw_fast`] drives all 64 lanes from a **single**
-//!   stream: lane `t`'s 53-bit uniform variate is assembled from bit `t`
-//!   of successive RNG words, and `v < p` is decided by a bit-sliced
+//! * [`BitTrialBlock::draw_fast`] drives every lane from a **single**
+//!   stream: lane `t`'s 53-bit uniform variate is assembled from lane `t`
+//!   of successive [`LaneWord::draw`] words (one `next_u64` per 64-lane
+//!   group, in group order), and `v < p` is decided by a bit-sliced
 //!   most-significant-bit-first comparison against the exact integer
 //!   threshold `ceil(p·2^53)`. Each lane's marginal fail probability is
 //!   *identical* to `random_bool(p)` (the threshold count is exact:
@@ -34,7 +35,7 @@
 //!   magnitude comes from.
 //!
 //! Results are byte-stable across thread counts for the same reason the
-//! scalar sweeps are: blocks are seeded per 64-trial chunk from a serial
+//! scalar sweeps are: blocks are seeded per trial chunk from a serial
 //! seed list, lane tallies are popcounts, and the final fold is an
 //! integer sum, which commutes.
 //!
@@ -55,65 +56,272 @@
 //! into an ordinary block, which is what lets the equality suite pin
 //! streaming-vs-in-memory identity wherever the dense path still runs.
 //!
-//! # 256 lanes
+//! # Two word widths, one kernel
 //!
-//! The in-memory layer also comes in a four-group [`W256`] width:
-//! [`BitTrialBlock256`] packs 256 trials per link (group `g` of each
-//! word is bit-for-bit a 64-lane block over lanes `64g..64g+64`), and
-//! [`SlicedPaths::bundle_ge_256`] ripples all four groups through the
-//! survivor counters per pass. The wider words amortize per-path loop
-//! control over 4x the trials and vectorize cleanly; the `wide-simd`
-//! cargo feature (nightly) runs the lane ops through `std::simd::u64x4`
-//! with byte-identical results — [`kernel_feature_path`] names the active
-//! path so artifacts can record which kernel produced them. The fail-stop delivery fast path
-//! ([`SlicedPaths::all_bundles_recovered_256`]) grades "message
-//! recovered" for 256 static-fault trials per pass without touching the
-//! packet engine; `crates/bench/tests/fastpath_conformance.rs` pins it
-//! against engine-backed reports.
+//! Every in-memory kernel is written once over [`LaneWord`], which has two
+//! implementations: `u64` (64 lanes) and [`W256`] (256 lanes as four
+//! 64-lane groups; group `g` of each word is bit-for-bit a 64-lane block
+//! over lanes `64g..64g+64`). [`SlicedPaths::bundle_ge`] on a
+//! `BitTrialBlock<W256>` ripples all four groups through the survivor
+//! counters per pass, which amortizes per-path loop control over 4x the
+//! trials; E12 runs at 256 lanes, the streaming layer at 64. The fail-stop
+//! delivery fast path ([`SlicedPaths::all_bundles_recovered`]) grades
+//! "message recovered" for a whole word of static-fault trials per pass
+//! without touching the packet engine;
+//! `crates/bench/tests/fastpath_conformance.rs` pins it against
+//! engine-backed reports.
 
 use crate::faults::FaultSet;
-use hyperpath_embedding::{HostPath, MultiPathEmbedding};
+use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
 use hyperpath_topology::{gray_code, transition, DirEdge, Hypercube};
 use rand::{Rng, RngExt};
 
-/// Up to 64 independent fail-stop fault trials, bit-packed per link.
+/// One word of bit-sliced trial lanes: lane `t` is bit `t % 64` of 64-lane
+/// group `t / 64`. Implemented for `u64` (64 lanes) and [`W256`] (256
+/// lanes); every block kernel in this module is written once over it.
+pub trait LaneWord: Copy + Eq + std::fmt::Debug {
+    /// Lanes per word.
+    const WIDTH: u32;
+    /// Every lane clear.
+    const ZERO: Self;
+    /// The low `lanes` lanes set (every lane once `lanes >= WIDTH`).
+    fn mask(lanes: u32) -> Self;
+    /// Lane-wise AND.
+    fn and(self, other: Self) -> Self;
+    /// Lane-wise OR.
+    fn or(self, other: Self) -> Self;
+    /// Lane-wise XOR.
+    fn xor(self, other: Self) -> Self;
+    /// `self & !other`, lane-wise.
+    fn andnot(self, other: Self) -> Self;
+    /// `self` with lane `lane` set.
+    fn with_lane(self, lane: u32) -> Self;
+    /// Whether lane `lane` is set.
+    fn lane(self, lane: u32) -> bool;
+    /// Number of set lanes — the popcount sweeps fold into their tallies.
+    fn count_ones(self) -> u32;
+    /// One uniformly random word: one `next_u64` per 64-lane group, in
+    /// group order.
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self;
+}
+
+impl LaneWord for u64 {
+    const WIDTH: u32 = 64;
+    const ZERO: Self = 0;
+
+    #[inline]
+    fn mask(lanes: u32) -> Self {
+        if lanes >= 64 {
+            !0
+        } else {
+            (1u64 << lanes) - 1
+        }
+    }
+
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        self & other
+    }
+
+    #[inline(always)]
+    fn or(self, other: Self) -> Self {
+        self | other
+    }
+
+    #[inline(always)]
+    fn xor(self, other: Self) -> Self {
+        self ^ other
+    }
+
+    #[inline(always)]
+    fn andnot(self, other: Self) -> Self {
+        self & !other
+    }
+
+    #[inline(always)]
+    fn with_lane(self, lane: u32) -> Self {
+        self | 1u64 << lane
+    }
+
+    #[inline(always)]
+    fn lane(self, lane: u32) -> bool {
+        (self >> lane) & 1 == 1
+    }
+
+    #[inline(always)]
+    fn count_ones(self) -> u32 {
+        u64::count_ones(self)
+    }
+
+    #[inline(always)]
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        rng.next_u64()
+    }
+}
+
+/// A 256-lane kernel word: group `g` holds lanes `64g .. 64g + 64`, so
+/// `w[lane / 64] >> (lane % 64) & 1` is lane `lane`'s bit.
+pub type W256 = [u64; 4];
+
+/// `f` applied group by group.
+#[inline(always)]
+fn zip4(a: W256, b: W256, f: impl Fn(u64, u64) -> u64) -> W256 {
+    [f(a[0], b[0]), f(a[1], b[1]), f(a[2], b[2]), f(a[3], b[3])]
+}
+
+impl LaneWord for W256 {
+    const WIDTH: u32 = 256;
+    const ZERO: Self = [0; 4];
+
+    #[inline]
+    fn mask(lanes: u32) -> Self {
+        std::array::from_fn(|g| u64::mask(lanes.saturating_sub(64 * g as u32)))
+    }
+
+    #[inline(always)]
+    fn and(self, other: Self) -> Self {
+        zip4(self, other, |a, b| a & b)
+    }
+
+    #[inline(always)]
+    fn or(self, other: Self) -> Self {
+        zip4(self, other, |a, b| a | b)
+    }
+
+    #[inline(always)]
+    fn xor(self, other: Self) -> Self {
+        zip4(self, other, |a, b| a ^ b)
+    }
+
+    #[inline(always)]
+    fn andnot(self, other: Self) -> Self {
+        zip4(self, other, |a, b| a & !b)
+    }
+
+    #[inline(always)]
+    fn with_lane(mut self, lane: u32) -> Self {
+        self[(lane / 64) as usize] |= 1u64 << (lane % 64);
+        self
+    }
+
+    #[inline(always)]
+    fn lane(self, lane: u32) -> bool {
+        (self[(lane / 64) as usize] >> (lane % 64)) & 1 == 1
+    }
+
+    #[inline(always)]
+    fn count_ones(self) -> u32 {
+        self.iter().map(|w| w.count_ones()).sum()
+    }
+
+    #[inline(always)]
+    fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
+        [rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()]
+    }
+}
+
+/// `lanes` as a block's lane count.
+///
+/// # Panics
+/// Panics unless `1 <= lanes <= W::WIDTH`.
+fn checked_lanes<W: LaneWord>(lanes: usize) -> u32 {
+    assert!((1..=W::WIDTH as usize).contains(&lanes), "need 1..={} lanes, got {lanes}", W::WIDTH);
+    lanes as u32
+}
+
+/// Same normalization as `random_fault_set`: NaN means "no faults".
+fn clamp_p(p: f64) -> f64 {
+    if p.is_nan() {
+        0.0
+    } else {
+        p.clamp(0.0, 1.0)
+    }
+}
+
+/// `ceil(p·2^53)`. `random_bool(p)` fails a link iff `v < p·2^53` for a
+/// 53-bit uniform `v`; `p` scales to `p·2^53` exactly (power-of-two
+/// multiply), so this counts the failing variates exactly and `v <
+/// threshold` is the same event.
+fn fail_threshold(p: f64) -> u64 {
+    (clamp_p(p) * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The lanes of `full` that survive the exact-threshold draw: lane `t`
+/// fails iff its 53-bit variate is below `threshold`, where `next(b)`
+/// supplies bit `b` of every lane's variate at once, for `b = 52, 51, …`.
+///
+/// Bit-sliced lexicographic `v < threshold`, MSB first. `undecided`
+/// tracks lanes whose prefix still ties the threshold; once it empties
+/// (after ~log2(lanes)+2 words in expectation) the remaining bits cannot
+/// matter, so `next` is not called again. `p == 0` and `p == 1` consume
+/// no variate words at all.
+#[inline]
+fn survivors<W: LaneWord>(threshold: u64, full: W, mut next: impl FnMut(u64) -> W) -> W {
+    if threshold == 0 {
+        return full;
+    }
+    if threshold >= 1u64 << 53 {
+        return W::ZERO;
+    }
+    let mut less = W::ZERO;
+    let mut undecided = full;
+    for b in (0..53u64).rev() {
+        let v_bits = next(b);
+        if (threshold >> b) & 1 == 1 {
+            less = less.or(undecided.andnot(v_bits));
+            undecided = undecided.and(v_bits);
+        } else {
+            undecided = undecided.andnot(v_bits);
+        }
+        if undecided == W::ZERO {
+            break;
+        }
+    }
+    // Lanes still undecided have v == threshold: not less ⇒ alive.
+    full.andnot(less)
+}
+
+/// Up to `W::WIDTH` independent fail-stop fault trials, bit-packed per
+/// link: 64 for `u64`, 256 for [`W256`].
 ///
 /// Word `i` (indexed by [`Hypercube::dir_edge_index`] of the canonical
-/// orientation; non-canonical slots stay zero) holds the alive bits of
-/// the link across all lanes: bit `t` set ⇔ the link is up in trial `t`.
-/// Bits at and above [`Self::lanes`] are zero everywhere.
+/// orientation; non-canonical slots stay zero) holds the alive lanes of
+/// the link: lane `t` set ⇔ the link is up in trial `t`. Lanes at and
+/// above [`Self::lanes`] are clear everywhere. Group `g` of a [`W256`]
+/// block behaves exactly like a 64-lane block over lanes `64g..64g+64`,
+/// which is what the equality suite pins.
 #[derive(Debug, Clone)]
-pub struct BitTrialBlock {
+pub struct BitTrialBlock<W: LaneWord> {
     host: Hypercube,
     /// Per-directed-edge-index alive words (canonical slots only).
-    words: Vec<u64>,
+    words: Vec<W>,
     lanes: u32,
 }
 
-impl BitTrialBlock {
-    /// Number of packed trials (1..=64).
+impl<W: LaneWord> BitTrialBlock<W> {
+    /// A block of `lanes` trials with every link dead.
+    fn zeroed(host: &Hypercube, lanes: u32) -> Self {
+        let words = vec![W::ZERO; host.num_directed_edges() as usize];
+        BitTrialBlock { host: *host, words, lanes }
+    }
+
+    /// Number of packed trials (`1..=W::WIDTH`).
     #[inline]
     pub fn lanes(&self) -> u32 {
         self.lanes
     }
 
-    /// Mask with one bit set per live lane.
+    /// Mask with one lane set per live trial.
     #[inline]
-    pub fn live_mask(&self) -> u64 {
-        lane_mask(self.lanes)
-    }
-
-    /// The host cube the block was drawn over.
-    #[inline]
-    pub fn host(&self) -> &Hypercube {
-        &self.host
+    pub fn live_mask(&self) -> W {
+        W::mask(self.lanes)
     }
 
     /// Alive word of the undirected link carrying the directed edge with
     /// the given [`Hypercube::dir_edge_index`].
     #[inline]
-    pub fn link_alive_word(&self, dir_edge_index: usize) -> u64 {
+    pub fn link_alive_word(&self, dir_edge_index: usize) -> W {
         let e = self.host.dir_edge_from_index(dir_edge_index);
         self.words[self.host.undirected_edge_index(e)]
     }
@@ -121,105 +329,80 @@ impl BitTrialBlock {
     /// Draws one block with **per-lane RNG streams**, consuming each
     /// lane's RNG exactly as [`random_fault_set`](crate::faults::random_fault_set) would: lane `t` of the
     /// block equals `random_fault_set(host, p, &mut lane_rngs[t])` bit
-    /// for bit (see [`Self::lane_fault_set`]).
+    /// for bit (see [`Self::lane_fault_set`]), and group `g` of a
+    /// [`W256`] block equals a 64-lane draw over `lane_rngs[64g..]`'s
+    /// chunk.
     ///
     /// # Panics
-    /// Panics unless `1 <= lane_rngs.len() <= 64`.
+    /// Panics unless `1 <= lane_rngs.len() <= W::WIDTH`.
     pub fn draw_compat<R: Rng>(host: &Hypercube, p: f64, lane_rngs: &mut [R]) -> Self {
-        let lanes = u32::try_from(lane_rngs.len()).expect("lane count fits u32");
-        assert!((1..=64).contains(&lanes), "need 1..=64 lanes, got {lanes}");
-        // Same normalization as `random_fault_set`: NaN means "no faults".
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        let mut words = vec![0u64; host.num_directed_edges() as usize];
+        let mut block = Self::zeroed(host, checked_lanes::<W>(lane_rngs.len()));
+        block.redraw_compat(p, lane_rngs);
+        block
+    }
+
+    /// Redraws this block in place, exactly as [`Self::draw_compat`] would
+    /// draw a fresh one over the same host: every canonical word is
+    /// overwritten and [`Self::lanes`] becomes `lane_rngs.len()`, so a
+    /// shorter redraw leaves no stale lanes. Allocation-free, which lets a
+    /// sweep worker reuse one block across all its trial chunks.
+    ///
+    /// # Panics
+    /// Panics unless `1 <= lane_rngs.len() <= W::WIDTH`.
+    pub fn redraw_compat<R: Rng>(&mut self, p: f64, lane_rngs: &mut [R]) {
+        self.lanes = checked_lanes::<W>(lane_rngs.len());
+        let p = clamp_p(p);
+        let host = self.host;
         for e in host.undirected_edges() {
-            let mut alive = 0u64;
+            let mut alive = W::ZERO;
             for (t, rng) in lane_rngs.iter_mut().enumerate() {
                 // Failure draw first so every lane consumes one word per
                 // link, exactly like the scalar loop.
                 if !rng.random_bool(p) {
-                    alive |= 1u64 << t;
+                    alive = alive.with_lane(t as u32);
                 }
             }
-            words[host.dir_edge_index(e)] = alive;
+            self.words[host.dir_edge_index(e)] = alive;
         }
-        BitTrialBlock { host: *host, words, lanes }
     }
 
     /// Draws one block from a **single RNG stream** with the same
     /// per-link marginal fail probability as `random_bool(p)` but a
-    /// different (much cheaper) stream layout; see the module docs.
-    /// Deterministic for a given RNG state, but *not* lane-extractable
-    /// into scalar `random_fault_set` draws.
+    /// different (much cheaper) stream layout; see the module docs. Each
+    /// comparison plane takes one [`LaneWord::draw`], so a 256-lane draw
+    /// consumes a *different* stream layout than four 64-lane fast draws
+    /// would. Deterministic for a given RNG state, but *not*
+    /// lane-extractable into scalar `random_fault_set` draws.
     ///
     /// # Panics
-    /// Panics unless `1 <= lanes <= 64`.
+    /// Panics unless `1 <= lanes <= W::WIDTH`.
     pub fn draw_fast<R: Rng>(host: &Hypercube, p: f64, lanes: u32, rng: &mut R) -> Self {
-        assert!((1..=64).contains(&lanes), "need 1..=64 lanes, got {lanes}");
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        let full = lane_mask(lanes);
-        let mut words = vec![0u64; host.num_directed_edges() as usize];
-        // `random_bool(p)` fails a link iff `v < p·2^53` for a 53-bit
-        // uniform `v`. `p` scales to `p·2^53` exactly (power-of-two
-        // multiply), so `t = ceil(p·2^53)` counts the failing variates
-        // exactly and `v < t` is the same event.
-        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
-        if threshold == 0 {
-            // p == 0: every lane alive on every link.
-            for e in host.undirected_edges() {
-                let i = host.dir_edge_index(e);
-                words[i] = full;
-            }
-            return BitTrialBlock { host: *host, words, lanes };
-        }
-        if threshold >= 1u64 << 53 {
-            // p == 1: every lane dead; the zeroed words already say so.
-            return BitTrialBlock { host: *host, words, lanes };
-        }
+        let mut block = Self::zeroed(host, checked_lanes::<W>(lanes as usize));
+        let full = block.live_mask();
+        let threshold = fail_threshold(p);
         for e in host.undirected_edges() {
-            // Bit-sliced lexicographic `v < threshold`, MSB first: RNG
-            // word `b` supplies bit `52-b` of every lane's variate at
-            // once. `undecided` tracks lanes whose prefix still ties the
-            // threshold; once it empties (after ~log2(lanes)+2 words in
-            // expectation) the remaining bits cannot matter.
-            let mut less = 0u64;
-            let mut undecided = full;
-            for b in (0..53).rev() {
-                let v_bits = rng.next_u64();
-                if (threshold >> b) & 1 == 1 {
-                    less |= undecided & !v_bits;
-                    undecided &= v_bits;
-                } else {
-                    undecided &= !v_bits;
-                }
-                if undecided == 0 {
-                    break;
-                }
-            }
-            // Lanes still undecided have v == threshold: not less ⇒ alive.
-            words[host.dir_edge_index(e)] = full & !less;
+            block.words[host.dir_edge_index(e)] = survivors(threshold, full, |_| W::draw(rng));
         }
-        BitTrialBlock { host: *host, words, lanes }
+        block
     }
 
     /// Packs existing scalar fault sets into a block (lane `t` ← set `t`).
     ///
     /// # Panics
-    /// Panics unless `1 <= sets.len() <= 64`.
+    /// Panics unless `1 <= sets.len() <= W::WIDTH`.
     pub fn from_fault_sets(host: &Hypercube, sets: &[FaultSet]) -> Self {
-        let lanes = u32::try_from(sets.len()).expect("lane count fits u32");
-        assert!((1..=64).contains(&lanes), "need 1..=64 lanes, got {lanes}");
-        let mut words = vec![0u64; host.num_directed_edges() as usize];
+        let mut block = Self::zeroed(host, checked_lanes::<W>(sets.len()));
         for e in host.undirected_edges() {
             let i = host.dir_edge_index(e);
-            let mut alive = 0u64;
+            let mut alive = W::ZERO;
             for (t, set) in sets.iter().enumerate() {
                 if !set.is_failed_index(i) {
-                    alive |= 1u64 << t;
+                    alive = alive.with_lane(t as u32);
                 }
             }
-            words[i] = alive;
+            block.words[i] = alive;
         }
-        BitTrialBlock { host: *host, words, lanes }
+        block
     }
 
     /// Extracts lane `t` as a scalar [`FaultSet`]. For a
@@ -232,35 +415,75 @@ impl BitTrialBlock {
         assert!(lane < self.lanes, "lane {lane} out of range ({} lanes)", self.lanes);
         let mut fs = FaultSet::none(&self.host);
         for e in self.host.undirected_edges() {
-            if self.words[self.host.dir_edge_index(e)] & (1u64 << lane) == 0 {
+            if !self.words[self.host.dir_edge_index(e)].lane(lane) {
                 fs.fail_link(&self.host, e);
             }
         }
         fs
     }
 
-    /// Lanes (as a bitmask) in which every link of `path` is alive. An
-    /// empty path is alive in every live lane, matching the scalar
-    /// convention (`edges().all(..)` over nothing is `true`).
-    pub fn path_alive(&self, path: &HostPath) -> u64 {
-        let mut alive = self.live_mask();
-        for e in path.edges() {
-            alive &= self.words[self.host.undirected_edge_index(e)];
-            if alive == 0 {
+    /// AND-reduction of a path's link words (alive lanes), with early exit.
+    #[inline]
+    fn path_word(&self, links: &[u32], full: W) -> W {
+        let mut alive = full;
+        for &i in links {
+            alive = alive.and(self.words[i as usize]);
+            if alive == W::ZERO {
                 break;
             }
         }
         alive
     }
+
+    /// OR of the path words of `paths`, stopping once every live lane has
+    /// a survivor.
+    #[inline]
+    fn or_path_words<'a>(&self, paths: impl IntoIterator<Item = &'a Vec<u32>>, full: W) -> W {
+        let mut any = W::ZERO;
+        for links in paths {
+            any = any.or(self.path_word(links, full));
+            if any == full {
+                break;
+            }
+        }
+        any
+    }
 }
 
-/// Mask with the low `lanes` bits set.
-#[inline]
-fn lane_mask(lanes: u32) -> u64 {
-    if lanes >= 64 {
-        !0
-    } else {
-        (1u64 << lanes) - 1
+/// Bit-sliced survivor counts: 8 counter planes, so up to 255 paths per
+/// bundle (paper bundles are single digits).
+struct SurvivorCount<W>([W; 8]);
+
+impl<W: LaneWord> SurvivorCount<W> {
+    fn new() -> Self {
+        SurvivorCount([W::ZERO; 8])
+    }
+
+    /// Ripples one path's alive word in as a carry.
+    #[inline]
+    fn add(&mut self, mut carry: W) {
+        for plane in &mut self.0 {
+            if carry == W::ZERO {
+                break;
+            }
+            let overflow = plane.and(carry);
+            *plane = plane.xor(carry);
+            carry = overflow;
+        }
+    }
+
+    /// Lanes whose count is at least `k` (`1..=255`): the carry-out of
+    /// adding the constant `256 - k`. Each plane's carry is the majority
+    /// of the plane, the constant's bit and the incoming carry. The planes
+    /// only ever hold live lanes, so the result needs no mask.
+    #[inline]
+    fn at_least(&self, k: usize) -> W {
+        let m = 256 - k as u64;
+        let mut carry = W::ZERO;
+        for (b, &plane) in self.0.iter().enumerate() {
+            carry = if (m >> b) & 1 == 1 { plane.or(carry) } else { plane.and(carry) };
+        }
+        carry
     }
 }
 
@@ -306,77 +529,83 @@ impl SlicedPaths {
     }
 
     /// Lanes in which at least `k` paths of bundle `bundle` are alive.
-    pub fn bundle_ge(&self, block: &BitTrialBlock, bundle: usize, k: usize) -> u64 {
+    pub fn bundle_ge<W: LaneWord>(&self, block: &BitTrialBlock<W>, bundle: usize, k: usize) -> W {
         let full = block.live_mask();
         let paths = &self.bundles[bundle];
         if k == 0 {
             return full;
         }
         if k > paths.len() {
-            return 0;
+            return W::ZERO;
         }
         if k == 1 {
             // "Any path alive" is a plain OR over the path words.
-            let mut any = 0u64;
-            for links in paths {
-                any |= path_word(block, links, full);
-                if any == full {
-                    break;
-                }
-            }
-            return any;
+            return block.or_path_words(paths, full);
         }
-        // Bit-sliced survivor count: 8 counter planes, each path's alive
-        // word rippled in as a carry. Then `count >= k` is the carry-out
-        // of adding the constant `256 - k`.
-        let mut cnt = [0u64; 8];
+        let mut cnt = SurvivorCount::new();
         for links in paths {
-            let mut carry = path_word(block, links, full);
-            for plane in cnt.iter_mut() {
-                if carry == 0 {
-                    break;
-                }
-                let overflow = *plane & carry;
-                *plane ^= carry;
-                carry = overflow;
-            }
+            cnt.add(block.path_word(links, full));
         }
-        let m = 256 - k as u64;
-        let mut carry = 0u64;
-        for (b, plane) in cnt.iter().enumerate() {
-            let m_bit = if (m >> b) & 1 == 1 { !0u64 } else { 0 };
-            carry = (plane & m_bit) | (carry & (plane ^ m_bit));
-        }
-        carry & full
+        cnt.at_least(k)
     }
 
     /// Lanes in which **every** bundle keeps at least `k` alive paths —
     /// the `(w, k)`-dispersal success event ("every
     /// [`surviving_paths`](crate::faults::surviving_paths) count is at
-    /// least `k`"), 64 trials at a time.
-    pub fn all_bundles_ge(&self, block: &BitTrialBlock, k: usize) -> u64 {
+    /// least `k`"), a whole word of trials at a time.
+    pub fn all_bundles_ge<W: LaneWord>(&self, block: &BitTrialBlock<W>, k: usize) -> W {
         let mut acc = block.live_mask();
         for bundle in 0..self.bundles.len() {
-            if acc == 0 {
+            if acc == W::ZERO {
                 break;
             }
-            acc &= self.bundle_ge(block, bundle, k);
+            acc = acc.and(self.bundle_ge(block, bundle, k));
         }
         acc
     }
-}
 
-/// AND-reduction of a path's link words (alive lanes), with early exit.
-#[inline]
-fn path_word(block: &BitTrialBlock, links: &[u32], full: u64) -> u64 {
-    let mut alive = full;
-    for &i in links {
-        alive &= block.words[i as usize];
-        if alive == 0 {
-            break;
-        }
+    /// Lanes in which at least one **non-empty** path of bundle `bundle`
+    /// is fully alive — the lanes where a retry round has a fault-free
+    /// path to re-send dead shares over. Empty paths are excluded
+    /// because a zero-length path delivers its own share for free but
+    /// cannot carry another share across the machine (the engine's
+    /// retry planner filters them identically).
+    pub fn bundle_survivors<W: LaneWord>(&self, block: &BitTrialBlock<W>, bundle: usize) -> W {
+        let nonempty = self.bundles[bundle].iter().filter(|links| !links.is_empty());
+        block.or_path_words(nonempty, block.live_mask())
     }
-    alive
+
+    /// Lanes in which every guest edge's message is **recovered** by the
+    /// fail-stop delivery fast path at reconstruction threshold `k`
+    /// (clamped per bundle into `1..=w`, exactly as
+    /// [`DeliveryConfig`](crate::delivery::DeliveryConfig) clamps it):
+    /// the threshold is met by first-round arrivals, or — when `retries`
+    /// — at least one non-empty path survives to carry the re-sent
+    /// shares, after which all `w` shares are present and `w >= k`. This
+    /// is [`deliver_phase_plan_outcome`](crate::delivery::deliver_phase_plan_outcome)'s
+    /// `all_delivered()` evaluated a whole word of trials per pass; the
+    /// per-report byte-conformance against the engine is pinned by the
+    /// fast-path conformance suite in the bench crate.
+    pub fn all_bundles_recovered<W: LaneWord>(
+        &self,
+        block: &BitTrialBlock<W>,
+        k: usize,
+        retries: bool,
+    ) -> W {
+        let mut acc = block.live_mask();
+        for (bundle, paths) in self.bundles.iter().enumerate() {
+            if acc == W::ZERO {
+                break;
+            }
+            let k_eff = k.clamp(1, paths.len());
+            let mut ok = self.bundle_ge(block, bundle, k_eff);
+            if retries && ok != block.live_mask() {
+                ok = ok.or(self.bundle_survivors(block, bundle));
+            }
+            acc = acc.and(ok);
+        }
+        acc
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -425,10 +654,8 @@ impl IndexedTrials {
     /// # Panics
     /// Panics unless `1 <= lanes <= 64`.
     pub fn new(seed: u64, p: f64, lanes: u32) -> Self {
-        assert!((1..=64).contains(&lanes), "need 1..=64 lanes, got {lanes}");
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
-        IndexedTrials { seed, threshold, lanes }
+        let lanes = checked_lanes::<u64>(lanes as usize);
+        IndexedTrials { seed, threshold: fail_threshold(p), lanes }
     }
 
     /// Number of packed trials (1..=64).
@@ -440,7 +667,7 @@ impl IndexedTrials {
     /// Mask with one bit set per live lane.
     #[inline]
     pub fn live_mask(&self) -> u64 {
-        lane_mask(self.lanes)
+        u64::mask(self.lanes)
     }
 
     /// Alive word of the link with the given dense undirected index
@@ -449,44 +676,23 @@ impl IndexedTrials {
     /// currency): bit `t` set ⇔ the link is up in trial `t`.
     #[inline]
     pub fn link_word(&self, link: u64) -> u64 {
-        let full = lane_mask(self.lanes);
-        if self.threshold == 0 {
-            return full;
-        }
-        if self.threshold >= 1u64 << 53 {
-            return 0;
-        }
         let base = sm_mix(self.seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let mut less = 0u64;
-        let mut undecided = full;
-        for b in (0..53u64).rev() {
-            let v_bits = sm_mix(base ^ (53 - b));
-            if (self.threshold >> b) & 1 == 1 {
-                less |= undecided & !v_bits;
-                undecided &= v_bits;
-            } else {
-                undecided &= !v_bits;
-            }
-            if undecided == 0 {
-                break;
-            }
-        }
-        full & !less
+        survivors(self.threshold, self.live_mask(), |b| sm_mix(base ^ (53 - b)))
     }
 }
 
-impl BitTrialBlock {
+impl BitTrialBlock<u64> {
     /// Materializes an [`IndexedTrials`] block into a dense per-link
     /// array: `link_alive_word(i) == trials.link_word(i)` for every
     /// canonical link index. This is the in-memory half of the
     /// streaming-vs-in-memory equality suite.
     pub fn draw_indexed(host: &Hypercube, trials: &IndexedTrials) -> Self {
-        let mut words = vec![0u64; host.num_directed_edges() as usize];
+        let mut block = Self::zeroed(host, trials.lanes());
         for e in host.undirected_edges() {
             let i = host.dir_edge_index(e);
-            words[i] = trials.link_word(i as u64);
+            block.words[i] = trials.link_word(i as u64);
         }
-        BitTrialBlock { host: *host, words, lanes: trials.lanes() }
+        block
     }
 }
 
@@ -594,7 +800,7 @@ pub fn stream_bundles_ge_into(
             return;
         }
         // Bit-sliced survivor count, shared across all thresholds.
-        let mut cnt = [0u64; 8];
+        let mut cnt = SurvivorCount::new();
         let mut n_paths = 0usize;
         src.for_each_path(b, &mut |links| {
             n_paths += 1;
@@ -605,40 +811,18 @@ pub fn stream_bundles_ge_into(
                     break;
                 }
             }
-            let mut carry = alive;
-            for plane in cnt.iter_mut() {
-                if carry == 0 {
-                    break;
-                }
-                let overflow = *plane & carry;
-                *plane ^= carry;
-                carry = overflow;
-            }
+            cnt.add(alive);
         });
         debug_assert!(n_paths < 256, "bundle too wide for 8-bit survivor counters");
+        // The same edge cases as `SlicedPaths::bundle_ge`.
         for (a, &k) in acc.iter_mut().zip(ks) {
-            *a &= streamed_count_ge(&cnt, k, n_paths, full);
+            *a &= match k {
+                0 => full,
+                k if k > n_paths => 0,
+                k => cnt.at_least(k),
+            };
         }
     }
-}
-
-/// `count >= k` from the 8 survivor-count planes (carry-out of adding the
-/// constant `256 - k`), mirroring [`SlicedPaths::bundle_ge`]'s edge cases.
-#[inline]
-fn streamed_count_ge(cnt: &[u64; 8], k: usize, n_paths: usize, full: u64) -> u64 {
-    if k == 0 {
-        return full;
-    }
-    if k > n_paths {
-        return 0;
-    }
-    let m = 256 - k as u64;
-    let mut carry = 0u64;
-    for (b, plane) in cnt.iter().enumerate() {
-        let m_bit = if (m >> b) & 1 == 1 { !0u64 } else { 0 };
-        carry = (plane & m_bit) | (carry & (plane ^ m_bit));
-    }
-    carry & full
 }
 
 /// Lanes in which **every** bundle of `src` keeps at least `ks[j]` alive
@@ -675,434 +859,6 @@ pub fn streamed_all_bundles_ge(
     out
 }
 
-// ---------------------------------------------------------------------------
-// 256-lane blocks: four 64-lane groups per link word.
-// ---------------------------------------------------------------------------
-
-/// A 256-lane kernel word: group `g` holds lanes `64g .. 64g + 64`, so
-/// `w[lane / 64] >> (lane % 64) & 1` is lane `lane`'s bit. Always
-/// available as a plain `[u64; 4]`; the `wide-simd` cargo feature routes
-/// the lane arithmetic through `std::simd::u64x4` instead (nightly only,
-/// byte-identical — see [`kernel_feature_path`]).
-pub type W256 = [u64; 4];
-
-/// Which implementation computes the [`W256`] lane ops in this build:
-/// `"simd"` when the `wide-simd` feature routes them through
-/// `std::simd::u64x4`, `"portable"` otherwise. The two paths compute the
-/// same function word for word, so artifacts must not differ — sweep and
-/// chaos JSON headers embed this tag precisely so that a cross-machine
-/// `cmp` failure can name the kernel paths involved.
-pub fn kernel_feature_path() -> &'static str {
-    if cfg!(feature = "wide-simd") {
-        "simd"
-    } else {
-        "portable"
-    }
-}
-
-/// The [`W256`] lane ops, each written twice: a portable scalar form and
-/// a `std::simd::u64x4` form selected by the `wide-simd` feature. Both
-/// compute identical words; the feature only changes instruction issue.
-mod w256 {
-    use super::W256;
-
-    /// All-zero word.
-    pub const ZERO: W256 = [0; 4];
-
-    #[inline(always)]
-    pub fn splat(x: u64) -> W256 {
-        [x; 4]
-    }
-
-    #[inline(always)]
-    pub fn is_zero(a: W256) -> bool {
-        a == ZERO
-    }
-
-    #[inline(always)]
-    pub fn count_ones(a: W256) -> u32 {
-        a.iter().map(|w| w.count_ones()).sum()
-    }
-
-    #[cfg(feature = "wide-simd")]
-    mod ops {
-        use super::W256;
-        use std::simd::u64x4;
-
-        #[inline(always)]
-        pub fn and(a: W256, b: W256) -> W256 {
-            (u64x4::from_array(a) & u64x4::from_array(b)).to_array()
-        }
-
-        #[inline(always)]
-        pub fn or(a: W256, b: W256) -> W256 {
-            (u64x4::from_array(a) | u64x4::from_array(b)).to_array()
-        }
-
-        #[inline(always)]
-        pub fn xor(a: W256, b: W256) -> W256 {
-            (u64x4::from_array(a) ^ u64x4::from_array(b)).to_array()
-        }
-
-        /// `a & !b`.
-        #[inline(always)]
-        pub fn andnot(a: W256, b: W256) -> W256 {
-            (u64x4::from_array(a) & !u64x4::from_array(b)).to_array()
-        }
-    }
-
-    #[cfg(not(feature = "wide-simd"))]
-    mod ops {
-        use super::W256;
-
-        #[inline(always)]
-        pub fn and(a: W256, b: W256) -> W256 {
-            [a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]]
-        }
-
-        #[inline(always)]
-        pub fn or(a: W256, b: W256) -> W256 {
-            [a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]]
-        }
-
-        #[inline(always)]
-        pub fn xor(a: W256, b: W256) -> W256 {
-            [a[0] ^ b[0], a[1] ^ b[1], a[2] ^ b[2], a[3] ^ b[3]]
-        }
-
-        /// `a & !b`.
-        #[inline(always)]
-        pub fn andnot(a: W256, b: W256) -> W256 {
-            [a[0] & !b[0], a[1] & !b[1], a[2] & !b[2], a[3] & !b[3]]
-        }
-    }
-
-    pub use ops::{and, andnot, or, xor};
-}
-
-/// Mask with the low `lanes` bits set across the four lane groups.
-#[inline]
-fn lane_mask256(lanes: u32) -> W256 {
-    let mut m = [0u64; 4];
-    for (g, w) in m.iter_mut().enumerate() {
-        let lo = g as u32 * 64;
-        *w = if lanes >= lo + 64 {
-            !0
-        } else if lanes > lo {
-            (1u64 << (lanes - lo)) - 1
-        } else {
-            0
-        };
-    }
-    m
-}
-
-/// Up to 256 independent fail-stop fault trials, bit-packed per link —
-/// the four-group widening of [`BitTrialBlock`]. Same canonical-slot
-/// layout, same lane conventions (bits at and above [`Self::lanes`] are
-/// zero everywhere); group `g` of every word behaves exactly like a
-/// 64-lane block over lanes `64g..64g+64`, which is what the equality
-/// suite pins.
-#[derive(Debug, Clone)]
-pub struct BitTrialBlock256 {
-    host: Hypercube,
-    /// Per-directed-edge-index alive words (canonical slots only).
-    words: Vec<W256>,
-    lanes: u32,
-}
-
-impl BitTrialBlock256 {
-    /// Number of packed trials (1..=256).
-    #[inline]
-    pub fn lanes(&self) -> u32 {
-        self.lanes
-    }
-
-    /// Mask with one bit set per live lane.
-    #[inline]
-    pub fn live_mask(&self) -> W256 {
-        lane_mask256(self.lanes)
-    }
-
-    /// The host cube the block was drawn over.
-    #[inline]
-    pub fn host(&self) -> &Hypercube {
-        &self.host
-    }
-
-    /// Alive word of the undirected link carrying the directed edge with
-    /// the given [`Hypercube::dir_edge_index`].
-    #[inline]
-    pub fn link_alive_word(&self, dir_edge_index: usize) -> W256 {
-        let e = self.host.dir_edge_from_index(dir_edge_index);
-        self.words[self.host.undirected_edge_index(e)]
-    }
-
-    /// Draws one block with **per-lane RNG streams**, consuming each
-    /// lane's RNG exactly as [`random_fault_set`](crate::faults::random_fault_set) would — lane `t` of
-    /// the block equals `random_fault_set(host, p, &mut lane_rngs[t])`
-    /// bit for bit, and group `g` equals a 64-lane
-    /// [`BitTrialBlock::draw_compat`] over `lane_rngs[64g..]`'s chunk.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= lane_rngs.len() <= 256`.
-    pub fn draw_compat<R: Rng>(host: &Hypercube, p: f64, lane_rngs: &mut [R]) -> Self {
-        let lanes = u32::try_from(lane_rngs.len()).expect("lane count fits u32");
-        assert!((1..=256).contains(&lanes), "need 1..=256 lanes, got {lanes}");
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        let mut words = vec![w256::ZERO; host.num_directed_edges() as usize];
-        for e in host.undirected_edges() {
-            let mut alive = w256::ZERO;
-            for (t, rng) in lane_rngs.iter_mut().enumerate() {
-                // Failure draw first so every lane consumes one word per
-                // link, exactly like the scalar loop.
-                if !rng.random_bool(p) {
-                    alive[t / 64] |= 1u64 << (t % 64);
-                }
-            }
-            words[host.dir_edge_index(e)] = alive;
-        }
-        BitTrialBlock256 { host: *host, words, lanes }
-    }
-
-    /// Draws one block from a **single RNG stream** with the same
-    /// per-link marginal fail probability as `random_bool(p)`; the
-    /// 256-lane analog of [`BitTrialBlock::draw_fast`] (four stream words
-    /// per comparison plane, groups in ascending order). Deterministic
-    /// for a given RNG state, but *not* lane-extractable into scalar
-    /// draws, and a *different* stream layout than four 64-lane fast
-    /// draws would consume.
-    ///
-    /// # Panics
-    /// Panics unless `1 <= lanes <= 256`.
-    pub fn draw_fast<R: Rng>(host: &Hypercube, p: f64, lanes: u32, rng: &mut R) -> Self {
-        assert!((1..=256).contains(&lanes), "need 1..=256 lanes, got {lanes}");
-        let p = if p.is_nan() { 0.0 } else { p.clamp(0.0, 1.0) };
-        let full = lane_mask256(lanes);
-        let mut words = vec![w256::ZERO; host.num_directed_edges() as usize];
-        let threshold = (p * (1u64 << 53) as f64).ceil() as u64;
-        if threshold == 0 {
-            for e in host.undirected_edges() {
-                words[host.dir_edge_index(e)] = full;
-            }
-            return BitTrialBlock256 { host: *host, words, lanes };
-        }
-        if threshold >= 1u64 << 53 {
-            return BitTrialBlock256 { host: *host, words, lanes };
-        }
-        for e in host.undirected_edges() {
-            // Bit-sliced lexicographic `v < threshold`, MSB first, over
-            // all four lane groups at once; see the 64-lane draw for the
-            // per-plane bookkeeping.
-            let mut less = w256::ZERO;
-            let mut undecided = full;
-            for b in (0..53).rev() {
-                let v_bits = [rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()];
-                if (threshold >> b) & 1 == 1 {
-                    less = w256::or(less, w256::andnot(undecided, v_bits));
-                    undecided = w256::and(undecided, v_bits);
-                } else {
-                    undecided = w256::andnot(undecided, v_bits);
-                }
-                if w256::is_zero(undecided) {
-                    break;
-                }
-            }
-            words[host.dir_edge_index(e)] = w256::andnot(full, less);
-        }
-        BitTrialBlock256 { host: *host, words, lanes }
-    }
-
-    /// Packs existing scalar fault sets into a block (lane `t` ← set `t`).
-    ///
-    /// # Panics
-    /// Panics unless `1 <= sets.len() <= 256`.
-    pub fn from_fault_sets(host: &Hypercube, sets: &[FaultSet]) -> Self {
-        let lanes = u32::try_from(sets.len()).expect("lane count fits u32");
-        assert!((1..=256).contains(&lanes), "need 1..=256 lanes, got {lanes}");
-        let mut words = vec![w256::ZERO; host.num_directed_edges() as usize];
-        for e in host.undirected_edges() {
-            let i = host.dir_edge_index(e);
-            let mut alive = w256::ZERO;
-            for (t, set) in sets.iter().enumerate() {
-                if !set.is_failed_index(i) {
-                    alive[t / 64] |= 1u64 << (t % 64);
-                }
-            }
-            words[i] = alive;
-        }
-        BitTrialBlock256 { host: *host, words, lanes }
-    }
-
-    /// Extracts lane `t` as a scalar [`FaultSet`]; byte-identical to the
-    /// scalar draw for a [`Self::draw_compat`] block.
-    ///
-    /// # Panics
-    /// Panics if `lane >= self.lanes()`.
-    pub fn lane_fault_set(&self, lane: u32) -> FaultSet {
-        assert!(lane < self.lanes, "lane {lane} out of range ({} lanes)", self.lanes);
-        let mut fs = FaultSet::none(&self.host);
-        for e in self.host.undirected_edges() {
-            let w = self.words[self.host.dir_edge_index(e)];
-            if w[(lane / 64) as usize] & (1u64 << (lane % 64)) == 0 {
-                fs.fail_link(&self.host, e);
-            }
-        }
-        fs
-    }
-
-    /// Lanes (as a bitmask) in which every link of `path` is alive; an
-    /// empty path is alive in every live lane.
-    pub fn path_alive(&self, path: &HostPath) -> W256 {
-        let mut alive = self.live_mask();
-        for e in path.edges() {
-            alive = w256::and(alive, self.words[self.host.undirected_edge_index(e)]);
-            if w256::is_zero(alive) {
-                break;
-            }
-        }
-        alive
-    }
-}
-
-impl SlicedPaths {
-    /// Lanes in which at least `k` paths of bundle `bundle` are alive —
-    /// the [`W256`] widening of [`Self::bundle_ge`], four lane groups per
-    /// ripple-carry pass.
-    pub fn bundle_ge_256(&self, block: &BitTrialBlock256, bundle: usize, k: usize) -> W256 {
-        let full = block.live_mask();
-        let paths = &self.bundles[bundle];
-        if k == 0 {
-            return full;
-        }
-        if k > paths.len() {
-            return w256::ZERO;
-        }
-        if k == 1 {
-            let mut any = w256::ZERO;
-            for links in paths {
-                any = w256::or(any, path_word_256(block, links, full));
-                if any == full {
-                    break;
-                }
-            }
-            return any;
-        }
-        let mut cnt = [w256::ZERO; 8];
-        for links in paths {
-            let mut carry = path_word_256(block, links, full);
-            for plane in cnt.iter_mut() {
-                if w256::is_zero(carry) {
-                    break;
-                }
-                let overflow = w256::and(*plane, carry);
-                *plane = w256::xor(*plane, carry);
-                carry = overflow;
-            }
-        }
-        count_ge_256(&cnt, k, full)
-    }
-
-    /// Lanes in which **every** bundle keeps at least `k` alive paths —
-    /// the [`W256`] widening of [`Self::all_bundles_ge`].
-    pub fn all_bundles_ge_256(&self, block: &BitTrialBlock256, k: usize) -> W256 {
-        let mut acc = block.live_mask();
-        for bundle in 0..self.bundles.len() {
-            if w256::is_zero(acc) {
-                break;
-            }
-            acc = w256::and(acc, self.bundle_ge_256(block, bundle, k));
-        }
-        acc
-    }
-
-    /// Lanes in which at least one **non-empty** path of bundle `bundle`
-    /// is fully alive — the lanes where a retry round has a fault-free
-    /// path to re-send dead shares over. Empty paths are excluded
-    /// because a zero-length path delivers its own share for free but
-    /// cannot carry another share across the machine (the engine's
-    /// retry planner filters them identically).
-    pub fn bundle_survivors_256(&self, block: &BitTrialBlock256, bundle: usize) -> W256 {
-        let full = block.live_mask();
-        let mut any = w256::ZERO;
-        for links in &self.bundles[bundle] {
-            if links.is_empty() {
-                continue;
-            }
-            any = w256::or(any, path_word_256(block, links, full));
-            if any == full {
-                break;
-            }
-        }
-        any
-    }
-
-    /// Lanes in which every guest edge's message is **recovered** by the
-    /// fail-stop delivery fast path at reconstruction threshold `k`
-    /// (clamped per bundle into `1..=w`, exactly as
-    /// [`DeliveryConfig`](crate::delivery::DeliveryConfig) clamps it):
-    /// the threshold is met by first-round arrivals, or — when `retries`
-    /// — at least one non-empty path survives to carry the re-sent
-    /// shares, after which all `w` shares are present and `w >= k`. This
-    /// is [`deliver_phase_plan_outcome`](crate::delivery::deliver_phase_plan_outcome)'s
-    /// `all_delivered()` evaluated 256 trials per pass; the per-report
-    /// byte-conformance against the engine is pinned by the fast-path
-    /// conformance suite in the bench crate.
-    pub fn all_bundles_recovered_256(
-        &self,
-        block: &BitTrialBlock256,
-        k: usize,
-        retries: bool,
-    ) -> W256 {
-        let mut acc = block.live_mask();
-        for (bundle, paths) in self.bundles.iter().enumerate() {
-            if w256::is_zero(acc) {
-                break;
-            }
-            let k_eff = k.clamp(1, paths.len());
-            let mut ok = self.bundle_ge_256(block, bundle, k_eff);
-            if retries && ok != block.live_mask() {
-                ok = w256::or(ok, self.bundle_survivors_256(block, bundle));
-            }
-            acc = w256::and(acc, ok);
-        }
-        acc
-    }
-}
-
-/// AND-reduction of a path's link words (alive lanes), with early exit.
-#[inline]
-fn path_word_256(block: &BitTrialBlock256, links: &[u32], full: W256) -> W256 {
-    let mut alive = full;
-    for &i in links {
-        alive = w256::and(alive, block.words[i as usize]);
-        if w256::is_zero(alive) {
-            break;
-        }
-    }
-    alive
-}
-
-/// `count >= k` from 8 ripple-carry planes of [`W256`] survivor counts
-/// (carry-out of adding the constant `256 - k`).
-#[inline]
-fn count_ge_256(cnt: &[W256; 8], k: usize, full: W256) -> W256 {
-    let m = 256 - k as u64;
-    let mut carry = w256::ZERO;
-    for (b, plane) in cnt.iter().enumerate() {
-        let m_bit = if (m >> b) & 1 == 1 { w256::splat(!0) } else { w256::ZERO };
-        carry = w256::or(w256::and(*plane, m_bit), w256::and(carry, w256::xor(*plane, m_bit)));
-    }
-    w256::and(carry, full)
-}
-
-/// Total alive-lane count of a [`W256`] word — the 256-lane popcount
-/// sweeps fold into their success tallies.
-#[inline]
-pub fn count_lanes_256(w: W256) -> u32 {
-    w256::count_ones(w)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1113,14 +869,17 @@ mod tests {
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
+    fn rngs(seeds: impl IntoIterator<Item = u64>) -> Vec<StdRng> {
+        seeds.into_iter().map(StdRng::seed_from_u64).collect()
+    }
+
     #[test]
     fn compat_lanes_extract_to_scalar_fault_sets() {
         let host = Hypercube::new(6);
         for (p, seed_base) in [(0.0, 10u64), (0.02, 20), (0.35, 30), (1.0, 40), (f64::NAN, 50)] {
             let seeds: Vec<u64> = (0..64).map(|t| seed_base + t).collect();
-            let mut lane_rngs: Vec<StdRng> =
-                seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            let block = BitTrialBlock::draw_compat(&host, p, &mut lane_rngs);
+            let mut lane_rngs = rngs(seeds.iter().copied());
+            let block = BitTrialBlock::<u64>::draw_compat(&host, p, &mut lane_rngs);
             for (t, &s) in seeds.iter().enumerate() {
                 let mut scalar_rng = StdRng::seed_from_u64(s);
                 let scalar = random_fault_set(&host, p, &mut scalar_rng);
@@ -1143,8 +902,7 @@ mod tests {
         let t1 = theorem1(6).unwrap();
         let host = t1.embedding.host;
         let sliced = SlicedPaths::new(&t1.embedding);
-        let mut lane_rngs: Vec<StdRng> = (0..64).map(StdRng::seed_from_u64).collect();
-        let block = BitTrialBlock::draw_compat(&host, 0.08, &mut lane_rngs);
+        let block = BitTrialBlock::<u64>::draw_compat(&host, 0.08, &mut rngs(0..64));
         for t in 0..block.lanes() {
             let faults = block.lane_fault_set(t);
             let scalar = surviving_paths(&t1.embedding, &faults);
@@ -1159,61 +917,88 @@ mod tests {
         }
     }
 
+    fn partial_blocks_mask_dead_lanes_at<W: LaneWord>(lanes: u32) {
+        let host = Hypercube::new(4);
+        let block = BitTrialBlock::<W>::draw_compat(&host, 0.3, &mut rngs(0..u64::from(lanes)));
+        assert_eq!(block.lanes(), lanes);
+        assert_eq!(block.live_mask(), W::mask(lanes));
+        for e in host.undirected_edges() {
+            let w = block.link_alive_word(host.dir_edge_index(e));
+            assert_eq!(w.andnot(block.live_mask()), W::ZERO, "dead lanes must stay clear");
+        }
+        let sliced = SlicedPaths::new(&gray_cycle_embedding(4));
+        assert_eq!(sliced.all_bundles_ge(&block, 1).andnot(block.live_mask()), W::ZERO);
+    }
+
     #[test]
     fn partial_blocks_mask_dead_lanes() {
-        let host = Hypercube::new(4);
-        let mut lane_rngs: Vec<StdRng> = (0..5).map(StdRng::seed_from_u64).collect();
-        let block = BitTrialBlock::draw_compat(&host, 0.3, &mut lane_rngs);
-        assert_eq!(block.lanes(), 5);
-        assert_eq!(block.live_mask(), 0b11111);
-        let gray = gray_cycle_embedding(4);
-        let sliced = SlicedPaths::new(&gray);
-        assert_eq!(sliced.all_bundles_ge(&block, 1) & !block.live_mask(), 0);
-        // Empty-ish check: a 64-lane mask is all ones.
-        assert_eq!(lane_mask(64), !0);
+        assert_eq!(u64::mask(5), 0b11111);
+        assert_eq!(u64::mask(64), !0);
+        assert_eq!(W256::mask(100), [!0u64, (1u64 << 36) - 1, 0, 0]);
+        assert_eq!(W256::mask(256), [!0u64; 4]);
+        partial_blocks_mask_dead_lanes_at::<u64>(5);
+        partial_blocks_mask_dead_lanes_at::<W256>(100);
+    }
+
+    fn from_fault_sets_roundtrip_at<W: LaneWord>(n_sets: u64, seed_base: u64) {
+        let host = Hypercube::new(5);
+        let sets: Vec<FaultSet> = (0..n_sets)
+            .map(|t| {
+                let mut rng = StdRng::seed_from_u64(seed_base + t);
+                random_fault_set(&host, 0.2, &mut rng)
+            })
+            .collect();
+        let block = BitTrialBlock::<W>::from_fault_sets(&host, &sets);
+        for (t, set) in sets.iter().enumerate() {
+            assert_eq!(&block.lane_fault_set(t as u32), set, "lane {t}");
+        }
     }
 
     #[test]
     fn from_fault_sets_roundtrips_through_lane_extraction() {
-        let host = Hypercube::new(5);
-        let sets: Vec<FaultSet> = (0..17)
-            .map(|t| {
-                let mut rng = StdRng::seed_from_u64(1000 + t);
-                random_fault_set(&host, 0.2, &mut rng)
-            })
-            .collect();
-        let block = BitTrialBlock::from_fault_sets(&host, &sets);
-        for (t, set) in sets.iter().enumerate() {
-            assert_eq!(&block.lane_fault_set(t as u32), set);
-        }
+        from_fault_sets_roundtrip_at::<u64>(17, 1000);
+        from_fault_sets_roundtrip_at::<W256>(17, 1000);
+        from_fault_sets_roundtrip_at::<W256>(130, 3000);
     }
 
-    #[test]
-    fn fast_draw_extremes_and_determinism() {
+    fn fast_draw_extremes_and_determinism_at<W: LaneWord>() {
         let host = Hypercube::new(5);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let all_alive = BitTrialBlock::draw_fast(&host, 0.0, 64, &mut rng);
-        let all_dead = BitTrialBlock::draw_fast(&host, 1.0, 64, &mut rng);
-        let nan = BitTrialBlock::draw_fast(&host, f64::NAN, 64, &mut rng);
+        let all_alive = BitTrialBlock::<W>::draw_fast(&host, 0.0, W::WIDTH, &mut rng);
+        let all_dead = BitTrialBlock::<W>::draw_fast(&host, 1.0, W::WIDTH, &mut rng);
+        let nan = BitTrialBlock::<W>::draw_fast(&host, f64::NAN, W::WIDTH - 28, &mut rng);
         for e in host.undirected_edges() {
             let i = host.dir_edge_index(e);
-            assert_eq!(all_alive.link_alive_word(i), !0);
-            assert_eq!(all_dead.link_alive_word(i), 0);
-            assert_eq!(nan.link_alive_word(i), !0);
+            assert_eq!(all_alive.link_alive_word(i), W::mask(W::WIDTH));
+            assert_eq!(all_dead.link_alive_word(i), W::ZERO);
+            assert_eq!(nan.link_alive_word(i), nan.live_mask());
         }
         // Same seed, same block; and the empirical fail rate is sane.
-        let a = BitTrialBlock::draw_fast(&host, 0.25, 64, &mut ChaCha8Rng::seed_from_u64(9));
-        let b = BitTrialBlock::draw_fast(&host, 0.25, 64, &mut ChaCha8Rng::seed_from_u64(9));
+        let draw = |seed| {
+            BitTrialBlock::<W>::draw_fast(
+                &host,
+                0.25,
+                W::WIDTH,
+                &mut ChaCha8Rng::seed_from_u64(seed),
+            )
+        };
+        let (a, b) = (draw(9), draw(9));
         let mut dead = 0u32;
         let mut total = 0u32;
         for e in host.undirected_edges() {
             let i = host.dir_edge_index(e);
             assert_eq!(a.link_alive_word(i), b.link_alive_word(i));
-            dead += (!a.link_alive_word(i) & a.live_mask()).count_ones();
-            total += 64;
+            dead += a.live_mask().andnot(a.link_alive_word(i)).count_ones();
+            total += W::WIDTH;
         }
         let rate = f64::from(dead) / f64::from(total);
         assert!((0.2..0.3).contains(&rate), "fail rate {rate} far from p=0.25");
+    }
+
+    #[test]
+    fn fast_draw_extremes_and_determinism() {
+        fast_draw_extremes_and_determinism_at::<u64>();
+        fast_draw_extremes_and_determinism_at::<W256>();
     }
 
     #[test]
@@ -1229,7 +1014,7 @@ mod tests {
             let i = host.dir_edge_index(e) as u64;
             assert_eq!(t0.link_word(i), !0);
             assert_eq!(t1.link_word(i), 0);
-            assert_eq!(tn.link_word(i), lane_mask(37));
+            assert_eq!(tn.link_word(i), u64::mask(37));
             // Pure function: identical on re-query.
             assert_eq!(a.link_word(i), a.link_word(i));
             dead += (!a.link_word(i)).count_ones();
@@ -1325,22 +1110,17 @@ mod tests {
         assert_eq!(whole[0] & !trials.live_mask(), 0, "dead lanes must stay clear");
     }
 
-    /// Draws a 256-lane compat block and the four 64-lane group blocks
-    /// from the same seed list (must have 1..=256 entries).
+    /// Draws a 256-lane compat block and the 64-lane group blocks from the
+    /// same seed list (must have 1..=256 entries).
     fn compat_block_and_groups(
         host: &Hypercube,
         p: f64,
         seeds: &[u64],
-    ) -> (BitTrialBlock256, Vec<BitTrialBlock>) {
-        let mut wide_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-        let wide = BitTrialBlock256::draw_compat(host, p, &mut wide_rngs);
+    ) -> (BitTrialBlock<W256>, Vec<BitTrialBlock<u64>>) {
+        let wide = BitTrialBlock::draw_compat(host, p, &mut rngs(seeds.iter().copied()));
         let groups = seeds
             .chunks(64)
-            .map(|chunk| {
-                let mut rngs: Vec<StdRng> =
-                    chunk.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-                BitTrialBlock::draw_compat(host, p, &mut rngs)
-            })
+            .map(|chunk| BitTrialBlock::draw_compat(host, p, &mut rngs(chunk.iter().copied())))
             .collect();
         (wide, groups)
     }
@@ -1348,21 +1128,24 @@ mod tests {
     #[test]
     fn compat_256_groups_match_64_lane_blocks_and_scalar_draws() {
         let host = Hypercube::new(5);
-        for (p, seed_base) in [(0.02, 100u64), (0.3, 200), (0.0, 300)] {
-            let seeds: Vec<u64> = (0..256).map(|t| seed_base + t).collect();
+        for (p, seed_base, lanes) in
+            [(0.02, 100u64, 256u32), (0.3, 200, 256), (0.0, 300, 256), (0.25, 9000, 100)]
+        {
+            let seeds: Vec<u64> = (0..u64::from(lanes)).map(|t| seed_base + t).collect();
             let (wide, groups) = compat_block_and_groups(&host, p, &seeds);
-            assert_eq!(wide.lanes(), 256);
-            assert_eq!(wide.live_mask(), [!0u64; 4]);
+            assert_eq!(wide.lanes(), lanes);
+            assert_eq!(wide.live_mask(), W256::mask(lanes));
             for e in host.undirected_edges() {
                 let i = host.dir_edge_index(e);
                 let w = wide.link_alive_word(i);
                 for (g, gb) in groups.iter().enumerate() {
                     assert_eq!(w[g], gb.link_alive_word(i), "p={p} link {i} group {g}");
                 }
+                assert!(w[groups.len()..].iter().all(|&x| x == 0), "p={p} link {i}: dead groups");
             }
             // Spot-check lane extraction against the scalar draw across
-            // all four groups.
-            for lane in [0u32, 63, 64, 150, 255] {
+            // the groups.
+            for lane in [0u32, 63, 64, 99, 150, 255].into_iter().filter(|&l| l < lanes) {
                 let mut rng = StdRng::seed_from_u64(seeds[lane as usize]);
                 let scalar = random_fault_set(&host, p, &mut rng);
                 assert_eq!(wide.lane_fault_set(lane), scalar, "p={p} lane {lane}");
@@ -1379,14 +1162,20 @@ mod tests {
         let (wide, groups) = compat_block_and_groups(&host, 0.12, &seeds);
         for k in 0..=5 {
             for b in 0..sliced.num_bundles() {
-                let w = sliced.bundle_ge_256(&wide, b, k);
+                let w = sliced.bundle_ge(&wide, b, k);
                 for (g, gb) in groups.iter().enumerate() {
                     assert_eq!(w[g], sliced.bundle_ge(gb, b, k), "bundle {b} k={k} group {g}");
                 }
             }
-            let all = sliced.all_bundles_ge_256(&wide, k);
+            let all = sliced.all_bundles_ge(&wide, k);
             for (g, gb) in groups.iter().enumerate() {
                 assert_eq!(all[g], sliced.all_bundles_ge(gb, k), "all-bundles k={k} group {g}");
+            }
+        }
+        for b in 0..sliced.num_bundles() {
+            let w = sliced.bundle_survivors(&wide, b);
+            for (g, gb) in groups.iter().enumerate() {
+                assert_eq!(w[g], sliced.bundle_survivors(gb, b), "survivors {b} group {g}");
             }
         }
         // Recovery predicate: no-retries equals the clamped threshold
@@ -1394,83 +1183,26 @@ mod tests {
         // clamps to w (all shares needed) rather than to "impossible".
         let w = t1.claimed_width;
         for k in 1..=w + 2 {
-            let no_retry = sliced.all_bundles_recovered_256(&wide, k, false);
-            assert_eq!(no_retry, sliced.all_bundles_ge_256(&wide, k.min(w)), "k={k}");
-            let retry = sliced.all_bundles_recovered_256(&wide, k, true);
-            assert_eq!(w256::and(no_retry, retry), no_retry, "retries must not lose lanes, k={k}");
+            let no_retry = sliced.all_bundles_recovered(&wide, k, false);
+            assert_eq!(no_retry, sliced.all_bundles_ge(&wide, k.min(w)), "k={k}");
+            let retry = sliced.all_bundles_recovered(&wide, k, true);
+            assert_eq!(no_retry.and(retry), no_retry, "retries must not lose lanes, k={k}");
+            for (g, gb) in groups.iter().enumerate() {
+                assert_eq!(no_retry[g], sliced.all_bundles_recovered(gb, k, false), "k={k} g={g}");
+                assert_eq!(retry[g], sliced.all_bundles_recovered(gb, k, true), "k={k} g={g}");
+            }
         }
     }
 
     #[test]
-    fn partial_256_blocks_mask_dead_lanes() {
-        let host = Hypercube::new(4);
-        let seeds: Vec<u64> = (0..100).map(|t| 9000 + t).collect();
-        let (wide, groups) = compat_block_and_groups(&host, 0.25, &seeds);
-        assert_eq!(wide.lanes(), 100);
-        assert_eq!(wide.live_mask(), [!0u64, (1u64 << 36) - 1, 0, 0]);
-        assert_eq!(groups.len(), 2);
-        for e in host.undirected_edges() {
-            let i = host.dir_edge_index(e);
-            let w = wide.link_alive_word(i);
-            assert_eq!(w[0], groups[0].link_alive_word(i));
-            assert_eq!(w[1], groups[1].link_alive_word(i));
-            assert_eq!((w[2], w[3]), (0, 0));
-        }
-        let gray = gray_cycle_embedding(4);
-        let sliced = SlicedPaths::new(&gray);
-        let got = sliced.all_bundles_ge_256(&wide, 1);
-        for (g, &word) in got.iter().enumerate() {
-            assert_eq!(word & !wide.live_mask()[g], 0, "dead lanes must stay clear");
-        }
-    }
-
-    #[test]
-    fn fast_draw_256_extremes_and_determinism() {
+    fn redraw_compat_matches_a_fresh_draw() {
         let host = Hypercube::new(5);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let all_alive = BitTrialBlock256::draw_fast(&host, 0.0, 256, &mut rng);
-        let all_dead = BitTrialBlock256::draw_fast(&host, 1.0, 256, &mut rng);
-        let nan = BitTrialBlock256::draw_fast(&host, f64::NAN, 100, &mut rng);
-        for e in host.undirected_edges() {
-            let i = host.dir_edge_index(e);
-            assert_eq!(all_alive.link_alive_word(i), [!0u64; 4]);
-            assert_eq!(all_dead.link_alive_word(i), [0u64; 4]);
-            assert_eq!(nan.link_alive_word(i), nan.live_mask());
-        }
-        let a = BitTrialBlock256::draw_fast(&host, 0.25, 256, &mut ChaCha8Rng::seed_from_u64(9));
-        let b = BitTrialBlock256::draw_fast(&host, 0.25, 256, &mut ChaCha8Rng::seed_from_u64(9));
-        let mut dead = 0u32;
-        let mut total = 0u32;
-        for e in host.undirected_edges() {
-            let i = host.dir_edge_index(e);
-            assert_eq!(a.link_alive_word(i), b.link_alive_word(i));
-            let w = a.link_alive_word(i);
-            dead += (0..4).map(|g| (!w[g] & a.live_mask()[g]).count_ones()).sum::<u32>();
-            total += 256;
-        }
-        let rate = f64::from(dead) / f64::from(total);
-        assert!((0.2..0.3).contains(&rate), "fail rate {rate} far from p=0.25");
-    }
-
-    #[test]
-    fn from_fault_sets_256_roundtrips_through_lane_extraction() {
-        let host = Hypercube::new(5);
-        let sets: Vec<FaultSet> = (0..130)
-            .map(|t| {
-                let mut rng = StdRng::seed_from_u64(3000 + t);
-                random_fault_set(&host, 0.2, &mut rng)
-            })
-            .collect();
-        let block = BitTrialBlock256::from_fault_sets(&host, &sets);
-        for (t, set) in sets.iter().enumerate() {
-            assert_eq!(&block.lane_fault_set(t as u32), set, "lane {t}");
-        }
-    }
-
-    #[test]
-    fn kernel_feature_path_names_the_build() {
-        let path = kernel_feature_path();
-        assert!(path == "portable" || path == "simd");
-        assert_eq!(path == "simd", cfg!(feature = "wide-simd"));
+        let mut block = BitTrialBlock::<W256>::draw_compat(&host, 0.5, &mut rngs(0..256));
+        block.redraw_compat(0.02, &mut rngs(500..600));
+        let fresh = BitTrialBlock::<W256>::draw_compat(&host, 0.02, &mut rngs(500..600));
+        assert_eq!(block.lanes(), 100);
+        assert_eq!(block.live_mask(), W256::mask(100));
+        assert_eq!(block.live_mask(), fresh.live_mask());
+        assert_eq!(block.words, fresh.words, "every word, non-canonical slots included");
     }
 }

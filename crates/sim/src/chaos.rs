@@ -298,7 +298,7 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
         // plan's (static) fault set must grade round-0 survival exactly
         // like the packet engine did — on fail-stop faults a share
         // arrives iff its path is fault-free.
-        let block = BitTrialBlock::from_fault_sets(&host, &[plan.hazard_set(&host)]);
+        let block = BitTrialBlock::<u64>::from_fault_sets(&host, &[plan.hazard_set(&host)]);
         let sliced = SlicedPaths::new(e);
         for (eid, ed) in oracle.edges.iter().enumerate() {
             let structural = sliced.bundle_ge(&block, eid, ed.threshold) & 1 == 1;

@@ -21,10 +21,11 @@
 //!   step 0 or mid-run, transient outages, byte-corrupting links and node
 //!   faults; plus the static [`FaultSet`] a plan is built from and which
 //!   bundle paths survive it.
-//! * [`bitslice`] — SIMD-within-a-register fault kernels: 64 Monte-Carlo
-//!   trials packed per `u64` ([`BitTrialBlock`]), path survival as word
-//!   AND-reductions ([`SlicedPaths`]), with a lane-extraction API that
-//!   reproduces the scalar draws bit for bit.
+//! * [`bitslice`] — SIMD-within-a-register fault kernels: 64 or 256
+//!   Monte-Carlo trials packed per [`LaneWord`] (`u64` or [`W256`]) in a
+//!   [`BitTrialBlock`], path survival as word AND-reductions
+//!   ([`SlicedPaths`]), with a lane-extraction API that reproduces the
+//!   scalar draws bit for bit.
 //! * [`delivery`] — the end-to-end message layer: IDA-disperse each guest
 //!   edge's message over its bundle, run the shares through the machine
 //!   under a [`FaultPlan`], reconstruct at the destination, retry lost
@@ -50,11 +51,6 @@
 //!   machine model, so a theorem's certified cost can be checked against a
 //!   measured makespan.
 
-// `std::simd` is still unstable: the byte-identical simd issue of the
-// 256-lane kernel words needs a nightly toolchain, which is why it hides
-// behind an off-by-default feature (see `bitslice::kernel_feature_path`).
-#![cfg_attr(feature = "wide-simd", feature(portable_simd))]
-
 pub mod bitslice;
 pub mod chaos;
 pub mod delivery;
@@ -67,7 +63,7 @@ pub mod tenants;
 pub mod trace;
 pub mod wormhole;
 
-pub use bitslice::{kernel_feature_path, BitTrialBlock, BitTrialBlock256, SlicedPaths, W256};
+pub use bitslice::{BitTrialBlock, LaneWord, SlicedPaths, W256};
 pub use chaos::{random_plan, run_chaos, ChaosConfig, ChaosReport, ChaosTrial};
 pub use delivery::{
     deliver_phase_plan, deliver_phase_plan_outcome, deliver_phase_plan_prepared, DeliveryConfig,

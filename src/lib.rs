@@ -4,8 +4,6 @@
 //! *Routing Multiple Paths in Hypercubes* (SPAA 1990). See the workspace
 //! README for a guided tour and `examples/` for runnable entry points.
 
-#[cfg(feature = "counting-alloc")]
-pub use hyperpath_bench as bench;
 pub use hyperpath_core as core;
 pub use hyperpath_embedding as embedding;
 pub use hyperpath_guests as guests;
