@@ -4,7 +4,8 @@
 //!
 //! * `counters` — deterministic work measures (sim steps, packet-hops,
 //!   queue pushes, flit moves, allocation calls/bytes, delivery grades).
-//!   All workloads are fixed-seed and single-threaded, so these are
+//!   All workloads are fixed-seed, and those that run on the rayon pool
+//!   split their work the same way at any thread count, so these are
 //!   machine- and thread-count-independent; the bench gate
 //!   ([`crate::gate`]) compares them **exactly**.
 //! * `wall_ns` — warmup/median-of-k wall-clock, compared only within a
@@ -501,15 +502,19 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
 
     // --- Oracle-free adaptive delivery under the mixed adversary: one
     // phase over a hoisted setup, as E16, the chaos harness and the
-    // benchmark run it, with the phase's exact allocation profile. ---
-    {
+    // benchmark run it, with the phase's exact allocation profile. The 4
+    // KiB twin runs the same plan and key above the phase's fan-out
+    // cutoff, on the default pool: its tagging, verification and grading
+    // run in fixed chunks whatever the thread count, so its counters,
+    // allocations included, must not move with `RAYON_NUM_THREADS`. ---
+    for (message_len, suffix) in [(64, ""), (4096, "/4k")] {
         let n = *cfg.packet_ns.last().expect("non-empty packet grid");
         let t1 = theorem1(n).expect("theorem 1");
         let e = &t1.embedding;
         let mut rng = ChaCha8Rng::seed_from_u64(PERF_SEED ^ 0xada7);
         let plan = random_plan(&e.host, false, &mut rng);
         let k_half = t1.claimed_width.div_ceil(2);
-        let dcfg = DeliveryConfig { threshold: k_half, max_retries: 2, message_len: 64 };
+        let dcfg = DeliveryConfig { threshold: k_half, max_retries: 2, message_len };
         let key = PERF_SEED ^ 0xfeed;
         let setup = AdaptiveSetup::new(e, &dcfg);
         let phase = || deliver_adaptive_prepared(&setup, key, &mut PlanNetwork::new(e, &plan));
@@ -517,7 +522,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         let (again, allocs) = measure_allocs(phase); // post-warmup
         assert_eq!(again, r, "adaptive phase drifted between runs");
         records.push(PerfRecord {
-            name: format!("delivery/deliver_adaptive/n{n}"),
+            name: format!("delivery/deliver_adaptive/n{n}{suffix}"),
             counters: vec![
                 ("edges".into(), r.edges.len() as u64),
                 ("delivered".into(), r.delivered as u64),

@@ -34,10 +34,16 @@ use rand_chacha::ChaCha8Rng;
 
 const KEY: u64 = 0xc0f0_0d5e_ed15_dead;
 
+/// A message length whose shares stay above the adaptive phase's fan-out
+/// cutoff (320 bytes) at every threshold these tests use, so its IDA
+/// stages run chunked on the pool.
+const WIDE_MESSAGE: usize = 4096;
+
 #[test]
 fn adaptive_equals_oracle_on_random_static_fail_stop_plans() {
-    // 24 shared draws across two hosts and three thresholds: the adaptive
-    // protocol must grade every guest edge exactly as the plan oracle does.
+    // 24 shared draws across two hosts, three thresholds and two message
+    // lengths (the longer one fans out): the adaptive protocol must grade
+    // every guest edge exactly as the plan oracle does.
     for n in [4u32, 6] {
         let t1 = theorem1(n).unwrap();
         let e = &t1.embedding;
@@ -46,20 +52,20 @@ fn adaptive_equals_oracle_on_random_static_fail_stop_plans() {
             let mut rng = ChaCha8Rng::seed_from_u64(0xface ^ (u64::from(n) << 32) ^ trial);
             let plan = random_plan(&e.host, true, &mut rng);
             assert!(plan.is_static_fail_stop());
-            for threshold in [1, w.div_ceil(2), w] {
-                let cfg = DeliveryConfig { threshold, max_retries: 2, message_len: 40 };
+            for (threshold, message_len) in
+                [1, w.div_ceil(2), w].into_iter().flat_map(|t| [(t, 40), (t, WIDE_MESSAGE)])
+            {
+                let cfg = DeliveryConfig { threshold, max_retries: 2, message_len };
                 let oracle = deliver_phase_plan(e, &plan, &cfg);
                 let adaptive =
                     deliver_adaptive(e, &cfg, KEY ^ trial, &mut PlanNetwork::new(e, &plan));
+                let at = format!("n={n} trial={trial} threshold={threshold} len={message_len}");
                 assert_eq!(
                     (adaptive.delivered, adaptive.degraded, adaptive.lost),
                     (oracle.delivered, oracle.degraded, oracle.lost),
-                    "totals diverged: n={n} trial={trial} threshold={threshold}"
+                    "totals diverged: {at}"
                 );
-                assert_eq!(
-                    adaptive.edges, oracle.edges,
-                    "per-edge outcomes diverged: n={n} trial={trial} threshold={threshold}"
-                );
+                assert_eq!(adaptive.edges, oracle.edges, "per-edge outcomes diverged: {at}");
                 assert_eq!(adaptive.wrong_reconstructions, 0);
                 assert_eq!(adaptive.rejected_shares, 0, "fail-stop plans never corrupt");
             }
@@ -88,6 +94,39 @@ fn dynamic_adversaries_never_produce_silent_wrong_bytes() {
         assert_eq!(oracle.delivered + oracle.degraded + oracle.lost, n_edges);
     }
     assert!(corruption_seen, "the dynamic draws must exercise corrupting links");
+}
+
+#[test]
+fn wide_phases_report_identically_on_any_pool_size() {
+    // 4 KiB messages fan the phase's tagging, verification and grading out
+    // over the pool; under dynamic plans with corrupting links the report
+    // must not depend on how many workers ran the chunks.
+    let t1 = theorem1(8).unwrap();
+    let e = &t1.embedding;
+    let cfg = DeliveryConfig {
+        threshold: t1.claimed_width.div_ceil(2),
+        max_retries: 3,
+        message_len: WIDE_MESSAGE,
+    };
+    let mut rejected = 0;
+    for trial in 0..8u64 {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5ca1e ^ trial);
+        let plan = random_plan(&e.host, false, &mut rng);
+        let reports: Vec<_> = (1..=4)
+            .map(|threads| {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+                pool.install(|| {
+                    deliver_adaptive(e, &cfg, KEY ^ trial, &mut PlanNetwork::new(e, &plan))
+                })
+            })
+            .collect();
+        for (threads, r) in (1..).zip(&reports) {
+            assert_eq!(*r, reports[0], "trial {trial}: {threads} workers diverged from 1");
+        }
+        assert_eq!(reports[0].wrong_reconstructions, 0, "trial {trial}");
+        rejected += reports[0].rejected_shares;
+    }
+    assert!(rejected > 0, "the dynamic draws must corrupt some shares");
 }
 
 #[test]

@@ -171,6 +171,8 @@ fn kernel_disperse_allocation_count_is_exact() {
 /// message, exactly 2 for `k ≥ 2` (the message and one scratch buffer
 /// holding the augmented `k × 2k` inverse and the output plane) and 1 for
 /// `k = 1` (the message), whatever the share order, extras or duplicates.
+/// `Ida::reconstruct_into` on buffers that have already grown to those
+/// sizes makes none.
 #[test]
 fn kernel_reconstruct_allocation_count_is_exact() {
     let _serial = serial();
@@ -192,6 +194,16 @@ fn kernel_reconstruct_allocation_count_is_exact() {
             calls, expected,
             "reconstruct(w={w}, k={k}) made {calls} allocation calls, expected exactly {expected}"
         );
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        ida.reconstruct_into(&offered, &mut out, &mut scratch).expect("buffers grow");
+        let calls = fewest(|| {
+            let (res, d) =
+                measure_allocs(|| ida.reconstruct_into(&offered, &mut out, &mut scratch));
+            res.expect("k distinct shares reconstruct");
+            assert_eq!(out, message);
+            d.calls
+        });
+        assert_eq!(calls, 0, "reconstruct_into(w={w}, k={k}) on grown buffers made {calls} calls");
     }
 }
 

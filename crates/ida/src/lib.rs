@@ -260,29 +260,52 @@ impl Ida {
     /// disagreement means corruption and is reported as
     /// [`IdaError::ConflictingDuplicate`].
     ///
-    /// The selection lives in a fixed stack array, so a non-empty message
-    /// costs exactly two heap allocations for `k ≥ 2` (the message and one
-    /// scratch buffer holding the augmented `k × 2k` inverse and the
-    /// output plane) and one for `k = 1`; `bench/tests/alloc_zero.rs` pins
-    /// both counts.
+    /// Runs [`Self::reconstruct_into`] on fresh buffers, so a non-empty
+    /// message costs exactly two heap allocations for `k ≥ 2` (the message
+    /// and the scratch buffer) and one for `k = 1`;
+    /// `bench/tests/alloc_zero.rs` pins both counts.
     pub fn reconstruct(&self, shares: &[Share]) -> Result<Vec<u8>, IdaError> {
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        self.reconstruct_into(shares, &mut out, &mut scratch)?;
+        Ok(out)
+    }
+
+    /// [`Self::reconstruct`] into caller buffers: the message replaces
+    /// `out`'s contents, and `scratch` holds the augmented `k × 2k`
+    /// inverse and the output plane (`k ≥ 2` only). Selection, validation,
+    /// errors and output bytes are `reconstruct`'s; on an error `out` is
+    /// left empty.
+    ///
+    /// The selection lives in a fixed stack array and the shares are read
+    /// in place, so a caller that reuses both buffers allocates nothing
+    /// once they have grown to the message and scratch sizes. A buffer
+    /// that must grow grows to exactly the size it needs.
+    pub fn reconstruct_into<'s>(
+        &self,
+        shares: impl IntoIterator<Item = &'s Share>,
+        out: &mut Vec<u8>,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), IdaError> {
+        out.clear();
         let k = usize::from(self.k);
-        let Some(first) = shares.first() else {
+        let mut shares = shares.into_iter();
+        let Some(first) = shares.next() else {
             return Err(IdaError::NotEnoughShares { needed: k, got: 0 });
         };
         // `first` only fills the slots selection has not reached yet.
         let mut picked = [first; 255];
-        let (msg_len, payload_len) = self.select_shares(shares, &mut picked)?;
+        let (msg_len, payload_len) =
+            self.select_shares(std::iter::once(first).chain(shares), &mut picked)?;
         let picked = &picked[..k];
-        let mut out = vec![0u8; msg_len];
         if k == 1 {
             // inv is the 1×1 identity: the selected payload *is* the
             // message.
-            out.copy_from_slice(&picked[0].data[8..8 + msg_len]);
-            return Ok(out);
+            out.reserve_exact(msg_len);
+            out.extend_from_slice(&picked[0].data[8..8 + msg_len]);
+            return Ok(());
         }
-        let mut scratch = vec![0u8; 2 * k * k + payload_len];
-        let (aug, plane) = scratch.split_at_mut(2 * k * k);
+        let out = zeroed(out, msg_len);
+        let (aug, plane) = zeroed(scratch, 2 * k * k + payload_len).split_at_mut(2 * k * k);
         invert_vandermonde(picked.iter().map(|s| s.index), k, aug);
         // plane_j = Σ_r inv[j][r] · payload_r — one kernel row op per
         // (j, r) pair — then re-interleaved into the output at stride k.
@@ -298,7 +321,7 @@ impl Ida {
                 *o = b;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// The schoolbook reconstruction: per-byte share combination through
@@ -363,12 +386,12 @@ impl Ida {
     }
 
     /// Selects the first `k` distinct in-range shares into `picked[..k]`
-    /// and validates their headers; used by [`Self::reconstruct`] and
+    /// and validates their headers; used by [`Self::reconstruct_into`] and
     /// mirrored verbatim in [`Self::reconstruct_reference`]. Returns
     /// `(msg_len, payload_len)`.
     fn select_shares<'s>(
         &self,
-        shares: &'s [Share],
+        shares: impl Iterator<Item = &'s Share>,
         picked: &mut [&'s Share; 255],
     ) -> Result<(usize, usize), IdaError> {
         let k = usize::from(self.k);
@@ -481,6 +504,15 @@ fn invert_vandermonde(xs: impl Iterator<Item = u8>, k: usize, aug: &mut [u8]) {
             }
         }
     }
+}
+
+/// Replaces `buf`'s contents with `len` zero bytes, growing it to exactly
+/// `len` when it is too small.
+fn zeroed(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    buf.clear();
+    buf.reserve_exact(len);
+    buf.resize(len, 0);
+    buf
 }
 
 /// [`invert_vandermonde`] over the picked shares' points, returned as the
@@ -673,6 +705,31 @@ mod tests {
         );
     }
 
+    /// Message and scratch buffers holding the reconstruction of a message
+    /// longer than any test rebuilds into them, so a stale byte that
+    /// `reconstruct_into` failed to overwrite would show.
+    fn dirty_buffers(ida: &Ida) -> (Vec<u8>, Vec<u8>) {
+        let longer: Vec<u8> = (0..1500u32).map(|i| (i * 7 + 3) as u8).collect();
+        let (mut out, mut scratch) = (Vec::new(), Vec::new());
+        ida.reconstruct_into(&ida.disperse(&longer), &mut out, &mut scratch).unwrap();
+        assert_eq!(out, longer);
+        (out, scratch)
+    }
+
+    /// `reconstruct_into` on `bufs`, shaped like `reconstruct`'s result; an
+    /// error must leave the message buffer empty.
+    fn rebuild_into(
+        ida: &Ida,
+        shares: &[Share],
+        (out, scratch): &mut (Vec<u8>, Vec<u8>),
+    ) -> Result<Vec<u8>, IdaError> {
+        let got = ida.reconstruct_into(shares, out, scratch);
+        if got.is_err() {
+            assert!(out.is_empty(), "an error must leave `out` empty");
+        }
+        got.map(|()| out.clone())
+    }
+
     #[test]
     fn kernel_codec_matches_schoolbook_reference() {
         let msgs: Vec<Vec<u8>> = vec![
@@ -684,20 +741,30 @@ mod tests {
         ];
         for (w, k) in [(1u8, 1u8), (3, 1), (4, 2), (5, 3), (8, 4), (16, 11), (255, 254)] {
             let ida = Ida::new(w, k);
-            for msg in &msgs {
+            // Longest message first: every `reconstruct_into` reuses
+            // buffers that last held a longer message.
+            let mut bufs = dirty_buffers(&ida);
+            for msg in msgs.iter().rev() {
                 let fast = ida.disperse(msg);
                 let slow = ida.disperse_reference(msg);
                 assert_eq!(fast, slow, "disperse w={w} k={k} len={}", msg.len());
                 // The last k shares exercise the general (non-systematic)
                 // combine on both paths.
                 let tail: Vec<Share> = fast[fast.len() - usize::from(k)..].to_vec();
+                let rebuilt = ida.reconstruct(&tail);
                 assert_eq!(
-                    ida.reconstruct(&tail),
+                    rebuilt,
                     ida.reconstruct_reference(&tail),
                     "reconstruct w={w} k={k} len={}",
                     msg.len()
                 );
-                assert_eq!(ida.reconstruct(&tail).unwrap(), *msg);
+                assert_eq!(
+                    rebuild_into(&ida, &tail, &mut bufs),
+                    rebuilt,
+                    "reconstruct_into w={w} k={k} len={}",
+                    msg.len()
+                );
+                assert_eq!(rebuilt.unwrap(), *msg);
             }
         }
     }
@@ -706,27 +773,36 @@ mod tests {
     fn kernel_and_reference_agree_on_errors() {
         let ida = Ida::new(4, 3);
         let shares = ida.disperse(b"hello world");
+        // Each case agrees across the reference, `reconstruct`, and
+        // `reconstruct_into` on dirty buffers.
+        let agree = |offered: &[Share]| {
+            let got = ida.reconstruct(offered);
+            assert_eq!(got, ida.reconstruct_reference(offered));
+            assert_eq!(rebuild_into(&ida, offered, &mut dirty_buffers(&ida)), got);
+            got
+        };
         // Too few shares.
-        assert_eq!(ida.reconstruct(&shares[..2]), ida.reconstruct_reference(&shares[..2]));
-        assert!(ida.reconstruct(&shares[..2]).is_err());
+        assert!(agree(&shares[..2]).is_err());
         // Out-of-range index.
         let mut oob = shares.clone();
         oob[0].index = 9;
-        assert_eq!(ida.reconstruct(&oob), ida.reconstruct_reference(&oob));
+        assert_eq!(agree(&oob), Err(IdaError::IndexOutOfRange { index: 9, width: 4 }));
         // Conflicting duplicate.
         let mut forged = shares[1].clone();
         let mut bytes = forged.data.to_vec();
         bytes[8] ^= 0xff;
         forged.data = Bytes::from(bytes);
         let conflicted = vec![shares[1].clone(), forged, shares[2].clone(), shares[3].clone()];
-        assert_eq!(ida.reconstruct(&conflicted), ida.reconstruct_reference(&conflicted));
+        assert_eq!(agree(&conflicted), Err(IdaError::ConflictingDuplicate { index: 1 }));
         // Truncated header and inconsistent lengths.
         let mut short = shares.clone();
         short[0].data = Bytes::from(short[0].data[..4].to_vec());
-        assert_eq!(ida.reconstruct(&short[..3]), ida.reconstruct_reference(&short[..3]));
+        assert_eq!(agree(&short[..3]), Err(IdaError::ShareTooShort { index: 0 }));
         let mut uneven = shares.clone();
         uneven[1].data = Bytes::from(uneven[1].data[..9].to_vec());
-        assert_eq!(ida.reconstruct(&uneven[..3]), ida.reconstruct_reference(&uneven[..3]));
+        assert_eq!(agree(&uneven[..3]), Err(IdaError::InconsistentLengths));
+        // No shares at all.
+        assert_eq!(agree(&[]), Err(IdaError::NotEnoughShares { needed: 3, got: 0 }));
     }
 
     #[test]

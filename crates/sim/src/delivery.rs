@@ -396,23 +396,26 @@ pub fn deliver_phase_plan_prepared(setup: &PhaseSetup<'_>, plan: &FaultPlan) -> 
         }
     }
 
-    // Grade every edge, verifying actual byte-for-byte reconstruction.
+    // Grade every edge, verifying actual byte-for-byte reconstruction from
+    // the arrived shares, read in place into one reused message and scratch
+    // buffer. Serial: the sweeps that call this already fan out over
+    // trials.
     let mut edges = Vec::with_capacity(n_edges);
     let (mut delivered, mut degraded, mut lost) = (0usize, 0usize, 0usize);
+    let (mut out, mut scratch) = (Vec::new(), Vec::new());
     for (eid, (st, es)) in trials.iter().zip(&setup.edges).enumerate() {
         let arrived_total = st.arrived.iter().filter(|&&a| a).count();
         let outcome = match st.recovered_in_round {
             Some(round) => {
-                let subset: Vec<Share> = es
+                let arrived = es
                     .shares
                     .iter()
                     .zip(&st.arrived)
                     .filter(|(_, &a)| a)
-                    .map(|(s, _)| s.clone())
-                    .take(es.threshold)
-                    .collect();
-                match es.ida.reconstruct(&subset) {
-                    Ok(bytes) if bytes == es.message => {
+                    .map(|(s, _)| s)
+                    .take(es.threshold);
+                match es.ida.reconstruct_into(arrived, &mut out, &mut scratch) {
+                    Ok(()) if out == es.message => {
                         if round == 0 {
                             delivered += 1;
                             EdgeOutcome::Delivered

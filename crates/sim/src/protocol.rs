@@ -34,6 +34,24 @@
 //! `tests/adaptive_conformance.rs` (bench crate) pins this protocol
 //! against the omniscient pipeline: equal delivery on every static
 //! fail-stop draw, and never a silently wrong reconstruction anywhere.
+//!
+//! # A phase on every worker
+//!
+//! A phase's IDA work is per item: fingerprinting each share when tagging
+//! it, verifying each arrival after every round, and reconstructing each
+//! recovered edge when grading. With shares of at least 320 bytes those
+//! three stages run on the rayon pool, each over 8 contiguous chunks of its
+//! items. The chunk count is a constant, never the pool size, so chunk
+//! boundaries, per-chunk buffers and allocation counts are the same at any
+//! thread count. Each chunk writes only its own items' results (tags,
+//! per-submission verdicts, per-edge grades), so no locks are needed.
+//! Everything that depends on order stays serial: building submissions,
+//! planning retries, `ship`, the edge state transitions, and folding the
+//! results into state and counters in submission or edge order. Shorter
+//! shares run the same code as one inline chunk: below the cutoff the
+//! two-worker gain on `Q_10` did not survive CPU steal, or cost too much
+//! extra CPU (DESIGN.md §6 item 20). A report is byte-identical at any
+//! thread count.
 
 use crate::delivery::{message_for_edge, DeliveryConfig, EdgeDelivery, EdgeOutcome};
 use crate::faults::FaultPlan;
@@ -43,10 +61,26 @@ use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_ida::{share_fingerprint, Ida, Share, TaggedShare};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use std::ops::Range;
 
 /// Step cap per simulated round (a stuck round is a workload bug).
 const MAX_STEPS: u64 = 10_000_000;
+
+/// Contiguous chunks a fanned-out stage splits its items into. A constant,
+/// not the pool size, so the chunk boundaries and each chunk's grading
+/// buffers, and with them every allocation, are the same at any thread
+/// count.
+const FAN_OUT_CHUNKS: usize = 8;
+
+/// Share length (bytes, length header included) from which a phase fans
+/// its IDA stages out over the rayon pool. Shorter shares fingerprint and
+/// reconstruct too fast to pay for waking a worker and moving each share's
+/// cache lines to it, so each stage runs as one inline chunk. On `Q_10`
+/// with `k = 3` the two-worker gain survives CPU steal at little extra CPU
+/// from 1 KiB messages (350-byte shares) on, but not at 768 B (264-byte
+/// shares; DESIGN.md §6 item 20).
+const FAN_OUT_MIN_SHARE_BYTES: usize = 320;
 
 /// Hard ceiling on retry rounds, regardless of
 /// [`DeliveryConfig::max_retries`]. An all-dead bundle re-probes every
@@ -235,6 +269,9 @@ pub struct AdaptiveSetup<'a> {
     /// Every edge's untagged shares, edge after edge: share `i` of an edge
     /// sits at its [`offset`](AdaptiveEdgeSetup::offset) `+ i`.
     shares: Vec<Share>,
+    /// Whether a phase fans its IDA stages out: the longest share reaches
+    /// [`FAN_OUT_MIN_SHARE_BYTES`].
+    wide: bool,
 }
 
 /// Per-edge precomputed state of an [`AdaptiveSetup`].
@@ -277,8 +314,32 @@ impl<'a> AdaptiveSetup<'a> {
                 AdaptiveEdgeSetup { threshold, ida, message, offset }
             })
             .collect();
-        AdaptiveSetup { e, cfg: *cfg, edges, shares }
+        let wide = shares.iter().any(|s| s.data.len() >= FAN_OUT_MIN_SHARE_BYTES);
+        AdaptiveSetup { e, cfg: *cfg, edges, shares, wide }
     }
+}
+
+/// Runs `f(start, chunk, scratch)` over `items` split into
+/// [`FAN_OUT_CHUNKS`] contiguous chunks on the rayon pool when `wide`, and
+/// once inline over all of `items` otherwise. `start` is the chunk's first
+/// index in `items`; every chunk gets its own fresh `scratch`.
+fn fan_out<T: Send, S: Default + Send>(
+    items: &mut [T],
+    wide: bool,
+    f: impl Fn(usize, &mut [T], &mut S) + Sync,
+) {
+    if !wide {
+        return f(0, items, &mut S::default());
+    }
+    let size = items.len().div_ceil(FAN_OUT_CHUNKS).max(1);
+    let mut chunks = items.chunks_mut(size).enumerate();
+    let mut parts: [_; FAN_OUT_CHUNKS] =
+        std::array::from_fn(|_| chunks.next().map(|(c, chunk)| (c * size, chunk, S::default())));
+    parts.par_iter_mut().for_each(|part| {
+        if let Some((start, chunk, scratch)) = part {
+            f(*start, chunk, scratch);
+        }
+    });
 }
 
 /// Runs one oracle-free adaptive dispersal phase of `e` through `net`.
@@ -311,8 +372,17 @@ pub fn deliver_adaptive<N: RoundNetwork>(
 ///
 /// Per-share state lives in phase-wide arrays indexed by each edge's share
 /// offset, so a phase allocates a fixed handful of buffers plus, per round,
-/// the submission list and the network's answer, and per recovered edge
-/// only what [`Ida::reconstruct`] allocates.
+/// the submission list and the network's answer. Nothing is allocated per
+/// recovered edge: grading reconstructs into buffers it reuses
+/// ([`Ida::reconstruct_into`]).
+///
+/// With shares of at least 320 bytes, tagging, arrival verification and
+/// grading run on the rayon pool in 8 contiguous chunks (a constant, never
+/// the pool size); shorter shares run them as one inline chunk. Building
+/// submissions, planning retries, the edge state transitions and `ship`
+/// stay serial, and results fold into state and counters in submission or
+/// edge order, so the report is the same at any thread count (module docs,
+/// "A phase on every worker").
 pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     setup: &AdaptiveSetup<'_>,
     key: u64,
@@ -321,6 +391,7 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     let e = setup.e;
     let cfg = &setup.cfg;
     let n_edges = e.edge_paths.len();
+    let wide = setup.wide;
 
     #[derive(Clone, Default)]
     struct EdgeState {
@@ -335,19 +406,35 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
         /// Written off: every path probed [`MAX_FRUITLESS_PROBES`] times
         /// over with zero arrivals — stop spending budget on it.
         given_up: bool,
+        /// Grading's reconstruction of a recovered edge.
+        rebuilt: Rebuilt,
+    }
+
+    /// What reconstructing a recovered edge from its verified shares gave.
+    #[derive(Clone, Copy, Default)]
+    enum Rebuilt {
+        /// Not attempted: the edge was never recovered.
+        #[default]
+        Untried,
+        /// The setup's message, byte for byte.
+        RightBytes,
+        /// Bytes differing from the message (a fingerprint miss).
+        WrongBytes,
+        /// The verified shares did not reconstruct at all.
+        Failed,
     }
 
     // Phase-wide per-share state, indexed by `offset + i`: the keyed
     // tagged shares, the verified arrivals (by share index), and the paths
-    // observed dead (NACKed) so far.
-    let tagged: Vec<TaggedShare> = setup
-        .shares
-        .iter()
-        .map(|share| {
-            let tag = share_fingerprint(key, share.index, &share.data);
-            TaggedShare { share: share.clone(), tag }
-        })
-        .collect();
+    // observed dead (NACKed) so far. The tags are fingerprinted chunk by
+    // chunk after the serial share clones.
+    let mut tagged: Vec<TaggedShare> =
+        setup.shares.iter().map(|share| TaggedShare { share: share.clone(), tag: 0 }).collect();
+    fan_out(&mut tagged, wide, |_, chunk, _: &mut ()| {
+        for ts in chunk {
+            ts.tag = share_fingerprint(key, ts.share.index, &ts.share.data);
+        }
+    });
     let mut verified: Vec<Option<Share>> = vec![None; tagged.len()];
     let mut path_dead = vec![false; tagged.len()];
     let mut states = vec![EdgeState::default(); n_edges];
@@ -356,20 +443,32 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     };
 
     let mut rejected_shares = 0u64;
+    // Each submission's verification verdict in the current round, sized
+    // for round 0 (a retry round may grow it).
+    let mut verdicts: Vec<bool> = Vec::with_capacity(tagged.len());
 
     // One round through the network: submissions out, verified shares in.
-    // Fills verified slots and marks NACKed paths.
+    // The verdicts are computed chunk by chunk, then fill verified slots
+    // and mark NACKed paths in submission order.
     let mut run_round = |round: u32,
                          subs: &[Submission],
                          verified: &mut [Option<Share>],
                          path_dead: &mut [bool]| {
         let results = net.ship(round, subs);
         assert_eq!(results.len(), subs.len(), "network must answer every submission");
-        for (sub, res) in subs.iter().zip(results) {
+        verdicts.clear();
+        verdicts.resize(subs.len(), false);
+        fan_out(&mut verdicts, wide, |start, chunk, _: &mut ()| {
+            for ((ok, sub), res) in chunk.iter_mut().zip(&subs[start..]).zip(&results[start..]) {
+                let ida = &setup.edges[sub.guest_edge].ida;
+                *ok = res.as_ref().is_some_and(|ts| ida.verify_share(key, ts));
+            }
+        });
+        for ((sub, res), &ok) in subs.iter().zip(results).zip(&verdicts) {
             let es = &setup.edges[sub.guest_edge];
             let dead = &mut path_dead[es.slots()][sub.via];
             match res {
-                Some(ts) if es.ida.verify_share(key, &ts) => {
+                Some(ts) if ok => {
                     let slot = es.offset + usize::from(ts.share.index);
                     verified[slot] = Some(ts.share);
                     // An ACK via this path: it worked this round.
@@ -467,46 +566,45 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
         }
     }
 
-    // Grade every edge, verifying actual byte-for-byte reconstruction
-    // from the verified shares.
+    // Reconstruct every recovered edge from its first `k` verified shares,
+    // read in place, and compare with the setup's message. Each chunk
+    // reuses one message and one scratch buffer.
+    fan_out(&mut states, wide, |start, chunk, (out, scratch): &mut (Vec<u8>, Vec<u8>)| {
+        for (st, es) in chunk.iter_mut().zip(&setup.edges[start..]) {
+            if st.recovered_in_round.is_none() {
+                continue;
+            }
+            let shares = verified[es.slots()].iter().flatten().take(es.threshold);
+            st.rebuilt = match es.ida.reconstruct_into(shares, out, scratch) {
+                Ok(()) if *out == es.message => Rebuilt::RightBytes,
+                Ok(()) => Rebuilt::WrongBytes,
+                Err(_) => Rebuilt::Failed,
+            };
+        }
+    });
+
+    // Grade every edge in edge order.
     let mut edges = Vec::with_capacity(n_edges);
     let (mut delivered, mut degraded, mut lost) = (0usize, 0usize, 0usize);
     let mut wrong_reconstructions = 0u64;
-    let mut subset: Vec<Share> =
-        Vec::with_capacity(setup.edges.iter().map(|es| es.threshold).max().unwrap_or(0));
     for (eid, (st, es)) in states.iter().zip(&setup.edges).enumerate() {
-        let arrived_total = verified_count(&verified, es);
-        let outcome = match st.recovered_in_round {
-            Some(round) => {
-                subset.clear();
-                subset.extend(verified[es.slots()].iter().flatten().take(es.threshold).cloned());
-                match es.ida.reconstruct(&subset) {
-                    Ok(bytes) if bytes == es.message => {
-                        if round == 0 {
-                            delivered += 1;
-                            EdgeOutcome::Delivered
-                        } else {
-                            degraded += 1;
-                            EdgeOutcome::Degraded { rounds: round }
-                        }
-                    }
-                    Ok(_) => {
-                        // A verified share set reconstructing to wrong
-                        // bytes would be a fingerprint miss; grade Lost
-                        // and surface it loudly.
-                        wrong_reconstructions += 1;
-                        lost += 1;
-                        EdgeOutcome::Lost { arrived: arrived_total }
-                    }
-                    Err(_) => {
-                        lost += 1;
-                        EdgeOutcome::Lost { arrived: arrived_total }
-                    }
-                }
+        let outcome = match (st.recovered_in_round, st.rebuilt) {
+            (Some(0), Rebuilt::RightBytes) => {
+                delivered += 1;
+                EdgeOutcome::Delivered
             }
-            None => {
+            (Some(rounds), Rebuilt::RightBytes) => {
+                degraded += 1;
+                EdgeOutcome::Degraded { rounds }
+            }
+            (_, rebuilt) => {
+                // A verified share set reconstructing to wrong bytes would
+                // be a fingerprint miss; grade Lost and surface it loudly.
+                if matches!(rebuilt, Rebuilt::WrongBytes) {
+                    wrong_reconstructions += 1;
+                }
                 lost += 1;
-                EdgeOutcome::Lost { arrived: arrived_total }
+                EdgeOutcome::Lost { arrived: verified_count(&verified, es) }
             }
         };
         edges.push(EdgeDelivery {
@@ -701,6 +799,34 @@ mod tests {
         assert_eq!(r.wrong_reconstructions, 0);
         assert!(r.rejected_shares > 0);
         assert!(r.edges.iter().all(|ed| matches!(ed.outcome, EdgeOutcome::Lost { arrived: 0 })));
+    }
+
+    #[test]
+    fn wide_phase_grades_every_edge_from_its_own_shares() {
+        // Every share of each third edge is dropped. Past the fan-out
+        // cutoff each grading chunk must read its own edges' slots: the
+        // dropped edges grade Lost and every other edge Delivered.
+        struct DropEveryThirdEdge;
+        impl RoundNetwork for DropEveryThirdEdge {
+            fn ship(&mut self, _round: u32, subs: &[Submission]) -> Vec<Option<TaggedShare>> {
+                subs.iter().map(|s| (s.guest_edge % 3 != 0).then(|| s.payload.clone())).collect()
+            }
+        }
+        let t1 = theorem1(6).unwrap();
+        let message_len = 4 * FAN_OUT_MIN_SHARE_BYTES;
+        let cfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len };
+        let setup = AdaptiveSetup::new(&t1.embedding, &cfg);
+        assert!(setup.wide);
+        let r = deliver_adaptive_prepared(&setup, KEY, &mut DropEveryThirdEdge);
+        for ed in &r.edges {
+            let expected = if ed.guest_edge % 3 == 0 {
+                EdgeOutcome::Lost { arrived: 0 }
+            } else {
+                EdgeOutcome::Delivered
+            };
+            assert_eq!(ed.outcome, expected, "edge {}", ed.guest_edge);
+        }
+        assert_eq!((r.rejected_shares, r.wrong_reconstructions), (0, 0));
     }
 
     #[test]
