@@ -271,11 +271,14 @@ pub const IDA_SPEEDUP_MIN: f64 = 2.0;
 /// leaves a 2x machine margin.
 pub const MC256_SPEEDUP_MIN: f64 = 3.0;
 
-/// Minimum table / plane-parallel wall-clock ratio for the `GF(2^8)` row
-/// ops on ≥ 64 KiB rows (`ida/rowops/*`): the bit-sliced polynomial
-/// ladder must keep beating the hoisted-row product table on payloads
-/// large enough to stream. Measured ≈ 3.3x in-container.
-pub const IDA_ROWOPS_SPEEDUP_MIN: f64 = 2.0;
+/// Minimum table / dispatched wall-clock ratio for the `GF(2^8)` row ops
+/// on ≥ 64 KiB rows (`ida/rowops/*`): the split-nibble `vpshufb` body must
+/// keep beating the hoisted-row product table on payloads large enough
+/// to stream. Measured 10.3–14.0x over four runs on a 2-vCPU x86-64 VM
+/// with AVX2; the floor is half the lowest, so a 2x regression fails.
+/// It assumes an AVX2 host, as CI's runners are: the portable SWAR
+/// ladder a host without AVX2 dispatches to measured about 3.3x.
+pub const IDA_ROWOPS_SPEEDUP_MIN: f64 = 5.0;
 
 /// Minimum `tenants/reference / tenants/pooled` wall-clock ratio: the
 /// pooled multi-tenant engine (persistent per-group simulator arenas,
@@ -301,7 +304,7 @@ pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.5;
 ///   least [`IDA_SPEEDUP_MIN`]× slower than their kernel counterparts;
 /// * every `ida/rowops/table/len<L>` with `L ≥ 65536` must be at least
 ///   [`IDA_ROWOPS_SPEEDUP_MIN`]× slower than `ida/rowops/plane/len<L>`
-///   (the plane-parallel row multiply);
+///   (the dispatched row multiply);
 /// * every `tenants/reference/n<N>` must be at least
 ///   [`TENANTS_POOLED_SPEEDUP_MIN`]× slower than `tenants/pooled/n<N>`
 ///   (the pooled multi-tenant engine vs its per-round-allocating
@@ -770,26 +773,26 @@ mod tests {
 
     #[test]
     fn rowops_floor_applies_only_from_64kib_up() {
-        // Small rows are exempt; the 64 KiB row is enforced and clears 2x.
+        // Small rows are exempt; the 64 KiB row is enforced and clears 5x.
         let healthy = doc(&[
             ("ida/rowops/table/len4096", &[], 1_100),
             ("ida/rowops/plane/len4096", &[], 1_000),
-            ("ida/rowops/table/len65536", &[], 2_500),
+            ("ida/rowops/table/len65536", &[], 5_500),
             ("ida/rowops/plane/len65536", &[], 1_000),
         ]);
         let r = check_speedups(&healthy).unwrap();
         assert!(r.passed(), "{}", r.render());
         assert_eq!(r.time_checks, 1);
 
-        // The ladder slipped below 2x on the streaming row: one issue.
+        // The row op slipped below 5x on the streaming row: one issue.
         let slipped = doc(&[
-            ("ida/rowops/table/len65536", &[], 1_999),
+            ("ida/rowops/table/len65536", &[], 4_999),
             ("ida/rowops/plane/len65536", &[], 1_000),
         ]);
         let r = check_speedups(&slipped).unwrap();
         assert_eq!(r.issues.len(), 1);
         assert_eq!(r.issues[0].record, "ida/rowops/plane/len65536");
-        assert!(r.issues[0].detail.contains("floor 2.0x"), "{}", r.issues[0].detail);
+        assert!(r.issues[0].detail.contains("floor 5.0x"), "{}", r.issues[0].detail);
     }
 
     #[test]

@@ -22,15 +22,15 @@
 //! `wormhole/run_reference`, the planned runs on empty and static-cut
 //! plans, IDA disperse/reconstruct, `PhaseSchedule::verify`, and a full
 //! `deliver_phase_plan` — plus, appended after the original suite, the
-//! planned engines under a mixed adversary, tagged dispersal, and the
-//! oracle-free adaptive delivery protocol.
+//! planned engines under a mixed adversary, tagged dispersal, the
+//! oracle-free adaptive delivery protocol, and share fingerprints.
 
 use crate::json::{Json, ToJson};
 use crate::measure::{measure_allocs, measure_peak, median_wall_ns};
 use crate::table::Table;
 use hyperpath_core::ccc_copies::ccc_multi_copy;
 use hyperpath_core::cycles::theorem1;
-use hyperpath_ida::{kernel, Ida};
+use hyperpath_ida::{kernel, share_fingerprint, Ida};
 use hyperpath_sim::bitslice::{
     stream_bundles_ge_into, BitTrialBlock, IndexedTrials, LaneWord, SlicedPaths, W256,
 };
@@ -667,16 +667,19 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         });
     }
 
-    // --- GF(2^8) row primitives head to head: the plane-parallel xtime
-    // ladder (what `disperse`/`reconstruct` now run on) vs the hoisted
-    // product-table row op it replaced. Both closures accumulate into a
-    // persistent buffer — identical traffic, no per-rep allocation — and
-    // the checksum counters prove they computed the same bytes. The gate
-    // holds the ladder to ≥ 2x on the 64 KiB rows of the full preset. ---
+    // --- GF(2^8) row primitives head to head: the dispatched row op
+    // (what `disperse`/`reconstruct` run on: split-nibble shuffles with
+    // AVX2, the SWAR xtime ladder without) vs the hoisted product-table
+    // row op. Both closures accumulate into a persistent buffer —
+    // identical traffic, no per-rep allocation — and the checksum
+    // counters prove they computed the same bytes. The gate holds the
+    // row op to its floor over the table on the 64 KiB rows of the full
+    // preset. ---
     {
         let len = cfg.ida_message_len * 16;
         let src: Vec<u8> = (0..len).map(|i| (i * 151 % 253) as u8).collect();
-        // Constants with mixed ladder depths (top set bit 2..=7).
+        // Constants with mixed ladder depths (top set bit 2..=7) and
+        // nibble tables.
         let coeffs: [u8; 4] = [0x05, 0x1d, 0x53, 0xf3];
         let mut plane_buf: Vec<u8> = (0..len).map(|i| (i * 97 % 251) as u8).collect();
         let mut table_buf = plane_buf.clone();
@@ -694,7 +697,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         let table_ns = median_wall_ns(cfg.warmup, cfg.reps, &mut table_run);
         // Equal rep counts on both sides, so the buffers went through the
         // same XOR-accumulation history and must agree byte for byte.
-        assert_eq!(plane_buf, table_buf, "plane-parallel row op diverged from the table path");
+        assert_eq!(plane_buf, table_buf, "dispatched row op diverged from the table path");
         let checksum: u64 = plane_buf.iter().map(|&b| u64::from(b)).sum();
         records.push(PerfRecord {
             name: format!("ida/rowops/plane/len{len}"),
@@ -909,6 +912,32 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         });
     }
 
+    // --- Share fingerprints at delivery-large's share size (a 4 KiB
+    // message at k = 3: 1,374 bytes with the length header). The counter
+    // XORs the tags of a fixed set of shares, so the gate pins the
+    // fingerprint's definition exactly, not just its cost. ---
+    {
+        let key = PERF_SEED ^ 0xf1a9;
+        let shares: Vec<Vec<u8>> = (0..64u32)
+            .map(|s| (0..1374u32).map(|i| (i.wrapping_mul(2 * s + 131) % 251) as u8).collect())
+            .collect();
+        let tag_xor = || {
+            shares
+                .iter()
+                .enumerate()
+                .fold(0, |x, (i, data)| x ^ share_fingerprint(key, (i % 5) as u8, data))
+        };
+        records.push(PerfRecord {
+            name: "ida/fingerprint/len1374".into(),
+            counters: vec![
+                ("shares".into(), shares.len() as u64),
+                ("share_bytes".into(), 1374),
+                ("tag_xor".into(), tag_xor()),
+            ],
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, tag_xor),
+        });
+    }
+
     PerfOutput { records }
 }
 
@@ -959,6 +988,7 @@ mod tests {
             "tenants/pooled/",
             "tenants/parallel/",
             "tenants/planned/",
+            "ida/fingerprint/",
         ] {
             assert!(names.iter().any(|n| n.starts_with(prefix)), "missing {prefix}");
         }

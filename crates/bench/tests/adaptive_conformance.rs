@@ -35,7 +35,7 @@ use rand_chacha::ChaCha8Rng;
 const KEY: u64 = 0xc0f0_0d5e_ed15_dead;
 
 /// A message length whose shares stay above the adaptive phase's fan-out
-/// cutoff (320 bytes) at every threshold these tests use, so its IDA
+/// cutoff (600 bytes) at every threshold these tests use, so its IDA
 /// stages run chunked on the pool.
 const WIDE_MESSAGE: usize = 4096;
 

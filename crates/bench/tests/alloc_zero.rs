@@ -138,11 +138,11 @@ fn wormhole_step_loop_is_allocation_free() {
     });
 }
 
-/// The word-level `Ida::disperse` preallocates every buffer at exact size,
-/// so its allocation-call count is a closed formula — not "small", exact:
-/// the share vector, the `k` byte planes plus their spine, and two per
-/// share (the exact-size data buffer and its `Bytes` promotion). Growth
-/// reallocation anywhere breaks this pin.
+/// The kernel `Ida::disperse` preallocates every buffer at exact size, so
+/// its allocation-call count is a closed formula — not "small", exact:
+/// the share vector, the one buffer holding all `k` byte planes, and two
+/// per share (the exact-size data buffer and its `Bytes` promotion).
+/// Growth reallocation anywhere breaks this pin.
 #[test]
 fn kernel_disperse_allocation_count_is_exact() {
     let _serial = serial();
@@ -154,7 +154,7 @@ fn kernel_disperse_allocation_count_is_exact() {
             assert_eq!(shares.len(), w);
             d.calls
         });
-        let expected = (2 + k + 2 * w) as u64;
+        let expected = (2 + 2 * w) as u64;
         assert_eq!(
             calls, expected,
             "disperse(w={w}, k={k}) made {calls} allocation calls, expected exactly {expected}"
@@ -169,8 +169,9 @@ fn kernel_disperse_allocation_count_is_exact() {
 /// `Ida::reconstruct` selects its shares into a fixed stack array, so its
 /// allocation-call count is a closed formula as well: for a non-empty
 /// message, exactly 2 for `k ≥ 2` (the message and one scratch buffer
-/// holding the augmented `k × 2k` inverse and the output plane) and 1 for
-/// `k = 1` (the message), whatever the share order, extras or duplicates.
+/// holding the augmented `k × 2k` inverse and all `k` output planes) and
+/// 1 for `k = 1` (the message), whatever the share order, extras or
+/// duplicates.
 /// `Ida::reconstruct_into` on buffers that have already grown to those
 /// sizes makes none.
 #[test]

@@ -1,32 +1,41 @@
-//! Word-level `GF(2^8)` kernels backing [`Ida::disperse`] and
+//! Vector-level `GF(2^8)` kernels backing [`Ida::disperse`] and
 //! [`Ida::reconstruct`].
 //!
 //! The schoolbook codec multiplies field bytes one at a time through the
 //! log/exp tables ([`crate::Gf256`]). Dispersal and reconstruction are
 //! really *row* operations though — every payload byte of a share is the
 //! same linear combination of message planes — so this module provides
-//! the two primitives they reduce to:
+//! the primitives they reduce to:
 //!
-//! * [`mul_row_acc`]: `dst ^= c · src` over whole byte rows. The body is
-//!   **plane-parallel**: the product is built by the bit-sliced polynomial
-//!   ladder `c·v = Σ_{j: bit j of c} v·x^j`, selecting each `v·x^j` by a
-//!   broadcast mask of the coefficient bit and stopping at `c`'s top set
-//!   bit — so the trip count depends only on the (per-call constant)
-//!   coefficient, never on the row data. On x86-64 with AVX2 (detected at
-//!   runtime) the ladder runs 64 bytes per step across two interleaved
-//!   register chains; everywhere else a portable `[u64; 8]` SWAR body
-//!   with `xtime8` multiplying eight byte lanes by `x` per word op.
-//!   Either way large rows stream at word rates instead of one table
-//!   lookup per byte. Tails shorter than a chunk fall back to a hoisted
-//!   row of the fully `const`-evaluated 256×256 product table
-//!   ([`MUL_TABLE`] — no `OnceLock`, no runtime initialization, no drift
-//!   from the log/exp path; the exhaustive equality test below checks all
-//!   65 536 pairs against an independent shift-and-reduce
-//!   implementation);
-//! * [`mul_row_acc_table`]: the pre-ladder table-driven row op, kept as
-//!   the perf gate's speedup-floor comparator (`ida/rowops/*` records);
-//! * [`xor_row_acc`]: the `c == 1` fast path, eight bytes per `u64` XOR.
+//! * [`mul_row_acc`]: `dst ^= c · src` over whole byte rows. On x86-64
+//!   with AVX2 (detected at runtime) the body is **split-nibble**:
+//!   `c·v = c·(v & 0x0f) ^ c·(v & 0xf0)`, and each half is one 16-entry
+//!   `vpshufb` lookup (`lo[x] = c·x`, `hi[x] = c·(x << 4)`, both read off
+//!   the coefficient's [`MUL_TABLE`] row), so 32 bytes cost two shuffles
+//!   and three XORs. Everywhere else the portable body is the bit-sliced
+//!   polynomial ladder `c·v = Σ_{j: bit j of c} v·x^j` over `[u64; 8]`
+//!   SWAR words, `xtime8` multiplying eight byte lanes by `x` per word op
+//!   and the trip count stopping at `c`'s top set bit (a per-call
+//!   constant, never the row data). Tails shorter than a vector or a
+//!   64-byte chunk fall back to a hoisted row of the fully
+//!   `const`-evaluated 256×256 product table ([`MUL_TABLE`] — no
+//!   `OnceLock`, no runtime initialization, no drift from the log/exp
+//!   path; the exhaustive equality test below checks all 65 536 pairs
+//!   against an independent shift-and-reduce implementation);
+//! * [`mul_row_acc_table`]: the table-driven row op, kept as the perf
+//!   gate's speedup-floor comparator (`ida/rowops/*` records);
+//! * [`xor_row_acc`]: the `c == 1` fast path, eight bytes per `u64` XOR;
+//! * `split_planes` / `join_planes` (crate-private): the moves between a
+//!   message and its `k` stride planes (plane `j` holds byte `j` of every
+//!   `k`-byte group). For `2 ≤ k ≤ 16` on x86-64 with SSSE3 (detected at
+//!   runtime) each step moves 16 groups — `k` vectors in, `k` vectors
+//!   out — through `k²` `pshufb` gathers whose masks are built at compile
+//!   time; other `k`, other hosts and the last partial step run a scalar
+//!   group-order loop.
 //!
+//! Each vector body is a private function beside its portable twin, and
+//! the unit tests run both against the table path or a per-byte index
+//! formula, so the bodies a CI machine never dispatches to stay tested.
 //! The scalar codec stays available as [`Ida::disperse_reference`] /
 //! [`Ida::reconstruct_reference`]; `crates/ida` unit tests pin the kernel
 //! paths against them byte for byte.
@@ -115,98 +124,13 @@ fn xtime8(w: u64) -> u64 {
     ((w & LO7) << 1) ^ ((w & HI1) >> 7).wrapping_mul(0x1b)
 }
 
-/// The 256-bit lane of the plane-parallel ladder: AVX2 intrinsics with
-/// runtime feature detection, so the default (SSE2-baseline) build still
-/// streams 32 bytes per ladder step on any post-2013 x86-64. The portable
-/// SWAR body in [`mul_row_acc`] is the fallback and the semantic
-/// reference — both compute `c·v = Σ_j select[j] & v·x^j` with the same
-/// branch-free select-and-accumulate rounds.
-#[cfg(target_arch = "x86_64")]
-mod ladder_avx2 {
-    #[cfg(target_arch = "x86_64")]
-    use core::arch::x86_64::*;
-
-    /// `dst ^= c·src` over whole 32-byte blocks, with the coefficient
-    /// pre-expanded into broadcast bit masks (`select[j]` = all-ones iff
-    /// bit `j` of `c`) and the ladder depth `rounds` (index of `c`'s top
-    /// set bit, plus one) precomputed — the trip count depends only on
-    /// the coefficient, never on the data.
-    ///
-    /// # Safety
-    /// Requires AVX2 (callers gate on `is_x86_feature_detected!`), and
-    /// `dst.len() == src.len()` with the length a multiple of 32.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_row_acc_blocks(dst: &mut [u8], src: &[u8], select: &[u64; 8], rounds: usize) {
-        debug_assert_eq!(dst.len(), src.len());
-        debug_assert_eq!(dst.len() % 32, 0);
-        debug_assert!((1..=8).contains(&rounds));
-        let lo7 = _mm256_set1_epi8(0x7f);
-        let hi1 = _mm256_set1_epi8(0x80u8 as i8);
-        let red = _mm256_set1_epi8(0x1b);
-        let masks: [__m256i; 8] = core::array::from_fn(|j| _mm256_set1_epi64x(select[j] as i64));
-        // xtime on 32 byte lanes: shift the low seven bits, scatter the
-        // AES reduction byte into the lanes whose high bit overflowed
-        // (byte-compare, no multiply).
-        let xtime = |pow: __m256i| -> __m256i {
-            // SAFETY: same AVX2 requirement as the enclosing function.
-            // (Newer toolchains let the closure inherit the target
-            // feature and deem the block redundant; older ones need it.)
-            #[allow(unused_unsafe)]
-            unsafe {
-                let over = _mm256_cmpeq_epi8(_mm256_and_si256(pow, hi1), hi1);
-                _mm256_xor_si256(
-                    _mm256_slli_epi64(_mm256_and_si256(pow, lo7), 1),
-                    _mm256_and_si256(over, red),
-                )
-            }
-        };
-        // Two independent acc/pow chains per iteration: the seven-step
-        // xtime ladder is a serial dependency, so interleaving a second
-        // chain roughly doubles throughput.
-        let pairs = dst.len() / 64;
-        for i in 0..pairs {
-            let dp = dst.as_mut_ptr().add(i * 64) as *mut __m256i;
-            let sp = src.as_ptr().add(i * 64) as *const __m256i;
-            let mut acc0 = _mm256_loadu_si256(dp);
-            let mut acc1 = _mm256_loadu_si256(dp.add(1));
-            let mut pow0 = _mm256_loadu_si256(sp);
-            let mut pow1 = _mm256_loadu_si256(sp.add(1));
-            for (j, mask) in masks.iter().enumerate().take(rounds) {
-                acc0 = _mm256_xor_si256(acc0, _mm256_and_si256(pow0, *mask));
-                acc1 = _mm256_xor_si256(acc1, _mm256_and_si256(pow1, *mask));
-                if j + 1 < rounds {
-                    pow0 = xtime(pow0);
-                    pow1 = xtime(pow1);
-                }
-            }
-            _mm256_storeu_si256(dp, acc0);
-            _mm256_storeu_si256(dp.add(1), acc1);
-        }
-        for i in pairs * 2..dst.len() / 32 {
-            let dp = dst.as_mut_ptr().add(i * 32) as *mut __m256i;
-            let sp = src.as_ptr().add(i * 32) as *const __m256i;
-            let mut acc = _mm256_loadu_si256(dp);
-            let mut pow = _mm256_loadu_si256(sp);
-            for (j, mask) in masks.iter().enumerate().take(rounds) {
-                acc = _mm256_xor_si256(acc, _mm256_and_si256(pow, *mask));
-                if j + 1 < rounds {
-                    pow = xtime(pow);
-                }
-            }
-            _mm256_storeu_si256(dp, acc);
-        }
-    }
-}
-
 /// `dst ^= c · src` over `GF(2^8)`: skipped for `c == 0`, word-level XOR
-/// for `c == 1`, and the plane-parallel polynomial ladder otherwise —
-/// select-and-accumulate rounds up to the coefficient's top set bit over
-/// wide chunks (AVX2 when the CPU has it, detected at runtime; portable
-/// `[u64; 8]` SWAR with `xtime8` everywhere else), with sub-chunk tails
-/// falling back to a hoisted [`MUL_TABLE`] row. Byte-identical to
-/// [`mul_row_acc_table`] — GF(2^8) has one product — only faster; the
-/// perf gate's `ida/rowops/*` floor holds the ladder to ≥ 2x the table
-/// path on 64 KiB rows.
+/// for `c == 1`, and otherwise the split-nibble `vpshufb` body on x86-64
+/// with AVX2 (detected at runtime) or the portable SWAR ladder everywhere
+/// else, each with a hoisted [`MUL_TABLE`] row for the tail.
+/// Byte-identical to [`mul_row_acc_table`] — `GF(2^8)` has one product —
+/// only faster; the perf gate's `ida/rowops/*` floor holds it above the
+/// table path on 64 KiB rows.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -216,73 +140,64 @@ pub fn mul_row_acc(dst: &mut [u8], src: &[u8], c: u8) {
         1 => xor_row_acc(dst, src),
         _ => {
             assert_eq!(dst.len(), src.len(), "row length mismatch");
-            // Broadcast masks of the coefficient bits, hoisted out of the
-            // chunk loop: `select[j]` keeps `src·x^j` iff bit `j` of `c`
-            // is set. Selecting by mask instead of branching keeps the
-            // ladder's inner structure branch-free; the trip count stops
-            // at the coefficient's top set bit, which depends only on `c`
-            // (a per-call constant), never on the row data.
-            let mut select = [0u64; 8];
-            for (j, m) in select.iter_mut().enumerate() {
-                *m = 0u64.wrapping_sub(u64::from((c >> j) & 1));
-            }
-            let rounds = 8 - c.leading_zeros() as usize;
-            let row = &MUL_TABLE[c as usize];
             #[cfg(target_arch = "x86_64")]
             if is_x86_feature_detected!("avx2") {
-                let split = dst.len() - dst.len() % 32;
-                // SAFETY: AVX2 just detected; the slices are equal-length
-                // multiples of 32 by construction of `split`.
-                unsafe {
-                    ladder_avx2::mul_row_acc_blocks(
-                        &mut dst[..split],
-                        &src[..split],
-                        &select,
-                        rounds,
-                    );
-                }
-                for (db, &sb) in dst[split..].iter_mut().zip(&src[split..]) {
-                    *db ^= row[sb as usize];
-                }
-                return;
+                // SAFETY: AVX2 just detected; the slices have equal lengths.
+                return unsafe { x86::mul_row_acc_nibble(dst, src, c) };
             }
-            let mut d = dst.chunks_exact_mut(64);
-            let mut s = src.chunks_exact(64);
-            for (dw, sw) in (&mut d).zip(&mut s) {
-                let mut acc = [0u64; 8];
-                let mut pow = [0u64; 8];
-                for l in 0..8 {
-                    acc[l] = u64::from_le_bytes(dw[l * 8..l * 8 + 8].try_into().unwrap());
-                    pow[l] = u64::from_le_bytes(sw[l * 8..l * 8 + 8].try_into().unwrap());
-                }
-                // `c·v = Σ_j select[j] & v·x^j` — one round per ladder
-                // step up to the coefficient's top bit (the final round
-                // needs no further xtime).
-                for (j, &sel) in select.iter().enumerate().take(rounds) {
-                    for l in 0..8 {
-                        acc[l] ^= pow[l] & sel;
-                    }
-                    if j + 1 < rounds {
-                        for p in &mut pow {
-                            *p = xtime8(*p);
-                        }
-                    }
-                }
-                for l in 0..8 {
-                    dw[l * 8..l * 8 + 8].copy_from_slice(&acc[l].to_le_bytes());
-                }
-            }
-            for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-                *db ^= row[sb as usize];
-            }
+            mul_row_acc_swar(dst, src, c)
         }
     }
 }
 
-/// The table-driven `dst ^= c · src` the plane-parallel ladder replaced:
-/// one hoisted [`MUL_TABLE`] row, one lookup-XOR per byte. Kept public as
-/// the speedup-floor comparator (`ida/rowops/table/*` perf records) and
-/// as the sub-chunk tail of [`mul_row_acc`].
+/// The portable body of [`mul_row_acc`]: the bit-sliced polynomial
+/// ladder `c·v = Σ_j select[j] & v·x^j` over 64-byte chunks of eight
+/// `u64` words, selecting each `v·x^j` by a broadcast mask of bit `j` of
+/// `c` instead of branching and stopping at `c`'s top set bit — so the
+/// trip count depends only on the coefficient, never on the row data.
+/// Sub-chunk tails use the table row. Correct for every `c`, 0 and 1
+/// included.
+fn mul_row_acc_swar(dst: &mut [u8], src: &[u8], c: u8) {
+    let mut select = [0u64; 8];
+    for (j, m) in select.iter_mut().enumerate() {
+        *m = 0u64.wrapping_sub(u64::from((c >> j) & 1));
+    }
+    let rounds = 8 - c.leading_zeros() as usize;
+    let row = &MUL_TABLE[c as usize];
+    let mut d = dst.chunks_exact_mut(64);
+    let mut s = src.chunks_exact(64);
+    for (dw, sw) in (&mut d).zip(&mut s) {
+        let mut acc = [0u64; 8];
+        let mut pow = [0u64; 8];
+        for l in 0..8 {
+            acc[l] = u64::from_le_bytes(dw[l * 8..l * 8 + 8].try_into().unwrap());
+            pow[l] = u64::from_le_bytes(sw[l * 8..l * 8 + 8].try_into().unwrap());
+        }
+        // One round per ladder step up to the coefficient's top bit (the
+        // final round needs no further xtime).
+        for (j, &sel) in select.iter().enumerate().take(rounds) {
+            for l in 0..8 {
+                acc[l] ^= pow[l] & sel;
+            }
+            if j + 1 < rounds {
+                for p in &mut pow {
+                    *p = xtime8(*p);
+                }
+            }
+        }
+        for l in 0..8 {
+            dw[l * 8..l * 8 + 8].copy_from_slice(&acc[l].to_le_bytes());
+        }
+    }
+    for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
+        *db ^= row[sb as usize];
+    }
+}
+
+/// The table-driven `dst ^= c · src`: one hoisted [`MUL_TABLE`] row, one
+/// lookup-XOR per byte. Kept public as the speedup-floor comparator
+/// (`ida/rowops/table/*` perf records) and as the reference the row
+/// bodies are tested against.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
@@ -295,6 +210,275 @@ pub fn mul_row_acc_table(dst: &mut [u8], src: &[u8], c: u8) {
             let row = &MUL_TABLE[c as usize];
             for (d, &s) in dst.iter_mut().zip(src) {
                 *d ^= row[s as usize];
+            }
+        }
+    }
+}
+
+/// De-interleaves `msg` into `k` stride planes of `planes.len() / k`
+/// bytes each: `planes[j·plane_len + g] = msg[g·k + j]`. Plane bytes past
+/// the message (the zero padding of a partial last group) are left as
+/// they are.
+///
+/// # Panics
+/// Panics unless `planes.len()` is a multiple of `k` that holds `msg`.
+pub(crate) fn split_planes(msg: &[u8], k: usize, planes: &mut [u8]) {
+    assert!(k >= 1 && planes.len().is_multiple_of(k) && msg.len() <= planes.len(), "plane shape");
+    #[cfg(target_arch = "x86_64")]
+    if x86::SHUFFLE_KS.contains(&k) && is_x86_feature_detected!("ssse3") {
+        // SAFETY: SSSE3 just detected, `k` is in range, and the shape
+        // was asserted above.
+        let done = unsafe { x86::split_planes_ssse3(msg, k, planes) };
+        return split_planes_scalar(msg, k, planes, done);
+    }
+    split_planes_scalar(msg, k, planes, 0)
+}
+
+/// Re-interleaves `k` stride planes of `planes.len() / k` bytes into
+/// `out`: `out[g·k + j] = planes[j·plane_len + g]` for every byte of
+/// `out` (the inverse of [`split_planes`]).
+///
+/// # Panics
+/// Panics unless `planes.len()` is a multiple of `k` that holds `out`.
+pub(crate) fn join_planes(planes: &[u8], k: usize, out: &mut [u8]) {
+    assert!(k >= 1 && planes.len().is_multiple_of(k) && out.len() <= planes.len(), "plane shape");
+    #[cfg(target_arch = "x86_64")]
+    if x86::SHUFFLE_KS.contains(&k) && is_x86_feature_detected!("ssse3") {
+        // SAFETY: SSSE3 just detected, `k` is in range, and the shape
+        // was asserted above.
+        let done = unsafe { x86::join_planes_ssse3(planes, k, out) };
+        return join_planes_scalar(planes, k, out, done);
+    }
+    join_planes_scalar(planes, k, out, 0)
+}
+
+/// The scalar body of [`split_planes`]: one stride loop per plane, from
+/// group `from` on.
+fn split_planes_scalar(msg: &[u8], k: usize, planes: &mut [u8], from: usize) {
+    let plane_len = planes.len() / k;
+    for j in 0..k {
+        let plane = &mut planes[j * plane_len + from..(j + 1) * plane_len];
+        let column = &msg[(from * k + j).min(msg.len())..];
+        for (p, &b) in plane.iter_mut().zip(column.iter().step_by(k)) {
+            *p = b;
+        }
+    }
+}
+
+/// The scalar body of [`join_planes`]: one stride loop per plane, from
+/// group `from` on.
+fn join_planes_scalar(planes: &[u8], k: usize, out: &mut [u8], from: usize) {
+    let plane_len = planes.len() / k;
+    for j in 0..k {
+        let plane = &planes[j * plane_len + from..(j + 1) * plane_len];
+        let start = (from * k + j).min(out.len());
+        for (o, &b) in out[start..].iter_mut().step_by(k).zip(plane) {
+            *o = b;
+        }
+    }
+}
+
+/// The x86-64 vector bodies, each selected at run time by its dispatcher
+/// ([`mul_row_acc`], [`split_planes`], [`join_planes`]) when the CPU has
+/// the feature it needs.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::MUL_TABLE;
+    use core::arch::x86_64::*;
+
+    /// The split-nibble body of [`mul_row_acc`](super::mul_row_acc): per
+    /// 32 bytes, one `vpshufb` into `lo[x] = c·x` for the low nibbles and
+    /// one into `hi[x] = c·(x<<4)` for the high nibbles; their XOR is
+    /// `c·v` because multiplication by `c` is linear over `GF(2)`.
+    /// Sub-vector tails use the table row.
+    ///
+    /// # Safety
+    /// Requires AVX2 and `dst.len() == src.len()`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mul_row_acc_nibble(dst: &mut [u8], src: &[u8], c: u8) {
+        debug_assert_eq!(dst.len(), src.len());
+        let row = &MUL_TABLE[c as usize];
+        let lo: [u8; 16] = core::array::from_fn(|x| row[x]);
+        let hi: [u8; 16] = core::array::from_fn(|x| row[x << 4]);
+        let lo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
+        let hi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
+        let nibble = _mm256_set1_epi8(0x0f);
+        let split = dst.len() - dst.len() % 32;
+        for (d, s) in dst[..split].chunks_exact_mut(32).zip(src[..split].chunks_exact(32)) {
+            let v = _mm256_loadu_si256(s.as_ptr().cast());
+            let product = _mm256_xor_si256(
+                _mm256_shuffle_epi8(lo, _mm256_and_si256(v, nibble)),
+                _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble)),
+            );
+            let dp = d.as_mut_ptr().cast();
+            _mm256_storeu_si256(dp, _mm256_xor_si256(_mm256_loadu_si256(dp), product));
+        }
+        for (db, &sb) in dst[split..].iter_mut().zip(&src[split..]) {
+            *db ^= row[sb as usize];
+        }
+    }
+
+    /// Plane counts the `pshufb` transpose serves: one 16-byte vector holds
+    /// at least one whole `k`-byte group and at most 16 groups.
+    pub(super) const SHUFFLE_KS: core::ops::RangeInclusive<usize> = 2..=16;
+
+    /// Where plane count `k`'s `k²` masks start in [`SPLIT_MASKS`] and
+    /// [`JOIN_MASKS`]: `Σ_{i=2}^{k-1} i²`.
+    const fn mask_base(k: usize) -> usize {
+        let mut sum = 0;
+        let mut i = 2;
+        while i < k {
+            sum += i * i;
+            i += 1;
+        }
+        sum
+    }
+
+    /// Masks for every plane count in [`SHUFFLE_KS`].
+    const MASKS: usize = mask_base(17);
+
+    /// The `pshufb` masks of one 16-group transpose step, for every plane
+    /// count `k` in [`SHUFFLE_KS`]. Byte `pos` of the step's interleaved
+    /// block is byte `j = pos % k` of group `g = pos / k`, and sits in
+    /// message vector `n = pos / 16` at offset `b = pos % 16`; plane `j`'s
+    /// vector holds it at offset `g`. Output vector `a` of a step is the OR
+    /// over input vectors `i` of `pshufb(input_i, mask[a·k + i])`:
+    ///
+    /// * split (message → planes, `split` set): `mask[j·k + n][g] = b`;
+    /// * join (planes → message): `mask[n·k + j][b] = g`.
+    ///
+    /// Every other mask byte is `0x80`, which `pshufb` turns into a zero.
+    const fn build_masks(split: bool) -> [[u8; 16]; MASKS] {
+        let mut t = [[0x80u8; 16]; MASKS];
+        let mut k = 2;
+        while k <= 16 {
+            let base = mask_base(k);
+            let mut pos = 0;
+            while pos < 16 * k {
+                let (g, j, n, b) = (pos / k, pos % k, pos / 16, pos % 16);
+                if split {
+                    t[base + j * k + n][g] = b as u8;
+                } else {
+                    t[base + n * k + j][b] = g as u8;
+                }
+                pos += 1;
+            }
+            k += 1;
+        }
+        t
+    }
+
+    /// [`build_masks`] for the message → planes direction.
+    static SPLIT_MASKS: [[u8; 16]; MASKS] = build_masks(true);
+    /// [`build_masks`] for the planes → message direction.
+    static JOIN_MASKS: [[u8; 16]; MASKS] = build_masks(false);
+
+    /// The `pshufb` body of [`split_planes`](super::split_planes) over every whole
+    /// 16-group step of `msg`; returns the groups it moved.
+    ///
+    /// # Safety
+    /// Requires SSSE3, `k` in [`SHUFFLE_KS`], and
+    /// [`split_planes`](super::split_planes)'s shape.
+    #[target_feature(enable = "ssse3")]
+    pub(super) unsafe fn split_planes_ssse3(msg: &[u8], k: usize, planes: &mut [u8]) -> usize {
+        let (plane_len, steps) = (planes.len() / k, msg.len() / (16 * k));
+        // Step s reads message vectors 16k·s + 16i and writes plane vectors
+        // j·plane_len + 16s; 16k·steps ≤ len ≤ k·plane_len keeps both in
+        // bounds.
+        let masks = &SPLIT_MASKS[mask_base(k)..mask_base(k) + k * k];
+        SHUFFLE_BODIES[k - 2](
+            msg.as_ptr(),
+            (16 * k, 16),
+            planes.as_mut_ptr(),
+            (16, plane_len),
+            masks,
+            steps,
+        );
+        16 * steps
+    }
+
+    /// The `pshufb` body of [`join_planes`](super::join_planes) over every whole
+    /// 16-group step of `out`; returns the groups it moved.
+    ///
+    /// # Safety
+    /// Requires SSSE3, `k` in [`SHUFFLE_KS`], and
+    /// [`join_planes`](super::join_planes)'s shape.
+    #[target_feature(enable = "ssse3")]
+    pub(super) unsafe fn join_planes_ssse3(planes: &[u8], k: usize, out: &mut [u8]) -> usize {
+        let (plane_len, steps) = (planes.len() / k, out.len() / (16 * k));
+        // The mirror of `split_planes_ssse3`: the same bounds, read and
+        // written the other way round.
+        let masks = &JOIN_MASKS[mask_base(k)..mask_base(k) + k * k];
+        SHUFFLE_BODIES[k - 2](
+            planes.as_ptr(),
+            (16, plane_len),
+            out.as_mut_ptr(),
+            (16 * k, 16),
+            masks,
+            steps,
+        );
+        16 * steps
+    }
+
+    /// A [`shuffle_steps`] body for one plane count.
+    type ShuffleBody =
+        unsafe fn(*const u8, (usize, usize), *mut u8, (usize, usize), &[[u8; 16]], usize);
+
+    /// [`shuffle_steps`] for `k = 2..=16`, indexed by `k - 2`: a body per
+    /// plane count keeps its `k²` masks and `k` input vectors in registers.
+    const SHUFFLE_BODIES: [ShuffleBody; 15] = [
+        shuffle_steps::<2>,
+        shuffle_steps::<3>,
+        shuffle_steps::<4>,
+        shuffle_steps::<5>,
+        shuffle_steps::<6>,
+        shuffle_steps::<7>,
+        shuffle_steps::<8>,
+        shuffle_steps::<9>,
+        shuffle_steps::<10>,
+        shuffle_steps::<11>,
+        shuffle_steps::<12>,
+        shuffle_steps::<13>,
+        shuffle_steps::<14>,
+        shuffle_steps::<15>,
+        shuffle_steps::<16>,
+    ];
+
+    /// `steps` transpose steps of `K` vectors each: step `s` loads input
+    /// vector `i` from `src + s·src_step + i·src_vec` and stores output
+    /// vector `a = OR_i pshufb(input_i, masks[a·K + i])` at
+    /// `dst + s·dst_step + a·dst_vec`.
+    ///
+    /// # Safety
+    /// Requires SSSE3, `masks.len() == K²`, and every addressed 16-byte
+    /// vector in bounds of its buffer.
+    #[target_feature(enable = "ssse3")]
+    unsafe fn shuffle_steps<const K: usize>(
+        src: *const u8,
+        (src_step, src_vec): (usize, usize),
+        dst: *mut u8,
+        (dst_step, dst_vec): (usize, usize),
+        masks: &[[u8; 16]],
+        steps: usize,
+    ) {
+        let mut m = [[_mm_setzero_si128(); K]; K];
+        for (row, masks) in m.iter_mut().zip(masks.chunks_exact(K)) {
+            for (mask, bytes) in row.iter_mut().zip(masks) {
+                *mask = _mm_loadu_si128(bytes.as_ptr().cast());
+            }
+        }
+        let mut v = [_mm_setzero_si128(); K];
+        for s in 0..steps {
+            let (src, dst) = (src.add(s * src_step), dst.add(s * dst_step));
+            for (i, vi) in v.iter_mut().enumerate() {
+                *vi = _mm_loadu_si128(src.add(i * src_vec).cast());
+            }
+            for (a, row) in m.iter().enumerate() {
+                let mut acc = _mm_setzero_si128();
+                for (vi, mask) in v.iter().zip(row) {
+                    acc = _mm_or_si128(acc, _mm_shuffle_epi8(*vi, *mask));
+                }
+                _mm_storeu_si128(dst.add(a * dst_vec).cast(), acc);
             }
         }
     }
@@ -353,8 +537,8 @@ mod tests {
 
     #[test]
     fn row_ops_match_bytewise_math() {
-        // Lengths straddling the chunk boundaries exercise the wide
-        // ladder body, the word XOR, and the remainder tail.
+        // Lengths straddling the chunk boundaries exercise the vector
+        // body, the word XOR, and the remainder tail.
         for len in [0usize, 1, 7, 8, 9, 16, 31, 32, 33, 37, 64, 95] {
             let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             for c in [0u8, 1, 2, 0x53, 0xff] {
@@ -377,18 +561,83 @@ mod tests {
         }
     }
 
+    /// A row op: `(dst, src, c)`.
+    type RowOp = fn(&mut [u8], &[u8], u8);
+
+    /// Every row body this host can run, by name: the portable ladder
+    /// always, the nibble body where AVX2 is present, and the dispatcher.
+    fn row_bodies() -> Vec<(&'static str, RowOp)> {
+        let mut bodies: Vec<(&'static str, RowOp)> =
+            vec![("swar", mul_row_acc_swar), ("dispatch", mul_row_acc)];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 just detected; every caller below passes
+            // equal-length slices.
+            bodies.push(("nibble", |d, s, c| unsafe { x86::mul_row_acc_nibble(d, s, c) }));
+        }
+        bodies
+    }
+
     #[test]
     fn ladder_matches_table_row_op_for_every_constant() {
-        // 100 bytes = three 32-byte blocks plus a 4-byte tail; every
-        // constant exercises a different ladder depth/bit pattern.
-        let src: Vec<u8> = (0..100).map(|i| (i * 73 + 29) as u8).collect();
-        let base: Vec<u8> = (0..100).map(|i| (i * 17 + 5) as u8).collect();
-        for c in 0..=255u8 {
-            let mut plane = base.clone();
-            let mut table = base.clone();
-            mul_row_acc(&mut plane, &src, c);
-            mul_row_acc_table(&mut table, &src, c);
-            assert_eq!(plane, table, "ladder vs table at c={c:#x}");
+        // Every length 0..=130 straddles the 32-byte vector, the 64-byte
+        // ladder chunk and every tail length; 1,366 is the 4 KiB
+        // message's payload at k = 3. Every constant exercises a
+        // different nibble table and ladder depth/bit pattern.
+        for len in (0..=130).chain([1366]) {
+            let src: Vec<u8> = (0..len).map(|i| (i * 73 + 29) as u8).collect();
+            let base: Vec<u8> = (0..len).map(|i| (i * 17 + 5) as u8).collect();
+            for c in 0..=255u8 {
+                let mut table = base.clone();
+                mul_row_acc_table(&mut table, &src, c);
+                for (name, body) in row_bodies() {
+                    let mut got = base.clone();
+                    body(&mut got, &src, c);
+                    assert_eq!(got, table, "{name} vs table at c={c:#x} len={len}");
+                }
+            }
+        }
+    }
+
+    /// A transpose direction: `(from, k, to)`.
+    type Transpose = fn(&[u8], usize, &mut [u8]);
+
+    /// The `(split, join)` transpose bodies: the scalar stride loops, and
+    /// the dispatchers, which run the `pshufb` steps (finished by the
+    /// stride loops) where SSSE3 is present and `k` is in range.
+    const TRANSPOSE_BODIES: [(&str, Transpose, Transpose); 2] = [
+        (
+            "scalar",
+            |m, k, p| split_planes_scalar(m, k, p, 0),
+            |p, k, o| join_planes_scalar(p, k, o, 0),
+        ),
+        ("dispatch", split_planes, join_planes),
+    ];
+
+    #[test]
+    fn transposes_match_the_stride_formula() {
+        for k in 1..=17usize {
+            for groups in (0..=40).chain([1366]) {
+                // Whole groups, and a partial last group when there is one.
+                for len in [groups * k, (groups * k).saturating_sub(k / 2)] {
+                    let msg: Vec<u8> = (0..len).map(|i| (i * 29 + 7) as u8).collect();
+                    // Planes with one spare group: the plane stride is
+                    // then never the message's group count.
+                    let plane_len = groups + 1;
+                    let mut expect = vec![0xa5u8; k * plane_len];
+                    for (pos, &b) in msg.iter().enumerate() {
+                        expect[(pos % k) * plane_len + pos / k] = b;
+                    }
+                    for (name, split, join) in TRANSPOSE_BODIES {
+                        let mut planes = vec![0xa5u8; k * plane_len];
+                        split(&msg, k, &mut planes);
+                        assert_eq!(planes, expect, "{name} split k={k} len={len}");
+                        let mut out = vec![0x5au8; len];
+                        join(&expect, k, &mut out);
+                        assert_eq!(out, msg, "{name} join k={k} len={len}");
+                    }
+                }
+            }
         }
     }
 

@@ -109,10 +109,13 @@ pub struct Share {
 /// degrades to erasure, and any `k` *verified* shares reconstruct.
 ///
 /// The fingerprint is a 64-bit keyed mixing hash
-/// ([`share_fingerprint`]), **not** a cryptographic MAC: it detects the
-/// simulator's fault model (random byte flips on corrupting links, index
-/// mangling) with miss probability `2^-64` per share, but offers no
-/// security against an adversary who knows the key.
+/// ([`share_fingerprint`]: SplitMix64 chains, eight independent lanes
+/// over each 64-byte block of the payload), **not** a cryptographic MAC:
+/// a change confined to one 8-byte word of the share always changes the
+/// tag, and any other random corruption (the simulator's byte flips on
+/// corrupting links, index mangling) passes with probability about
+/// `2^-64` per share, but it offers no security against an adversary who
+/// knows the key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaggedShare {
     /// The underlying share.
@@ -122,29 +125,73 @@ pub struct TaggedShare {
 }
 
 /// SplitMix64 finalizer — the standard 64-bit avalanche permutation.
-#[inline]
+#[inline(always)]
 fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
     z ^ (z >> 31)
 }
 
-/// The keyed fingerprint of one share: absorbs the key, the share index,
-/// the payload length, and every 8-byte little-endian lane of the payload
-/// through the SplitMix64 permutation. Deterministic across platforms.
+/// Word `i` (little-endian) of a 64-byte block.
+#[inline(always)]
+fn block_word(block: &[u8; 64], i: usize) -> u64 {
+    u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().unwrap())
+}
+
+/// The keyed fingerprint of one share. Deterministic across platforms.
+///
+/// - *Header.* The state absorbs the key, the share index and the
+///   payload length, one SplitMix64 finalizer permutation (`mix64`) each.
+/// - *Blocks.* Each whole 64-byte block of the payload feeds eight
+///   independent lanes: lane `i` starts at the header state plus `i + 1`
+///   times the golden-ratio constant and absorbs word `i` of every block
+///   (`lane = mix64(lane ^ word)`). The lanes' multiplies overlap, where
+///   one serial chain waits for each word's two multiplies in turn. The
+///   lanes then fold into the state in lane order
+///   (`state = mix64(state ^ lane)`).
+/// - *Tail.* The last `len % 64` bytes are absorbed word by word into the
+///   state, the final partial word zero-padded.
+///
+/// A payload shorter than one block therefore takes only the header and
+/// the tail, which is exactly the serial chain this function computed
+/// before it had lanes, value for value. Every step is a bijection of the
+/// word it absorbs and of the state or lane it updates, so a change
+/// confined to one 8-byte word always changes the tag.
 pub fn share_fingerprint(key: u64, index: u8, data: &[u8]) -> u64 {
-    let mut acc = mix64(key ^ 0x9e37_79b9_7f4a_7c15);
+    const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mut acc = mix64(key ^ GOLDEN);
     acc = mix64(acc ^ u64::from(index));
     acc = mix64(acc ^ data.len() as u64);
-    let mut chunks = data.chunks_exact(8);
-    for lane in &mut chunks {
-        acc = mix64(acc ^ u64::from_le_bytes(lane.try_into().unwrap()));
+    let mut blocks = data.chunks_exact(64);
+    if data.len() >= 64 {
+        // Eight lanes written out so they stay in registers.
+        let lane = |i: u64| acc.wrapping_add(GOLDEN.wrapping_mul(i + 1));
+        let (mut l0, mut l1, mut l2, mut l3) = (lane(0), lane(1), lane(2), lane(3));
+        let (mut l4, mut l5, mut l6, mut l7) = (lane(4), lane(5), lane(6), lane(7));
+        for block in &mut blocks {
+            let block: &[u8; 64] = block.try_into().unwrap();
+            l0 = mix64(l0 ^ block_word(block, 0));
+            l1 = mix64(l1 ^ block_word(block, 1));
+            l2 = mix64(l2 ^ block_word(block, 2));
+            l3 = mix64(l3 ^ block_word(block, 3));
+            l4 = mix64(l4 ^ block_word(block, 4));
+            l5 = mix64(l5 ^ block_word(block, 5));
+            l6 = mix64(l6 ^ block_word(block, 6));
+            l7 = mix64(l7 ^ block_word(block, 7));
+        }
+        for l in [l0, l1, l2, l3, l4, l5, l6, l7] {
+            acc = mix64(acc ^ l);
+        }
     }
-    let rest = chunks.remainder();
+    let mut words = blocks.remainder().chunks_exact(8);
+    for word in &mut words {
+        acc = mix64(acc ^ u64::from_le_bytes(word.try_into().unwrap()));
+    }
+    let rest = words.remainder();
     if !rest.is_empty() {
-        let mut lane = [0u8; 8];
-        lane[..rest.len()].copy_from_slice(rest);
-        acc = mix64(acc ^ u64::from_le_bytes(lane));
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        acc = mix64(acc ^ u64::from_le_bytes(word));
     }
     acc
 }
@@ -173,12 +220,13 @@ impl Ida {
     ///
     /// Share `i`'s byte for group `g` is the degree-`k-1` polynomial of
     /// that group evaluated at `x = i`. The evaluation runs on the
-    /// word-level kernel ([`kernel`]): the message is de-interleaved into
-    /// `k` stride planes and each share accumulates `x^j · plane_j` a
-    /// whole row at a time (table-driven multiply; plain `u64` XOR when
-    /// the coefficient is 1, so share 1 is XOR-only and `k = 1` is pure
-    /// replication). Byte-identical to [`Self::disperse_reference`], the
-    /// schoolbook implementation kept as the conformance reference.
+    /// vector kernels ([`kernel`]): one transpose pass de-interleaves the
+    /// message into `k` stride planes in one buffer, and each share
+    /// accumulates `x^j · plane_j` a whole row at a time (split-nibble
+    /// multiply; plain `u64` XOR when the coefficient is 1, so share 1 is
+    /// XOR-only and `k = 1` is pure replication). Byte-identical to
+    /// [`Self::disperse_reference`], the schoolbook implementation kept as
+    /// the conformance reference.
     pub fn disperse(&self, message: &[u8]) -> Vec<Share> {
         let k = usize::from(self.k);
         let w = usize::from(self.w);
@@ -197,22 +245,19 @@ impl Ida {
         }
         // Plane j holds the j-th byte of every k-byte group (zero-padded
         // tail), so "coefficient j of every group at once" is one slice.
-        let mut planes = vec![vec![0u8; groups]; k];
-        for (g, group) in message.chunks(k).enumerate() {
-            for (j, &b) in group.iter().enumerate() {
-                planes[j][g] = b;
-            }
-        }
+        let mut planes = vec![0u8; k * groups];
+        kernel::split_planes(message, k, &mut planes);
         for i in 0..w {
             // Exact-size buffer: header + one payload byte per group.
             let mut data = vec![0u8; 8 + groups];
             data[..8].copy_from_slice(&header);
             let payload = &mut data[8..];
-            let x = Gf256::new(i as u8);
-            let mut coeff = Gf256::ONE;
-            for plane in &planes {
-                kernel::mul_row_acc(payload, plane, coeff.value());
-                coeff = coeff * x;
+            let mut coeff = 1;
+            // An empty message has no planes (and a chunk size of 1 then
+            // yields none).
+            for plane in planes.chunks_exact(groups.max(1)) {
+                kernel::mul_row_acc(payload, plane, coeff);
+                coeff = kernel::mul(coeff, i as u8);
             }
             out.push(Share { index: i as u8, data: Bytes::from(data) });
         }
@@ -272,14 +317,16 @@ impl Ida {
 
     /// [`Self::reconstruct`] into caller buffers: the message replaces
     /// `out`'s contents, and `scratch` holds the augmented `k × 2k`
-    /// inverse and the output plane (`k ≥ 2` only). Selection, validation,
-    /// errors and output bytes are `reconstruct`'s; on an error `out` is
-    /// left empty.
+    /// inverse and the `k` output planes (`2k² + k·payload` bytes, `k ≥ 2`
+    /// only). Selection, validation, errors and output bytes are
+    /// `reconstruct`'s; on an error `out` is left empty.
     ///
-    /// The selection lives in a fixed stack array and the shares are read
-    /// in place, so a caller that reuses both buffers allocates nothing
-    /// once they have grown to the message and scratch sizes. A buffer
-    /// that must grow grows to exactly the size it needs.
+    /// Each plane is a sum of kernel row ops over the picked payloads, and
+    /// one transpose pass then interleaves all `k` planes into `out`. The
+    /// selection lives in a fixed stack array and the shares are read in
+    /// place, so a caller that reuses both buffers allocates nothing once
+    /// they have grown to the message and scratch sizes. A buffer that
+    /// must grow grows to exactly the size it needs.
     pub fn reconstruct_into<'s>(
         &self,
         shares: impl IntoIterator<Item = &'s Share>,
@@ -305,22 +352,21 @@ impl Ida {
             return Ok(());
         }
         let out = zeroed(out, msg_len);
-        let (aug, plane) = zeroed(scratch, 2 * k * k + payload_len).split_at_mut(2 * k * k);
+        let (aug, planes) = zeroed(scratch, 2 * k * k + k * payload_len).split_at_mut(2 * k * k);
         invert_vandermonde(picked.iter().map(|s| s.index), k, aug);
         // plane_j = Σ_r inv[j][r] · payload_r — one kernel row op per
-        // (j, r) pair — then re-interleaved into the output at stride k.
-        for (j, row) in aug.chunks_exact(2 * k).enumerate() {
+        // (j, r) pair. An empty payload has no planes (and a chunk size
+        // of 1 then yields none).
+        let rows = aug.chunks_exact(2 * k).zip(planes.chunks_exact_mut(payload_len.max(1)));
+        for (j, (row, plane)) in rows.enumerate() {
             if j >= msg_len {
                 break; // whole plane lands past the declared length
             }
-            plane.fill(0);
             for (s, &c) in picked.iter().zip(&row[k..]) {
                 kernel::mul_row_acc(plane, &s.data[8..], c);
             }
-            for (o, &b) in out[j..].iter_mut().step_by(k).zip(plane.iter()) {
-                *o = b;
-            }
         }
+        kernel::join_planes(planes, k, out);
         Ok(())
     }
 
@@ -468,16 +514,17 @@ impl Ida {
 /// `aug = [V | I]` (`k` rows of `2k` entries); on return the right half of
 /// each row holds the matching row of `V⁻¹`. Distinct points — enforced
 /// during selection — make the system nonsingular (fields this small need
-/// no cleverness).
+/// no cleverness). Products and row eliminations read the `const` product
+/// table ([`kernel::mul`], [`kernel::mul_row_acc_table`]); only the `k`
+/// pivot inverses go through [`Gf256`]'s log/exp tables.
 fn invert_vandermonde(xs: impl Iterator<Item = u8>, k: usize, aug: &mut [u8]) {
     let n = 2 * k;
     debug_assert_eq!(aug.len(), k * n);
     for (i, (row, x)) in aug.chunks_exact_mut(n).zip(xs).enumerate() {
-        let x = Gf256::new(x);
-        let mut p = Gf256::ONE;
+        let mut p = 1;
         for v in &mut row[..k] {
-            *v = p.value();
-            p = p * x;
+            *v = p;
+            p = kernel::mul(p, x);
         }
         row[k..].fill(0);
         row[k + i] = 1;
@@ -490,17 +537,21 @@ fn invert_vandermonde(xs: impl Iterator<Item = u8>, k: usize, aug: &mut [u8]) {
             let (upper, lower) = aug.split_at_mut(pivot * n);
             upper[col * n..(col + 1) * n].swap_with_slice(&mut lower[..n]);
         }
-        let inv_p = Gf256::new(aug[col * n + col]).inverse();
+        let inv_p = Gf256::new(aug[col * n + col]).inverse().value();
         for v in &mut aug[col * n..(col + 1) * n] {
-            *v = (Gf256::new(*v) * inv_p).value();
+            *v = kernel::mul(*v, inv_p);
         }
         for r in 0..k {
-            let f = Gf256::new(aug[r * n + col]);
-            if r != col && f != Gf256::ZERO {
-                for j in 0..n {
-                    let acc = Gf256::new(aug[r * n + j]) + f * Gf256::new(aug[col * n + j]);
-                    aug[r * n + j] = acc.value();
-                }
+            let f = aug[r * n + col];
+            if r != col && f != 0 {
+                // row_r ^= f · row_col, with the two rows borrowed apart.
+                let (lo, hi) = aug.split_at_mut(r.max(col) * n);
+                let (dst, src) = if r < col {
+                    (&mut lo[r * n..(r + 1) * n], &hi[..n])
+                } else {
+                    (&mut hi[..n], &lo[col * n..(col + 1) * n])
+                };
+                kernel::mul_row_acc_table(dst, src, f);
             }
         }
     }
@@ -703,6 +754,78 @@ mod tests {
             share_fingerprint(5, 2, b"0123456789abcdef"),
             share_fingerprint(5, 2, b"0123456789abcdeX"),
         );
+    }
+
+    /// The serial SplitMix64 chain [`share_fingerprint`] computed before
+    /// it absorbed whole blocks in lanes: header, then every 8-byte word
+    /// in order, the last one zero-padded.
+    fn serial_fingerprint(key: u64, index: u8, data: &[u8]) -> u64 {
+        let mut acc = mix64(key ^ 0x9e37_79b9_7f4a_7c15);
+        acc = mix64(acc ^ u64::from(index));
+        acc = mix64(acc ^ data.len() as u64);
+        for word in data.chunks(8) {
+            let mut padded = [0u8; 8];
+            padded[..word.len()].copy_from_slice(word);
+            acc = mix64(acc ^ u64::from_le_bytes(padded));
+        }
+        acc
+    }
+
+    /// `len` bytes of a fixed pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 89 + 41) as u8).collect()
+    }
+
+    #[test]
+    fn fingerprint_below_one_block_is_the_serial_chain() {
+        for len in 0..64 {
+            let data = pattern(len);
+            for (key, index) in [(0u64, 0u8), (42, 3), (u64::MAX, 254)] {
+                assert_eq!(
+                    share_fingerprint(key, index, &data),
+                    serial_fingerprint(key, index, &data),
+                    "len={len} key={key} index={index}"
+                );
+            }
+        }
+        // From one block on the lanes take over.
+        let block = pattern(64);
+        assert_ne!(share_fingerprint(1, 2, &block), serial_fingerprint(1, 2, &block));
+    }
+
+    #[test]
+    fn fingerprint_catches_every_single_bit_flip() {
+        let key = 0x5eed_1234_abcd_ef00;
+        for len in (0..=200).chain([1374]) {
+            let mut data = pattern(len);
+            let tag = share_fingerprint(key, 1, &data);
+            for pos in 0..len {
+                for bit in 0..8 {
+                    data[pos] ^= 1 << bit;
+                    assert_ne!(
+                        share_fingerprint(key, 1, &data),
+                        tag,
+                        "bit {bit} of byte {pos} at len={len}"
+                    );
+                    data[pos] ^= 1 << bit;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        const PINNED_0: u64 = 0xd223_12eb_f06b_86c5;
+        const PINNED_63: u64 = 0xa7df_4b3a_a3d2_8aec;
+        const PINNED_1374: u64 = 0xfaa6_34a4_1919_4ae0;
+        // A platform or refactor that changes the function fails here:
+        // one empty payload, one just short of a block (the serial
+        // chain), and one 4 KiB message's share at k = 3 (21 blocks in
+        // lanes plus a 30-byte tail).
+        let key = 0x0123_4567_89ab_cdef;
+        assert_eq!(share_fingerprint(key, 0, &[]), PINNED_0);
+        assert_eq!(share_fingerprint(key, 1, &pattern(63)), PINNED_63);
+        assert_eq!(share_fingerprint(key, 2, &pattern(1374)), PINNED_1374);
     }
 
     /// Message and scratch buffers holding the reconstruction of a message

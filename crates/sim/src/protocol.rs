@@ -39,7 +39,7 @@
 //!
 //! A phase's IDA work is per item: fingerprinting each share when tagging
 //! it, verifying each arrival after every round, and reconstructing each
-//! recovered edge when grading. With shares of at least 320 bytes those
+//! recovered edge when grading. With shares of at least 600 bytes those
 //! three stages run on the rayon pool, each over 8 contiguous chunks of its
 //! items. The chunk count is a constant, never the pool size, so chunk
 //! boundaries, per-chunk buffers and allocation counts are the same at any
@@ -49,9 +49,9 @@
 //! planning retries, `ship`, the edge state transitions, and folding the
 //! results into state and counters in submission or edge order. Shorter
 //! shares run the same code as one inline chunk: below the cutoff the
-//! two-worker gain on `Q_10` did not survive CPU steal, or cost too much
-//! extra CPU (DESIGN.md §6 item 20). A report is byte-identical at any
-//! thread count.
+//! two-worker gain on `Q_10` was small and cost too much extra CPU
+//! (DESIGN.md §6 item 20). A report is byte-identical at any thread
+//! count.
 
 use crate::delivery::{message_for_edge, DeliveryConfig, EdgeDelivery, EdgeOutcome};
 use crate::faults::FaultPlan;
@@ -77,10 +77,12 @@ const FAN_OUT_CHUNKS: usize = 8;
 /// its IDA stages out over the rayon pool. Shorter shares fingerprint and
 /// reconstruct too fast to pay for waking a worker and moving each share's
 /// cache lines to it, so each stage runs as one inline chunk. On `Q_10`
-/// with `k = 3` the two-worker gain survives CPU steal at little extra CPU
-/// from 1 KiB messages (350-byte shares) on, but not at 768 B (264-byte
-/// shares; DESIGN.md §6 item 20).
-const FAN_OUT_MIN_SHARE_BYTES: usize = 320;
+/// with `k = 3` two workers cut a phase's p50 by 20–38% from 2 KiB
+/// messages (691-byte shares) on, in both runs that checked for the
+/// second CPU around every round; at 1.5 KiB (520-byte shares) and below
+/// the gain varied from run to run and cost 7–22% more CPU (DESIGN.md §6
+/// item 20).
+const FAN_OUT_MIN_SHARE_BYTES: usize = 600;
 
 /// Hard ceiling on retry rounds, regardless of
 /// [`DeliveryConfig::max_retries`]. An all-dead bundle re-probes every
@@ -376,7 +378,7 @@ pub fn deliver_adaptive<N: RoundNetwork>(
 /// recovered edge: grading reconstructs into buffers it reuses
 /// ([`Ida::reconstruct_into`]).
 ///
-/// With shares of at least 320 bytes, tagging, arrival verification and
+/// With shares of at least 600 bytes, tagging, arrival verification and
 /// grading run on the rayon pool in 8 contiguous chunks (a constant, never
 /// the pool size); shorter shares run them as one inline chunk. Building
 /// submissions, planning retries, the edge state transitions and `ship`
