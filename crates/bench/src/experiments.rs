@@ -256,8 +256,7 @@ pub fn e12_faults_with_threads(
     master_seed: u64,
     threads: Option<usize>,
 ) -> (Table, SweepOutput) {
-    use rand::rngs::StdRng;
-    use rand::{RngExt, SeedableRng};
+    use rand::RngExt;
     use rayon::prelude::*;
     use std::collections::HashMap;
 
@@ -301,9 +300,9 @@ pub fn e12_faults_with_threads(
         // lane streams are independent, so the chunk width cannot change
         // the drawn bits), and the popcount tallies match the scalar
         // per-trial booleans exactly. The chunks split into one contiguous
-        // run per worker; a run redraws one block and one set of lane RNGs
-        // in place, chunk after chunk. u32 addition commutes, so neither
-        // the worker count nor the run split can change the totals.
+        // run per worker; a run redraws one block in place, chunk after
+        // chunk. u32 addition commutes, so neither the worker count nor
+        // the run split can change the totals.
         let tally = |block: &BitTrialBlock<W256>, counts: &mut [u32; 5]| {
             let words = [
                 gray_paths.all_bundles_ge(block, 1),
@@ -323,16 +322,11 @@ pub fn e12_faults_with_threads(
             .map(|run| {
                 let mut chunks = run.chunks(256);
                 let first = chunks.next().expect("runs are non-empty");
-                let mut lane_rngs: Vec<StdRng> =
-                    first.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-                let mut block = BitTrialBlock::<W256>::draw_compat(host, p.p, &mut lane_rngs);
+                let mut block = BitTrialBlock::<W256>::draw_compat(host, p.p, first);
                 let mut counts = [0u32; 5];
                 tally(&block, &mut counts);
                 for chunk in chunks {
-                    for (lane_rng, &s) in lane_rngs.iter_mut().zip(chunk) {
-                        *lane_rng = StdRng::seed_from_u64(s);
-                    }
-                    block.redraw_compat(p.p, &mut lane_rngs[..chunk.len()]);
+                    block.redraw_compat(p.p, chunk);
                     tally(&block, &mut counts);
                 }
                 counts

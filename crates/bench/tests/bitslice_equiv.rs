@@ -5,8 +5,8 @@
 //! one leg of that contract:
 //!
 //! * `draw_compat` lane `t` extracts to exactly the [`FaultSet`] that
-//!   [`random_fault_set`] produces from lane `t`'s RNG — same stream, same
-//!   consumption order;
+//!   [`random_fault_set`] produces from `StdRng::seed_from_u64(seeds[t])`
+//!   — same stream, same consumption order;
 //! * per-trial bundle survival bits from [`SlicedPaths`] equal the scalar
 //!   [`surviving_paths`] counts at every threshold `k`;
 //! * `from_fault_sets` / `lane_fault_set` round-trip losslessly.
@@ -43,9 +43,7 @@ fn compat_lanes_extract_to_scalar_fault_sets_on_every_cube() {
         let host = Hypercube::new(n);
         for (pi, &p) in PS.iter().enumerate() {
             let seeds = trial_seeds(0xb17511ce ^ (u64::from(n) << 8) ^ pi as u64, 64);
-            let mut lane_rngs: Vec<StdRng> =
-                seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            let block = BitTrialBlock::<u64>::draw_compat(&host, p, &mut lane_rngs);
+            let block = BitTrialBlock::<u64>::draw_compat(&host, p, &seeds);
             assert_eq!(block.lanes(), 64);
             for (t, &seed) in seeds.iter().enumerate() {
                 let scalar = random_fault_set(&host, p, &mut StdRng::seed_from_u64(seed));
@@ -70,9 +68,7 @@ fn sliced_survival_bits_match_scalar_surviving_paths_at_every_threshold() {
             // Partial last chunk (37 lanes) exercises the live-mask edge.
             let lanes = if n % 2 == 0 { 64 } else { 37 };
             let seeds = trial_seeds(0x511ced ^ (u64::from(n) << 16) ^ (ei as u64) << 1, lanes);
-            let mut lane_rngs: Vec<StdRng> =
-                seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-            let block = BitTrialBlock::<u64>::draw_compat(&host, 0.05, &mut lane_rngs);
+            let block = BitTrialBlock::<u64>::draw_compat(&host, 0.05, &seeds);
             let w = e.edge_paths.iter().map(Vec::len).max().unwrap_or(0);
             for (t, &seed) in seeds.iter().enumerate() {
                 let faults = random_fault_set(&host, 0.05, &mut StdRng::seed_from_u64(seed));

@@ -94,8 +94,7 @@ fn recovered_words_match_engine_grades_lane_by_lane() {
     let w = t1.claimed_width;
     let p = 0.06;
     let seeds: Vec<u64> = (0..256u64).map(|i| 0xfa57_c0de ^ (i * 7919)).collect();
-    let mut lane_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    let block = BitTrialBlock::<W256>::draw_compat(&host, p, &mut lane_rngs);
+    let block = BitTrialBlock::<W256>::draw_compat(&host, p, &seeds);
     for k in [1usize, w.div_ceil(2), w] {
         for retries in [false, true] {
             let word = paths.all_bundles_recovered(&block, k, retries);
@@ -127,8 +126,7 @@ fn fast_path_and_kernel_agree_with_engine_outcome_totals() {
     let cfg = DeliveryConfig { threshold: k, max_retries: 2, message_len: 16 };
     let setup = PhaseSetup::new(&t1.embedding, &cfg);
     let seeds: Vec<u64> = (0..64u64).map(|i| 0xbeef ^ (i << 40) ^ i).collect();
-    let mut lane_rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
-    let block = BitTrialBlock::<W256>::draw_compat(&host, 0.08, &mut lane_rngs);
+    let block = BitTrialBlock::<W256>::draw_compat(&host, 0.08, &seeds);
     let word = paths.all_bundles_recovered(&block, k, true);
     for (lane, &seed) in seeds.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -14,14 +14,22 @@
 //!
 //! Two draw modes with different stream conventions:
 //!
-//! * [`BitTrialBlock::draw_compat`] takes **one RNG per lane** and makes
-//!   lane `t` consume its RNG exactly as [`random_fault_set`](crate::faults::random_fault_set) would —
-//!   same NaN/clamp normalization, one `random_bool` per canonical link
-//!   in [`Hypercube::undirected_edges`] order. Extracting lane `t` with
-//!   [`BitTrialBlock::lane_fault_set`] therefore reproduces the scalar
-//!   trial **bit for bit**, which is what lets e12 and the chaos harness
-//!   keep byte-identical outputs after the kernel swap (pinned by the
-//!   equality suite in `crates/bench/tests/bitslice_equiv.rs`).
+//! * [`BitTrialBlock::draw_compat`] takes **one seed per lane** and makes
+//!   lane `t` replay `StdRng::seed_from_u64(seeds[t])` exactly as
+//!   [`random_fault_set`](crate::faults::random_fault_set) would consume
+//!   it — same NaN/clamp normalization, one `random_bool` per canonical
+//!   link in [`Hypercube::undirected_edges`] order. Extracting lane `t`
+//!   with [`BitTrialBlock::lane_fault_set`] therefore reproduces the
+//!   scalar trial **bit for bit**, which is what lets e12 and the chaos
+//!   harness keep byte-identical outputs after the kernel swap (pinned by
+//!   the equality suite in `crates/bench/tests/bitslice_equiv.rs`). The
+//!   lanes' xoshiro256++ states (the `rand` shim's `StdRng`, seeded by
+//!   SplitMix64) live on the stack as structure of arrays, one row per
+//!   state word, so one loop steps many lanes per vector instruction.
+//!   Each `random_bool(p)` is the exact integer compare `(x >> 11) <
+//!   ceil(p·2^53)`, packed into the lane word without branches, and the
+//!   body is compiled twice — portably and with AVX2 — and picked at run
+//!   time.
 //! * [`BitTrialBlock::draw_fast`] drives every lane from a **single**
 //!   stream: lane `t`'s 53-bit uniform variate is assembled from lane `t`
 //!   of successive [`LaneWord::draw`] words (one `next_u64` per 64-lane
@@ -52,9 +60,22 @@
 //! paths" over a bundle range with **zero allocation**, and
 //! [`streamed_all_bundles_ge`] fans ranges out over rayon with a
 //! commutative AND fold, keeping artifacts byte-identical at any thread
-//! count. [`BitTrialBlock::draw_indexed`] materializes the same trials
-//! into an ordinary block, which is what lets the equality suite pin
+//! count. The fold decides all links of a path in one plane loop.
+//! [`BitTrialBlock::draw_indexed`] materializes the same trials into an
+//! ordinary block, which is what lets the equality suite pin
 //! streaming-vs-in-memory identity wherever the dense path still runs.
+//!
+//! # Settling
+//!
+//! Survivor counts only grow as paths are added, so once every lane that
+//! still matters has reached its threshold the rest of a bundle cannot
+//! change the answer. Both folds evaluate each path only on the lanes
+//! still waiting — the running accumulator's lanes whose count is below
+//! the threshold — and skip the bundle's remaining paths when there are
+//! none ([`stream_bundles_ge_into`] for every threshold at once,
+//! [`SlicedPaths::all_bundles_ge`] and
+//! [`SlicedPaths::all_bundles_recovered`] with the accumulator as the live
+//! mask). The words are the ones the unsettled folds produce.
 //!
 //! # Two word widths, one kernel
 //!
@@ -75,7 +96,7 @@ use crate::faults::FaultSet;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
 use hyperpath_topology::{gray_code, transition, DirEdge, Hypercube};
-use rand::{Rng, RngExt};
+use rand::Rng;
 
 /// One word of bit-sliced trial lanes: lane `t` is bit `t % 64` of 64-lane
 /// group `t / 64`. Implemented for `u64` (64 lanes) and [`W256`] (256
@@ -104,6 +125,8 @@ pub trait LaneWord: Copy + Eq + std::fmt::Debug {
     /// One uniformly random word: one `next_u64` per 64-lane group, in
     /// group order.
     fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self;
+    /// The word whose 64-lane group `g` is `group(g)`, groups in order.
+    fn from_groups(group: impl FnMut(usize) -> u64) -> Self;
 }
 
 impl LaneWord for u64 {
@@ -157,6 +180,11 @@ impl LaneWord for u64 {
     #[inline(always)]
     fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64()
+    }
+
+    #[inline(always)]
+    fn from_groups(mut group: impl FnMut(usize) -> u64) -> Self {
+        group(0)
     }
 }
 
@@ -218,6 +246,11 @@ impl LaneWord for W256 {
     #[inline(always)]
     fn draw<R: Rng + ?Sized>(rng: &mut R) -> Self {
         [rng.next_u64(), rng.next_u64(), rng.next_u64(), rng.next_u64()]
+    }
+
+    #[inline(always)]
+    fn from_groups(group: impl FnMut(usize) -> u64) -> Self {
+        std::array::from_fn(group)
     }
 }
 
@@ -326,44 +359,42 @@ impl<W: LaneWord> BitTrialBlock<W> {
         self.words[self.host.undirected_edge_index(e)]
     }
 
-    /// Draws one block with **per-lane RNG streams**, consuming each
-    /// lane's RNG exactly as [`random_fault_set`](crate::faults::random_fault_set) would: lane `t` of the
-    /// block equals `random_fault_set(host, p, &mut lane_rngs[t])` bit
-    /// for bit (see [`Self::lane_fault_set`]), and group `g` of a
-    /// [`W256`] block equals a 64-lane draw over `lane_rngs[64g..]`'s
-    /// chunk.
+    /// Draws one block with **one seeded stream per lane**: lane `t` of
+    /// the block equals `random_fault_set(host, p, &mut
+    /// StdRng::seed_from_u64(seeds[t]))` bit for bit (see
+    /// [`Self::lane_fault_set`] and
+    /// [`random_fault_set`](crate::faults::random_fault_set)), and group
+    /// `g` of a [`W256`] block equals a 64-lane draw over the seeds of
+    /// lanes `64g..64g + 64`. The lanes' generators are stepped together
+    /// as structure-of-arrays state; see the module docs.
     ///
     /// # Panics
-    /// Panics unless `1 <= lane_rngs.len() <= W::WIDTH`.
-    pub fn draw_compat<R: Rng>(host: &Hypercube, p: f64, lane_rngs: &mut [R]) -> Self {
-        let mut block = Self::zeroed(host, checked_lanes::<W>(lane_rngs.len()));
-        block.redraw_compat(p, lane_rngs);
+    /// Panics unless `1 <= seeds.len() <= W::WIDTH`.
+    pub fn draw_compat(host: &Hypercube, p: f64, seeds: &[u64]) -> Self {
+        let mut block = Self::zeroed(host, checked_lanes::<W>(seeds.len()));
+        block.redraw_compat(p, seeds);
         block
     }
 
     /// Redraws this block in place, exactly as [`Self::draw_compat`] would
     /// draw a fresh one over the same host: every canonical word is
-    /// overwritten and [`Self::lanes`] becomes `lane_rngs.len()`, so a
-    /// shorter redraw leaves no stale lanes. Allocation-free, which lets a
-    /// sweep worker reuse one block across all its trial chunks.
+    /// overwritten and [`Self::lanes`] becomes `seeds.len()`, so a shorter
+    /// redraw leaves no stale lanes. Allocation-free (the lane generators
+    /// live on the stack), which lets a sweep worker reuse one block
+    /// across all its trial chunks. Runs an AVX2 build of the kernel when
+    /// the CPU has AVX2 and the portable build otherwise; both produce the
+    /// same words.
     ///
     /// # Panics
-    /// Panics unless `1 <= lane_rngs.len() <= W::WIDTH`.
-    pub fn redraw_compat<R: Rng>(&mut self, p: f64, lane_rngs: &mut [R]) {
-        self.lanes = checked_lanes::<W>(lane_rngs.len());
-        let p = clamp_p(p);
-        let host = self.host;
-        for e in host.undirected_edges() {
-            let mut alive = W::ZERO;
-            for (t, rng) in lane_rngs.iter_mut().enumerate() {
-                // Failure draw first so every lane consumes one word per
-                // link, exactly like the scalar loop.
-                if !rng.random_bool(p) {
-                    alive = alive.with_lane(t as u32);
-                }
-            }
-            self.words[host.dir_edge_index(e)] = alive;
+    /// Panics unless `1 <= seeds.len() <= W::WIDTH`.
+    pub fn redraw_compat(&mut self, p: f64, seeds: &[u64]) {
+        let threshold = fail_threshold(p);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected.
+            return unsafe { redraw_compat_avx2(self, threshold, seeds) };
         }
+        redraw_compat_body(self, threshold, seeds);
     }
 
     /// Draws one block from a **single RNG stream** with the same
@@ -422,10 +453,11 @@ impl<W: LaneWord> BitTrialBlock<W> {
         fs
     }
 
-    /// AND-reduction of a path's link words (alive lanes), with early exit.
+    /// AND-reduction of a path's link words on the lanes of `live`, with
+    /// early exit.
     #[inline]
-    fn path_word(&self, links: &[u32], full: W) -> W {
-        let mut alive = full;
+    fn path_word(&self, links: &[u32], live: W) -> W {
+        let mut alive = live;
         for &i in links {
             alive = alive.and(self.words[i as usize]);
             if alive == W::ZERO {
@@ -435,19 +467,125 @@ impl<W: LaneWord> BitTrialBlock<W> {
         alive
     }
 
-    /// OR of the path words of `paths`, stopping once every live lane has
-    /// a survivor.
+    /// OR of the path words of `paths` on the lanes of `live`, each path
+    /// evaluated on the lanes still without a survivor, stopping once
+    /// every lane of `live` has one.
     #[inline]
-    fn or_path_words<'a>(&self, paths: impl IntoIterator<Item = &'a Vec<u32>>, full: W) -> W {
+    fn or_path_words<'a>(&self, paths: impl IntoIterator<Item = &'a [u32]>, live: W) -> W {
         let mut any = W::ZERO;
         for links in paths {
-            any = any.or(self.path_word(links, full));
-            if any == full {
+            any = any.or(self.path_word(links, live.andnot(any)));
+            if any == live {
                 break;
             }
         }
         any
     }
+}
+
+/// The 64-bit golden ratio: SplitMix64's increment (the state step of
+/// `StdRng::seed_from_u64`) and [`IndexedTrials`]'s link multiplier.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Up to 256 xoshiro256++ generators — the `rand` shim's `StdRng` —
+/// stored as structure of arrays: `s[g][j][i]` is state word `j` of lane
+/// `64g + i`. Stepping a group touches four contiguous 64-word rows, one
+/// per state word, which is what lets the compiler step several lanes per
+/// vector instruction.
+struct LaneStreams {
+    s: [[[u64; 64]; 4]; 4],
+}
+
+impl LaneStreams {
+    /// Lane `t` seeded as `StdRng::seed_from_u64(seeds[t])`: state word
+    /// `j` is the `j`-th SplitMix64 output from `seeds[t]`. Lanes past
+    /// `seeds.len()` get the all-zero state, whose draws callers mask off.
+    ///
+    /// `StdRng::from_seed` swaps an all-zero state for a fixed one, but no
+    /// `seed_from_u64` seed reaches it: the four words are the SplitMix64
+    /// finalizer, a bijection, applied to four distinct states, so at most
+    /// one of them is zero. Hence no such branch here.
+    fn new(seeds: &[u64]) -> Self {
+        let mut s = [[[0u64; 64]; 4]; 4];
+        for (t, &seed) in seeds.iter().enumerate() {
+            let mut z = seed;
+            for word in &mut s[t / 64] {
+                z = z.wrapping_add(GOLDEN_GAMMA);
+                word[t % 64] = sm_mix(z);
+            }
+        }
+        LaneStreams { s }
+    }
+
+    /// Lane `64g + i`'s next output: one `StdRng::next_u64`.
+    #[inline(always)]
+    fn next(&mut self, g: usize, i: usize) -> u64 {
+        let [s0, s1, s2, s3] = &mut self.s[g];
+        let (a, b, c, d) = (s0[i], s1[i], s2[i], s3[i]);
+        let x = a.wrapping_add(d).rotate_left(23).wrapping_add(a);
+        let c = c ^ a;
+        let d = d ^ b;
+        s0[i] = a ^ d;
+        s1[i] = b ^ c;
+        s2[i] = c ^ (b << 17);
+        s3[i] = d.rotate_left(45);
+        x
+    }
+
+    /// Steps every lane of group `g` `L` times and packs their
+    /// `random_bool(p)` outcomes, branch-free: bit `i` of word `l` is set
+    /// ⇔ lane `64g + i`'s `l`-th draw `x` keeps its link alive, i.e.
+    /// `(x >> 11) >= threshold` with `threshold = ceil(p·2^53)`
+    /// ([`fail_threshold`]). Each lane's state is loaded and stored once
+    /// for all `L` steps.
+    #[inline(always)]
+    fn alive_group<const L: usize>(&mut self, g: usize, threshold: u64) -> [u64; L] {
+        let mut alive = [0u64; L];
+        for i in 0..64 {
+            for word in &mut alive {
+                let x = self.next(g, i);
+                // Both sides are below 2^63, so the difference's sign bit
+                // is exactly `(x >> 11) < threshold`, the failure event.
+                *word |= (!(x >> 11).wrapping_sub(threshold) >> 63) << i;
+            }
+        }
+        alive
+    }
+}
+
+/// Links [`redraw_compat_body`] draws per pass over the lane states.
+const DRAW_BATCH: usize = 4;
+
+/// The body of [`BitTrialBlock::redraw_compat`], inlined into its portable
+/// path and into [`redraw_compat_avx2`]: links in
+/// [`Hypercube::undirected_edges`] order, [`DRAW_BATCH`] per pass, every
+/// lane taking one draw per link. A short last batch draws past the last
+/// link; those draws are dropped with the streams.
+#[inline(always)]
+fn redraw_compat_body<W: LaneWord>(block: &mut BitTrialBlock<W>, threshold: u64, seeds: &[u64]) {
+    block.lanes = checked_lanes::<W>(seeds.len());
+    let full = block.live_mask();
+    let groups = seeds.len().div_ceil(64);
+    let mut streams = LaneStreams::new(seeds);
+    let host = block.host;
+    let mut links = host.undirected_edges().map(|e| host.dir_edge_index(e)).peekable();
+    while links.peek().is_some() {
+        let mut alive = [[0u64; DRAW_BATCH]; 4];
+        for (g, words) in alive.iter_mut().enumerate().take(groups) {
+            *words = streams.alive_group(g, threshold);
+        }
+        for (l, i) in links.by_ref().take(DRAW_BATCH).enumerate() {
+            block.words[i] = W::from_groups(|g| alive[g][l]).and(full);
+        }
+    }
+}
+
+/// [`redraw_compat_body`] compiled with AVX2 enabled, which lets the
+/// compiler step four lanes per instruction.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn redraw_compat_avx2<W: LaneWord>(block: &mut BitTrialBlock<W>, threshold: u64, seeds: &[u64]) {
+    redraw_compat_body(block, threshold, seeds);
 }
 
 /// Bit-sliced survivor counts: 8 counter planes, so up to 255 paths per
@@ -472,15 +610,21 @@ impl<W: LaneWord> SurvivorCount<W> {
         }
     }
 
-    /// Lanes whose count is at least `k` (`1..=255`): the carry-out of
-    /// adding the constant `256 - k`. Each plane's carry is the majority
-    /// of the plane, the constant's bit and the incoming carry. The planes
-    /// only ever hold live lanes, so the result needs no mask.
+    /// Lanes whose count is at least `k` (`k ≥ 1`; none for `k > 255`,
+    /// which no count reaches): the carry-out of adding the constant
+    /// `256 - k`. Each plane's carry is the majority of the plane, the
+    /// constant's bit and the incoming carry. The planes only ever hold
+    /// live lanes, so the result needs no mask.
     #[inline]
     fn at_least(&self, k: usize) -> W {
+        debug_assert!(k >= 1);
+        if k > 255 {
+            return W::ZERO;
+        }
         let m = 256 - k as u64;
         let mut carry = W::ZERO;
-        for (b, &plane) in self.0.iter().enumerate() {
+        for b in 0..8 {
+            let plane = self.0[b];
             carry = if (m >> b) & 1 == 1 { plane.or(carry) } else { plane.and(carry) };
         }
         carry
@@ -489,11 +633,16 @@ impl<W: LaneWord> SurvivorCount<W> {
 
 /// An embedding's path bundles pre-resolved to link-word indices, so the
 /// per-block structural evaluation never touches nodes or edges again.
-/// Build once per sweep point, reuse across every trial block.
+/// Build once per sweep point, reuse across every trial block. The paths
+/// lie back to back in one index array, bundle after bundle.
 #[derive(Debug, Clone)]
 pub struct SlicedPaths {
-    /// `bundles[guest_edge][path]` = canonical link-word indices.
-    bundles: Vec<Vec<Vec<u32>>>,
+    /// Canonical link-word indices of every path, in bundle order.
+    links: Vec<u32>,
+    /// Path `i` is `links[path_ends[i]..path_ends[i + 1]]`.
+    path_ends: Vec<u32>,
+    /// Bundle `b` is paths `bundle_ends[b]..bundle_ends[b + 1]`.
+    bundle_ends: Vec<u32>,
 }
 
 impl SlicedPaths {
@@ -507,44 +656,70 @@ impl SlicedPaths {
             u32::try_from(e.host.num_directed_edges()).is_ok(),
             "edge index must fit u32 for the sliced layout"
         );
-        let bundles = e
-            .edge_paths
-            .iter()
-            .map(|bundle| {
-                assert!(bundle.len() < 256, "bundle too wide for 8-bit survivor counters");
-                bundle
-                    .iter()
-                    .map(|p| {
-                        p.edges().map(|edge| e.host.undirected_edge_index(edge) as u32).collect()
-                    })
-                    .collect()
-            })
-            .collect();
-        SlicedPaths { bundles }
+        let all_paths = || e.edge_paths.iter().flatten();
+        let num_links = all_paths().map(|p| p.len()).sum();
+        let to_u32 = |i: usize| u32::try_from(i).expect("path table indices must fit u32");
+        let mut links = Vec::with_capacity(num_links);
+        let mut path_ends = Vec::with_capacity(all_paths().count() + 1);
+        let mut bundle_ends = Vec::with_capacity(e.edge_paths.len() + 1);
+        path_ends.push(0);
+        bundle_ends.push(0);
+        for bundle in &e.edge_paths {
+            assert!(bundle.len() < 256, "bundle too wide for 8-bit survivor counters");
+            for p in bundle {
+                links.extend(p.edges().map(|edge| e.host.undirected_edge_index(edge) as u32));
+                path_ends.push(to_u32(links.len()));
+            }
+            bundle_ends.push(to_u32(path_ends.len() - 1));
+        }
+        SlicedPaths { links, path_ends, bundle_ends }
     }
 
     /// Number of guest-edge bundles.
     pub fn num_bundles(&self) -> usize {
-        self.bundles.len()
+        self.bundle_ends.len() - 1
+    }
+
+    /// The paths of bundle `bundle`, each as its link-word indices.
+    fn paths(&self, bundle: usize) -> impl ExactSizeIterator<Item = &[u32]> + '_ {
+        let ends = &self.path_ends
+            [self.bundle_ends[bundle] as usize..=self.bundle_ends[bundle + 1] as usize];
+        ends.windows(2).map(|w| &self.links[w[0] as usize..w[1] as usize])
     }
 
     /// Lanes in which at least `k` paths of bundle `bundle` are alive.
     pub fn bundle_ge<W: LaneWord>(&self, block: &BitTrialBlock<W>, bundle: usize, k: usize) -> W {
-        let full = block.live_mask();
-        let paths = &self.bundles[bundle];
+        self.bundle_ge_in(block, bundle, k, block.live_mask())
+    }
+
+    /// [`Self::bundle_ge`] on the lanes of `live` only. The bundle settles
+    /// once every lane of `live` has `k` alive paths: counts only grow, so
+    /// the remaining paths cannot change the word.
+    fn bundle_ge_in<W: LaneWord>(
+        &self,
+        block: &BitTrialBlock<W>,
+        bundle: usize,
+        k: usize,
+        live: W,
+    ) -> W {
+        let paths = self.paths(bundle);
         if k == 0 {
-            return full;
+            return live;
         }
         if k > paths.len() {
             return W::ZERO;
         }
         if k == 1 {
             // "Any path alive" is a plain OR over the path words.
-            return block.or_path_words(paths, full);
+            return block.or_path_words(paths, live);
         }
         let mut cnt = SurvivorCount::new();
         for links in paths {
-            cnt.add(block.path_word(links, full));
+            let need = live.andnot(cnt.at_least(k));
+            if need == W::ZERO {
+                break;
+            }
+            cnt.add(block.path_word(links, need));
         }
         cnt.at_least(k)
     }
@@ -552,14 +727,15 @@ impl SlicedPaths {
     /// Lanes in which **every** bundle keeps at least `k` alive paths —
     /// the `(w, k)`-dispersal success event ("every
     /// [`surviving_paths`](crate::faults::surviving_paths) count is at
-    /// least `k`"), a whole word of trials at a time.
+    /// least `k`"), a whole word of trials at a time. Each bundle is
+    /// evaluated on the lanes that survived the bundles before it.
     pub fn all_bundles_ge<W: LaneWord>(&self, block: &BitTrialBlock<W>, k: usize) -> W {
         let mut acc = block.live_mask();
-        for bundle in 0..self.bundles.len() {
+        for bundle in 0..self.num_bundles() {
             if acc == W::ZERO {
                 break;
             }
-            acc = acc.and(self.bundle_ge(block, bundle, k));
+            acc = self.bundle_ge_in(block, bundle, k, acc);
         }
         acc
     }
@@ -571,8 +747,18 @@ impl SlicedPaths {
     /// cannot carry another share across the machine (the engine's
     /// retry planner filters them identically).
     pub fn bundle_survivors<W: LaneWord>(&self, block: &BitTrialBlock<W>, bundle: usize) -> W {
-        let nonempty = self.bundles[bundle].iter().filter(|links| !links.is_empty());
-        block.or_path_words(nonempty, block.live_mask())
+        self.bundle_survivors_in(block, bundle, block.live_mask())
+    }
+
+    /// [`Self::bundle_survivors`] on the lanes of `live` only.
+    fn bundle_survivors_in<W: LaneWord>(
+        &self,
+        block: &BitTrialBlock<W>,
+        bundle: usize,
+        live: W,
+    ) -> W {
+        let nonempty = self.paths(bundle).filter(|links| !links.is_empty());
+        block.or_path_words(nonempty, live)
     }
 
     /// Lanes in which every guest edge's message is **recovered** by the
@@ -593,16 +779,17 @@ impl SlicedPaths {
         retries: bool,
     ) -> W {
         let mut acc = block.live_mask();
-        for (bundle, paths) in self.bundles.iter().enumerate() {
+        for bundle in 0..self.num_bundles() {
             if acc == W::ZERO {
                 break;
             }
-            let k_eff = k.clamp(1, paths.len());
-            let mut ok = self.bundle_ge(block, bundle, k_eff);
-            if retries && ok != block.live_mask() {
-                ok = ok.or(self.bundle_survivors(block, bundle));
-            }
-            acc = acc.and(ok);
+            let k_eff = k.clamp(1, self.paths(bundle).len());
+            let ok = self.bundle_ge_in(block, bundle, k_eff, acc);
+            acc = if retries && ok != acc {
+                ok.or(self.bundle_survivors_in(block, bundle, acc))
+            } else {
+                ok
+            };
         }
         acc
     }
@@ -616,21 +803,26 @@ impl SlicedPaths {
 /// bijection. Used to derive per-`(link, bit)` variate words without any
 /// sequential RNG state, which is what makes [`IndexedTrials`] random
 /// access (and therefore allocation-free and order-independent).
-#[inline]
+#[inline(always)]
 fn sm_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
+/// Most links [`IndexedTrials::path_word`] decides in one plane loop.
+/// Paper paths have at most 3 links, which get a loop of their length.
+const PATH_BATCH: usize = 4;
+
 /// A 64-lane fault-trial block that is never materialized: the alive word
 /// of any link is recomputed on demand from `(seed, link_index)`.
 ///
 /// The per-link decision is the same bit-sliced exact-threshold comparison
 /// as [`BitTrialBlock::draw_fast`] — lane `t`'s 53-bit uniform variate is
-/// compared MSB-first against `ceil(p·2^53)` — except that variate word
-/// `b` of link `i` comes from `sm_mix(sm_mix(seed ⊕ i·φ) ⊕ b)` instead of
-/// a sequential stream. Properties that follow:
+/// compared MSB-first against `ceil(p·2^53)` — except that the word
+/// holding variate bit `b` of link `i` comes from `sm_mix(sm_mix(seed ⊕
+/// i·φ) ⊕ (53 − b))` instead of a sequential stream: plane `j = 53 − b`,
+/// numbered from 1 at the most significant bit. Properties that follow:
 ///
 /// * **Random access**: `link_word` is pure, so bundles can query links in
 ///   any order, from any thread, with identical results.
@@ -673,11 +865,77 @@ impl IndexedTrials {
     /// Alive word of the link with the given dense undirected index
     /// ([`Hypercube::undirected_edge_index`] /
     /// [`HostTopology::link_index`](hyperpath_topology::host::HostTopology::link_index)
-    /// currency): bit `t` set ⇔ the link is up in trial `t`.
+    /// currency): bit `t` set ⇔ the link is up in trial `t`. The one-link
+    /// case of the batched path word the streaming fold evaluates.
     #[inline]
     pub fn link_word(&self, link: u64) -> u64 {
-        let base = sm_mix(self.seed ^ link.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        survivors(self.threshold, self.live_mask(), |b| sm_mix(base ^ (53 - b)))
+        self.path_word(&[link], self.live_mask())
+    }
+
+    /// The lanes of `live` in which every link of `links` is up: the AND
+    /// of their [`Self::link_word`]s, restricted to `live` (and to the
+    /// block's lanes). An empty path is up in every lane of `live`.
+    ///
+    /// Up to 4 links are decided together in one plane loop (longer paths
+    /// take several batches): each plane draws one variate word per link
+    /// and updates every link's comparison with masks instead of
+    /// branches, and the loop checks for an exit only every 4 planes —
+    /// once no lane of `live` that is still up waits on an undecided link.
+    /// Lanes outside `live` are never waited on, so a narrow `live` exits
+    /// sooner. Every decided bit is the MSB-first comparison's, so the
+    /// word equals the serial AND of link words.
+    fn path_word(&self, links: &[u64], live: u64) -> u64 {
+        let alive = live & self.live_mask();
+        match *links {
+            [] => alive,
+            [a] => self.batch_word([a], alive),
+            [a, b] => self.batch_word([a, b], alive),
+            [a, b, c] => self.batch_word([a, b, c], alive),
+            _ => links.chunks(PATH_BATCH).fold(alive, |alive, chunk| {
+                // A repeated link leaves the AND unchanged, so a short
+                // last chunk is padded with its own last link.
+                let last = chunk.len() - 1;
+                self.batch_word::<PATH_BATCH>(std::array::from_fn(|i| chunk[i.min(last)]), alive)
+            }),
+        }
+    }
+
+    /// [`Self::path_word`] over exactly `B` links, one variate word per
+    /// link per plane.
+    #[inline]
+    fn batch_word<const B: usize>(&self, links: [u64; B], live: u64) -> u64 {
+        if self.threshold == 0 || live == 0 {
+            return live;
+        }
+        if self.threshold >= 1u64 << 53 {
+            return 0;
+        }
+        let base = links.map(|link| sm_mix(self.seed ^ link.wrapping_mul(GOLDEN_GAMMA)));
+        // Per link, the lanes whose variate still ties the threshold.
+        let mut undecided = [live; B];
+        // Lanes in which some link's variate is below the threshold.
+        let mut dead = 0u64;
+        // Plane `j` decides variate bit `53 - j`, MSB first.
+        for j in 1..=53u64 {
+            let t = 0u64.wrapping_sub((self.threshold >> (53 - j)) & 1);
+            // Lanes some link still ties.
+            let mut open = 0u64;
+            for i in 0..B {
+                let v = sm_mix(base[i] ^ j);
+                // Threshold bit 1: a 0 variate bit decides "below" and a 1
+                // keeps the tie. Threshold bit 0: a 1 bit decides "above"
+                // and a 0 keeps the tie.
+                dead |= undecided[i] & !v & t;
+                undecided[i] &= !(v ^ t);
+                open |= undecided[i];
+            }
+            if j % 4 == 0 && open & live & !dead == 0 {
+                break;
+            }
+        }
+        // Lanes still tied after the last plane equal the threshold: not
+        // below it, so alive.
+        live & !dead
     }
 }
 
@@ -786,6 +1044,17 @@ impl BundleSource for GrayCycleBundles {
 /// ranges can be evaluated in any order (or in parallel into separate
 /// accumulators) and AND-combined, which is exactly what
 /// [`streamed_all_bundles_ge`] does.
+///
+/// A bundle *settles* once every lane that still matters has reached its
+/// thresholds: the fold evaluates each path only on the lanes of some
+/// `acc[j]` (`ks[j] ≥ 1`) whose count is still below `ks[j]`, and skips
+/// the bundle's remaining paths once there are none. Counts only grow, so
+/// a lane that reached `ks[j]` keeps it, and a lane outside `acc[j]`
+/// cannot change `acc[j]`: the final words are the unsettled fold's.
+///
+/// # Panics
+/// Panics if `ks` and `acc` differ in length, or if a bundle has 256 or
+/// more paths (the ripple-carry survivor counter is 8 bits wide).
 pub fn stream_bundles_ge_into(
     src: &(impl BundleSource + ?Sized),
     trials: &IndexedTrials,
@@ -796,24 +1065,31 @@ pub fn stream_bundles_ge_into(
     assert_eq!(ks.len(), acc.len(), "one accumulator word per threshold");
     let full = trials.live_mask();
     for b in bundles {
-        if acc.iter().all(|&w| w == 0) {
-            return;
-        }
         // Bit-sliced survivor count, shared across all thresholds.
         let mut cnt = SurvivorCount::new();
+        // Lanes some positive threshold still waits on.
+        let pending = |cnt: &SurvivorCount<u64>| {
+            let mut lanes = 0;
+            for (&a, &k) in acc.iter().zip(ks) {
+                if k > 0 {
+                    lanes |= a & !cnt.at_least(k);
+                }
+            }
+            lanes
+        };
+        let mut need = pending(&cnt);
+        if need == 0 {
+            return;
+        }
         let mut n_paths = 0usize;
         src.for_each_path(b, &mut |links| {
             n_paths += 1;
-            let mut alive = full;
-            for &l in links {
-                alive &= trials.link_word(l);
-                if alive == 0 {
-                    break;
-                }
+            if need != 0 {
+                cnt.add(trials.path_word(links, need));
+                need = pending(&cnt);
             }
-            cnt.add(alive);
         });
-        debug_assert!(n_paths < 256, "bundle too wide for 8-bit survivor counters");
+        assert!(n_paths < 256, "bundle {b} has {n_paths} paths; survivor counters hold 255");
         // The same edge cases as `SlicedPaths::bundle_ge`.
         for (a, &k) in acc.iter_mut().zip(ks) {
             *a &= match k {
@@ -869,31 +1145,81 @@ mod tests {
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    fn rngs(seeds: impl IntoIterator<Item = u64>) -> Vec<StdRng> {
-        seeds.into_iter().map(StdRng::seed_from_u64).collect()
+    fn seed_range(range: std::ops::Range<u64>) -> Vec<u64> {
+        range.collect()
+    }
+
+    #[test]
+    fn lane_streams_replay_std_rng() {
+        // 0 and u64::MAX among the seeds; every lane of every group.
+        let seeds: Vec<u64> = [0, u64::MAX, 1, GOLDEN_GAMMA, GOLDEN_GAMMA.wrapping_neg()]
+            .into_iter()
+            .chain((5..256u64).map(|t| t.wrapping_mul(0x2545_F491_4F6C_DD1D)))
+            .collect();
+        let mut streams = LaneStreams::new(&seeds);
+        let mut rngs: Vec<StdRng> = seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect();
+        for draw in 0..10_000 {
+            for (t, rng) in rngs.iter_mut().enumerate() {
+                let want = rng.next_u64();
+                assert_eq!(streams.next(t / 64, t % 64), want, "lane {t} draw {draw}");
+            }
+        }
+    }
+
+    /// A redraw body: the portable build, the AVX2 build, or the
+    /// dispatcher.
+    type RedrawBody<W> = fn(&mut BitTrialBlock<W>, f64, &[u64]);
+
+    /// Every compat redraw body this host can run, by name.
+    fn redraw_bodies<W: LaneWord>() -> Vec<(&'static str, RedrawBody<W>)> {
+        let mut bodies: Vec<(&'static str, RedrawBody<W>)> = vec![
+            ("portable", |b, p, s| redraw_compat_body(b, fail_threshold(p), s)),
+            ("dispatch", |b, p, s| b.redraw_compat(p, s)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was just detected.
+            bodies.push(("avx2", |b, p, s| unsafe { redraw_compat_avx2(b, fail_threshold(p), s) }));
+        }
+        bodies
+    }
+
+    fn compat_lanes_extract_to_scalar_fault_sets_at<W: LaneWord>(n: u32, lane_counts: &[u32]) {
+        let host = Hypercube::new(n);
+        for (pi, p) in [0.0, f64::NAN, 1.0, 1e-300, 0.05, 0.5].into_iter().enumerate() {
+            for &lanes in lane_counts {
+                let base = 1000 * pi as u64 + u64::from(lanes);
+                let seeds: Vec<u64> = (0..u64::from(lanes)).map(|t| base + t).collect();
+                for (name, body) in redraw_bodies::<W>() {
+                    // Redraw over a full block of other draws: no stale lane
+                    // or word may survive.
+                    let mut block = BitTrialBlock::<W>::zeroed(&host, W::WIDTH);
+                    body(&mut block, 0.5, &seed_range(7..7 + u64::from(W::WIDTH)));
+                    body(&mut block, p, &seeds);
+                    assert_eq!(block.lanes(), lanes);
+                    for e in host.undirected_edges() {
+                        let w = block.link_alive_word(host.dir_edge_index(e));
+                        assert_eq!(w.andnot(block.live_mask()), W::ZERO, "{name}: dead lanes set");
+                    }
+                    for (t, &s) in seeds.iter().enumerate() {
+                        let scalar = random_fault_set(&host, p, &mut StdRng::seed_from_u64(s));
+                        assert_eq!(
+                            block.lane_fault_set(t as u32),
+                            scalar,
+                            "{name}: lane {t} of {lanes} diverges from the scalar draw at p={p}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn compat_lanes_extract_to_scalar_fault_sets() {
-        let host = Hypercube::new(6);
-        for (p, seed_base) in [(0.0, 10u64), (0.02, 20), (0.35, 30), (1.0, 40), (f64::NAN, 50)] {
-            let seeds: Vec<u64> = (0..64).map(|t| seed_base + t).collect();
-            let mut lane_rngs = rngs(seeds.iter().copied());
-            let block = BitTrialBlock::<u64>::draw_compat(&host, p, &mut lane_rngs);
-            for (t, &s) in seeds.iter().enumerate() {
-                let mut scalar_rng = StdRng::seed_from_u64(s);
-                let scalar = random_fault_set(&host, p, &mut scalar_rng);
-                assert_eq!(
-                    block.lane_fault_set(t as u32),
-                    scalar,
-                    "lane {t} diverges from the scalar draw at p={p}"
-                );
-            }
-            // Both consumed the same number of RNG words per lane.
-            let mut a = lane_rngs.remove(0);
-            let mut b = StdRng::seed_from_u64(seeds[0]);
-            let _ = random_fault_set(&host, p, &mut b);
-            assert_eq!(a.next_u64(), b.next_u64(), "lane 0 RNG state diverged");
+        // Q_1's single link is a short last draw batch; Q_6 has 192 links.
+        for n in [1, 6] {
+            compat_lanes_extract_to_scalar_fault_sets_at::<u64>(n, &[1, 37, 64]);
+            compat_lanes_extract_to_scalar_fault_sets_at::<W256>(n, &[1, 37, 64, 65, 200, 256]);
         }
     }
 
@@ -902,7 +1228,7 @@ mod tests {
         let t1 = theorem1(6).unwrap();
         let host = t1.embedding.host;
         let sliced = SlicedPaths::new(&t1.embedding);
-        let block = BitTrialBlock::<u64>::draw_compat(&host, 0.08, &mut rngs(0..64));
+        let block = BitTrialBlock::<u64>::draw_compat(&host, 0.08, &seed_range(0..64));
         for t in 0..block.lanes() {
             let faults = block.lane_fault_set(t);
             let scalar = surviving_paths(&t1.embedding, &faults);
@@ -919,7 +1245,7 @@ mod tests {
 
     fn partial_blocks_mask_dead_lanes_at<W: LaneWord>(lanes: u32) {
         let host = Hypercube::new(4);
-        let block = BitTrialBlock::<W>::draw_compat(&host, 0.3, &mut rngs(0..u64::from(lanes)));
+        let block = BitTrialBlock::<W>::draw_compat(&host, 0.3, &seed_range(0..u64::from(lanes)));
         assert_eq!(block.lanes(), lanes);
         assert_eq!(block.live_mask(), W::mask(lanes));
         for e in host.undirected_edges() {
@@ -1117,11 +1443,9 @@ mod tests {
         p: f64,
         seeds: &[u64],
     ) -> (BitTrialBlock<W256>, Vec<BitTrialBlock<u64>>) {
-        let wide = BitTrialBlock::draw_compat(host, p, &mut rngs(seeds.iter().copied()));
-        let groups = seeds
-            .chunks(64)
-            .map(|chunk| BitTrialBlock::draw_compat(host, p, &mut rngs(chunk.iter().copied())))
-            .collect();
+        let wide = BitTrialBlock::draw_compat(host, p, seeds);
+        let groups =
+            seeds.chunks(64).map(|chunk| BitTrialBlock::draw_compat(host, p, chunk)).collect();
         (wide, groups)
     }
 
@@ -1197,12 +1521,131 @@ mod tests {
     #[test]
     fn redraw_compat_matches_a_fresh_draw() {
         let host = Hypercube::new(5);
-        let mut block = BitTrialBlock::<W256>::draw_compat(&host, 0.5, &mut rngs(0..256));
-        block.redraw_compat(0.02, &mut rngs(500..600));
-        let fresh = BitTrialBlock::<W256>::draw_compat(&host, 0.02, &mut rngs(500..600));
+        let mut block = BitTrialBlock::<W256>::draw_compat(&host, 0.5, &seed_range(0..256));
+        block.redraw_compat(0.02, &seed_range(500..600));
+        let fresh = BitTrialBlock::<W256>::draw_compat(&host, 0.02, &seed_range(500..600));
         assert_eq!(block.lanes(), 100);
         assert_eq!(block.live_mask(), W256::mask(100));
         assert_eq!(block.live_mask(), fresh.live_mask());
         assert_eq!(block.words, fresh.words, "every word, non-canonical slots included");
+    }
+
+    /// The per-link word before batching: the MSB-first comparator with an
+    /// exit check after every plane.
+    fn serial_link_word(trials: &IndexedTrials, link: u64) -> u64 {
+        let base = sm_mix(trials.seed ^ link.wrapping_mul(GOLDEN_GAMMA));
+        survivors(trials.threshold, trials.live_mask(), |b| sm_mix(base ^ (53 - b)))
+    }
+
+    #[test]
+    fn batched_path_words_match_the_serial_link_fold() {
+        // 0.02 and 0.3 have threshold bits below the top one, so a lane
+        // still tied after a few planes can yet fail: they test the exit.
+        for p in [0.0, 1.0, f64::NAN, 1e-300, 0.5, 0.02, 0.3] {
+            for lanes in [1u32, 23, 64] {
+                let trials = IndexedTrials::new(0x5eed ^ u64::from(lanes), p, lanes);
+                for len in 0..=9u64 {
+                    for start in [0u64, 17, 1 << 40] {
+                        let links: Vec<u64> = (0..len).map(|i| start + 7 * i + i * i).collect();
+                        let serial = links
+                            .iter()
+                            .fold(trials.live_mask(), |w, &l| w & serial_link_word(&trials, l));
+                        for live in [!0u64, 0, 0xF0F0_F0F0_F0F0_F0F0, 1 << 22, 1] {
+                            assert_eq!(
+                                trials.path_word(&links, live),
+                                serial & live,
+                                "p={p} lanes={lanes} links={links:?} live={live:#x}"
+                            );
+                        }
+                        for &l in &links {
+                            assert_eq!(trials.link_word(l), serial_link_word(&trials, l));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`stream_bundles_ge_into`] before settling: every path of every
+    /// bundle on every lane, link by link.
+    fn unsettled_fold(
+        src: &dyn BundleSource,
+        trials: &IndexedTrials,
+        ks: &[usize],
+        acc: &mut [u64],
+    ) {
+        let full = trials.live_mask();
+        for b in 0..src.num_bundles() {
+            let mut cnt = SurvivorCount::new();
+            let mut n_paths = 0usize;
+            src.for_each_path(b, &mut |links| {
+                n_paths += 1;
+                cnt.add(links.iter().fold(full, |w, &l| w & serial_link_word(trials, l)));
+            });
+            for (a, &k) in acc.iter_mut().zip(ks) {
+                *a &= match k {
+                    0 => full,
+                    k if k > n_paths => 0,
+                    k => cnt.at_least(k),
+                };
+            }
+        }
+    }
+
+    #[test]
+    fn settled_fold_matches_the_unsettled_fold() {
+        let sources: Vec<(&str, Box<dyn BundleSource>)> = vec![
+            ("theorem1 n8", Box::new(Theorem1Plan::new(8).unwrap())),
+            ("theorem2 n6 cost3", Box::new(Theorem2Plan::new(6, false).unwrap())),
+            ("theorem2 n6 full", Box::new(Theorem2Plan::new(6, true).unwrap())),
+            ("theorem2 n7 full", Box::new(Theorem2Plan::new(7, true).unwrap())),
+            ("grid 4x4 in n8", Box::new(GridPlan::new(8, 4, 4, 5).unwrap())),
+            ("tree n8", Box::new(BinomialTreePlan::new(8, 4).unwrap())),
+            ("gray n8", Box::new(GrayCycleBundles::new(8))),
+        ];
+        // 0, thresholds past every width (one past 255), and duplicates.
+        let ks = [0usize, 1, 2, 3, 3, 4, 5, 9, 300, 1, 0];
+        for (name, src) in &sources {
+            for (i, p) in [0.0, 0.002, 0.02, 0.1, 0.3].into_iter().enumerate() {
+                for lanes in [64u32, 23] {
+                    let trials = IndexedTrials::new(0xd1ce ^ (i as u64) << 8, p, lanes);
+                    let mut want = vec![trials.live_mask(); ks.len()];
+                    unsettled_fold(src.as_ref(), &trials, &ks, &mut want);
+                    let mut got = vec![trials.live_mask(); ks.len()];
+                    stream_bundles_ge_into(
+                        src.as_ref(),
+                        &trials,
+                        &ks,
+                        0..src.num_bundles(),
+                        &mut got,
+                    );
+                    assert_eq!(got, want, "{name} p={p} lanes={lanes}");
+                }
+            }
+        }
+    }
+
+    /// One bundle of 256 one-link paths: one more than the survivor
+    /// counters hold.
+    struct TooWide;
+
+    impl BundleSource for TooWide {
+        fn num_bundles(&self) -> u64 {
+            1
+        }
+
+        fn for_each_path(&self, _bundle: u64, f: &mut dyn FnMut(&[u64])) {
+            for link in 0..256 {
+                f(&[link]);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "survivor counters hold 255")]
+    fn streaming_a_256_path_bundle_panics() {
+        let trials = IndexedTrials::new(1, 0.1, 64);
+        let mut acc = [trials.live_mask()];
+        stream_bundles_ge_into(&TooWide, &trials, &[2], 0..1, &mut acc);
     }
 }
