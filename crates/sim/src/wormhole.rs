@@ -1,24 +1,31 @@
 //! Wormhole (cut-through) routing simulation (Section 7).
 //!
 //! A *worm* is a message of `flits` flits following one fixed path. Its
-//! head advances one hop per step when the next link is free; the body
-//! streams behind, so a link is held from the step the head crosses it
-//! until the tail (flit `flits`) has crossed — and while the head is
-//! blocked, everything behind it stalls and the held links stay held.
-//! Store-and-forward would charge `Θ(hops + queue_delays)` *per message
-//! re-queue*, i.e. `Θ(n·M)` for an `M`-flit message crossing `n` links
-//! under contention; wormhole pipelining charges `hops + M` when the path
-//! is clear — the contrast experiment E10 measures.
+//! head advances one hop per step when the next link is free and stalls
+//! while another worm holds it. The body streams behind with buffering:
+//! the link of hop `h`, entered by the head at step `entered[h]`, is held
+//! until its last flit has crossed and is free again from step
+//! `entered[h] + flits` on, whether or not the head has stalled since.
+//! The tail arrives, and the worm completes, at
+//! `entered[last] + flits`. Store-and-forward would charge
+//! `Θ(hops + queue_delays)` *per message re-queue*, i.e. `Θ(n·M)` for an
+//! `M`-flit message crossing `n` links under contention; wormhole
+//! pipelining charges `hops + M` when the path is clear — the contrast
+//! experiment E10 measures.
 //!
 //! [`WormholeArena`] is the production engine: per-worm link sequences
 //! are precomputed once into a flat arena (the reference engine
-//! recomputes XOR + edge index on every access), and finished worms leave
-//! the iteration via an in-place `retain` compaction of the active list —
-//! which preserves ascending worm-id order, i.e. exactly the reference
-//! engine's arbitration. [`WormholeSim`] is its node-walk front-end, and
-//! each of its runs loads a fresh arena. [`WormholeSim::run_reference`]
-//! keeps the original engine as the executable specification the
-//! property tests pin the production engine against.
+//! recomputes XOR + edge index on every access), and the step loop is
+//! event-driven: it visits a worm only when its state can change. A head
+//! blocked on a held link is parked behind the hop that holds it and
+//! woken when that hop lets go; both due times a head crossing sets —
+//! the hop's release and, on the last hop, the completion — go into a
+//! calendar ring. Each step visits its ready worms in ascending id order,
+//! exactly the reference engine's arbitration. [`WormholeSim`] is its
+//! node-walk front-end, and each of its runs loads a fresh arena.
+//! [`WormholeSim::run_reference`] keeps the original visit-every-worm
+//! stepper as the executable specification the property tests pin the
+//! production engine against.
 
 use crate::faults::{FaultPlan, LinkEvent};
 use crate::packet::walk_links;
@@ -254,34 +261,116 @@ impl WormholeSim {
     }
 }
 
+/// "No worm / no hop" in the engine's link fields and intrusive lists.
+const NONE: u32 = u32::MAX;
+
 /// Every buffer the wormhole step machine mutates, grouped so a pooled
 /// caller ([`WormholeArena`]) can keep them alive across runs. `holder`
-/// is link-indexed and left **clean** (all `u32::MAX`) by every completed
+/// is link-indexed and left **clean** (all [`NONE`]) by every completed
 /// run — a finishing or dying worm releases everything it held — so reuse
-/// needs no O(links) reset; the per-worm vectors are re-prepared by the
-/// caller before each run.
+/// needs no O(links) reset; the per-worm and per-hop vectors and the
+/// calendar ring are re-prepared by the caller before each run.
 #[derive(Debug, Clone, Default)]
 struct WormBufs {
+    /// Per directed link: the global hop index (into the arena's
+    /// `worm_links`) of the hop holding it, or [`NONE`].
     holder: Vec<u32>,
     failed: Vec<bool>,
     lost: Vec<bool>,
     corrupted: Vec<bool>,
     dropped_at: Vec<u32>,
     corrupted_at: Vec<u32>,
+    /// Per hop: the step the head crossed it.
     entered: Vec<u64>,
+    /// Per hop: the first worm parked behind the link this hop holds.
+    waiters: Vec<u32>,
+    /// Per hop: the next hop released at the same step.
+    hop_next: Vec<u32>,
     head: Vec<usize>,
     completion: Vec<u64>,
-    active: Vec<u32>,
+    /// Per worm: the next worm in the same wait list or completion list
+    /// (a worm is in at most one).
+    worm_next: Vec<u32>,
+    /// Bitset over worm ids: the worms the current (or next) pass visits.
+    ready: Vec<u64>,
+    /// Calendar ring, slot `step % len`: hops released at the end of
+    /// `step`.
+    release_at: Vec<u32>,
+    /// Calendar ring, slot `step % len`: worms whose completion visit is
+    /// due at `step`.
+    complete_at: Vec<u32>,
+}
+
+impl WormBufs {
+    /// Marks `w` ready. A bit above the pass cursor is visited in the
+    /// current step, one at or below it in the next.
+    #[inline]
+    fn set_ready(&mut self, w: u32) {
+        self.ready[w as usize / 64] |= 1 << (w % 64);
+    }
+
+    /// Frees `link`, held by `hop`, and wakes every worm parked behind
+    /// that hop.
+    #[inline]
+    fn free(&mut self, link: usize, hop: u32) {
+        self.holder[link] = NONE;
+        let mut w = std::mem::replace(&mut self.waiters[hop as usize], NONE);
+        while w != NONE {
+            self.set_ready(w);
+            w = self.worm_next[w as usize];
+        }
+    }
+
+    /// Kills worm `w` (hops from global index `off`) at `step`, dropped on
+    /// link `at`: every hop still holding its link lets go.
+    fn kill<R: Recorder>(
+        &mut self,
+        w: usize,
+        off: usize,
+        worm_links: &[u32],
+        at: usize,
+        step: u64,
+        rec: &mut R,
+    ) {
+        for (hop, &l) in (off as u32..).zip(&worm_links[off..off + self.head[w]]) {
+            if self.holder[l as usize] == hop {
+                self.free(l as usize, hop);
+            }
+        }
+        self.completion[w] = step;
+        self.lost[w] = true;
+        self.dropped_at[w] = at as u32;
+        rec.record_drop(w as u32, step);
+    }
+
+    /// Files `entry` (with intrusive links `next`) in the ring slot of
+    /// step `due`, unless `due` lies past `max_steps`: such an entry can
+    /// only matter to a run that panics first.
+    #[inline]
+    fn schedule(ring: &mut [u32], next: &mut [u32], entry: u32, due: u64, max_steps: u64) {
+        if due <= max_steps {
+            let s = (due % ring.len() as u64) as usize;
+            next[entry as usize] = ring[s];
+            ring[s] = entry;
+        }
+    }
 }
 
 /// The step machine behind [`WormholeArena`], over the arena's prepared
-/// buffers (see [`WormBufs`]); nothing in here allocates beyond
-/// `active`'s reserved capacity. Results land in `bufs` (`completion`,
-/// and when `PLAN` also `lost`, `corrupted`, `dropped_at`,
-/// `corrupted_at`). `PLAN` is the one fault switch: off, every fault
-/// branch monomorphizes away; on, `plan_events` fire at the start of
-/// their step and corrupting links flag the worms whose heads enter
-/// them.
+/// buffers (see [`WormBufs`]); nothing in here allocates. Results land in
+/// `bufs` (`completion`, and when `PLAN` also `lost`, `corrupted`,
+/// `dropped_at`, `corrupted_at`). `PLAN` is the one fault switch: off,
+/// every fault branch monomorphizes away; on, `plan_events` fire at the
+/// start of their step and corrupting links flag the worms whose heads
+/// enter them.
+///
+/// A step fires its plan events, queues the completions due, visits the
+/// ready worms in ascending id order, then releases the hops due at its
+/// end. A worm is visited only when its state can change: after an
+/// advance (for its next hop), on its completion step, or when the hop it
+/// is parked behind lets go of the link (tail release, completion or
+/// death of the holder). A worm killed while queued or parked is dropped
+/// when it comes up.
 #[allow(clippy::too_many_arguments)]
 fn worm_core<R: Recorder, const PLAN: bool>(
     host: &Hypercube,
@@ -291,162 +380,171 @@ fn worm_core<R: Recorder, const PLAN: bool>(
     max_steps: u64,
     plan_events: &[(u64, DirEdge, LinkEvent)],
     corrupting: &[bool],
-    bufs: &mut WormBufs,
+    b: &mut WormBufs,
     rec: &mut R,
 ) {
     let num_worms = worm_off.len() - 1;
-    let WormBufs {
-        holder,
-        failed,
-        lost,
-        corrupted,
-        dropped_at,
-        corrupted_at,
-        entered,
-        head,
-        completion,
-        active,
-    } = bufs;
     debug_assert!(
-        active.is_empty() && holder.iter().all(|&h| h == u32::MAX),
+        b.holder.iter().all(|&h| h == NONE),
         "caller handed the engine dirty machine state"
     );
+    let ring = b.release_at.len() as u64;
     let mut next_event = 0usize;
 
-    // Zero-hop worms complete instantly; the rest start active, in id
-    // order (the list only ever compacts, so it stays id-sorted).
+    // Zero-hop worms complete instantly; the rest are ready for step 0.
+    let mut live = 0usize;
     for wid in 0..num_worms as u32 {
         rec.record_injection(wid, 1, 0);
         if worm_off[wid as usize + 1] > worm_off[wid as usize] {
-            active.push(wid);
+            b.set_ready(wid);
+            live += 1;
         } else {
             rec.record_delivery(wid, 0);
         }
     }
 
     let mut step = 0u64;
-    while !active.is_empty() {
+    while live > 0 {
+        let slot = (step % ring) as usize;
         // Fault events for this step fire before anything moves; a
         // worm holding a newly severed link dies on the spot. A plan's
         // [`LinkEvent::Up`] merely reopens the link — dead worms stay
-        // dead, but stalled heads may now enter it.
+        // dead, and no live head is parked on a failed link.
         if PLAN {
-            let mut any_killed = false;
-            let mut sever = |idx: usize,
-                             failed: &mut [bool],
-                             holder: &mut [u32],
-                             completion: &mut [u64],
-                             lost: &mut [bool],
-                             dropped_at: &mut [u32],
-                             rec: &mut R| {
-                failed[idx] = true;
-                let wid = holder[idx];
-                if wid != u32::MAX {
-                    let w = wid as usize;
-                    let off = worm_off[w] as usize;
-                    for h in 0..(worm_off[w + 1] as usize - off) {
-                        let l = worm_links[off + h] as usize;
-                        if holder[l] == wid {
-                            holder[l] = u32::MAX;
-                        }
-                    }
-                    completion[w] = step;
-                    lost[w] = true;
-                    dropped_at[w] = idx as u32;
-                    any_killed = true;
-                    rec.record_drop(wid, step);
-                }
-            };
             while next_event < plan_events.len() && plan_events[next_event].0 <= step {
                 let (_, edge, ev) = plan_events[next_event];
                 for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
                     match ev {
                         LinkEvent::Down => {
-                            sever(idx, failed, holder, completion, lost, dropped_at, rec)
+                            b.failed[idx] = true;
+                            let hop = b.holder[idx];
+                            if hop != NONE {
+                                let w = worm_off.partition_point(|&o| o <= hop) - 1;
+                                b.kill(w, worm_off[w] as usize, worm_links, idx, step, rec);
+                                live -= 1;
+                            }
                         }
-                        LinkEvent::Up => failed[idx] = false,
+                        LinkEvent::Up => b.failed[idx] = false,
                     }
                 }
                 next_event += 1;
             }
-            if any_killed {
-                active.retain(|&wid| !lost[wid as usize]);
-            }
         }
-        // Advance heads / complete worms, lowest id first (arbitration).
+        // Completion visits due this step join the pass.
+        let mut w = std::mem::replace(&mut b.complete_at[slot], NONE);
+        while w != NONE {
+            b.set_ready(w);
+            w = b.worm_next[w as usize];
+        }
+        // Visit the ready worms, lowest id first (arbitration). The word
+        // is re-read after every visit: a worm woken above the cursor
+        // joins this pass.
         let mut advanced = 0u64;
-        active.retain(|&wid| {
-            let w = wid as usize;
-            let off = worm_off[w] as usize;
-            let hops = worm_off[w + 1] as usize - off;
-            if head[w] < hops {
-                // Try to advance the head across the next link; heads
-                // that cannot move stall (held links stay held).
-                let idx = worm_links[off + head[w]] as usize;
-                if PLAN && failed[idx] {
-                    // The head ran into a severed link: the worm dies,
-                    // releasing everything it held.
-                    for h in 0..head[w] {
-                        let l = worm_links[off + h] as usize;
-                        if holder[l] == wid {
-                            holder[l] = u32::MAX;
-                        }
-                    }
-                    completion[w] = step;
-                    lost[w] = true;
-                    dropped_at[w] = idx as u32;
-                    rec.record_drop(wid, step);
-                    return false;
+        for word in 0..b.ready.len() {
+            let mut lo = 0u32;
+            while lo < 64 {
+                let bits = b.ready[word] & (u64::MAX << lo);
+                if bits == 0 {
+                    break;
                 }
-                if holder[idx] == u32::MAX {
-                    holder[idx] = wid;
-                    // The head entering a byte-corrupting link taints
-                    // the whole flit stream (once); the worm still
-                    // completes normally.
-                    if PLAN && corrupting[idx] && !corrupted[w] {
-                        corrupted[w] = true;
-                        corrupted_at[w] = idx as u32;
+                let bit = bits.trailing_zeros();
+                b.ready[word] &= !(1 << bit);
+                lo = bit + 1;
+                let wid = (word * 64) as u32 + bit;
+                let w = wid as usize;
+                if PLAN && b.lost[w] {
+                    continue;
+                }
+                let off = worm_off[w] as usize;
+                let hops = worm_off[w + 1] as usize - off;
+                let flits = worm_flits[w];
+                if b.head[w] < hops {
+                    let hop = off + b.head[w];
+                    let idx = worm_links[hop] as usize;
+                    if PLAN && b.failed[idx] {
+                        // The head ran into a severed link: the worm
+                        // dies, releasing everything it held.
+                        b.kill(w, off, worm_links, idx, step, rec);
+                        live -= 1;
+                        continue;
+                    }
+                    let h = b.holder[idx];
+                    if h != NONE {
+                        // Park behind the holding hop until it lets go.
+                        b.worm_next[w] = b.waiters[h as usize];
+                        b.waiters[h as usize] = wid;
+                        continue;
+                    }
+                    b.holder[idx] = hop as u32;
+                    // The head entering a byte-corrupting link taints the
+                    // whole flit stream (once); the worm still completes
+                    // normally.
+                    if PLAN && corrupting[idx] && !b.corrupted[w] {
+                        b.corrupted[w] = true;
+                        b.corrupted_at[w] = idx as u32;
                         rec.record_corrupt(wid, step);
                     }
-                    entered[off + head[w]] = step;
-                    head[w] += 1;
+                    b.entered[hop] = step;
+                    b.head[w] += 1;
                     advanced += 1;
-                }
-                true
-            } else {
-                // Head arrived; the tail clears the last link once
-                // `flits` flits have crossed it.
-                let release = entered[off + hops - 1] + worm_flits[w];
-                if step + 1 >= release {
-                    for h in 0..hops {
-                        holder[worm_links[off + h] as usize] = u32::MAX;
+                    // The hop's last flit crosses during step
+                    // `step + flits - 1`.
+                    let release = step + flits - 1;
+                    WormBufs::schedule(
+                        &mut b.release_at,
+                        &mut b.hop_next,
+                        hop as u32,
+                        release,
+                        max_steps,
+                    );
+                    if b.head[w] < hops {
+                        b.set_ready(wid);
+                    } else {
+                        let due = (step + 1).max(release);
+                        WormBufs::schedule(
+                            &mut b.complete_at,
+                            &mut b.worm_next,
+                            wid,
+                            due,
+                            max_steps,
+                        );
                     }
-                    completion[w] = release;
-                    rec.record_delivery(wid, release);
-                    rec.record_flit_moves(hops as u64 * worm_flits[w]);
-                    false
                 } else {
-                    true
+                    // Completion visit: the tail has arrived. The
+                    // completing worm clears the link of every hop.
+                    let done = b.entered[off + hops - 1] + flits;
+                    for &l in &worm_links[off..off + hops] {
+                        let h = b.holder[l as usize];
+                        if h != NONE {
+                            b.free(l as usize, h);
+                        }
+                    }
+                    b.completion[w] = done;
+                    rec.record_delivery(wid, done);
+                    rec.record_flit_moves(hops as u64 * flits);
+                    live -= 1;
                 }
             }
-        });
-        // Release links behind each still-active tail as it streams.
-        for &wid in active.iter() {
-            let w = wid as usize;
-            let off = worm_off[w] as usize;
-            for h in 0..head[w] {
-                let idx = worm_links[off + h] as usize;
-                if holder[idx] == wid && step + 1 >= entered[off + h] + worm_flits[w] {
-                    holder[idx] = u32::MAX;
-                }
+        }
+        // Release the hops whose last flit crossed during this step.
+        let mut hop = std::mem::replace(&mut b.release_at[slot], NONE);
+        while hop != NONE {
+            let l = worm_links[hop as usize] as usize;
+            if b.holder[l] == hop {
+                b.free(l, hop);
             }
+            hop = b.hop_next[hop as usize];
         }
         rec.record_step(step, advanced);
         step += 1;
-        if step > max_steps && !active.is_empty() {
+        if step > max_steps && live > 0 {
             panic!("wormhole simulation did not finish within {max_steps} steps");
         }
     }
+    debug_assert!(
+        b.holder.iter().all(|&h| h == NONE) && b.waiters.iter().all(|&w| w == NONE),
+        "a finished run left a link held or a worm parked"
+    );
 }
 
 /// The wormhole engine: the link-holder table is allocated once for a
@@ -476,7 +574,7 @@ impl WormholeArena {
             worm_off: vec![0],
             worm_links: Vec::new(),
             worm_flits: Vec::new(),
-            bufs: WormBufs { holder: vec![u32::MAX; num_links], ..WormBufs::default() },
+            bufs: WormBufs { holder: vec![NONE; num_links], ..WormBufs::default() },
         }
     }
 
@@ -584,13 +682,30 @@ impl WormholeArena {
             }
             _ => (&[][..], &[][..]),
         };
+        let hops = worm_links.len();
         bufs.entered.clear();
-        bufs.entered.resize(worm_links.len(), 0);
+        bufs.entered.resize(hops, 0);
+        bufs.waiters.clear();
+        bufs.waiters.resize(hops, NONE);
+        bufs.hop_next.clear();
+        bufs.hop_next.resize(hops, NONE);
         bufs.head.clear();
         bufs.head.resize(num_worms, 0);
         bufs.completion.clear();
         bufs.completion.resize(num_worms, 0);
-        bufs.active.reserve(num_worms);
+        bufs.worm_next.clear();
+        bufs.worm_next.resize(num_worms, NONE);
+        bufs.ready.clear();
+        bufs.ready.resize(num_worms.div_ceil(64), 0);
+        // Every due time lies less than the longest worm's `flits` steps
+        // ahead of the step that sets it, and none past `max_steps`
+        // matters, so the ring needs no more slots than either bound.
+        let longest = worm_flits.iter().copied().max().unwrap_or(1);
+        let ring = longest.min(max_steps.saturating_add(1)).max(1) as usize;
+        bufs.release_at.clear();
+        bufs.release_at.resize(ring, NONE);
+        bufs.complete_at.clear();
+        bufs.complete_at.resize(ring, NONE);
         worm_core::<R, PLAN>(
             host,
             worm_off,
