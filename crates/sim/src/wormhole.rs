@@ -175,8 +175,10 @@ impl WormholeSim {
     /// Panics if worms remain unfinished after `max_steps`.
     pub fn run_reference(&self, max_steps: u64) -> WormReport {
         let num_links = self.host.num_directed_edges() as usize;
-        // Which worm holds each link (u32::MAX = free).
-        let mut holder: Vec<u32> = vec![u32::MAX; num_links];
+        // Which worm holds each link, through which of its hops (worm
+        // u32::MAX = free): a release frees only its own hop's link.
+        const FREE: (u32, usize) = (u32::MAX, 0);
+        let mut holder: Vec<(u32, usize)> = vec![FREE; num_links];
         // Per worm: hops the head has crossed, flits the tail has pushed
         // through the first held link (tail progress), completion time.
         #[derive(Clone)]
@@ -216,9 +218,9 @@ impl WormholeSim {
                 if st[wid].head < hops {
                     // Try to advance the head across the next link.
                     let idx = link_of(w, st[wid].head);
-                    if holder[idx] == u32::MAX {
-                        holder[idx] = wid as u32;
+                    if holder[idx] == FREE {
                         let h = st[wid].head;
+                        holder[idx] = (wid as u32, h);
                         st[wid].entered[h] = step;
                         st[wid].head += 1;
                     }
@@ -226,10 +228,12 @@ impl WormholeSim {
                 } else {
                     // Head arrived; the tail clears link i once `flits`
                     // flits have crossed it: release at entered[i] + flits.
+                    // Only the last hop can still hold its link.
                     let release = st[wid].entered[hops - 1] + w.flits;
                     if step + 1 >= release {
-                        for hop in 0..hops {
-                            holder[link_of(w, hop)] = u32::MAX;
+                        let last = link_of(w, hops - 1);
+                        if holder[last] == (wid as u32, hops - 1) {
+                            holder[last] = FREE;
                         }
                         st[wid].done = Some(release);
                     }
@@ -243,8 +247,10 @@ impl WormholeSim {
                 let hops = w.path.len() - 1;
                 for hop in 0..st[wid].head.min(hops) {
                     let idx = link_of(w, hop);
-                    if holder[idx] == wid as u32 && step + 1 >= st[wid].entered[hop] + w.flits {
-                        holder[idx] = u32::MAX;
+                    if holder[idx] == (wid as u32, hop)
+                        && step + 1 >= st[wid].entered[hop] + w.flits
+                    {
+                        holder[idx] = FREE;
                     }
                 }
             }
@@ -510,14 +516,15 @@ fn worm_core<R: Recorder, const PLAN: bool>(
                         );
                     }
                 } else {
-                    // Completion visit: the tail has arrived. The
-                    // completing worm clears the link of every hop.
-                    let done = b.entered[off + hops - 1] + flits;
-                    for &l in &worm_links[off..off + hops] {
-                        let h = b.holder[l as usize];
-                        if h != NONE {
-                            b.free(l as usize, h);
-                        }
+                    // Completion visit: the tail has arrived. Every
+                    // earlier hop has let go at its own release; the last
+                    // still holds its link unless `flits == 1` released
+                    // it at the end of the step it was entered.
+                    let last = off + hops - 1;
+                    let done = b.entered[last] + flits;
+                    let l = worm_links[last] as usize;
+                    if b.holder[l] == last as u32 {
+                        b.free(l, last as u32);
                     }
                     b.completion[w] = done;
                     rec.record_delivery(wid, done);
@@ -905,6 +912,32 @@ mod tests {
         let r = sim.run_planned(1000, &plan, &mut NopRecorder);
         assert_eq!(r.lost, vec![true, false]);
         assert_eq!(r.corrupted_count(), 0);
+    }
+
+    #[test]
+    fn completion_frees_only_its_own_last_hop() {
+        // Worm 0's completion at step 3 must not free 0→1, which worm 1
+        // entered at step 2 and streams 5 flits through until step 6:
+        // worm 2 gets the link only when worm 1 completes in step 6.
+        let host = Hypercube::new(3);
+        let mut sim = WormholeSim::new(host);
+        sim.add_worm(Worm { path: vec![0, 1, 3, 7], flits: 2 });
+        sim.add_worm(Worm { path: vec![0, 1], flits: 5 });
+        sim.add_worm(Worm { path: vec![0, 1], flits: 1 });
+        assert_eq!(sim.run(1000, &mut NopRecorder).completion, vec![4, 7, 7]);
+        assert_eq!(sim.run_reference(1000).completion, vec![4, 7, 7]);
+    }
+
+    #[test]
+    fn re_entered_link_is_released_on_its_own_hop() {
+        // Both walks cross a link twice; the second crossing holds it for
+        // its own `flits` steps, not on the first crossing's schedule.
+        let host = Hypercube::new(2);
+        let mut sim = WormholeSim::new(host);
+        sim.add_worm(Worm { path: vec![3, 1, 0, 1, 0], flits: 4 });
+        sim.add_worm(Worm { path: vec![0, 1, 0, 2, 3], flits: 3 });
+        assert_eq!(sim.run(1000, &mut NopRecorder).completion, vec![9, 13]);
+        assert_eq!(sim.run_reference(1000).completion, vec![9, 13]);
     }
 
     #[test]
