@@ -3,17 +3,22 @@
 //! The load-bearing ones are the old-vs-new engine equivalences: the
 //! reworked [`PacketSim::run`] / [`WormholeSim::run`] engines must produce
 //! bit-identical reports to the original straightforward implementations
-//! (kept as `run_reference`) on arbitrary workloads, and the planned runs
-//! must keep the fail-stop guarantees of the one fault model.
+//! (kept as `run_reference`) on arbitrary workloads, the planned wormhole
+//! runs must match an independent step-every-worm oracle, and the planned
+//! runs must keep the fail-stop guarantees of the one fault model.
 
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::faults::{random_fault_set, surviving_paths};
 use hyperpath_sim::routing::ecube_path;
-use hyperpath_sim::{FaultPlan, Flow, NopRecorder, PacketSim, TraceRecorder, Worm, WormholeSim};
+use hyperpath_sim::trace::Recorder;
+use hyperpath_sim::wormhole::WormholeArena;
+use hyperpath_sim::{
+    FaultPlan, Flow, LinkEvent, NopRecorder, PacketSim, TraceRecorder, Worm, WormholeSim,
+};
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 
 /// Derives a random-walk flow from one 64-bit seed: start node, then up to
 /// six hops along seed-chosen dimensions (repeats allowed — walks may
@@ -42,6 +47,194 @@ fn walk_edges(path: &[Node]) -> Vec<DirEdge> {
     path.windows(2).map(|w| DirEdge::new(w[0], (w[0] ^ w[1]).trailing_zeros())).collect()
 }
 
+/// Every event one run fires on its [`Recorder`], in firing order.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct EventLog(Vec<(&'static str, u64, u64)>);
+
+impl Recorder for EventLog {
+    fn record_step(&mut self, step: u64, busy: u64) {
+        self.0.push(("step", step, busy));
+    }
+    fn record_injection(&mut self, flow: u32, packets: u64, step: u64) {
+        self.0.push(("inject", u64::from(flow), packets << 32 | step));
+    }
+    fn record_delivery(&mut self, flow: u32, step: u64) {
+        self.0.push(("deliver", u64::from(flow), step));
+    }
+    fn record_drop(&mut self, flow: u32, step: u64) {
+        self.0.push(("drop", u64::from(flow), step));
+    }
+    fn record_corrupt(&mut self, flow: u32, step: u64) {
+        self.0.push(("corrupt", u64::from(flow), step));
+    }
+    fn record_flit_moves(&mut self, count: u64) {
+        self.0.push(("flits", count, 0));
+    }
+}
+
+/// Per-worm outcomes of one planned wormhole run plus its event stream.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct WormOutcome {
+    completion: Vec<u64>,
+    lost: Vec<bool>,
+    corrupted: Vec<bool>,
+    dropped_at: Vec<u32>,
+    corrupted_at: Vec<u32>,
+    log: EventLog,
+}
+
+/// Independent oracle for planned wormhole runs: every step it fires the
+/// plan's events, then visits every live worm in id order, then lets each
+/// hop whose last flit has crossed release its link. A link remembers the
+/// `(worm, hop)` holding it, so a release (and the completion, which can
+/// only find the last hop still holding) frees only its own hop's link.
+fn planned_oracle(host: Hypercube, worms: &[Worm], plan: &FaultPlan) -> WormOutcome {
+    let n = worms.len();
+    let links: Vec<Vec<usize>> = worms
+        .iter()
+        .map(|w| walk_edges(&w.path).into_iter().map(|e| host.dir_edge_index(e)).collect())
+        .collect();
+    let mut failed = plan.initial().bits().to_vec();
+    let corrupting = plan.corrupting_bits();
+    let mut holder: Vec<Option<(usize, usize)>> = vec![None; failed.len()];
+    let mut head = vec![0usize; n];
+    let mut entered: Vec<Vec<u64>> = links.iter().map(|l| vec![0; l.len()]).collect();
+    let mut done = vec![false; n];
+    let mut out = WormOutcome {
+        completion: vec![0; n],
+        lost: vec![false; n],
+        corrupted: vec![false; n],
+        dropped_at: vec![u32::MAX; n],
+        corrupted_at: vec![u32::MAX; n],
+        log: EventLog::default(),
+    };
+    for w in 0..n {
+        out.log.record_injection(w as u32, 1, 0);
+        if links[w].is_empty() {
+            done[w] = true;
+            out.log.record_delivery(w as u32, 0);
+        }
+    }
+    // Kills worm `w`, dropped on link `at`: it lets go of every link.
+    let kill = |w: usize,
+                at: usize,
+                step: u64,
+                holder: &mut [Option<(usize, usize)>],
+                out: &mut WormOutcome| {
+        for h in holder.iter_mut().filter(|h| matches!(h, Some((x, _)) if *x == w)) {
+            *h = None;
+        }
+        out.completion[w] = step;
+        out.lost[w] = true;
+        out.dropped_at[w] = at as u32;
+        out.log.record_drop(w as u32, step);
+    };
+    let (mut step, mut next_event) = (0u64, 0usize);
+    while done.iter().any(|&d| !d) {
+        while let Some(&(at, edge, ev)) = plan.events().get(next_event).filter(|e| e.0 <= step) {
+            debug_assert!(at <= step);
+            for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
+                failed[idx] = ev == LinkEvent::Down;
+                if let (LinkEvent::Down, Some((w, _))) = (ev, holder[idx]) {
+                    done[w] = true;
+                    kill(w, idx, step, &mut holder, &mut out);
+                }
+            }
+            next_event += 1;
+        }
+        let mut advanced = 0;
+        for w in 0..n {
+            if done[w] {
+                continue;
+            }
+            let (hops, flits) = (links[w].len(), worms[w].flits);
+            if head[w] < hops {
+                let idx = links[w][head[w]];
+                if failed[idx] {
+                    done[w] = true;
+                    kill(w, idx, step, &mut holder, &mut out);
+                } else if holder[idx].is_none() {
+                    holder[idx] = Some((w, head[w]));
+                    if corrupting[idx] && !out.corrupted[w] {
+                        out.corrupted[w] = true;
+                        out.corrupted_at[w] = idx as u32;
+                        out.log.record_corrupt(w as u32, step);
+                    }
+                    entered[w][head[w]] = step;
+                    head[w] += 1;
+                    advanced += 1;
+                }
+            } else if step + 1 >= entered[w][hops - 1] + flits {
+                let last = links[w][hops - 1];
+                if holder[last] == Some((w, hops - 1)) {
+                    holder[last] = None;
+                }
+                done[w] = true;
+                out.completion[w] = entered[w][hops - 1] + flits;
+                out.log.record_delivery(w as u32, out.completion[w]);
+                out.log.record_flit_moves(hops as u64 * flits);
+            }
+        }
+        for w in (0..n).filter(|&w| !done[w]) {
+            for h in 0..head[w] {
+                let idx = links[w][h];
+                if holder[idx] == Some((w, h)) && step + 1 >= entered[w][h] + worms[w].flits {
+                    holder[idx] = None;
+                }
+            }
+        }
+        out.log.record_step(step, advanced);
+        step += 1;
+    }
+    out
+}
+
+/// A random node walk from one seed: up to eight hops along seed-chosen
+/// dimensions (backtracking, revisits and re-entered links allowed),
+/// carrying 1..=20 flits.
+fn walk_from_seed(host: Hypercube, seed: u64) -> Worm {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut path = vec![rng.random_range(0..host.num_nodes())];
+    for _ in 0..rng.random_range(0..=8u32) {
+        path.push(path.last().unwrap() ^ (1u64 << rng.random_range(0..host.dims())));
+    }
+    Worm { path, flits: rng.random_range(1..=20u64) }
+}
+
+/// A random fault plan from seeds, one fault per seed: an initial cut, a
+/// timed cut, an outage, a timed restore, a timed node cut or a
+/// corrupting link, at steps below 40.
+fn plan_from_seeds(host: Hypercube, seeds: &[u64]) -> FaultPlan {
+    let mut plan = FaultPlan::none(&host);
+    for &seed in seeds {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let node = rng.random_range(0..host.num_nodes());
+        let edge = DirEdge::new(node, rng.random_range(0..host.dims()));
+        let at = rng.random_range(0..40u64);
+        match seed % 6 {
+            0 => plan.cut_link(&host, edge),
+            1 => plan.cut_link_at(at, edge),
+            2 => plan.outage(edge, at, at + rng.random_range(1..=12u64)),
+            3 => plan.restore_link_at(at, edge),
+            4 => plan.cut_node_at(at, &host, node),
+            _ => plan.corrupt_link(&host, edge),
+        }
+    }
+    plan
+}
+
+/// The engine's outcome for the worms loaded in `arena`.
+fn arena_outcome(arena: &WormholeArena, log: EventLog) -> WormOutcome {
+    WormOutcome {
+        completion: arena.completion().to_vec(),
+        lost: arena.lost().to_vec(),
+        corrupted: arena.corrupted().to_vec(),
+        dropped_at: arena.dropped_at().to_vec(),
+        corrupted_at: arena.corrupted_at().to_vec(),
+        log,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -66,6 +259,37 @@ proptest! {
             sim.add_worm(worm_from_seed(host, s));
         }
         prop_assert_eq!(sim.run(1_000_000, &mut NopRecorder), sim.run_reference(1_000_000));
+    }
+
+    /// The event-driven wormhole engine against the step-every-worm
+    /// oracle, under random plans, on random walks that may revisit nodes
+    /// and re-enter links. One arena is reused across both runs of every
+    /// case: `run_planned` must match the oracle's outcomes and event
+    /// stream, and `run` the oracle under an empty plan.
+    #[test]
+    fn wormhole_planned_engines_agree(
+        n in 2u32..5,
+        seeds in proptest::collection::vec(any::<u64>(), 1..12),
+        faults in proptest::collection::vec(any::<u64>(), 0..10),
+    ) {
+        let host = Hypercube::new(n);
+        let worms: Vec<Worm> = seeds.iter().map(|&s| walk_from_seed(host, s)).collect();
+        let plan = plan_from_seeds(host, &faults);
+        let mut arena = WormholeArena::new(host);
+        for w in &worms {
+            let links: Vec<u32> =
+                walk_edges(&w.path).into_iter().map(|e| host.dir_edge_index(e) as u32).collect();
+            arena.add_worm_links(&links, w.flits);
+        }
+        let mut log = EventLog::default();
+        arena.run_planned(1_000_000, &plan, &mut log);
+        prop_assert_eq!(arena_outcome(&arena, log), planned_oracle(host, &worms, &plan));
+
+        let mut log = EventLog::default();
+        arena.run(1_000_000, &mut log);
+        let oracle = planned_oracle(host, &worms, &FaultPlan::none(&host));
+        prop_assert_eq!(arena.completion(), &oracle.completion[..]);
+        prop_assert_eq!(log, oracle.log);
     }
 
     /// The traced run reports the same `SimReport` as the untraced one, and
