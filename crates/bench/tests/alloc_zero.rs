@@ -209,8 +209,8 @@ fn kernel_reconstruct_allocation_count_is_exact() {
 }
 
 /// A tenant engine on a `Q_6` host with a grid and a tree guest
-/// (`Q_4` each) per window in `windows`.
-fn tenant_engine(rounds: u32, windows: &[u64]) -> TenantEngine {
+/// (`Q_4` each) per window in `windows`, executed in `exec`.
+fn tenant_engine(rounds: u32, windows: &[u64], exec: ExecMode) -> TenantEngine {
     let grid: Arc<dyn TenantPlan> = Arc::new(GridPlan::new(4, 2, 2, 3).expect("grid plan"));
     let tree: Arc<dyn TenantPlan> = Arc::new(BinomialTreePlan::new(4, 3).expect("tree plan"));
     let specs: Vec<TenantSpec> = windows
@@ -236,23 +236,23 @@ fn tenant_engine(rounds: u32, windows: &[u64]) -> TenantEngine {
         requests_per_round: 4,
         max_requeues: 2,
         seed: 1990,
-        exec: ExecMode::Packet,
+        exec,
     };
     TenantEngine::new(cfg, &specs).expect("engine config is valid")
 }
 
 /// Both guests share window 0: one window group, so every round runs on
 /// the calling thread.
-fn single_group_engine(rounds: u32) -> TenantEngine {
-    let engine = tenant_engine(rounds, &[0]);
+fn single_group_engine(rounds: u32, exec: ExecMode) -> TenantEngine {
+    let engine = tenant_engine(rounds, &[0], exec);
     assert_eq!(engine.num_groups(), 1, "fixture must stay single-group");
     engine
 }
 
 /// Guests in all four `Q_4` windows: four window groups, so under a
 /// multi-worker pool every round runs on the parallel group dispatch.
-fn four_group_engine(rounds: u32) -> TenantEngine {
-    let engine = tenant_engine(rounds, &[0, 1, 2, 3]);
+fn four_group_engine(rounds: u32, exec: ExecMode) -> TenantEngine {
+    let engine = tenant_engine(rounds, &[0, 1, 2, 3], exec);
     assert_eq!(engine.num_groups(), 4, "fixture must have four groups");
     engine
 }
@@ -276,7 +276,7 @@ fn last_round_allocs(mut run: TenantRun<'_>, rounds: u32) -> (u64, u64) {
 #[test]
 fn tenant_round_loop_is_allocation_free_in_steady_state() {
     let _serial = serial();
-    let engine = single_group_engine(8);
+    let engine = single_group_engine(8, ExecMode::Packet);
     let d = fewest(|| last_round_allocs(engine.begin(), 8));
     assert_eq!(d, (0, 0), "steady-state tenant round allocated {} call(s) / {} byte(s)", d.0, d.1);
 }
@@ -287,7 +287,7 @@ fn tenant_round_loop_is_allocation_free_in_steady_state() {
 #[test]
 fn planned_tenant_round_loop_is_allocation_free_in_steady_state() {
     let _serial = serial();
-    let engine = single_group_engine(8);
+    let engine = single_group_engine(8, ExecMode::Packet);
     let mut plan = TenantFaultPlan::none();
     plan.cut_link(3);
     plan.outage(10, 1, 3);
@@ -302,7 +302,7 @@ fn planned_tenant_round_loop_is_allocation_free_in_steady_state() {
 #[test]
 fn parallel_tenant_round_is_allocation_free_in_steady_state() {
     let _serial = serial();
-    let engine = four_group_engine(8);
+    let engine = four_group_engine(8, ExecMode::Packet);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("pool");
     let d = pool.install(|| fewest(|| last_round_allocs(engine.begin(), 8)));
     assert_eq!(
@@ -318,7 +318,7 @@ fn parallel_tenant_round_is_allocation_free_in_steady_state() {
 #[test]
 fn parallel_planned_tenant_round_is_allocation_free_in_steady_state() {
     let _serial = serial();
-    let engine = four_group_engine(8);
+    let engine = four_group_engine(8, ExecMode::Packet);
     let mut plan = TenantFaultPlan::none();
     plan.cut_link(3); // base 0, dim 3: window 0
     plan.outage(16 * 6 + 1, 1, 3); // base 16, dim 1: window 1
@@ -330,6 +330,60 @@ fn parallel_planned_tenant_round_is_allocation_free_in_steady_state() {
         d,
         (0, 0),
         "steady-state parallel planned round allocated {} call(s) / {} byte(s)",
+        d.0,
+        d.1
+    );
+}
+
+/// The execution mode the chaos tenant workload runs: one 16-flit worm
+/// per committed path.
+const WORMHOLE: ExecMode = ExecMode::Wormhole { flits: 16 };
+
+/// A cut, an outage and a corrupting link in window 0, plus an outage in
+/// window 1 and a corrupting link in window 2. Host link `node * 6 + d`
+/// is `{node, node ^ 2^d}` on the `Q_6` host.
+fn wormhole_plan() -> TenantFaultPlan {
+    let mut plan = TenantFaultPlan::none();
+    plan.cut_link(3);
+    plan.outage(6 + 1, 1, 3);
+    plan.corrupt_link(2 * 6);
+    plan.outage(16 * 6 + 1, 2, 5);
+    plan.corrupt_link(32 * 6 + 2);
+    plan
+}
+
+/// The wormhole engine keeps the pin: a warmed planned round on the
+/// wormhole arena — parked heads, the calendar ring, kills and
+/// corruption flags included — allocates exactly nothing.
+#[test]
+fn wormhole_planned_tenant_round_is_allocation_free_in_steady_state() {
+    let _serial = serial();
+    let engine = single_group_engine(8, WORMHOLE);
+    let plan = wormhole_plan();
+    let d = fewest(|| last_round_allocs(engine.begin_planned(&plan, FaultRouting::Learned), 8));
+    assert_eq!(
+        d,
+        (0, 0),
+        "steady-state wormhole round allocated {} call(s) / {} byte(s)",
+        d.0,
+        d.1
+    );
+}
+
+/// The same on four window groups under a two-worker pool.
+#[test]
+fn parallel_wormhole_planned_tenant_round_is_allocation_free_in_steady_state() {
+    let _serial = serial();
+    let engine = four_group_engine(8, WORMHOLE);
+    let plan = wormhole_plan();
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("pool");
+    let d = pool.install(|| {
+        fewest(|| last_round_allocs(engine.begin_planned(&plan, FaultRouting::Learned), 8))
+    });
+    assert_eq!(
+        d,
+        (0, 0),
+        "steady-state parallel wormhole round allocated {} call(s) / {} byte(s)",
         d.0,
         d.1
     );
