@@ -297,6 +297,14 @@ pub const IDA_ROWOPS_SPEEDUP_MIN: f64 = 5.0;
 /// regression of the pooled round fails the gate.
 pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.5;
 
+/// Minimum `wormhole/run_reference/ccc8 / wormhole/run/ccc8` wall-clock
+/// ratio: the event-driven wormhole engine (parked heads, calendar-ring
+/// releases and completions) against the visit-every-worm reference
+/// stepper on the same e-cube permutation. Measured 15.2–20.6x over four
+/// full-preset runs on a 2-vCPU x86-64 VM; the floor is half the lowest,
+/// rounded down, so a 2x regression of the engine fails the gate.
+pub const WORMHOLE_SPEEDUP_MIN: f64 = 7.0;
+
 /// Enforces the cross-record speedup floors on a *fresh* run (no baseline
 /// involved: both sides of each ratio come from the same process, so
 /// machine speed cancels out). Pairs:
@@ -316,7 +324,9 @@ pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.5;
 /// * every `tenants/reference/n<N>` must be at least
 ///   [`TENANTS_POOLED_SPEEDUP_MIN`]× slower than `tenants/pooled/n<N>`
 ///   (the pooled multi-tenant engine vs its per-round-allocating
-///   reference; both sides measured serially).
+///   reference; both sides measured serially);
+/// * `wormhole/run_reference/ccc8` must be at least
+///   [`WORMHOLE_SPEEDUP_MIN`]× slower than `wormhole/run/ccc8`.
 ///
 /// A pair whose kernel side is missing while its reference side exists is
 /// an issue — the suite must measure what the gate enforces. `Err` means
@@ -405,6 +415,7 @@ pub fn check_speedups(current: &Json) -> Result<GateReport, String> {
         let fast = format!("tenants/pooled/{suffix}");
         require(slow, &fast, TENANTS_POOLED_SPEEDUP_MIN, &mut report);
     }
+    require("wormhole/run_reference/ccc8", "wormhole/run/ccc8", WORMHOLE_SPEEDUP_MIN, &mut report);
     Ok(report)
 }
 
@@ -777,6 +788,35 @@ mod tests {
         // A measured reference with no pooled counterpart is an issue —
         // the suite must measure what the gate enforces.
         let orphaned = doc(&[("tenants/reference/n20", &[], 9_999)]);
+        let r = check_speedups(&orphaned).unwrap();
+        assert_eq!(r.issues.len(), 1);
+        assert!(r.issues[0].detail.contains("missing"), "{}", r.issues[0].detail);
+    }
+
+    #[test]
+    fn wormhole_floor_pairs_reference_with_event_driven_engine() {
+        // Healthy: the engine clears the floor; ccc4 has no floor of its
+        // own.
+        let healthy = doc(&[
+            ("wormhole/run_reference/ccc4", &[], 1_000),
+            ("wormhole/run/ccc4", &[], 900),
+            ("wormhole/run_reference/ccc8", &[], 17_000),
+            ("wormhole/run/ccc8", &[], 1_000),
+        ]);
+        let r = check_speedups(&healthy).unwrap();
+        assert!(r.passed(), "{}", r.render());
+        assert_eq!(r.time_checks, 1);
+
+        // The engine slipped below 7x: one issue.
+        let slipped =
+            doc(&[("wormhole/run_reference/ccc8", &[], 6_999), ("wormhole/run/ccc8", &[], 1_000)]);
+        let r = check_speedups(&slipped).unwrap();
+        assert_eq!(r.issues.len(), 1);
+        assert_eq!(r.issues[0].record, "wormhole/run/ccc8");
+        assert!(r.issues[0].detail.contains("floor 7.0x"), "{}", r.issues[0].detail);
+
+        // A measured reference with no engine counterpart is an issue.
+        let orphaned = doc(&[("wormhole/run_reference/ccc8", &[], 9_999)]);
         let r = check_speedups(&orphaned).unwrap();
         assert_eq!(r.issues.len(), 1);
         assert!(r.issues[0].detail.contains("missing"), "{}", r.issues[0].detail);
