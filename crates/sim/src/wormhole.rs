@@ -168,8 +168,10 @@ impl WormholeSim {
         }
     }
 
-    /// The original engine, kept as the executable specification for the
-    /// old-vs-new property tests; not meant for production use.
+    /// The original visit-every-worm stepper, kept as the executable
+    /// specification for the old-vs-new property tests; not meant for
+    /// production use. Like [`WormholeArena`] it releases a link only
+    /// from the hop that holds it.
     ///
     /// # Panics
     /// Panics if worms remain unfinished after `max_steps`.
@@ -315,16 +317,22 @@ impl WormBufs {
         self.ready[w as usize / 64] |= 1 << (w % 64);
     }
 
+    /// Marks ready every worm of the `worm_next` list starting at `w`.
+    #[inline]
+    fn set_ready_list(&mut self, mut w: u32) {
+        while w != NONE {
+            self.set_ready(w);
+            w = self.worm_next[w as usize];
+        }
+    }
+
     /// Frees `link`, held by `hop`, and wakes every worm parked behind
     /// that hop.
     #[inline]
     fn free(&mut self, link: usize, hop: u32) {
         self.holder[link] = NONE;
-        let mut w = std::mem::replace(&mut self.waiters[hop as usize], NONE);
-        while w != NONE {
-            self.set_ready(w);
-            w = self.worm_next[w as usize];
-        }
+        let parked = std::mem::replace(&mut self.waiters[hop as usize], NONE);
+        self.set_ready_list(parked);
     }
 
     /// Kills worm `w` (hops from global index `off`) at `step`, dropped on
@@ -437,11 +445,8 @@ fn worm_core<R: Recorder, const PLAN: bool>(
             }
         }
         // Completion visits due this step join the pass.
-        let mut w = std::mem::replace(&mut b.complete_at[slot], NONE);
-        while w != NONE {
-            b.set_ready(w);
-            w = b.worm_next[w as usize];
-        }
+        let due = std::mem::replace(&mut b.complete_at[slot], NONE);
+        b.set_ready_list(due);
         // Visit the ready worms, lowest id first (arbitration). The word
         // is re-read after every visit: a worm woken above the cursor
         // joins this pass.
@@ -604,12 +609,24 @@ impl WormholeArena {
     }
 
     /// Reserves room for `worms` more worms of `hops` hop links in total,
-    /// so loading a round of known size does not grow the worm arena step
-    /// by step.
+    /// so loading and running a round of known size does not grow the
+    /// worm arena or the per-worm and per-hop run buffers step by step.
     pub fn reserve(&mut self, worms: usize, hops: usize) {
         self.worm_off.reserve(worms);
         self.worm_flits.reserve(worms);
         self.worm_links.reserve(hops);
+        let (worms, hops) = (self.worm_flits.len() + worms, self.worm_links.len() + hops);
+        fn room<T>(v: &mut Vec<T>, len: usize) {
+            v.reserve(len.saturating_sub(v.len()));
+        }
+        let b = &mut self.bufs;
+        room(&mut b.entered, hops);
+        room(&mut b.waiters, hops);
+        room(&mut b.hop_next, hops);
+        room(&mut b.head, worms);
+        room(&mut b.completion, worms);
+        room(&mut b.worm_next, worms);
+        room(&mut b.ready, worms.div_ceil(64));
     }
 
     /// Adds one worm as a sequence of directed link indices
