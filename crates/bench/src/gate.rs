@@ -300,7 +300,7 @@ pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.5;
 /// Minimum `wormhole/run_reference/ccc8 / wormhole/run/ccc8` wall-clock
 /// ratio: the event-driven wormhole engine (parked heads, calendar-ring
 /// releases and completions) against the visit-every-worm reference
-/// stepper on the same e-cube permutation. Measured 15.2–20.6x over four
+/// stepper on the same e-cube permutation. Measured 15.2–21.4x over seven
 /// full-preset runs on a 2-vCPU x86-64 VM; the floor is half the lowest,
 /// rounded down, so a 2x regression of the engine fails the gate.
 pub const WORMHOLE_SPEEDUP_MIN: f64 = 7.0;

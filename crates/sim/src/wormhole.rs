@@ -371,8 +371,8 @@ impl WormBufs {
 }
 
 /// The step machine behind [`WormholeArena`], over the arena's prepared
-/// buffers (see [`WormBufs`]); nothing in here allocates. Results land in
-/// `bufs` (`completion`, and when `PLAN` also `lost`, `corrupted`,
+/// buffers `b` (see [`WormBufs`]); nothing in here allocates. Results land
+/// in `b` (`completion`, and when `PLAN` also `lost`, `corrupted`,
 /// `dropped_at`, `corrupted_at`). `PLAN` is the one fault switch: off,
 /// every fault branch monomorphizes away; on, `plan_events` fire at the
 /// start of their step and corrupting links flag the worms whose heads

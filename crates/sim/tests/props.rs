@@ -48,7 +48,7 @@ fn walk_edges(path: &[Node]) -> Vec<DirEdge> {
 }
 
 /// Every event one run fires on its [`Recorder`], in firing order.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct EventLog(Vec<(&'static str, u64, u64)>);
 
 impl Recorder for EventLog {
@@ -73,7 +73,7 @@ impl Recorder for EventLog {
 }
 
 /// Per-worm outcomes of one planned wormhole run plus its event stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 struct WormOutcome {
     completion: Vec<u64>,
     lost: Vec<bool>,
@@ -131,8 +131,7 @@ fn planned_oracle(host: Hypercube, worms: &[Worm], plan: &FaultPlan) -> WormOutc
     };
     let (mut step, mut next_event) = (0u64, 0usize);
     while done.iter().any(|&d| !d) {
-        while let Some(&(at, edge, ev)) = plan.events().get(next_event).filter(|e| e.0 <= step) {
-            debug_assert!(at <= step);
+        while let Some(&(_, edge, ev)) = plan.events().get(next_event).filter(|e| e.0 <= step) {
             for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
                 failed[idx] = ev == LinkEvent::Down;
                 if let (LinkEvent::Down, Some((w, _))) = (ev, holder[idx]) {
