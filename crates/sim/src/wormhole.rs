@@ -958,6 +958,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "did not finish within 100 steps")]
+    fn long_worm_hits_the_step_cap_not_the_allocator() {
+        // The calendar ring is sized by `max_steps`, not by `flits`.
+        let host = Hypercube::new(3);
+        let mut sim = WormholeSim::new(host);
+        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 1 << 40 });
+        sim.run(100, &mut NopRecorder);
+    }
+
+    #[test]
     fn engines_agree_under_contention() {
         // Smoke-level old-vs-new equivalence (the randomized version lives
         // in tests/props.rs).
