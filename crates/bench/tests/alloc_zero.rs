@@ -353,8 +353,8 @@ fn wormhole_plan() -> TenantFaultPlan {
 }
 
 /// The wormhole engine keeps the pin: a warmed planned round on the
-/// wormhole arena — parked heads, the calendar ring, kills and
-/// corruption flags included — allocates exactly nothing.
+/// wormhole arena (wait lists, calendar ring and ready set all reused)
+/// allocates exactly nothing.
 #[test]
 fn wormhole_planned_tenant_round_is_allocation_free_in_steady_state() {
     let _serial = serial();
