@@ -21,7 +21,7 @@ use hyperpath_sim::bitslice::{
     W256,
 };
 use hyperpath_sim::chaos::random_plan;
-use hyperpath_sim::delivery::{deliver_phase_plan_outcome, DeliveryConfig, PhaseSetup};
+use hyperpath_sim::delivery::{deliver_phase_plan_outcome, DeliveryConfig};
 use hyperpath_sim::protocol::{deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork};
 use hyperpath_sim::routing::{ecube_path, random_permutation, CccRouter};
 use hyperpath_sim::tenants::{
@@ -235,7 +235,7 @@ pub fn e12_grid(ns: &[u32]) -> Vec<FaultPoint> {
 /// operation): the fault draws are static fail-stop and no trace is
 /// requested, so the delivery columns take the fail-stop fast path —
 /// [`SlicedPaths::all_bundles_recovered`] evaluates the per-lane
-/// [`deliver_phase_plan_prepared`](hyperpath_sim::delivery::deliver_phase_plan_prepared)
+/// [`deliver_phase_plan_outcome`](hyperpath_sim::delivery::deliver_phase_plan_outcome)
 /// grades straight from bundle survival words, skipping the packet engine
 /// entirely. Each kernel lane replays the
 /// scalar [`surviving_paths`](hyperpath_sim::faults::surviving_paths)
@@ -671,11 +671,11 @@ pub fn e16_grid(ns: &[u32]) -> Vec<AdaptivePoint> {
 }
 
 /// E16: the oracle-free adaptive protocol
-/// ([`deliver_adaptive`](hyperpath_sim::protocol::deliver_adaptive),
-/// dispersal hoisted into an [`AdaptiveSetup`]) against the omniscient
-/// oracle pipeline
-/// ([`deliver_phase_plan`](hyperpath_sim::delivery::deliver_phase_plan),
-/// hoisted likewise into a [`PhaseSetup`]), both run
+/// ([`deliver_adaptive`](hyperpath_sim::protocol::deliver_adaptive))
+/// against the omniscient oracle
+/// ([`deliver_phase_plan`](hyperpath_sim::delivery::deliver_phase_plan)):
+/// one dispersal loop under its two knowledge policies, with the
+/// dispersal of both hoisted into one shared [`AdaptiveSetup`], run
 /// against the *same* randomized [`FaultPlan`](hyperpath_sim::FaultPlan)
 /// draw per trial.
 ///
@@ -718,10 +718,9 @@ pub fn e16_adaptive_with_threads(
         let e = &t1.embedding;
         let k_half = t1.claimed_width.div_ceil(2);
         let dcfg = DeliveryConfig { threshold: k_half, max_retries: 2, message_len: 32 };
-        // Hoisted out of the trial loop: both pipelines' dispersal work is
-        // fault- and key-independent.
-        let oracle_setup = PhaseSetup::new(e, &dcfg);
-        let adaptive_setup = AdaptiveSetup::new(e, &dcfg);
+        // Hoisted out of the trial loop: dispersal is fault- and
+        // key-independent, and both senders share it.
+        let setup = AdaptiveSetup::new(e, &dcfg);
         // One seed per trial drawn serially from the point's stream (the
         // byte-stability across worker counts rests on this).
         let seeds: Vec<u64> = (0..trials).map(|_| rng.random()).collect();
@@ -731,12 +730,9 @@ pub fn e16_adaptive_with_threads(
                 let mut trial_rng = ChaCha8Rng::seed_from_u64(seed);
                 let plan = random_plan(&e.host, p.static_plans, &mut trial_rng);
                 let key: u64 = trial_rng.random();
-                let oracle = deliver_phase_plan_outcome(&oracle_setup, &plan);
-                let adaptive = deliver_adaptive_prepared(
-                    &adaptive_setup,
-                    key,
-                    &mut PlanNetwork::new(e, &plan),
-                );
+                let oracle = deliver_phase_plan_outcome(&setup, &plan);
+                let adaptive =
+                    deliver_adaptive_prepared(&setup, key, &mut PlanNetwork::new(e, &plan));
                 [
                     u64::from(oracle.all_delivered()),
                     u64::from(adaptive.all_delivered()),

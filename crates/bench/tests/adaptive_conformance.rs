@@ -1,5 +1,5 @@
 //! Conformance: the oracle-free adaptive protocol against the omniscient
-//! oracle pipeline, both run against the *same* fault draw per trial.
+//! oracle, both run against the *same* fault draw per trial.
 //!
 //! `deliver_adaptive` is oracle-free **by construction** — its signature
 //! admits no fault type; everything it learns comes through the
@@ -10,7 +10,12 @@
 //!   the sender exactly which paths are dead, so adaptive and oracle
 //!   grade every guest edge *identically* — full outcome equality, not
 //!   just a rate bound (and equality trivially implies the `adaptive ≤
-//!   oracle` pointwise dominance on every shared draw).
+//!   oracle` pointwise dominance on every shared draw). The oracle here
+//!   is the fail-stop closed form
+//!   ([`deliver_phase_plan_outcome`](hyperpath_sim::delivery::deliver_phase_plan_outcome)),
+//!   not the omniscient policy of the dispersal loop: the adaptive
+//!   protocol runs that same loop, so only the closed form is
+//!   independent of it.
 //! * against a **dynamic** adversary: correctness still holds — the
 //!   outcome buckets partition the guest edges and no reconstruction
 //!   ever silently yields wrong bytes — but the two reports may
@@ -27,8 +32,10 @@ use hyperpath_bench::experiments::e16_adaptive;
 use hyperpath_bench::Json;
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::chaos::random_plan;
-use hyperpath_sim::delivery::{deliver_phase_plan, DeliveryConfig};
-use hyperpath_sim::protocol::{deliver_adaptive, PlanNetwork};
+use hyperpath_sim::delivery::{deliver_phase_plan, deliver_phase_plan_outcome, DeliveryConfig};
+use hyperpath_sim::protocol::{
+    deliver_adaptive, deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -43,7 +50,7 @@ const WIDE_MESSAGE: usize = 4096;
 fn adaptive_equals_oracle_on_random_static_fail_stop_plans() {
     // 24 shared draws across two hosts, three thresholds and two message
     // lengths (the longer one fans out): the adaptive protocol must grade
-    // every guest edge exactly as the plan oracle does.
+    // every guest edge exactly as the fail-stop closed form does.
     for n in [4u32, 6] {
         let t1 = theorem1(n).unwrap();
         let e = &t1.embedding;
@@ -56,9 +63,10 @@ fn adaptive_equals_oracle_on_random_static_fail_stop_plans() {
                 [1, w.div_ceil(2), w].into_iter().flat_map(|t| [(t, 40), (t, WIDE_MESSAGE)])
             {
                 let cfg = DeliveryConfig { threshold, max_retries: 2, message_len };
-                let oracle = deliver_phase_plan(e, &plan, &cfg);
+                let setup = AdaptiveSetup::new(e, &cfg);
+                let oracle = deliver_phase_plan_outcome(&setup, &plan);
                 let adaptive =
-                    deliver_adaptive(e, &cfg, KEY ^ trial, &mut PlanNetwork::new(e, &plan));
+                    deliver_adaptive_prepared(&setup, KEY ^ trial, &mut PlanNetwork::new(e, &plan));
                 let at = format!("n={n} trial={trial} threshold={threshold} len={message_len}");
                 assert_eq!(
                     (adaptive.delivered, adaptive.degraded, adaptive.lost),

@@ -1,7 +1,9 @@
-//! Conformance: the fail-stop fast path against the packet engine.
+//! Conformance: the fail-stop fast path against the dispersal loop.
 //!
 //! [`deliver_phase_plan_outcome`] grades static fail-stop phases in closed
-//! form from path survival, never constructing a `PacketSim`. These tests pin that shortcut to the engine three ways:
+//! form from path survival, never running the dispersal loop or the
+//! packet engine. These tests pin that shortcut to the loop, run under
+//! the omniscient policy through the packet engine, four ways:
 //!
 //! * **property**: on random static fail-stop plans — every dimension
 //!   `6..=10`, both guest cycle theorems (Theorem 1 and both Theorem 2
@@ -10,6 +12,10 @@
 //!   [`outcome()`](hyperpath_sim::DeliveryReport::outcome) field for
 //!   field, whether the plan was drawn cut by cut or built from its
 //!   fault set ([`FaultPlan::from_set`]);
+//! * **dynamic property**: on random dynamic plans the omniscient loop's
+//!   grades are the closed form over the first round's arrivals, read
+//!   from the packet engine's report: one retry round resends every
+//!   missing share once over hazard-free paths, and all of them arrive;
 //! * **lane-by-lane**: the 256-lane recovery words
 //!   ([`SlicedPaths::all_bundles_recovered`] over a `BitTrialBlock<W256>`)
 //!   that the E12 sweep popcounts agree with a per-lane engine run on
@@ -28,9 +34,10 @@ use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_sim::bitslice::{BitTrialBlock, LaneWord, SlicedPaths, W256};
 use hyperpath_sim::chaos::random_plan;
 use hyperpath_sim::delivery::{
-    deliver_phase_plan_outcome, deliver_phase_plan_prepared, DeliveryConfig, PhaseSetup,
+    deliver_phase_plan_outcome, deliver_phase_plan_prepared, DeliveryConfig, EdgeOutcome,
 };
 use hyperpath_sim::faults::{random_fault_set, FaultPlan};
+use hyperpath_sim::protocol::AdaptiveSetup;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +70,7 @@ proptest! {
             return Ok(());
         };
         let cfg = DeliveryConfig { threshold, max_retries: retries, message_len: 24 };
-        let setup = PhaseSetup::new(&e, &cfg);
+        let setup = AdaptiveSetup::new(&e, &cfg);
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let plan = random_plan(&e.host, true, &mut rng);
         prop_assert!(plan.is_static_fail_stop());
@@ -103,7 +110,7 @@ fn recovered_words_match_engine_grades_lane_by_lane() {
                 max_retries: if retries { 2 } else { 0 },
                 message_len: 16,
             };
-            let setup = PhaseSetup::new(&t1.embedding, &cfg);
+            let setup = AdaptiveSetup::new(&t1.embedding, &cfg);
             for (lane, &seed) in seeds.iter().enumerate() {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let plan = FaultPlan::from_set(random_fault_set(&host, p, &mut rng));
@@ -124,7 +131,7 @@ fn fast_path_and_kernel_agree_with_engine_outcome_totals() {
     let paths = SlicedPaths::new(&t1.embedding);
     let k = t1.claimed_width.div_ceil(2);
     let cfg = DeliveryConfig { threshold: k, max_retries: 2, message_len: 16 };
-    let setup = PhaseSetup::new(&t1.embedding, &cfg);
+    let setup = AdaptiveSetup::new(&t1.embedding, &cfg);
     let seeds: Vec<u64> = (0..64u64).map(|i| 0xbeef ^ (i << 40) ^ i).collect();
     let block = BitTrialBlock::<W256>::draw_compat(&host, 0.08, &seeds);
     let word = paths.all_bundles_recovered(&block, k, true);
@@ -137,5 +144,61 @@ fn fast_path_and_kernel_agree_with_engine_outcome_totals() {
         let bit = word.lane(lane as u32);
         assert_eq!(bit, fast.all_delivered(), "lane {lane}");
         assert_eq!(fast.all_delivered(), engine.all_delivered(), "lane {lane}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn omniscient_grades_are_closed_form_over_round_zero(
+        seed in any::<u64>(),
+        n in 6u32..=10,
+        pick in 0usize..3,
+    ) {
+        let Some(e) = embedding_for(n, pick) else {
+            return Ok(());
+        };
+        let host = e.host;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let plan = random_plan(&host, false, &mut rng);
+        let hazard = plan.hazard_set(&host);
+        let w = e.width();
+        for threshold in [1, w.div_ceil(2), w] {
+            for retries in [0u32, 1, 3] {
+                let at = format!("n={n} pick={pick} k={threshold} retries={retries}");
+                let cfg = DeliveryConfig { threshold, max_retries: retries, message_len: 24 };
+                let r = deliver_phase_plan_prepared(&AdaptiveSetup::new(&e, &cfg), &plan);
+                // Round 0 ships every bundle path as one flow, in (edge,
+                // path) order; a share arrived if delivered uncorrupted.
+                let first = &r.initial;
+                let mut flows = 0..first.flow_delivered.len();
+                let mut resent = 0u64;
+                for (eid, bundle) in e.edge_paths.iter().enumerate() {
+                    let a0 = flows
+                        .by_ref()
+                        .take(bundle.len())
+                        .filter(|&f| first.flow_delivered[f] == 1 && first.flow_corrupted[f] == 0)
+                        .count();
+                    let k = threshold.clamp(1, bundle.len());
+                    let hazard_free = bundle.iter().any(|p| {
+                        !p.is_empty() && p.edges().all(|edge| !hazard.is_failed(&host, edge))
+                    });
+                    let want = if a0 >= k {
+                        EdgeOutcome::Delivered
+                    } else if retries >= 1 && hazard_free {
+                        resent += (bundle.len() - a0) as u64;
+                        EdgeOutcome::Degraded { rounds: 1 }
+                    } else {
+                        EdgeOutcome::Lost { arrived: a0 }
+                    };
+                    prop_assert_eq!(r.edges[eid].first_round_arrivals, a0, "{} edge {}", at, eid);
+                    prop_assert_eq!(r.edges[eid].outcome, want, "{} edge {}", at, eid);
+                }
+                prop_assert!(flows.next().is_none(), "{}: one flow per bundle path", at);
+                prop_assert_eq!(r.shares_resent, resent, "{}", at);
+                prop_assert_eq!(r.rounds_run, u32::from(resent > 0), "{}", at);
+            }
+        }
     }
 }

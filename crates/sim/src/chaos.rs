@@ -1,6 +1,6 @@
 //! Seed-pinned chaos harness: randomized adversarial [`FaultPlan`]s run
-//! through both engines and both delivery protocols, under invariant
-//! checks.
+//! through both engines and the dispersal loop under both knowledge
+//! policies, under invariant checks.
 //!
 //! Each trial draws a random plan — permanent cuts, transient outages,
 //! correlated bursts, node storms, byte-corrupting links — and then runs:
@@ -10,14 +10,13 @@
 //!   corruption accounting;
 //! * the plan-aware **wormhole engine**, checking its loss/corruption
 //!   vectors stay consistent;
-//! * the **omniscient oracle** pipeline
-//!   ([`deliver_phase_plan`]) and the
-//!   **oracle-free adaptive protocol**
-//!   ([`deliver_adaptive`]), checking
+//! * the **omniscient oracle** ([`deliver_phase_plan_outcome`], a closed
+//!   form on static plans) and the **oracle-free adaptive protocol**
+//!   ([`deliver_adaptive_prepared`]) on one [`AdaptiveSetup`], checking
 //!   that no reconstruction ever silently yields wrong bytes, that the
-//!   outcome buckets partition the guest edges, that the two protocols
-//!   agree *exactly* on static fail-stop plans, and that the oracle
-//!   degrades monotonically when two more links are cut.
+//!   outcome buckets partition the guest edges, that the two agree
+//!   *exactly* on static fail-stop plans, and that the oracle degrades
+//!   monotonically when two more links are cut.
 //!
 //! Even-numbered trials draw **static fail-stop** plans (cuts only) so the
 //! equality and monotonicity invariants bite; odd-numbered trials draw the
@@ -35,10 +34,10 @@
 use std::sync::Arc;
 
 use crate::bitslice::{BitTrialBlock, SlicedPaths};
-use crate::delivery::{deliver_phase_plan, DeliveryConfig, DeliveryReport};
+use crate::delivery::{deliver_phase_plan_outcome, DeliveryConfig};
 use crate::faults::FaultPlan;
 use crate::packet::{Flow, PacketSim};
-use crate::protocol::{corrupt_payload, deliver_adaptive, AdaptiveReport, PlanNetwork};
+use crate::protocol::{corrupt_payload, deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork};
 use crate::tenants::{
     lift_path, ExecMode, FaultRouting, FlowStats, TenantEngine, TenantFaultPlan, TenantPlan,
     TenantSpec, TenantsConfig,
@@ -267,8 +266,9 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
         max_retries: cfg.max_retries,
         message_len: cfg.message_len,
     };
-    let oracle: DeliveryReport = deliver_phase_plan(e, &plan, &dcfg);
-    let adaptive: AdaptiveReport = deliver_adaptive(e, &dcfg, key, &mut PlanNetwork::new(e, &plan));
+    let setup = AdaptiveSetup::new(e, &dcfg);
+    let oracle = deliver_phase_plan_outcome(&setup, &plan);
+    let adaptive = deliver_adaptive_prepared(&setup, key, &mut PlanNetwork::new(e, &plan));
     let n_edges = e.edge_paths.len();
 
     check(adaptive.wrong_reconstructions == 0, "a reconstruction silently produced wrong bytes");
@@ -284,7 +284,8 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
     let mut dominance_violation = false;
     if plan.is_static_fail_stop() {
         // Oracle knowledge buys nothing against a static fail-stop
-        // adversary: the protocols must agree edge-for-edge.
+        // adversary: the protocol must agree edge-for-edge with the closed
+        // form, which shares no code with the dispersal loop.
         check(
             (adaptive.delivered, adaptive.degraded, adaptive.lost)
                 == (oracle.delivered, oracle.degraded, oracle.lost),
@@ -300,7 +301,7 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
         // arrives iff its path is fault-free.
         let block = BitTrialBlock::<u64>::from_fault_sets(&host, &[plan.hazard_set(&host)]);
         let sliced = SlicedPaths::new(e);
-        for (eid, ed) in oracle.edges.iter().enumerate() {
+        for (eid, ed) in adaptive.edges.iter().enumerate() {
             let structural = sliced.bundle_ge(&block, eid, ed.threshold) & 1 == 1;
             check(
                 structural == (ed.first_round_arrivals >= ed.threshold),
@@ -312,7 +313,7 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
         for _ in 0..2 {
             worse.cut_link(&host, random_edge(&host, &mut rng));
         }
-        let worse_oracle = deliver_phase_plan(e, &worse, &dcfg);
+        let worse_oracle = deliver_phase_plan_outcome(&setup, &worse);
         check(
             worse_oracle.recovered() <= oracle.recovered(),
             "recovery improved after cutting two more links",
@@ -747,8 +748,8 @@ mod tests {
         assert!(with_empty.is_static_fail_stop(), "no events scheduled, still fail-stop");
         let dcfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len: 32 };
         assert_eq!(
-            deliver_phase_plan(&e, &with_empty, &dcfg),
-            deliver_phase_plan(&e, &plan, &dcfg)
+            crate::delivery::deliver_phase_plan(&e, &with_empty, &dcfg),
+            crate::delivery::deliver_phase_plan(&e, &plan, &dcfg)
         );
         // And the generator itself survives zero-length draws: sweep a
         // band of seeds wide enough that `random_range(0..100)` returns 0

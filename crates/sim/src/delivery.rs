@@ -3,15 +3,23 @@
 //! machine.
 //!
 //! This is the layer the paper's Sections 1–2 promise but never spell out:
-//! each guest edge's message is split by Rabin's IDA ([`Ida::disperse`])
+//! each guest edge's message is split by Rabin's IDA (`Ida::disperse`)
 //! into `w` shares, share `i` rides path `i` of the edge's width-`w`
 //! bundle through the store-and-forward machine under a [`FaultPlan`],
-//! and the destination reconstructs ([`Ida::reconstruct`]) once any `k`
+//! and the destination reconstructs (`Ida::reconstruct`) once any `k`
 //! shares arrive. A bounded retry pass re-sends the shares that died on
 //! hazardous links over the bundle's *surviving* paths (several shares may
 //! share one surviving path — edge-disjointness is a bandwidth guarantee,
 //! not a routing restriction), so a single surviving path suffices to
 //! recover the whole message, at the cost of extra rounds.
+//!
+//! There is one dispersal loop, in [`crate::protocol`]. This module runs
+//! it under the *omniscient* knowledge policy ([`deliver_phase_plan`]):
+//! the sender reads the plan's hazard set instead of learning path health
+//! from ACK/NACK, and every round, retries included, ships through one
+//! [`PlanNetwork`] under the plan. It shares the oracle-free protocol's
+//! setup ([`AdaptiveSetup`]) and keeps the fail-stop closed form
+//! ([`deliver_phase_plan_outcome`]), which runs no loop at all.
 //!
 //! Every claim is checked end to end: a message counts as delivered only
 //! if the reconstructed bytes equal the original. The per-flow outcome is
@@ -22,13 +30,12 @@
 //! [`surviving_paths`](crate::faults::surviving_paths) bound.
 
 use crate::faults::{FaultPlan, FaultSet};
-use crate::packet::{Flow, PacketSim, PlanReport};
-use crate::trace::NopRecorder;
+use crate::packet::PlanReport;
+use crate::protocol::{
+    run_phase, AdaptiveReport, AdaptiveSetup, Knowledge, PlanNetwork, RoundNetwork, Submission,
+};
 use hyperpath_embedding::MultiPathEmbedding;
-use hyperpath_ida::{Ida, Share};
-
-/// Step cap for each simulated round (a stuck round is a workload bug).
-const MAX_STEPS: u64 = 10_000_000;
+use hyperpath_ida::TaggedShare;
 
 /// Parameters of one dispersal phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +104,8 @@ pub struct DeliveryReport {
     pub rounds_run: u32,
     /// Shares re-sent across all retry rounds.
     pub shares_resent: u64,
-    /// The initial round's machine report (per-flow share outcomes).
+    /// The initial round's machine report (per-flow share outcomes): flow
+    /// `f` is the `f`-th bundle path in (guest edge, path) order.
     pub initial: PlanReport,
 }
 
@@ -159,10 +167,9 @@ pub struct DeliveryOutcome {
     pub rounds_run: u32,
     /// Shares re-sent across all retry rounds.
     pub shares_resent: u64,
-    /// Initial-round arrival bit of every simulated share flow, in
-    /// [`PhaseSetup`] flow order (non-empty paths only — the same order
-    /// as [`PlanReport::flow_delivered`]): set iff the share arrived
-    /// uncorrupted.
+    /// Initial-round arrival bit of every bundle path, in (guest edge,
+    /// path) order, zero-hop paths included — the flow order of
+    /// [`DeliveryReport::initial`]: set iff the share arrived uncorrupted.
     pub initial_flow_delivered: Vec<bool>,
 }
 
@@ -180,109 +187,45 @@ impl DeliveryOutcome {
 }
 
 /// The deterministic per-edge test message (delivery is verified by
-/// comparing reconstructed bytes against this; `crate::protocol` uses the
-/// same generator so oracle and adaptive runs carry identical payloads).
+/// comparing reconstructed bytes against this).
 pub(crate) fn message_for_edge(edge: usize, len: usize) -> Vec<u8> {
     (0..len)
         .map(|j| (edge.wrapping_mul(131).wrapping_add(j.wrapping_mul(29)) ^ 0x5c) as u8)
         .collect()
 }
 
-/// The fault-independent half of a dispersal phase, built once and reused
-/// across trial draws: per-edge IDA schemes, test messages, dispersed
-/// shares, the "arrives for free" flags of zero-length paths, and the
-/// (guest edge, path) order flows are injected in. A Monte-Carlo sweep
-/// that used to re-disperse every edge's message on every trial builds
-/// one `PhaseSetup` per sweep point instead and runs
-/// [`deliver_phase_plan_prepared`] per draw.
-///
-/// # Panics
-/// [`PhaseSetup::new`] panics if any bundle is empty or wider than 255
-/// paths (the IDA share index is a byte).
-pub struct PhaseSetup<'a> {
-    e: &'a MultiPathEmbedding,
-    cfg: DeliveryConfig,
-    edges: Vec<EdgeSetup>,
-    /// `(guest_edge, path_index)` of every non-empty path, in injection
-    /// order.
-    flow_map: Vec<(usize, usize)>,
+/// Fingerprint key of the omniscient sender's shares. A share that crossed
+/// a corrupting link fails verification under it, which is how the loop
+/// sees that share as an erasure.
+const ORACLE_KEY: u64 = 0x0ac1_e5ee_5a11_fa17;
+
+/// The [`PlanNetwork`] of an omniscient phase, keeping round 0's machine
+/// report for [`DeliveryReport::initial`].
+struct FirstRoundNetwork<'a> {
+    net: PlanNetwork<'a>,
+    initial: PlanReport,
 }
 
-/// Per-edge precomputed state of a [`PhaseSetup`].
-struct EdgeSetup {
-    threshold: usize,
-    ida: Ida,
-    message: Vec<u8>,
-    shares: Vec<Share>,
-    /// Arrival flags seeded with the zero-length paths: source and
-    /// destination share a host node, so the share "arrives" without
-    /// touching a link.
-    empty_arrived: Vec<bool>,
-}
-
-impl<'a> PhaseSetup<'a> {
-    /// Disperses every edge's message once and records the flow order.
-    pub fn new(e: &'a MultiPathEmbedding, cfg: &DeliveryConfig) -> Self {
-        let edges: Vec<EdgeSetup> = e
-            .edge_paths
-            .iter()
-            .enumerate()
-            .map(|(eid, bundle)| {
-                let w = bundle.len();
-                assert!(
-                    (1..=255).contains(&w),
-                    "guest edge {eid}: bundle width {w} outside the IDA share range"
-                );
-                let threshold = cfg.threshold.clamp(1, w);
-                let ida = Ida::new(w as u8, threshold as u8);
-                let message = message_for_edge(eid, cfg.message_len);
-                let shares = ida.disperse(&message);
-                let empty_arrived: Vec<bool> = bundle.iter().map(|p| p.is_empty()).collect();
-                EdgeSetup { threshold, ida, message, shares, empty_arrived }
-            })
-            .collect();
-        let mut flow_map: Vec<(usize, usize)> = Vec::new();
-        for (eid, bundle) in e.edge_paths.iter().enumerate() {
-            for (i, path) in bundle.iter().enumerate() {
-                if !path.is_empty() {
-                    flow_map.push((eid, i));
-                }
-            }
+impl RoundNetwork for FirstRoundNetwork<'_> {
+    fn ship(&mut self, round: u32, subs: &[Submission]) -> Vec<Option<TaggedShare>> {
+        let answers = self.net.ship(round, subs);
+        if round == 0 {
+            self.initial = self.net.last_plan_report();
         }
-        PhaseSetup { e, cfg: *cfg, edges, flow_map }
-    }
-
-    /// The embedding this setup was built for.
-    pub fn embedding(&self) -> &MultiPathEmbedding {
-        self.e
-    }
-
-    /// The delivery configuration this setup was built with.
-    pub fn config(&self) -> &DeliveryConfig {
-        &self.cfg
+        answers
     }
 }
 
 /// The *omniscient* counterpart of
-/// [`deliver_adaptive`](crate::protocol::deliver_adaptive) under the
-/// generalized fault model: one dispersal phase of `e` under `plan`, with
-/// retry planning that reads the plan directly — the sender knows the
-/// exact [`hazard_set`](FaultPlan::hazard_set) (every link that is down,
-/// will go down, or corrupts) and re-sends dead shares only over
-/// hazard-free paths.
+/// [`deliver_adaptive`](crate::protocol::deliver_adaptive): one dispersal
+/// phase of `e` under `plan` through the same loop, with a sender that
+/// knows the plan's [`hazard_set`](FaultPlan::hazard_set) (every link that
+/// is down, will go down, or corrupts) and re-sends each dead share once,
+/// over a hazard-free path. A share that arrives *corrupted* fails its
+/// fingerprint and counts as an erasure, never as wrong bytes.
 ///
-/// A share that arrives *corrupted* (its packet crossed a corrupting link)
-/// counts as an erasure, exactly as the fingerprint check on the receiving
-/// side would grade it: corruption degrades to loss, never to wrong bytes.
-/// Retry rounds run under the hazard set as static faults, so retried
-/// shares can neither be dropped by a later event nor corrupted.
-///
-/// The differential conformance suite in the bench crate pins the
-/// oracle-free adaptive protocol against this function.
-///
-/// Convenience form of [`deliver_phase_plan_prepared`] that builds the
-/// [`PhaseSetup`] on the spot; sweeps that draw many plans against one
-/// configuration should build the setup once instead.
+/// Convenience form of [`deliver_phase_plan_prepared`]; sweeps that draw
+/// many plans against one configuration should build the setup once.
 ///
 /// # Panics
 /// Panics if any bundle is empty or wider than 255 paths, or if a
@@ -292,160 +235,26 @@ pub fn deliver_phase_plan(
     plan: &FaultPlan,
     cfg: &DeliveryConfig,
 ) -> DeliveryReport {
-    deliver_phase_plan_prepared(&PhaseSetup::new(e, cfg), plan)
+    deliver_phase_plan_prepared(&AdaptiveSetup::new(e, cfg), plan)
 }
 
-/// [`deliver_phase_plan`] against a prebuilt [`PhaseSetup`]: only the
+/// [`deliver_phase_plan`] against a prebuilt [`AdaptiveSetup`]: only the
 /// fault-dependent work (simulation rounds, retry planning, grading) runs
 /// per call; dispersal is reused from the setup. Fully deterministic:
-/// flows are injected in (guest edge, share) order and retries are
+/// shares are injected in (guest edge, share) order and retries are
 /// planned in the same order.
-pub fn deliver_phase_plan_prepared(setup: &PhaseSetup<'_>, plan: &FaultPlan) -> DeliveryReport {
+pub fn deliver_phase_plan_prepared(setup: &AdaptiveSetup<'_>, plan: &FaultPlan) -> DeliveryReport {
     let e = setup.e;
-    let host = e.host;
-    let n_edges = e.edge_paths.len();
-    let cfg = &setup.cfg;
-
-    /// Per-call mutable trial state (the setup stays read-only).
-    struct EdgeTrial {
-        arrived: Vec<bool>,
-        first_round_arrivals: usize,
-        recovered_in_round: Option<u32>, // 0 = initial round
-    }
-
-    let mut trials: Vec<EdgeTrial> = setup
-        .edges
-        .iter()
-        .map(|es| EdgeTrial {
-            arrived: es.empty_arrived.clone(),
-            first_round_arrivals: 0,
-            recovered_in_round: None,
-        })
+    let hazard = plan.hazard_set(&e.host);
+    let hazardous = e
+        .all_paths()
+        .map(|(_, _, p)| p.is_empty() || p.edges().any(|edge| hazard.is_failed(&e.host, edge)))
         .collect();
-
-    // Initial round: share `i` of edge `eid` rides bundle path `i`. A
-    // share only counts as arrived if delivered *untainted*.
-    let mut sim = PacketSim::new(host);
-    for &(eid, i) in &setup.flow_map {
-        sim.add_flow(Flow { path: e.edge_paths[eid][i].nodes().to_vec(), packets: 1 });
-    }
-    let initial = sim.run_planned(MAX_STEPS, plan, &mut NopRecorder);
-    for (fid, &(eid, i)) in setup.flow_map.iter().enumerate() {
-        if initial.flow_delivered[fid] == 1 && initial.flow_corrupted[fid] == 0 {
-            trials[eid].arrived[i] = true;
-        }
-    }
-    for (st, es) in trials.iter_mut().zip(&setup.edges) {
-        st.first_round_arrivals = st.arrived.iter().filter(|&&a| a).count();
-        if st.first_round_arrivals >= es.threshold {
-            st.recovered_in_round = Some(0);
-        }
-    }
-
-    // Retry rounds re-send dead shares over the bundle's surviving paths
-    // (round-robin; reusing one surviving path for several shares is
-    // legal — disjointness bounds bandwidth, not reuse). The oracle
-    // avoids every hazardous link (down, going down, or corrupting).
-    let avoid: FaultSet = plan.hazard_set(&host);
-    let static_faults = FaultPlan::from_set(avoid.clone());
-    let mut shares_resent = 0u64;
-    let mut rounds_run = 0u32;
-    for round in 1..=cfg.max_retries {
-        let mut retry = PacketSim::new(host);
-        let mut retry_map: Vec<(usize, usize)> = Vec::new();
-        for (eid, st) in trials.iter().enumerate() {
-            if st.recovered_in_round.is_some() {
-                continue;
-            }
-            let bundle = &e.edge_paths[eid];
-            let survivors: Vec<usize> = bundle
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| {
-                    !p.is_empty() && p.edges().all(|edge| !avoid.is_failed(&host, edge))
-                })
-                .map(|(i, _)| i)
-                .collect();
-            if survivors.is_empty() {
-                continue; // nothing left to carry a retry
-            }
-            let missing: Vec<usize> = (0..bundle.len()).filter(|&i| !st.arrived[i]).collect();
-            for (j, &share_i) in missing.iter().enumerate() {
-                let via = survivors[j % survivors.len()];
-                retry.add_flow(Flow { path: bundle[via].nodes().to_vec(), packets: 1 });
-                retry_map.push((eid, share_i));
-            }
-        }
-        if retry_map.is_empty() {
-            break;
-        }
-        rounds_run = round;
-        shares_resent += retry_map.len() as u64;
-        let rr = retry.run_planned(MAX_STEPS, &static_faults, &mut NopRecorder);
-        for (fid, &(eid, i)) in retry_map.iter().enumerate() {
-            if rr.flow_delivered[fid] == 1 {
-                trials[eid].arrived[i] = true;
-            }
-        }
-        for (st, es) in trials.iter_mut().zip(&setup.edges) {
-            if st.recovered_in_round.is_none()
-                && st.arrived.iter().filter(|&&a| a).count() >= es.threshold
-            {
-                st.recovered_in_round = Some(round);
-            }
-        }
-    }
-
-    // Grade every edge, verifying actual byte-for-byte reconstruction from
-    // the arrived shares, read in place into one reused message and scratch
-    // buffer. Serial: the sweeps that call this already fan out over
-    // trials.
-    let mut edges = Vec::with_capacity(n_edges);
-    let (mut delivered, mut degraded, mut lost) = (0usize, 0usize, 0usize);
-    let (mut out, mut scratch) = (Vec::new(), Vec::new());
-    for (eid, (st, es)) in trials.iter().zip(&setup.edges).enumerate() {
-        let arrived_total = st.arrived.iter().filter(|&&a| a).count();
-        let outcome = match st.recovered_in_round {
-            Some(round) => {
-                let arrived = es
-                    .shares
-                    .iter()
-                    .zip(&st.arrived)
-                    .filter(|(_, &a)| a)
-                    .map(|(s, _)| s)
-                    .take(es.threshold);
-                match es.ida.reconstruct_into(arrived, &mut out, &mut scratch) {
-                    Ok(()) if out == es.message => {
-                        if round == 0 {
-                            delivered += 1;
-                            EdgeOutcome::Delivered
-                        } else {
-                            degraded += 1;
-                            EdgeOutcome::Degraded { rounds: round }
-                        }
-                    }
-                    // Unreachable with a correct codec; grade honestly
-                    // rather than trusting the share count.
-                    _ => {
-                        lost += 1;
-                        EdgeOutcome::Lost { arrived: arrived_total }
-                    }
-                }
-            }
-            None => {
-                lost += 1;
-                EdgeOutcome::Lost { arrived: arrived_total }
-            }
-        };
-        edges.push(EdgeDelivery {
-            guest_edge: eid,
-            width: e.edge_paths[eid].len(),
-            threshold: es.threshold,
-            first_round_arrivals: st.first_round_arrivals,
-            outcome,
-        });
-    }
-
+    let mut net =
+        FirstRoundNetwork { net: PlanNetwork::new(e, plan), initial: PlanReport::default() };
+    let AdaptiveReport { edges, delivered, degraded, lost, rounds_run, shares_resent, .. } =
+        run_phase(setup, ORACLE_KEY, &mut net, &Knowledge::Omniscient(hazardous));
+    let initial = net.initial;
     DeliveryReport { edges, delivered, degraded, lost, rounds_run, shares_resent, initial }
 }
 
@@ -460,33 +269,31 @@ pub fn deliver_phase_plan_prepared(setup: &PhaseSetup<'_>, plan: &FaultPlan) -> 
 /// * otherwise, if retries are allowed and the bundle has a surviving
 ///   non-empty path, *all* `w − a` missing shares are resent over
 ///   surviving (fault-free) paths and arrive, so the edge grades
-///   [`EdgeOutcome::Degraded`]` { rounds: 1 }` — under static faults the
-///   retry round runs on exactly the links the planner checked;
+///   [`EdgeOutcome::Degraded`]` { rounds: 1 }`;
 /// * otherwise [`EdgeOutcome::Lost`]. Reconstruction always byte-verifies
 ///   for genuine fail-stop shares, so no codec run is needed.
 ///
-/// `rounds_run` is 1 iff any edge retried (the second retry round's plan
-/// is provably empty, so the engine breaks before counting it).
-fn fail_stop_outcome(setup: &PhaseSetup<'_>, faults: &FaultSet) -> DeliveryOutcome {
+/// `rounds_run` is 1 iff any edge retried (the second retry round has
+/// nothing to send, so the loop stops before counting it).
+fn fail_stop_outcome(setup: &AdaptiveSetup<'_>, faults: &FaultSet) -> DeliveryOutcome {
     let e = setup.e;
     let host = e.host;
-    let cfg = &setup.cfg;
     let mut edges = Vec::with_capacity(e.edge_paths.len());
     let (mut delivered, mut degraded, mut lost) = (0usize, 0usize, 0usize);
     let mut shares_resent = 0u64;
     let mut rounds_run = 0u32;
-    let mut arrived_flags: Vec<Vec<bool>> = Vec::with_capacity(e.edge_paths.len());
+    let mut initial_flow_delivered = Vec::new();
     for (eid, (bundle, es)) in e.edge_paths.iter().zip(&setup.edges).enumerate() {
-        let arrived: Vec<bool> = bundle
-            .iter()
-            .map(|p| p.is_empty() || p.edges().all(|edge| !faults.is_failed(&host, edge)))
-            .collect();
+        let first = initial_flow_delivered.len();
+        initial_flow_delivered
+            .extend(bundle.iter().map(|p| p.edges().all(|edge| !faults.is_failed(&host, edge))));
+        let arrived = &initial_flow_delivered[first..];
         let a = arrived.iter().filter(|&&ok| ok).count();
-        let survivor = bundle.iter().zip(&arrived).any(|(p, &ok)| ok && !p.is_empty());
+        let survivor = bundle.iter().zip(arrived).any(|(p, &ok)| ok && !p.is_empty());
         let outcome = if a >= es.threshold {
             delivered += 1;
             EdgeOutcome::Delivered
-        } else if cfg.max_retries >= 1 && survivor {
+        } else if setup.cfg.max_retries >= 1 && survivor {
             degraded += 1;
             rounds_run = 1;
             shares_resent += (bundle.len() - a) as u64;
@@ -502,10 +309,7 @@ fn fail_stop_outcome(setup: &PhaseSetup<'_>, faults: &FaultSet) -> DeliveryOutco
             first_round_arrivals: a,
             outcome,
         });
-        arrived_flags.push(arrived);
     }
-    let initial_flow_delivered =
-        setup.flow_map.iter().map(|&(eid, i)| arrived_flags[eid][i]).collect();
     DeliveryOutcome {
         edges,
         delivered,
@@ -524,9 +328,10 @@ fn fail_stop_outcome(setup: &PhaseSetup<'_>, faults: &FaultSet) -> DeliveryOutco
 /// planner avoids is exactly the initial set, so the grades are evaluated
 /// in closed form from path survival (`fail_stop_outcome`) and the packet
 /// engine is skipped entirely; any corrupting bit or mid-run event falls
-/// back to the engine. Equality of the two paths on static plans is
-/// pinned by the fast-path conformance suite in the bench crate.
-pub fn deliver_phase_plan_outcome(setup: &PhaseSetup<'_>, plan: &FaultPlan) -> DeliveryOutcome {
+/// back to the dispersal loop, with which the closed form shares no code.
+/// Equality of the two on static plans is pinned by the fast-path
+/// conformance suite in the bench crate.
+pub fn deliver_phase_plan_outcome(setup: &AdaptiveSetup<'_>, plan: &FaultPlan) -> DeliveryOutcome {
     if plan.is_static_fail_stop() {
         fail_stop_outcome(setup, plan.initial())
     } else {
@@ -725,7 +530,7 @@ mod tests {
             for threshold in [1usize, 2, 3] {
                 for max_retries in [0u32, 1, 2] {
                     let cfg = DeliveryConfig { threshold, max_retries, message_len: 32 };
-                    let setup = PhaseSetup::new(&t1.embedding, &cfg);
+                    let setup = AdaptiveSetup::new(&t1.embedding, &cfg);
                     let engine = deliver_phase_plan_prepared(&setup, plan).outcome();
                     let fast = deliver_phase_plan_outcome(&setup, plan);
                     assert_eq!(fast, engine, "k={threshold} retries={max_retries}");
@@ -738,7 +543,7 @@ mod tests {
     fn fast_path_handles_width_one_bundles() {
         let gray = gray_cycle_embedding(5);
         let cfg = DeliveryConfig { threshold: 1, max_retries: 5, message_len: 16 };
-        let setup = PhaseSetup::new(&gray, &cfg);
+        let setup = AdaptiveSetup::new(&gray, &cfg);
         let plan = kill_paths(&gray, 0, 1);
         let fast = deliver_phase_plan_outcome(&setup, &plan);
         assert_eq!(fast, deliver_phase_plan_prepared(&setup, &plan).outcome());
@@ -757,7 +562,7 @@ mod tests {
         cut.cut_link_at(0, victim);
         assert!(!cut.is_static_fail_stop());
         let cfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len: 32 };
-        let setup = PhaseSetup::new(&t1.embedding, &cfg);
+        let setup = AdaptiveSetup::new(&t1.embedding, &cfg);
         assert_eq!(
             deliver_phase_plan_outcome(&setup, &cut),
             deliver_phase_plan_prepared(&setup, &cut).outcome()
@@ -773,16 +578,13 @@ mod tests {
 
     #[test]
     fn outcome_projection_keeps_the_flow_order() {
-        // `initial_flow_delivered` is in `flow_map` (= injection) order:
-        // with no faults every bit is set, and the count equals the
-        // number of non-empty paths.
+        // `initial_flow_delivered` holds one bit per bundle path: with no
+        // faults every bit is set.
         let t1 = theorem1(6).unwrap();
         let cfg = DeliveryConfig { threshold: 2, max_retries: 0, message_len: 16 };
-        let setup = PhaseSetup::new(&t1.embedding, &cfg);
+        let setup = AdaptiveSetup::new(&t1.embedding, &cfg);
         let out = deliver_phase_plan_outcome(&setup, &FaultPlan::none(&t1.embedding.host));
-        let n_flows: usize =
-            t1.embedding.edge_paths.iter().flatten().filter(|p| !p.is_empty()).count();
-        assert_eq!(out.initial_flow_delivered.len(), n_flows);
+        assert_eq!(out.initial_flow_delivered.len(), t1.embedding.all_paths().count());
         assert!(out.initial_flow_delivered.iter().all(|&b| b));
         assert!(out.all_delivered());
         assert_eq!(out.recovered(), out.edges.len());
@@ -790,10 +592,11 @@ mod tests {
 
     #[test]
     fn initial_arrival_bits_count_only_uncorrupted_shares() {
-        // Each edge's zero-hop paths plus its set arrival bits are exactly
-        // its graded first-round arrivals: a share that arrived corrupted
-        // is an erasure in both views. Covers the engine (dynamic and
-        // corrupting plans) and the fail-stop fast path (static plans).
+        // Each edge's set arrival bits, zero-hop paths included, are
+        // exactly its graded first-round arrivals: a share that arrived
+        // corrupted is an erasure in both views. Covers the dispersal loop
+        // (dynamic and corrupting plans) and the fail-stop fast path
+        // (static plans).
         use rand::SeedableRng;
         let mut e = theorem1(6).unwrap().embedding;
         for bundle in e.edge_paths.iter_mut().step_by(5) {
@@ -809,18 +612,25 @@ mod tests {
             plans.push(crate::chaos::random_plan(&host, t % 2 == 0, &mut rng));
         }
         let cfg = DeliveryConfig { threshold: 2, max_retries: 1, message_len: 16 };
-        let setup = PhaseSetup::new(&e, &cfg);
+        let setup = AdaptiveSetup::new(&e, &cfg);
         for (pi, plan) in plans.iter().enumerate() {
             let out = deliver_phase_plan_outcome(&setup, plan);
             let mut bits = out.initial_flow_delivered.iter();
             for (eid, bundle) in e.edge_paths.iter().enumerate() {
-                let arrivals = bundle
-                    .iter()
-                    .filter(|p| p.is_empty() || *bits.next().expect("one bit per flow"))
-                    .count();
+                let arrivals = bits.by_ref().take(bundle.len()).filter(|&&b| b).count();
                 assert_eq!(arrivals, out.edges[eid].first_round_arrivals, "plan {pi} edge {eid}");
             }
-            assert!(bits.next().is_none(), "plan {pi}: one bit per simulated flow");
+            assert!(bits.next().is_none(), "plan {pi}: one bit per bundle path");
         }
+    }
+
+    #[test]
+    fn a_phase_without_shares_reports_an_empty_first_round() {
+        let mut e = theorem1(4).unwrap().embedding;
+        e.edge_paths.clear();
+        let cfg = DeliveryConfig::with_threshold(1);
+        let r = deliver_phase_plan(&e, &FaultPlan::none(&e.host), &cfg);
+        assert_eq!((r.edges.len(), r.rounds_run, r.shares_resent), (0, 0, 0));
+        assert_eq!(r.initial, PlanReport::default());
     }
 }

@@ -13,8 +13,10 @@
 //!   and `run_planned` (under a [`FaultPlan`]), both reporting to a
 //!   [`Recorder`].
 //! * [`wormhole`] — cut-through/wormhole mode for Section 7: an `F`-flit
-//!   worm holds each link from the step its head crosses until its tail
-//!   does; blocked heads stall the whole worm.
+//!   worm's head advances while the next link is free and stalls while
+//!   another worm holds it; the link of hop `h`, entered by the head at
+//!   step `entered[h]`, is free again from step `entered[h] + F`, whether
+//!   or not the head has stalled since.
 //! * [`routing`] — path generators: greedy e-cube, Valiant two-phase
 //!   random-intermediate, and Section 7's CCC-copy split routes.
 //! * [`faults`] — the one fault model, [`FaultPlan`]: link cuts before
@@ -26,19 +28,19 @@
 //!   [`BitTrialBlock`], path survival as word AND-reductions
 //!   ([`SlicedPaths`]), with a lane-extraction API that reproduces the
 //!   scalar draws bit for bit.
-//! * [`delivery`] — the end-to-end message layer: IDA-disperse each guest
-//!   edge's message over its bundle, run the shares through the machine
-//!   under a [`FaultPlan`], reconstruct at the destination, retry lost
-//!   shares over surviving paths, and grade every edge
-//!   delivered/degraded/lost.
+//! * [`protocol`] — the one dispersal loop: IDA-disperse each guest edge's
+//!   message over its bundle, ship the shares round by round, retry the
+//!   missing ones over live paths, reconstruct and grade every edge
+//!   delivered/degraded/lost. Under its public, *learned* policy the
+//!   sender infers path health purely from ACK/NACK feedback on keyed
+//!   tagged shares — no fault oracle anywhere in its signature.
+//! * [`delivery`] — the same loop under the *omniscient* policy, whose
+//!   sender reads a [`FaultPlan`]'s hazard set, plus a closed form that
+//!   grades a static fail-stop phase without running the loop.
 //! * [`chaos`] — seed-pinned chaos harness: randomized adversarial
-//!   [`FaultPlan`]s through both engines and both delivery protocols,
-//!   under packet-conservation, no-wrong-bytes, oracle-equality and
-//!   monotone-degradation invariants.
-//! * [`protocol`] — oracle-free adaptive delivery: the sender infers path
-//!   health purely from per-round ACK/NACK feedback on keyed tagged
-//!   shares, rerouting retries with an exponential copy budget — no fault
-//!   oracle anywhere in its signature.
+//!   [`FaultPlan`]s through both engines and the dispersal loop under both
+//!   knowledge policies, under packet-conservation, no-wrong-bytes,
+//!   closed-form-equality and monotone-degradation invariants.
 //! * [`tenants`] — multi-tenant traffic engine: several embedded guests
 //!   (cycles, grids, trees) sharing one host cube through a sparse
 //!   [`LinkLedger`], with admission control, congestion-aware path-subset
@@ -67,7 +69,7 @@ pub use bitslice::{BitTrialBlock, LaneWord, SlicedPaths, W256};
 pub use chaos::{random_plan, run_chaos, ChaosConfig, ChaosReport, ChaosTrial};
 pub use delivery::{
     deliver_phase_plan, deliver_phase_plan_outcome, deliver_phase_plan_prepared, DeliveryConfig,
-    DeliveryOutcome, DeliveryReport, EdgeDelivery, EdgeOutcome, PhaseSetup,
+    DeliveryOutcome, DeliveryReport, EdgeDelivery, EdgeOutcome,
 };
 pub use faults::{random_fault_set, surviving_paths, FaultPlan, FaultSet, LinkEvent};
 pub use packet::{Flow, PacketSim, PlanReport, SimReport};

@@ -52,8 +52,8 @@ pub struct Flow {
     pub packets: u64,
 }
 
-/// Simulation outcome.
-#[derive(Debug, Clone, PartialEq)]
+/// Simulation outcome. The default is the report of a run with no flows.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimReport {
     /// Step after which every packet had arrived (or, in a planned run,
     /// been dropped).
@@ -72,8 +72,9 @@ pub struct SimReport {
 /// report plus per-flow loss and corruption accounting. Corrupting links
 /// never affect delivery — a corrupted packet still arrives — so
 /// `flow_corrupted[f] ≤ flow_delivered[f]`, while `corrupted` counts every
-/// packet flagged (including ones later dropped on a failed link).
-#[derive(Debug, Clone, PartialEq)]
+/// packet flagged (including ones later dropped on a failed link). The
+/// default is the report of a run with no flows.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanReport {
     /// The machine report. `delivered` counts only packets that actually
     /// arrived; with an empty [`FaultPlan`] this is bit-identical to what
@@ -863,6 +864,23 @@ impl PacketArena {
             flow_corrupted,
             flow_dropped_at,
             flow_corrupted_at,
+        }
+    }
+
+    /// Copies the last planned run's per-flow outcomes into a [`PlanReport`]
+    /// around its `report`; every flow must carry one packet.
+    pub(crate) fn single_packet_plan_report(&self, report: SimReport) -> PlanReport {
+        debug_assert!(self.flow_packets.iter().all(|&p| p == 1), "one packet per flow");
+        let bufs = &self.bufs;
+        PlanReport {
+            lost: self.total_injected - report.delivered,
+            report,
+            corrupted: bufs.flow_corrupted_at.iter().filter(|&&at| at != u32::MAX).count() as u64,
+            flow_delivered: bufs.flow_delivered.clone(),
+            flow_lost: bufs.flow_lost.clone(),
+            flow_corrupted: bufs.flow_corrupted.clone(),
+            flow_dropped_at: bufs.flow_dropped_at.clone(),
+            flow_corrupted_at: bufs.flow_corrupted_at.clone(),
         }
     }
 

@@ -1,10 +1,10 @@
-//! Oracle-free adaptive delivery: the sender learns path health **only**
-//! from per-round ACK/NACK feedback.
+//! The dispersal loop: one phase of IDA delivery, run under one of two
+//! knowledge policies.
 //!
-//! [`deliver_phase_plan`](crate::delivery::deliver_phase_plan) models an
-//! *omniscient* sender: retry planning reads the fault set directly. A
-//! real machine has no such oracle — it knows only which share indices
-//! came back verified. [`deliver_adaptive`] is that protocol:
+//! A real machine has no fault oracle — it knows only which share indices
+//! came back verified. [`deliver_adaptive`] is that protocol, the loop
+//! under the *learned* policy, where the sender learns path health
+//! **only** from per-round ACK/NACK feedback:
 //!
 //! 1. **Round 0**: disperse each guest edge's message into `w` keyed
 //!    tagged shares ([`Ida::disperse_tagged`]) and send share `i` down
@@ -32,8 +32,18 @@
 //! arena per network) and flips the payload bytes of corrupted deliveries
 //! with the plan's seeded RNG.
 //! `tests/adaptive_conformance.rs` (bench crate) pins this protocol
-//! against the omniscient pipeline: equal delivery on every static
-//! fail-stop draw, and never a silently wrong reconstruction anywhere.
+//! against the fail-stop closed form
+//! ([`deliver_phase_plan_outcome`](crate::delivery::deliver_phase_plan_outcome)):
+//! equal delivery on every static fail-stop draw, and never a silently
+//! wrong reconstruction anywhere.
+//!
+//! [`deliver_phase_plan`](crate::delivery::deliver_phase_plan) runs the
+//! same loop under a crate-private *omniscient* policy that knows the
+//! plan's [`hazard_set`](FaultPlan::hazard_set): after round 0 every empty
+//! or hazardous path is dead, an edge with no path left is skipped (no
+//! probe), and each missing share is sent once, round-robin over the live
+//! paths. Those retries cross no faulty link, so they ship through the
+//! same [`PlanNetwork`] as round 0.
 //!
 //! # A phase on every worker
 //!
@@ -55,7 +65,7 @@
 
 use crate::delivery::{message_for_edge, DeliveryConfig, EdgeDelivery, EdgeOutcome};
 use crate::faults::FaultPlan;
-use crate::packet::PacketArena;
+use crate::packet::{PacketArena, PlanReport, SimReport};
 use crate::trace::NopRecorder;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_ida::{share_fingerprint, Ida, Share, TaggedShare};
@@ -138,12 +148,23 @@ pub struct PlanNetwork<'a> {
     e: &'a MultiPathEmbedding,
     plan: &'a FaultPlan,
     arena: Option<PacketArena>,
+    /// The machine report of the last non-empty round.
+    last: Option<SimReport>,
 }
 
 impl<'a> PlanNetwork<'a> {
     /// A network routing over `e`'s bundles under `plan`.
     pub fn new(e: &'a MultiPathEmbedding, plan: &'a FaultPlan) -> Self {
-        PlanNetwork { e, plan, arena: None }
+        PlanNetwork { e, plan, arena: None, last: None }
+    }
+
+    /// The last non-empty round as a [`PlanReport`], flow `i` being
+    /// submission `i`; the empty report if no round carried a share.
+    pub(crate) fn last_plan_report(&self) -> PlanReport {
+        match (&self.arena, &self.last) {
+            (Some(arena), Some(report)) => arena.single_packet_plan_report(report.clone()),
+            _ => PlanReport::default(),
+        }
     }
 }
 
@@ -198,7 +219,7 @@ impl RoundNetwork for PlanNetwork<'_> {
             // instantly and they can never cross a (corrupting) link.
             arena.add_flow_walk(path(sub), 1);
         }
-        arena.run_planned(MAX_STEPS, self.plan, &mut NopRecorder);
+        self.last = Some(arena.run_planned(MAX_STEPS, self.plan, &mut NopRecorder));
         let (delivered, corrupted) = (arena.flow_delivered(), arena.flow_corrupted());
         subs.iter()
             .enumerate()
@@ -265,9 +286,9 @@ impl AdaptiveReport {
 /// [`AdaptiveSetup::new`] panics if any bundle is empty or wider than 255
 /// paths (the IDA share index is a byte).
 pub struct AdaptiveSetup<'a> {
-    e: &'a MultiPathEmbedding,
-    cfg: DeliveryConfig,
-    edges: Vec<AdaptiveEdgeSetup>,
+    pub(crate) e: &'a MultiPathEmbedding,
+    pub(crate) cfg: DeliveryConfig,
+    pub(crate) edges: Vec<AdaptiveEdgeSetup>,
     /// Every edge's untagged shares, edge after edge: share `i` of an edge
     /// sits at its [`offset`](AdaptiveEdgeSetup::offset) `+ i`.
     shares: Vec<Share>,
@@ -277,8 +298,8 @@ pub struct AdaptiveSetup<'a> {
 }
 
 /// Per-edge precomputed state of an [`AdaptiveSetup`].
-struct AdaptiveEdgeSetup {
-    threshold: usize,
+pub(crate) struct AdaptiveEdgeSetup {
+    pub(crate) threshold: usize,
     ida: Ida,
     message: Vec<u8>,
     /// Where the edge's shares start in the phase-wide per-share arrays;
@@ -368,6 +389,14 @@ pub fn deliver_adaptive<N: RoundNetwork>(
     deliver_adaptive_prepared(&AdaptiveSetup::new(e, cfg), key, net)
 }
 
+/// What the sender of a phase knows about the faults (module docs).
+pub(crate) enum Knowledge {
+    /// Only the ACK/NACK feedback of each round.
+    Learned,
+    /// Per share slot: bundle path `i` is empty or crosses a hazard link.
+    Omniscient(Vec<bool>),
+}
+
 /// [`deliver_adaptive`] against a prebuilt [`AdaptiveSetup`]: dispersal is
 /// reused from the setup and only tagging, simulation rounds, and grading
 /// run per call.
@@ -389,6 +418,17 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     setup: &AdaptiveSetup<'_>,
     key: u64,
     net: &mut N,
+) -> AdaptiveReport {
+    run_phase(setup, key, net, &Knowledge::Learned)
+}
+
+/// The dispersal loop behind [`deliver_adaptive_prepared`] and
+/// [`deliver_phase_plan_prepared`](crate::delivery::deliver_phase_plan_prepared).
+pub(crate) fn run_phase<N: RoundNetwork>(
+    setup: &AdaptiveSetup<'_>,
+    key: u64,
+    net: &mut N,
+    knowledge: &Knowledge,
 ) -> AdaptiveReport {
     let e = setup.e;
     let cfg = &setup.cfg;
@@ -494,6 +534,10 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
         }
     }
     run_round(0, &subs, &mut verified, &mut path_dead);
+    if let Knowledge::Omniscient(hazardous) = knowledge {
+        // Adds the paths that ACKed in round 0 but cross a hazard link.
+        path_dead.copy_from_slice(hazardous);
+    }
     for (st, es) in states.iter_mut().zip(&setup.edges) {
         st.first_round_arrivals = verified_count(&verified, es);
         if st.first_round_arrivals >= es.threshold {
@@ -511,6 +555,7 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
     let mut shares_resent = 0u64;
     let mut rounds_run = 0u32;
     let mut alive: Vec<usize> = Vec::new();
+    let omniscient = matches!(knowledge, Knowledge::Omniscient(_));
     for round in 1..=cfg.max_retries.min(MAX_ADAPTIVE_ROUNDS) {
         subs.clear();
         for (eid, (st, es)) in states.iter_mut().zip(&setup.edges).enumerate() {
@@ -520,9 +565,9 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
             let dead = &mut path_dead[es.slots()];
             if dead.iter().all(|&d| d) {
                 // Every path written off. After MAX_FRUITLESS_PROBES full
-                // re-probes that verified nothing, further identical
-                // probes are pure waste: write the edge off for good.
-                if st.fruitless_probes >= MAX_FRUITLESS_PROBES {
+                // re-probes that verified nothing (or none, when omniscient),
+                // further probes are pure waste: write the edge off.
+                if omniscient || st.fruitless_probes >= MAX_FRUITLESS_PROBES {
                     st.given_up = true;
                     continue;
                 }
@@ -535,10 +580,13 @@ pub fn deliver_adaptive_prepared<N: RoundNetwork>(
             alive.extend(dead.iter().enumerate().filter(|&(_, &d)| !d).map(|(i, _)| i));
             // Up to 2^(round-1) copies of each missing share, saturated at
             // the live-path count (the cap binds from round 9 on, since a
-            // bundle holds at most 255 paths — no shift ever overflows).
-            let copies =
-                if round >= 9 { alive.len() } else { (1usize << (round - 1)).min(alive.len()) }
-                    .max(1);
+            // bundle holds at most 255 paths — no shift ever overflows). An
+            // omniscient sender's one copy rides a path that cannot fail.
+            let copies = match round {
+                _ if omniscient => 1,
+                9.. => alive.len(),
+                _ => (1usize << (round - 1)).min(alive.len()),
+            };
             let missing = es.slots().filter(|&slot| verified[slot].is_none());
             for (j, slot) in missing.enumerate() {
                 for c in 0..copies {
