@@ -23,7 +23,8 @@
 //! plans, IDA disperse/reconstruct, `PhaseSchedule::verify`, and a full
 //! `deliver_phase_plan` — plus, appended after the original suite, the
 //! planned engines under a mixed adversary, tagged dispersal, the
-//! oracle-free adaptive delivery protocol, and share fingerprints.
+//! oracle-free adaptive delivery protocol, share fingerprints, the theorem
+//! constructions and the Hamiltonian decompositions.
 
 use crate::json::{Json, ToJson};
 use crate::measure::{measure_allocs, measure_peak, median_wall_ns};
@@ -937,6 +938,87 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         });
     }
 
+    // --- Constructions: building and certifying each theorem's embedding
+    // (the Theorem 4 product over prebuilt cycle copies), with the shape
+    // it certifies as counters. ---
+    {
+        use hyperpath_core::baseline::multi_copy_cycles;
+        use hyperpath_core::cycles::{theorem2, Theorem2Variant};
+        use hyperpath_core::grids::grid_embedding;
+        use hyperpath_core::induced::induced_cross_product;
+        use hyperpath_core::trees::theorem5;
+        let shape = |edges: usize, width: usize, cost: u64| -> Vec<(String, u64)> {
+            vec![
+                ("edges".into(), edges as u64),
+                ("width".into(), width as u64),
+                ("cost".into(), cost),
+            ]
+        };
+        let t1 = theorem1(10).expect("theorem 1");
+        records.push(PerfRecord {
+            name: "construct/theorem1/n10".into(),
+            counters: shape(t1.embedding.edge_paths.len(), t1.claimed_width, t1.cost),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || theorem1(10).unwrap()),
+        });
+        let t2 = theorem2(8, Theorem2Variant::Cost3).expect("theorem 2");
+        records.push(PerfRecord {
+            name: "construct/theorem2_cost3/n8".into(),
+            counters: shape(t2.embedding.edge_paths.len(), t2.claimed_width, t2.cost),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                theorem2(8, Theorem2Variant::Cost3).unwrap()
+            }),
+        });
+        let ccc = ccc_multi_copy(8).expect("theorem 3");
+        records.push(PerfRecord {
+            name: "construct/ccc_multi_copy/n8".into(),
+            counters: vec![
+                ("copies".into(), ccc.multi_copy.num_copies() as u64),
+                ("guest_edges".into(), ccc.multi_copy.guest.num_edges() as u64),
+                ("host_dims".into(), u64::from(ccc.multi_copy.host.dims())),
+            ],
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || ccc_multi_copy(8).unwrap()),
+        });
+        let copies = multi_copy_cycles(6).expect("cycle copies");
+        let t4 = induced_cross_product(&copies).expect("theorem 4");
+        records.push(PerfRecord {
+            name: "construct/induced_cross_product/n6".into(),
+            counters: shape(t4.embedding.edge_paths.len(), t4.embedding.width(), t4.cost),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                induced_cross_product(&copies).unwrap()
+            }),
+        });
+        let t5 = theorem5(4).expect("theorem 5");
+        records.push(PerfRecord {
+            name: "construct/theorem5/n4".into(),
+            counters: shape(t5.embedding.edge_paths.len(), t5.width, t5.cost),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || theorem5(4).unwrap()),
+        });
+        let grid = grid_embedding(&[4, 4], false).expect("grid");
+        records.push(PerfRecord {
+            name: "construct/grid_embedding/4x4".into(),
+            counters: shape(grid.embedding.edge_paths.len(), grid.width, grid.cost),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                grid_embedding(&[4, 4], false).unwrap()
+            }),
+        });
+    }
+
+    // --- Hamiltonian decompositions of Q_n, the odd n = 9 through the
+    // matching merge. ---
+    for n in [4u32, 6, 8, 9] {
+        let dec = hyperpath_topology::hamiltonian::decompose(n).expect("decomposition");
+        records.push(PerfRecord {
+            name: format!("topology/decompose/q{n}"),
+            counters: vec![
+                ("cycles".into(), dec.cycles.len() as u64),
+                ("matching".into(), dec.matching.len() as u64),
+            ],
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
+                hyperpath_topology::hamiltonian::decompose(n).unwrap()
+            }),
+        });
+    }
+
     PerfOutput { records }
 }
 
@@ -988,6 +1070,13 @@ mod tests {
             "tenants/parallel/",
             "tenants/planned/",
             "ida/fingerprint/",
+            "construct/theorem1/",
+            "construct/theorem2_cost3/",
+            "construct/ccc_multi_copy/",
+            "construct/induced_cross_product/",
+            "construct/theorem5/",
+            "construct/grid_embedding/",
+            "topology/decompose/",
         ] {
             assert!(names.iter().any(|n| n.starts_with(prefix)), "missing {prefix}");
         }
