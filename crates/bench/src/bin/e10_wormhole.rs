@@ -1,8 +1,11 @@
 //! E10 — Section 7: wormhole routing of M-packet permutations; single path
 //! vs n-way CCC-copy splitting.
 //!
+//! Each `(n, M)` point routes a random permutation, then bit reversal,
+//! then transpose (the classic worst cases for e-cube routing).
+//!
 //! `--json [PATH]` additionally writes the sweep artifact
-//! (`BENCH_E10_WORMHOLE.json` by default). Every grid point draws its
+//! (`BENCH_E10_WORMHOLE.json` by default). Every random point draws its
 //! permutation from its own ChaCha stream, so the artifact is byte-stable
 //! across thread counts.
 

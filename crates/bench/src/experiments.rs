@@ -121,35 +121,93 @@ pub fn e1_cycle_speedup(ns: &[u32]) -> (Table, SweepOutput) {
 // (Section 7).
 // ---------------------------------------------------------------------------
 
-/// One E10 grid point: CCC parameter and message length.
+/// The permutation an E10 grid point routes: node `x` sends to `perm[x]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Permutation {
+    /// Drawn from the grid point's own ChaCha stream.
+    Random,
+    /// `x` with its `d` address bits reversed.
+    BitReversal,
+    /// `x` with its low `⌊d/2⌋` address bits swapped with the next
+    /// `⌊d/2⌋`; for odd `d` the top bit stays in place.
+    Transpose,
+}
+
+impl Permutation {
+    /// The destination of every node of `host`.
+    fn destinations(
+        self,
+        host: &hyperpath_topology::Hypercube,
+        rng: &mut rand_chacha::ChaCha8Rng,
+    ) -> Vec<u64> {
+        let d = host.dims();
+        let half = d / 2;
+        let low = (1u64 << half) - 1;
+        match self {
+            Permutation::Random => random_permutation(host, rng),
+            Permutation::BitReversal => {
+                host.nodes().map(|x| x.reverse_bits() >> (64 - d)).collect()
+            }
+            Permutation::Transpose => host
+                .nodes()
+                .map(|x| {
+                    let top = x >> (2 * half) << (2 * half);
+                    top | (x & low) << half | (x >> half & low)
+                })
+                .collect(),
+        }
+    }
+}
+
+/// One E10 grid point: CCC parameter, message length and permutation.
 #[derive(Debug, Clone, Copy)]
 pub struct WormholePoint {
     /// CCC parameter (host is `Q_{n + log n}`).
     pub n: u32,
     /// Message length in flits.
     pub flits: u64,
+    /// The permutation routed.
+    pub permutation: Permutation,
 }
 
 impl ToJson for WormholePoint {
     fn to_json(&self) -> Json {
-        Json::object([("n", self.n.to_json()), ("flits", self.flits.to_json())])
+        // Random points keep the params they had before the adversarial
+        // permutations joined the grid, so their records stay byte-stable.
+        let name = match self.permutation {
+            Permutation::Random => None,
+            Permutation::BitReversal => Some("bit_reversal"),
+            Permutation::Transpose => Some("transpose"),
+        };
+        let fields = [("n", self.n.to_json()), ("flits", self.flits.to_json())];
+        Json::object(fields.into_iter().chain(name.map(|name| ("permutation", name.to_json()))))
     }
 }
 
-/// The default E10 grid: `flits ∈ {16, 64, 256}` per dimension.
+/// The default E10 grid: `flits ∈ {16, 64, 256}` per dimension, for a
+/// random permutation, then bit reversal, then transpose. Point streams
+/// are keyed by grid index, so the random points come first.
 pub fn e10_grid(ns: &[u32]) -> Vec<WormholePoint> {
-    ns.iter().flat_map(|&n| [16u64, 64, 256].map(|flits| WormholePoint { n, flits })).collect()
+    [Permutation::Random, Permutation::BitReversal, Permutation::Transpose]
+        .into_iter()
+        .flat_map(|permutation| {
+            ns.iter().flat_map(move |&n| {
+                [16u64, 64, 256].map(|flits| WormholePoint { n, flits, permutation })
+            })
+        })
+        .collect()
 }
 
-/// E10: routes a random permutation in wormhole mode, whole-message e-cube
-/// worms vs `n` split worms over the Theorem 3 CCC copies. Each grid point
-/// draws its permutation from its own ChaCha stream.
+/// E10: routes a permutation in wormhole mode, whole-message e-cube worms
+/// vs `n` split worms over the Theorem 3 CCC copies. A random point draws
+/// its permutation from its own ChaCha stream; bit reversal and transpose
+/// are the classic worst cases for e-cube routing.
 pub fn e10_wormhole(ns: &[u32], master_seed: u64) -> (Table, SweepOutput) {
     let out = Sweep::new("e10_wormhole", master_seed).run(e10_grid(ns), |p, rng| {
         let copies = ccc_multi_copy(p.n).expect("Theorem 3");
         let host = copies.multi_copy.host;
         let router = CccRouter::new(&copies);
-        let perm = random_permutation(&host, rng);
+        let perm = p.permutation.destinations(&host, rng);
         // Single path: the whole message as one worm on the e-cube path.
         let mut single = WormholeSim::new(host);
         for (src, &dst) in perm.iter().enumerate() {
@@ -178,9 +236,18 @@ pub fn e10_wormhole(ns: &[u32], master_seed: u64) -> (Table, SweepOutput) {
             ("ratio", (r1 as f64 / r2 as f64).to_json()),
         ])
     });
-    let mut t = Table::new(&["n (CCC)", "host", "M flits", "single-path", "ccc-split", "ratio"]);
+    let mut t = Table::new(&[
+        "permutation",
+        "n (CCC)",
+        "host",
+        "M flits",
+        "single-path",
+        "ccc-split",
+        "ratio",
+    ]);
     for rec in &out.records {
         t.row(vec![
+            rec.params.get("permutation").and_then(Json::as_str).unwrap_or("random").to_string(),
             fetch(&rec.params, "n").to_string(),
             format!("Q_{}", fetch(&rec.result, "host_dims")),
             fetch(&rec.params, "flits").to_string(),
@@ -1405,6 +1472,28 @@ pub fn maybe_write_json(out: &SweepOutput, opts: &CliOpts) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn e10_adversarial_permutations_are_involutions() {
+        use rand::SeedableRng;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
+        for d in [6u32, 11] {
+            let host = hyperpath_topology::Hypercube::new(d);
+            for p in [Permutation::BitReversal, Permutation::Transpose] {
+                let perm = p.destinations(&host, &mut rng);
+                for (x, &y) in perm.iter().enumerate() {
+                    assert_eq!(perm[y as usize], x as u64, "{p:?} on Q_{d}");
+                }
+            }
+            let transpose = Permutation::Transpose.destinations(&host, &mut rng);
+            assert_eq!(transpose[0b10], 0b10 << (d / 2), "low half moves up");
+            assert_eq!(
+                transpose[1 << (d - 1)] >> (d - 1),
+                u64::from(d % 2),
+                "only an odd d keeps its top bit"
+            );
+        }
+    }
 
     #[test]
     fn cli_parses_json_and_trials() {
