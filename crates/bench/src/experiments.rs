@@ -302,7 +302,7 @@ pub fn e12_grid(ns: &[u32]) -> Vec<FaultPoint> {
 /// operation): the fault draws are static fail-stop and no trace is
 /// requested, so the delivery columns take the fail-stop fast path —
 /// [`SlicedPaths::all_bundles_recovered`] evaluates the per-lane
-/// [`deliver_phase_plan_outcome`](hyperpath_sim::delivery::deliver_phase_plan_outcome)
+/// [`deliver_phase_plan_outcome`]
 /// grades straight from bundle survival words, skipping the packet engine
 /// entirely. Each kernel lane replays the
 /// scalar [`surviving_paths`](hyperpath_sim::faults::surviving_paths)
