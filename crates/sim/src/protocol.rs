@@ -564,9 +564,9 @@ pub(crate) fn run_phase<N: RoundNetwork>(
             }
             let dead = &mut path_dead[es.slots()];
             if dead.iter().all(|&d| d) {
-                // Every path written off. After MAX_FRUITLESS_PROBES full
-                // re-probes that verified nothing (or none, when omniscient),
-                // further probes are pure waste: write the edge off.
+                // Every path written off. The omniscient sender knows none
+                // will heal; the learned one gives up after
+                // MAX_FRUITLESS_PROBES full re-probes that verified nothing.
                 if omniscient || st.fruitless_probes >= MAX_FRUITLESS_PROBES {
                     st.given_up = true;
                     continue;
