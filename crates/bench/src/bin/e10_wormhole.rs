@@ -9,10 +9,10 @@
 //! permutation from its own ChaCha stream, so the artifact is byte-stable
 //! across thread counts.
 
-use hyperpath_bench::experiments::{e10_wormhole, maybe_write_json, parse_cli};
+use hyperpath_bench::experiments::{e10_wormhole, maybe_write_json, parse_cli_for, CliAccepts};
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E10: M-flit permutation routing, wormhole mode (Section 7)");
     println!("Claim: single-path completion grows ~ n·M under contention; splitting each");
     println!("message across the n CCC copies completes in O(M).\n");

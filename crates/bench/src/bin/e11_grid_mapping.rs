@@ -3,14 +3,14 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E11_GRID_MAPPING.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::grid_embedding;
 use hyperpath_core::large_copy::large_copy_cycle;
 use hyperpath_sim::{NopRecorder, PacketSim};
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E11: Section 8.3 — mapping an M×M grid onto N²=2^(2a) processors");
     println!("Approach 1: point-per-process large-copy; Approach 2: blocked multiple-path;");
     println!("Approach 3: blocked large-copy with log N × more processes.\n");

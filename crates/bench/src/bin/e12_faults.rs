@@ -17,10 +17,12 @@
 //! engine lane by lane. Both are evaluated against the *same* fault draw
 //! per trial, 256 trials per kernel word.
 
-use hyperpath_bench::experiments::{e12_faults, ida_sanity_line, maybe_write_json, parse_cli_with};
+use hyperpath_bench::experiments::{
+    e12_faults, ida_sanity_line, maybe_write_json, parse_cli_for, CliAccepts,
+};
 
 fn main() {
-    let opts = parse_cli_with(true, true);
+    let opts = parse_cli_for(CliAccepts { trials: true, dims: true, ..CliAccepts::default() });
     let trials = opts.trials.unwrap_or(200);
     let dims = opts.dims.clone().unwrap_or_else(|| vec![8, 10]);
     println!("E12: phase delivery probability under link faults (Monte-Carlo, {trials} trials)");

@@ -6,13 +6,13 @@
 //! and the speedup grows as w/3 = ⌊a/2⌋/3 = Θ(log N) beyond it — exactly
 //! the paper's Θ(M/N) vs Θ(M/(N log N)) claim, constants included.
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::grid_embedding;
 use hyperpath_sim::{NopRecorder, PacketSim};
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E13: 2-D torus relaxation phase (directed), M/N packets per edge\n");
     let mut t = Table::new(&[
         "a (side 2^a)",

@@ -3,14 +3,14 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E14_LARGE_COPY.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::large_copy::{large_copy_ccc_like, large_copy_cycle, CcLike};
 use hyperpath_embedding::metrics::multi_path_metrics;
 use hyperpath_embedding::validate::validate_multi_path;
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!(
         "E14: large-copy embeddings (claims: cycle dil 1/cong 1; CCC cong 1; FFT/BF cong 2)\n"
     );

@@ -2,14 +2,14 @@
 //! simulating a wide-channel grid with O(1) slowdown, while crushing the
 //! grid on low-diameter (tree) patterns.
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::grid_embedding;
 use hyperpath_core::trees::theorem5;
 use hyperpath_sim::{NopRecorder, PacketSim};
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E15: constant-pinout model — W = 64 pins per node, B = 512 bytes per neighbor.");
     println!("Grid: 4 channels of width W/4 → B/(W/4) steps per phase.");
     println!("Hypercube: 2a channels of width W/(2a) → more packets, but the width-⌊a/2⌋");

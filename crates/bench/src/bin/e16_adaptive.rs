@@ -13,10 +13,10 @@
 //! read 1.000 — the oracle's knowledge buys nothing there (pinned by
 //! `tests/adaptive_conformance.rs`).
 
-use hyperpath_bench::experiments::{e16_adaptive, maybe_write_json, parse_cli};
+use hyperpath_bench::experiments::{e16_adaptive, maybe_write_json, parse_cli_for, CliAccepts};
 
 fn main() {
-    let opts = parse_cli(true);
+    let opts = parse_cli_for(CliAccepts { trials: true, ..CliAccepts::default() });
     let trials = opts.trials.unwrap_or(100);
     println!("E16: oracle-free adaptive delivery vs the omniscient oracle ({trials} trials)");
     println!("Claim: ACK/NACK feedback + keyed tagged shares recover everything the");

@@ -14,10 +14,10 @@
 //! byte-identical at any `RAYON_NUM_THREADS` (CI's determinism manifest
 //! compares two runs).
 
-use hyperpath_bench::experiments::{e18_scale, maybe_write_json, parse_cli_with};
+use hyperpath_bench::experiments::{e18_scale, maybe_write_json, parse_cli_for, CliAccepts};
 
 fn main() {
-    let opts = parse_cli_with(true, true);
+    let opts = parse_cli_for(CliAccepts { trials: true, dims: true, ..CliAccepts::default() });
     let trials = opts.trials.unwrap_or(128);
     let dims = opts.dims.clone().unwrap_or_else(|| vec![8, 12, 16, 20]);
     println!("E18: structural delivery estimators on the implicit host ({trials} trials)");

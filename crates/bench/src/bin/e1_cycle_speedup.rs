@@ -7,10 +7,10 @@
 //! `--json [PATH]` additionally writes the sweep artifact
 //! (`BENCH_E1_CYCLE_SPEEDUP.json` by default).
 
-use hyperpath_bench::experiments::{e1_cycle_speedup, maybe_write_json, parse_cli};
+use hyperpath_bench::experiments::{e1_cycle_speedup, maybe_write_json, parse_cli_for, CliAccepts};
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E1: m-packet cycle phase, Gray code vs Theorem 1 (Section 2)\n");
     let (table, out) = e1_cycle_speedup(&[6, 8, 10, 12, 14]);
     println!("{}", table.render());

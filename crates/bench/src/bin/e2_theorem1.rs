@@ -3,10 +3,12 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E2_THEOREM1.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output, theorem1_table};
+use hyperpath_bench::experiments::{
+    maybe_write_json, parse_cli_for, tables_output, theorem1_table, CliAccepts,
+};
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E2: Theorem 1 across n (claim: width ⌊n/2⌋, ⌊n/2⌋-packet cost 3, load 1)\n");
     let t = theorem1_table(4..=16);
     println!("{}", t.render());

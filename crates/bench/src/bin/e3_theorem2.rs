@@ -3,13 +3,13 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E3_THEOREM2.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::cycles::{theorem2, Theorem2Variant};
 use hyperpath_embedding::metrics::multi_path_metrics;
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E3: Theorem 2 across n and variants (claim table of Section 4.3)\n");
     let mut t = Table::new(&[
         "n",

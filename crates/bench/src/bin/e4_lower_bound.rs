@@ -3,13 +3,13 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E4_LOWER_BOUND.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::bounds::{max_width_for_cost3, verify_lemma3_counting};
 use hyperpath_core::cycles::{theorem2, Theorem2Variant};
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E4: Lemma 3 counting bound vs achieved widths (load-2 cycles, cost 3)\n");
     let mut t = Table::new(&["n", "bound ⌊n/2⌋", "counting bound", "achieved (cost-3)", "tight?"]);
     for n in 4..=13u32 {

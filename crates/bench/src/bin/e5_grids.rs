@@ -3,13 +3,13 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E5_GRIDS.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::grid_embedding;
 use hyperpath_embedding::metrics::multi_path_metrics;
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E5: Corollary 1 — k-axis tori with sides 2^a (claim: width ⌊a/2⌋, cost 3, expansion ≤ k+1)\n");
     let mut t = Table::new(&[
         "axes (log2 sides)",

@@ -3,13 +3,13 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E6_SQUARING.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::grids::squared_grid_embedding;
 use hyperpath_embedding::metrics::multi_path_metrics;
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E6: Corollary 2 — arbitrary-sided grids squared then embedded (claim: O(1) expansion & cost)\n");
     let mut t = Table::new(&[
         "sides",

@@ -5,11 +5,12 @@
 //! (`BENCH_E7_CCC_COPIES.json` by default).
 
 use hyperpath_bench::experiments::{
-    butterfly_copies_table, ccc_copies_table, maybe_write_json, parse_cli, tables_output,
+    butterfly_copies_table, ccc_copies_table, maybe_write_json, parse_cli_for, tables_output,
+    CliAccepts,
 };
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!(
         "E7: Theorem 3 CCC copies in Q_(n+log n) (claim: congestion 2, dilation 1) + ablations\n"
     );

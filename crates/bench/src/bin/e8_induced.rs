@@ -3,7 +3,7 @@
 //! `--json [PATH]` additionally writes the table as a sweep artifact
 //! (`BENCH_E8_INDUCED.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::baseline::multi_copy_cycles;
 use hyperpath_core::ccc_copies::butterfly_multi_copy;
@@ -11,7 +11,7 @@ use hyperpath_core::induced::theorem4;
 use hyperpath_embedding::validate::validate_multi_path;
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E8: Theorem 4 — X(G) in Q_2n with width n, n-packet cost c + 2δ\n");
     let mut t = Table::new(&[
         "G",

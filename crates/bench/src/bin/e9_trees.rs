@@ -3,7 +3,7 @@
 //! `--json [PATH]` additionally writes both tables as a sweep artifact
 //! (`BENCH_E9_TREES.json` by default).
 
-use hyperpath_bench::experiments::{maybe_write_json, parse_cli, tables_output};
+use hyperpath_bench::experiments::{maybe_write_json, parse_cli_for, tables_output, CliAccepts};
 use hyperpath_bench::Table;
 use hyperpath_core::trees::{arbitrary_tree, cbt_naive_widened, theorem5};
 use hyperpath_embedding::metrics::multi_path_metrics;
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let opts = parse_cli(false);
+    let opts = parse_cli_for(CliAccepts::default());
     println!("E9a: Theorem 5 — CBT_(2n) in Q_2n (claim: width n, O(1) load, O(1) cost)\n");
     let mut t = Table::new(&["n", "host", "tree", "width", "load", "cost", "naive-ablation cost"]);
     for n in [2u32, 3, 4, 5, 6] {

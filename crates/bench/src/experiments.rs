@@ -25,10 +25,10 @@ use hyperpath_sim::delivery::{deliver_phase_plan_outcome, DeliveryConfig};
 use hyperpath_sim::protocol::{deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork};
 use hyperpath_sim::routing::{ecube_path, random_permutation, CccRouter};
 use hyperpath_sim::tenants::{
-    run_tenants, run_tenants_planned, EngineReport, ExecMode, FaultRouting, FlowStats,
-    TenantEngine, TenantFaultPlan, TenantPlan, TenantSpec, TenantsConfig,
+    EngineReport, ExecMode, FaultRouting, FlowStats, TenantEngine, TenantFaultPlan, TenantPlan,
+    TenantSpec, TenantsConfig,
 };
-use hyperpath_sim::{NopRecorder, PacketSim, Worm, WormholeSim};
+use hyperpath_sim::{NopRecorder, PacketSim, WormholeSim};
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
 use std::sync::Arc;
 
@@ -213,10 +213,10 @@ pub fn e10_wormhole(ns: &[u32], master_seed: u64) -> (Table, SweepOutput) {
         for (src, &dst) in perm.iter().enumerate() {
             let src = src as u64;
             if src != dst {
-                single.add_worm(Worm { path: ecube_path(src, dst), flits: p.flits });
+                single.add_worm(&ecube_path(src, dst), p.flits);
             }
         }
-        let r1 = single.run(SIM_CAP, &mut NopRecorder).makespan;
+        let r1 = single.run(SIM_CAP, &mut NopRecorder);
         // Split: n worms of flits/n flits along the CCC copy routes.
         let mut split = WormholeSim::new(host);
         let piece = (p.flits / u64::from(p.n)).max(1);
@@ -224,11 +224,11 @@ pub fn e10_wormhole(ns: &[u32], master_seed: u64) -> (Table, SweepOutput) {
             let src = src as u64;
             if src != dst {
                 for route in router.routes(src, dst) {
-                    split.add_worm(Worm { path: route, flits: piece });
+                    split.add_worm(&route, piece);
                 }
             }
         }
-        let r2 = split.run(SIM_CAP, &mut NopRecorder).makespan;
+        let r2 = split.run(SIM_CAP, &mut NopRecorder);
         Json::object([
             ("host_dims", host.dims().to_json()),
             ("single_path", r1.to_json()),
@@ -650,7 +650,8 @@ pub fn e19_saturation_with_threads(
             seed: rng.random(),
             exec: ExecMode::Packet,
         };
-        let report = run_tenants(&cfg, &e19_specs(pt.tenants)).expect("e19 config is valid");
+        let report =
+            TenantEngine::new(cfg, &e19_specs(pt.tenants)).expect("e19 config is valid").run();
         let sum =
             |f: fn(&FlowStats) -> u64| -> u64 { report.tenants.iter().map(|t| f(&t.stats)).sum() };
         Json::object([
@@ -1054,9 +1055,9 @@ pub fn e21_chaos_tenants_with_threads(
             seed: rng.random(),
             exec: ExecMode::Packet,
         };
-        let report =
-            run_tenants_planned(&cfg, &e21_specs(pt.tenants), &plan, FaultRouting::Learned)
-                .expect("e21 config is valid");
+        let report = TenantEngine::new(cfg, &e21_specs(pt.tenants))
+            .expect("e21 config is valid")
+            .run_planned(&plan, FaultRouting::Learned);
         let sum =
             |f: fn(&FlowStats) -> u64| -> u64 { report.tenants.iter().map(|t| f(&t.stats)).sum() };
         let recovered = sum(|s| s.recovered);
@@ -1241,21 +1242,6 @@ pub struct CliAccepts {
     pub threads: bool,
 }
 
-/// The usage line for an experiment binary.
-pub fn cli_usage(accepts_trials: bool) -> String {
-    cli_usage_with(accepts_trials, false)
-}
-
-/// The usage line for an experiment binary, including `--dims` when the
-/// binary sweeps a selectable dimension list.
-pub fn cli_usage_with(accepts_trials: bool, accepts_dims: bool) -> String {
-    cli_usage_for(CliAccepts {
-        trials: accepts_trials,
-        dims: accepts_dims,
-        ..CliAccepts::default()
-    })
-}
-
 /// The usage line for a binary accepting exactly the flags in `accepts`.
 pub fn cli_usage_for(accepts: CliAccepts) -> String {
     let mut usage = String::from("usage: <experiment> [--json [PATH]]");
@@ -1277,32 +1263,10 @@ pub fn cli_usage_for(accepts: CliAccepts) -> String {
     usage
 }
 
-/// Parses an experiment-binary command line. `accepts_trials` is true only
-/// for the Monte-Carlo binaries (E12/E18); everywhere else `--trials`
-/// would silently do nothing, so it is rejected.
-pub fn try_parse_cli(
-    args: impl IntoIterator<Item = String>,
-    accepts_trials: bool,
-) -> Result<CliOpts, String> {
-    try_parse_cli_with(args, accepts_trials, false)
-}
-
-/// [`try_parse_cli`] plus (when `accepts_dims`) the `--dims N[,N...]`
-/// dimension-list flag used by the fault-sweep binaries.
-pub fn try_parse_cli_with(
-    args: impl IntoIterator<Item = String>,
-    accepts_trials: bool,
-    accepts_dims: bool,
-) -> Result<CliOpts, String> {
-    try_parse_cli_for(
-        args,
-        CliAccepts { trials: accepts_trials, dims: accepts_dims, ..CliAccepts::default() },
-    )
-}
-
-/// The one real parser behind every experiment binary: accepts exactly
-/// the flags named by `accepts` and rejects everything else with a
-/// message (the `parse_cli*` wrappers turn that into exit 2 + usage).
+/// The one parser behind every experiment binary: accepts exactly the
+/// flags named by `accepts` and rejects everything else with a message
+/// ([`parse_cli_for`] turns that into exit 2 + usage). A flag a binary
+/// does not accept would silently do nothing there, so it is an error.
 pub fn try_parse_cli_for(
     args: impl IntoIterator<Item = String>,
     accepts: CliAccepts,
@@ -1401,22 +1365,9 @@ pub fn try_parse_cli_for(
     Ok(opts)
 }
 
-/// Parses `std::env::args()` for an experiment binary; on bad usage prints
-/// the error plus a usage line to stderr and exits with status 2.
-pub fn parse_cli(accepts_trials: bool) -> CliOpts {
-    parse_cli_with(accepts_trials, false)
-}
-
-/// [`parse_cli`] for binaries that also sweep a selectable dimension list.
-pub fn parse_cli_with(accepts_trials: bool, accepts_dims: bool) -> CliOpts {
-    parse_cli_for(CliAccepts {
-        trials: accepts_trials,
-        dims: accepts_dims,
-        ..CliAccepts::default()
-    })
-}
-
-/// [`parse_cli`] for a binary accepting exactly the flags in `accepts`.
+/// Parses `std::env::args()` for a binary accepting exactly the flags in
+/// `accepts`; on bad usage prints the error plus a usage line to stderr
+/// and exits with status 2.
 pub fn parse_cli_for(accepts: CliAccepts) -> CliOpts {
     match try_parse_cli_for(std::env::args().skip(1), accepts) {
         Ok(opts) => opts,
@@ -1495,55 +1446,56 @@ mod tests {
         }
     }
 
+    /// What e16 accepts (`--trials`), what the fault sweeps e12 and e18
+    /// accept (`--trials` and `--dims`), and `--dims` alone.
+    const TRIALS: CliAccepts =
+        CliAccepts { trials: true, dims: false, seed: false, tenants: false, threads: false };
+    const TRIALS_DIMS: CliAccepts = CliAccepts { dims: true, ..TRIALS };
+    const DIMS: CliAccepts = CliAccepts { trials: false, ..TRIALS_DIMS };
+
     #[test]
     fn cli_parses_json_and_trials() {
-        assert_eq!(try_parse_cli(Vec::new(), false), Ok(CliOpts::default()));
-        let o = try_parse_cli(["--json".to_string()], false).unwrap();
+        let none = CliAccepts::default();
+        assert_eq!(try_parse_cli_for(Vec::new(), none), Ok(CliOpts::default()));
+        let o = try_parse_cli_for(["--json"].map(String::from), none).unwrap();
         assert_eq!(o.json, Some(None));
-        let o = try_parse_cli(["--json".to_string(), "out.json".to_string()], false).unwrap();
+        let o = try_parse_cli_for(["--json", "out.json"].map(String::from), none).unwrap();
         assert_eq!(o.json, Some(Some("out.json".into())));
-        let o =
-            try_parse_cli(["--trials".to_string(), "50".to_string(), "--json".to_string()], true)
-                .unwrap();
+        let o = try_parse_cli_for(["--trials", "50", "--json"].map(String::from), TRIALS).unwrap();
         assert_eq!(o.trials, Some(50));
         assert_eq!(o.json, Some(None));
     }
 
     #[test]
     fn cli_parses_dims_lists() {
-        let o =
-            try_parse_cli_with(["--dims".to_string(), "8,10,12".to_string()], true, true).unwrap();
+        let o = try_parse_cli_for(["--dims", "8,10,12"].map(String::from), TRIALS_DIMS).unwrap();
         assert_eq!(o.dims, Some(vec![8, 10, 12]));
-        let o = try_parse_cli_with(["--dims".to_string(), "20".to_string()], false, true).unwrap();
+        let o = try_parse_cli_for(["--dims", "20"].map(String::from), DIMS).unwrap();
         assert_eq!(o.dims, Some(vec![20]));
         // Whitespace around commas is tolerated.
-        let o =
-            try_parse_cli_with(["--dims".to_string(), "4, 6".to_string()], false, true).unwrap();
+        let o = try_parse_cli_for(["--dims", "4, 6"].map(String::from), DIMS).unwrap();
         assert_eq!(o.dims, Some(vec![4, 6]));
-        // The legacy entry points never accept --dims.
-        assert_eq!(
-            try_parse_cli(["--dims".to_string(), "8".to_string()], true).unwrap_err(),
-            try_parse_cli_with(["--dims".to_string(), "8".to_string()], true, false).unwrap_err()
-        );
+        // A binary that takes --trials but not --dims rejects --dims.
+        assert!(try_parse_cli_for(["--dims", "8"].map(String::from), TRIALS).is_err());
     }
 
     #[test]
     fn cli_rejects_bad_usage_without_panicking() {
-        assert!(try_parse_cli(["--frobnicate".to_string()], false).is_err());
-        assert!(try_parse_cli(["--trials".to_string(), "0".to_string()], true).is_err());
-        assert!(try_parse_cli(["--trials".to_string()], true).is_err());
+        let none = CliAccepts::default();
+        assert!(try_parse_cli_for(["--frobnicate"].map(String::from), none).is_err());
+        assert!(try_parse_cli_for(["--trials", "0"].map(String::from), TRIALS).is_err());
+        assert!(try_parse_cli_for(["--trials"].map(String::from), TRIALS).is_err());
         // --trials is meaningless outside the Monte-Carlo binaries.
-        let e = try_parse_cli(["--trials".to_string(), "50".to_string()], false).unwrap_err();
+        let e = try_parse_cli_for(["--trials", "50"].map(String::from), none).unwrap_err();
         assert!(e.contains("only meaningful"), "{e}");
         // --dims is likewise rejected where it would silently do nothing.
-        let e =
-            try_parse_cli_with(["--dims".to_string(), "8".to_string()], true, false).unwrap_err();
+        let e = try_parse_cli_for(["--dims", "8"].map(String::from), TRIALS).unwrap_err();
         assert!(e.contains("only meaningful"), "{e}");
         // Malformed dimension lists.
-        assert!(try_parse_cli_with(["--dims".to_string()], true, true).is_err());
-        assert!(try_parse_cli_with(["--dims".to_string(), "".to_string()], true, true).is_err());
-        assert!(try_parse_cli_with(["--dims".to_string(), "8,0".to_string()], true, true).is_err());
-        assert!(try_parse_cli_with(["--dims".to_string(), "8,x".to_string()], true, true).is_err());
+        assert!(try_parse_cli_for(["--dims"].map(String::from), TRIALS_DIMS).is_err());
+        assert!(try_parse_cli_for(["--dims", ""].map(String::from), TRIALS_DIMS).is_err());
+        assert!(try_parse_cli_for(["--dims", "8,0"].map(String::from), TRIALS_DIMS).is_err());
+        assert!(try_parse_cli_for(["--dims", "8,x"].map(String::from), TRIALS_DIMS).is_err());
     }
 
     #[test]
@@ -1552,28 +1504,24 @@ mod tests {
         // the sweep — `Hypercube::new` asserts dims <= MAX_DIMS and dims
         // >= 1 long after the CLI handed the list over. They must be
         // caught at parse time so the binaries exit 2 with usage instead.
-        let e =
-            try_parse_cli_with(["--dims".to_string(), "0".to_string()], true, true).unwrap_err();
+        let dims = |list: &str| try_parse_cli_for(["--dims", list].map(String::from), TRIALS_DIMS);
+        let e = dims("0").unwrap_err();
         assert!(e.contains("must be >= 1"), "{e}");
         let over = (hyperpath_topology::MAX_DIMS + 1).to_string();
-        let e = try_parse_cli_with(["--dims".to_string(), over], true, true).unwrap_err();
+        let e = dims(&over).unwrap_err();
         assert!(e.contains("exceeds MAX_DIMS"), "{e}");
-        let e = try_parse_cli_with(["--dims".to_string(), "8,999".to_string()], true, true)
-            .unwrap_err();
+        let e = dims("8,999").unwrap_err();
         assert!(e.contains("exceeds MAX_DIMS"), "{e}");
         // A separators-only list names nothing to sweep.
-        let e =
-            try_parse_cli_with(["--dims".to_string(), ",".to_string()], true, true).unwrap_err();
+        let e = dims(",").unwrap_err();
         assert!(e.contains("names no dimensions"), "{e}");
-        let e =
-            try_parse_cli_with(["--dims".to_string(), " , ,".to_string()], true, true).unwrap_err();
+        let e = dims(" , ,").unwrap_err();
         assert!(e.contains("names no dimensions"), "{e}");
         // The boundary itself is fine, and stray separators are tolerated
         // as long as at least one dimension survives.
-        let at = hyperpath_topology::MAX_DIMS.to_string();
-        let o = try_parse_cli_with(["--dims".to_string(), at.clone()], true, true).unwrap();
+        let o = dims(&hyperpath_topology::MAX_DIMS.to_string()).unwrap();
         assert_eq!(o.dims, Some(vec![hyperpath_topology::MAX_DIMS]));
-        let o = try_parse_cli_with(["--dims".to_string(), "8,".to_string()], true, true).unwrap();
+        let o = dims("8,").unwrap();
         assert_eq!(o.dims, Some(vec![8]));
     }
 
@@ -1616,15 +1564,9 @@ mod tests {
         assert!(try_parse_cli_for(["--seed".to_string()], seedy).is_err());
         assert!(try_parse_cli_for(["--seed".to_string(), "x".to_string()], seedy).is_err());
         assert!(try_parse_cli_for(["--seed".to_string(), "-1".to_string()], seedy).is_err());
-        // The legacy wrappers keep their exact behavior.
-        assert_eq!(
-            try_parse_cli_with(["--seed".to_string(), "1".to_string()], true, true).unwrap_err(),
-            try_parse_cli_for(
-                ["--seed".to_string(), "1".to_string()],
-                CliAccepts { trials: true, dims: true, ..CliAccepts::default() }
-            )
-            .unwrap_err()
-        );
+        // The fault sweeps take --trials and --dims, but not --seed.
+        let e = try_parse_cli_for(["--seed", "1"].map(String::from), TRIALS_DIMS).unwrap_err();
+        assert!(e.contains("only meaningful"), "{e}");
     }
 
     #[test]

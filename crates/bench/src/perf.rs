@@ -41,7 +41,8 @@ use hyperpath_sim::faults::{random_fault_set, surviving_paths};
 use hyperpath_sim::protocol::{deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork};
 use hyperpath_sim::routing::{ecube_path, random_permutation};
 use hyperpath_sim::trace::{CountingRecorder, NopRecorder};
-use hyperpath_sim::{FaultPlan, PacketSim, Worm, WormholeSim};
+use hyperpath_sim::{FaultPlan, PacketSim, WormholeSim};
+use hyperpath_topology::{Hypercube, Node};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -207,25 +208,55 @@ const FAULT_P: f64 = 0.02;
 /// platform and rustc version).
 const PERF_SEED: u64 = 0x9e3779b97f4a7c15;
 
-fn fault_plan_for(host: &hyperpath_topology::Hypercube, salt: u64) -> FaultPlan {
+fn fault_plan_for(host: &Hypercube, salt: u64) -> FaultPlan {
     let mut rng = ChaCha8Rng::seed_from_u64(PERF_SEED ^ salt);
     FaultPlan::from_set(random_fault_set(host, FAULT_P, &mut rng))
+}
+
+/// The e-cube worm paths of a random permutation of `host` (fixed points
+/// send nothing), drawn from `rng`.
+fn ecube_permutation(host: &Hypercube, rng: &mut ChaCha8Rng) -> Vec<Vec<Node>> {
+    let perm = random_permutation(host, rng);
+    (0..host.num_nodes())
+        .zip(perm)
+        .filter(|&(src, dst)| src != dst)
+        .map(|(src, dst)| ecube_path(src, dst))
+        .collect()
+}
+
+/// A fresh wormhole simulator on `host` loaded with one `flits`-flit worm
+/// per path: what every timed `wormhole/*` closure builds before it runs,
+/// as the `packet/*` closures build theirs with
+/// [`PacketSim::phase_workload`].
+fn load_worms(host: Hypercube, paths: &[Vec<Node>], flits: u64) -> WormholeSim {
+    let mut sim = WormholeSim::new(host);
+    sim.reserve(paths.len(), paths.iter().map(|p| p.len().saturating_sub(1)).sum());
+    for path in paths {
+        sim.add_worm(path, flits);
+    }
+    sim
+}
+
+/// How many of `flags` are set.
+fn count_set(flags: &[bool]) -> u64 {
+    flags.iter().filter(|&&f| f).count() as u64
 }
 
 /// Runs the whole suite under `cfg`.
 pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
     let mut records = Vec::new();
 
-    // --- Packet engine: production vs reference, plain vs planned. ---
+    // --- Packet engine: production vs reference, plain vs planned. Each
+    // timed engine run loads a fresh simulator first. ---
     for &n in &cfg.packet_ns {
         let t1 = theorem1(n).expect("theorem 1");
         let e = &t1.embedding;
-        let sim = PacketSim::phase_workload(e, cfg.packets_per_edge);
+        let load = || PacketSim::phase_workload(e, cfg.packets_per_edge);
 
         // Production engine: full counter set + allocation profile.
         let mut c = CountingRecorder::new();
-        let report = sim.run(SIM_CAP, &mut c);
-        let (_, allocs) = measure_allocs(|| sim.run(SIM_CAP, &mut NopRecorder)); // post-warmup
+        let report = load().run(SIM_CAP, &mut c);
+        let (_, allocs) = measure_allocs(|| load().run(SIM_CAP, &mut NopRecorder)); // post-warmup
         records.push(PerfRecord {
             name: format!("packet/run/n{n}"),
             counters: vec![
@@ -237,11 +268,12 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("alloc_calls".into(), allocs.calls),
                 ("alloc_bytes".into(), allocs.bytes),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run(SIM_CAP, &mut NopRecorder)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || load().run(SIM_CAP, &mut NopRecorder)),
         });
 
         // Reference engine: the specification the production engine must
         // keep matching — and keep beating on wall-clock.
+        let sim = load();
         let ref_report = sim.run_reference(SIM_CAP);
         assert_eq!(ref_report, report, "engines diverged on n={n}");
         records.push(PerfRecord {
@@ -256,8 +288,8 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
 
         // Planned engine, empty plan: must cost like the plain run.
         let empty = FaultPlan::none(&e.host);
-        let pr = sim.run_planned(SIM_CAP, &empty, &mut NopRecorder);
-        let (_, pa) = measure_allocs(|| sim.run_planned(SIM_CAP, &empty, &mut NopRecorder));
+        let pr = load().run_planned(SIM_CAP, &empty, &mut NopRecorder);
+        let (_, pa) = measure_allocs(|| load().run_planned(SIM_CAP, &empty, &mut NopRecorder));
         records.push(PerfRecord {
             name: format!("packet/run_planned/empty/n{n}"),
             counters: vec![
@@ -269,13 +301,13 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("alloc_bytes".into(), pa.bytes),
             ],
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
-                sim.run_planned(SIM_CAP, &empty, &mut NopRecorder)
+                load().run_planned(SIM_CAP, &empty, &mut NopRecorder)
             }),
         });
 
         // Planned engine, seeded static cuts.
         let cuts = fault_plan_for(&e.host, u64::from(n));
-        let pr = sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder);
+        let pr = load().run_planned(SIM_CAP, &cuts, &mut NopRecorder);
         records.push(PerfRecord {
             name: format!("packet/run_planned/cuts/n{n}"),
             counters: vec![
@@ -285,28 +317,24 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("lost".into(), pr.lost),
             ],
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
-                sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder)
+                load().run_planned(SIM_CAP, &cuts, &mut NopRecorder)
             }),
         });
     }
 
-    // --- Wormhole engine: e-cube permutation routing. ---
+    // --- Wormhole engine: e-cube permutation routing. Each timed engine
+    // run loads a fresh simulator first. ---
     for &n in &cfg.wormhole_ccc_ns {
         let copies = ccc_multi_copy(n).expect("Theorem 3");
         let host = copies.multi_copy.host;
         let mut rng = ChaCha8Rng::seed_from_u64(PERF_SEED ^ (u64::from(n) << 32));
-        let perm = random_permutation(&host, &mut rng);
-        let mut sim = WormholeSim::new(host);
-        for (src, &dst) in perm.iter().enumerate() {
-            let src = src as u64;
-            if src != dst {
-                sim.add_worm(Worm { path: ecube_path(src, dst), flits: cfg.worm_flits });
-            }
-        }
+        let paths = ecube_permutation(&host, &mut rng);
+        let load = || load_worms(host, &paths, cfg.worm_flits);
 
         let mut c = CountingRecorder::new();
-        let report = sim.run(SIM_CAP, &mut c);
-        let (_, allocs) = measure_allocs(|| sim.run(SIM_CAP, &mut NopRecorder));
+        let mut sim = load();
+        let makespan = sim.run(SIM_CAP, &mut c);
+        let (_, allocs) = measure_allocs(|| load().run(SIM_CAP, &mut NopRecorder));
         records.push(PerfRecord {
             name: format!("wormhole/run/ccc{n}"),
             counters: vec![
@@ -314,15 +342,19 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("head_advances".into(), c.busy_total),
                 ("flit_moves".into(), c.flit_moves),
                 ("delivered".into(), c.delivered),
-                ("makespan".into(), report.makespan),
+                ("makespan".into(), makespan),
                 ("alloc_calls".into(), allocs.calls),
                 ("alloc_bytes".into(), allocs.bytes),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run(SIM_CAP, &mut NopRecorder)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || load().run(SIM_CAP, &mut NopRecorder)),
         });
 
         let ref_report = sim.run_reference(SIM_CAP);
-        assert_eq!(ref_report, report, "wormhole engines diverged on ccc{n}");
+        assert_eq!(
+            (ref_report.makespan, &ref_report.completion[..]),
+            (makespan, sim.completion()),
+            "wormhole engines diverged on ccc{n}"
+        );
         records.push(PerfRecord {
             name: format!("wormhole/run_reference/ccc{n}"),
             counters: vec![("makespan".into(), ref_report.makespan)],
@@ -330,28 +362,22 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         });
 
         let empty = FaultPlan::none(&host);
-        let wr = sim.run_planned(SIM_CAP, &empty, &mut NopRecorder);
+        let makespan = sim.run_planned(SIM_CAP, &empty, &mut NopRecorder);
         records.push(PerfRecord {
             name: format!("wormhole/run_planned/empty/ccc{n}"),
-            counters: vec![
-                ("makespan".into(), wr.report.makespan),
-                ("lost".into(), wr.lost_count() as u64),
-            ],
+            counters: vec![("makespan".into(), makespan), ("lost".into(), count_set(sim.lost()))],
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
-                sim.run_planned(SIM_CAP, &empty, &mut NopRecorder)
+                load().run_planned(SIM_CAP, &empty, &mut NopRecorder)
             }),
         });
 
         let cuts = fault_plan_for(&host, u64::from(n) << 8);
-        let wr = sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder);
+        let makespan = sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder);
         records.push(PerfRecord {
             name: format!("wormhole/run_planned/cuts/ccc{n}"),
-            counters: vec![
-                ("makespan".into(), wr.report.makespan),
-                ("lost".into(), wr.lost_count() as u64),
-            ],
+            counters: vec![("makespan".into(), makespan), ("lost".into(), count_set(sim.lost()))],
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
-                sim.run_planned(SIM_CAP, &cuts, &mut NopRecorder)
+                load().run_planned(SIM_CAP, &cuts, &mut NopRecorder)
             }),
         });
     }
@@ -433,11 +459,11 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
     for &n in &cfg.packet_ns {
         let t1 = theorem1(n).expect("theorem 1");
         let e = &t1.embedding;
-        let sim = PacketSim::phase_workload(e, cfg.packets_per_edge);
+        let load = || PacketSim::phase_workload(e, cfg.packets_per_edge);
         let mut rng = ChaCha8Rng::seed_from_u64(PERF_SEED ^ (u64::from(n) << 16));
         let plan = random_plan(&e.host, false, &mut rng);
         let mut c = CountingRecorder::new();
-        let pr = sim.run_planned(SIM_CAP, &plan, &mut c);
+        let pr = load().run_planned(SIM_CAP, &plan, &mut c);
         records.push(PerfRecord {
             name: format!("packet/run_planned/mixed/n{n}"),
             counters: vec![
@@ -448,7 +474,7 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
                 ("corrupted".into(), pr.corrupted),
             ],
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
-                sim.run_planned(SIM_CAP, &plan, &mut NopRecorder)
+                load().run_planned(SIM_CAP, &plan, &mut NopRecorder)
             }),
         });
     }
@@ -457,25 +483,20 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         let copies = ccc_multi_copy(n).expect("Theorem 3");
         let host = copies.multi_copy.host;
         let mut rng = ChaCha8Rng::seed_from_u64(PERF_SEED ^ (u64::from(n) << 40));
-        let perm = random_permutation(&host, &mut rng);
-        let mut sim = WormholeSim::new(host);
-        for (src, &dst) in perm.iter().enumerate() {
-            let src = src as u64;
-            if src != dst {
-                sim.add_worm(Worm { path: ecube_path(src, dst), flits: cfg.worm_flits });
-            }
-        }
+        let paths = ecube_permutation(&host, &mut rng);
+        let load = || load_worms(host, &paths, cfg.worm_flits);
         let plan = random_plan(&host, false, &mut rng);
-        let wr = sim.run_planned(SIM_CAP, &plan, &mut NopRecorder);
+        let mut sim = load();
+        let makespan = sim.run_planned(SIM_CAP, &plan, &mut NopRecorder);
         records.push(PerfRecord {
             name: format!("wormhole/run_planned/mixed/ccc{n}"),
             counters: vec![
-                ("makespan".into(), wr.report.makespan),
-                ("lost".into(), wr.lost_count() as u64),
-                ("corrupted".into(), wr.corrupted_count() as u64),
+                ("makespan".into(), makespan),
+                ("lost".into(), count_set(sim.lost())),
+                ("corrupted".into(), count_set(sim.corrupted())),
             ],
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || {
-                sim.run_planned(SIM_CAP, &plan, &mut NopRecorder)
+                load().run_planned(SIM_CAP, &plan, &mut NopRecorder)
             }),
         });
     }

@@ -1,6 +1,7 @@
 //! Regression proof of the zero-allocation claim: once the engines'
 //! preallocated state is built, the step loops of `PacketSim::run` and
-//! `WormholeSim::run` perform **no** heap allocation.
+//! `WormholeSim::run` perform **no** heap allocation, and a whole run of a
+//! warmed simulator allocates nothing either.
 //!
 //! Integration tests are their own binaries, so installing the counting
 //! global allocator here affects only this test program. The guard
@@ -24,7 +25,7 @@ use hyperpath_sim::tenants::{
     TenantsConfig,
 };
 use hyperpath_sim::trace::Recorder;
-use hyperpath_sim::{NopRecorder, PacketSim, Worm, WormholeSim};
+use hyperpath_sim::{NopRecorder, PacketSim, WormholeSim};
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -88,6 +89,15 @@ fn assert_step_loop_allocation_free(engine: &str, run: impl FnMut() -> Option<(u
     }
 }
 
+/// Asserts that some attempt of the whole run `run` allocated nothing.
+fn assert_run_allocation_free<T>(engine: &str, mut run: impl FnMut() -> T) {
+    let d = fewest(|| {
+        let (_, d) = measure_allocs(&mut run);
+        (d.calls, d.bytes)
+    });
+    assert_eq!(d, (0, 0), "{engine}: a warmed run allocated {} call(s) / {} byte(s)", d.0, d.1);
+}
+
 impl Recorder for StepAllocGuard {
     fn record_step(&mut self, _step: u64, _busy_links: u64) {
         if self.snaps.len() < self.snaps.capacity() {
@@ -106,7 +116,7 @@ fn counting_allocator_is_live_in_this_test_binary() {
 fn packet_step_loop_is_allocation_free() {
     let _serial = serial();
     let t1 = theorem1(8).expect("theorem 1");
-    let sim = PacketSim::phase_workload(&t1.embedding, 8);
+    let mut sim = PacketSim::phase_workload(&t1.embedding, 8);
     sim.run(100_000, &mut NopRecorder); // warmup: one-time lazy setup out of the way
     assert_step_loop_allocation_free("PacketSim::run", || {
         let mut guard = StepAllocGuard::with_capacity(100_000);
@@ -114,6 +124,7 @@ fn packet_step_loop_is_allocation_free() {
         assert!(report.delivered > 0, "workload must actually route packets");
         guard.first_allocating_step("PacketSim::run", 5)
     });
+    assert_run_allocation_free("PacketSim::run", || sim.run(100_000, &mut NopRecorder));
 }
 
 #[test]
@@ -126,16 +137,17 @@ fn wormhole_step_loop_is_allocation_free() {
     for (src, &dst) in random_permutation(&host, &mut rng).iter().enumerate() {
         let src = src as u64;
         if src != dst {
-            sim.add_worm(Worm { path: ecube_path(src, dst), flits: 16 });
+            sim.add_worm(&ecube_path(src, dst), 16);
         }
     }
     sim.run(100_000, &mut NopRecorder); // warmup
     assert_step_loop_allocation_free("WormholeSim::run", || {
         let mut guard = StepAllocGuard::with_capacity(100_000);
-        let report = sim.run(100_000, &mut guard);
-        assert!(report.makespan > 0, "workload must actually route worms");
+        let makespan = sim.run(100_000, &mut guard);
+        assert!(makespan > 0, "workload must actually route worms");
         guard.first_allocating_step("WormholeSim::run", 20)
     });
+    assert_run_allocation_free("WormholeSim::run", || sim.run(100_000, &mut NopRecorder));
 }
 
 /// The kernel `Ida::disperse` preallocates every buffer at exact size, so

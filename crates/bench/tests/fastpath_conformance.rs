@@ -171,15 +171,10 @@ proptest! {
                 let r = deliver_phase_plan_prepared(&AdaptiveSetup::new(&e, &cfg), &plan);
                 // Round 0 ships every bundle path as one flow, in (edge,
                 // path) order; a share arrived if delivered uncorrupted.
-                let first = &r.initial;
-                let mut flows = 0..first.flow_delivered.len();
+                let mut flows = r.initial_flow_delivered.iter();
                 let mut resent = 0u64;
                 for (eid, bundle) in e.edge_paths.iter().enumerate() {
-                    let a0 = flows
-                        .by_ref()
-                        .take(bundle.len())
-                        .filter(|&f| first.flow_delivered[f] == 1 && first.flow_corrupted[f] == 0)
-                        .count();
+                    let a0 = flows.by_ref().take(bundle.len()).filter(|&&arrived| arrived).count();
                     let k = threshold.clamp(1, bundle.len());
                     let hazard_free = bundle.iter().any(|p| {
                         !p.is_empty() && p.edges().all(|edge| !hazard.is_failed(&host, edge))

@@ -16,8 +16,8 @@
 use std::sync::Arc;
 
 use hyperpath_sim::tenants::{
-    run_tenants_planned, ExecMode, FaultRouting, FlowStats, TenantFaultPlan, TenantPlan,
-    TenantSpec, TenantsConfig,
+    ExecMode, FaultRouting, FlowStats, TenantEngine, TenantFaultPlan, TenantPlan, TenantSpec,
+    TenantsConfig,
 };
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan};
 
@@ -72,13 +72,13 @@ fn learned_quarantine_matches_the_omniscient_oracle_on_static_plans() {
         seed: 0x51A7_1CF5,
         exec: ExecMode::Packet,
     };
-    let specs = conformance_roster();
+    let engine = TenantEngine::new(cfg, &conformance_roster()).unwrap();
     let mut plans_with_faults = 0u32;
     for trial in 0..100u64 {
         let plan = static_plan(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(trial + 1));
         assert!(plan.is_static_fail_stop());
-        let learned = run_tenants_planned(&cfg, &specs, &plan, FaultRouting::Learned).unwrap();
-        let omni = run_tenants_planned(&cfg, &specs, &plan, FaultRouting::Omniscient).unwrap();
+        let learned = engine.run_planned(&plan, FaultRouting::Learned);
+        let omni = engine.run_planned(&plan, FaultRouting::Omniscient);
         for (a, b) in learned.tenants.iter().zip(&omni.tenants) {
             assert_eq!(
                 grade_key(&a.stats),
@@ -125,9 +125,9 @@ fn learned_quarantine_converges_on_a_dead_links_first_hop() {
         seed: 7,
         exec: ExecMode::Packet,
     };
-    let specs = conformance_roster();
-    let learned = run_tenants_planned(&cfg, &specs, &plan, FaultRouting::Learned).unwrap();
-    let omni = run_tenants_planned(&cfg, &specs, &plan, FaultRouting::Omniscient).unwrap();
+    let engine = TenantEngine::new(cfg, &conformance_roster()).unwrap();
+    let learned = engine.run_planned(&plan, FaultRouting::Learned);
+    let omni = engine.run_planned(&plan, FaultRouting::Omniscient);
     assert!(!learned.quarantined.is_empty(), "repeated NACKs must trigger quarantine");
     assert!(learned.quarantined.iter().all(|&l| plan.is_hazard(l)));
     // Tenant 0 loses everything either way; the other windows are clean.

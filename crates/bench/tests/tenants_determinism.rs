@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use hyperpath_bench::experiments::{e19_saturation_with_threads, e19_specs};
 use hyperpath_bench::Json;
-use hyperpath_sim::tenants::{run_tenants, ExecMode, TenantSpec, TenantsConfig};
+use hyperpath_sim::tenants::{ExecMode, TenantEngine, TenantSpec, TenantsConfig};
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan};
 use proptest::prelude::*;
 
@@ -95,8 +95,8 @@ proptest! {
         let canonical = roster(&picks);
         let mut shuffled = canonical.clone();
         shuffle(&mut shuffled, shuffle_seed);
-        let a = run_tenants(&cfg, &canonical).unwrap();
-        let b = run_tenants(&cfg, &shuffled).unwrap();
+        let a = TenantEngine::new(cfg.clone(), &canonical).unwrap().run();
+        let b = TenantEngine::new(cfg, &shuffled).unwrap().run();
         prop_assert_eq!(a.total_steps, b.total_steps);
         prop_assert_eq!(&a.ledger, &b.ledger);
         prop_assert_eq!(a.tenants.len(), b.tenants.len());

@@ -16,8 +16,7 @@
 use std::sync::Arc;
 
 use hyperpath_sim::tenants::{
-    run_tenants, run_tenants_planned, ExecMode, FaultRouting, TenantFaultPlan, TenantSpec,
-    TenantsConfig,
+    ExecMode, FaultRouting, TenantEngine, TenantFaultPlan, TenantSpec, TenantsConfig,
 };
 use hyperpath_topology::host::{BinomialTreePlan, GridPlan};
 use proptest::prelude::*;
@@ -101,12 +100,12 @@ proptest! {
             seed,
             exec: exec_mode(exec_pick),
         };
-        let specs = roster(&picks);
-        let plain = run_tenants(&cfg, &specs).unwrap();
+        let engine = TenantEngine::new(cfg, &roster(&picks)).unwrap();
+        let plain = engine.run();
         let none = TenantFaultPlan::none();
-        let learned = run_tenants_planned(&cfg, &specs, &none, FaultRouting::Learned).unwrap();
+        let learned = engine.run_planned(&none, FaultRouting::Learned);
         prop_assert_eq!(&learned, &plain, "Learned routing under the empty plan diverged");
-        let omni = run_tenants_planned(&cfg, &specs, &none, FaultRouting::Omniscient).unwrap();
+        let omni = engine.run_planned(&none, FaultRouting::Omniscient);
         prop_assert_eq!(&omni, &plain, "Omniscient routing under the empty plan diverged");
     }
 
@@ -134,8 +133,8 @@ proptest! {
         let canonical = roster(&picks);
         let mut shuffled = canonical.clone();
         shuffle(&mut shuffled, shuffle_seed);
-        let a = run_tenants_planned(&cfg, &canonical, &plan, routing).unwrap();
-        let b = run_tenants_planned(&cfg, &shuffled, &plan, routing).unwrap();
+        let a = TenantEngine::new(cfg.clone(), &canonical).unwrap().run_planned(&plan, routing);
+        let b = TenantEngine::new(cfg, &shuffled).unwrap().run_planned(&plan, routing);
         prop_assert_eq!(a.total_steps, b.total_steps);
         prop_assert_eq!(&a.ledger, &b.ledger);
         prop_assert_eq!(&a.quarantined, &b.quarantined);

@@ -36,14 +36,14 @@ use std::sync::Arc;
 use crate::bitslice::{BitTrialBlock, SlicedPaths};
 use crate::delivery::{deliver_phase_plan_outcome, DeliveryConfig};
 use crate::faults::FaultPlan;
-use crate::packet::{Flow, PacketSim};
+use crate::packet::PacketSim;
 use crate::protocol::{corrupt_payload, deliver_adaptive_prepared, AdaptiveSetup, PlanNetwork};
 use crate::tenants::{
     lift_path, ExecMode, FaultRouting, FlowStats, TenantEngine, TenantFaultPlan, TenantPlan,
     TenantSpec, TenantsConfig,
 };
 use crate::trace::{CountingRecorder, NopRecorder};
-use crate::wormhole::{Worm, WormholeSim};
+use crate::wormhole::WormholeSim;
 use hyperpath_core::cycles::theorem1;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_ida::{Ida, Share};
@@ -220,7 +220,7 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
     let mut psim = PacketSim::new(host);
     for bundle in &e.edge_paths {
         for path in bundle {
-            psim.add_flow(Flow { path: path.nodes().to_vec(), packets: 1 + (t as u64 % 3) });
+            psim.add_flow(path.nodes(), 1 + (t as u64 % 3));
         }
     }
     let mut counts = CountingRecorder::default();
@@ -233,7 +233,7 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
     check(pr.lost == counts.dropped, "recorder and report disagree on drops");
     check(counts.corrupted == pr.corrupted, "recorder and report disagree on corruption");
     check(
-        pr.corrupted >= pr.flow_corrupted.iter().sum::<u64>(),
+        pr.corrupted >= psim.flow_corrupted().iter().sum::<u64>(),
         "per-flow corrupted deliveries exceed packets flagged",
     );
     if !plan.has_corruption() {
@@ -242,21 +242,22 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
 
     // --- Wormhole engine: loss/corruption vectors stay consistent. ---
     let mut wsim = WormholeSim::new(host);
-    let mut n_worms = 0usize;
     for bundle in &e.edge_paths {
         for path in bundle {
-            wsim.add_worm(Worm { path: path.nodes().to_vec(), flits: 1 + (t as u64 % 4) });
-            n_worms += 1;
+            wsim.add_worm(path.nodes(), 1 + (t as u64 % 4));
         }
     }
-    let wr = wsim.run_planned(MAX_STEPS, &plan, &mut NopRecorder);
-    check(wr.lost.len() == n_worms, "wormhole loss vector has wrong length");
-    check(wr.corrupted.len() == n_worms, "wormhole corruption vector has wrong length");
+    wsim.run_planned(MAX_STEPS, &plan, &mut NopRecorder);
+    let n_worms: usize = e.edge_paths.iter().map(Vec::len).sum();
+    check(wsim.lost().len() == n_worms, "wormhole loss vector has wrong length");
+    check(wsim.corrupted().len() == n_worms, "wormhole corruption vector has wrong length");
+    let worm_lost = wsim.lost().iter().filter(|&&l| l).count();
+    let worm_corrupted = wsim.corrupted().iter().filter(|&&c| c).count();
     if !plan.has_corruption() {
-        check(wr.corrupted_count() == 0, "worm corruption flagged under a corruption-free plan");
+        check(worm_corrupted == 0, "worm corruption flagged under a corruption-free plan");
     }
     if plan.is_empty() {
-        check(wr.lost_count() == 0, "worms lost under an empty plan");
+        check(worm_lost == 0, "worms lost under an empty plan");
     }
 
     // --- Delivery protocols: oracle vs oracle-free. ---
@@ -333,8 +334,8 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
         packet_delivered: counts.delivered,
         packet_lost: counts.dropped,
         packet_corrupted: counts.corrupted,
-        worm_lost: wr.lost_count(),
-        worm_corrupted: wr.corrupted_count(),
+        worm_lost,
+        worm_corrupted,
         oracle_recovered: oracle.recovered(),
         oracle_lost: oracle.lost,
         adaptive_recovered: adaptive.recovered(),

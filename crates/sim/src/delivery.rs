@@ -104,9 +104,14 @@ pub struct DeliveryReport {
     pub rounds_run: u32,
     /// Shares re-sent across all retry rounds.
     pub shares_resent: u64,
-    /// The initial round's machine report (per-flow share outcomes): flow
-    /// `f` is the `f`-th bundle path in (guest edge, path) order.
+    /// The initial round's machine report: flow `f` is the `f`-th bundle
+    /// path in (guest edge, path) order.
     pub initial: PlanReport,
+    /// Initial-round arrival bit of every bundle path, in the flow order
+    /// of [`initial`](Self::initial), zero-hop paths included: set iff the
+    /// share arrived uncorrupted, the same grading that counts it toward
+    /// `first_round_arrivals`.
+    pub initial_flow_delivered: Vec<bool>,
 }
 
 impl DeliveryReport {
@@ -122,13 +127,11 @@ impl DeliveryReport {
     }
 
     /// Projects the machine telemetry away: everything in the report
-    /// that is a pure function of the fault plan and the setup, with the
-    /// initial [`PlanReport`] reduced to its per-flow arrival bits (set
-    /// only for a share that arrived uncorrupted, the same grading that
-    /// counts it toward `first_round_arrivals`). This is the currency of
-    /// the Monte-Carlo sweeps — and exactly what the fail-stop fast path
-    /// ([`deliver_phase_plan_outcome`]) can compute without running the
-    /// packet engine.
+    /// that is a pure function of the fault plan and the setup, keeping of
+    /// the initial round only its per-flow arrival bits. This is the
+    /// currency of the Monte-Carlo sweeps — and exactly what the fail-stop
+    /// fast path ([`deliver_phase_plan_outcome`]) can compute without
+    /// running the packet engine.
     pub fn outcome(&self) -> DeliveryOutcome {
         DeliveryOutcome {
             edges: self.edges.clone(),
@@ -137,13 +140,7 @@ impl DeliveryReport {
             lost: self.lost,
             rounds_run: self.rounds_run,
             shares_resent: self.shares_resent,
-            initial_flow_delivered: self
-                .initial
-                .flow_delivered
-                .iter()
-                .zip(&self.initial.flow_corrupted)
-                .map(|(&arrived, &corrupted)| arrived == 1 && corrupted == 0)
-                .collect(),
+            initial_flow_delivered: self.initial_flow_delivered.clone(),
         }
     }
 }
@@ -199,18 +196,19 @@ pub(crate) fn message_for_edge(edge: usize, len: usize) -> Vec<u8> {
 /// sees that share as an erasure.
 const ORACLE_KEY: u64 = 0x0ac1_e5ee_5a11_fa17;
 
-/// The [`PlanNetwork`] of an omniscient phase, keeping round 0's machine
-/// report for [`DeliveryReport::initial`].
+/// The [`PlanNetwork`] of an omniscient phase, keeping round 0's report
+/// and arrival bits for [`DeliveryReport::initial`] and
+/// [`DeliveryReport::initial_flow_delivered`].
 struct FirstRoundNetwork<'a> {
     net: PlanNetwork<'a>,
-    initial: PlanReport,
+    initial: (PlanReport, Vec<bool>),
 }
 
 impl RoundNetwork for FirstRoundNetwork<'_> {
     fn ship(&mut self, round: u32, subs: &[Submission]) -> Vec<Option<TaggedShare>> {
         let answers = self.net.ship(round, subs);
         if round == 0 {
-            self.initial = self.net.last_plan_report();
+            self.initial = self.net.last_round();
         }
         answers
     }
@@ -250,12 +248,20 @@ pub fn deliver_phase_plan_prepared(setup: &AdaptiveSetup<'_>, plan: &FaultPlan) 
         .all_paths()
         .map(|(_, _, p)| p.is_empty() || p.edges().any(|edge| hazard.is_failed(&e.host, edge)))
         .collect();
-    let mut net =
-        FirstRoundNetwork { net: PlanNetwork::new(e, plan), initial: PlanReport::default() };
+    let mut net = FirstRoundNetwork { net: PlanNetwork::new(e, plan), initial: Default::default() };
     let AdaptiveReport { edges, delivered, degraded, lost, rounds_run, shares_resent, .. } =
         run_phase(setup, ORACLE_KEY, &mut net, &Knowledge::Omniscient(hazardous));
-    let initial = net.initial;
-    DeliveryReport { edges, delivered, degraded, lost, rounds_run, shares_resent, initial }
+    let (initial, initial_flow_delivered) = net.initial;
+    DeliveryReport {
+        edges,
+        delivered,
+        degraded,
+        lost,
+        rounds_run,
+        shares_resent,
+        initial,
+        initial_flow_delivered,
+    }
 }
 
 /// Grades a dispersal phase under **static fail-stop** faults without
@@ -632,5 +638,6 @@ mod tests {
         let r = deliver_phase_plan(&e, &FaultPlan::none(&e.host), &cfg);
         assert_eq!((r.edges.len(), r.rounds_run, r.shares_resent), (0, 0, 0));
         assert_eq!(r.initial, PlanReport::default());
+        assert!(r.initial_flow_delivered.is_empty());
     }
 }

@@ -5,18 +5,25 @@
 //! This crate implements that machine literally, so measured completion
 //! times *are* the paper's `p`-packet costs:
 //!
-//! * [`packet`] — store-and-forward engine: packets follow fixed host
-//!   paths, per-link FIFO queues, one packet per directed link per step,
-//!   deterministic arbitration (lowest flow id first). Includes flow
-//!   builders that turn an embedding (+ a packets-per-edge count) into a
-//!   simulation workload. Each simulator has two runs: `run` (fault-free)
-//!   and `run_planned` (under a [`FaultPlan`]), both reporting to a
-//!   [`Recorder`].
-//! * [`wormhole`] — cut-through/wormhole mode for Section 7: an `F`-flit
-//!   worm's head advances while the next link is free and stalls while
-//!   another worm holds it; the link of hop `h`, entered by the head at
-//!   step `entered[h]`, is free again from step `entered[h] + F`, whether
-//!   or not the head has stalled since.
+//! * [`packet`] — store-and-forward engine, [`PacketSim`]: packets follow
+//!   fixed host paths, per-link FIFO queues, one packet per directed link
+//!   per step, deterministic arbitration (lowest flow id first). Includes
+//!   flow builders that turn an embedding (+ a packets-per-edge count) into
+//!   a simulation workload.
+//! * [`wormhole`] — cut-through/wormhole mode for Section 7,
+//!   [`WormholeSim`]: an `F`-flit worm's head advances while the next link
+//!   is free and stalls while another worm holds it; the link of hop `h`,
+//!   entered by the head at step `entered[h]`, is free again from step
+//!   `entered[h] + F`, whether or not the head has stalled since.
+//!
+//!   Each simulator is one pooled type: it allocates its link-indexed
+//!   machine state once per host cube, is loaded with node walks or
+//!   precomputed hop links, and can be cleared and reloaded round after
+//!   round. It has three runs: `run` (fault-free) and `run_planned` (under
+//!   a [`FaultPlan`]), both reporting to a [`Recorder`] and leaving
+//!   per-flow or per-worm outcomes in the simulator's accessors, and
+//!   `run_reference`, the original stepper kept as the executable
+//!   specification the property tests pin the engine against.
 //! * [`routing`] — path generators: greedy e-cube, Valiant two-phase
 //!   random-intermediate, and Section 7's CCC-copy split routes.
 //! * [`faults`] — the one fault model, [`FaultPlan`]: link cuts before
@@ -72,7 +79,7 @@ pub use delivery::{
     DeliveryOutcome, DeliveryReport, EdgeDelivery, EdgeOutcome,
 };
 pub use faults::{random_fault_set, surviving_paths, FaultPlan, FaultSet, LinkEvent};
-pub use packet::{Flow, PacketSim, PlanReport, SimReport};
+pub use packet::{PacketSim, PlanReport, SimReport};
 pub use protocol::{
     deliver_adaptive, deliver_adaptive_prepared, AdaptiveReport, AdaptiveSetup, PlanNetwork,
     RoundNetwork, Submission, MAX_ADAPTIVE_ROUNDS, MAX_FRUITLESS_PROBES,
@@ -80,9 +87,8 @@ pub use protocol::{
 pub use routing::{ccc_copy_routes, ecube_path, valiant_path};
 pub use schedule_exec::run_schedule;
 pub use tenants::{
-    run_tenants, run_tenants_recorded, EdgeGrade, EngineReport, ExecMode, FlowStats, LedgerSummary,
-    LinkLedger, TenantEngine, TenantPlan, TenantReport, TenantRun, TenantSpec, TenantsConfig,
-    ENGINE_MAX_DIMS,
+    EngineReport, ExecMode, FlowStats, LedgerSummary, LinkLedger, TenantEngine, TenantPlan,
+    TenantReport, TenantRun, TenantSpec, TenantsConfig, ENGINE_MAX_DIMS,
 };
 pub use trace::{CountingRecorder, NopRecorder, Recorder, TraceRecorder, TraceSummary};
-pub use wormhole::{PlanWormReport, Worm, WormReport, WormholeSim};
+pub use wormhole::{WormReport, WormholeSim};

@@ -6,22 +6,21 @@
 //! arbitrate deterministically (lowest flow id, then injection sequence),
 //! so every run is exactly reproducible.
 //!
-//! Two engines implement these semantics:
+//! [`PacketSim`] is the one engine. Flows are loaded as directed-link hop
+//! sequences (node walks are converted on load); packets live in a flat
+//! slab whose ids are assigned in (flow, seq) injection order, so
+//! ascending slab id *is* the arbitration order; per-link FIFOs are
+//! intrusive lists over the slab; and packets moving in one step are
+//! re-queued through per-destination-link buckets (sorted insertion into
+//! at most `n` slots), which reproduces the global (flow, seq) sort
+//! without sorting. The step loop allocates nothing, and a warmed
+//! simulator allocates nothing per run, so one simulator serves a whole
+//! sequence of rounds: [`clear`](PacketSim::clear), load, run.
 //!
-//! * [`PacketArena`] — the production engine. Packets live in a flat
-//!   slab whose ids are assigned in (flow, seq) injection order, so
-//!   ascending slab id *is* the arbitration order; per-link FIFOs are
-//!   intrusive lists over the slab; and packets moving in one step are
-//!   re-queued through per-destination-link buckets (sorted insertion into
-//!   at most `n` slots), which reproduces the global (flow, seq) sort
-//!   without sorting. The step loop allocates nothing, and a warmed arena
-//!   allocates nothing per run. [`PacketSim`] is its node-walk front-end:
-//!   each [`PacketSim::run`] / [`PacketSim::run_planned`] loads a fresh
-//!   arena and returns what it reports.
-//! * [`PacketSim::run_reference`] — the original straightforward engine
-//!   (per-step `Vec`s plus an explicit `sort_by_key`). It is kept as the
-//!   executable specification; property tests in `tests/props.rs` assert
-//!   both engines produce bit-identical [`SimReport`]s.
+//! [`PacketSim::run_reference`] is the original straightforward stepper
+//! (per-step `Vec`s plus an explicit `sort_by_key`) over the same loaded
+//! flows. It is kept as the executable specification; property tests in
+//! `tests/props.rs` assert both produce bit-identical [`SimReport`]s.
 //!
 //! Every run reports to a [`Recorder`] (`sim::trace`); the
 //! [`NopRecorder`](crate::trace::NopRecorder) monomorphizes every hook to
@@ -30,27 +29,16 @@
 //! The planned runs execute under a [`FaultPlan`]: links severed from the
 //! start or mid-run drop the packets queued at them instead of
 //! transmitting, transient outages restore links, and byte-corrupting
-//! links flag the packets that cross them — reported per flow in a
-//! [`PlanReport`]. The fault logic is one `const`-generic switch on the
-//! one engine, so the fault-free path compiles to exactly the code the
-//! equivalence tests pin.
+//! links flag the packets that cross them — totalled in a [`PlanReport`]
+//! and read per flow through the simulator's accessors. The fault logic is
+//! one `const`-generic switch on the one engine, so the fault-free path
+//! compiles to exactly the code the equivalence tests pin.
 
 use crate::faults::{FaultPlan, LinkEvent};
 use crate::trace::Recorder;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use std::collections::VecDeque;
-
-/// One flow: `packets` packets injected at step 0, every packet following
-/// the same `path` (a node sequence; consecutive nodes host-adjacent).
-/// Packets of later flows queue behind earlier ones on shared links.
-#[derive(Debug, Clone)]
-pub struct Flow {
-    /// Node sequence the packets follow.
-    pub path: Vec<Node>,
-    /// Number of packets.
-    pub packets: u64,
-}
 
 /// Simulation outcome. The default is the report of a run with no flows.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -69,11 +57,11 @@ pub struct SimReport {
 }
 
 /// Outcome of a planned run ([`PacketSim::run_planned`]): the machine
-/// report plus per-flow loss and corruption accounting. Corrupting links
-/// never affect delivery — a corrupted packet still arrives — so
-/// `flow_corrupted[f] ≤ flow_delivered[f]`, while `corrupted` counts every
-/// packet flagged (including ones later dropped on a failed link). The
-/// default is the report of a run with no flows.
+/// report plus loss and corruption totals. Per-flow outcomes stay in the
+/// simulator ([`PacketSim::flow_delivered`] and its siblings). Corrupting
+/// links never affect delivery — a corrupted packet still arrives — while
+/// `corrupted` counts every packet flagged, including ones later dropped
+/// on a failed link. The default is the report of a run with no flows.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PlanReport {
     /// The machine report. `delivered` counts only packets that actually
@@ -85,260 +73,17 @@ pub struct PlanReport {
     /// Packets that crossed at least one byte-corrupting link (counted
     /// once per packet, whether or not they were later dropped).
     pub corrupted: u64,
-    /// Packets of each flow that arrived, indexed by flow id.
-    pub flow_delivered: Vec<u64>,
-    /// Packets of each flow dropped on failed links, indexed by flow id.
-    pub flow_lost: Vec<u64>,
-    /// Packets of each flow that arrived with a corrupted payload,
-    /// indexed by flow id.
-    pub flow_corrupted: Vec<u64>,
-    /// Directed-link index (see [`Hypercube::dir_edge_index`]) where the
-    /// flow's *first* packet drop happened, `u32::MAX` if none was
-    /// dropped. This is exactly what a per-hop NACK would carry, so
-    /// oracle-free health learners (`sim::tenants`) can attribute losses
-    /// without consulting the plan.
-    pub flow_dropped_at: Vec<u32>,
-    /// Directed-link index of the first corrupting link one of the
-    /// flow's packets crossed, `u32::MAX` if the flow stayed clean —
-    /// the per-hop CRC-trailer analogue of `flow_dropped_at`.
-    pub flow_corrupted_at: Vec<u32>,
-}
-
-/// The simulator: a hypercube plus a set of flows given as node walks —
-/// the one-shot front-end of [`PacketArena`].
-#[derive(Debug, Clone)]
-pub struct PacketSim {
-    host: Hypercube,
-    flows: Vec<Flow>,
 }
 
 /// Sentinel for "no packet" in the intrusive queue links.
 const NONE: u32 = u32::MAX;
 
+/// One packet of [`PacketSim::run_reference`].
 struct Packet {
     flow: u32,
     seq: u32,
-    /// Index into the flow's path: next hop crosses `path[pos] -> path[pos+1]`.
+    /// Hops the packet has crossed: its next hop is the flow's hop `pos`.
     pos: u32,
-}
-
-impl PacketSim {
-    /// Creates a simulator for `host` with no flows.
-    pub fn new(host: Hypercube) -> Self {
-        PacketSim { host, flows: Vec::new() }
-    }
-
-    /// Adds one flow; returns its id.
-    pub fn add_flow(&mut self, flow: Flow) -> u32 {
-        assert!(self.host.is_walk(&flow.path), "flow path must be a hypercube walk");
-        self.flows.push(flow);
-        (self.flows.len() - 1) as u32
-    }
-
-    /// The host cube.
-    pub fn host(&self) -> Hypercube {
-        self.host
-    }
-
-    /// The configured flows.
-    pub fn flows(&self) -> &[Flow] {
-        &self.flows
-    }
-
-    /// Builds the "one phase, `p` packets per guest edge" workload of an
-    /// embedding: packets of guest edge `e` are spread round-robin over its
-    /// bundle paths (path `i` carries `⌈(p - i)/w⌉` packets), all injected
-    /// at step 0. Zero-length paths deliver instantly and are skipped.
-    pub fn phase_workload(e: &MultiPathEmbedding, packets_per_edge: u64) -> PacketSim {
-        let mut sim = PacketSim::new(e.host);
-        for bundle in &e.edge_paths {
-            let w = bundle.len() as u64;
-            for (i, path) in bundle.iter().enumerate() {
-                if path.is_empty() {
-                    continue;
-                }
-                let count = (packets_per_edge + w - 1 - i as u64) / w;
-                if count > 0 {
-                    sim.add_flow(Flow { path: path.nodes().to_vec(), packets: count });
-                }
-            }
-        }
-        sim
-    }
-
-    /// Like [`phase_workload`](Self::phase_workload) but restricted to the
-    /// first `width` paths of every bundle (to compare narrower variants of
-    /// the same embedding).
-    pub fn phase_workload_with_width(
-        e: &MultiPathEmbedding,
-        packets_per_edge: u64,
-        width: usize,
-    ) -> PacketSim {
-        let mut sim = PacketSim::new(e.host);
-        for bundle in &e.edge_paths {
-            let w = bundle.len().min(width).max(1) as u64;
-            for (i, path) in bundle.iter().take(w as usize).enumerate() {
-                if path.is_empty() {
-                    continue;
-                }
-                let count = (packets_per_edge + w - 1 - i as u64) / w;
-                if count > 0 {
-                    sim.add_flow(Flow { path: path.nodes().to_vec(), packets: count });
-                }
-            }
-        }
-        sim
-    }
-
-    /// Loads the flows into a fresh [`PacketArena`].
-    fn arena(&self) -> PacketArena {
-        let mut arena = PacketArena::new(self.host);
-        let hops = self.flows.iter().map(|f| f.path.len().saturating_sub(1)).sum();
-        arena.reserve(self.flows.len(), hops);
-        for flow in &self.flows {
-            arena.add_flow_walk(&flow.path, flow.packets);
-        }
-        arena
-    }
-
-    /// Runs to completion (or `max_steps`) and reports, firing every
-    /// engine event on `rec`; pass
-    /// [`NopRecorder`](crate::trace::NopRecorder), which monomorphizes
-    /// every hook away, for an uninstrumented run.
-    ///
-    /// # Panics
-    /// Panics if packets remain undelivered after `max_steps` (a stuck
-    /// simulation is a bug in the workload, not a measurement).
-    pub fn run<R: Recorder>(&self, max_steps: u64, rec: &mut R) -> SimReport {
-        self.arena().run(max_steps, rec)
-    }
-
-    /// Runs under `plan`: permanent cuts and node faults are fail-stop —
-    /// a packet queued at a failed link is dropped (the whole queue of a
-    /// failed link drains as drops in one step), reported per flow and via
-    /// the [`Recorder::record_drop`] hook; transient outages additionally
-    /// restore links ([`LinkEvent::Up`]); and byte-corrupting links flag
-    /// every packet that crosses them ([`Recorder::record_corrupt`])
-    /// without affecting delivery. With an empty plan the report is
-    /// bit-identical to [`run`](Self::run)'s.
-    ///
-    /// # Panics
-    /// Panics if packets remain in flight after `max_steps`.
-    pub fn run_planned<R: Recorder>(
-        &self,
-        max_steps: u64,
-        plan: &FaultPlan,
-        rec: &mut R,
-    ) -> PlanReport {
-        let mut arena = self.arena();
-        let (report, corrupted) = arena.run_core::<R, true>(max_steps, Some(plan), rec);
-        arena.into_plan_report(report, corrupted)
-    }
-
-    /// The original engine, kept verbatim as the executable specification:
-    /// per-step `Vec`s plus an explicit `(flow, seq)` sort. Property tests
-    /// assert [`run`](Self::run) matches it bit for bit; it is not meant
-    /// for production use.
-    ///
-    /// # Panics
-    /// Panics if packets remain undelivered after `max_steps`.
-    pub fn run_reference(&self, max_steps: u64) -> SimReport {
-        let num_links = self.host.num_directed_edges() as usize;
-        // Per-link FIFO queues of packets waiting to cross it.
-        let mut queues: Vec<VecDeque<Packet>> = (0..num_links).map(|_| VecDeque::new()).collect();
-        let mut active: Vec<u32> = Vec::new(); // link indices with waiters
-        let mut in_active = vec![false; num_links];
-
-        let mut pending = 0u64;
-        let enqueue = |pkt: Packet,
-                       flows: &[Flow],
-                       queues: &mut Vec<VecDeque<Packet>>,
-                       active: &mut Vec<u32>,
-                       in_active: &mut Vec<bool>|
-         -> bool {
-            let path = &flows[pkt.flow as usize].path;
-            if (pkt.pos + 1) as usize >= path.len() {
-                return false; // delivered
-            }
-            let from = path[pkt.pos as usize];
-            let to = path[pkt.pos as usize + 1];
-            let dim = (from ^ to).trailing_zeros();
-            let idx = self.host.dir_edge_index(DirEdge::new(from, dim));
-            // Keep FIFO order with (flow, seq) priority at insertion: queues
-            // are served FIFO; packets are inserted in (flow, seq) order at
-            // injection and re-queued on arrival, which preserves
-            // determinism.
-            queues[idx].push_back(pkt);
-            if !in_active[idx] {
-                in_active[idx] = true;
-                active.push(idx as u32);
-            }
-            true
-        };
-
-        // Inject (flows are already in id order; packets in seq order).
-        for (fid, flow) in self.flows.iter().enumerate() {
-            for seq in 0..flow.packets {
-                let pkt = Packet { flow: fid as u32, seq: seq as u32, pos: 0 };
-                if enqueue(pkt, &self.flows, &mut queues, &mut active, &mut in_active) {
-                    pending += 1;
-                }
-            }
-        }
-        let total_injected: u64 = self.flows.iter().map(|f| f.packets).sum();
-
-        let mut step = 0u64;
-        let mut packet_hops = 0u64;
-        let mut busy_accum = 0u64;
-        let mut max_queue = 0usize;
-        while pending > 0 {
-            if step >= max_steps {
-                panic!("simulation did not finish within {max_steps} steps ({pending} pending)");
-            }
-            // One packet per active link.
-            let mut next_active: Vec<u32> = Vec::with_capacity(active.len());
-            let mut moved: Vec<Packet> = Vec::with_capacity(active.len());
-            let mut busy = 0u64;
-            for &idx in &active {
-                let q = &mut queues[idx as usize];
-                max_queue = max_queue.max(q.len());
-                if let Some(mut pkt) = q.pop_front() {
-                    pkt.pos += 1;
-                    moved.push(pkt);
-                    busy += 1;
-                }
-                if q.is_empty() {
-                    in_active[idx as usize] = false;
-                } else {
-                    next_active.push(idx);
-                }
-            }
-            packet_hops += busy;
-            busy_accum += busy;
-            active = next_active;
-            // Re-queue moved packets (deterministic order: by link index,
-            // which we iterated in insertion order; ties cannot occur since
-            // one packet per link per step).
-            moved.sort_by_key(|p| (p.flow, p.seq));
-            for pkt in moved {
-                if !enqueue(pkt, &self.flows, &mut queues, &mut active, &mut in_active) {
-                    pending -= 1;
-                }
-            }
-            step += 1;
-        }
-        SimReport {
-            makespan: step,
-            delivered: total_injected,
-            packet_hops,
-            mean_utilization: if step == 0 {
-                0.0
-            } else {
-                busy_accum as f64 / (step as f64 * num_links as f64)
-            },
-            max_queue,
-        }
-    }
 }
 
 /// The directed-link indices ([`Hypercube::dir_edge_index`]) a walk
@@ -349,9 +94,8 @@ pub(crate) fn walk_links(host: Hypercube, path: &[Node]) -> impl Iterator<Item =
     })
 }
 
-/// Every buffer the step machine mutates, grouped so a pooled caller
-/// ([`PacketArena`]) can keep them alive across runs. Two invariant
-/// classes:
+/// Every buffer the step machine mutates, grouped so a [`PacketSim`] can
+/// keep them alive across runs. Two invariant classes:
 ///
 /// * *Per-run* vectors (fault state, per-flow outcomes, the packet slab)
 ///   are re-prepared by the caller before each run.
@@ -393,8 +137,8 @@ struct CoreOut {
     max_queue: usize,
 }
 
-/// The step machine behind [`PacketArena`]: injection plus the
-/// pop/stage/flush loop over the arena's prepared buffers. The caller
+/// The step machine behind [`PacketSim`]: injection plus the
+/// pop/stage/flush loop over the simulator's prepared buffers. The caller
 /// guarantees the per-run vectors in `bufs` are sized for this workload
 /// (see [`PacketBufs`]); nothing in here allocates.
 ///
@@ -638,21 +382,19 @@ fn engine_core<R: Recorder, const PLAN: bool>(
     CoreOut { steps: step, lost, corrupted, packet_hops, busy_accum, max_queue }
 }
 
-/// The packet engine: all link-indexed machine state is allocated once
-/// for a fixed host cube and reused across runs, and flows are loaded as
-/// precomputed *directed-link* hop sequences (or node walks, converted on
-/// load). Once warmed up (every reusable vector at its steady-state
-/// capacity), [`run`](Self::run) and [`run_planned`](Self::run_planned)
-/// allocate nothing — a completed run leaves every per-link queue empty
-/// and every link inactive, so [`clear`](Self::clear) only truncates the
-/// flow arena and no O(links) reset ever happens.
-/// `bench/tests/alloc_zero.rs` pins the exact-zero behavior through the
-/// tenant engine.
-///
-/// [`PacketSim`] runs load a fresh arena, so its reports are this
-/// engine's by construction.
+/// The packet simulator for one host cube. All link-indexed machine state
+/// is allocated once, in [`new`](Self::new), and reused across runs; flows
+/// are loaded as precomputed *directed-link* hop sequences
+/// ([`add_flow_links`](Self::add_flow_links)) or as node walks
+/// ([`add_flow`](Self::add_flow), converted on load). Once warmed up
+/// (every reusable vector at its steady-state capacity),
+/// [`run`](Self::run) and [`run_planned`](Self::run_planned) allocate
+/// nothing — a completed run leaves every per-link queue empty and every
+/// link inactive, so [`clear`](Self::clear) only truncates the flow arena
+/// and no O(links) reset ever happens. `bench/tests/alloc_zero.rs` pins
+/// the exact-zero behavior for a warmed run and for a warmed tenant round.
 #[derive(Debug, Clone)]
-pub struct PacketArena {
+pub struct PacketSim {
     host: Hypercube,
     flow_off: Vec<u32>,
     hop_links: Vec<u32>,
@@ -661,13 +403,13 @@ pub struct PacketArena {
     bufs: PacketBufs,
 }
 
-impl PacketArena {
-    /// Creates an arena for `host`, allocating the link-indexed machine
-    /// state up front.
+impl PacketSim {
+    /// Creates a simulator for `host` with no flows, allocating the
+    /// link-indexed machine state up front.
     pub fn new(host: Hypercube) -> Self {
         let num_links = host.num_directed_edges() as usize;
         let dims = host.dims() as usize;
-        PacketArena {
+        PacketSim {
             host,
             flow_off: vec![0],
             hop_links: Vec::new(),
@@ -716,9 +458,47 @@ impl PacketArena {
         self.hop_links.reserve(hops);
     }
 
+    /// Builds the "one phase, `p` packets per guest edge" workload of an
+    /// embedding: packets of guest edge `e` are spread round-robin over its
+    /// bundle paths (path `i` carries `⌈(p - i)/w⌉` packets), all injected
+    /// at step 0. Zero-length paths deliver instantly and are skipped.
+    pub fn phase_workload(e: &MultiPathEmbedding, packets_per_edge: u64) -> PacketSim {
+        Self::phase_workload_with_width(e, packets_per_edge, usize::MAX)
+    }
+
+    /// Like [`phase_workload`](Self::phase_workload) but restricted to the
+    /// first `width` paths of every bundle (to compare narrower variants of
+    /// the same embedding). The flows are counted first, so they load into
+    /// exactly reserved room.
+    pub fn phase_workload_with_width(
+        e: &MultiPathEmbedding,
+        packets_per_edge: u64,
+        width: usize,
+    ) -> PacketSim {
+        // Path `i` of a `w`-path bundle carries ⌈(p - i)/w⌉ packets, so
+        // it carries some exactly when `i < p`.
+        let flows = || {
+            e.edge_paths.iter().flat_map(move |bundle| {
+                let w = bundle.len().min(width).max(1) as u64;
+                let paths = bundle.iter().take(w as usize).enumerate();
+                paths
+                    .filter(move |&(i, path)| !path.is_empty() && (i as u64) < packets_per_edge)
+                    .map(move |(i, path)| (path.nodes(), (packets_per_edge + w - 1 - i as u64) / w))
+            })
+        };
+        let (num, hops) =
+            flows().fold((0, 0), |(num, hops), (path, _)| (num + 1, hops + path.len() - 1));
+        let mut sim = PacketSim::new(e.host);
+        sim.reserve(num, hops);
+        for (path, packets) in flows() {
+            sim.add_flow(path, packets);
+        }
+        sim
+    }
+
     /// Adds one flow as a sequence of directed link indices
     /// ([`Hypercube::dir_edge_index`]) that must chain head-to-tail —
-    /// exactly the links [`PacketSim::add_flow`] would derive from the
+    /// exactly the links [`add_flow`](Self::add_flow) derives from the
     /// corresponding node walk. Returns the flow id.
     pub fn add_flow_links(&mut self, links: &[u32], packets: u64) -> u32 {
         debug_assert!(
@@ -729,14 +509,15 @@ impl PacketArena {
         self.push_flow(packets)
     }
 
-    /// Adds one flow as a node walk, the pooled form of
-    /// [`PacketSim::add_flow`]: the same walk check, with the hop links
-    /// derived straight into the arena (no per-flow `Vec`). A zero-hop
-    /// walk delivers instantly. Returns the flow id.
+    /// Adds one flow: `packets` packets injected at step 0, every packet
+    /// following the node walk `path` (consecutive nodes host-adjacent),
+    /// whose hop links are derived straight into the simulator. Packets of
+    /// later flows queue behind earlier ones on shared links, and a
+    /// zero-hop walk delivers instantly. Returns the flow id.
     ///
     /// # Panics
     /// Panics if `path` is not a walk in the host cube.
-    pub fn add_flow_walk(&mut self, path: &[Node], packets: u64) -> u32 {
+    pub fn add_flow(&mut self, path: &[Node], packets: u64) -> u32 {
         assert!(self.host.is_walk(path), "flow path must be a hypercube walk");
         self.hop_links.extend(walk_links(self.host, path));
         self.push_flow(packets)
@@ -750,18 +531,30 @@ impl PacketArena {
         (self.flow_packets.len() - 1) as u32
     }
 
-    /// Runs the loaded flows fault-free, firing every engine event on
-    /// `rec`.
+    /// Runs the loaded flows to completion (or `max_steps`) and reports,
+    /// firing every engine event on `rec`; pass
+    /// [`NopRecorder`](crate::trace::NopRecorder), which monomorphizes
+    /// every hook away, for an uninstrumented run. The flows stay loaded,
+    /// so the same workload can run again.
     ///
     /// # Panics
-    /// Panics if packets remain undelivered after `max_steps`.
+    /// Panics if packets remain undelivered after `max_steps` (a stuck
+    /// simulation is a bug in the workload, not a measurement).
     pub fn run<R: Recorder>(&mut self, max_steps: u64, rec: &mut R) -> SimReport {
         self.run_core::<R, false>(max_steps, None, rec).0
     }
 
-    /// Runs the loaded flows under `plan` (semantics of
-    /// [`PacketSim::run_planned`]); per-flow outcomes stay in the arena —
-    /// read them via [`flow_delivered`](Self::flow_delivered) /
+    /// Runs the loaded flows under `plan`: permanent cuts and node faults
+    /// are fail-stop — a packet queued at a failed link is dropped (the
+    /// whole queue of a failed link drains as drops in one step) and
+    /// reported via the [`Recorder::record_drop`] hook; transient outages
+    /// additionally restore links ([`LinkEvent::Up`]); and byte-corrupting
+    /// links flag every packet that crosses them
+    /// ([`Recorder::record_corrupt`]) without affecting delivery. With an
+    /// empty plan the report is bit-identical to [`run`](Self::run)'s.
+    /// Per-flow outcomes stay in the simulator — read them via
+    /// [`flow_delivered`](Self::flow_delivered) /
+    /// [`flow_lost`](Self::flow_lost) /
     /// [`flow_corrupted`](Self::flow_corrupted) /
     /// [`flow_dropped_at`](Self::flow_dropped_at) /
     /// [`flow_corrupted_at`](Self::flow_corrupted_at) — so the steady
@@ -774,8 +567,110 @@ impl PacketArena {
         max_steps: u64,
         plan: &FaultPlan,
         rec: &mut R,
-    ) -> SimReport {
-        self.run_core::<R, true>(max_steps, Some(plan), rec).0
+    ) -> PlanReport {
+        let (report, corrupted) = self.run_core::<R, true>(max_steps, Some(plan), rec);
+        PlanReport { lost: self.total_injected - report.delivered, report, corrupted }
+    }
+
+    /// The original engine, kept verbatim as the executable specification:
+    /// per-step `Vec`s plus an explicit `(flow, seq)` sort, over the loaded
+    /// hop table. Property tests assert [`run`](Self::run) matches it bit
+    /// for bit; it is not meant for production use.
+    ///
+    /// # Panics
+    /// Panics if packets remain undelivered after `max_steps`.
+    pub fn run_reference(&self, max_steps: u64) -> SimReport {
+        let num_links = self.host.num_directed_edges() as usize;
+        // Per-link FIFO queues of packets waiting to cross it.
+        let mut queues: Vec<VecDeque<Packet>> = (0..num_links).map(|_| VecDeque::new()).collect();
+        let mut active: Vec<u32> = Vec::new(); // link indices with waiters
+        let mut in_active = vec![false; num_links];
+
+        let mut pending = 0u64;
+        let enqueue = |pkt: Packet,
+                       queues: &mut Vec<VecDeque<Packet>>,
+                       active: &mut Vec<u32>,
+                       in_active: &mut Vec<bool>|
+         -> bool {
+            let hop = self.flow_off[pkt.flow as usize] + pkt.pos;
+            if hop >= self.flow_off[pkt.flow as usize + 1] {
+                return false; // delivered
+            }
+            let idx = self.hop_links[hop as usize] as usize;
+            // Keep FIFO order with (flow, seq) priority at insertion: queues
+            // are served FIFO; packets are inserted in (flow, seq) order at
+            // injection and re-queued on arrival, which preserves
+            // determinism.
+            queues[idx].push_back(pkt);
+            if !in_active[idx] {
+                in_active[idx] = true;
+                active.push(idx as u32);
+            }
+            true
+        };
+
+        // Inject (flows are already in id order; packets in seq order).
+        for (fid, &packets) in self.flow_packets.iter().enumerate() {
+            for seq in 0..packets {
+                let pkt = Packet { flow: fid as u32, seq: seq as u32, pos: 0 };
+                if enqueue(pkt, &mut queues, &mut active, &mut in_active) {
+                    pending += 1;
+                }
+            }
+        }
+        let total_injected = self.total_injected;
+
+        let mut step = 0u64;
+        let mut packet_hops = 0u64;
+        let mut busy_accum = 0u64;
+        let mut max_queue = 0usize;
+        while pending > 0 {
+            if step >= max_steps {
+                panic!("simulation did not finish within {max_steps} steps ({pending} pending)");
+            }
+            // One packet per active link.
+            let mut next_active: Vec<u32> = Vec::with_capacity(active.len());
+            let mut moved: Vec<Packet> = Vec::with_capacity(active.len());
+            let mut busy = 0u64;
+            for &idx in &active {
+                let q = &mut queues[idx as usize];
+                max_queue = max_queue.max(q.len());
+                if let Some(mut pkt) = q.pop_front() {
+                    pkt.pos += 1;
+                    moved.push(pkt);
+                    busy += 1;
+                }
+                if q.is_empty() {
+                    in_active[idx as usize] = false;
+                } else {
+                    next_active.push(idx);
+                }
+            }
+            packet_hops += busy;
+            busy_accum += busy;
+            active = next_active;
+            // Re-queue moved packets (deterministic order: by link index,
+            // which we iterated in insertion order; ties cannot occur since
+            // one packet per link per step).
+            moved.sort_by_key(|p| (p.flow, p.seq));
+            for pkt in moved {
+                if !enqueue(pkt, &mut queues, &mut active, &mut in_active) {
+                    pending -= 1;
+                }
+            }
+            step += 1;
+        }
+        SimReport {
+            makespan: step,
+            delivered: total_injected,
+            packet_hops,
+            mean_utilization: if step == 0 {
+                0.0
+            } else {
+                busy_accum as f64 / (step as f64 * num_links as f64)
+            },
+            max_queue,
+        }
     }
 
     /// The one buffer-preparation path: re-prepares the per-run vectors
@@ -788,7 +683,7 @@ impl PacketArena {
         plan: Option<&FaultPlan>,
         rec: &mut R,
     ) -> (SimReport, u64) {
-        let PacketArena { host, flow_off, hop_links, flow_packets, total_injected, bufs } = self;
+        let PacketSim { host, flow_off, hop_links, flow_packets, total_injected, bufs } = self;
         let total = *total_injected as usize;
         let (plan_events, corrupting) = match plan {
             Some(plan) if PLAN => {
@@ -844,67 +739,39 @@ impl PacketArena {
         (report, out.corrupted)
     }
 
-    /// Moves the last planned run's per-flow outcomes out into a
-    /// [`PlanReport`] around its machine `report` and `corrupted` count.
-    fn into_plan_report(self, report: SimReport, corrupted: u64) -> PlanReport {
-        let PacketBufs {
-            flow_delivered,
-            flow_lost,
-            flow_corrupted,
-            flow_dropped_at,
-            flow_corrupted_at,
-            ..
-        } = self.bufs;
-        PlanReport {
-            lost: self.total_injected - report.delivered,
-            report,
-            corrupted,
-            flow_delivered,
-            flow_lost,
-            flow_corrupted,
-            flow_dropped_at,
-            flow_corrupted_at,
-        }
-    }
-
-    /// Copies the last planned run's per-flow outcomes into a [`PlanReport`]
-    /// around its `report`; every flow must carry one packet.
-    pub(crate) fn single_packet_plan_report(&self, report: SimReport) -> PlanReport {
-        debug_assert!(self.flow_packets.iter().all(|&p| p == 1), "one packet per flow");
-        let bufs = &self.bufs;
-        PlanReport {
-            lost: self.total_injected - report.delivered,
-            report,
-            corrupted: bufs.flow_corrupted_at.iter().filter(|&&at| at != u32::MAX).count() as u64,
-            flow_delivered: bufs.flow_delivered.clone(),
-            flow_lost: bufs.flow_lost.clone(),
-            flow_corrupted: bufs.flow_corrupted.clone(),
-            flow_dropped_at: bufs.flow_dropped_at.clone(),
-            flow_corrupted_at: bufs.flow_corrupted_at.clone(),
-        }
-    }
-
     /// Packets of each flow that arrived in the last
     /// [`run_planned`](Self::run_planned), indexed by flow id.
     pub fn flow_delivered(&self) -> &[u64] {
         &self.bufs.flow_delivered
     }
 
-    /// Packets of each flow that arrived corrupted in the last
+    /// Packets of each flow dropped on failed links in the last
     /// [`run_planned`](Self::run_planned), indexed by flow id.
+    pub fn flow_lost(&self) -> &[u64] {
+        &self.bufs.flow_lost
+    }
+
+    /// Packets of each flow that arrived with a corrupted payload in the
+    /// last [`run_planned`](Self::run_planned), indexed by flow id; never
+    /// more than the flow's [`flow_delivered`](Self::flow_delivered).
     pub fn flow_corrupted(&self) -> &[u64] {
         &self.bufs.flow_corrupted
     }
 
-    /// Directed link where each flow's first drop happened in the last
-    /// [`run_planned`](Self::run_planned) (`u32::MAX` if none) — the
-    /// per-hop NACK payload.
+    /// Directed-link index ([`Hypercube::dir_edge_index`]) where each
+    /// flow's *first* packet drop happened in the last
+    /// [`run_planned`](Self::run_planned), `u32::MAX` if none was dropped.
+    /// This is exactly what a per-hop NACK would carry, so oracle-free
+    /// health learners (`sim::tenants`) can attribute losses without
+    /// consulting the plan.
     pub fn flow_dropped_at(&self) -> &[u32] {
         &self.bufs.flow_dropped_at
     }
 
-    /// Directed link where each flow first crossed a corrupting link in
-    /// the last [`run_planned`](Self::run_planned) (`u32::MAX` if clean).
+    /// Directed-link index of the first corrupting link one of each flow's
+    /// packets crossed in the last [`run_planned`](Self::run_planned),
+    /// `u32::MAX` if the flow stayed clean — the per-hop CRC-trailer
+    /// analogue of [`flow_dropped_at`](Self::flow_dropped_at).
     pub fn flow_corrupted_at(&self) -> &[u32] {
         &self.bufs.flow_corrupted_at
     }
@@ -922,7 +789,7 @@ mod tests {
     fn single_packet_single_hop() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1], packets: 1 });
+        sim.add_flow(&[0, 1], 1);
         let r = sim.run(100, &mut NopRecorder);
         assert_eq!(r.makespan, 1);
         assert_eq!(r.delivered, 1);
@@ -933,7 +800,7 @@ mod tests {
     fn packets_serialize_on_one_link() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1], packets: 10 });
+        sim.add_flow(&[0, 1], 10);
         let r = sim.run(100, &mut NopRecorder);
         assert_eq!(r.makespan, 10, "one link, one packet per step");
     }
@@ -942,7 +809,7 @@ mod tests {
     fn pipeline_overlaps_hops() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3, 7], packets: 5 });
+        sim.add_flow(&[0, 1, 3, 7], 5);
         let r = sim.run(100, &mut NopRecorder);
         // 3-hop path, 5 packets pipelined: 3 + 4 = 7 steps.
         assert_eq!(r.makespan, 7);
@@ -954,8 +821,8 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         // Two flows crossing the same first link.
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 3 });
-        sim.add_flow(Flow { path: vec![0, 1, 5], packets: 3 });
+        sim.add_flow(&[0, 1, 3], 3);
+        sim.add_flow(&[0, 1, 5], 3);
         let r = sim.run(100, &mut NopRecorder);
         // 6 packets over the shared link: last crosses at step 6, one more
         // hop: 7.
@@ -970,8 +837,7 @@ mod tests {
         // them; all links work in parallel).
         let e = gray_cycle_embedding(5);
         for m in [1u64, 4, 16] {
-            let sim = PacketSim::phase_workload(&e, m);
-            let r = sim.run(10_000, &mut NopRecorder);
+            let r = PacketSim::phase_workload(&e, m).run(10_000, &mut NopRecorder);
             assert_eq!(r.makespan, m, "m={m}");
         }
     }
@@ -1014,7 +880,7 @@ mod tests {
     fn stuck_simulation_panics() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1], packets: 100 });
+        sim.add_flow(&[0, 1], 100);
         let _ = sim.run(5, &mut NopRecorder);
     }
 
@@ -1024,7 +890,7 @@ mod tests {
         // version lives in tests/props.rs).
         let e = theorem1(6).unwrap().embedding;
         for m in [1u64, 5, 32] {
-            let sim = PacketSim::phase_workload(&e, m);
+            let mut sim = PacketSim::phase_workload(&e, m);
             assert_eq!(sim.run(100_000, &mut NopRecorder), sim.run_reference(100_000), "m={m}");
         }
     }
@@ -1033,14 +899,14 @@ mod tests {
     fn initial_fault_drops_every_packet_of_the_flow() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 4 });
+        sim.add_flow(&[0, 1, 3], 4);
         let mut fs = FaultSet::none(&host);
         fs.fail_link(&host, DirEdge::new(0, 0));
         let r = sim.run_planned(100, &FaultPlan::from_set(fs), &mut NopRecorder);
         assert_eq!(r.lost, 4);
         assert_eq!(r.report.delivered, 0);
-        assert_eq!(r.flow_lost, vec![4]);
-        assert_eq!(r.flow_delivered, vec![0]);
+        assert_eq!(sim.flow_lost(), [4]);
+        assert_eq!(sim.flow_delivered(), [0]);
         assert_eq!(r.report.packet_hops, 0, "a severed link transmits nothing");
         assert_eq!(r.report.makespan, 1, "the whole queue drains as drops in one step");
     }
@@ -1051,12 +917,12 @@ mod tests {
         // the five cross before the cut; the remaining three are dropped.
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 5 });
+        sim.add_flow(&[0, 1, 3], 5);
         let mut plan = FaultPlan::none(&host);
         plan.cut_link_at(2, DirEdge::new(0, 0));
         let r = sim.run_planned(100, &plan, &mut NopRecorder);
-        assert_eq!(r.flow_delivered, vec![2]);
-        assert_eq!(r.flow_lost, vec![3]);
+        assert_eq!(sim.flow_delivered(), [2]);
+        assert_eq!(sim.flow_lost(), [3]);
         assert_eq!(r.report.delivered, 2);
         assert_eq!(r.lost, 3);
     }
@@ -1067,7 +933,7 @@ mod tests {
         // cross hop one, then die queued at the severed second link.
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 3 });
+        sim.add_flow(&[0, 1, 3], 3);
         let mut fs = FaultSet::none(&host);
         fs.fail_link(&host, DirEdge::new(1, 1));
         let r = sim.run_planned(100, &FaultPlan::from_set(fs), &mut NopRecorder);
@@ -1079,14 +945,14 @@ mod tests {
     #[test]
     fn empty_plan_matches_plain_run_exactly() {
         let e = theorem1(6).unwrap().embedding;
-        let sim = PacketSim::phase_workload(&e, 16);
+        let mut sim = PacketSim::phase_workload(&e, 16);
         let plan = FaultPlan::none(&e.host);
         let pr = sim.run_planned(100_000, &plan, &mut NopRecorder);
-        assert_eq!(pr.report, sim.run(100_000, &mut NopRecorder));
         assert_eq!((pr.lost, pr.corrupted), (0, 0));
-        assert!(pr.flow_corrupted.iter().all(|&c| c == 0));
-        let per_flow: u64 = pr.flow_delivered.iter().sum();
+        assert!(sim.flow_corrupted().iter().all(|&c| c == 0));
+        let per_flow: u64 = sim.flow_delivered().iter().sum();
         assert_eq!(per_flow, pr.report.delivered);
+        assert_eq!(pr.report, sim.run(100_000, &mut NopRecorder));
     }
 
     #[test]
@@ -1097,21 +963,21 @@ mod tests {
         // later packet crosses it.
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 5 });
+        sim.add_flow(&[0, 1, 3], 5);
         let mut plan = FaultPlan::none(&host);
         plan.outage(DirEdge::new(1, 1), 0, 2);
         let r = sim.run_planned(100, &plan, &mut NopRecorder);
         assert_eq!(r.lost, 1, "only the packet queued during the outage dies");
-        assert_eq!(r.flow_delivered, vec![4]);
-        assert_eq!(r.flow_lost, vec![1]);
+        assert_eq!(sim.flow_delivered(), [4]);
+        assert_eq!(sim.flow_lost(), [1]);
     }
 
     #[test]
     fn corrupting_link_taints_without_touching_delivery() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 4 });
-        sim.add_flow(Flow { path: vec![4, 5], packets: 2 });
+        sim.add_flow(&[0, 1, 3], 4);
+        sim.add_flow(&[4, 5], 2);
         let mut plan = FaultPlan::none(&host);
         // Two corrupting links on flow 0's path: packets are still flagged
         // only once each.
@@ -1119,37 +985,37 @@ mod tests {
         plan.corrupt_link(&host, DirEdge::new(1, 1));
         let mut c = CountingRecorder::new();
         let r = sim.run_planned(100, &plan, &mut c);
+        assert_eq!(r.lost, 0);
+        assert_eq!(r.corrupted, 4);
+        assert_eq!(c.corrupted, 4, "record_corrupt fires once per packet");
+        assert_eq!(sim.flow_corrupted(), [4, 0]);
+        assert_eq!(sim.flow_delivered(), [4, 2]);
         assert_eq!(
             r.report,
             sim.run(100, &mut NopRecorder),
             "corruption must not change the machine run"
         );
-        assert_eq!(r.lost, 0);
-        assert_eq!(r.corrupted, 4);
-        assert_eq!(c.corrupted, 4, "record_corrupt fires once per packet");
-        assert_eq!(r.flow_corrupted, vec![4, 0]);
-        assert_eq!(r.flow_delivered, vec![4, 2]);
     }
 
     #[test]
     fn node_fault_plan_kills_flows_through_the_node() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 3 }); // via node 1
-        sim.add_flow(Flow { path: vec![4, 6], packets: 2 }); // avoids node 1
+        sim.add_flow(&[0, 1, 3], 3); // via node 1
+        sim.add_flow(&[4, 6], 2); // avoids node 1
         let mut plan = FaultPlan::none(&host);
         plan.cut_node(&host, 1);
-        let r = sim.run_planned(100, &plan, &mut NopRecorder);
-        assert_eq!(r.flow_lost, vec![3, 0], "every link into node 1 is severed");
-        assert_eq!(r.flow_delivered, vec![0, 2]);
+        sim.run_planned(100, &plan, &mut NopRecorder);
+        assert_eq!(sim.flow_lost(), [3, 0], "every link into node 1 is severed");
+        assert_eq!(sim.flow_delivered(), [0, 2]);
     }
 
     #[test]
     fn zero_hop_flows_deliver_instantly_in_both_engines() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![4], packets: 3 });
-        sim.add_flow(Flow { path: vec![0, 1], packets: 2 });
+        sim.add_flow(&[4], 3);
+        sim.add_flow(&[0, 1], 2);
         let r = sim.run(100, &mut NopRecorder);
         assert_eq!(r, sim.run_reference(100));
         assert_eq!(r.delivered, 5);

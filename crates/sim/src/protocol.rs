@@ -28,9 +28,9 @@
 //! The function is oracle-free *by construction*: its signature admits no
 //! fault type — all fault state lives behind the [`RoundNetwork`] trait,
 //! whose production implementation [`PlanNetwork`] runs each round through
-//! the planned packet engine ([`PacketArena::run_planned`], one pooled
-//! arena per network) and flips the payload bytes of corrupted deliveries
-//! with the plan's seeded RNG.
+//! the planned packet engine ([`PacketSim::run_planned`], one pooled
+//! simulator per network) and flips the payload bytes of corrupted
+//! deliveries with the plan's seeded RNG.
 //! `tests/adaptive_conformance.rs` (bench crate) pins this protocol
 //! against the fail-stop closed form
 //! ([`deliver_phase_plan_outcome`](crate::delivery::deliver_phase_plan_outcome)):
@@ -65,7 +65,7 @@
 
 use crate::delivery::{message_for_edge, DeliveryConfig, EdgeDelivery, EdgeOutcome};
 use crate::faults::FaultPlan;
-use crate::packet::{PacketArena, PlanReport, SimReport};
+use crate::packet::{PacketSim, PlanReport};
 use crate::trace::NopRecorder;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_ida::{share_fingerprint, Ida, Share, TaggedShare};
@@ -140,31 +140,37 @@ pub trait RoundNetwork {
 /// [`corrupt_seed`](FaultPlan::corrupt_seed), the round, and the
 /// submission index (deterministic, so every run replays identically).
 ///
-/// The network builds one [`PacketArena`] for its host on its first
+/// The network builds one [`PacketSim`] for its host on its first
 /// non-empty round and reuses it for every later round, so a phase pays
 /// for the link-indexed machine state once, not once per round.
 #[derive(Debug, Clone)]
 pub struct PlanNetwork<'a> {
     e: &'a MultiPathEmbedding,
     plan: &'a FaultPlan,
-    arena: Option<PacketArena>,
-    /// The machine report of the last non-empty round.
-    last: Option<SimReport>,
+    sim: Option<PacketSim>,
+    /// The report of the last non-empty round.
+    last: PlanReport,
 }
 
 impl<'a> PlanNetwork<'a> {
     /// A network routing over `e`'s bundles under `plan`.
     pub fn new(e: &'a MultiPathEmbedding, plan: &'a FaultPlan) -> Self {
-        PlanNetwork { e, plan, arena: None, last: None }
+        PlanNetwork { e, plan, sim: None, last: PlanReport::default() }
     }
 
-    /// The last non-empty round as a [`PlanReport`], flow `i` being
-    /// submission `i`; the empty report if no round carried a share.
-    pub(crate) fn last_plan_report(&self) -> PlanReport {
-        match (&self.arena, &self.last) {
-            (Some(arena), Some(report)) => arena.single_packet_plan_report(report.clone()),
-            _ => PlanReport::default(),
-        }
+    /// The last non-empty round's report plus one arrival bit per
+    /// submission, set iff the share was delivered uncorrupted (flow `i`
+    /// is submission `i`); the empty report and no bits if no round
+    /// carried a share.
+    pub(crate) fn last_round(&self) -> (PlanReport, Vec<bool>) {
+        let arrived = self.sim.as_ref().map_or_else(Vec::new, |sim| {
+            sim.flow_delivered()
+                .iter()
+                .zip(sim.flow_corrupted())
+                .map(|(&delivered, &corrupted)| delivered == 1 && corrupted == 0)
+                .collect()
+        });
+        (self.last.clone(), arrived)
     }
 }
 
@@ -209,18 +215,18 @@ impl RoundNetwork for PlanNetwork<'_> {
         }
         let e = self.e;
         let path = |sub: &Submission| e.edge_paths[sub.guest_edge][sub.via].nodes();
-        let arena = self.arena.get_or_insert_with(|| PacketArena::new(e.host));
-        arena.clear();
+        let sim = self.sim.get_or_insert_with(|| PacketSim::new(e.host));
+        sim.clear();
         let hops = subs.iter().map(|sub| path(sub).len().saturating_sub(1)).sum();
-        arena.reserve(subs.len(), hops);
+        sim.reserve(subs.len(), hops);
         for sub in subs {
             // Submission `i` is flow `i`, so arbitration follows submission
             // order. Zero-hop paths are legal: the engine delivers them
             // instantly and they can never cross a (corrupting) link.
-            arena.add_flow_walk(path(sub), 1);
+            sim.add_flow(path(sub), 1);
         }
-        self.last = Some(arena.run_planned(MAX_STEPS, self.plan, &mut NopRecorder));
-        let (delivered, corrupted) = (arena.flow_delivered(), arena.flow_corrupted());
+        self.last = sim.run_planned(MAX_STEPS, self.plan, &mut NopRecorder);
+        let (delivered, corrupted) = (sim.flow_delivered(), sim.flow_corrupted());
         subs.iter()
             .enumerate()
             .map(|(i, sub)| {
@@ -683,7 +689,7 @@ mod tests {
     use super::*;
     use crate::chaos::random_plan;
     use crate::faults::FaultSet;
-    use crate::packet::{Flow, PacketSim};
+    use crate::packet::PacketSim;
     use hyperpath_core::cycles::theorem1;
     use hyperpath_embedding::HostPath;
     use hyperpath_topology::DirEdge;
@@ -892,8 +898,8 @@ mod tests {
         assert!(!ida.verify_share(9, &a), "corrupted payload must fail verification");
     }
 
-    /// The one-shot ship `PlanNetwork` used before it pooled an arena: a
-    /// fresh `PacketSim` per round. It lives on only here, as the oracle
+    /// The one-shot ship `PlanNetwork` used before it pooled a simulator:
+    /// a fresh `PacketSim` per round. It lives on only here, as the oracle
     /// for the pooled network.
     fn fresh_sim_ship(
         e: &MultiPathEmbedding,
@@ -903,15 +909,14 @@ mod tests {
     ) -> Vec<Option<TaggedShare>> {
         let mut sim = PacketSim::new(e.host);
         for sub in subs {
-            let path = e.edge_paths[sub.guest_edge][sub.via].nodes().to_vec();
-            sim.add_flow(Flow { path, packets: 1 });
+            sim.add_flow(e.edge_paths[sub.guest_edge][sub.via].nodes(), 1);
         }
-        let pr = sim.run_planned(MAX_STEPS, plan, &mut NopRecorder);
+        sim.run_planned(MAX_STEPS, plan, &mut NopRecorder);
         subs.iter()
             .enumerate()
             .map(|(i, sub)| {
-                (pr.flow_delivered[i] == 1).then(|| {
-                    if pr.flow_corrupted[i] == 1 {
+                (sim.flow_delivered()[i] == 1).then(|| {
+                    if sim.flow_corrupted()[i] == 1 {
                         corrupt_payload(&sub.payload, plan.corrupt_seed(), round, i)
                     } else {
                         sub.payload.clone()
@@ -941,7 +946,7 @@ mod tests {
                 })
                 .collect()
         };
-        // Rounds shrink, empty out and regrow, so the arena is reused at
+        // Rounds shrink, empty out and regrow, so the simulator is reused at
         // every size.
         let mut reversed = every_path(&|_| true);
         reversed.reverse();

@@ -20,7 +20,8 @@
 //! * **Congestion-aware selection** — when the full bundle does not fit,
 //!   the engine commits the least-loaded subset of the disjoint paths, as
 //!   long as at least `⌈w/2⌉` fit — the IDA threshold at which a message
-//!   split over `w` shares still reconstructs ([`EdgeGrade::Degraded`]).
+//!   split over `w` shares still reconstructs (counted in
+//!   [`FlowStats::degraded`]).
 //! * **Batched phases** — admitted requests are grouped by window
 //!   containment and each group is executed *exactly* on the existing
 //!   packet (or wormhole) engine over the group's root subcube, relabeled
@@ -46,9 +47,9 @@ use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 use crate::faults::FaultPlan;
-use crate::packet::{Flow, PacketArena, PacketSim};
+use crate::packet::PacketSim;
 use crate::trace::{NopRecorder, Recorder};
-use crate::wormhole::{Worm, WormholeArena, WormholeSim};
+use crate::wormhole::WormholeSim;
 
 /// Largest subcube the engine will hand to the dense packet/wormhole
 /// simulators (they allocate `O(links × dims)` state — ~100 MB at 16
@@ -533,18 +534,6 @@ impl LinkLedger {
     }
 }
 
-/// How a request ended up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeGrade {
-    /// All `w` bundle paths committed.
-    Full,
-    /// At least the IDA threshold `⌈w/2⌉` but fewer than `w` paths
-    /// committed — the message still reconstructs from its shares.
-    Degraded,
-    /// Below threshold even after `max_requeues` retries.
-    Lost,
-}
-
 /// Per-tenant accounting.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowStats {
@@ -743,7 +732,9 @@ struct Admitted {
 }
 
 /// The engine, validated and grouped. Build with [`TenantEngine::new`],
-/// then [`TenantEngine::run`] / [`TenantEngine::run_recorded`].
+/// then [`TenantEngine::run`] / [`TenantEngine::run_planned`], or step a
+/// [`TenantRun`] from [`TenantEngine::begin`] /
+/// [`TenantEngine::begin_planned`].
 pub struct TenantEngine {
     cfg: TenantsConfig,
     specs: Vec<TenantSpec>,
@@ -824,29 +815,19 @@ impl TenantEngine {
     }
 
     /// Runs the engine without instrumentation. Groups execute on the
-    /// pooled arenas and, when there is more than one, in parallel —
+    /// pooled simulators and, when there is more than one, in parallel —
     /// the report is byte-identical at any thread count (see
     /// [`TenantRun`]).
     pub fn run(&self) -> EngineReport {
-        self.run_recorded(&mut NopRecorder)
-    }
-
-    /// Runs the engine, reporting every phase-group machine run to `rec`.
-    /// A non-nop recorder forces serial group order so it observes the
-    /// exact event stream; the report itself is identical either way.
-    pub fn run_recorded<R: Recorder>(&self, rec: &mut R) -> EngineReport {
-        let mut run = TenantRun::new(self, None);
-        for _ in 0..self.cfg.rounds {
-            run.step_round_recorded(rec);
-        }
-        run.finish()
+        self.begin().run_to_end()
     }
 
     /// Begins a pooled plain run in round-stepping form: call
     /// [`TenantRun::step_round`] exactly [`TenantsConfig::rounds`] times,
     /// then [`TenantRun::finish`]. `run()` is this loop; the stepping form
     /// exists so the steady-state zero-allocation guarantee can be pinned
-    /// per round (`bench/tests/alloc_zero.rs`).
+    /// per round (`bench/tests/alloc_zero.rs`), and so a [`Recorder`] can
+    /// observe every round ([`TenantRun::step_round_recorded`]).
     pub fn begin(&self) -> TenantRun<'_> {
         TenantRun::new(self, None)
     }
@@ -890,22 +871,7 @@ impl TenantEngine {
     /// With an **empty** plan the report is byte-identical to
     /// [`TenantEngine::run`]'s.
     pub fn run_planned(&self, plan: &TenantFaultPlan, routing: FaultRouting) -> EngineReport {
-        self.run_planned_recorded(plan, routing, &mut NopRecorder)
-    }
-
-    /// [`TenantEngine::run_planned`] with a [`Recorder`] observing every
-    /// phase-group machine run.
-    pub fn run_planned_recorded<R: Recorder>(
-        &self,
-        plan: &TenantFaultPlan,
-        routing: FaultRouting,
-        rec: &mut R,
-    ) -> EngineReport {
-        let mut run = TenantRun::new(self, Some((plan, routing)));
-        for _ in 0..self.cfg.rounds {
-            run.step_round_recorded(rec);
-        }
-        run.finish()
+        self.begin_planned(plan, routing).run_to_end()
     }
 
     fn run_reference_impl<R: Recorder>(
@@ -1195,32 +1161,6 @@ impl TenantEngine {
     }
 }
 
-/// Runs the engine for `cfg` over `specs`.
-pub fn run_tenants(cfg: &TenantsConfig, specs: &[TenantSpec]) -> Result<EngineReport, String> {
-    Ok(TenantEngine::new(cfg.clone(), specs)?.run())
-}
-
-/// Runs the engine with a [`Recorder`] observing every phase-group
-/// machine run.
-pub fn run_tenants_recorded<R: Recorder>(
-    cfg: &TenantsConfig,
-    specs: &[TenantSpec],
-    rec: &mut R,
-) -> Result<EngineReport, String> {
-    Ok(TenantEngine::new(cfg.clone(), specs)?.run_recorded(rec))
-}
-
-/// Runs the engine for `cfg` over `specs` under an adversarial fault
-/// plan (see [`TenantEngine::run_planned`]).
-pub fn run_tenants_planned(
-    cfg: &TenantsConfig,
-    specs: &[TenantSpec],
-    plan: &TenantFaultPlan,
-    routing: FaultRouting,
-) -> Result<EngineReport, String> {
-    Ok(TenantEngine::new(cfg.clone(), specs)?.run_planned(plan, routing))
-}
-
 /// Uniform edge draw via rejection sampling on the raw word stream —
 /// avoids any dependence on `random_range`'s internals so the request
 /// streams stay pinned by the determinism tests.
@@ -1405,13 +1345,12 @@ fn run_group_reference<R: Recorder>(
         ExecMode::Packet => {
             let cube = Hypercube::new(root_dims);
             let mut sim = PacketSim::new(cube);
-            let mut flows = 0u64;
             for a in batch.iter() {
                 for p in &a.paths {
-                    sim.add_flow(Flow { path: local_walk(p, n, root_dims, root_base), packets: 1 });
-                    flows += 1;
+                    sim.add_flow(&local_walk(p, n, root_dims, root_base), 1);
                 }
             }
+            let flows = sim.num_flows() as u64;
             // Work-conserving machine: ≤ 3 hops per share, so hops+shares
             // steps always finish the phase.
             let max_steps = flows * 4 + 4;
@@ -1435,19 +1374,19 @@ fn run_group_reference<R: Recorder>(
                             a.paths
                                 .iter()
                                 .map(|_| {
-                                    let delivered = pr.flow_delivered[f] == 1;
-                                    let corrupted = pr.flow_corrupted[f] == 1;
+                                    let delivered = sim.flow_delivered()[f] == 1;
+                                    let corrupted = sim.flow_corrupted()[f] == 1;
                                     let blame = if !delivered {
                                         Some(host_link_of(
                                             &cube,
-                                            pr.flow_dropped_at[f],
+                                            sim.flow_dropped_at()[f],
                                             n,
                                             root_base,
                                         ))
                                     } else if corrupted {
                                         Some(host_link_of(
                                             &cube,
-                                            pr.flow_corrupted_at[f],
+                                            sim.flow_corrupted_at()[f],
                                             n,
                                             root_base,
                                         ))
@@ -1467,27 +1406,24 @@ fn run_group_reference<R: Recorder>(
         ExecMode::Wormhole { flits } => {
             let cube = Hypercube::new(root_dims);
             let mut sim = WormholeSim::new(cube);
-            let mut worms = 0u64;
             for a in batch.iter() {
                 for p in &a.paths {
-                    sim.add_worm(Worm { path: local_walk(p, n, root_dims, root_base), flits });
-                    worms += 1;
+                    sim.add_worm(&local_walk(p, n, root_dims, root_base), flits);
                 }
             }
-            let max_steps = worms * (flits + 3) + flits + 4;
+            let max_steps = sim.num_worms() as u64 * (flits + 3) + flits + 4;
             match fault {
                 None => {
-                    let report = sim.run(max_steps, rec);
-                    debug_assert_eq!(report.completion.len(), worms as usize);
+                    let makespan = sim.run(max_steps, rec);
                     let outcomes = batch
                         .iter()
                         .map(|a| a.paths.iter().map(|_| CLEAN_DELIVERY).collect())
                         .collect();
-                    (report.makespan, outcomes)
+                    (makespan, outcomes)
                 }
                 Some((plan, round)) => {
                     let dense = project_group_plan(batch, round, plan, &cube, n);
-                    let wr = sim.run_planned(max_steps, &dense, rec);
+                    let makespan = sim.run_planned(max_steps, &dense, rec);
                     let mut w = 0usize;
                     let outcomes = batch
                         .iter()
@@ -1495,12 +1431,17 @@ fn run_group_reference<R: Recorder>(
                             a.paths
                                 .iter()
                                 .map(|_| {
-                                    let delivered = !wr.lost[w];
-                                    let corrupted = delivered && wr.corrupted[w];
+                                    let delivered = !sim.lost()[w];
+                                    let corrupted = delivered && sim.corrupted()[w];
                                     let blame = if !delivered {
-                                        Some(host_link_of(&cube, wr.dropped_at[w], n, root_base))
+                                        Some(host_link_of(&cube, sim.dropped_at()[w], n, root_base))
                                     } else if corrupted {
-                                        Some(host_link_of(&cube, wr.corrupted_at[w], n, root_base))
+                                        Some(host_link_of(
+                                            &cube,
+                                            sim.corrupted_at()[w],
+                                            n,
+                                            root_base,
+                                        ))
                                     } else {
                                         None
                                     };
@@ -1510,7 +1451,7 @@ fn run_group_reference<R: Recorder>(
                                 .collect()
                         })
                         .collect();
-                    (wr.report.makespan, outcomes)
+                    (makespan, outcomes)
                 }
             }
         }
@@ -1518,8 +1459,9 @@ fn run_group_reference<R: Recorder>(
 }
 
 /// Writes the directed local-link sequence of a host-link path into
-/// `out` — exactly the hop links [`PacketSim`]/[`WormholeSim`] derive
-/// from the corresponding [`local_walk`] node walk. Undirected link lists
+/// `out` — exactly the hop links [`PacketSim::add_flow`] and
+/// [`WormholeSim::add_worm`] derive from the corresponding
+/// [`local_walk`] node walk. Undirected link lists
 /// carry no orientation, so it is reconstructed by the same
 /// endpoint-chaining (including the first-two-links start
 /// disambiguation).
@@ -1585,7 +1527,7 @@ impl AdmHeader {
 /// lets [`TenantRun::step_round`] run whole rounds of different groups on
 /// different threads.
 ///
-/// It holds the root subcube's persistent machine arena (its
+/// It holds the root subcube's persistent machine simulator (its
 /// [`Hypercube`] is built once, not per round), the memoized dense
 /// fault-plan projection, the group's ledger shard, its tenants' request
 /// streams, stats and backlog, and every per-round scratch buffer.
@@ -1595,8 +1537,8 @@ struct GroupArena {
     /// Execution mode with the [`ENGINE_MAX_DIMS`] structural fallback
     /// already applied.
     exec: ExecMode,
-    packet: Option<PacketArena>,
-    worm: Option<WormholeArena>,
+    packet: Option<PacketSim>,
+    worm: Option<WormholeSim>,
     /// Memoized dense projection of the run's [`TenantFaultPlan`] onto
     /// this group's root subcube: corrupting bits are static and set
     /// once here; only the round-dependent cut bits flip between rounds
@@ -1691,9 +1633,9 @@ impl GroupArena {
             e => e,
         };
         let packet =
-            matches!(exec, ExecMode::Packet).then(|| PacketArena::new(Hypercube::new(root_dims)));
+            matches!(exec, ExecMode::Packet).then(|| PacketSim::new(Hypercube::new(root_dims)));
         let worm = matches!(exec, ExecMode::Wormhole { .. })
-            .then(|| WormholeArena::new(Hypercube::new(root_dims)));
+            .then(|| WormholeSim::new(Hypercube::new(root_dims)));
         let (dense, group_faults) = match (plan, exec) {
             (Some(plan), ExecMode::Packet | ExecMode::Wormhole { .. }) => {
                 let cube = Hypercube::new(root_dims);
@@ -1742,7 +1684,7 @@ impl GroupArena {
         }
     }
 
-    /// Sizes the round scratch, the machine arena and the ledger shard for
+    /// Sizes the round scratch, the machine simulator and the ledger shard for
     /// one round of the group's roster: its fresh requests, their
     /// full-width bundles (path lengths taken from each plan's first
     /// bundle) and, when `planned`, their share outcomes, and as many
@@ -1780,11 +1722,11 @@ impl GroupArena {
         if planned {
             self.outcomes.reserve(paths);
         }
-        if let Some(arena) = &mut self.packet {
-            arena.reserve(paths, slots);
+        if let Some(sim) = &mut self.packet {
+            sim.reserve(paths, slots);
         }
-        if let Some(arena) = &mut self.worm {
-            arena.reserve(paths, slots);
+        if let Some(sim) = &mut self.worm {
+            sim.reserve(paths, slots);
         }
         let root_links = u64::from(self.root_dims) << self.root_dims.saturating_sub(1);
         self.ledger.links.reserve(slots.min(usize::try_from(root_links).unwrap_or(usize::MAX)));
@@ -1976,33 +1918,33 @@ impl GroupArena {
         n: u32,
         rec: &mut R,
     ) -> u64 {
-        let arena = self.packet.as_mut().expect("packet arena for packet mode");
-        let cube = arena.host();
-        arena.clear();
+        let sim = self.packet.as_mut().expect("packet simulator for packet mode");
+        let cube = sim.host();
+        sim.clear();
         for p in 0..self.adm_off.len() - 1 {
             let path = path_slice(&self.adm_links, &self.adm_off, p);
             local_hops_into(path, n, self.root_dims, self.root_base, &cube, &mut self.hops);
-            arena.add_flow_links(&self.hops, 1);
+            sim.add_flow_links(&self.hops, 1);
         }
-        let flows = arena.num_flows() as u64;
+        let flows = sim.num_flows() as u64;
         // Work-conserving machine: ≤ 3 hops per share, so hops+shares
         // steps always finish the phase (the reference's budget).
         let max_steps = flows * 4 + 4;
         let Some(plan) = plan else {
-            let report = arena.run(max_steps, rec);
+            let report = sim.run(max_steps, rec);
             debug_assert_eq!(report.delivered, flows);
             return report.makespan;
         };
         let dense = self.dense.as_mut().expect("dense projection for planned run");
         sync_dense_cuts(dense, &self.group_faults, &cube, plan, round);
-        let steps = arena.run_planned(max_steps, dense, rec).makespan;
+        let steps = sim.run_planned(max_steps, dense, rec).report.makespan;
         for f in 0..flows as usize {
-            let delivered = arena.flow_delivered()[f] == 1;
-            let corrupted = arena.flow_corrupted()[f] == 1;
+            let delivered = sim.flow_delivered()[f] == 1;
+            let corrupted = sim.flow_corrupted()[f] == 1;
             let blame = if !delivered {
-                Some(host_link_of(&cube, arena.flow_dropped_at()[f], n, self.root_base))
+                Some(host_link_of(&cube, sim.flow_dropped_at()[f], n, self.root_base))
             } else if corrupted {
-                Some(host_link_of(&cube, arena.flow_corrupted_at()[f], n, self.root_base))
+                Some(host_link_of(&cube, sim.flow_corrupted_at()[f], n, self.root_base))
             } else {
                 None
             };
@@ -2019,29 +1961,29 @@ impl GroupArena {
         flits: u64,
         rec: &mut R,
     ) -> u64 {
-        let arena = self.worm.as_mut().expect("wormhole arena for wormhole mode");
-        let cube = arena.host();
-        arena.clear();
+        let sim = self.worm.as_mut().expect("wormhole simulator for wormhole mode");
+        let cube = sim.host();
+        sim.clear();
         for p in 0..self.adm_off.len() - 1 {
             let path = path_slice(&self.adm_links, &self.adm_off, p);
             local_hops_into(path, n, self.root_dims, self.root_base, &cube, &mut self.hops);
-            arena.add_worm_links(&self.hops, flits);
+            sim.add_worm_links(&self.hops, flits);
         }
-        let worms = arena.num_worms() as u64;
+        let worms = sim.num_worms() as u64;
         let max_steps = worms * (flits + 3) + flits + 4;
         let Some(plan) = plan else {
-            return arena.run(max_steps, rec);
+            return sim.run(max_steps, rec);
         };
         let dense = self.dense.as_mut().expect("dense projection for planned run");
         sync_dense_cuts(dense, &self.group_faults, &cube, plan, round);
-        let steps = arena.run_planned(max_steps, dense, rec);
+        let steps = sim.run_planned(max_steps, dense, rec);
         for w in 0..worms as usize {
-            let delivered = !arena.lost()[w];
-            let corrupted = delivered && arena.corrupted()[w];
+            let delivered = !sim.lost()[w];
+            let corrupted = delivered && sim.corrupted()[w];
             let blame = if !delivered {
-                Some(host_link_of(&cube, arena.dropped_at()[w], n, self.root_base))
+                Some(host_link_of(&cube, sim.dropped_at()[w], n, self.root_base))
             } else if corrupted {
-                Some(host_link_of(&cube, arena.corrupted_at()[w], n, self.root_base))
+                Some(host_link_of(&cube, sim.corrupted_at()[w], n, self.root_base))
             } else {
                 None
             };
@@ -2145,7 +2087,7 @@ impl GroupArena {
 /// One pooled run of a [`TenantEngine`], in round-stepping form.
 ///
 /// The run is sharded by window group: one `GroupArena` per group holds
-/// the group's persistent [`PacketArena`] / [`WormholeArena`], memoized
+/// the group's persistent [`PacketSim`] / [`WormholeSim`], memoized
 /// fault projection, ledger shard, tenant streams, stats, backlog and
 /// round scratch, all created once. A warmed-up
 /// [`step_round`](Self::step_round) allocates nothing at all —
@@ -2225,6 +2167,15 @@ impl<'a> TenantRun<'a> {
         self.round += 1;
     }
 
+    /// Steps the remaining configured rounds without instrumentation,
+    /// then [`finish`](Self::finish)es.
+    fn run_to_end(mut self) -> EngineReport {
+        while self.round < self.engine.cfg.rounds {
+            self.step_round();
+        }
+        self.finish()
+    }
+
     /// Drains the remaining backlog as lost (backed-off retries that
     /// never got another round count too), merges the group shards and
     /// freezes the report. Step exactly [`TenantsConfig::rounds`] rounds
@@ -2282,7 +2233,7 @@ mod tests {
 
     #[test]
     fn single_tenant_with_headroom_delivers_everything_full_width() {
-        let report = run_tenants(&cfg(6, 8), &[grid_spec(0, 1)]).unwrap();
+        let report = TenantEngine::new(cfg(6, 8), &[grid_spec(0, 1)]).unwrap().run();
         let st = &report.tenants[0].stats;
         assert_eq!(st.requested, 12);
         assert_eq!(st.full, 12);
@@ -2316,7 +2267,7 @@ mod tests {
         // Two identical tenants sharing ONE window at capacity 1: their
         // bundles collide, so someone must degrade, requeue, or lose.
         let specs = [grid_spec(0, 0), grid_spec(1, 0)];
-        let report = run_tenants(&cfg(6, 1), &specs).unwrap();
+        let report = TenantEngine::new(cfg(6, 1), &specs).unwrap().run();
         let contention: u64 =
             report.tenants.iter().map(|t| t.stats.degraded + t.stats.requeues + t.stats.lost).sum();
         assert!(contention > 0, "capacity 1 cannot admit two overlapping bundles fully");
@@ -2330,7 +2281,7 @@ mod tests {
     #[test]
     fn disjoint_windows_do_not_contend() {
         let specs = [grid_spec(0, 0), grid_spec(1, 1), tree_spec(2, 2)];
-        let report = run_tenants(&cfg(6, 8), &specs).unwrap();
+        let report = TenantEngine::new(cfg(6, 8), &specs).unwrap().run();
         for t in &report.tenants {
             assert_eq!(t.stats.full, t.stats.requested, "tenant {}", t.id);
         }
@@ -2359,8 +2310,8 @@ mod tests {
     fn spec_order_does_not_change_the_report() {
         let fwd = [grid_spec(0, 0), grid_spec(1, 0), tree_spec(2, 1)];
         let rev = [tree_spec(2, 1), grid_spec(1, 0), grid_spec(0, 0)];
-        let a = run_tenants(&cfg(6, 2), &fwd).unwrap();
-        let b = run_tenants(&cfg(6, 2), &rev).unwrap();
+        let a = TenantEngine::new(cfg(6, 2), &fwd).unwrap().run();
+        let b = TenantEngine::new(cfg(6, 2), &rev).unwrap().run();
         for (x, y) in a.tenants.iter().zip(&b.tenants) {
             assert_eq!(x.id, y.id);
             assert_eq!(x.stats, y.stats);
@@ -2375,9 +2326,9 @@ mod tests {
         // ledger path is identical.
         let specs = [grid_spec(0, 0), grid_spec(1, 0)];
         let mut c = cfg(6, 2);
-        let packet = run_tenants(&c, &specs).unwrap();
+        let packet = TenantEngine::new(c.clone(), &specs).unwrap().run();
         c.exec = ExecMode::Structural;
-        let structural = run_tenants(&c, &specs).unwrap();
+        let structural = TenantEngine::new(c, &specs).unwrap().run();
         assert_eq!(packet.ledger, structural.ledger);
         for (x, y) in packet.tenants.iter().zip(&structural.tenants) {
             assert_eq!(x.stats, y.stats);
@@ -2388,7 +2339,7 @@ mod tests {
     fn wormhole_mode_runs_and_delivers() {
         let mut c = cfg(6, 8);
         c.exec = ExecMode::Wormhole { flits: 2 };
-        let report = run_tenants(&c, &[grid_spec(0, 0), tree_spec(1, 1)]).unwrap();
+        let report = TenantEngine::new(c, &[grid_spec(0, 0), tree_spec(1, 1)]).unwrap().run();
         for t in &report.tenants {
             assert_eq!(t.stats.shares_delivered, t.stats.shares_committed);
         }
@@ -2417,7 +2368,7 @@ mod tests {
             seed: 1990,
             exec: ExecMode::Packet,
         };
-        let report = run_tenants(&c, &specs).unwrap();
+        let report = TenantEngine::new(c, &specs).unwrap().run();
         assert_eq!(report.host_dims, 20);
         assert!(report.delivered_messages() > 0);
         assert!(report.measured_congestion() >= report.congestion_bound());
@@ -2426,16 +2377,16 @@ mod tests {
 
     #[test]
     fn rejects_bad_configs() {
-        assert!(run_tenants(&cfg(3, 8), &[grid_spec(0, 0)]).is_err(), "plan larger than host");
-        assert!(run_tenants(&cfg(6, 0), &[grid_spec(0, 0)]).is_err(), "zero capacity");
-        assert!(run_tenants(&cfg(6, 2), &[grid_spec(0, 4)]).is_err(), "window beyond 2^(n-m)");
+        assert!(TenantEngine::new(cfg(3, 8), &[grid_spec(0, 0)]).is_err(), "plan larger than host");
+        assert!(TenantEngine::new(cfg(6, 0), &[grid_spec(0, 0)]).is_err(), "zero capacity");
+        assert!(TenantEngine::new(cfg(6, 2), &[grid_spec(0, 4)]).is_err(), "window beyond 2^(n-m)");
         assert!(
-            run_tenants(&cfg(6, 2), &[grid_spec(0, 0), grid_spec(0, 1)]).is_err(),
+            TenantEngine::new(cfg(6, 2), &[grid_spec(0, 0), grid_spec(0, 1)]).is_err(),
             "duplicate id"
         );
         let mut c = cfg(6, 2);
         c.exec = ExecMode::Wormhole { flits: 0 };
-        assert!(run_tenants(&c, &[grid_spec(0, 0)]).is_err(), "zero flits");
+        assert!(TenantEngine::new(c, &[grid_spec(0, 0)]).is_err(), "zero flits");
     }
 
     #[test]
@@ -2579,11 +2530,16 @@ mod tests {
         tplan.cut_node_at(0, 6, 3);
         let specs = [grid_spec(0, 0), tree_spec(1, 1)];
         let mut c = cfg(6, 8);
-        let packet = run_tenants_planned(&c, &specs, &tplan, FaultRouting::Learned).unwrap();
+        let packet = TenantEngine::new(c.clone(), &specs)
+            .unwrap()
+            .run_planned(&tplan, FaultRouting::Learned);
         c.exec = ExecMode::Structural;
-        let structural = run_tenants_planned(&c, &specs, &tplan, FaultRouting::Learned).unwrap();
+        let structural = TenantEngine::new(c.clone(), &specs)
+            .unwrap()
+            .run_planned(&tplan, FaultRouting::Learned);
         c.exec = ExecMode::Wormhole { flits: 2 };
-        let wormhole = run_tenants_planned(&c, &specs, &tplan, FaultRouting::Learned).unwrap();
+        let wormhole =
+            TenantEngine::new(c, &specs).unwrap().run_planned(&tplan, FaultRouting::Learned);
         for (p, (s, w)) in
             packet.tenants.iter().zip(structural.tenants.iter().zip(&wormhole.tenants))
         {
@@ -2694,8 +2650,14 @@ mod tests {
         // engines do — same machines, same order, same counts.
         let specs = [grid_spec(0, 0), grid_spec(1, 0), tree_spec(2, 2)];
         let engine = TenantEngine::new(cfg(6, 2), &specs).unwrap();
+        let recorded = |mut run: TenantRun<'_>, rec: &mut CountingRecorder| {
+            for _ in 0..engine.cfg.rounds {
+                run.step_round_recorded(rec);
+            }
+            run.finish()
+        };
         let mut pooled = CountingRecorder::default();
-        let pooled_report = engine.run_recorded(&mut pooled);
+        let pooled_report = recorded(engine.begin(), &mut pooled);
         let mut reference = CountingRecorder::default();
         let reference_report = engine.run_reference_impl(None, &mut reference);
         assert_eq!(pooled, reference);
@@ -2703,7 +2665,8 @@ mod tests {
         let mut tplan = TenantFaultPlan::none();
         tplan.cut_node_at(0, 6, 3);
         let mut pooled = CountingRecorder::default();
-        let pooled_report = engine.run_planned_recorded(&tplan, FaultRouting::Learned, &mut pooled);
+        let pooled_report =
+            recorded(engine.begin_planned(&tplan, FaultRouting::Learned), &mut pooled);
         let mut reference = CountingRecorder::default();
         let reference_report =
             engine.run_reference_impl(Some((&tplan, FaultRouting::Learned)), &mut reference);

@@ -1,7 +1,7 @@
 //! Zero-cost-when-off instrumentation for the simulators.
 //!
-//! Every engine run ([`PacketSim::run`], [`PacketSim::run_planned`], the
-//! wormhole twins and the arenas) reports events to a [`Recorder`]. Every
+//! Every engine run ([`PacketSim::run`], [`PacketSim::run_planned`] and
+//! their wormhole twins) reports events to a [`Recorder`]. Every
 //! hook has an empty default body and the engines are generic over the
 //! recorder type, so running with [`NopRecorder`] monomorphizes the
 //! instrumentation away entirely — the traced and untraced engines are
@@ -356,7 +356,7 @@ pub struct FlowSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Flow, PacketSim};
+    use crate::packet::PacketSim;
     use hyperpath_core::cycles::theorem1;
     use hyperpath_topology::Hypercube;
 
@@ -380,7 +380,7 @@ mod tests {
     #[test]
     fn traced_report_matches_untraced() {
         let e = theorem1(6).unwrap().embedding;
-        let sim = PacketSim::phase_workload(&e, 16);
+        let mut sim = PacketSim::phase_workload(&e, 16);
         let mut rec = TraceRecorder::new();
         let report = sim.run(100_000, &mut rec);
         let trace = rec.summary();
@@ -397,8 +397,8 @@ mod tests {
     fn busy_counts_sum_to_packet_hops() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
-        sim.add_flow(Flow { path: vec![0, 1, 3, 7], packets: 5 });
-        sim.add_flow(Flow { path: vec![0, 2, 3], packets: 2 });
+        sim.add_flow(&[0, 1, 3, 7], 5);
+        sim.add_flow(&[0, 2, 3], 2);
         let mut rec = TraceRecorder::new();
         let report = sim.run(1_000, &mut rec);
         assert_eq!(rec.busy_per_step.iter().sum::<u64>(), report.packet_hops);
@@ -408,9 +408,8 @@ mod tests {
     #[test]
     fn counting_recorder_ties_out_with_the_report() {
         let e = theorem1(6).unwrap().embedding;
-        let sim = PacketSim::phase_workload(&e, 16);
         let mut c = CountingRecorder::new();
-        let report = sim.run(100_000, &mut c);
+        let report = PacketSim::phase_workload(&e, 16).run(100_000, &mut c);
         assert_eq!(c.steps, report.makespan);
         assert_eq!(c.busy_total, report.packet_hops);
         assert_eq!(c.delivered, report.delivered);
@@ -424,16 +423,21 @@ mod tests {
 
     #[test]
     fn counting_recorder_counts_wormhole_work() {
-        use crate::wormhole::{Worm, WormholeSim};
+        use crate::wormhole::WormholeSim;
         let host = Hypercube::new(4);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3, 7], flits: 6 });
-        sim.add_worm(Worm { path: vec![0, 1, 5], flits: 3 });
-        sim.add_worm(Worm { path: vec![8], flits: 2 });
+        sim.add_worm(&[0, 1, 3, 7], 6);
+        sim.add_worm(&[0, 1, 5], 3);
+        sim.add_worm(&[8], 2);
         let mut c = CountingRecorder::new();
-        let report = sim.run(10_000, &mut c);
-        assert_eq!(report, sim.run(10_000, &mut NopRecorder), "recording must not change the run");
-        assert_eq!(c.steps, report.makespan);
+        let makespan = sim.run(10_000, &mut c);
+        let completion = sim.completion().to_vec();
+        assert_eq!(
+            (sim.run(10_000, &mut NopRecorder), sim.completion()),
+            (makespan, &completion[..]),
+            "recording must not change the run"
+        );
+        assert_eq!(c.steps, makespan);
         assert_eq!(c.injected, 3);
         assert_eq!(c.delivered, 3);
         assert_eq!(c.flit_moves, 3 * 6 + 2 * 3, "hops x flits per delivered worm");
@@ -445,8 +449,8 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         // Flow 0 wins every arbitration on the shared first link.
-        sim.add_flow(Flow { path: vec![0, 1, 3], packets: 4 });
-        sim.add_flow(Flow { path: vec![0, 1, 5], packets: 4 });
+        sim.add_flow(&[0, 1, 3], 4);
+        sim.add_flow(&[0, 1, 5], 4);
         let mut rec = TraceRecorder::new();
         sim.run(1_000, &mut rec);
         let t = rec.summary();

@@ -13,35 +13,24 @@
 //! pipelining charges `hops + M` when the path is clear — the contrast
 //! experiment E10 measures.
 //!
-//! [`WormholeArena`] is the production engine: per-worm link sequences
-//! are precomputed once into a flat arena (the reference engine
-//! recomputes XOR + edge index on every access), and the step loop is
+//! [`WormholeSim`] is the one engine. Per-worm link sequences are
+//! precomputed once, on load, into a flat hop table, and the step loop is
 //! event-driven: it visits a worm only when its state can change. A head
 //! blocked on a held link is parked behind the hop that holds it and
 //! woken when that hop lets go; both due times a head crossing sets —
 //! the hop's release and, on the last hop, the completion — go into a
 //! calendar ring. Each step visits its ready worms in ascending id order,
-//! exactly the reference engine's arbitration. [`WormholeSim`] is its
-//! node-walk front-end, and each of its runs loads a fresh arena.
+//! exactly the reference stepper's arbitration.
 //! [`WormholeSim::run_reference`] keeps the original visit-every-worm
-//! stepper as the executable specification the property tests pin the
-//! production engine against.
+//! stepper, over the same hop table, as the executable specification the
+//! property tests pin the engine against.
 
 use crate::faults::{FaultPlan, LinkEvent};
 use crate::packet::walk_links;
 use crate::trace::Recorder;
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 
-/// One wormhole message.
-#[derive(Debug, Clone)]
-pub struct Worm {
-    /// Node sequence the worm follows.
-    pub path: Vec<Node>,
-    /// Number of flits (message length).
-    pub flits: u64,
-}
-
-/// Simulation outcome.
+/// Outcome of [`WormholeSim::run_reference`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WormReport {
     /// Step after which every tail had arrived.
@@ -50,237 +39,18 @@ pub struct WormReport {
     pub completion: Vec<u64>,
 }
 
-/// Outcome of a planned run ([`WormholeSim::run_planned`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanWormReport {
-    /// The machine report. A killed worm's `completion` entry is the step
-    /// it died; with an empty [`FaultPlan`] the report is bit-identical
-    /// to [`WormholeSim::run`]'s (pinned by `tests/props.rs`).
-    pub report: WormReport,
-    /// Whether each worm was killed by a link fault, indexed by worm id.
-    pub lost: Vec<bool>,
-    /// Whether each worm's head crossed a byte-corrupting link, indexed by
-    /// worm id (a corrupted worm still completes — only its payload is
-    /// untrustworthy).
-    pub corrupted: Vec<bool>,
-    /// Directed-link index the worm was killed on (`u32::MAX` if it
-    /// completed) — the NACK location an oracle-free health learner can
-    /// attribute, indexed by worm id.
-    pub dropped_at: Vec<u32>,
-    /// Directed-link index of the corrupting link the worm's head first
-    /// entered (`u32::MAX` if its payload stayed clean), indexed by
-    /// worm id.
-    pub corrupted_at: Vec<u32>,
-}
-
-impl PlanWormReport {
-    /// Number of worms killed by faults.
-    pub fn lost_count(&self) -> usize {
-        self.lost.iter().filter(|&&l| l).count()
-    }
-
-    /// Number of worms that crossed a corrupting link.
-    pub fn corrupted_count(&self) -> usize {
-        self.corrupted.iter().filter(|&&c| c).count()
-    }
-}
-
-/// The wormhole simulator: worms given as node walks — the one-shot
-/// front-end of [`WormholeArena`].
-#[derive(Debug, Clone)]
-pub struct WormholeSim {
-    host: Hypercube,
-    worms: Vec<Worm>,
-}
-
-impl WormholeSim {
-    /// Creates a simulator with no worms.
-    pub fn new(host: Hypercube) -> Self {
-        WormholeSim { host, worms: Vec::new() }
-    }
-
-    /// Adds a worm; returns its id. Lower ids win link arbitration.
-    pub fn add_worm(&mut self, worm: Worm) -> u32 {
-        assert!(self.host.is_walk(&worm.path), "worm path must be a walk");
-        assert!(worm.flits >= 1);
-        self.worms.push(worm);
-        (self.worms.len() - 1) as u32
-    }
-
-    /// Loads the worms into a fresh [`WormholeArena`].
-    fn arena(&self) -> WormholeArena {
-        let mut arena = WormholeArena::new(self.host);
-        let hops = self.worms.iter().map(|w| w.path.len().saturating_sub(1)).sum();
-        arena.reserve(self.worms.len(), hops);
-        for w in &self.worms {
-            arena.worm_links.extend(walk_links(self.host, &w.path));
-            arena.push_worm(w.flits);
-        }
-        arena
-    }
-
-    /// Runs to completion, firing every engine event on `rec`: one
-    /// [`Recorder::record_step`] per step with the number of head
-    /// advances, a [`Recorder::record_delivery`] plus `hops x flits`
-    /// [`Recorder::record_flit_moves`] when a worm's tail arrives. Pass
-    /// [`NopRecorder`](crate::trace::NopRecorder), which monomorphizes
-    /// every hook away, for an uninstrumented run.
-    ///
-    /// # Panics
-    /// Panics if worms remain in flight after `max_steps`.
-    pub fn run<R: Recorder>(&self, max_steps: u64, rec: &mut R) -> WormReport {
-        let mut arena = self.arena();
-        let makespan = arena.run(max_steps, rec);
-        WormReport { makespan, completion: arena.bufs.completion }
-    }
-
-    /// Runs under `plan`. A worm dies the moment a fault touches it:
-    /// either its head tries to enter a severed link, or a link it
-    /// currently holds is severed mid-stream (the cut corrupts the flit
-    /// stream, so the whole message is lost). A killed worm releases
-    /// every link it held — worms blocked behind it may then proceed —
-    /// its `completion` entry records the step it died, and it emits
-    /// [`Recorder::record_drop`] instead of a delivery. Transient outages
-    /// restore links ([`LinkEvent::Up`] — a restored link is usable
-    /// again, but worms already killed stay dead), and a worm whose head
-    /// crosses a byte-corrupting link is flagged
-    /// ([`Recorder::record_corrupt`], once per worm) while still
-    /// streaming to completion. With an empty plan the report is
-    /// bit-identical to [`run`](Self::run)'s.
-    ///
-    /// # Panics
-    /// Panics if worms remain in flight after `max_steps`.
-    pub fn run_planned<R: Recorder>(
-        &self,
-        max_steps: u64,
-        plan: &FaultPlan,
-        rec: &mut R,
-    ) -> PlanWormReport {
-        let mut arena = self.arena();
-        let makespan = arena.run_planned(max_steps, plan, rec);
-        let WormBufs { completion, lost, corrupted, dropped_at, corrupted_at, .. } = arena.bufs;
-        PlanWormReport {
-            report: WormReport { makespan, completion },
-            lost,
-            corrupted,
-            dropped_at,
-            corrupted_at,
-        }
-    }
-
-    /// The original visit-every-worm stepper, kept as the executable
-    /// specification for the old-vs-new property tests; not meant for
-    /// production use. Like [`WormholeArena`] it releases a link only
-    /// from the hop that holds it.
-    ///
-    /// # Panics
-    /// Panics if worms remain unfinished after `max_steps`.
-    pub fn run_reference(&self, max_steps: u64) -> WormReport {
-        let num_links = self.host.num_directed_edges() as usize;
-        // Which worm holds each link, through which of its hops (worm
-        // u32::MAX = free): a release frees only its own hop's link.
-        const FREE: (u32, usize) = (u32::MAX, 0);
-        let mut holder: Vec<(u32, usize)> = vec![FREE; num_links];
-        // Per worm: hops the head has crossed, flits the tail has pushed
-        // through the first held link (tail progress), completion time.
-        #[derive(Clone)]
-        struct State {
-            head: usize,       // hops crossed by the head
-            entered: Vec<u64>, // step at which the head crossed hop i
-            done: Option<u64>,
-        }
-        let mut st: Vec<State> = self
-            .worms
-            .iter()
-            .map(|w| State {
-                head: 0,
-                entered: vec![0; w.path.len().saturating_sub(1)],
-                done: None,
-            })
-            .collect();
-        let link_of = |w: &Worm, hop: usize| -> usize {
-            let from = w.path[hop];
-            let dim = (from ^ w.path[hop + 1]).trailing_zeros();
-            self.host.dir_edge_index(DirEdge::new(from, dim))
-        };
-
-        let mut step = 0u64;
-        loop {
-            let mut all_done = true;
-            for (wid, w) in self.worms.iter().enumerate() {
-                if st[wid].done.is_some() {
-                    continue;
-                }
-                all_done = false;
-                let hops = w.path.len() - 1;
-                if hops == 0 {
-                    st[wid].done = Some(step);
-                    continue;
-                }
-                if st[wid].head < hops {
-                    // Try to advance the head across the next link.
-                    let idx = link_of(w, st[wid].head);
-                    if holder[idx] == FREE {
-                        let h = st[wid].head;
-                        holder[idx] = (wid as u32, h);
-                        st[wid].entered[h] = step;
-                        st[wid].head += 1;
-                    }
-                    // Heads that cannot move stall (links stay held).
-                } else {
-                    // Head arrived; the tail clears link i once `flits`
-                    // flits have crossed it: release at entered[i] + flits.
-                    // Only the last hop can still hold its link.
-                    let release = st[wid].entered[hops - 1] + w.flits;
-                    if step + 1 >= release {
-                        let last = link_of(w, hops - 1);
-                        if holder[last] == (wid as u32, hops - 1) {
-                            holder[last] = FREE;
-                        }
-                        st[wid].done = Some(release);
-                    }
-                }
-            }
-            // Release links behind the tail as it streams forward.
-            for (wid, w) in self.worms.iter().enumerate() {
-                if st[wid].done.is_some() {
-                    continue;
-                }
-                let hops = w.path.len() - 1;
-                for hop in 0..st[wid].head.min(hops) {
-                    let idx = link_of(w, hop);
-                    if holder[idx] == (wid as u32, hop)
-                        && step + 1 >= st[wid].entered[hop] + w.flits
-                    {
-                        holder[idx] = FREE;
-                    }
-                }
-            }
-            if all_done {
-                break;
-            }
-            step += 1;
-            if step > max_steps {
-                panic!("wormhole simulation did not finish within {max_steps} steps");
-            }
-        }
-        let completion: Vec<u64> = st.iter().map(|s| s.done.unwrap()).collect();
-        WormReport { makespan: completion.iter().copied().max().unwrap_or(0), completion }
-    }
-}
-
 /// "No worm / no hop" in the engine's link fields and intrusive lists.
 const NONE: u32 = u32::MAX;
 
-/// Every buffer the wormhole step machine mutates, grouped so a pooled
-/// caller ([`WormholeArena`]) can keep them alive across runs. `holder`
+/// Every buffer the wormhole step machine mutates, grouped so a
+/// [`WormholeSim`] can keep them alive across runs. `holder`
 /// is link-indexed and left **clean** (all [`NONE`]) by every completed
 /// run — a finishing or dying worm releases everything it held — so reuse
 /// needs no O(links) reset; the per-worm and per-hop vectors and the
 /// calendar ring are re-prepared by the caller before each run.
 #[derive(Debug, Clone, Default)]
 struct WormBufs {
-    /// Per directed link: the global hop index (into the arena's
+    /// Per directed link: the global hop index (into the simulator's
     /// `worm_links`) of the hop holding it, or [`NONE`].
     holder: Vec<u32>,
     failed: Vec<bool>,
@@ -370,7 +140,7 @@ impl WormBufs {
     }
 }
 
-/// The step machine behind [`WormholeArena`], over the arena's prepared
+/// The step machine behind [`WormholeSim`], over the simulator's prepared
 /// buffers `b` (see [`WormBufs`]); nothing in here allocates. Results land
 /// in `b` (`completion`, and when `PLAN` also `lost`, `corrupted`,
 /// `dropped_at`, `corrupted_at`). `PLAN` is the one fault switch: off,
@@ -559,16 +329,21 @@ fn worm_core<R: Recorder, const PLAN: bool>(
     );
 }
 
-/// The wormhole engine: the link-holder table is allocated once for a
-/// fixed host cube and reused across runs, and worms are loaded as
-/// precomputed *directed-link* hop sequences. Once warmed up,
-/// [`run`](Self::run) and [`run_planned`](Self::run_planned) allocate
-/// nothing — a completed run leaves every link released, so
-/// [`clear`](Self::clear) only truncates the worm arena.
-/// [`WormholeSim`] runs load a fresh arena, so its reports are this
-/// engine's by construction.
+/// The wormhole simulator for one host cube. The link-holder table is
+/// allocated once, in [`new`](Self::new), and reused across runs; worms
+/// are loaded as precomputed *directed-link* hop sequences
+/// ([`add_worm_links`](Self::add_worm_links)) or as node walks
+/// ([`add_worm`](Self::add_worm), converted on load). Lower worm ids win
+/// link arbitration. Once warmed up, [`run`](Self::run) and
+/// [`run_planned`](Self::run_planned) allocate nothing — a completed run
+/// leaves every link released, so [`clear`](Self::clear) only truncates
+/// the worm arena. Per-worm outcomes stay in the simulator:
+/// [`completion`](Self::completion), and after a planned run
+/// [`lost`](Self::lost), [`corrupted`](Self::corrupted),
+/// [`dropped_at`](Self::dropped_at) and
+/// [`corrupted_at`](Self::corrupted_at).
 #[derive(Debug, Clone)]
-pub struct WormholeArena {
+pub struct WormholeSim {
     host: Hypercube,
     worm_off: Vec<u32>,
     worm_links: Vec<u32>,
@@ -576,12 +351,12 @@ pub struct WormholeArena {
     bufs: WormBufs,
 }
 
-impl WormholeArena {
-    /// Creates an arena for `host`, allocating the link-holder table up
-    /// front.
+impl WormholeSim {
+    /// Creates a simulator for `host` with no worms, allocating the
+    /// link-holder table up front.
     pub fn new(host: Hypercube) -> Self {
         let num_links = host.num_directed_edges() as usize;
-        WormholeArena {
+        WormholeSim {
             host,
             worm_off: vec![0],
             worm_links: Vec::new(),
@@ -631,7 +406,7 @@ impl WormholeArena {
 
     /// Adds one worm as a sequence of directed link indices
     /// ([`Hypercube::dir_edge_index`]) that must chain head-to-tail —
-    /// exactly the links [`WormholeSim::add_worm`] would derive from the
+    /// exactly the links [`add_worm`](Self::add_worm) derives from the
     /// corresponding node walk. Returns the worm id.
     pub fn add_worm_links(&mut self, links: &[u32], flits: u64) -> u32 {
         debug_assert!(flits >= 1);
@@ -643,6 +418,19 @@ impl WormholeArena {
         self.push_worm(flits)
     }
 
+    /// Adds one worm of `flits` flits following the node walk `path`,
+    /// whose hop links are derived straight into the simulator. A zero-hop
+    /// walk completes at step 0. Returns the worm id.
+    ///
+    /// # Panics
+    /// Panics if `path` is not a walk in the host cube or `flits` is 0.
+    pub fn add_worm(&mut self, path: &[Node], flits: u64) -> u32 {
+        assert!(self.host.is_walk(path), "worm path must be a walk");
+        assert!(flits >= 1);
+        self.worm_links.extend(walk_links(self.host, path));
+        self.push_worm(flits)
+    }
+
     /// Closes the worm whose hops were just appended to `worm_links`.
     fn push_worm(&mut self, flits: u64) -> u32 {
         self.worm_off.push(self.worm_links.len() as u32);
@@ -650,9 +438,14 @@ impl WormholeArena {
         (self.worm_flits.len() - 1) as u32
     }
 
-    /// Runs the loaded worms fault-free, firing every engine event on
-    /// `rec`, and returns the makespan; per-worm completion times stay in
-    /// the arena ([`completion`](Self::completion)).
+    /// Runs the loaded worms to completion and returns the makespan,
+    /// firing every engine event on `rec`: one [`Recorder::record_step`]
+    /// per step with the number of head advances, a
+    /// [`Recorder::record_delivery`] plus `hops x flits`
+    /// [`Recorder::record_flit_moves`] when a worm's tail arrives. Pass
+    /// [`NopRecorder`](crate::trace::NopRecorder), which monomorphizes
+    /// every hook away, for an uninstrumented run. Per-worm completion
+    /// times stay in the simulator ([`completion`](Self::completion)).
     ///
     /// # Panics
     /// Panics if worms remain in flight after `max_steps`.
@@ -660,11 +453,22 @@ impl WormholeArena {
         self.run_core::<R, false>(max_steps, None, rec)
     }
 
-    /// Runs the loaded worms under `plan` (semantics of
-    /// [`WormholeSim::run_planned`]) and returns the makespan; per-worm
-    /// outcomes stay in the arena — read them via
-    /// [`lost`](Self::lost) / [`corrupted`](Self::corrupted) /
-    /// [`dropped_at`](Self::dropped_at) /
+    /// Runs the loaded worms under `plan` and returns the makespan. A worm
+    /// dies the moment a fault touches it: either its head tries to enter
+    /// a severed link, or a link it currently holds is severed mid-stream
+    /// (the cut corrupts the flit stream, so the whole message is lost). A
+    /// killed worm releases every link it held — worms blocked behind it
+    /// may then proceed — its [`completion`](Self::completion) entry
+    /// records the step it died, and it emits [`Recorder::record_drop`]
+    /// instead of a delivery. Transient outages restore links
+    /// ([`LinkEvent::Up`] — a restored link is usable again, but worms
+    /// already killed stay dead), and a worm whose head crosses a
+    /// byte-corrupting link is flagged ([`Recorder::record_corrupt`], once
+    /// per worm) while still streaming to completion. With an empty plan
+    /// the makespan and completion times are bit-identical to
+    /// [`run`](Self::run)'s. Per-worm outcomes stay in the simulator —
+    /// read them via [`lost`](Self::lost) /
+    /// [`corrupted`](Self::corrupted) / [`dropped_at`](Self::dropped_at) /
     /// [`corrupted_at`](Self::corrupted_at) — so the steady state
     /// allocates nothing.
     ///
@@ -679,6 +483,97 @@ impl WormholeArena {
         self.run_core::<R, true>(max_steps, Some(plan), rec)
     }
 
+    /// The original visit-every-worm stepper over the loaded hop table,
+    /// kept as the executable specification for the old-vs-new property
+    /// tests; not meant for production use. Like [`run`](Self::run) it
+    /// releases a link only from the hop that holds it.
+    ///
+    /// # Panics
+    /// Panics if worms remain unfinished after `max_steps`.
+    pub fn run_reference(&self, max_steps: u64) -> WormReport {
+        let num_links = self.host.num_directed_edges() as usize;
+        // Which worm holds each link, through which of its hops (worm
+        // u32::MAX = free): a release frees only its own hop's link.
+        const FREE: (u32, usize) = (u32::MAX, 0);
+        let mut holder: Vec<(u32, usize)> = vec![FREE; num_links];
+        // Per worm: hops the head has crossed, flits the tail has pushed
+        // through the first held link (tail progress), completion time.
+        #[derive(Clone)]
+        struct State {
+            head: usize,       // hops crossed by the head
+            entered: Vec<u64>, // step at which the head crossed hop i
+            done: Option<u64>,
+        }
+        let hops_of = |w: usize| (self.worm_off[w + 1] - self.worm_off[w]) as usize;
+        let mut st: Vec<State> = (0..self.num_worms())
+            .map(|w| State { head: 0, entered: vec![0; hops_of(w)], done: None })
+            .collect();
+        let link_of =
+            |w: usize, hop: usize| self.worm_links[self.worm_off[w] as usize + hop] as usize;
+
+        let mut step = 0u64;
+        loop {
+            let mut all_done = true;
+            for (wid, &flits) in self.worm_flits.iter().enumerate() {
+                if st[wid].done.is_some() {
+                    continue;
+                }
+                all_done = false;
+                let hops = hops_of(wid);
+                if hops == 0 {
+                    st[wid].done = Some(step);
+                    continue;
+                }
+                if st[wid].head < hops {
+                    // Try to advance the head across the next link.
+                    let idx = link_of(wid, st[wid].head);
+                    if holder[idx] == FREE {
+                        let h = st[wid].head;
+                        holder[idx] = (wid as u32, h);
+                        st[wid].entered[h] = step;
+                        st[wid].head += 1;
+                    }
+                    // Heads that cannot move stall (links stay held).
+                } else {
+                    // Head arrived; the tail clears link i once `flits`
+                    // flits have crossed it: release at entered[i] + flits.
+                    // Only the last hop can still hold its link.
+                    let release = st[wid].entered[hops - 1] + flits;
+                    if step + 1 >= release {
+                        let last = link_of(wid, hops - 1);
+                        if holder[last] == (wid as u32, hops - 1) {
+                            holder[last] = FREE;
+                        }
+                        st[wid].done = Some(release);
+                    }
+                }
+            }
+            // Release links behind the tail as it streams forward.
+            for (wid, &flits) in self.worm_flits.iter().enumerate() {
+                if st[wid].done.is_some() {
+                    continue;
+                }
+                let hops = hops_of(wid);
+                for hop in 0..st[wid].head.min(hops) {
+                    let idx = link_of(wid, hop);
+                    if holder[idx] == (wid as u32, hop) && step + 1 >= st[wid].entered[hop] + flits
+                    {
+                        holder[idx] = FREE;
+                    }
+                }
+            }
+            if all_done {
+                break;
+            }
+            step += 1;
+            if step > max_steps {
+                panic!("wormhole simulation did not finish within {max_steps} steps");
+            }
+        }
+        let completion: Vec<u64> = st.iter().map(|s| s.done.unwrap()).collect();
+        WormReport { makespan: completion.iter().copied().max().unwrap_or(0), completion }
+    }
+
     /// The one buffer-preparation path: re-prepares the per-worm vectors
     /// (the fault state and per-worm outcomes only when `PLAN`) and runs
     /// [`worm_core`].
@@ -688,7 +583,7 @@ impl WormholeArena {
         plan: Option<&FaultPlan>,
         rec: &mut R,
     ) -> u64 {
-        let WormholeArena { host, worm_off, worm_links, worm_flits, bufs } = self;
+        let WormholeSim { host, worm_off, worm_links, worm_flits, bufs } = self;
         let num_worms = worm_flits.len();
         let (plan_events, corrupting) = match plan {
             Some(plan) if PLAN => {
@@ -744,31 +639,35 @@ impl WormholeArena {
         bufs.completion.iter().copied().max().unwrap_or(0)
     }
 
-    /// Per-worm completion times of the last run, indexed by worm id.
+    /// Per-worm completion times of the last run (tail arrival, or the
+    /// step a planned run killed the worm), indexed by worm id.
     pub fn completion(&self) -> &[u64] {
         &self.bufs.completion
     }
 
-    /// Whether each worm was killed in the last
+    /// Whether each worm was killed by a link fault in the last
     /// [`run_planned`](Self::run_planned), indexed by worm id.
     pub fn lost(&self) -> &[bool] {
         &self.bufs.lost
     }
 
-    /// Whether each worm's head crossed a corrupting link in the last
-    /// [`run_planned`](Self::run_planned), indexed by worm id.
+    /// Whether each worm's head crossed a byte-corrupting link in the last
+    /// [`run_planned`](Self::run_planned), indexed by worm id (a corrupted
+    /// worm still completes — only its payload is untrustworthy).
     pub fn corrupted(&self) -> &[bool] {
         &self.bufs.corrupted
     }
 
-    /// Directed link each worm was killed on in the last
-    /// [`run_planned`](Self::run_planned) (`u32::MAX` if it completed).
+    /// Directed-link index each worm was killed on in the last
+    /// [`run_planned`](Self::run_planned) (`u32::MAX` if it completed) —
+    /// the NACK location an oracle-free health learner can attribute.
     pub fn dropped_at(&self) -> &[u32] {
         &self.bufs.dropped_at
     }
 
-    /// Directed link each worm's head first entered corrupted in the last
-    /// [`run_planned`](Self::run_planned) (`u32::MAX` if clean).
+    /// Directed-link index of the corrupting link each worm's head first
+    /// entered in the last [`run_planned`](Self::run_planned) (`u32::MAX`
+    /// if its payload stayed clean).
     pub fn corrupted_at(&self) -> &[u32] {
         &self.bufs.corrupted_at
     }
@@ -784,66 +683,61 @@ mod tests {
     fn lone_worm_pipelines() {
         let host = Hypercube::new(4);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3, 7, 15], flits: 10 });
-        let r = sim.run(1000, &mut NopRecorder);
+        sim.add_worm(&[0, 1, 3, 7, 15], 10);
         // 4 hops + 10 flits: tail arrives at 4 - 1 + 10 = 13.
-        assert_eq!(r.makespan, 13);
+        assert_eq!(sim.run(1000, &mut NopRecorder), 13);
     }
 
     #[test]
     fn single_hop_worm() {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1], flits: 5 });
-        let r = sim.run(100, &mut NopRecorder);
-        assert_eq!(r.makespan, 5);
+        sim.add_worm(&[0, 1], 5);
+        assert_eq!(sim.run(100, &mut NopRecorder), 5);
     }
 
     #[test]
     fn contending_worms_serialize() {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 8 });
-        sim.add_worm(Worm { path: vec![0, 1, 5], flits: 8 });
-        let r = sim.run(1000, &mut NopRecorder);
+        sim.add_worm(&[0, 1, 3], 8);
+        sim.add_worm(&[0, 1, 5], 8);
+        sim.run(1000, &mut NopRecorder);
         // Worm 0 holds (0,1) during steps 0..8; worm 1 starts after.
-        assert_eq!(r.completion[0], 9);
-        assert!(r.completion[1] >= 16, "second worm waits for the shared link");
+        assert_eq!(sim.completion()[0], 9);
+        assert!(sim.completion()[1] >= 16, "second worm waits for the shared link");
     }
 
     #[test]
     fn disjoint_worms_run_in_parallel() {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 8 });
-        sim.add_worm(Worm { path: vec![4, 6, 7], flits: 8 });
-        let r = sim.run(1000, &mut NopRecorder);
-        assert_eq!(r.completion[0], 9);
-        assert_eq!(r.completion[1], 9);
+        sim.add_worm(&[0, 1, 3], 8);
+        sim.add_worm(&[4, 6, 7], 8);
+        sim.run(1000, &mut NopRecorder);
+        assert_eq!(sim.completion(), [9, 9]);
     }
 
     #[test]
     fn zero_hop_worm_completes_immediately() {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![2], flits: 4 });
-        let r = sim.run(10, &mut NopRecorder);
-        assert_eq!(r.makespan, 0);
+        sim.add_worm(&[2], 4);
+        assert_eq!(sim.run(10, &mut NopRecorder), 0);
     }
 
     #[test]
     fn worm_dies_on_severed_link() {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 4 });
+        sim.add_worm(&[0, 1, 3], 4);
         let mut fs = FaultSet::none(&host);
         fs.fail_link(&host, DirEdge::new(1, 1)); // second hop severed
-        let r = sim.run_planned(100, &FaultPlan::from_set(fs), &mut NopRecorder);
-        assert_eq!(r.lost, vec![true]);
-        assert_eq!(r.lost_count(), 1);
+        sim.run_planned(100, &FaultPlan::from_set(fs), &mut NopRecorder);
+        assert_eq!(sim.lost(), [true]);
         // The head crosses hop one at step 0, dies entering hop two at
         // step 1.
-        assert_eq!(r.report.completion[0], 1);
+        assert_eq!(sim.completion()[0], 1);
     }
 
     #[test]
@@ -851,30 +745,32 @@ mod tests {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
         // Worm 0 holds (0,1) for 50 flits; worm 1 needs that link.
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 50 });
-        sim.add_worm(Worm { path: vec![0, 1, 5], flits: 2 });
+        sim.add_worm(&[0, 1, 3], 50);
+        sim.add_worm(&[0, 1, 5], 2);
         let mut plan = FaultPlan::none(&host);
         plan.cut_link_at(3, DirEdge::new(1, 1)); // a link worm 0 holds by step 3
-        let r = sim.run_planned(1000, &plan, &mut NopRecorder);
-        assert_eq!(r.lost, vec![true, false]);
-        assert_eq!(r.report.completion[0], 3, "killed the step its held link was cut");
+        sim.run_planned(1000, &plan, &mut NopRecorder);
+        assert_eq!(sim.lost(), [true, false]);
+        assert_eq!(sim.completion()[0], 3, "killed the step its held link was cut");
         // Worm 1 then acquires (0,1) and finishes far sooner than worm 0's
         // 50-flit stream would have allowed.
-        assert!(r.report.completion[1] < 10, "blocked worm freed by the kill");
+        assert!(sim.completion()[1] < 10, "blocked worm freed by the kill");
     }
 
     #[test]
     fn empty_plan_matches_plain_run_exactly() {
         let host = Hypercube::new(4);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3, 7], flits: 6 });
-        sim.add_worm(Worm { path: vec![0, 1, 5], flits: 3 });
-        sim.add_worm(Worm { path: vec![8], flits: 2 });
+        sim.add_worm(&[0, 1, 3, 7], 6);
+        sim.add_worm(&[0, 1, 5], 3);
+        sim.add_worm(&[8], 2);
         let plan = FaultPlan::none(&host);
-        let pr = sim.run_planned(10_000, &plan, &mut NopRecorder);
-        assert_eq!(pr.report, sim.run(10_000, &mut NopRecorder));
-        assert_eq!(pr.lost_count(), 0);
-        assert_eq!(pr.corrupted_count(), 0);
+        let planned = sim.run_planned(10_000, &plan, &mut NopRecorder);
+        let completion = sim.completion().to_vec();
+        assert_eq!(sim.lost(), [false; 3]);
+        assert_eq!(sim.corrupted(), [false; 3]);
+        assert_eq!(sim.run(10_000, &mut NopRecorder), planned);
+        assert_eq!(sim.completion(), completion);
     }
 
     #[test]
@@ -883,52 +779,53 @@ mod tests {
         // Worm 0 streams 12 flits through (0,0), delaying worm 1's head
         // past the outage window on worm 1's second link.
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1], flits: 12 });
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 2 });
+        sim.add_worm(&[0, 1], 12);
+        sim.add_worm(&[0, 1, 3], 2);
         let mut plan = FaultPlan::none(&host);
         plan.outage(DirEdge::new(1, 1), 2, 10);
-        let r = sim.run_planned(1000, &plan, &mut NopRecorder);
-        assert_eq!(r.lost, vec![false, false], "nobody touches the link while it is down");
-        assert_eq!(r.corrupted, vec![false, false]);
+        sim.run_planned(1000, &plan, &mut NopRecorder);
+        assert_eq!(sim.lost(), [false, false], "nobody touches the link while it is down");
+        assert_eq!(sim.corrupted(), [false, false]);
         // Under a permanent cut at the same step, worm 1 dies instead —
         // the restore is what saved it above.
         let mut cut = FaultPlan::none(&host);
         cut.cut_link_at(2, DirEdge::new(1, 1));
-        let r2 = sim.run_planned(1000, &cut, &mut NopRecorder);
-        assert_eq!(r2.lost, vec![false, true]);
+        sim.run_planned(1000, &cut, &mut NopRecorder);
+        assert_eq!(sim.lost(), [false, true]);
     }
 
     #[test]
     fn corrupting_link_flags_worms_without_killing_them() {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 4 });
-        sim.add_worm(Worm { path: vec![4, 6], flits: 2 });
+        sim.add_worm(&[0, 1, 3], 4);
+        sim.add_worm(&[4, 6], 2);
         let mut plan = FaultPlan::none(&host);
         plan.corrupt_link(&host, DirEdge::new(0, 0));
         let mut c = CountingRecorder::new();
-        let r = sim.run_planned(1000, &plan, &mut c);
+        let planned = sim.run_planned(1000, &plan, &mut c);
+        let completion = sim.completion().to_vec();
+        assert_eq!(sim.lost(), [false, false]);
+        assert_eq!(sim.corrupted(), [true, false]);
+        assert_eq!(c.corrupted, 1);
         assert_eq!(
-            r.report,
-            sim.run(1000, &mut NopRecorder),
+            (sim.run(1000, &mut NopRecorder), sim.completion()),
+            (planned, &completion[..]),
             "corruption must not change the machine run"
         );
-        assert_eq!(r.lost, vec![false, false]);
-        assert_eq!(r.corrupted, vec![true, false]);
-        assert_eq!(c.corrupted, 1);
     }
 
     #[test]
     fn plan_node_fault_kills_worms_through_the_node() {
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 4 }); // via node 1
-        sim.add_worm(Worm { path: vec![4, 6], flits: 2 }); // avoids node 1
+        sim.add_worm(&[0, 1, 3], 4); // via node 1
+        sim.add_worm(&[4, 6], 2); // avoids node 1
         let mut plan = FaultPlan::none(&host);
         plan.cut_node(&host, 1);
-        let r = sim.run_planned(1000, &plan, &mut NopRecorder);
-        assert_eq!(r.lost, vec![true, false]);
-        assert_eq!(r.corrupted_count(), 0);
+        sim.run_planned(1000, &plan, &mut NopRecorder);
+        assert_eq!(sim.lost(), [true, false]);
+        assert_eq!(sim.corrupted(), [false, false]);
     }
 
     #[test]
@@ -938,10 +835,11 @@ mod tests {
         // worm 2 gets the link only when worm 1 completes in step 6.
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3, 7], flits: 2 });
-        sim.add_worm(Worm { path: vec![0, 1], flits: 5 });
-        sim.add_worm(Worm { path: vec![0, 1], flits: 1 });
-        assert_eq!(sim.run(1000, &mut NopRecorder).completion, vec![4, 7, 7]);
+        sim.add_worm(&[0, 1, 3, 7], 2);
+        sim.add_worm(&[0, 1], 5);
+        sim.add_worm(&[0, 1], 1);
+        sim.run(1000, &mut NopRecorder);
+        assert_eq!(sim.completion(), [4, 7, 7]);
         assert_eq!(sim.run_reference(1000).completion, vec![4, 7, 7]);
     }
 
@@ -951,9 +849,10 @@ mod tests {
         // its own `flits` steps, not on the first crossing's schedule.
         let host = Hypercube::new(2);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![3, 1, 0, 1, 0], flits: 4 });
-        sim.add_worm(Worm { path: vec![0, 1, 0, 2, 3], flits: 3 });
-        assert_eq!(sim.run(1000, &mut NopRecorder).completion, vec![9, 13]);
+        sim.add_worm(&[3, 1, 0, 1, 0], 4);
+        sim.add_worm(&[0, 1, 0, 2, 3], 3);
+        sim.run(1000, &mut NopRecorder);
+        assert_eq!(sim.completion(), [9, 13]);
         assert_eq!(sim.run_reference(1000).completion, vec![9, 13]);
     }
 
@@ -963,7 +862,7 @@ mod tests {
         // The calendar ring is sized by `max_steps`, not by `flits`.
         let host = Hypercube::new(3);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3], flits: 1 << 40 });
+        sim.add_worm(&[0, 1, 3], 1 << 40);
         sim.run(100, &mut NopRecorder);
     }
 
@@ -973,10 +872,12 @@ mod tests {
         // in tests/props.rs).
         let host = Hypercube::new(4);
         let mut sim = WormholeSim::new(host);
-        sim.add_worm(Worm { path: vec![0, 1, 3, 7], flits: 6 });
-        sim.add_worm(Worm { path: vec![0, 1, 5], flits: 3 });
-        sim.add_worm(Worm { path: vec![2, 3, 7, 15], flits: 9 });
-        sim.add_worm(Worm { path: vec![8], flits: 2 });
-        assert_eq!(sim.run(10_000, &mut NopRecorder), sim.run_reference(10_000));
+        sim.add_worm(&[0, 1, 3, 7], 6);
+        sim.add_worm(&[0, 1, 5], 3);
+        sim.add_worm(&[2, 3, 7, 15], 9);
+        sim.add_worm(&[8], 2);
+        let makespan = sim.run(10_000, &mut NopRecorder);
+        let reference = sim.run_reference(10_000);
+        assert_eq!((makespan, sim.completion()), (reference.makespan, &reference.completion[..]));
     }
 }

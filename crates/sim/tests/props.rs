@@ -11,19 +11,19 @@ use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::faults::{random_fault_set, surviving_paths};
 use hyperpath_sim::routing::ecube_path;
 use hyperpath_sim::trace::Recorder;
-use hyperpath_sim::wormhole::WormholeArena;
-use hyperpath_sim::{
-    FaultPlan, Flow, LinkEvent, NopRecorder, PacketSim, TraceRecorder, Worm, WormholeSim,
-};
+use hyperpath_sim::{FaultPlan, LinkEvent, NopRecorder, PacketSim, TraceRecorder, WormholeSim};
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+/// A node walk and the packets (or flits) that travel it.
+type Walk = (Vec<Node>, u64);
+
 /// Derives a random-walk flow from one 64-bit seed: start node, then up to
 /// six hops along seed-chosen dimensions (repeats allowed — walks may
 /// backtrack), carrying 1..=4 packets.
-fn flow_from_seed(host: Hypercube, seed: u64) -> Flow {
+fn flow_from_seed(host: Hypercube, seed: u64) -> Walk {
     let n = host.dims() as u64;
     let mut path = vec![seed % host.num_nodes()];
     let hops = (seed >> 8) % 7;
@@ -31,15 +31,15 @@ fn flow_from_seed(host: Hypercube, seed: u64) -> Flow {
         let dim = ((seed >> (12 + 5 * h)) % n) as u32;
         path.push(path.last().unwrap() ^ (1u64 << dim));
     }
-    Flow { path, packets: 1 + (seed >> 56) % 4 }
+    (path, 1 + (seed >> 56) % 4)
 }
 
 /// An e-cube worm from one seed: seed-chosen endpoints, dimension-ordered
 /// path (deadlock-free for any worm set), 1..=8 flits.
-fn worm_from_seed(host: Hypercube, seed: u64) -> Worm {
+fn worm_from_seed(host: Hypercube, seed: u64) -> Walk {
     let src: Node = seed % host.num_nodes();
     let dst: Node = (seed >> 20) % host.num_nodes();
-    Worm { path: ecube_path(src, dst), flits: 1 + (seed >> 56) % 8 }
+    (ecube_path(src, dst), 1 + (seed >> 56) % 8)
 }
 
 /// The directed edges a node walk crosses, in order.
@@ -88,11 +88,11 @@ struct WormOutcome {
 /// hop whose last flit has crossed release its link. A link remembers the
 /// `(worm, hop)` holding it, so a release (and the completion, which can
 /// only find the last hop still holding) frees only its own hop's link.
-fn planned_oracle(host: Hypercube, worms: &[Worm], plan: &FaultPlan) -> WormOutcome {
+fn planned_oracle(host: Hypercube, worms: &[Walk], plan: &FaultPlan) -> WormOutcome {
     let n = worms.len();
     let links: Vec<Vec<usize>> = worms
         .iter()
-        .map(|w| walk_edges(&w.path).into_iter().map(|e| host.dir_edge_index(e)).collect())
+        .map(|(path, _)| walk_edges(path).into_iter().map(|e| host.dir_edge_index(e)).collect())
         .collect();
     let mut failed = plan.initial().bits().to_vec();
     let corrupting = plan.corrupting_bits();
@@ -146,7 +146,7 @@ fn planned_oracle(host: Hypercube, worms: &[Worm], plan: &FaultPlan) -> WormOutc
             if done[w] {
                 continue;
             }
-            let (hops, flits) = (links[w].len(), worms[w].flits);
+            let (hops, flits) = (links[w].len(), worms[w].1);
             if head[w] < hops {
                 let idx = links[w][head[w]];
                 if failed[idx] {
@@ -177,7 +177,7 @@ fn planned_oracle(host: Hypercube, worms: &[Worm], plan: &FaultPlan) -> WormOutc
         for w in (0..n).filter(|&w| !done[w]) {
             for h in 0..head[w] {
                 let idx = links[w][h];
-                if holder[idx] == Some((w, h)) && step + 1 >= entered[w][h] + worms[w].flits {
+                if holder[idx] == Some((w, h)) && step + 1 >= entered[w][h] + worms[w].1 {
                     holder[idx] = None;
                 }
             }
@@ -191,13 +191,13 @@ fn planned_oracle(host: Hypercube, worms: &[Worm], plan: &FaultPlan) -> WormOutc
 /// A random node walk from one seed: up to eight hops along seed-chosen
 /// dimensions (backtracking, revisits and re-entered links allowed),
 /// carrying 1..=20 flits.
-fn walk_from_seed(host: Hypercube, seed: u64) -> Worm {
+fn walk_from_seed(host: Hypercube, seed: u64) -> Walk {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut path = vec![rng.random_range(0..host.num_nodes())];
     for _ in 0..rng.random_range(0..=8u32) {
         path.push(path.last().unwrap() ^ (1u64 << rng.random_range(0..host.dims())));
     }
-    Worm { path, flits: rng.random_range(1..=20u64) }
+    (path, rng.random_range(1..=20u64))
 }
 
 /// A random fault plan from seeds, one fault per seed: an initial cut, a
@@ -222,16 +222,34 @@ fn plan_from_seeds(host: Hypercube, seeds: &[u64]) -> FaultPlan {
     plan
 }
 
-/// The engine's outcome for the worms loaded in `arena`.
-fn arena_outcome(arena: &WormholeArena, log: EventLog) -> WormOutcome {
+/// The engine's outcome for the worms loaded in `sim`.
+fn sim_outcome(sim: &WormholeSim, log: EventLog) -> WormOutcome {
     WormOutcome {
-        completion: arena.completion().to_vec(),
-        lost: arena.lost().to_vec(),
-        corrupted: arena.corrupted().to_vec(),
-        dropped_at: arena.dropped_at().to_vec(),
-        corrupted_at: arena.corrupted_at().to_vec(),
+        completion: sim.completion().to_vec(),
+        lost: sim.lost().to_vec(),
+        corrupted: sim.corrupted().to_vec(),
+        dropped_at: sim.dropped_at().to_vec(),
+        corrupted_at: sim.corrupted_at().to_vec(),
         log,
     }
+}
+
+/// A packet simulator on `host` loaded with `flows`.
+fn packet_sim(host: Hypercube, flows: &[Walk]) -> PacketSim {
+    let mut sim = PacketSim::new(host);
+    for (path, packets) in flows {
+        sim.add_flow(path, *packets);
+    }
+    sim
+}
+
+/// A wormhole simulator on `host` loaded with `worms`.
+fn wormhole_sim(host: Hypercube, worms: &[Walk]) -> WormholeSim {
+    let mut sim = WormholeSim::new(host);
+    for (path, flits) in worms {
+        sim.add_worm(path, *flits);
+    }
+    sim
 }
 
 proptest! {
@@ -242,10 +260,8 @@ proptest! {
     #[test]
     fn packet_engines_agree(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..12)) {
         let host = Hypercube::new(n);
-        let mut sim = PacketSim::new(host);
-        for &s in &seeds {
-            sim.add_flow(flow_from_seed(host, s));
-        }
+        let flows: Vec<Walk> = seeds.iter().map(|&s| flow_from_seed(host, s)).collect();
+        let mut sim = packet_sim(host, &flows);
         prop_assert_eq!(sim.run(1_000_000, &mut NopRecorder), sim.run_reference(1_000_000));
     }
 
@@ -253,17 +269,18 @@ proptest! {
     #[test]
     fn wormhole_engines_agree(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..12)) {
         let host = Hypercube::new(n);
-        let mut sim = WormholeSim::new(host);
-        for &s in &seeds {
-            sim.add_worm(worm_from_seed(host, s));
-        }
-        prop_assert_eq!(sim.run(1_000_000, &mut NopRecorder), sim.run_reference(1_000_000));
+        let worms: Vec<Walk> = seeds.iter().map(|&s| worm_from_seed(host, s)).collect();
+        let mut sim = wormhole_sim(host, &worms);
+        let makespan = sim.run(1_000_000, &mut NopRecorder);
+        let reference = sim.run_reference(1_000_000);
+        prop_assert_eq!(makespan, reference.makespan);
+        prop_assert_eq!(sim.completion(), &reference.completion[..]);
     }
 
     /// The event-driven wormhole engine against the step-every-worm
     /// oracle, under random plans, on random walks that may revisit nodes
-    /// and re-enter links. One arena is reused across both runs of every
-    /// case: `run_planned` must match the oracle's outcomes and event
+    /// and re-enter links. One simulator is reused across both runs of
+    /// every case: `run_planned` must match the oracle's outcomes and event
     /// stream, and `run` the oracle under an empty plan.
     #[test]
     fn wormhole_planned_engines_agree(
@@ -272,22 +289,17 @@ proptest! {
         faults in proptest::collection::vec(any::<u64>(), 0..10),
     ) {
         let host = Hypercube::new(n);
-        let worms: Vec<Worm> = seeds.iter().map(|&s| walk_from_seed(host, s)).collect();
+        let worms: Vec<Walk> = seeds.iter().map(|&s| walk_from_seed(host, s)).collect();
         let plan = plan_from_seeds(host, &faults);
-        let mut arena = WormholeArena::new(host);
-        for w in &worms {
-            let links: Vec<u32> =
-                walk_edges(&w.path).into_iter().map(|e| host.dir_edge_index(e) as u32).collect();
-            arena.add_worm_links(&links, w.flits);
-        }
+        let mut sim = wormhole_sim(host, &worms);
         let mut log = EventLog::default();
-        arena.run_planned(1_000_000, &plan, &mut log);
-        prop_assert_eq!(arena_outcome(&arena, log), planned_oracle(host, &worms, &plan));
+        sim.run_planned(1_000_000, &plan, &mut log);
+        prop_assert_eq!(sim_outcome(&sim, log), planned_oracle(host, &worms, &plan));
 
         let mut log = EventLog::default();
-        arena.run(1_000_000, &mut log);
+        sim.run(1_000_000, &mut log);
         let oracle = planned_oracle(host, &worms, &FaultPlan::none(&host));
-        prop_assert_eq!(arena.completion(), &oracle.completion[..]);
+        prop_assert_eq!(sim.completion(), &oracle.completion[..]);
         prop_assert_eq!(log, oracle.log);
     }
 
@@ -296,10 +308,8 @@ proptest! {
     #[test]
     fn traced_run_matches_untraced(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..8)) {
         let host = Hypercube::new(n);
-        let mut sim = PacketSim::new(host);
-        for &s in &seeds {
-            sim.add_flow(flow_from_seed(host, s));
-        }
+        let flows: Vec<Walk> = seeds.iter().map(|&s| flow_from_seed(host, s)).collect();
+        let mut sim = packet_sim(host, &flows);
         let plain = sim.run(1_000_000, &mut NopRecorder);
         let mut rec = TraceRecorder::new();
         let traced = sim.run(1_000_000, &mut rec);
@@ -315,32 +325,30 @@ proptest! {
     #[test]
     fn planless_packet_run_is_bit_identical(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..12)) {
         let host = Hypercube::new(n);
-        let mut sim = PacketSim::new(host);
-        for &s in &seeds {
-            sim.add_flow(flow_from_seed(host, s));
-        }
+        let flows: Vec<Walk> = seeds.iter().map(|&s| flow_from_seed(host, s)).collect();
+        let mut sim = packet_sim(host, &flows);
         let plain = sim.run(1_000_000, &mut NopRecorder);
         let planned = sim.run_planned(1_000_000, &FaultPlan::none(&host), &mut NopRecorder);
         prop_assert_eq!(&planned.report, &plain);
         prop_assert_eq!(planned.lost, 0);
         prop_assert_eq!(planned.corrupted, 0);
-        prop_assert_eq!(planned.flow_corrupted.iter().sum::<u64>(), 0);
-        prop_assert_eq!(planned.flow_delivered.iter().sum::<u64>(), plain.delivered);
+        prop_assert_eq!(sim.flow_corrupted().iter().sum::<u64>(), 0);
+        prop_assert_eq!(sim.flow_delivered().iter().sum::<u64>(), plain.delivered);
     }
 
     /// Same for the wormhole engine under an empty plan.
     #[test]
     fn planless_wormhole_run_is_bit_identical(n in 2u32..6, seeds in proptest::collection::vec(0u64..u64::MAX, 1..12)) {
         let host = Hypercube::new(n);
-        let mut sim = WormholeSim::new(host);
-        for &s in &seeds {
-            sim.add_worm(worm_from_seed(host, s));
-        }
+        let worms: Vec<Walk> = seeds.iter().map(|&s| worm_from_seed(host, s)).collect();
+        let mut sim = wormhole_sim(host, &worms);
         let plain = sim.run(1_000_000, &mut NopRecorder);
+        let completion = sim.completion().to_vec();
         let planned = sim.run_planned(1_000_000, &FaultPlan::none(&host), &mut NopRecorder);
-        prop_assert_eq!(&planned.report, &plain);
-        prop_assert_eq!(planned.lost_count(), 0);
-        prop_assert_eq!(planned.corrupted_count(), 0);
+        prop_assert_eq!(planned, plain);
+        prop_assert_eq!(sim.completion(), &completion[..]);
+        prop_assert!(sim.lost().iter().all(|&l| !l));
+        prop_assert!(sim.corrupted().iter().all(|&c| !c));
     }
 
     /// Fail-stop guarantees of the one plan engine on both simulators,
@@ -373,42 +381,37 @@ proptest! {
         let spared = |edges: &[DirEdge]| edges.iter().all(|&e| !hazard.is_failed(&host, e));
         let doomed = |edges: &[DirEdge]| edges.first().is_some_and(|&e| down_at_start.is_failed(&host, e));
 
-        let flows: Vec<Flow> = seeds.iter().map(|&s| flow_from_seed(host, s)).collect();
-        let mut psim = PacketSim::new(host);
-        for f in &flows {
-            psim.add_flow(f.clone());
-        }
+        let flows: Vec<Walk> = seeds.iter().map(|&s| flow_from_seed(host, s)).collect();
+        let mut psim = packet_sim(host, &flows);
         let pr = psim.run_planned(1_000_000, &plan, &mut NopRecorder);
-        for (i, f) in flows.iter().enumerate() {
-            prop_assert_eq!(pr.flow_delivered[i] + pr.flow_lost[i], f.packets, "flow {}", i);
-            let edges = walk_edges(&f.path);
+        let (delivered, lost) = (psim.flow_delivered(), psim.flow_lost());
+        for (i, (path, packets)) in flows.iter().enumerate() {
+            prop_assert_eq!(delivered[i] + lost[i], *packets, "flow {}", i);
+            let edges = walk_edges(path);
             if spared(&edges) {
-                prop_assert_eq!(pr.flow_delivered[i], f.packets, "hazard-free flow {} lost packets", i);
+                prop_assert_eq!(delivered[i], *packets, "hazard-free flow {} lost packets", i);
             }
             if doomed(&edges) {
-                prop_assert_eq!(pr.flow_delivered[i], 0, "flow {} crossed a dead first link", i);
+                prop_assert_eq!(delivered[i], 0, "flow {} crossed a dead first link", i);
             }
         }
-        prop_assert_eq!(pr.report.delivered + pr.lost, flows.iter().map(|f| f.packets).sum::<u64>());
+        prop_assert_eq!(pr.report.delivered + pr.lost, flows.iter().map(|f| f.1).sum::<u64>());
 
-        let worms: Vec<Worm> = seeds.iter().map(|&s| worm_from_seed(host, s)).collect();
-        let mut wsim = WormholeSim::new(host);
-        for w in &worms {
-            wsim.add_worm(w.clone());
-        }
+        let worms: Vec<Walk> = seeds.iter().map(|&s| worm_from_seed(host, s)).collect();
+        let mut wsim = wormhole_sim(host, &worms);
         let mut rec = TraceRecorder::new();
-        let wr = wsim.run_planned(1_000_000, &plan, &mut rec);
+        wsim.run_planned(1_000_000, &plan, &mut rec);
         let trace = rec.summary();
-        for (i, w) in worms.iter().enumerate() {
+        for (i, (path, _)) in worms.iter().enumerate() {
             let (delivered, lost) = (trace.flows[i].delivered, trace.flows[i].lost);
             prop_assert_eq!(delivered + lost, 1, "worm {}", i);
-            prop_assert_eq!(lost == 1, wr.lost[i], "worm {}", i);
-            let edges = walk_edges(&w.path);
+            prop_assert_eq!(lost == 1, wsim.lost()[i], "worm {}", i);
+            let edges = walk_edges(path);
             if spared(&edges) {
-                prop_assert!(!wr.lost[i], "hazard-free worm {} was killed", i);
+                prop_assert!(!wsim.lost()[i], "hazard-free worm {} was killed", i);
             }
             if doomed(&edges) {
-                prop_assert!(wr.lost[i], "worm {} entered a dead first link", i);
+                prop_assert!(wsim.lost()[i], "worm {} entered a dead first link", i);
             }
         }
     }

@@ -6,7 +6,7 @@
 
 use hyperpath_suite::core::ccc_copies::ccc_multi_copy;
 use hyperpath_suite::embedding::metrics::multi_copy_metrics;
-use hyperpath_suite::sim::{Flow, NopRecorder, PacketSim};
+use hyperpath_suite::sim::{NopRecorder, PacketSim};
 
 fn main() {
     let n = 8u32;
@@ -28,7 +28,7 @@ fn main() {
     let mut sim = PacketSim::new(fleet.multi_copy.host);
     for copy in &fleet.multi_copy.copies {
         for path in &copy.edge_paths {
-            sim.add_flow(Flow { path: path.nodes().to_vec(), packets: 1 });
+            sim.add_flow(path.nodes(), 1);
         }
     }
     let r = sim.run(1_000_000, &mut NopRecorder);

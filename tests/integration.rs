@@ -79,7 +79,7 @@ fn ccc_fleet_phase_takes_two_steps() {
     let mut sim = PacketSim::new(fleet.multi_copy.host);
     for copy in &fleet.multi_copy.copies {
         for path in &copy.edge_paths {
-            sim.add_flow(hyperpath_suite::sim::Flow { path: path.nodes().to_vec(), packets: 1 });
+            sim.add_flow(path.nodes(), 1);
         }
     }
     let r = sim.run(1_000, &mut NopRecorder);
