@@ -10,9 +10,17 @@
 //! and both delivery protocols under random fault plans). A diff there
 //! means a delivery loop, an engine or a fault draw changed what it
 //! reports.
+//!
+//! The two tenant sweeps are pinned whole: the E19 and E21 artifacts
+//! that `e19_saturation --json` and `e21_chaos_tenants --json` write at
+//! their default grids and seed 1990. CI's determinism job only compares
+//! them across thread counts, which a change moving every count alike
+//! passes; a diff here means admission, the ledger, a tenant phase or the
+//! quarantine learning changed what the sweeps report.
 
 use hyperpath_bench::experiments::{
-    butterfly_copies_table, ccc_copies_table, e16_adaptive, theorem1_table,
+    butterfly_copies_table, ccc_copies_table, e16_adaptive, e19_saturation, e21_chaos_tenants,
+    theorem1_table,
 };
 use hyperpath_sim::chaos::{run_chaos, ChaosConfig};
 
@@ -45,6 +53,28 @@ fn e16_adaptive_n6_artifact_matches_golden() {
     let (_, out) = e16_adaptive(&[6], 20, 1616);
     let want = include_str!("golden/e16_adaptive_n6.json");
     assert_eq!(out.render(), want, "E16 artifact changed; see tests/golden/e16_adaptive_n6.json");
+}
+
+#[test]
+fn e19_saturation_artifact_matches_golden() {
+    let (_, out) = e19_saturation(&[2, 4, 6, 8, 10, 12], 1990);
+    let want = include_str!("golden/e19_saturation_1990.json");
+    assert_eq!(
+        out.render(),
+        want,
+        "E19 artifact changed; see tests/golden/e19_saturation_1990.json"
+    );
+}
+
+#[test]
+fn e21_chaos_tenants_artifact_matches_golden() {
+    let (_, out) = e21_chaos_tenants(&[0.0, 0.02, 0.05], &[2, 4, 8], 1990);
+    let want = include_str!("golden/e21_chaos_tenants_1990.json");
+    assert_eq!(
+        out.render(),
+        want,
+        "E21 artifact changed; see tests/golden/e21_chaos_tenants_1990.json"
+    );
 }
 
 #[test]
