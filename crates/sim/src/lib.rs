@@ -49,8 +49,8 @@
 //!   knowledge policies, under packet-conservation, no-wrong-bytes,
 //!   closed-form-equality and monotone-degradation invariants.
 //! * [`tenants`] — multi-tenant traffic engine: several embedded guests
-//!   (cycles, grids, trees) sharing one host cube through a sparse
-//!   [`LinkLedger`], with admission control, congestion-aware path-subset
+//!   (cycles, grids, trees) sharing one host cube through a link ledger
+//!   sharded per window group, with admission control, congestion-aware path-subset
 //!   selection down to the IDA threshold, and batched phases executed
 //!   exactly on the packet/wormhole engines per window group.
 //! * [`trace`] — zero-cost-when-off instrumentation: a [`Recorder`] event
@@ -87,8 +87,8 @@ pub use protocol::{
 pub use routing::{ccc_copy_routes, ecube_path, valiant_path};
 pub use schedule_exec::run_schedule;
 pub use tenants::{
-    EngineReport, ExecMode, FlowStats, LedgerSummary, LinkLedger, TenantEngine, TenantPlan,
-    TenantReport, TenantRun, TenantSpec, TenantsConfig, ENGINE_MAX_DIMS,
+    EngineReport, ExecMode, FlowStats, LedgerSummary, TenantEngine, TenantPlan, TenantReport,
+    TenantRun, TenantSpec, TenantsConfig, ENGINE_MAX_DIMS,
 };
 pub use trace::{CountingRecorder, NopRecorder, Recorder, TraceRecorder, TraceSummary};
 pub use wormhole::{WormReport, WormholeSim};

@@ -37,6 +37,7 @@
 //! `hyperpath_core::bounds::congestion_lower_bound` — the gap column of
 //! experiment E19.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use hyperpath_core::bounds::congestion_lower_bound;
@@ -345,8 +346,10 @@ pub const QUARANTINE_AGE_CAP: u32 = 4;
 /// before re-entering admission.
 pub const BACKOFF_SHIFT_CAP: u32 = 3;
 
-/// Everything the ledger knows about one link, so that a commit, release
-/// or probe is one map lookup.
+/// Everything a ledger knows about one link, and the per-link rules every
+/// ledger applies: the pooled run's dense shards and the reference's
+/// sparse [`LinkLedger`] share this one definition of commit, release,
+/// refund and the ACK/NACK quarantine state machine.
 #[derive(Debug, Clone, Copy, Default)]
 struct LinkState {
     /// Width committed now.
@@ -364,34 +367,120 @@ struct LinkState {
     touched: bool,
 }
 
-/// Per-link width accounting for the shared host. Sparse — state is
-/// `O(links actually touched)`, never `O(n · 2^{n-1})`, which is what
-/// makes admission over an implicit million-node host feasible. Entries
-/// stay at zero load once created, so steady-state rounds never insert.
+impl LinkState {
+    /// Takes one more path: the link's concurrent width and cumulative
+    /// slots rise by 1, and so do the ledger-wide counters in `totals`.
+    /// The caller must have checked capacity. Returns the new width.
+    fn commit(&mut self, totals: &mut LedgerTotals) -> u32 {
+        self.committed += 1;
+        self.cumulative += 1;
+        if !self.touched {
+            self.touched = true;
+            totals.links_touched += 1;
+        }
+        totals.total_slots += 1;
+        totals.peak_concurrent = totals.peak_concurrent.max(self.committed);
+        self.committed
+    }
+
+    /// Frees one committed path's width.
+    fn release(&mut self) {
+        assert!(self.committed > 0, "releasing an uncommitted link");
+        self.committed -= 1;
+    }
+
+    /// Takes back one already-released path's cumulative slot (see
+    /// [`LinkLedger::refund`]).
+    fn refund(&mut self, totals: &mut LedgerTotals) {
+        assert!(self.touched, "refunding an uncommitted link");
+        debug_assert!(self.cumulative > 0, "refund past zero");
+        self.cumulative -= 1;
+        totals.total_slots -= 1;
+    }
+
+    /// Records a NACK during `round`. [`QUARANTINE_STRIKES`] consecutive
+    /// NACKed phases quarantine the link for
+    /// `QUARANTINE_BASE_ROUNDS << min(offenses, QUARANTINE_AGE_CAP)`
+    /// rounds — doubling per repeat offense, so flapping links are
+    /// re-admitted quickly at first and held out longer each relapse.
+    fn nack(&mut self, round: u32) {
+        self.strikes += 1;
+        if self.strikes >= QUARANTINE_STRIKES {
+            self.strikes = 0;
+            let hold = QUARANTINE_BASE_ROUNDS << self.offenses.min(QUARANTINE_AGE_CAP);
+            self.quarantine_until = self.quarantine_until.max(round + 1 + hold);
+            self.offenses += 1;
+        }
+    }
+
+    /// Records an ACK: a share crossed the link cleanly, so its strike
+    /// count resets (offense history is kept — aged re-admission stays
+    /// skeptical of repeat offenders).
+    fn ack(&mut self) {
+        self.strikes = 0;
+    }
+
+    /// Whether the link is quarantined during `round` (expiry is passive:
+    /// the round simply passes the re-admission mark).
+    fn is_quarantined(&self, round: u32) -> bool {
+        round < self.quarantine_until
+    }
+}
+
+/// A ledger's counters over all its links.
+#[derive(Debug, Clone, Copy, Default)]
+struct LedgerTotals {
+    /// Path-link slots ever committed, net of refunds.
+    total_slots: u64,
+    /// High-water mark of concurrent width on any link.
+    peak_concurrent: u32,
+    /// Distinct links ever committed.
+    links_touched: usize,
+}
+
+impl LedgerTotals {
+    /// Folds one ledger into a report summary by the shard merge rule:
+    /// slot and link counts add up, congestion and peak take the max, and
+    /// quarantined links join the (unsorted) union. `links` yields every
+    /// link the ledger holds state for, keyed in the ledger's own
+    /// currency, and `host` names a quarantined key's host link. Shards
+    /// cover disjoint link sets, so the fold of every shard equals one
+    /// global ledger.
+    fn fold_into<'s, K>(
+        &self,
+        links: impl Iterator<Item = (K, &'s LinkState)>,
+        host: impl Fn(K) -> u64,
+        summary: &mut LedgerSummary,
+        quarantined: &mut Vec<u64>,
+    ) {
+        summary.links_touched += self.links_touched;
+        summary.total_slots += self.total_slots;
+        summary.peak_concurrent = summary.peak_concurrent.max(self.peak_concurrent);
+        for (l, s) in links {
+            summary.max_cumulative = summary.max_cumulative.max(s.cumulative);
+            if s.offenses > 0 {
+                quarantined.push(host(l));
+            }
+        }
+    }
+}
+
+/// Per-link width accounting for the shared host, keyed by host link id:
+/// the reference engine's ledger. Sparse — state is `O(links actually
+/// touched)`, never `O(n · 2^{n-1})`. Entries stay at zero load once
+/// created, so steady-state rounds never insert. The pooled run keeps a
+/// dense shard per window group instead (see `LinkShard`).
 #[derive(Debug, Clone)]
-pub struct LinkLedger {
+pub(crate) struct LinkLedger {
     capacity: u32,
     links: LinkMap<LinkState>,
-    total_slots: u64,
-    peak_concurrent: u32,
-    links_touched: usize,
+    totals: LedgerTotals,
 }
 
 impl LinkLedger {
     /// An empty ledger enforcing `capacity` concurrent paths per link.
-    pub fn new(capacity: u32) -> Self {
-        LinkLedger {
-            capacity,
-            links: LinkMap::default(),
-            total_slots: 0,
-            peak_concurrent: 0,
-            links_touched: 0,
-        }
-    }
-
-    /// The per-link capacity.
-    pub fn capacity(&self) -> u32 {
-        self.capacity
+    pub(crate) fn new(capacity: u32) -> Self {
+        LinkLedger { capacity, links: LinkMap::default(), totals: LedgerTotals::default() }
     }
 
     fn state(&self, link: u64) -> LinkState {
@@ -399,64 +488,30 @@ impl LinkLedger {
     }
 
     /// Width currently committed on `link`.
-    pub fn load(&self, link: u64) -> u32 {
+    pub(crate) fn load(&self, link: u64) -> u32 {
         self.state(link).committed
     }
 
     /// Whether one more path over `links` fits under capacity.
-    pub fn fits(&self, links: &[u64]) -> bool {
+    pub(crate) fn fits(&self, links: &[u64]) -> bool {
         links.iter().all(|l| self.load(*l) < self.capacity)
     }
 
     /// Commits one path: each link's concurrent width rises by 1 (caller
     /// must have checked [`LinkLedger::fits`]) and its cumulative slot
-    /// count by 1. Returns the widest link's new width.
-    pub fn commit(&mut self, links: &[u64]) -> u32 {
-        let mut widest = 0;
+    /// count by 1.
+    pub(crate) fn commit(&mut self, links: &[u64]) {
         for &l in links {
-            let s = self.links.entry(l).or_default();
-            s.committed += 1;
-            debug_assert!(s.committed <= self.capacity, "commit past capacity on link {l}");
-            widest = widest.max(s.committed);
-            s.cumulative += 1;
-            if !s.touched {
-                s.touched = true;
-                self.links_touched += 1;
-            }
-            self.total_slots += 1;
+            let width = self.links.entry(l).or_default().commit(&mut self.totals);
+            debug_assert!(width <= self.capacity, "commit past capacity on link {l}");
         }
-        self.peak_concurrent = self.peak_concurrent.max(widest);
-        widest
     }
 
     /// Releases one committed path.
-    pub fn release(&mut self, links: &[u64]) {
+    pub(crate) fn release(&mut self, links: &[u64]) {
         for &l in links {
-            let s = self.links.get_mut(&l).filter(|s| s.committed > 0);
-            s.expect("releasing an uncommitted link").committed -= 1;
+            self.links.get_mut(&l).expect("releasing an uncommitted link").release();
         }
-    }
-
-    /// Total path-link slots ever committed (the demand numerator of the
-    /// congestion lower bound).
-    pub fn total_slots(&self) -> u64 {
-        self.total_slots
-    }
-
-    /// Max cumulative slots any one link ever carried — the measured
-    /// congestion the gap column compares against the bound.
-    pub fn max_cumulative(&self) -> u64 {
-        self.links.values().map(|s| s.cumulative).max().unwrap_or(0)
-    }
-
-    /// High-water mark of concurrent width on any link.
-    pub fn peak_concurrent(&self) -> u32 {
-        self.peak_concurrent
-    }
-
-    /// Number of distinct host links ever committed.
-    pub fn links_touched(&self) -> usize {
-        self.links_touched
     }
 
     /// Refunds one already-released path's cumulative accounting: the
@@ -466,72 +521,66 @@ impl LinkLedger {
     /// shrink). Concurrent width and `peak_concurrent` are untouched —
     /// the slots genuinely were occupied during the failed phase — and so
     /// is `links_touched`.
-    pub fn refund(&mut self, links: &[u64]) {
+    pub(crate) fn refund(&mut self, links: &[u64]) {
         for &l in links {
-            let s = self.links.get_mut(&l).filter(|s| s.touched);
-            let s = s.expect("refunding an uncommitted link");
-            debug_assert!(s.cumulative > 0, "refund past zero on link {l}");
-            s.cumulative -= 1;
-            self.total_slots -= 1;
+            self.links.get_mut(&l).expect("refunding an uncommitted link").refund(&mut self.totals);
         }
     }
 
     /// Records a NACK on `link`: the phase that crossed it lost or
-    /// corrupted a share there. [`QUARANTINE_STRIKES`] consecutive
-    /// NACKed phases quarantine the link for
-    /// `QUARANTINE_BASE_ROUNDS << min(offenses, QUARANTINE_AGE_CAP)`
-    /// rounds — doubling per repeat offense, so flapping links are
-    /// re-admitted quickly at first and held out longer each relapse.
-    pub fn nack(&mut self, link: u64, round: u32) {
-        let s = self.links.entry(link).or_default();
-        s.strikes += 1;
-        if s.strikes >= QUARANTINE_STRIKES {
-            s.strikes = 0;
-            let hold = QUARANTINE_BASE_ROUNDS << s.offenses.min(QUARANTINE_AGE_CAP);
-            s.quarantine_until = s.quarantine_until.max(round + 1 + hold);
-            s.offenses += 1;
-        }
+    /// corrupted a share there (see `LinkState::nack`).
+    pub(crate) fn nack(&mut self, link: u64, round: u32) {
+        self.links.entry(link).or_default().nack(round);
     }
 
-    /// Records an ACK on `link`: a share crossed it cleanly this phase,
-    /// so its strike count resets (offense history is kept — aged
-    /// re-admission stays skeptical of repeat offenders).
-    pub fn ack(&mut self, link: u64) {
+    /// Records an ACK on `link`: a share crossed it cleanly this phase.
+    pub(crate) fn ack(&mut self, link: u64) {
         if let Some(s) = self.links.get_mut(&link) {
-            s.strikes = 0;
+            s.ack();
         }
     }
 
-    /// Whether `link` is quarantined during `round` (expiry is passive:
-    /// the round simply passes the re-admission mark).
-    pub fn is_quarantined(&self, link: u64, round: u32) -> bool {
-        round < self.state(link).quarantine_until
+    /// Whether `link` is quarantined during `round`.
+    pub(crate) fn is_quarantined(&self, link: u64, round: u32) -> bool {
+        self.state(link).is_quarantined(round)
     }
 
-    /// Every link ever quarantined, ascending. Sorted so reports are
-    /// deterministic despite the hash map.
-    pub fn ever_quarantined(&self) -> Vec<u64> {
-        let mut links: Vec<u64> = self.quarantined().collect();
-        links.sort_unstable();
-        links
-    }
-
-    /// Every link ever quarantined, in map order.
-    fn quarantined(&self) -> impl Iterator<Item = u64> + '_ {
-        self.links.iter().filter(|(_, s)| s.offenses > 0).map(|(&l, _)| l)
-    }
-
-    /// Folds this ledger into a report summary by the shard merge rule:
-    /// slot and link counts add up, congestion and peak take the max, and
-    /// quarantined links join the (unsorted) union. Shards cover disjoint
-    /// link sets, so the fold of every shard equals one global ledger.
+    /// Folds this ledger into a report summary (see
+    /// `LedgerTotals::fold_into`).
     fn fold_into(&self, summary: &mut LedgerSummary, quarantined: &mut Vec<u64>) {
-        summary.links_touched += self.links_touched;
-        summary.total_slots += self.total_slots;
-        summary.max_cumulative = summary.max_cumulative.max(self.max_cumulative());
-        summary.peak_concurrent = summary.peak_concurrent.max(self.peak_concurrent);
-        quarantined.extend(self.quarantined());
+        let links = self.links.iter().map(|(&l, s)| (l, s));
+        self.totals.fold_into(links, |l| l, summary, quarantined);
     }
+
+    /// This ledger's report summary and every link it ever quarantined,
+    /// ascending.
+    #[cfg(test)]
+    fn summary(&self) -> (LedgerSummary, Vec<u64>) {
+        let mut summary = LedgerSummary::empty(self.capacity);
+        let mut links = Vec::new();
+        self.fold_into(&mut summary, &mut links);
+        links.sort_unstable();
+        summary.quarantined_links = links.len();
+        (summary, links)
+    }
+
+    /// Every link ever quarantined, ascending.
+    #[cfg(test)]
+    fn ever_quarantined(&self) -> Vec<u64> {
+        self.summary().1
+    }
+}
+
+/// A window group's ledger shard in a pooled run: one [`LinkState`] per
+/// undirected link of the group's root subcube, indexed by the compact
+/// link index of [`RootFrame::compact`] — `root_dims · 2^(root_dims − 1)`
+/// slots, 1,024 for a `Q_8` window. Window groups cover disjoint root
+/// subcubes, so the shards cover disjoint host links and fold into one
+/// report exactly like the reference's single global ledger.
+#[derive(Debug, Default)]
+struct LinkShard {
+    links: Vec<LinkState>,
+    totals: LedgerTotals,
 }
 
 /// Per-tenant accounting.
@@ -636,6 +685,20 @@ pub struct LedgerSummary {
     /// Distinct links the ledger ever quarantined (0 for plan-free
     /// runs).
     pub quarantined_links: usize,
+}
+
+impl LedgerSummary {
+    /// The summary of a ledger that never committed anything.
+    fn empty(capacity: u32) -> Self {
+        LedgerSummary {
+            capacity,
+            links_touched: 0,
+            total_slots: 0,
+            max_cumulative: 0,
+            peak_concurrent: 0,
+            quarantined_links: 0,
+        }
+    }
 }
 
 /// Outcome of a multi-tenant run.
@@ -772,6 +835,15 @@ impl TenantEngine {
             let m = s.plan.dims();
             if m > n {
                 return Err(format!("tenant {}: plan dims {m} exceed host {n}", s.id));
+            }
+            if m > ENGINE_MAX_DIMS {
+                return Err(format!(
+                    "tenant {}: plan dims {m} exceed the {ENGINE_MAX_DIMS}-dimension window cap",
+                    s.id
+                ));
+            }
+            if s.plan.num_edges() == 0 {
+                return Err(format!("tenant {}: plan has no guest edges", s.id));
             }
             if n - m < 64 && s.window >= (1u64 << (n - m)) {
                 return Err(format!("tenant {}: window {} outside 0..2^{}", s.id, s.window, n - m));
@@ -996,21 +1068,13 @@ impl TenantEngine {
                     continue;
                 }
                 let batch: Vec<&Admitted> = batch_idx.iter().map(|&i| &admitted[i]).collect();
-                let exec = match cfg.exec {
-                    ExecMode::Structural => ExecMode::Structural,
-                    e if root_dims > ENGINE_MAX_DIMS => {
-                        debug_assert!(matches!(e, ExecMode::Packet | ExecMode::Wormhole { .. }));
-                        ExecMode::Structural
-                    }
-                    e => e,
-                };
                 let (steps, outcomes) = run_group_reference(
                     &batch,
                     fault.map(|(plan, _)| (plan, round)),
                     root_dims,
                     root_base,
                     self.cfg.host_dims,
-                    exec,
+                    cfg.exec,
                     rec,
                 );
                 total_steps += steps;
@@ -1118,31 +1182,25 @@ impl TenantEngine {
             stats[req.tenant].lost += 1;
         }
 
-        self.report(cfg.rounds, stats, total_steps, [&ledger])
+        self.report(cfg.rounds, stats, total_steps, |summary, quarantined| {
+            ledger.fold_into(summary, quarantined)
+        })
     }
 
-    /// Freezes a run into its report. `ledgers` are the run's ledger
-    /// shards — one per window group, or the reference's single global
-    /// ledger — merged by `LinkLedger::fold_into`.
-    fn report<'l>(
+    /// Freezes a run into its report. `fold` folds the run's ledgers —
+    /// the pooled run's shards, one per window group, or the reference's
+    /// single global ledger — into the summary and the quarantine union
+    /// (see `LedgerTotals::fold_into`).
+    fn report(
         &self,
         rounds: u32,
         stats: Vec<FlowStats>,
         total_steps: u64,
-        ledgers: impl IntoIterator<Item = &'l LinkLedger>,
+        fold: impl FnOnce(&mut LedgerSummary, &mut Vec<u64>),
     ) -> EngineReport {
-        let mut ledger = LedgerSummary {
-            capacity: self.cfg.capacity,
-            links_touched: 0,
-            total_slots: 0,
-            max_cumulative: 0,
-            peak_concurrent: 0,
-            quarantined_links: 0,
-        };
+        let mut ledger = LedgerSummary::empty(self.cfg.capacity);
         let mut quarantined = Vec::new();
-        for shard in ledgers {
-            shard.fold_into(&mut ledger, &mut quarantined);
-        }
+        fold(&mut ledger, &mut quarantined);
         quarantined.sort_unstable();
         ledger.quarantined_links = quarantined.len();
         EngineReport {
@@ -1237,8 +1295,10 @@ struct PathOutcome {
     delivered: bool,
     /// The share arrived but crossed a corrupting link.
     corrupted: bool,
-    /// The host link to NACK: where the share was dropped, or the first
-    /// corrupting link it crossed. `None` for a clean delivery.
+    /// The link to NACK: where the share was dropped, or the first
+    /// corrupting link it crossed. `None` for a clean delivery. In the
+    /// run's link currency: a host link id for the reference, a compact
+    /// index ([`RootFrame::compact`]) for a pooled group.
     blame: Option<u64>,
 }
 
@@ -1247,14 +1307,23 @@ const CLEAN_DELIVERY: PathOutcome = PathOutcome { delivered: true, corrupted: fa
 
 /// The analytic outcome of one share under the structural model: dead at
 /// the first down link, else flagged by the first corrupting link, else
-/// clean.
-fn structural_outcome(path: &[u64], fault: Option<(&TenantFaultPlan, u32)>) -> PathOutcome {
+/// clean. `host` maps the path's links to the host link ids the plan
+/// keys on; the blame stays in the path's own currency.
+fn structural_outcome<L: Copy + Into<u64>>(
+    path: &[L],
+    host: impl Fn(L) -> u64,
+    fault: Option<(&TenantFaultPlan, u32)>,
+) -> PathOutcome {
     let Some((plan, round)) = fault else { return CLEAN_DELIVERY };
-    let down = path.iter().copied().find(|&l| plan.is_down(l, round));
-    let corrupting = path.iter().copied().find(|&l| plan.is_corrupting(l));
+    let down = path.iter().copied().find(|&l| plan.is_down(host(l), round));
+    let corrupting = path.iter().copied().find(|&l| plan.is_corrupting(host(l)));
     match down {
-        Some(l) => PathOutcome { delivered: false, corrupted: false, blame: Some(l) },
-        None => PathOutcome { delivered: true, corrupted: corrupting.is_some(), blame: corrupting },
+        Some(l) => PathOutcome { delivered: false, corrupted: false, blame: Some(l.into()) },
+        None => PathOutcome {
+            delivered: true,
+            corrupted: corrupting.is_some(),
+            blame: corrupting.map(Into::into),
+        },
     }
 }
 
@@ -1338,7 +1407,7 @@ fn run_group_reference<R: Recorder>(
             let steps = hottest.saturating_add(longest.saturating_sub(1));
             let outcomes = batch
                 .iter()
-                .map(|a| a.paths.iter().map(|p| structural_outcome(p, fault)).collect())
+                .map(|a| a.paths.iter().map(|p| structural_outcome(p, |l| l, fault)).collect())
                 .collect();
             (steps, outcomes)
         }
@@ -1458,54 +1527,193 @@ fn run_group_reference<R: Recorder>(
     }
 }
 
-/// Writes the directed local-link sequence of a host-link path into
-/// `out` — exactly the hop links [`PacketSim::add_flow`] and
-/// [`WormholeSim::add_worm`] derive from the corresponding
-/// [`local_walk`] node walk. Undirected link lists
-/// carry no orientation, so it is reconstructed by the same
-/// endpoint-chaining (including the first-two-links start
-/// disambiguation).
-fn local_hops_into(
-    path: &[u64],
-    n: u32,
-    root_dims: u32,
-    root_base: u64,
-    cube: &Hypercube,
-    out: &mut Vec<u32>,
-) {
-    debug_assert!(!path.is_empty());
-    out.clear();
-    let mask = (1u64 << root_dims) - 1;
-    let (a0, b0) = link_endpoints(n, path[0]);
-    let mut at = if path.len() == 1 {
-        a0
-    } else {
-        let (a1, b1) = link_endpoints(n, path[1]);
-        if a0 == a1 || a0 == b1 {
-            b0
-        } else {
-            a0
-        }
-    };
-    debug_assert_eq!(at & !mask, root_base, "path escapes its window group");
-    for &l in path {
-        let (a, b) = link_endpoints(n, l);
-        let next = if at == a { b } else { a };
-        let d = (at ^ next).trailing_zeros();
-        out.push(cube.dir_edge_index(DirEdge::new(at & mask, d)) as u32);
-        at = next;
+/// A window group's root subcube as a frame of reference. A pooled round
+/// names links in two local currencies: directed hop indices
+/// ([`Hypercube::dir_edge_index`] over the root subcube), which the
+/// engines load and report, and compact undirected indices, which key the
+/// ledger shard. Host link ids (`base · n + d`) appear only where a run
+/// meets the host: fault-plan projection, the omniscient hazard test and
+/// the report.
+#[derive(Debug, Clone, Copy)]
+struct RootFrame {
+    dims: u32,
+    /// Host node of the root subcube's local node 0.
+    base: u64,
+}
+
+impl RootFrame {
+    /// Undirected links of the root subcube: the ledger shard's length.
+    fn num_links(self) -> usize {
+        (self.dims as usize) << self.dims.saturating_sub(1)
+    }
+
+    /// Compact index of the undirected local link `{base, base ⊕ 2^d}`
+    /// (`base` with bit `d` clear): `base` with bit `d` squeezed out,
+    /// times `dims`, plus `d` — dense in `0..num_links()`.
+    #[inline]
+    fn compact(self, base: u64, d: u32) -> u32 {
+        let squeezed = ((base >> (d + 1)) << d) | (base & ((1u64 << d) - 1));
+        (squeezed * u64::from(self.dims) + u64::from(d)) as u32
+    }
+
+    /// Compact index of the link a directed local hop crosses.
+    #[inline]
+    fn compact_of_hop(self, hop: u32) -> u32 {
+        let (from, d) = (u64::from(hop / self.dims), hop % self.dims);
+        self.compact(from & !(1u64 << d), d)
+    }
+
+    /// Host link id of compact index `c` on an `n`-dimensional host.
+    fn host_link(self, c: u32, n: u32) -> u64 {
+        let (squeezed, d) = (u64::from(c / self.dims), c % self.dims);
+        let base = ((squeezed >> d) << (d + 1)) | (squeezed & ((1u64 << d) - 1));
+        (self.base | base) * u64::from(n) + u64::from(d)
     }
 }
 
-/// One path of a flat `(links, offsets)` path table.
-#[inline]
-fn path_slice<'x>(links: &'x [u64], off: &[u32], p: usize) -> &'x [u64] {
-    &links[off[p] as usize..off[p + 1] as usize]
+/// [`BundleTable::bundle_at`] entry of a bundle not built yet.
+const UNBUILT: u64 = u64::MAX;
+
+/// One tenant's bundles in its window group's local currencies, memoized
+/// for the run: a bundle is converted from the implicit plan on its first
+/// request and read as slices ever after. Every path is held twice, as
+/// directed hops (what the engines load) and as compact links (what the
+/// ledger shard keys on); path `p` is `path_off[p]..path_off[p + 1]` of
+/// both hop arrays.
+#[derive(Debug, Default)]
+struct BundleTable {
+    /// Per guest edge: its bundle's `first path << 32 | path count`, or
+    /// [`UNBUILT`].
+    bundle_at: Vec<u64>,
+    path_off: Vec<u32>,
+    hop_dir: Vec<u32>,
+    hop_und: Vec<u32>,
 }
 
-/// An admitted request in a group's flat round arena: its committed paths
-/// are `first_path..first_path + num_paths` of the group's path table, in
-/// chosen (least-loaded-first) order.
+impl BundleTable {
+    /// An empty table with room for `edges` bundles of `width` paths of
+    /// `longest` hops, so the rounds that fill it do not grow it step by
+    /// step.
+    fn with_capacity(edges: u64, width: usize, longest: usize) -> Self {
+        let edges = usize::try_from(edges).expect("guest edge count fits in memory");
+        let paths = edges * width;
+        let mut path_off = Vec::with_capacity(paths + 1);
+        path_off.push(0);
+        BundleTable {
+            bundle_at: vec![UNBUILT; edges],
+            path_off,
+            hop_dir: Vec::with_capacity(paths * longest),
+            hop_und: Vec::with_capacity(paths * longest),
+        }
+    }
+
+    /// Table indices of the paths of guest edge `edge`'s bundle, in bundle
+    /// order, converting the bundle from `spec`'s plan on its first
+    /// request.
+    fn bundle(&mut self, spec: &TenantSpec, frame: RootFrame, edge: u64) -> Range<usize> {
+        let mut at = self.bundle_at[edge as usize];
+        if at == UNBUILT {
+            at = self.fill(spec, frame, edge);
+            self.bundle_at[edge as usize] = at;
+        }
+        let first = (at >> 32) as usize;
+        first..first + (at as u32) as usize
+    }
+
+    /// Appends bundle `edge`'s paths and returns its `bundle_at` entry.
+    /// Plan links are undirected, so each path is oriented by endpoint
+    /// chaining: it starts at the endpoint of its first link not shared
+    /// with its second, and a single link is walked base → base|bit. The
+    /// hops are exactly those [`PacketSim::add_flow`] derives from the
+    /// reference's node walk of the lifted path.
+    fn fill(&mut self, spec: &TenantSpec, frame: RootFrame, edge: u64) -> u64 {
+        let m = u64::from(spec.plan.dims());
+        // The tenant's window inside the root subcube.
+        let off = (spec.window << m) & ((1u64 << frame.dims) - 1);
+        let ends = |l: u64| (l / m, (l / m) | (1u64 << (l % m)));
+        let first = self.path_off.len() - 1;
+        spec.plan.for_each_path(edge, &mut |p| {
+            let (a0, b0) = ends(p[0]);
+            let mut at = match p.get(1) {
+                Some(&l1) if a0 == ends(l1).0 || a0 == ends(l1).1 => b0,
+                _ => a0,
+            };
+            for &l in p {
+                let (base, d) = (l / m, (l % m) as u32);
+                debug_assert_eq!(at & !(1u64 << d), base, "bundle path is not a walk");
+                self.hop_dir.push(((off | at) * u64::from(frame.dims) + u64::from(d)) as u32);
+                self.hop_und.push(frame.compact(off | base, d));
+                at ^= 1u64 << d;
+            }
+            self.path_off.push(self.hop_dir.len() as u32);
+        });
+        ((first as u64) << 32) | (self.path_off.len() - 1 - first) as u64
+    }
+
+    /// Path `p`'s directed local hops.
+    #[inline]
+    fn hops(&self, p: usize) -> &[u32] {
+        &self.hop_dir[self.path_off[p] as usize..self.path_off[p + 1] as usize]
+    }
+
+    /// Path `p`'s compact links.
+    #[inline]
+    fn links(&self, p: usize) -> &[u32] {
+        &self.hop_und[self.path_off[p] as usize..self.path_off[p + 1] as usize]
+    }
+}
+
+impl LinkShard {
+    /// A zeroed shard over every link of `frame`'s root subcube.
+    fn new(frame: RootFrame) -> Self {
+        LinkShard {
+            links: vec![LinkState::default(); frame.num_links()],
+            totals: LedgerTotals::default(),
+        }
+    }
+
+    /// Commits one path (capacity checked by the caller) and returns the
+    /// widest link's new width.
+    fn commit(&mut self, links: &[u32]) -> u32 {
+        let mut widest = 0;
+        for &c in links {
+            widest = widest.max(self.links[c as usize].commit(&mut self.totals));
+        }
+        widest
+    }
+
+    /// Releases one committed path.
+    fn release(&mut self, links: &[u32]) {
+        for &c in links {
+            self.links[c as usize].release();
+        }
+    }
+
+    /// Refunds one released path's cumulative slots (see
+    /// [`LinkLedger::refund`]).
+    fn refund(&mut self, links: &[u32]) {
+        for &c in links {
+            self.links[c as usize].refund(&mut self.totals);
+        }
+    }
+
+    /// Folds this shard into a report summary, naming its links by host
+    /// link id (see `LedgerTotals::fold_into`).
+    fn fold_into(
+        &self,
+        frame: RootFrame,
+        n: u32,
+        summary: &mut LedgerSummary,
+        quarantined: &mut Vec<u64>,
+    ) {
+        let links = self.links.iter().enumerate();
+        self.totals.fold_into(links, |c| frame.host_link(c as u32, n), summary, quarantined);
+    }
+}
+
+/// An admitted request in a group's round arena: its committed paths are
+/// the table paths `adm_paths[first_path..first_path + num_paths]` of its
+/// tenant, in chosen (least-loaded-first) order.
 #[derive(Debug, Clone, Copy)]
 struct AdmHeader {
     req: Request,
@@ -1514,9 +1722,22 @@ struct AdmHeader {
 }
 
 impl AdmHeader {
-    fn paths(&self) -> std::ops::Range<usize> {
+    fn paths(&self) -> Range<usize> {
         self.first_path as usize..(self.first_path + self.num_paths) as usize
     }
+}
+
+/// The directed hops of every path committed this round, in admission ×
+/// chosen order — the order the engines load them in.
+fn round_hops<'a>(
+    admitted: &'a [AdmHeader],
+    adm_paths: &'a [u32],
+    tables: &'a [BundleTable],
+) -> impl Iterator<Item = &'a [u32]> + 'a {
+    admitted.iter().flat_map(move |h| {
+        let table = &tables[h.req.tenant];
+        adm_paths[h.paths()].iter().map(move |&p| table.hops(p as usize))
+    })
 }
 
 /// One window group's shard of a pooled run. Window groups live on
@@ -1529,14 +1750,12 @@ impl AdmHeader {
 ///
 /// It holds the root subcube's persistent machine simulator (its
 /// [`Hypercube`] is built once, not per round), the memoized dense
-/// fault-plan projection, the group's ledger shard, its tenants' request
-/// streams, stats and backlog, and every per-round scratch buffer.
+/// fault-plan projection, its tenants' request streams, stats, backlog
+/// and bundle tables, the group's dense ledger shard, and every per-round
+/// scratch buffer. A round reads links only in the root subcube's local
+/// currencies ([`RootFrame`]).
 struct GroupArena {
-    root_dims: u32,
-    root_base: u64,
-    /// Execution mode with the [`ENGINE_MAX_DIMS`] structural fallback
-    /// already applied.
-    exec: ExecMode,
+    frame: RootFrame,
     packet: Option<PacketSim>,
     worm: Option<WormholeSim>,
     /// Memoized dense projection of the run's [`TenantFaultPlan`] onto
@@ -1553,23 +1772,24 @@ struct GroupArena {
     /// The group's tenants in id order; [`Request::tenant`] indexes this
     /// list.
     tenants: Vec<TenantSlot>,
-    ledger: LinkLedger,
+    /// Each tenant's bundle table, index-aligned with `tenants`. Built
+    /// at the first round, like the shard.
+    tables: Vec<BundleTable>,
+    shard: LinkShard,
     backlog: Vec<Request>,
     total_steps: u64,
     // Round scratch, reused across rounds.
     requests: Vec<Request>,
     waiting: Vec<Request>,
     admitted: Vec<AdmHeader>,
-    adm_links: Vec<u64>,
-    adm_off: Vec<u32>,
-    cand_links: Vec<u64>,
-    cand_off: Vec<u32>,
+    /// Table path index of every path committed this round, in admission
+    /// × chosen order.
+    adm_paths: Vec<u32>,
     /// Admission keys of one request's candidate paths:
-    /// `key << 32 | path index`, where `key` is the load of the path's
-    /// hottest link, or `u32::MAX` if the path crosses a suspect link.
+    /// `key << 32 | table path index`, where `key` is the load of the
+    /// path's hottest link, or `u32::MAX` if the path crosses a suspect
+    /// link.
     keys: Vec<u64>,
-    /// Directed local-link scratch for one path.
-    hops: Vec<u32>,
     /// Flat per-share outcomes in admission × path order. Planned rounds
     /// only: plain rounds deliver every share (debug-asserted) and leave
     /// this empty.
@@ -1617,35 +1837,22 @@ fn tenant_rng(seed: u64, id: u32) -> ChaCha8Rng {
 }
 
 impl GroupArena {
-    fn new(
-        root_dims: u32,
-        root_base: u64,
-        cfg: &TenantsConfig,
-        plan: Option<&TenantFaultPlan>,
-    ) -> Self {
+    fn new(frame: RootFrame, cfg: &TenantsConfig, plan: Option<&TenantFaultPlan>) -> Self {
         let host_dims = cfg.host_dims;
-        let exec = match cfg.exec {
-            ExecMode::Structural => ExecMode::Structural,
-            e if root_dims > ENGINE_MAX_DIMS => {
-                debug_assert!(matches!(e, ExecMode::Packet | ExecMode::Wormhole { .. }));
-                ExecMode::Structural
-            }
-            e => e,
-        };
-        let packet =
-            matches!(exec, ExecMode::Packet).then(|| PacketSim::new(Hypercube::new(root_dims)));
-        let worm = matches!(exec, ExecMode::Wormhole { .. })
-            .then(|| WormholeSim::new(Hypercube::new(root_dims)));
-        let (dense, group_faults) = match (plan, exec) {
+        let packet = matches!(cfg.exec, ExecMode::Packet)
+            .then(|| PacketSim::new(Hypercube::new(frame.dims)));
+        let worm = matches!(cfg.exec, ExecMode::Wormhole { .. })
+            .then(|| WormholeSim::new(Hypercube::new(frame.dims)));
+        let (dense, group_faults) = match (plan, cfg.exec) {
             (Some(plan), ExecMode::Packet | ExecMode::Wormhole { .. }) => {
-                let cube = Hypercube::new(root_dims);
+                let cube = Hypercube::new(frame.dims);
                 let mask = cube.num_nodes() - 1;
                 let mut dense = FaultPlan::none(&cube);
                 let mut faults = Vec::new();
                 for &l in plan.cuts.keys().chain(plan.outages.keys()).chain(plan.corrupt.iter()) {
                     let d = (l % u64::from(host_dims)) as u32;
                     let base = l / u64::from(host_dims);
-                    if d < root_dims && base & !mask == root_base {
+                    if d < frame.dims && base & !mask == frame.base {
                         let e = DirEdge::new(base & mask, d);
                         if plan.is_corrupting(l) {
                             dense.corrupt_link(&cube, e);
@@ -1658,67 +1865,57 @@ impl GroupArena {
             _ => (None, Vec::new()),
         };
         GroupArena {
-            root_dims,
-            root_base,
-            exec,
+            frame,
             packet,
             worm,
             dense,
             group_faults,
             tenants: Vec::new(),
-            ledger: LinkLedger::new(cfg.capacity),
+            tables: Vec::new(),
+            shard: LinkShard::default(),
             backlog: Vec::new(),
             total_steps: 0,
             requests: Vec::new(),
             waiting: Vec::new(),
             admitted: Vec::new(),
-            adm_links: Vec::new(),
-            adm_off: Vec::new(),
-            cand_links: Vec::new(),
-            cand_off: Vec::new(),
+            adm_paths: Vec::new(),
             keys: Vec::new(),
-            hops: Vec::new(),
             outcomes: Vec::new(),
             round_widest: 0,
             round_longest: 0,
         }
     }
 
-    /// Sizes the round scratch, the machine simulator and the ledger shard for
-    /// one round of the group's roster: its fresh requests, their
-    /// full-width bundles (path lengths taken from each plan's first
-    /// bundle) and, when `planned`, their share outcomes, and as many
-    /// distinct links as those bundles have slots —
-    /// never more than the root subcube has, so the shard stays sparse.
-    /// Done once, at the first round rather than in `begin`, it spares a
-    /// fresh run the step-by-step growth; a buffer that needs more still
-    /// grows.
+    /// Builds the group's bundle tables and dense ledger shard, and sizes
+    /// the round scratch and the machine simulator for one round of the
+    /// roster: its fresh requests, their full-width bundles (path lengths
+    /// taken from each plan's first bundle) and, when `planned`, their
+    /// share outcomes. Each table gets room for its tenant's every bundle
+    /// at that path length, but fills bundle by bundle as they are first
+    /// requested. Done once, at the first round rather than in `begin`, it
+    /// keeps `begin` cheap and spares a fresh run the step-by-step growth;
+    /// a buffer that needs more still grows.
     fn reserve(&mut self, engine: &TenantEngine, planned: bool) {
         let per_tenant = engine.cfg.requests_per_round as usize;
-        let (mut paths, mut slots, mut width, mut longest) = (0, 0, 0, 0);
+        let (mut paths, mut slots, mut width) = (0, 0, 0);
+        self.tables.reserve_exact(self.tenants.len());
         for slot in &self.tenants {
             let plan = &engine.specs[slot.spec].plan;
             let mut len = 0;
-            if plan.num_edges() > 0 {
-                plan.for_each_path(0, &mut |p| len = len.max(p.len()));
-            }
+            plan.for_each_path(0, &mut |p| len = len.max(p.len()));
             let w = plan.width() as usize;
             paths += per_tenant * w;
             slots += per_tenant * w * len;
             width = width.max(w);
-            longest = longest.max(len);
+            self.tables.push(BundleTable::with_capacity(plan.num_edges(), w, len));
         }
         let requests = per_tenant * self.tenants.len();
         for v in [&mut self.requests, &mut self.waiting, &mut self.backlog] {
             v.reserve(requests);
         }
         self.admitted.reserve(requests);
-        self.adm_off.reserve(paths + 1);
-        self.adm_links.reserve(slots);
-        self.cand_off.reserve(width + 1);
-        self.cand_links.reserve(width * longest);
+        self.adm_paths.reserve(paths);
         self.keys.reserve(width);
-        self.hops.reserve(longest);
         if planned {
             self.outcomes.reserve(paths);
         }
@@ -1728,12 +1925,11 @@ impl GroupArena {
         if let Some(sim) = &mut self.worm {
             sim.reserve(paths, slots);
         }
-        let root_links = u64::from(self.root_dims) << self.root_dims.saturating_sub(1);
-        self.ledger.links.reserve(slots.min(usize::try_from(root_links).unwrap_or(usize::MAX)));
+        self.shard = LinkShard::new(self.frame);
     }
 
     /// Runs one whole round of this group. Nothing allocates once the
-    /// scratch buffers and the ledger shard have reached working size.
+    /// scratch buffers and the bundle tables have reached working size.
     fn step_round<R: Recorder>(
         &mut self,
         engine: &TenantEngine,
@@ -1747,7 +1943,7 @@ impl GroupArena {
         }
         self.draw_requests(engine, round);
         self.admit(engine, fault, round);
-        self.total_steps += self.execute(plan, round, engine.cfg.host_dims, rec);
+        self.total_steps += self.execute(&engine.cfg, plan, round, rec);
         self.settle(engine, plan.is_some(), round);
     }
 
@@ -1784,7 +1980,8 @@ impl GroupArena {
 
     /// Admission in request order — the reference's decisions exactly
     /// (same candidates, same order, same ledger state at every choice),
-    /// on flat reusable arenas instead of per-request `Vec`s.
+    /// on table slices and the dense shard instead of per-request `Vec`s
+    /// and a host-keyed map.
     fn admit(
         &mut self,
         engine: &TenantEngine,
@@ -1792,56 +1989,42 @@ impl GroupArena {
         round: u32,
     ) {
         let cfg = &engine.cfg;
-        let n = cfg.host_dims;
+        let frame = self.frame;
         self.admitted.clear();
-        self.adm_links.clear();
-        self.adm_off.clear();
-        self.adm_off.push(0);
+        self.adm_paths.clear();
         self.round_widest = 0;
         self.round_longest = 0;
         for ri in 0..self.requests.len() {
             let req = self.requests[ri];
             let spec = &engine.specs[self.tenants[req.tenant].spec];
             let width = spec.plan.width();
-            let m = spec.plan.dims();
-            self.cand_links.clear();
-            self.cand_off.clear();
-            self.cand_off.push(0);
-            {
-                let cand_links = &mut self.cand_links;
-                let cand_off = &mut self.cand_off;
-                spec.plan.for_each_path(req.edge, &mut |p| {
-                    // lift_path, flattened in place.
-                    for &l in p {
-                        let d = l % u64::from(m);
-                        let base = l / u64::from(m);
-                        cand_links.push(((spec.window << m) | base) * u64::from(n) + d);
-                    }
-                    cand_off.push(cand_links.len() as u32);
-                });
-            }
-            // One pass per candidate, one ledger probe per link: the key
-            // is the load of the path's hottest link, or u32::MAX when
-            // the path crosses a suspect link (quarantined, or for the
+            let table = &mut self.tables[req.tenant];
+            let bundle = table.bundle(spec, frame, req.edge);
+            // One pass per candidate, one shard read per link: the key is
+            // the load of the path's hottest link, or u32::MAX when the
+            // path crosses a suspect link (quarantined, or for the
             // omniscient baseline a plan hazard). Suspect paths are thus
             // never chosen, and the bundle degrades toward the IDA
             // threshold instead of wasting commits on links known to eat
-            // shares.
+            // shares. Table order is bundle order, so the path index
+            // breaks ties as the reference does.
             self.keys.clear();
-            for i in 0..self.cand_off.len() - 1 {
+            for p in bundle {
                 let mut hottest = 0u32;
                 let mut suspect = false;
-                for &l in path_slice(&self.cand_links, &self.cand_off, i) {
-                    let s = self.ledger.state(l);
+                for &c in table.links(p) {
+                    let s = &self.shard.links[c as usize];
                     hottest = hottest.max(s.committed);
                     suspect |= match fault {
                         None => false,
-                        Some((_, FaultRouting::Learned)) => round < s.quarantine_until,
-                        Some((plan, FaultRouting::Omniscient)) => plan.is_hazard(l),
+                        Some((_, FaultRouting::Learned)) => s.is_quarantined(round),
+                        Some((plan, FaultRouting::Omniscient)) => {
+                            plan.is_hazard(frame.host_link(c, cfg.host_dims))
+                        }
                     };
                 }
                 let key = if suspect { u32::MAX } else { hottest };
-                self.keys.push((u64::from(key) << 32) | i as u64);
+                self.keys.push((u64::from(key) << 32) | p as u64);
             }
             // Least-loaded first, bundle order breaking ties. Nothing is
             // committed until the choice is made, so a path fits exactly
@@ -1864,13 +2047,15 @@ impl GroupArena {
                 }
                 continue;
             }
-            let first_path = (self.adm_off.len() - 1) as u32;
+            let first_path = self.adm_paths.len() as u32;
             for &k in &self.keys[..chosen] {
-                let path = path_slice(&self.cand_links, &self.cand_off, k as u32 as usize);
-                self.round_widest = self.round_widest.max(self.ledger.commit(path));
-                self.round_longest = self.round_longest.max(path.len());
-                self.adm_links.extend_from_slice(path);
-                self.adm_off.push(self.adm_links.len() as u32);
+                let p = k as u32;
+                let links = table.links(p as usize);
+                let widest = self.shard.commit(links);
+                debug_assert!(widest <= cfg.capacity, "commit past capacity");
+                self.round_widest = self.round_widest.max(widest);
+                self.round_longest = self.round_longest.max(links.len());
+                self.adm_paths.push(p);
             }
             self.tenants[req.tenant].stats.shares_committed += chosen as u64;
             self.admitted.push(AdmHeader { req, first_path, num_paths: chosen as u32 });
@@ -1882,30 +2067,35 @@ impl GroupArena {
     /// in `self.outcomes`.
     fn execute<R: Recorder>(
         &mut self,
+        cfg: &TenantsConfig,
         plan: Option<&TenantFaultPlan>,
         round: u32,
-        n: u32,
         rec: &mut R,
     ) -> u64 {
         self.outcomes.clear();
         if self.admitted.is_empty() {
             return 0;
         }
-        match self.exec {
-            ExecMode::Structural => self.execute_structural(plan, round),
-            ExecMode::Packet => self.execute_packet(plan, round, n, rec),
-            ExecMode::Wormhole { flits } => self.execute_wormhole(plan, round, n, flits, rec),
+        match cfg.exec {
+            ExecMode::Structural => self.execute_structural(plan, round, cfg.host_dims),
+            ExecMode::Packet => self.execute_packet(plan, round, rec),
+            ExecMode::Wormhole { flits } => self.execute_wormhole(plan, round, flits, rec),
         }
     }
 
-    fn execute_structural(&mut self, plan: Option<&TenantFaultPlan>, round: u32) -> u64 {
+    fn execute_structural(&mut self, plan: Option<&TenantFaultPlan>, round: u32, n: u32) -> u64 {
         // Serialization bound: the hottest link forwards one share per
         // step, each share crosses ≤ max path length links. Committed
         // load is committed load whether or not shares then die.
         if let Some(plan) = plan {
-            for p in 0..self.adm_off.len() - 1 {
-                let path = path_slice(&self.adm_links, &self.adm_off, p);
-                self.outcomes.push(structural_outcome(path, Some((plan, round))));
+            let frame = self.frame;
+            for h in &self.admitted {
+                let table = &self.tables[h.req.tenant];
+                for &p in &self.adm_paths[h.paths()] {
+                    let links = table.links(p as usize);
+                    let host = |c: u32| frame.host_link(c, n);
+                    self.outcomes.push(structural_outcome(links, host, Some((plan, round))));
+                }
             }
         }
         u64::from(self.round_widest).saturating_add(self.round_longest.saturating_sub(1) as u64)
@@ -1915,16 +2105,14 @@ impl GroupArena {
         &mut self,
         plan: Option<&TenantFaultPlan>,
         round: u32,
-        n: u32,
         rec: &mut R,
     ) -> u64 {
+        let frame = self.frame;
         let sim = self.packet.as_mut().expect("packet simulator for packet mode");
         let cube = sim.host();
         sim.clear();
-        for p in 0..self.adm_off.len() - 1 {
-            let path = path_slice(&self.adm_links, &self.adm_off, p);
-            local_hops_into(path, n, self.root_dims, self.root_base, &cube, &mut self.hops);
-            sim.add_flow_links(&self.hops, 1);
+        for hops in round_hops(&self.admitted, &self.adm_paths, &self.tables) {
+            sim.add_flow_links(hops, 1);
         }
         let flows = sim.num_flows() as u64;
         // Work-conserving machine: ≤ 3 hops per share, so hops+shares
@@ -1942,13 +2130,13 @@ impl GroupArena {
             let delivered = sim.flow_delivered()[f] == 1;
             let corrupted = sim.flow_corrupted()[f] == 1;
             let blame = if !delivered {
-                Some(host_link_of(&cube, sim.flow_dropped_at()[f], n, self.root_base))
+                Some(frame.compact_of_hop(sim.flow_dropped_at()[f]))
             } else if corrupted {
-                Some(host_link_of(&cube, sim.flow_corrupted_at()[f], n, self.root_base))
+                Some(frame.compact_of_hop(sim.flow_corrupted_at()[f]))
             } else {
                 None
             };
-            self.outcomes.push(PathOutcome { delivered, corrupted, blame });
+            self.outcomes.push(PathOutcome { delivered, corrupted, blame: blame.map(u64::from) });
         }
         steps
     }
@@ -1957,17 +2145,15 @@ impl GroupArena {
         &mut self,
         plan: Option<&TenantFaultPlan>,
         round: u32,
-        n: u32,
         flits: u64,
         rec: &mut R,
     ) -> u64 {
+        let frame = self.frame;
         let sim = self.worm.as_mut().expect("wormhole simulator for wormhole mode");
         let cube = sim.host();
         sim.clear();
-        for p in 0..self.adm_off.len() - 1 {
-            let path = path_slice(&self.adm_links, &self.adm_off, p);
-            local_hops_into(path, n, self.root_dims, self.root_base, &cube, &mut self.hops);
-            sim.add_worm_links(&self.hops, flits);
+        for hops in round_hops(&self.admitted, &self.adm_paths, &self.tables) {
+            sim.add_worm_links(hops, flits);
         }
         let worms = sim.num_worms() as u64;
         let max_steps = worms * (flits + 3) + flits + 4;
@@ -1981,13 +2167,13 @@ impl GroupArena {
             let delivered = !sim.lost()[w];
             let corrupted = delivered && sim.corrupted()[w];
             let blame = if !delivered {
-                Some(host_link_of(&cube, sim.dropped_at()[w], n, self.root_base))
+                Some(frame.compact_of_hop(sim.dropped_at()[w]))
             } else if corrupted {
-                Some(host_link_of(&cube, sim.corrupted_at()[w], n, self.root_base))
+                Some(frame.compact_of_hop(sim.corrupted_at()[w]))
             } else {
                 None
             };
-            self.outcomes.push(PathOutcome { delivered, corrupted, blame });
+            self.outcomes.push(PathOutcome { delivered, corrupted, blame: blame.map(u64::from) });
         }
         steps
     }
@@ -2007,6 +2193,8 @@ impl GroupArena {
         for h in &self.admitted {
             let t = h.req.tenant;
             let slot = &mut self.tenants[t];
+            let table = &self.tables[t];
+            let paths = &self.adm_paths[h.paths()];
             let width = engine.specs[slot.spec].plan.width();
             let st = &mut slot.stats;
             let committed = u64::from(h.num_paths);
@@ -2019,7 +2207,7 @@ impl GroupArena {
                 }
             } else {
                 let (mut delivered, mut corrupted) = (0u64, 0u64);
-                for p in h.paths() {
+                for &p in paths {
                     let out = self.outcomes[o];
                     o += 1;
                     if out.delivered {
@@ -2027,17 +2215,17 @@ impl GroupArena {
                         if out.corrupted {
                             corrupted += 1;
                             if let Some(b) = out.blame {
-                                self.ledger.nack(b, round);
+                                self.shard.links[b as usize].nack(round);
                             }
                         } else {
                             // The whole path carried a clean share:
                             // every hop is healthy.
-                            for &l in path_slice(&self.adm_links, &self.adm_off, p) {
-                                self.ledger.ack(l);
+                            for &c in table.links(p as usize) {
+                                self.shard.links[c as usize].ack();
                             }
                         }
                     } else if let Some(b) = out.blame {
-                        self.ledger.nack(b, round);
+                        self.shard.links[b as usize].nack(round);
                     }
                 }
                 let clean = delivered - corrupted;
@@ -2058,8 +2246,8 @@ impl GroupArena {
                     // Below the IDA threshold: the message did not
                     // reconstruct. Refund its congestion and retry with
                     // exponential backoff.
-                    for p in h.paths() {
-                        self.ledger.refund(path_slice(&self.adm_links, &self.adm_off, p));
+                    for &p in paths {
+                        self.shard.refund(table.links(p as usize));
                     }
                     if h.req.age >= max_requeues {
                         st.lost += 1;
@@ -2076,8 +2264,8 @@ impl GroupArena {
                 }
             }
             // Requests complete within their round: free the width.
-            for p in h.paths() {
-                self.ledger.release(path_slice(&self.adm_links, &self.adm_off, p));
+            for &p in paths {
+                self.shard.release(table.links(p as usize));
             }
         }
         debug_assert_eq!(o, self.outcomes.len());
@@ -2120,7 +2308,7 @@ impl<'a> TenantRun<'a> {
         let mut groups: Vec<GroupArena> = engine
             .groups
             .iter()
-            .map(|&(root_dims, root_base)| GroupArena::new(root_dims, root_base, cfg, plan))
+            .map(|&(dims, base)| GroupArena::new(RootFrame { dims, base }, cfg, plan))
             .collect();
         // Satellite regression: the pool is exactly one persistent arena
         // per window group, never rebuilt mid-run.
@@ -2136,7 +2324,8 @@ impl<'a> TenantRun<'a> {
     }
 
     /// Rounds stepped so far.
-    pub fn rounds_stepped(&self) -> u32 {
+    #[cfg(test)]
+    fn rounds_stepped(&self) -> u32 {
         self.round
     }
 
@@ -2192,7 +2381,12 @@ impl<'a> TenantRun<'a> {
                 stats[g.tenants[req.tenant].spec].lost += 1;
             }
         }
-        self.engine.report(self.round, stats, total_steps, self.groups.iter().map(|g| &g.ledger))
+        let n = self.engine.cfg.host_dims;
+        self.engine.report(self.round, stats, total_steps, |summary, quarantined| {
+            for g in &self.groups {
+                g.shard.fold_into(g.frame, n, summary, quarantined);
+            }
+        })
     }
 }
 
@@ -2256,10 +2450,11 @@ mod tests {
         led.release(&[5, 9]);
         assert_eq!(led.load(5), 1);
         assert_eq!(led.load(9), 0);
-        assert_eq!(led.peak_concurrent(), 2);
-        assert_eq!(led.total_slots(), 3);
-        assert_eq!(led.max_cumulative(), 2);
-        assert_eq!(led.links_touched(), 2);
+        let s = led.summary().0;
+        assert_eq!(s.peak_concurrent, 2);
+        assert_eq!(s.total_slots, 3);
+        assert_eq!(s.max_cumulative, 2);
+        assert_eq!(s.links_touched, 2);
     }
 
     #[test]
@@ -2387,6 +2582,35 @@ mod tests {
         let mut c = cfg(6, 2);
         c.exec = ExecMode::Wormhole { flits: 0 };
         assert!(TenantEngine::new(c, &[grid_spec(0, 0)]).is_err(), "zero flits");
+        // A plan with no guest edges has nothing to draw a request from.
+        struct NoEdges;
+        impl TenantPlan for NoEdges {
+            fn dims(&self) -> u32 {
+                4
+            }
+            fn num_edges(&self) -> u64 {
+                0
+            }
+            fn width(&self) -> u32 {
+                2
+            }
+            fn for_each_path(&self, _: u64, _: &mut dyn FnMut(&[u64])) {}
+        }
+        let empty = TenantSpec { id: 3, name: "empty".into(), window: 0, plan: Arc::new(NoEdges) };
+        let err = TenantEngine::new(cfg(6, 2), &[empty]).err().expect("zero-edge plan");
+        assert!(err.contains("tenant 3"), "{err}");
+        // Windows wider than the engines' cap are rejected, not run
+        // structurally: a dense ledger shard would cost O(root links).
+        let wide = TenantSpec {
+            id: 5,
+            name: "wide".into(),
+            window: 0,
+            plan: Arc::new(BinomialTreePlan::new(ENGINE_MAX_DIMS + 1, 3).unwrap()),
+        };
+        let mut c = cfg(20, 2);
+        c.exec = ExecMode::Structural;
+        let err = TenantEngine::new(c, &[wide]).err().expect("window above the cap");
+        assert!(err.contains("tenant 5"), "{err}");
     }
 
     #[test]
@@ -2401,15 +2625,18 @@ mod tests {
         led.commit(&[5, 9]);
         led.release(&[5, 9]);
         led.release(&[5, 9]);
-        assert_eq!((led.total_slots(), led.max_cumulative(), led.peak_concurrent()), (4, 2, 2));
+        let s = led.summary().0;
+        assert_eq!((s.total_slots, s.max_cumulative, s.peak_concurrent), (4, 2, 2));
         led.refund(&[5, 9]);
-        assert_eq!(led.total_slots(), 2, "refunded slots leave the demand numerator");
-        assert_eq!(led.max_cumulative(), 1, "refunded slots leave measured congestion");
-        assert_eq!(led.peak_concurrent(), 2, "peak concurrency is history, not demand");
-        assert_eq!(led.links_touched(), 2, "refund never forgets a touched link");
+        let s = led.summary().0;
+        assert_eq!(s.total_slots, 2, "refunded slots leave the demand numerator");
+        assert_eq!(s.max_cumulative, 1, "refunded slots leave measured congestion");
+        assert_eq!(s.peak_concurrent, 2, "peak concurrency is history, not demand");
+        assert_eq!(s.links_touched, 2, "refund never forgets a touched link");
         led.refund(&[5, 9]);
-        assert_eq!((led.total_slots(), led.max_cumulative()), (0, 0));
-        assert_eq!(led.links_touched(), 2);
+        let s = led.summary().0;
+        assert_eq!((s.total_slots, s.max_cumulative), (0, 0));
+        assert_eq!(s.links_touched, 2);
     }
 
     #[test]
