@@ -289,13 +289,17 @@ pub const IDA_ROWOPS_SPEEDUP_MIN: f64 = 5.0;
 
 /// Minimum `tenants/reference / tenants/pooled` wall-clock ratio: the
 /// pooled multi-tenant engine (persistent per-group simulator arenas,
-/// one-probe ledger admission on flat scratch, memoized fault
-/// projections) against the per-round-allocating reference. Both records
-/// are measured serially in the same process, so machine speed cancels
-/// and the ratio isolates the pooled path. Measured ≈ 3x on a 2-vCPU VM
-/// (median of warmed full-rep runs); the floor is half of that, so a 2x
-/// regression of the pooled round fails the gate.
-pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.5;
+/// memoized bundle tables, a dense ledger shard per window group,
+/// memoized fault projections) against the per-round-allocating
+/// reference. Both records are measured serially in the same process, so
+/// machine speed cancels and the ratio isolates the pooled path. Over 16
+/// full-preset runs on a 2-vCPU x86-64 VM (32 readings, `n = 16` and
+/// `n = 20`) it read 3.55–5.43x, except twice (2.52x and 3.03x) when the
+/// pooled record's median of 5 reps spiked to 464–478 µs against its
+/// usual 220–366 µs. The floor is half of 3.55, rounded to 1.8: a 2x
+/// regression of the pooled round fails the gate, and even the two
+/// spiked readings pass it.
+pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.8;
 
 /// Minimum `wormhole/run_reference/ccc8 / wormhole/run/ccc8` wall-clock
 /// ratio: the event-driven wormhole engine (parked heads, calendar-ring
@@ -766,9 +770,9 @@ mod tests {
     fn tenants_pooled_floor_pairs_reference_with_pooled() {
         // Healthy: the pooled engine clears the floor at both host sizes.
         let healthy = doc(&[
-            ("tenants/reference/n16", &[], 3_000),
+            ("tenants/reference/n16", &[], 3_900),
             ("tenants/pooled/n16", &[], 1_000),
-            ("tenants/reference/n20", &[], 3_300),
+            ("tenants/reference/n20", &[], 4_290),
             ("tenants/pooled/n20", &[], 1_100),
             ("tenants/parallel/n16", &[], 400), // no floor of its own
         ]);
@@ -776,14 +780,14 @@ mod tests {
         assert!(r.passed(), "{}", r.render());
         assert_eq!(r.time_checks, 2);
 
-        // The pooled round regressed ~2x from the healthy 3x at one size:
-        // one issue.
+        // The pooled round regressed ~2.2x from the healthy 3.9x at one
+        // size: one issue.
         let slipped =
-            doc(&[("tenants/reference/n16", &[], 3_000), ("tenants/pooled/n16", &[], 2_100)]);
+            doc(&[("tenants/reference/n16", &[], 3_900), ("tenants/pooled/n16", &[], 2_200)]);
         let r = check_speedups(&slipped).unwrap();
         assert_eq!(r.issues.len(), 1);
         assert_eq!(r.issues[0].record, "tenants/pooled/n16");
-        assert!(r.issues[0].detail.contains("floor 1.5x"), "{}", r.issues[0].detail);
+        assert!(r.issues[0].detail.contains("floor 1.8x"), "{}", r.issues[0].detail);
 
         // A measured reference with no pooled counterpart is an issue —
         // the suite must measure what the gate enforces.

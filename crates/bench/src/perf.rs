@@ -777,9 +777,10 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
     // is deterministic at any thread count — so the `tenants/parallel/*`
     // record carries those and wall-clock only. The
     // `scale/tenants/ledger/*` record pins the peak footprint of a full
-    // run (plans + ledger + pooled per-window Q_8 arenas) so the gate's
-    // memory family catches any host-sized table sneaking into admission
-    // (the ledger must stay sparse: bytes/node shrinking as n grows). ---
+    // run (plans + bundle tables + dense per-window ledger shards +
+    // pooled per-window Q_8 arenas) so the gate's memory family catches
+    // any host-sized table sneaking into admission (ledger state is
+    // window-sized: bytes/node shrinking as n grows). ---
     for &n in &cfg.tenant_ns {
         use crate::experiments::e19_specs;
         use hyperpath_sim::tenants::{ExecMode, TenantEngine, TenantsConfig};
@@ -849,10 +850,10 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
         // warmup) and the final round's delta, both exact. The final
         // round's residual is growth, not pool machinery: this contended
         // random workload's last round queues and admits more than any
-        // earlier one (request queue, path table, flow arena), and one
-        // group's ledger shard rehashes as it touches links for the first
-        // time. `bench/tests/alloc_zero.rs` pins the exact-zero round on
-        // warmed configs, serial and parallel.
+        // earlier one (request queue, admitted list, round path list,
+        // flow arena). The bundle tables and ledger shards never grow
+        // after the first round. `bench/tests/alloc_zero.rs` pins the
+        // exact-zero round on warmed configs, serial and parallel.
         let (pooled_report, pooled_allocs) = serial.install(|| measure_allocs(|| engine.run()));
         assert_eq!(pooled_report, report, "pooled tenant run drifted between measurements");
         let (_, round_allocs) = serial.install(|| {

@@ -50,9 +50,9 @@
 //!   closed-form-equality and monotone-degradation invariants.
 //! * [`tenants`] — multi-tenant traffic engine: several embedded guests
 //!   (cycles, grids, trees) sharing one host cube through a link ledger
-//!   sharded per window group, with admission control, congestion-aware path-subset
-//!   selection down to the IDA threshold, and batched phases executed
-//!   exactly on the packet/wormhole engines per window group.
+//!   sharded per window group, with admission control, congestion-aware
+//!   path-subset selection down to the IDA threshold, and batched phases
+//!   executed exactly on the packet/wormhole engines per window group.
 //! * [`trace`] — zero-cost-when-off instrumentation: a [`Recorder`] event
 //!   sink every engine run reports to, plus percentile summaries of busy
 //!   links, latencies and queue depths ([`TraceRecorder::summary`]).

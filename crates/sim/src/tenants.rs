@@ -12,7 +12,7 @@
 //! The engine runs synchronous rounds. Every round each tenant requests
 //! routing for a batch of its guest edges (drawn from a per-tenant seeded
 //! stream, so runs are deterministic and independent of tenant arrival
-//! order). A [`LinkLedger`] tracks the width committed on every host link:
+//! order). A link ledger tracks the width committed on every host link:
 //!
 //! * **Admission** — a request's `w`-wide path bundle is admitted only
 //!   where link capacity remains. Requests that cannot get enough paths
@@ -27,9 +27,21 @@
 //!   packet (or wormhole) engine over the group's root subcube, relabeled
 //!   to local coordinates — tenants in disjoint windows cannot interact,
 //!   so the per-group runs compose into one faithful phase of the shared
-//!   machine. Groups whose root subcube exceeds [`ENGINE_MAX_DIMS`] fall
-//!   back to a structural bound so a million-node host stays in bounded
-//!   memory (the engines allocate dense per-link state).
+//!   machine. Only the windows are dense, so a million-node host stays
+//!   in bounded memory; [`TenantEngine::new`] rejects a tenant whose
+//!   window is wider than [`ENGINE_MAX_DIMS`].
+//!
+//! A pooled run ([`TenantRun`]) gives each window group's round one link
+//! currency, the local coordinates of its root subcube. Each tenant's
+//! bundle is converted once per run, on its first request, into a table
+//! holding every path as directed hops (which the engines load) and as
+//! compact undirected link indices (which key the group's dense ledger
+//! shard), so admission, the engine load and settling read slices and
+//! index arrays. Host link ids appear only where a run meets the host:
+//! fault-plan projection, the omniscient hazard test and the report. The
+//! reference engine ([`TenantEngine::run_reference`]) keeps a sparse
+//! ledger keyed by host link id and its own conversions, as the oracle
+//! the pooled run is pinned byte-identical against.
 //!
 //! The [`EngineReport`] carries per-tenant [`FlowStats`], Jain's fairness
 //! index over delivered messages, aggregate throughput, and the measured
@@ -52,11 +64,13 @@ use crate::packet::PacketSim;
 use crate::trace::{NopRecorder, Recorder};
 use crate::wormhole::WormholeSim;
 
-/// Largest subcube the engine will hand to the dense packet/wormhole
-/// simulators (they allocate `O(links × dims)` state — ~100 MB at 16
-/// dims, ~2 GB at 20). Window groups rooted above this run in structural
-/// mode instead, keeping an implicit `n = 20` host within the perf gate's
-/// memory ceiling.
+/// Widest window a tenant may occupy. A window group's pooled round keeps
+/// dense per-link state over its root subcube — the packet/wormhole
+/// simulators (`O(links × dims)`, ~100 MB at 16 dims, ~2 GB at 20) and
+/// the ledger shard — so [`TenantEngine::new`] rejects wider plans
+/// rather than let one cost `O(root links)`. The host itself may be far
+/// larger: an implicit `Q_20` with `Q_8` windows stays within the perf
+/// gate's memory ceiling.
 pub const ENGINE_MAX_DIMS: u32 = 16;
 
 /// A guest plan a tenant can run: `num_edges` guest edges, each widened
@@ -178,9 +192,8 @@ pub enum ExecMode {
         flits: u64,
     },
     /// No machine run: shares count as delivered, phase makespan is the
-    /// structural serialization bound (peak committed link width × max
-    /// path length). Also the automatic fallback above
-    /// [`ENGINE_MAX_DIMS`].
+    /// structural serialization bound (peak committed link width plus
+    /// max path length, minus one).
     Structural,
 }
 
@@ -203,9 +216,9 @@ pub struct TenantsConfig {
     pub exec: ExecMode,
 }
 
-/// An adversarial fault plan over the *shared host*, in the engine's own
-/// sparse undirected-link currency (`base · n + d`, `base` with bit `d`
-/// clear — what [`LinkLedger`] keys on). [`sim::faults::FaultPlan`]
+/// An adversarial fault plan over the *shared host*, in host link ids
+/// (`base · n + d`, `base` with bit `d` clear — the ids reports name
+/// links by). [`sim::faults::FaultPlan`]
 /// allocates dense `O(n · 2^n)` per-link state, which is exactly what an
 /// implicit million-node host cannot afford; this plan stays
 /// `O(faults)`, and the engine *projects* it into a dense per-group
@@ -325,7 +338,7 @@ impl TenantFaultPlan {
 /// How fault-aware path selection learns which links to avoid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultRouting {
-    /// Oracle-free: avoid links the [`LinkLedger`] has quarantined from
+    /// Oracle-free: avoid links the ledger has quarantined from
     /// per-phase ACK/NACK outcomes — the `deliver_adaptive` style.
     Learned,
     /// Omniscient baseline: avoid every [`TenantFaultPlan::is_hazard`]
@@ -2276,8 +2289,9 @@ impl GroupArena {
 ///
 /// The run is sharded by window group: one `GroupArena` per group holds
 /// the group's persistent [`PacketSim`] / [`WormholeSim`], memoized
-/// fault projection, ledger shard, tenant streams, stats, backlog and
-/// round scratch, all created once. A warmed-up
+/// fault projection, tenant streams, stats and backlog, created by
+/// `begin`, and its bundle tables, dense ledger shard and round scratch,
+/// created by the first round. A warmed-up
 /// [`step_round`](Self::step_round) allocates nothing at all —
 /// `bench/tests/alloc_zero.rs` pins the exact-zero behavior, serially and
 /// on a worker pool.
@@ -2289,7 +2303,7 @@ impl GroupArena {
 /// shard, and when the recorder is a nop ([`Recorder::IS_NOP`]) and there
 /// is more than one group, whole group rounds run on rayon workers.
 /// [`finish`](Self::finish) merges the shards in a fixed way (sums, maxima
-/// and a sorted union; see `LinkLedger::fold_into`), so
+/// and a sorted union of host link ids; see `LedgerTotals::fold_into`), so
 /// [`EngineReport`]s — and the E19/E21 artifacts built from them — are
 /// byte-identical under any `RAYON_NUM_THREADS` (CI pins 1, 2, and 4) and
 /// to the unsharded reference. A non-nop recorder walks the groups
