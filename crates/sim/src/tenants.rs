@@ -492,7 +492,7 @@ pub(crate) struct LinkLedger {
 
 impl LinkLedger {
     /// An empty ledger enforcing `capacity` concurrent paths per link.
-    pub(crate) fn new(capacity: u32) -> Self {
+    fn new(capacity: u32) -> Self {
         LinkLedger { capacity, links: LinkMap::default(), totals: LedgerTotals::default() }
     }
 
@@ -501,19 +501,19 @@ impl LinkLedger {
     }
 
     /// Width currently committed on `link`.
-    pub(crate) fn load(&self, link: u64) -> u32 {
+    fn load(&self, link: u64) -> u32 {
         self.state(link).committed
     }
 
     /// Whether one more path over `links` fits under capacity.
-    pub(crate) fn fits(&self, links: &[u64]) -> bool {
+    fn fits(&self, links: &[u64]) -> bool {
         links.iter().all(|l| self.load(*l) < self.capacity)
     }
 
     /// Commits one path: each link's concurrent width rises by 1 (caller
     /// must have checked [`LinkLedger::fits`]) and its cumulative slot
     /// count by 1.
-    pub(crate) fn commit(&mut self, links: &[u64]) {
+    fn commit(&mut self, links: &[u64]) {
         for &l in links {
             let width = self.links.entry(l).or_default().commit(&mut self.totals);
             debug_assert!(width <= self.capacity, "commit past capacity on link {l}");
@@ -521,7 +521,7 @@ impl LinkLedger {
     }
 
     /// Releases one committed path.
-    pub(crate) fn release(&mut self, links: &[u64]) {
+    fn release(&mut self, links: &[u64]) {
         for &l in links {
             self.links.get_mut(&l).expect("releasing an uncommitted link").release();
         }
@@ -534,7 +534,7 @@ impl LinkLedger {
     /// shrink). Concurrent width and `peak_concurrent` are untouched —
     /// the slots genuinely were occupied during the failed phase — and so
     /// is `links_touched`.
-    pub(crate) fn refund(&mut self, links: &[u64]) {
+    fn refund(&mut self, links: &[u64]) {
         for &l in links {
             self.links.get_mut(&l).expect("refunding an uncommitted link").refund(&mut self.totals);
         }
@@ -542,19 +542,19 @@ impl LinkLedger {
 
     /// Records a NACK on `link`: the phase that crossed it lost or
     /// corrupted a share there (see `LinkState::nack`).
-    pub(crate) fn nack(&mut self, link: u64, round: u32) {
+    fn nack(&mut self, link: u64, round: u32) {
         self.links.entry(link).or_default().nack(round);
     }
 
     /// Records an ACK on `link`: a share crossed it cleanly this phase.
-    pub(crate) fn ack(&mut self, link: u64) {
+    fn ack(&mut self, link: u64) {
         if let Some(s) = self.links.get_mut(&link) {
             s.ack();
         }
     }
 
     /// Whether `link` is quarantined during `round`.
-    pub(crate) fn is_quarantined(&self, link: u64, round: u32) -> bool {
+    fn is_quarantined(&self, link: u64, round: u32) -> bool {
         self.state(link).is_quarantined(round)
     }
 
@@ -582,18 +582,6 @@ impl LinkLedger {
     fn ever_quarantined(&self) -> Vec<u64> {
         self.summary().1
     }
-}
-
-/// A window group's ledger shard in a pooled run: one [`LinkState`] per
-/// undirected link of the group's root subcube, indexed by the compact
-/// link index of [`RootFrame::compact`] — `root_dims · 2^(root_dims − 1)`
-/// slots, 1,024 for a `Q_8` window. Window groups cover disjoint root
-/// subcubes, so the shards cover disjoint host links and fold into one
-/// report exactly like the reference's single global ledger.
-#[derive(Debug, Default)]
-struct LinkShard {
-    links: Vec<LinkState>,
-    totals: LedgerTotals,
 }
 
 /// Per-tenant accounting.
@@ -1547,7 +1535,7 @@ fn run_group_reference<R: Recorder>(
 /// ledger shard. Host link ids (`base · n + d`) appear only where a run
 /// meets the host: fault-plan projection, the omniscient hazard test and
 /// the report.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 struct RootFrame {
     dims: u32,
     /// Host node of the root subcube's local node 0.
@@ -1593,7 +1581,6 @@ const UNBUILT: u64 = u64::MAX;
 /// directed hops (what the engines load) and as compact links (what the
 /// ledger shard keys on); path `p` is `path_off[p]..path_off[p + 1]` of
 /// both hop arrays.
-#[derive(Debug, Default)]
 struct BundleTable {
     /// Per guest edge: its bundle's `first path << 32 | path count`, or
     /// [`UNBUILT`].
@@ -1608,8 +1595,7 @@ impl BundleTable {
     /// `longest` hops, so the rounds that fill it do not grow it step by
     /// step.
     fn with_capacity(edges: u64, width: usize, longest: usize) -> Self {
-        let edges = usize::try_from(edges).expect("guest edge count fits in memory");
-        let paths = edges * width;
+        let (edges, paths) = (edges as usize, edges as usize * width);
         let mut path_off = Vec::with_capacity(paths + 1);
         path_off.push(0);
         BundleTable {
@@ -1674,6 +1660,18 @@ impl BundleTable {
     fn links(&self, p: usize) -> &[u32] {
         &self.hop_und[self.path_off[p] as usize..self.path_off[p + 1] as usize]
     }
+}
+
+/// A window group's ledger shard in a pooled run: one [`LinkState`] per
+/// undirected link of the group's root subcube, indexed by the compact
+/// link index of [`RootFrame::compact`] — `root_dims · 2^(root_dims − 1)`
+/// slots, 1,024 for a `Q_8` window. Window groups cover disjoint root
+/// subcubes, so the shards cover disjoint host links and fold into one
+/// report exactly like the reference's single global ledger.
+#[derive(Default)]
+struct LinkShard {
+    links: Vec<LinkState>,
+    totals: LedgerTotals,
 }
 
 impl LinkShard {
