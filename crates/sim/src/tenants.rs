@@ -2452,6 +2452,29 @@ mod tests {
     }
 
     #[test]
+    fn root_frame_compact_links_are_a_bijection() {
+        // Every undirected link of the root subcube gets its own compact
+        // index in 0..num_links, both directed hops over it map there, and
+        // the index names the right host link.
+        for dims in 1..=8u32 {
+            let frame = RootFrame { dims, base: 3 << dims };
+            let cube = Hypercube::new(dims);
+            let mut seen = vec![false; frame.num_links()];
+            for e in cube.undirected_edges() {
+                let c = frame.compact(e.from, e.dim);
+                assert!(!std::mem::replace(&mut seen[c as usize], true), "{dims}: {e:?}");
+                for hop in [e, e.reversed()] {
+                    assert_eq!(frame.compact_of_hop(cube.dir_edge_index(hop) as u32), c);
+                }
+                let n = dims + 3;
+                let host = ((3 << dims) | e.from) * u64::from(n) + u64::from(e.dim);
+                assert_eq!(frame.host_link(c, n), host);
+            }
+            assert!(seen.iter().all(|&s| s), "{dims}: compact indices leave gaps");
+        }
+    }
+
+    #[test]
     fn ledger_commit_release_roundtrip() {
         let mut led = LinkLedger::new(2);
         led.commit(&[5, 9]);
