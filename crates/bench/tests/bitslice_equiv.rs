@@ -18,8 +18,7 @@
 use hyperpath_core::baseline::gray_cycle_embedding;
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::bitslice::{
-    stream_bundles_ge_into, streamed_all_bundles_ge, BitTrialBlock, BundleSource, IndexedTrials,
-    SlicedPaths,
+    stream_bundles_ge_into, streamed_all_bundles_ge, BitTrialBlock, IndexedTrials, SlicedPaths,
 };
 use hyperpath_sim::faults::{random_fault_set, surviving_paths, FaultSet};
 use hyperpath_topology::{Hypercube, Theorem1Plan};
@@ -135,7 +134,7 @@ fn streamed_evaluation_matches_materialized_block_on_same_seeds() {
 fn streamed_subranges_fold_to_the_full_answer() {
     let n = 7u32;
     let plan = Theorem1Plan::new(n).expect("theorem 1 plan");
-    let total = BundleSource::num_bundles(&plan);
+    let total = plan.num_bundles();
     let trials = IndexedTrials::new(0xf01d, 0.05, 64);
     let ks = [1usize, 2, 4];
     let whole = streamed_all_bundles_ge(&plan, &trials, &ks);

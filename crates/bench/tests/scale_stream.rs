@@ -20,7 +20,7 @@
 
 use hyperpath_bench::gate::SCALE_PEAK_CEILING_BYTES;
 use hyperpath_bench::{counting_allocator_installed, measure_peak, AllocStats};
-use hyperpath_sim::bitslice::{stream_bundles_ge_into, BundleSource, IndexedTrials};
+use hyperpath_sim::bitslice::{stream_bundles_ge_into, IndexedTrials};
 use hyperpath_topology::Theorem1Plan;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -75,7 +75,7 @@ fn streaming_loop_is_allocation_free_after_plan_build() {
     let plan = Theorem1Plan::new(20).expect("theorem 1 plan");
     let trials = IndexedTrials::new(0xbeef, 0.01, 64);
     let k_half = (plan.claimed_width() as usize).div_ceil(2);
-    let total = BundleSource::num_bundles(&plan);
+    let total = plan.num_bundles();
 
     // Warmup: one chunk, so any lazy one-time setup is out of the way.
     let mut acc = [trials.live_mask(); 2];

@@ -54,9 +54,10 @@
 //! *recomputes* any link's 64-lane alive word as a pure hash of
 //! `(seed, link_index)` (same exact-threshold comparison as
 //! [`BitTrialBlock::draw_fast`], so the marginal per-link fail probability
-//! is still exactly `random_bool(p)`'s), and a [`BundleSource`] — e.g. the
-//! implicit [`Theorem1Plan`] — enumerates path bundles as link indices on
-//! the fly. [`stream_bundles_ge_into`] then folds "every bundle keeps ≥ k
+//! is still exactly `random_bool(p)`'s), and a [`TenantPlan`] — e.g. the
+//! implicit [`Theorem1Plan`](hyperpath_topology::host::Theorem1Plan) —
+//! enumerates path bundles as link indices on the fly.
+//! [`stream_bundles_ge_into`] then folds "every bundle keeps ≥ k
 //! paths" over a bundle range with **zero allocation**, and
 //! [`streamed_all_bundles_ge`] fans ranges out over rayon with a
 //! commutative AND fold, keeping artifacts byte-identical at any thread
@@ -93,8 +94,8 @@
 //! engine-backed reports.
 
 use crate::faults::FaultSet;
+use crate::tenants::TenantPlan;
 use hyperpath_embedding::MultiPathEmbedding;
-use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
 use hyperpath_topology::{gray_code, transition, DirEdge, Hypercube};
 use rand::Rng;
 
@@ -863,10 +864,9 @@ impl IndexedTrials {
     }
 
     /// Alive word of the link with the given dense undirected index
-    /// ([`Hypercube::undirected_edge_index`] /
-    /// [`HostTopology::link_index`](hyperpath_topology::host::HostTopology::link_index)
-    /// currency): bit `t` set ⇔ the link is up in trial `t`. The one-link
-    /// case of the batched path word the streaming fold evaluates.
+    /// ([`Hypercube::undirected_edge_index`] currency): bit `t` set ⇔ the
+    /// link is up in trial `t`. The one-link case of the batched path word
+    /// the streaming fold evaluates.
     #[inline]
     pub fn link_word(&self, link: u64) -> u64 {
         self.path_word(&[link], self.live_mask())
@@ -954,63 +954,9 @@ impl BitTrialBlock<u64> {
     }
 }
 
-/// A source of guest-edge path bundles, presented as dense undirected link
-/// indices — the implicit counterpart of [`SlicedPaths`]. Implementations
-/// must visit paths in a deterministic order and must not allocate (that
-/// is what keeps the streaming evaluator's memory bounded).
-pub trait BundleSource {
-    /// Number of guest-edge bundles.
-    fn num_bundles(&self) -> u64;
-
-    /// Visits every path of bundle `bundle` (at most 255 of them — the
-    /// ripple-carry survivor counter is 8 bits wide), each as its slice of
-    /// canonical link indices.
-    fn for_each_path(&self, bundle: u64, f: &mut dyn FnMut(&[u64]));
-}
-
-impl BundleSource for Theorem1Plan {
-    fn num_bundles(&self) -> u64 {
-        Theorem1Plan::num_bundles(self)
-    }
-
-    fn for_each_path(&self, bundle: u64, f: &mut dyn FnMut(&[u64])) {
-        Theorem1Plan::for_each_path(self, bundle, f);
-    }
-}
-
-impl BundleSource for Theorem2Plan {
-    fn num_bundles(&self) -> u64 {
-        Theorem2Plan::num_bundles(self)
-    }
-
-    fn for_each_path(&self, bundle: u64, f: &mut dyn FnMut(&[u64])) {
-        Theorem2Plan::for_each_path(self, bundle, f);
-    }
-}
-
-impl BundleSource for GridPlan {
-    fn num_bundles(&self) -> u64 {
-        GridPlan::num_bundles(self)
-    }
-
-    fn for_each_path(&self, bundle: u64, f: &mut dyn FnMut(&[u64])) {
-        GridPlan::for_each_path(self, bundle, f);
-    }
-}
-
-impl BundleSource for BinomialTreePlan {
-    fn num_bundles(&self) -> u64 {
-        BinomialTreePlan::num_bundles(self)
-    }
-
-    fn for_each_path(&self, bundle: u64, f: &mut dyn FnMut(&[u64])) {
-        BinomialTreePlan::for_each_path(self, bundle, f);
-    }
-}
-
-/// The Gray-code Hamiltonian-cycle baseline as an implicit bundle source:
-/// bundle `t` is the single direct link between `gray(t)` and
-/// `gray(t+1)`, exactly the per-edge path of
+/// The Gray-code Hamiltonian-cycle baseline as an implicit plan: guest
+/// edge `t` is the single direct link between `gray(t)` and `gray(t+1)`,
+/// exactly the per-edge path of
 /// `hyperpath_core::baseline::gray_cycle_embedding`.
 #[derive(Debug, Clone, Copy)]
 pub struct GrayCycleBundles {
@@ -1024,9 +970,17 @@ impl GrayCycleBundles {
     }
 }
 
-impl BundleSource for GrayCycleBundles {
-    fn num_bundles(&self) -> u64 {
+impl TenantPlan for GrayCycleBundles {
+    fn dims(&self) -> u32 {
+        self.host.dims()
+    }
+
+    fn num_edges(&self) -> u64 {
         self.host.num_nodes()
+    }
+
+    fn width(&self) -> u32 {
+        1
     }
 
     fn for_each_path(&self, bundle: u64, f: &mut dyn FnMut(&[u64])) {
@@ -1038,7 +992,9 @@ impl BundleSource for GrayCycleBundles {
 
 /// Folds "every bundle in `bundles` keeps ≥ `ks[j]` alive paths" into
 /// `acc[j]` (lane-bitmask AND-accumulate), recomputing link words through
-/// `trials` — **zero allocation**, O(1) memory beyond the accumulator.
+/// `trials` — **zero allocation**, O(1) memory beyond the accumulator. The
+/// bundles are `src`'s guest edges, visited in its deterministic,
+/// allocation-free path order.
 ///
 /// Callers seed `acc` with [`IndexedTrials::live_mask`]; disjoint bundle
 /// ranges can be evaluated in any order (or in parallel into separate
@@ -1056,7 +1012,7 @@ impl BundleSource for GrayCycleBundles {
 /// Panics if `ks` and `acc` differ in length, or if a bundle has 256 or
 /// more paths (the ripple-carry survivor counter is 8 bits wide).
 pub fn stream_bundles_ge_into(
-    src: &(impl BundleSource + ?Sized),
+    src: &(impl TenantPlan + ?Sized),
     trials: &IndexedTrials,
     ks: &[usize],
     bundles: std::ops::Range<u64>,
@@ -1110,13 +1066,13 @@ pub fn stream_bundles_ge_into(
 /// accumulator and chunks combine by AND, which commutes — so the result
 /// is byte-identical at any thread count.
 pub fn streamed_all_bundles_ge(
-    src: &(impl BundleSource + Sync),
+    src: &impl TenantPlan,
     trials: &IndexedTrials,
     ks: &[usize],
 ) -> Vec<u64> {
     use rayon::prelude::*;
     const CHUNK: u64 = 1 << 13;
-    let total = src.num_bundles();
+    let total = src.num_edges();
     let per_chunk: Vec<Vec<u64>> = (0..total.div_ceil(CHUNK) as usize)
         .into_par_iter()
         .map(|ci| {
@@ -1141,6 +1097,7 @@ mod tests {
     use crate::faults::{random_fault_set, surviving_paths};
     use hyperpath_core::baseline::gray_cycle_embedding;
     use hyperpath_core::cycles::theorem1;
+    use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
     use rand::rngs::StdRng;
     use rand::{RngCore, SeedableRng};
     use rand_chacha::ChaCha8Rng;
@@ -1390,7 +1347,7 @@ mod tests {
                 if full_width { Theorem2Variant::FullWidth } else { Theorem2Variant::Cost3 };
             let t2 = theorem2(n, variant).unwrap();
             let sliced = SlicedPaths::new(&t2.embedding);
-            let plan = hyperpath_topology::host::Theorem2Plan::new(n, full_width).unwrap();
+            let plan = Theorem2Plan::new(n, full_width).unwrap();
             let trials = IndexedTrials::new(5 + u64::from(n), 0.12, 64);
             let block = BitTrialBlock::draw_indexed(&t2.embedding.host, &trials);
             // Bundle *order* differs (Euler-tour vs direct enumeration) but
@@ -1428,7 +1385,7 @@ mod tests {
         // Manually split into uneven serial ranges: AND of the pieces must
         // equal the parallel fold.
         let mut acc = vec![trials.live_mask(); ks.len()];
-        let total = BundleSource::num_bundles(&plan);
+        let total = plan.num_bundles();
         for r in [0..5u64, 5..17, 17..total] {
             stream_bundles_ge_into(&plan, &trials, &ks, r, &mut acc);
         }
@@ -1568,14 +1525,9 @@ mod tests {
 
     /// [`stream_bundles_ge_into`] before settling: every path of every
     /// bundle on every lane, link by link.
-    fn unsettled_fold(
-        src: &dyn BundleSource,
-        trials: &IndexedTrials,
-        ks: &[usize],
-        acc: &mut [u64],
-    ) {
+    fn unsettled_fold(src: &dyn TenantPlan, trials: &IndexedTrials, ks: &[usize], acc: &mut [u64]) {
         let full = trials.live_mask();
-        for b in 0..src.num_bundles() {
+        for b in 0..src.num_edges() {
             let mut cnt = SurvivorCount::new();
             let mut n_paths = 0usize;
             src.for_each_path(b, &mut |links| {
@@ -1594,7 +1546,7 @@ mod tests {
 
     #[test]
     fn settled_fold_matches_the_unsettled_fold() {
-        let sources: Vec<(&str, Box<dyn BundleSource>)> = vec![
+        let sources: Vec<(&str, Box<dyn TenantPlan>)> = vec![
             ("theorem1 n8", Box::new(Theorem1Plan::new(8).unwrap())),
             ("theorem2 n6 cost3", Box::new(Theorem2Plan::new(6, false).unwrap())),
             ("theorem2 n6 full", Box::new(Theorem2Plan::new(6, true).unwrap())),
@@ -1616,7 +1568,7 @@ mod tests {
                         src.as_ref(),
                         &trials,
                         &ks,
-                        0..src.num_bundles(),
+                        0..src.num_edges(),
                         &mut got,
                     );
                     assert_eq!(got, want, "{name} p={p} lanes={lanes}");
@@ -1629,9 +1581,17 @@ mod tests {
     /// counters hold.
     struct TooWide;
 
-    impl BundleSource for TooWide {
-        fn num_bundles(&self) -> u64 {
+    impl TenantPlan for TooWide {
+        fn dims(&self) -> u32 {
+            9
+        }
+
+        fn num_edges(&self) -> u64 {
             1
+        }
+
+        fn width(&self) -> u32 {
+            256
         }
 
         fn for_each_path(&self, _bundle: u64, f: &mut dyn FnMut(&[u64])) {

@@ -49,13 +49,6 @@ pub struct DeliveryConfig {
     pub message_len: usize,
 }
 
-impl DeliveryConfig {
-    /// Threshold `k` with one retry round and 64-byte messages.
-    pub fn with_threshold(threshold: usize) -> Self {
-        DeliveryConfig { threshold, max_retries: 1, message_len: 64 }
-    }
-}
-
 /// What happened to one guest edge's message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeOutcome {
@@ -634,7 +627,7 @@ mod tests {
     fn a_phase_without_shares_reports_an_empty_first_round() {
         let mut e = theorem1(4).unwrap().embedding;
         e.edge_paths.clear();
-        let cfg = DeliveryConfig::with_threshold(1);
+        let cfg = DeliveryConfig { threshold: 1, max_retries: 1, message_len: 64 };
         let r = deliver_phase_plan(&e, &FaultPlan::none(&e.host), &cfg);
         assert_eq!((r.edges.len(), r.rounds_run, r.shares_resent), (0, 0, 0));
         assert_eq!(r.initial, PlanReport::default());

@@ -76,7 +76,9 @@ pub const ENGINE_MAX_DIMS: u32 = 16;
 /// A guest plan a tenant can run: `num_edges` guest edges, each widened
 /// to a `width`-path bundle of dense undirected link indices over the
 /// plan's own `Q_m` (lifted into the host by the engine). Object-safe so
-/// heterogeneous tenants share one engine.
+/// heterogeneous tenants share one engine. The bit-sliced streaming folds
+/// ([`crate::bitslice::streamed_all_bundles_ge`]) read bundles through it
+/// too.
 pub trait TenantPlan: Send + Sync {
     /// Subcube dimension `m` the plan's link indices live in.
     fn dims(&self) -> u32;

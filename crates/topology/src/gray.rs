@@ -49,21 +49,6 @@ pub fn transition_sequence(k: u32) -> Vec<Dim> {
     (0..(1u64 << k)).map(|j| transition(k, j)).collect()
 }
 
-/// Number of times dimension `d` appears in `G_k`.
-///
-/// Used by the Section 5 congestion arguments: bit `t > 0` is used `2^(k-1-t)`
-/// times... (in the paper's tier terminology, a tier-`t` dimension of the
-/// *window* corresponds to Gray bit `t` which is used `2^t` times out of `n`
-/// levels; here we count occurrences in the raw sequence).
-pub fn transition_count(k: u32, d: Dim) -> u64 {
-    debug_assert!(d < k);
-    if d == k - 1 {
-        2
-    } else {
-        1u64 << (k - 1 - d)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,11 +124,14 @@ mod tests {
 
     #[test]
     fn transition_counts() {
+        // Dimension d < k - 1 appears 2^(k-1-d) times in G_k; the top
+        // dimension twice (once mid-sequence, once closing the cycle).
         for k in 1..=8u32 {
             let seq = transition_sequence(k);
             for d in 0..k {
                 let count = seq.iter().filter(|&&t| t == d).count() as u64;
-                assert_eq!(count, transition_count(k, d), "k={k} d={d}");
+                let expected = if d == k - 1 { 2 } else { 1u64 << (k - 1 - d) };
+                assert_eq!(count, expected, "k={k} d={d}");
             }
         }
     }

@@ -1,285 +1,38 @@
-//! Implicit host topologies: million-node `Q_n` without `O(n·2^n)` tables.
+//! Implicit host plans: million-node `Q_n` without `O(n·2^n)` tables.
 //!
-//! Everything the paper's constructions need from the host — neighbors,
-//! Hamiltonian-decomposition edge colors, and the Theorem 1/2 disjoint-path
-//! bundles — is a closed-form function of the `u64` node label. This module
-//! exposes that directly:
+//! The path bundles of the paper's constructions are closed-form functions
+//! of the `u64` node label and a little subcube state. This module exposes
+//! them as *plans*:
 //!
-//! * [`HostTopology`] — the trait: neighbor/link-index arithmetic plus an
-//!   edge-color oracle, all `O(1)` per query and allocation-free.
-//! * [`ImplicitQn`] — `Q_n` with an [`ImplicitColoring`]: Lemma 1 colors
-//!   answered from the *orbit* structure of the decomposition (the base
-//!   cycle's rotation orbit for `n ∈ {2, 4, 6}`, the [`splice_pairs`]
-//!   replay for odd `n`) instead of stored [`crate::hamiltonian::HamCycle`]
-//!   tables.
 //! * [`Theorem1Plan`] / [`Theorem2Plan`] — the multiple-path cycle
-//!   embeddings of Theorems 1 and 2 as *plans*: `vertex(t)` and the
-//!   per-guest-edge path bundles are computed on demand from `O(2^{n/2})`
-//!   words of row-subcube state, so the structural fault estimators run at
+//!   embeddings of Theorems 1 and 2: `vertex(t)` and the per-guest-edge
+//!   path bundles are computed on demand from `O(2^{n/2})` words of
+//!   row-subcube state, so the structural fault estimators run at
 //!   `n = 20..=24` (1M–16M nodes) in bounded memory.
+//! * [`GridPlan`] / [`BinomialTreePlan`] — Gray-coded grids and the
+//!   spanning binomial tree, each guest edge widened by the Theorem 1
+//!   detour shape, with `O(1)` state.
 //!
 //! Memory model. A materialized `MultiPathEmbedding` stores
 //! `Θ(n·2^n)` words (vertex map plus widened path bundles); the plans here
 //! store only the `⌊row_bits/2⌋` directed Hamiltonian cycles of the *row*
 //! subcube (`2^{n/2}`-node tables) and a `2^{col_bits}`-entry column-walk
 //! index — about 48 bytes per *row-subcube* node, i.e. kilobytes–megabytes
-//! where the dense path previously needed gigabytes. The one genuinely
-//! table-bound piece is the full edge coloring for large even `n`: a Lemma 1
-//! decomposition of `Q_n` itself is only constructively cheap for `n ≤ 11`
-//! (the `Q_12` doubling takes ~35 s), so [`ImplicitColoring::new`] is capped
-//! at `n ≤ 13` while the plans — which only ever decompose the *row* subcube
-//! — reach `n = 27`.
+//! where the dense path previously needed gigabytes. The subcube cycles
+//! come from [`decompose`], which builds `Q_1` through `Q_13`; so
+//! [`Theorem1Plan`] reaches `n = 27` and [`Theorem2Plan`] `n = 25`
+//! (26 for the full-width variant).
 //!
 //! `MultiPathEmbedding` lives downstream (the `embedding` crate); the plans
-//! therefore speak plain node labels and dense link indices
-//! ([`HostTopology::link_index`]), which is exactly the currency of the
-//! bit-sliced fault kernels in `sim::bitslice`.
+//! therefore speak plain node labels and dense undirected link indices
+//! ([`Hypercube::undirected_edge_index`](crate::cube::Hypercube::undirected_edge_index)),
+//! which is exactly the currency of the bit-sliced fault kernels in
+//! `sim::bitslice` and of the tenant engine in `sim::tenants`.
 
-use crate::cube::{Dim, Hypercube, Node};
+use crate::cube::{Dim, Node};
 use crate::gray::{gray_code, transition};
-use crate::hamiltonian::{decompose, directed_cycles, splice_pairs, DirectedHamCycle};
+use crate::hamiltonian::{decompose, directed_cycles, DirectedHamCycle};
 use crate::moment::moment;
-
-/// The Lemma 1 color of a hypercube edge: one of the `⌊n/2⌋` Hamiltonian
-/// cycles, or (odd `n` only) the leftover perfect matching.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EdgeColor {
-    /// The edge lies on Hamiltonian cycle `i` of the decomposition
-    /// (`0 ≤ i < ⌊n/2⌋`, same indexing as [`decompose`]'s `cycles`).
-    Cycle(u32),
-    /// The edge lies in the odd-`n` perfect matching.
-    Matching,
-}
-
-/// An implicit host graph: all structure is computed from node labels.
-///
-/// Default methods give the `Q_n` bit arithmetic; implementors supply the
-/// dimension count and the edge-color oracle. No method allocates.
-pub trait HostTopology {
-    /// Number of dimensions `n`.
-    fn dims(&self) -> u32;
-
-    /// Number of nodes, `2^n`.
-    #[inline]
-    fn num_nodes(&self) -> u64 {
-        1u64 << self.dims()
-    }
-
-    /// Size of the dense link-index space, `n·2^n` (canonical undirected
-    /// links occupy half the slots; see [`Hypercube::undirected_edge_index`]).
-    #[inline]
-    fn num_link_slots(&self) -> u64 {
-        u64::from(self.dims()) << self.dims()
-    }
-
-    /// The neighbor of `v` across dimension `d`.
-    #[inline]
-    fn neighbor(&self, v: Node, d: Dim) -> Node {
-        debug_assert!(d < self.dims());
-        v ^ (1u64 << d)
-    }
-
-    /// Dense index of the undirected link `{v, v ⊕ 2^d}`: the canonical
-    /// orientation's [`Hypercube::dir_edge_index`], as a `u64` so it stays
-    /// exact for every supported `n` on any platform.
-    #[inline]
-    fn link_index(&self, v: Node, d: Dim) -> u64 {
-        debug_assert!(d < self.dims());
-        (v & !(1u64 << d)) * u64::from(self.dims()) + u64::from(d)
-    }
-
-    /// The Lemma 1 color of the edge leaving `v` across `d` (orientation
-    /// independent).
-    fn edge_color(&self, v: Node, d: Dim) -> EdgeColor;
-}
-
-/// Rotates the low `n` bits of `v` right by `s` positions (`0 ≤ s < n`).
-#[inline]
-fn rotr_bits(v: Node, s: u32, n: u32) -> Node {
-    if s == 0 {
-        v
-    } else {
-        ((v >> s) | (v << (n - s))) & ((1u64 << n) - 1)
-    }
-}
-
-/// How [`ImplicitColoring`] answers queries for a given `n`.
-#[derive(Debug, Clone)]
-enum Scheme {
-    /// Even `n ∈ {2, 4, 6}`: cycle `j` is the base cycle's image under
-    /// rotate-left-by-`2j`, so membership is one bitmask probe on the
-    /// rotated-back label. `base_mask[v]` has bit `d` set iff the base
-    /// cycle uses edge `(v, d)`. 2 bytes per node.
-    Orbit { base_mask: Vec<u16> },
-    /// Odd `n`: replay [`splice_pairs`] over the even coloring one layer
-    /// down ([`merge_odd`](crate::hamiltonian)'s exact choice). Costs only
-    /// the inner coloring plus `⌊n/2⌋` pairs.
-    Spliced { inner: Box<ImplicitColoring>, pairs: Vec<(Node, Node)> },
-    /// Fallback dense table (even `8 ≤ n ≤ 12`, and `n = 1`): a nibble per
-    /// dimension per node, `0xF` = matching. 8 bytes per node.
-    Dense { table: Vec<u64> },
-}
-
-/// Closed-form Lemma 1 edge colors for `Q_n`, bit-for-bit equal to the
-/// [`decompose`] tables (the equivalence suite in
-/// `tests/implicit_equiv.rs` checks every edge for all `n ≤ 10`).
-#[derive(Debug, Clone)]
-pub struct ImplicitColoring {
-    dims: u32,
-    scheme: Scheme,
-}
-
-impl ImplicitColoring {
-    /// Builds the coloring for `Q_n`.
-    ///
-    /// Supported for `1 ≤ n ≤ 13`: beyond that a full Lemma 1 decomposition
-    /// of `Q_n` itself is out of cheap constructive range (see the module
-    /// docs); neighbor arithmetic and the path-bundle plans have no such
-    /// limit.
-    pub fn new(n: u32) -> Result<Self, String> {
-        let scheme = match n {
-            0 => return Err("Q_0 has no edges to color".into()),
-            2 | 4 | 6 => {
-                let dec = decompose(n)?;
-                let mut base_mask = vec![0u16; dec.cube.num_nodes() as usize];
-                for e in dec.cycles[0].edges() {
-                    base_mask[e.from as usize] |= 1 << e.dim;
-                    base_mask[e.to() as usize] |= 1 << e.dim;
-                }
-                Scheme::Orbit { base_mask }
-            }
-            n if n % 2 == 1 && n >= 3 => {
-                let inner = ImplicitColoring::new(n - 1)?;
-                let pairs = splice_pairs(&decompose(n - 1)?)?;
-                Scheme::Spliced { inner: Box::new(inner), pairs }
-            }
-            n if n <= 12 => {
-                let dec = decompose(n)?;
-                let mut table = vec![u64::MAX; dec.cube.num_nodes() as usize];
-                for (c, cyc) in dec.cycles.iter().enumerate() {
-                    for e in cyc.edges() {
-                        for v in [e.from, e.to()] {
-                            let shift = 4 * e.dim;
-                            table[v as usize] =
-                                (table[v as usize] & !(0xFu64 << shift)) | ((c as u64) << shift);
-                        }
-                    }
-                }
-                Scheme::Dense { table }
-            }
-            _ => {
-                return Err(format!(
-                    "implicit edge coloring needs a Lemma 1 decomposition of Q_{n} itself, \
-                     which is out of constructive range for n > 13; neighbor and path-bundle \
-                     queries are unaffected"
-                ))
-            }
-        };
-        Ok(ImplicitColoring { dims: n, scheme })
-    }
-
-    /// Number of dimensions `n`.
-    pub fn dims(&self) -> u32 {
-        self.dims
-    }
-
-    /// Number of cycle colors, `⌊n/2⌋`.
-    pub fn num_cycles(&self) -> u32 {
-        self.dims / 2
-    }
-
-    /// The color of the edge leaving `v` across `d`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if `v` or `d` is out of range.
-    pub fn edge_color(&self, v: Node, d: Dim) -> EdgeColor {
-        debug_assert!(d < self.dims && v < (1u64 << self.dims));
-        let n = self.dims;
-        match &self.scheme {
-            Scheme::Orbit { base_mask } => {
-                for j in 0..n / 2 {
-                    let s = (2 * j) % n;
-                    let u = rotr_bits(v, s, n);
-                    let d0 = (d + n - s) % n;
-                    if base_mask[u as usize] & (1 << d0) != 0 {
-                        return EdgeColor::Cycle(j);
-                    }
-                }
-                unreachable!("rotation orbit covers every edge of even Q_{n}")
-            }
-            Scheme::Spliced { inner, pairs } => {
-                let m = n - 1;
-                if d == m {
-                    // Vertical edge: joins spliced cycle `i` exactly at the
-                    // deleted-edge endpoints `a_i`, `b_i`.
-                    let u = v & !(1u64 << m);
-                    match pairs.iter().position(|&(a, b)| u == a || u == b) {
-                        Some(i) => EdgeColor::Cycle(i as u32),
-                        None => EdgeColor::Matching,
-                    }
-                } else {
-                    // Horizontal edge: keeps its layer-`m` color unless it is
-                    // (either layer copy of) the spliced-out edge.
-                    let u = v & ((1u64 << m) - 1);
-                    let w = u ^ (1u64 << d);
-                    match inner.edge_color(u, d) {
-                        EdgeColor::Cycle(c) => {
-                            let (a, b) = pairs[c as usize];
-                            if (u, w) == (a, b) || (u, w) == (b, a) {
-                                EdgeColor::Matching
-                            } else {
-                                EdgeColor::Cycle(c)
-                            }
-                        }
-                        EdgeColor::Matching => {
-                            unreachable!("even coloring of Q_{m} has no matching")
-                        }
-                    }
-                }
-            }
-            Scheme::Dense { table } => match (table[v as usize] >> (4 * d)) & 0xF {
-                0xF => EdgeColor::Matching,
-                c => EdgeColor::Cycle(c as u32),
-            },
-        }
-    }
-}
-
-/// `Q_n` as an implicit host: bit-trick neighbors/links from the trait
-/// defaults plus an [`ImplicitColoring`] oracle.
-#[derive(Debug, Clone)]
-pub struct ImplicitQn {
-    cube: Hypercube,
-    coloring: ImplicitColoring,
-}
-
-impl ImplicitQn {
-    /// Builds implicit `Q_n` (see [`ImplicitColoring::new`] for the
-    /// supported range).
-    pub fn new(n: u32) -> Result<Self, String> {
-        Ok(ImplicitQn { cube: Hypercube::new(n), coloring: ImplicitColoring::new(n)? })
-    }
-
-    /// The underlying cube value.
-    pub fn cube(&self) -> Hypercube {
-        self.cube
-    }
-
-    /// The edge-color oracle.
-    pub fn coloring(&self) -> &ImplicitColoring {
-        &self.coloring
-    }
-}
-
-impl HostTopology for ImplicitQn {
-    fn dims(&self) -> u32 {
-        self.cube.dims()
-    }
-
-    fn edge_color(&self, v: Node, d: Dim) -> EdgeColor {
-        self.coloring.edge_color(v, d)
-    }
-}
 
 /// The Gray-dimension relabeling for the theorems' column ordering:
 /// Gray bit 0 ↦ position bit 0 (actual dimension `block_bits`), Gray bit 1 ↦
@@ -326,9 +79,9 @@ pub struct Theorem1Plan {
 }
 
 impl Theorem1Plan {
-    /// Builds the plan for `Q_n` (`n ≥ 4`; the row subcube `Q_{2⌊n/4⌋}`
-    /// must be within Hamiltonian-decomposition range, which covers every
-    /// `n ≤ 27`).
+    /// Builds the plan for `Q_n`, `4 ≤ n ≤ 27`: the row subcube
+    /// `Q_{2⌊n/4⌋}` must be within [`decompose`]'s range (`Q_1`–`Q_13`).
+    /// Other `n` are an error.
     pub fn new(n: u32) -> Result<Self, String> {
         if n < 4 {
             return Err("Theorem 1 requires n >= 4 (k >= 1)".into());
@@ -434,7 +187,9 @@ impl Theorem1Plan {
     /// Visits the path bundle of guest edge `t` in the exact order
     /// `theorem1` materializes it: the direct path first, then the `2k`
     /// length-3 detours. Each path is presented as its sequence of dense
-    /// undirected link indices ([`HostTopology::link_index`] currency).
+    /// undirected link indices
+    /// ([`Hypercube::undirected_edge_index`](crate::cube::Hypercube::undirected_edge_index)
+    /// currency).
     /// Allocation-free.
     pub fn for_each_path(&self, t: u64, mut f: impl FnMut(&[u64])) {
         let u = self.vertex(t);
@@ -473,9 +228,13 @@ pub struct Theorem2Plan {
 }
 
 impl Theorem2Plan {
-    /// Builds the plan for `Q_n` (`n ≥ 4`). `full_width` selects the
+    /// Builds the plan for `Q_n`. `full_width` selects the
     /// width-`⌊n/2⌋` variant for `n ≡ 2, 3 (mod 4)`
     /// (`Theorem2Variant::FullWidth`); `false` is the cost-3 variant.
+    ///
+    /// The row and column subcubes must be within [`decompose`]'s range
+    /// (`Q_1`–`Q_13`), so `4 ≤ n ≤ 25`, or `n ≤ 26` with `full_width`.
+    /// Other `n` are an error.
     pub fn new(n: u32, full_width: bool) -> Result<Self, String> {
         if n < 4 {
             return Err("Theorem 2 requires n >= 4 (k >= 1)".into());
@@ -491,8 +250,10 @@ impl Theorem2Plan {
             (true, 3) => (2 * k + 1, 2 * k + 2),
             _ => unreachable!(),
         };
-        let col_dirs = directed_cycles(&decompose(row_bits)?);
+        // The column subcube is never the smaller one, so an out-of-range
+        // n fails here before the row subcube is built.
         let row_dirs = directed_cycles(&decompose(col_bits)?);
+        let col_dirs = directed_cycles(&decompose(row_bits)?);
         let claimed = match (full_width, r) {
             (false, 2 | 3) => n / 2 - 1,
             _ => n / 2,
@@ -663,7 +424,8 @@ impl GridPlan {
 
     /// Visits the bundle of guest edge `t`: the direct host link, then
     /// `width - 1` length-3 detours. Allocation-free; link indices in
-    /// [`HostTopology::link_index`] currency.
+    /// [`Hypercube::undirected_edge_index`](crate::cube::Hypercube::undirected_edge_index)
+    /// currency.
     pub fn for_each_path(&self, t: u64, mut f: impl FnMut(&[u64])) {
         let (u, i) = self.edge_anchor(t);
         emit_dilation1_bundle(self.dims, u, i, self.width, &mut f);
@@ -721,7 +483,8 @@ impl BinomialTreePlan {
 
     /// Visits the bundle of guest edge `t`: the direct host link, then
     /// `width - 1` length-3 detours. Allocation-free; link indices in
-    /// [`HostTopology::link_index`] currency.
+    /// [`Hypercube::undirected_edge_index`](crate::cube::Hypercube::undirected_edge_index)
+    /// currency.
     pub fn for_each_path(&self, t: u64, mut f: impl FnMut(&[u64])) {
         let (parent, child) = self.guest_edge(t);
         let d = (parent ^ child).trailing_zeros();
@@ -732,59 +495,6 @@ impl BinomialTreePlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::DirEdge;
-
-    #[test]
-    fn trait_defaults_match_cube_arithmetic() {
-        let q = ImplicitQn::new(5).unwrap();
-        let cube = q.cube();
-        for v in cube.nodes() {
-            for d in cube.dimensions() {
-                assert_eq!(q.neighbor(v, d), cube.neighbor(v, d));
-                assert_eq!(
-                    q.link_index(v, d),
-                    cube.undirected_edge_index(DirEdge::new(v, d)) as u64
-                );
-            }
-        }
-        assert_eq!(q.num_nodes(), cube.num_nodes());
-        assert_eq!(q.num_link_slots(), cube.num_directed_edges());
-    }
-
-    #[test]
-    fn coloring_is_orientation_independent_and_total() {
-        for n in [2u32, 3, 4, 5] {
-            let col = ImplicitColoring::new(n).unwrap();
-            let cube = Hypercube::new(n);
-            for v in cube.nodes() {
-                for d in cube.dimensions() {
-                    assert_eq!(
-                        col.edge_color(v, d),
-                        col.edge_color(v ^ (1 << d), d),
-                        "n={n} v={v:#x} d={d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn even_coloring_has_no_matching() {
-        for n in [2u32, 4, 6, 8] {
-            let col = ImplicitColoring::new(n).unwrap();
-            let cube = Hypercube::new(n);
-            for e in cube.undirected_edges() {
-                assert_ne!(col.edge_color(e.from, e.dim), EdgeColor::Matching, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn coloring_rejects_out_of_range() {
-        assert!(ImplicitColoring::new(0).is_err());
-        assert!(ImplicitColoring::new(14).is_err());
-        assert!(ImplicitColoring::new(15).is_err());
-    }
 
     #[test]
     fn theorem1_plan_vertices_form_the_guest_cycle() {
@@ -800,6 +510,9 @@ mod tests {
                 assert_eq!((u ^ v).count_ones(), 1, "n={n} t={t}: not a cube edge");
             }
         }
+        // n = 28 needs a Q_14 row subcube, past decompose's range.
+        let err = Theorem1Plan::new(28).unwrap_err();
+        assert!(err.contains("Q_14"), "{err}");
     }
 
     #[test]
@@ -831,6 +544,9 @@ mod tests {
             assert!(out_degree.iter().all(|&d| d == 2), "n={n}: union must be 2-out-regular");
             assert!(in_degree.iter().all(|&d| d == 2), "n={n}: union must be 2-in-regular");
         }
+        // The cost-3 variant at n = 26 needs a Q_14 column subcube.
+        let err = Theorem2Plan::new(26, false).unwrap_err();
+        assert!(err.contains("Q_14"), "{err}");
     }
 
     /// Decodes a dense undirected link index back to `(base node, dim)` —

@@ -19,12 +19,12 @@
 //! * [`hash`] — [`LinkHasher`], the std-only multiply-rotate hasher for
 //!   maps keyed by link ids and schedule steps.
 //! * [`hamiltonian`] — constructive Hamiltonian decompositions of `Q_n`
-//!   (Lemma 1 / Alspach–Bermond–Sotteau): `⌊n/2⌋` edge-disjoint Hamiltonian
-//!   cycles (plus a perfect matching when `n` is odd), and the derived
-//!   edge-disjoint *directed* Hamiltonian cycles.
-//! * [`host`] — implicit host topologies: the [`host::HostTopology`] trait
-//!   and closed-form edge colors / Theorem 1-2 path-bundle plans that reach
-//!   `n = 20+` (millions of nodes) without `O(n·2^n)` tables.
+//!   (Lemma 1 / Alspach–Bermond–Sotteau) for `n ≤ 13`: `⌊n/2⌋` edge-disjoint
+//!   Hamiltonian cycles (plus a perfect matching when `n` is odd), and the
+//!   derived edge-disjoint *directed* Hamiltonian cycles.
+//! * [`host`] — implicit path-bundle plans (Theorems 1 and 2, grids, the
+//!   binomial tree) that reach `n = 20+` (millions of nodes) without
+//!   `O(n·2^n)` tables.
 //!
 //! Addresses are plain `u64` values; dimension `d` of node `v` is bit `d`
 //! (i.e. `(v >> d) & 1`). All edge bookkeeping is *directed*, matching the
@@ -45,9 +45,6 @@ pub use hamiltonian::{
     decompose, directed_cycles, verify_decomposition, Decomposition, DirectedHamCycle, HamCycle,
 };
 pub use hash::{LinkBuildHasher, LinkHasher, LinkMap, LinkSet};
-pub use host::{
-    gray_dim_permutation, BinomialTreePlan, EdgeColor, GridPlan, HostTopology, ImplicitColoring,
-    ImplicitQn, Theorem1Plan, Theorem2Plan,
-};
+pub use host::{gray_dim_permutation, BinomialTreePlan, GridPlan, Theorem1Plan, Theorem2Plan};
 pub use moment::moment;
 pub use window::{common_prefix_len, prefix, Window};
