@@ -18,13 +18,18 @@
 //! per trial, 256 trials per kernel word.
 
 use hyperpath_bench::experiments::{
-    e12_faults, ida_sanity_line, maybe_write_json, parse_cli_for, CliAccepts,
+    check_theorem1_dims, e12_faults, exit_usage, ida_sanity_line, maybe_write_json, parse_cli_for,
+    CliAccepts,
 };
 
 fn main() {
-    let opts = parse_cli_for(CliAccepts { trials: true, dims: true, ..CliAccepts::default() });
+    let accepts = CliAccepts { trials: true, dims: true, ..CliAccepts::default() };
+    let opts = parse_cli_for(accepts);
     let trials = opts.trials.unwrap_or(200);
     let dims = opts.dims.clone().unwrap_or_else(|| vec![8, 10]);
+    if let Err(msg) = check_theorem1_dims(&dims) {
+        exit_usage(&msg, accepts);
+    }
     println!("E12: phase delivery probability under link faults (Monte-Carlo, {trials} trials)");
     println!("Claim (Sections 1-2): w edge-disjoint paths + Rabin IDA tolerate link faults.\n");
 

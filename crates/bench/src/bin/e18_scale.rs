@@ -14,12 +14,18 @@
 //! byte-identical at any `RAYON_NUM_THREADS` (CI's determinism manifest
 //! compares two runs).
 
-use hyperpath_bench::experiments::{e18_scale, maybe_write_json, parse_cli_for, CliAccepts};
+use hyperpath_bench::experiments::{
+    check_theorem1_dims, e18_scale, exit_usage, maybe_write_json, parse_cli_for, CliAccepts,
+};
 
 fn main() {
-    let opts = parse_cli_for(CliAccepts { trials: true, dims: true, ..CliAccepts::default() });
+    let accepts = CliAccepts { trials: true, dims: true, ..CliAccepts::default() };
+    let opts = parse_cli_for(accepts);
     let trials = opts.trials.unwrap_or(128);
     let dims = opts.dims.clone().unwrap_or_else(|| vec![8, 12, 16, 20]);
+    if let Err(msg) = check_theorem1_dims(&dims) {
+        exit_usage(&msg, accepts);
+    }
     println!("E18: structural delivery estimators on the implicit host ({trials} trials)");
     println!("Claim (Theorem 1): width-⌊n/2⌋ bundles survive faults that kill single paths,");
     println!("evaluated here without materializing the embedding (n = 20 is 1M nodes).\n");

@@ -1369,14 +1369,23 @@ pub fn try_parse_cli_for(
 /// `accepts`; on bad usage prints the error plus a usage line to stderr
 /// and exits with status 2.
 pub fn parse_cli_for(accepts: CliAccepts) -> CliOpts {
-    match try_parse_cli_for(std::env::args().skip(1), accepts) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!("{}", cli_usage_for(accepts));
-            std::process::exit(2);
-        }
-    }
+    try_parse_cli_for(std::env::args().skip(1), accepts)
+        .unwrap_or_else(|msg| exit_usage(&msg, accepts))
+}
+
+/// The bad-usage exit of a binary accepting the flags in `accepts`: the
+/// error plus a usage line to stderr, then status 2.
+pub fn exit_usage(msg: &str, accepts: CliAccepts) -> ! {
+    eprintln!("error: {msg}");
+    eprintln!("{}", cli_usage_for(accepts));
+    std::process::exit(2);
+}
+
+/// Checks a `--dims` list against the Theorem 1 construction both fault
+/// sweeps build (`4 ≤ n ≤ 27`), failing with the construction's own
+/// message, so a sweep never starts on a dimension it would panic on.
+pub fn check_theorem1_dims(dims: &[u32]) -> Result<(), String> {
+    dims.iter().try_for_each(|&n| Theorem1Plan::accepts(n))
 }
 
 /// Re-shapes rendered [`Table`]s into a [`SweepOutput`] so the table-only
@@ -1523,6 +1532,16 @@ mod tests {
         assert_eq!(o.dims, Some(vec![hyperpath_topology::MAX_DIMS]));
         let o = dims("8,").unwrap();
         assert_eq!(o.dims, Some(vec![8]));
+    }
+
+    #[test]
+    fn theorem1_dims_outside_the_construction_are_rejected() {
+        // Both fault sweeps build Theorem 1, which takes 4 <= n <= 27.
+        let e = check_theorem1_dims(&[8, 3]).unwrap_err();
+        assert!(e.contains("requires n >= 4"), "{e}");
+        let e = check_theorem1_dims(&[28]).unwrap_err();
+        assert!(e.contains("Q_14 is out of range"), "{e}");
+        assert!(check_theorem1_dims(&[4, 12, 27]).is_ok());
     }
 
     #[test]

@@ -7,20 +7,27 @@
 //! so every run is exactly reproducible.
 //!
 //! [`PacketSim`] is the one engine. Flows are loaded as directed-link hop
-//! sequences (node walks are converted on load); packets live in a flat
-//! slab whose ids are assigned in (flow, seq) injection order, so
-//! ascending slab id *is* the arbitration order; per-link FIFOs are
-//! intrusive lists over the slab; and packets moving in one step are
-//! re-queued through per-destination-link buckets (sorted insertion into
-//! at most `n` slots), which reproduces the global (flow, seq) sort
-//! without sorting. The step loop allocates nothing, and a warmed
-//! simulator allocates nothing per run, so one simulator serves a whole
-//! sequence of rounds: [`clear`](PacketSim::clear), load, run.
+//! sequences (node walks are converted on load) into one hop table, each
+//! flow closed by a sentinel; packets get slab ids in (flow, seq)
+//! injection order, so ascending id *is* the arbitration order. A link's
+//! FIFO is ordered by (arrival step, id), and the link serves one packet
+//! per step while the FIFO is non-empty. So the engine never builds a
+//! queue: a packet that arrives at link `L` at step `a` departs at
+//! `max(a, free[L])`, `L` is free again from the departure + 1, and the
+//! packet reaches its next link at the departure + 1. The engine visits
+//! packets in ascending (arrival step, id) — a calendar ring of due steps
+//! feeding an id-ordered ready bitset per step, the wormhole engine's
+//! idiom — so every link meets its arrivals in FIFO order, and each packet
+//! is visited once per hop. The next-free step is the only per-link
+//! state; it is stamped with the run's epoch, so a new run resets nothing.
+//! A warmed simulator allocates nothing per run, so one simulator serves a
+//! whole sequence of rounds: [`clear`](PacketSim::clear), load, run.
 //!
 //! [`PacketSim::run_reference`] is the original straightforward stepper
-//! (per-step `Vec`s plus an explicit `sort_by_key`) over the same loaded
-//! flows. It is kept as the executable specification; property tests in
-//! `tests/props.rs` assert both produce bit-identical [`SimReport`]s.
+//! (per-link `VecDeque`s, per-step `Vec`s plus an explicit `sort_by_key`)
+//! over the same loaded flows. It is kept as the executable specification;
+//! property tests in `tests/props.rs` assert both produce bit-identical
+//! [`SimReport`]s.
 //!
 //! Every run reports to a [`Recorder`] (`sim::trace`); the
 //! [`NopRecorder`](crate::trace::NopRecorder) monomorphizes every hook to
@@ -30,9 +37,13 @@
 //! start or mid-run drop the packets queued at them instead of
 //! transmitting, transient outages restore links, and byte-corrupting
 //! links flag the packets that cross them — totalled in a [`PlanReport`]
-//! and read per flow through the simulator's accessors. The fault logic is
-//! one `const`-generic switch on the one engine, so the fault-free path
-//! compiles to exactly the code the equivalence tests pin.
+//! and read per flow through the simulator's accessors. The plan is known
+//! up front, so a run builds each evented link's failure windows once and
+//! settles a packet's fate when it arrives: it is dropped at the first
+//! failed step of `[arrival, departure]`, with the rest of the queue that
+//! failure drains, and a corrupting link taints it at its departure. The
+//! fault logic is one `const`-generic switch on the one engine, so the
+//! fault-free path compiles to exactly the code the equivalence tests pin.
 
 use crate::faults::{FaultPlan, LinkEvent};
 use crate::trace::Recorder;
@@ -75,8 +86,25 @@ pub struct PlanReport {
     pub corrupted: u64,
 }
 
-/// Sentinel for "no packet" in the intrusive queue links.
+/// Closes every flow's hops in the hop table.
+const END: u32 = u32::MAX;
+/// "No packet" in the calendar lists.
 const NONE: u32 = u32::MAX;
+/// A per-link value at or above this names a [`Side`] record (`SIDE +`
+/// its index); below it, it is the step from which the link is free. So a
+/// run counts its steps below `SIDE`.
+const SIDE: u32 = 1 << 31;
+/// The high half of a per-link word: the epoch of the run that wrote it.
+const EPOCH: u64 = !(u32::MAX as u64);
+/// `pkt_hop` flag: the packet crossed a corrupting link.
+const TAINT: u32 = 1 << 31;
+/// `pkt_hop` flag: the packet's next visit drops it.
+const DROP: u32 = 1 << 30;
+/// `pkt_hop` flag: the packet's next visit is its departure across a
+/// corrupting link.
+const DEPART: u32 = 1 << 29;
+/// The `pkt_hop` bits holding the hop-table index.
+const HOP: u32 = DEPART - 1;
 
 /// One packet of [`PacketSim::run_reference`].
 struct Packet {
@@ -94,308 +122,437 @@ pub(crate) fn walk_links(host: Hypercube, path: &[Node]) -> impl Iterator<Item =
     })
 }
 
-/// Every buffer the step machine mutates, grouped so a [`PacketSim`] can
-/// keep them alive across runs. Two invariant classes:
-///
-/// * *Per-run* vectors (fault state, per-flow outcomes, the packet slab)
-///   are re-prepared by the caller before each run.
-/// * *Link-indexed* machine state (`q_head` … `stage_len`) is prepared
-///   once per host and left **clean** by every completed run — all queues
-///   empty, all links inactive, all staging buckets flushed — so reuse
-///   needs no O(links) reset (`debug_assert`ed in [`engine_core`]).
+/// A link a planned run may fail, or one that corrupts: its next-free
+/// step, the queue a failure is draining, its failure windows and its
+/// corruption bit. Links without events that are healthy and clean keep
+/// their next-free step in the per-link word instead.
+#[derive(Debug, Clone)]
+struct Side {
+    /// The step from which the link is free.
+    free: u64,
+    /// The step at which a failure drains the link's queue.
+    drain_at: u64,
+    /// Packets dropped at `drain_at` so far (0: no queue is draining).
+    drained: u64,
+    /// `windows[lo..hi]`: the link's failure windows, ascending.
+    lo: u32,
+    hi: u32,
+    corrupting: bool,
+}
+
+/// Whether a link with failure windows `windows` (`[from, until)`
+/// ascending, disjoint) is down at `step`.
+fn failed_at(windows: &[(u64, u64)], step: u64) -> bool {
+    let i = windows.partition_point(|&(_, until)| until <= step);
+    windows.get(i).is_some_and(|&(from, _)| from <= step)
+}
+
+/// Every buffer the engine mutates, grouped so a [`PacketSim`] can keep
+/// them alive across runs. `free` is link-indexed and allocated once per
+/// host; an epoch stamp retires a run's words when the next run starts,
+/// so nothing is reset per link. Everything else is per run and
+/// re-prepared before each run.
 #[derive(Debug, Clone, Default)]
 struct PacketBufs {
-    failed: Vec<bool>,
+    /// Per directed link: in the high half ([`EPOCH`]) the epoch of the
+    /// run that wrote it; in the low half the step from which the link is
+    /// free, or `SIDE +` its [`Side`] index. A word of an older epoch
+    /// reads "free from step 0, no side".
+    free: Vec<u64>,
+    epoch: u32,
+    sides: Vec<Side>,
+    /// Failure windows `[from, until)` of the sides, grouped per side.
+    windows: Vec<(u64, u64)>,
+    /// Scratch: `(link, event index, step, down)` per directed link a
+    /// plan event touches.
+    events: Vec<(u32, u32, u64, bool)>,
     flow_delivered: Vec<u64>,
     flow_lost: Vec<u64>,
     flow_corrupted: Vec<u64>,
     flow_dropped_at: Vec<u32>,
     flow_corrupted_at: Vec<u32>,
+    /// Per packet: its flow (only when a run reports per flow).
     pkt_flow: Vec<u32>,
-    pkt_pos: Vec<u32>,
+    /// Per packet: the hop-table index of the link it is at (its
+    /// destination's sentinel once it crossed the last), plus flags.
+    pkt_hop: Vec<u32>,
+    /// Per packet: the next packet in the same calendar slot.
     pkt_next: Vec<u32>,
-    pkt_corrupt: Vec<bool>,
-    q_head: Vec<u32>,
-    q_tail: Vec<u32>,
-    q_len: Vec<u32>,
-    active: Vec<u32>,
-    in_active: Vec<bool>,
-    moved: Vec<u32>,
-    touched: Vec<u32>,
-    stage: Vec<u32>,
-    stage_len: Vec<u8>,
+    /// Bitset over packet ids: the packets the current step visits.
+    ready: Vec<u64>,
+    /// Calendar ring, slot `step % len`: the packets due at `step`.
+    due: Vec<u32>,
+    /// Ring like `due`: the packets departing at each step (recorded runs
+    /// only).
+    busy: Vec<u64>,
 }
 
-/// Aggregate counters [`engine_core`] returns; per-flow outcome vectors
+/// Aggregate counters [`Core::run`] returns; per-flow outcome vectors
 /// stay behind in the [`PacketBufs`] the caller owns.
+#[derive(Debug, Default)]
 struct CoreOut {
     steps: u64,
     lost: u64,
     corrupted: u64,
     packet_hops: u64,
-    busy_accum: u64,
     max_queue: usize,
 }
 
-/// The step machine behind [`PacketSim`]: injection plus the
-/// pop/stage/flush loop over the simulator's prepared buffers. The caller
-/// guarantees the per-run vectors in `bufs` are sized for this workload
-/// (see [`PacketBufs`]); nothing in here allocates.
+/// The engine behind [`PacketSim`], over prepared buffers (see
+/// [`PacketSim::run_core`]); nothing in here allocates except a planned
+/// run's side records, which a warmed simulator reuses.
 ///
-/// `PLAN` is the one fault switch. Off, every fault branch below
-/// monomorphizes away, so the fault-free loop is exactly the one the
-/// engine-equivalence property tests pin against
-/// [`PacketSim::run_reference`]. On, the plan's events for step `s` fire
-/// at the start of step `s` (a [`LinkEvent::Down`] severs, an
-/// [`LinkEvent::Up`] restores); during the pop phase a failed link
-/// transmits nothing and instead drops its entire queue (each drop
-/// recorded at the current step), and a packet crossing a corrupting
-/// link is flagged once. Dropped packets count toward neither `busy` nor
-/// `packet_hops`; `max_queue` still observes the doomed queue's depth.
-#[allow(clippy::too_many_arguments)]
-fn engine_core<R: Recorder, const PLAN: bool>(
-    host: &Hypercube,
-    flow_off: &[u32],
-    hop_links: &[u32],
-    flow_packets: &[u64],
-    total_injected: u64,
+/// A step visits its ready packets in ascending id. A packet is visited
+/// at every link it arrives at, and it leaves its departure in the link's
+/// next-free step; so each link meets its arrivals in FIFO order, and a
+/// departure is `max(arrival, free)`. The packet then comes up again at
+/// the departure + 1, at its next link. A recorded run also visits it on
+/// arrival at its destination, so that its delivery fires in that step;
+/// an unrecorded run settles the delivery at the last departure.
+///
+/// `PLAN` is the one fault switch. Off, every fault branch monomorphizes
+/// away. On, a packet arriving at a failed or corrupting link (a [`Side`])
+/// has its fate settled on arrival. The link serves without a pause from
+/// the arrival to the departure, and a packet served before it saw no
+/// failure over that stretch up to the departure − 1. So the packet is
+/// dropped iff the link is down at its departure step, and the failure
+/// then drains the whole queue: every later arrival up to that step is
+/// dropped too, and the link is free from the next step. A drop or a
+/// departure across a corrupting link that lies ahead is kept for a visit
+/// in its own step, so per-flow firsts go to the earliest (step, id).
+/// Dropped packets count toward neither `busy` nor `packet_hops`;
+/// `max_queue` still observes the doomed queue's depth.
+struct Core<'a, R, const PLAN: bool> {
+    hop_links: &'a [u32],
+    initial: &'a [bool],
+    corrupting: &'a [bool],
+    b: &'a mut PacketBufs,
+    rec: &'a mut R,
     max_steps: u64,
-    plan_events: &[(u64, DirEdge, LinkEvent)],
-    corrupting: &[bool],
-    bufs: &mut PacketBufs,
-    rec: &mut R,
-) -> CoreOut {
-    assert!(total_injected < u64::from(u32::MAX), "packet slab holds at most u32::MAX - 1");
-    let dims = host.dims() as usize;
-    let num_flows = flow_off.len() - 1;
-    let PacketBufs {
-        failed,
-        flow_delivered,
-        flow_lost,
-        flow_corrupted,
-        flow_dropped_at,
-        flow_corrupted_at,
-        pkt_flow,
-        pkt_pos,
-        pkt_next,
-        pkt_corrupt,
-        q_head,
-        q_tail,
-        q_len,
-        active,
-        in_active,
-        moved,
-        touched,
-        stage,
-        stage_len,
-    } = bufs;
-    debug_assert!(
-        active.is_empty()
-            && pkt_flow.is_empty()
-            && q_head.iter().all(|&h| h == NONE)
-            && q_len.iter().all(|&l| l == 0)
-            && in_active.iter().all(|&a| !a)
-            && stage_len.iter().all(|&l| l == 0),
-        "caller handed the engine dirty machine state"
-    );
-    let mut next_event = 0usize;
-    let mut lost = 0u64;
-    let mut corrupted = 0u64;
-
-    let push_back =
-        |link: usize, pid: u32, q_head: &mut [u32], q_tail: &mut [u32], pkt_next: &mut [u32]| {
-            if q_head[link] == NONE {
-                q_head[link] = pid;
-            } else {
-                pkt_next[q_tail[link] as usize] = pid;
-            }
-            q_tail[link] = pid;
-        };
-
-    // Inject (flows in id order, packets in seq order ⇒ slab order).
-    let mut pending = 0u64;
-    for fid in 0..num_flows {
-        let packets = flow_packets[fid];
-        rec.record_injection(fid as u32, packets, 0);
-        let hops = flow_off[fid + 1] - flow_off[fid];
-        for _seq in 0..packets {
-            let pid = pkt_flow.len() as u32;
-            pkt_flow.push(fid as u32);
-            if hops == 0 {
-                rec.record_delivery(fid as u32, 0); // delivered instantly
-                if PLAN {
-                    flow_delivered[fid] += 1;
-                }
-                continue;
-            }
-            let link = hop_links[flow_off[fid] as usize] as usize;
-            push_back(link, pid, q_head, q_tail, pkt_next);
-            rec.record_queue_push(link as u32, 1);
-            q_len[link] += 1;
-            if !in_active[link] {
-                in_active[link] = true;
-                active.push(link as u32);
-            }
-            pending += 1;
-        }
-    }
-
-    let mut step = 0u64;
-    let mut packet_hops = 0u64;
-    let mut busy_accum = 0u64;
-    let mut max_queue = 0usize;
-    while pending > 0 {
-        if step >= max_steps {
-            panic!("simulation did not finish within {max_steps} steps ({pending} pending)");
-        }
-        // Fault events for this step fire before anything moves, in
-        // insertion order, so a same-step Down-then-Up pair nets out to Up.
-        if PLAN {
-            while next_event < plan_events.len() && plan_events[next_event].0 <= step {
-                let (_, edge, ev) = plan_events[next_event];
-                let down = matches!(ev, LinkEvent::Down);
-                failed[host.dir_edge_index(edge)] = down;
-                failed[host.dir_edge_index(edge.reversed())] = down;
-                next_event += 1;
-            }
-        }
-        // Pop phase: one packet per active link; the active list is
-        // compacted in place (a link stays active iff still non-empty).
-        moved.clear();
-        let mut busy = 0u64;
-        let mut kept = 0usize;
-        for r in 0..active.len() {
-            let idx = active[r] as usize;
-            let depth = q_len[idx] as usize;
-            if depth > max_queue {
-                max_queue = depth;
-            }
-            rec.record_queue_depth(idx as u32, depth);
-            if PLAN && failed[idx] {
-                // A severed link transmits nothing: its whole queue is
-                // lost this step and the link goes quiet.
-                let mut pid = q_head[idx];
-                while pid != NONE {
-                    let f = pkt_flow[pid as usize] as usize;
-                    rec.record_drop(f as u32, step);
-                    flow_lost[f] += 1;
-                    if flow_dropped_at[f] == u32::MAX {
-                        flow_dropped_at[f] = idx as u32;
-                    }
-                    lost += 1;
-                    pending -= 1;
-                    let nx = pkt_next[pid as usize];
-                    pkt_next[pid as usize] = NONE;
-                    pid = nx;
-                }
-                q_head[idx] = NONE;
-                q_tail[idx] = NONE;
-                q_len[idx] = 0;
-                in_active[idx] = false;
-                continue;
-            }
-            let pid = q_head[idx]; // active ⇒ non-empty
-            let next = pkt_next[pid as usize];
-            q_head[idx] = next;
-            pkt_next[pid as usize] = NONE;
-            q_len[idx] -= 1;
-            pkt_pos[pid as usize] += 1;
-            // Crossing a byte-corrupting link taints the packet (once);
-            // it still travels and delivers normally.
-            if PLAN && corrupting[idx] && !pkt_corrupt[pid as usize] {
-                pkt_corrupt[pid as usize] = true;
-                corrupted += 1;
-                let f = pkt_flow[pid as usize] as usize;
-                if flow_corrupted_at[f] == u32::MAX {
-                    flow_corrupted_at[f] = idx as u32;
-                }
-                rec.record_corrupt(pkt_flow[pid as usize], step);
-            }
-            moved.push(pid);
-            busy += 1;
-            if next == NONE {
-                q_tail[idx] = NONE;
-                in_active[idx] = false;
-            } else {
-                active[kept] = idx as u32;
-                kept += 1;
-            }
-        }
-        active.truncate(kept);
-        packet_hops += busy;
-        busy_accum += busy;
-        rec.record_step(step, busy);
-
-        // Stage phase: bucket arrivals by destination link, keeping each
-        // bucket id-sorted via sorted insertion (≤ `dims` slots). All
-        // pops of a step happen before all re-queues, so per-link
-        // arrival order is the only order the FIFOs can observe — and
-        // per-bucket ascending ids reproduce exactly what the global
-        // (flow, seq) sort produced.
-        for &pid in moved.iter() {
-            let f = pkt_flow[pid as usize] as usize;
-            let pos = pkt_pos[pid as usize];
-            if flow_off[f] + pos >= flow_off[f + 1] {
-                pending -= 1;
-                rec.record_delivery(f as u32, step + 1);
-                if PLAN {
-                    flow_delivered[f] += 1;
-                    if pkt_corrupt[pid as usize] {
-                        flow_corrupted[f] += 1;
-                    }
-                }
-                continue;
-            }
-            let dest = hop_links[(flow_off[f] + pos) as usize] as usize;
-            let len = stage_len[dest] as usize;
-            let bucket = &mut stage[dest * dims..dest * dims + len + 1];
-            let mut i = len;
-            while i > 0 && bucket[i - 1] > pid {
-                bucket[i] = bucket[i - 1];
-                i -= 1;
-            }
-            bucket[i] = pid;
-            if len == 0 {
-                touched.push(dest as u32);
-            }
-            stage_len[dest] += 1;
-        }
-
-        // Flush phase: append each bucket (ascending ids) to its FIFO.
-        for &t in touched.iter() {
-            let dest = t as usize;
-            let len = stage_len[dest] as usize;
-            for i in 0..len {
-                push_back(dest, stage[dest * dims + i], q_head, q_tail, pkt_next);
-            }
-            rec.record_queue_push(dest as u32, len as u64);
-            q_len[dest] += len as u32;
-            stage_len[dest] = 0;
-            if !in_active[dest] {
-                in_active[dest] = true;
-                active.push(dest as u32);
-            }
-        }
-        touched.clear();
-        step += 1;
-    }
-    CoreOut { steps: step, lost, corrupted, packet_hops, busy_accum, max_queue }
+    /// The first step no packet may depart at: `max_steps`, capped by
+    /// the steps a per-link word holds.
+    step_cap: u64,
+    /// The run's epoch, shifted into [`EPOCH`].
+    stamp: u64,
+    /// The step being visited, and its calendar slot.
+    t: u64,
+    slot: usize,
+    /// One past the last step at which a packet departs or drops.
+    end: u64,
+    out: CoreOut,
 }
 
-/// The packet simulator for one host cube. All link-indexed machine state
-/// is allocated once, in [`new`](Self::new), and reused across runs; flows
-/// are loaded as precomputed *directed-link* hop sequences
+impl<R: Recorder, const PLAN: bool> Core<'_, R, PLAN> {
+    /// Runs the step loop to the makespan.
+    fn run(mut self) -> CoreOut {
+        let (mut lo, mut hi) = (0, self.b.ready.len());
+        loop {
+            for word in lo..hi {
+                let mut bits = std::mem::take(&mut self.b.ready[word]);
+                while bits != 0 {
+                    self.visit(word * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            if self.end <= self.t {
+                break;
+            }
+            if !R::IS_NOP {
+                let busy = std::mem::take(&mut self.b.busy[self.slot]);
+                self.rec.record_step(self.t, busy);
+            }
+            self.t += 1;
+            self.slot = if self.slot + 1 == self.b.due.len() { 0 } else { self.slot + 1 };
+            // The packets due at the new step make up its ready set: the
+            // ones filed a step ago, then the calendar's.
+            (lo, hi) = (usize::MAX, 0);
+            let mut p = std::mem::replace(&mut self.b.due[self.slot], NONE);
+            while p != NONE {
+                let word = p as usize / 64;
+                self.b.ready[word] |= 1 << (p % 64);
+                (lo, hi) = (lo.min(word), hi.max(word + 1));
+                p = self.b.pkt_next[p as usize];
+            }
+        }
+        self.out.steps = self.end;
+        self.out
+    }
+
+    /// Visits packet `p` in step `t`: a kept drop or departure, a
+    /// delivery, or an arrival at the link of its next hop.
+    #[inline]
+    fn visit(&mut self, p: usize) {
+        let state = self.b.pkt_hop[p];
+        let h = (state & HOP) as usize;
+        let link = self.hop_links[h];
+        if PLAN && state & (DROP | DEPART) != 0 {
+            if state & DROP != 0 {
+                self.drop_packet(p, link);
+            } else {
+                self.taint(p, link);
+                self.cross(p, h, self.t);
+            }
+            return;
+        }
+        if !R::IS_NOP && link == END {
+            self.deliver(p, self.t);
+            return;
+        }
+        let t = self.t;
+        let word = self.b.free[link as usize];
+        let value = if word & EPOCH == self.stamp {
+            word as u32
+        } else if PLAN {
+            self.first_touch(link as usize)
+        } else {
+            0
+        };
+        if !PLAN || value < SIDE {
+            let d = t.max(u64::from(value));
+            self.depart(d);
+            self.b.free[link as usize] = self.stamp | (d + 1);
+            self.joined(link, d - t + 1);
+            self.cross(p, h, d);
+            return;
+        }
+        let Side { free, drain_at, drained, lo, hi, corrupting } =
+            self.b.sides[(value - SIDE) as usize];
+        if drained > 0 && t <= drain_at {
+            // The queue this packet joins is drained at `drain_at`: it
+            // waits behind the packets served until then and the ones
+            // already dropped, and is dropped with them.
+            self.b.sides[(value - SIDE) as usize].drained += 1;
+            self.joined(link, drain_at - t + drained + 1);
+            self.doom(p, state, drain_at);
+            return;
+        }
+        let d = t.max(free);
+        self.check(d);
+        self.joined(link, d - t + 1);
+        let down = failed_at(&self.b.windows[lo as usize..hi as usize], d);
+        let side = &mut self.b.sides[(value - SIDE) as usize];
+        side.free = d + 1;
+        if down {
+            (side.drain_at, side.drained) = (d, 1);
+            self.doom(p, state, d);
+        } else if corrupting && state & TAINT == 0 {
+            self.depart(d);
+            if d == t {
+                self.taint(p, link);
+                self.cross(p, h, d);
+            } else {
+                self.b.pkt_hop[p] = state | DEPART;
+                self.schedule(p, d);
+            }
+        } else {
+            self.depart(d);
+            self.cross(p, h, d);
+        }
+    }
+
+    /// A planned run's first touch of `link`: the per-link word gets a
+    /// side if the link is down from the start or corrupts, and a
+    /// next-free step of 0 otherwise. Links with plan events got their
+    /// side before the run.
+    fn first_touch(&mut self, link: usize) -> u32 {
+        let (down, corrupting) = (self.initial[link], self.corrupting[link]);
+        let value = if down || corrupting {
+            let lo = self.b.windows.len() as u32;
+            if down {
+                self.b.windows.push((0, u64::MAX));
+            }
+            let hi = self.b.windows.len() as u32;
+            self.b.sides.push(Side { free: 0, drain_at: 0, drained: 0, lo, hi, corrupting });
+            SIDE + (self.b.sides.len() - 1) as u32
+        } else {
+            0
+        };
+        self.b.free[link] = self.stamp | u64::from(value);
+        value
+    }
+
+    /// Panics unless departure step `d` lies within `max_steps` (and
+    /// within the engine's step range).
+    #[inline]
+    fn check(&self, d: u64) {
+        if d >= self.step_cap {
+            stuck(self.max_steps, d);
+        }
+    }
+
+    /// Counts a departure at step `d`.
+    #[inline]
+    fn depart(&mut self, d: u64) {
+        self.check(d);
+        self.end = self.end.max(d + 1);
+        self.out.packet_hops += 1;
+        if !R::IS_NOP {
+            let s = self.slot_of(d);
+            self.b.busy[s] += 1;
+        }
+    }
+
+    /// The packet joined the queue of `link` at length `depth`, counting
+    /// itself.
+    #[inline]
+    fn joined(&mut self, link: u32, depth: u64) {
+        self.out.max_queue = self.out.max_queue.max(depth as usize);
+        self.rec.record_queue_push(link, 1);
+        self.rec.record_queue_depth(link, depth as usize);
+    }
+
+    /// The packet crossed the link of hop `h` at step `d`: it arrives at
+    /// its next link (or its destination) at `d + 1`.
+    #[inline]
+    fn cross(&mut self, p: usize, h: usize, d: u64) {
+        let next = h as u32 + 1;
+        if R::IS_NOP && self.hop_links[next as usize] == END {
+            self.deliver(p, d + 1);
+            return;
+        }
+        self.b.pkt_hop[p] = if PLAN { next | (self.b.pkt_hop[p] & TAINT) } else { next };
+        self.schedule(p, d + 1);
+    }
+
+    /// Packet `p` arrived at its destination at `step`.
+    #[inline]
+    fn deliver(&mut self, p: usize, step: u64) {
+        if PLAN || !R::IS_NOP {
+            let f = self.b.pkt_flow[p];
+            self.rec.record_delivery(f, step);
+            if PLAN {
+                self.b.flow_delivered[f as usize] += 1;
+                if self.b.pkt_hop[p] & TAINT != 0 {
+                    self.b.flow_corrupted[f as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// Packet `p` (hop state `state`) is dropped at step `s`: now, or on a
+    /// visit kept for that step.
+    fn doom(&mut self, p: usize, state: u32, s: u64) {
+        self.end = self.end.max(s + 1);
+        if s == self.t {
+            let link = self.hop_links[(state & HOP) as usize];
+            self.drop_packet(p, link);
+        } else {
+            self.b.pkt_hop[p] = state | DROP;
+            self.schedule(p, s);
+        }
+    }
+
+    /// Drops packet `p` on `link` in step `t`.
+    fn drop_packet(&mut self, p: usize, link: u32) {
+        let f = self.b.pkt_flow[p];
+        self.rec.record_drop(f, self.t);
+        self.b.flow_lost[f as usize] += 1;
+        if self.b.flow_dropped_at[f as usize] == u32::MAX {
+            self.b.flow_dropped_at[f as usize] = link;
+        }
+        self.out.lost += 1;
+    }
+
+    /// Packet `p` crosses corrupting `link` in step `t`, untainted so far.
+    fn taint(&mut self, p: usize, link: u32) {
+        let f = self.b.pkt_flow[p];
+        self.b.pkt_hop[p] |= TAINT;
+        self.out.corrupted += 1;
+        if self.b.flow_corrupted_at[f as usize] == u32::MAX {
+            self.b.flow_corrupted_at[f as usize] = link;
+        }
+        self.rec.record_corrupt(f, self.t);
+    }
+
+    /// The ring slot of `step`, which lies less than a ring ahead of `t`.
+    #[inline]
+    fn slot_of(&self, step: u64) -> usize {
+        let s = self.slot + (step - self.t) as usize;
+        if s >= self.b.due.len() {
+            s - self.b.due.len()
+        } else {
+            s
+        }
+    }
+
+    /// Files packet `p` for a visit at step `at` (`at > t`).
+    #[inline]
+    fn schedule(&mut self, p: usize, at: u64) {
+        let s = self.slot_of(at);
+        self.b.pkt_next[p] = self.b.due[s];
+        self.b.due[s] = p as u32;
+    }
+}
+
+/// The `max_steps` panic: a packet would depart at step `d`.
+#[cold]
+#[inline(never)]
+fn stuck(max_steps: u64, d: u64) -> ! {
+    if d >= max_steps {
+        panic!("simulation did not finish within {max_steps} steps (a packet departs at step {d})");
+    }
+    panic!("packet engine counts steps below 2^31, and a packet departs at step {d}");
+}
+
+impl PacketBufs {
+    /// Gives every directed link a plan event touches a [`Side`] with its
+    /// failure windows, stamped into its per-link word. Events fire at the
+    /// start of their step in plan order, so a same-step Down-then-Up
+    /// leaves no window.
+    fn build_sides(&mut self, host: &Hypercube, plan: &FaultPlan, stamp: u64) {
+        let PacketBufs { free, sides, windows, events, .. } = self;
+        sides.clear();
+        windows.clear();
+        events.clear();
+        for (i, &(step, edge, ev)) in plan.events().iter().enumerate() {
+            for link in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
+                events.push((link as u32, i as u32, step, ev == LinkEvent::Down));
+            }
+        }
+        events.sort_unstable();
+        for run in events.chunk_by(|a, b| a.0 == b.0) {
+            let link = run[0].0 as usize;
+            let lo = windows.len() as u32;
+            let mut down_since = plan.initial().bits()[link].then_some(0);
+            for &(_, _, step, down) in run {
+                match (down, down_since) {
+                    (true, None) => down_since = Some(step),
+                    (false, Some(from)) => {
+                        if step > from {
+                            windows.push((from, step));
+                        }
+                        down_since = None;
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(from) = down_since {
+                windows.push((from, u64::MAX));
+            }
+            let hi = windows.len() as u32;
+            let corrupting = plan.corrupting_bits()[link];
+            free[link] = stamp | u64::from(SIDE + sides.len() as u32);
+            sides.push(Side { free: 0, drain_at: 0, drained: 0, lo, hi, corrupting });
+        }
+    }
+}
+
+/// The packet simulator for one host cube. The per-link next-free words
+/// are allocated once, in [`new`](Self::new), and reused across runs;
+/// flows are loaded as precomputed *directed-link* hop sequences
 /// ([`add_flow_links`](Self::add_flow_links)) or as node walks
 /// ([`add_flow`](Self::add_flow), converted on load). Once warmed up
 /// (every reusable vector at its steady-state capacity),
 /// [`run`](Self::run) and [`run_planned`](Self::run_planned) allocate
-/// nothing — a completed run leaves every per-link queue empty and every
-/// link inactive, so [`clear`](Self::clear) only truncates the flow arena
-/// and no O(links) reset ever happens. `bench/tests/alloc_zero.rs` pins
-/// the exact-zero behavior for a warmed run and for a warmed tenant round.
+/// nothing — a run retires the last run's per-link words by bumping an
+/// epoch, so [`clear`](Self::clear) only truncates the flow arena and no
+/// O(links) reset ever happens. `bench/tests/alloc_zero.rs` pins the
+/// exact-zero behavior for a warmed run and for a warmed tenant round.
 #[derive(Debug, Clone)]
 pub struct PacketSim {
     host: Hypercube,
+    /// Flow `f`'s hops start at `hop_links[flow_off[f]]` and run up to
+    /// the [`END`] sentinel at `flow_off[f + 1] - 1`.
     flow_off: Vec<u32>,
     hop_links: Vec<u32>,
     flow_packets: Vec<u64>,
@@ -405,28 +562,16 @@ pub struct PacketSim {
 
 impl PacketSim {
     /// Creates a simulator for `host` with no flows, allocating the
-    /// link-indexed machine state up front.
+    /// per-link next-free words up front.
     pub fn new(host: Hypercube) -> Self {
         let num_links = host.num_directed_edges() as usize;
-        let dims = host.dims() as usize;
         PacketSim {
             host,
             flow_off: vec![0],
             hop_links: Vec::new(),
             flow_packets: Vec::new(),
             total_injected: 0,
-            bufs: PacketBufs {
-                q_head: vec![NONE; num_links],
-                q_tail: vec![NONE; num_links],
-                q_len: vec![0; num_links],
-                active: Vec::with_capacity(num_links),
-                in_active: vec![false; num_links],
-                moved: Vec::with_capacity(num_links),
-                touched: Vec::with_capacity(num_links),
-                stage: vec![0; num_links * dims],
-                stage_len: vec![0; num_links],
-                ..PacketBufs::default()
-            },
+            bufs: PacketBufs { free: vec![0; num_links], ..PacketBufs::default() },
         }
     }
 
@@ -440,8 +585,8 @@ impl PacketSim {
         self.flow_packets.len()
     }
 
-    /// Drops all flows so the next round can be loaded. Machine state
-    /// needs no touch-up: a completed run left it clean.
+    /// Drops all flows so the next round can be loaded. The per-link
+    /// words need no touch-up: the next run's epoch retires them.
     pub fn clear(&mut self) {
         self.flow_off.truncate(1);
         self.hop_links.clear();
@@ -455,7 +600,7 @@ impl PacketSim {
     pub fn reserve(&mut self, flows: usize, hops: usize) {
         self.flow_off.reserve(flows);
         self.flow_packets.reserve(flows);
-        self.hop_links.reserve(hops);
+        self.hop_links.reserve(hops + flows);
     }
 
     /// Builds the "one phase, `p` packets per guest edge" workload of an
@@ -525,6 +670,7 @@ impl PacketSim {
 
     /// Closes the flow whose hops were just appended to `hop_links`.
     fn push_flow(&mut self, packets: u64) -> u32 {
+        self.hop_links.push(END);
         self.flow_off.push(self.hop_links.len() as u32);
         self.flow_packets.push(packets);
         self.total_injected += packets;
@@ -592,11 +738,11 @@ impl PacketSim {
                        active: &mut Vec<u32>,
                        in_active: &mut Vec<bool>|
          -> bool {
-            let hop = self.flow_off[pkt.flow as usize] + pkt.pos;
-            if hop >= self.flow_off[pkt.flow as usize + 1] {
+            let idx = self.hop_links[(self.flow_off[pkt.flow as usize] + pkt.pos) as usize];
+            if idx == END {
                 return false; // delivered
             }
-            let idx = self.hop_links[hop as usize] as usize;
+            let idx = idx as usize;
             // Keep FIFO order with (flow, seq) priority at insertion: queues
             // are served FIFO; packets are inserted in (flow, seq) order at
             // injection and re-queued on arrival, which preserves
@@ -673,57 +819,106 @@ impl PacketSim {
         }
     }
 
-    /// The one buffer-preparation path: re-prepares the per-run vectors
-    /// (the fault state and per-flow outcomes only when `PLAN`), runs
-    /// [`engine_core`] and condenses its counters into the machine report,
-    /// returned with the number of packets flagged as corrupted.
+    /// The one buffer-preparation path: stamps a new epoch, lays out the
+    /// packet slab, the ready set and the calendar ring (and, when `PLAN`,
+    /// the per-flow outcomes and the side of every link with plan events),
+    /// runs the [`Core`] and condenses its counters into the machine
+    /// report, returned with the number of packets flagged as corrupted.
     fn run_core<R: Recorder, const PLAN: bool>(
         &mut self,
         max_steps: u64,
         plan: Option<&FaultPlan>,
         rec: &mut R,
     ) -> (SimReport, u64) {
-        let PacketSim { host, flow_off, hop_links, flow_packets, total_injected, bufs } = self;
-        let total = *total_injected as usize;
-        let (plan_events, corrupting) = match plan {
+        let PacketSim { host, flow_off, hop_links, flow_packets, total_injected, bufs: b } = self;
+        assert!(hop_links.len() <= HOP as usize, "hop table holds at most 2^29 - 1 hops");
+        b.epoch = b.epoch.wrapping_add(1);
+        if b.epoch == 0 {
+            b.free.fill(0);
+            b.epoch = 1;
+        }
+        let stamp = u64::from(b.epoch) << 32;
+        let num_flows = flow_packets.len();
+        let (initial, corrupting) = match plan {
             Some(plan) if PLAN => {
-                let num_flows = flow_packets.len();
-                bufs.failed.clear();
-                bufs.failed.extend_from_slice(plan.initial().bits());
-                bufs.flow_delivered.clear();
-                bufs.flow_delivered.resize(num_flows, 0);
-                bufs.flow_lost.clear();
-                bufs.flow_lost.resize(num_flows, 0);
-                bufs.flow_corrupted.clear();
-                bufs.flow_corrupted.resize(num_flows, 0);
-                bufs.flow_dropped_at.clear();
-                bufs.flow_dropped_at.resize(num_flows, u32::MAX);
-                bufs.flow_corrupted_at.clear();
-                bufs.flow_corrupted_at.resize(num_flows, u32::MAX);
-                bufs.pkt_corrupt.clear();
-                bufs.pkt_corrupt.resize(total, false);
-                (plan.events(), plan.corrupting_bits())
+                b.flow_delivered.clear();
+                b.flow_delivered.resize(num_flows, 0);
+                b.flow_lost.clear();
+                b.flow_lost.resize(num_flows, 0);
+                b.flow_corrupted.clear();
+                b.flow_corrupted.resize(num_flows, 0);
+                b.flow_dropped_at.clear();
+                b.flow_dropped_at.resize(num_flows, u32::MAX);
+                b.flow_corrupted_at.clear();
+                b.flow_corrupted_at.resize(num_flows, u32::MAX);
+                b.build_sides(host, plan, stamp);
+                (plan.initial().bits(), plan.corrupting_bits())
             }
             _ => (&[][..], &[][..]),
         };
-        bufs.pkt_flow.clear();
-        bufs.pkt_flow.reserve(total);
-        bufs.pkt_pos.clear();
-        bufs.pkt_pos.resize(total, 0);
-        bufs.pkt_next.clear();
-        bufs.pkt_next.resize(total, NONE);
-        let out = engine_core::<R, PLAN>(
-            host,
-            flow_off,
+
+        // Inject: flows in id order, packets in seq order ⇒ slab order.
+        // A zero-hop flow delivers instantly and takes no slab ids.
+        let per_flow = PLAN || !R::IS_NOP;
+        let total = *total_injected as usize;
+        b.pkt_hop.clear();
+        b.pkt_hop.reserve(total);
+        b.pkt_flow.clear();
+        if per_flow {
+            b.pkt_flow.reserve(total);
+        }
+        for (fid, &packets) in flow_packets.iter().enumerate() {
+            rec.record_injection(fid as u32, packets, 0);
+            let first = flow_off[fid];
+            if hop_links[first as usize] != END {
+                b.pkt_hop.extend(std::iter::repeat_n(first, packets as usize));
+                if per_flow {
+                    b.pkt_flow.extend(std::iter::repeat_n(fid as u32, packets as usize));
+                }
+                continue;
+            }
+            for _ in 0..packets {
+                rec.record_delivery(fid as u32, 0);
+            }
+            if PLAN {
+                b.flow_delivered[fid] = packets;
+            }
+        }
+        let packets = b.pkt_hop.len();
+        assert!(packets < NONE as usize, "packet slab holds at most u32::MAX - 1");
+        b.pkt_next.clear();
+        b.pkt_next.resize(packets, NONE);
+        // Every packet is ready for step 0.
+        b.ready.clear();
+        b.ready.resize(packets.div_ceil(64), u64::MAX);
+        if packets % 64 != 0 {
+            b.ready[packets / 64] = (1 << (packets % 64)) - 1;
+        }
+        // A packet waits at most behind every other packet, and no step
+        // past `max_steps` is ever filed, so every due step lies less than
+        // `min(packets, max_steps) + 1` steps ahead.
+        let ring = (packets as u64).min(max_steps) as usize + 1;
+        b.due.clear();
+        b.due.resize(ring, NONE);
+        if !R::IS_NOP {
+            b.busy.clear();
+            b.busy.resize(ring, 0);
+        }
+        let out = Core::<R, PLAN> {
             hop_links,
-            flow_packets,
-            *total_injected,
-            max_steps,
-            plan_events,
+            initial,
             corrupting,
-            bufs,
+            b,
             rec,
-        );
+            max_steps,
+            step_cap: max_steps.min(u64::from(SIDE - 1)),
+            stamp,
+            t: 0,
+            slot: 0,
+            end: 0,
+            out: CoreOut::default(),
+        }
+        .run();
         let num_links = host.num_directed_edges() as usize;
         let report = SimReport {
             makespan: out.steps,
@@ -732,7 +927,7 @@ impl PacketSim {
             mean_utilization: if out.steps == 0 {
                 0.0
             } else {
-                out.busy_accum as f64 / (out.steps as f64 * num_links as f64)
+                out.packet_hops as f64 / (out.steps as f64 * num_links as f64)
             },
             max_queue: out.max_queue,
         };
@@ -761,9 +956,10 @@ impl PacketSim {
     /// Directed-link index ([`Hypercube::dir_edge_index`]) where each
     /// flow's *first* packet drop happened in the last
     /// [`run_planned`](Self::run_planned), `u32::MAX` if none was dropped.
-    /// This is exactly what a per-hop NACK would carry, so oracle-free
-    /// health learners (`sim::tenants`) can attribute losses without
-    /// consulting the plan.
+    /// "First" is the earliest drop by (step, packet id); it only matters
+    /// for flows of several packets. This is exactly what a per-hop NACK
+    /// would carry, so oracle-free health learners (`sim::tenants`) can
+    /// attribute losses without consulting the plan.
     pub fn flow_dropped_at(&self) -> &[u32] {
         &self.bufs.flow_dropped_at
     }
@@ -771,7 +967,8 @@ impl PacketSim {
     /// Directed-link index of the first corrupting link one of each flow's
     /// packets crossed in the last [`run_planned`](Self::run_planned),
     /// `u32::MAX` if the flow stayed clean — the per-hop CRC-trailer
-    /// analogue of [`flow_dropped_at`](Self::flow_dropped_at).
+    /// analogue of [`flow_dropped_at`](Self::flow_dropped_at), with the
+    /// same earliest-(step, packet id) rule.
     pub fn flow_corrupted_at(&self) -> &[u32] {
         &self.bufs.flow_corrupted_at
     }
@@ -781,7 +978,7 @@ impl PacketSim {
 mod tests {
     use super::*;
     use crate::faults::FaultSet;
-    use crate::trace::{CountingRecorder, NopRecorder};
+    use crate::trace::{CountingRecorder, NopRecorder, TraceRecorder};
     use hyperpath_core::baseline::gray_cycle_embedding;
     use hyperpath_core::cycles::theorem1;
 
@@ -1020,5 +1217,47 @@ mod tests {
         assert_eq!(r, sim.run_reference(100));
         assert_eq!(r.delivered, 5);
         assert_eq!(r.makespan, 2);
+    }
+
+    #[test]
+    fn failure_drains_a_waiting_queue_in_one_step() {
+        // Flow 0 injects two packets at link 1→3; flows 1 and 2 each bring
+        // one more there at step 1. The link serves one packet at step 0
+        // and fails at step 1 with three queued: all three drop at step 1.
+        let host = Hypercube::new(3);
+        let mut sim = PacketSim::new(host);
+        sim.add_flow(&[1, 3], 2);
+        sim.add_flow(&[0, 1, 3], 1);
+        sim.add_flow(&[5, 1, 3], 1);
+        let mut plan = FaultPlan::none(&host);
+        plan.cut_link_at(1, DirEdge::new(1, 1));
+        let mut trace = TraceRecorder::new();
+        let r = sim.run_planned(100, &plan, &mut trace);
+        assert_eq!((r.lost, r.report.delivered, r.report.max_queue), (3, 1, 3));
+        assert_eq!(r.report.makespan, 2, "the drain takes one step");
+        assert_eq!(trace.busy_per_step, [3, 0], "step 1 only drops");
+        assert_eq!(sim.flow_lost(), [1, 1, 1]);
+        let l13 = host.dir_edge_index(DirEdge::new(1, 1)) as u32;
+        assert_eq!(sim.flow_dropped_at(), [l13; 3]);
+        assert_eq!(trace.queue_high_water[l13 as usize], 3);
+    }
+
+    #[test]
+    fn outage_ends_while_a_packet_waits_upstream() {
+        // Four packets cross 0→1 at steps 0..4; link 1→3 is down over
+        // [1, 3). The first two reach it inside the outage and drop; the
+        // third arrives as it ends, and the fourth, still queued at 0→1
+        // during the outage, crosses at step 4.
+        let host = Hypercube::new(3);
+        let mut sim = PacketSim::new(host);
+        sim.add_flow(&[0, 1, 3], 4);
+        let mut plan = FaultPlan::none(&host);
+        plan.outage(DirEdge::new(1, 1), 1, 3);
+        let r = sim.run_planned(100, &plan, &mut NopRecorder);
+        assert_eq!((r.lost, r.report.delivered), (2, 2));
+        assert_eq!(r.report.makespan, 5);
+        assert_eq!(r.report.packet_hops, 6);
+        assert_eq!(r.report.max_queue, 4);
+        assert_eq!(sim.flow_dropped_at(), [host.dir_edge_index(DirEdge::new(1, 1)) as u32]);
     }
 }

@@ -28,12 +28,17 @@ pub trait Recorder {
     /// parallelism, never correctness.
     const IS_NOP: bool = false;
 
-    /// A step completed with `busy_links` links transmitting.
+    /// A step completed with `busy_links` links transmitting. Engines fire
+    /// it for every step `0..makespan`, in order; a step whose only event
+    /// is a drop reports 0.
     #[inline]
     fn record_step(&mut self, _step: u64, _busy_links: u64) {}
 
-    /// A link's queue held `depth` packets when served (called once per
-    /// active link per step, before the pop).
+    /// A packet joined the queue of `link` at length `depth`, itself
+    /// included: once per packet per link it reaches, dropped packets too.
+    /// A packet served at step `departure` after arriving at `arrival`
+    /// joined at `departure − arrival + 1`, so the largest `depth` per link
+    /// is the longest the queue ever was when served.
     #[inline]
     fn record_queue_depth(&mut self, _link: u32, _depth: usize) {}
 
@@ -64,7 +69,9 @@ pub trait Recorder {
 
     /// `count` packets entered the FIFO of `link` (injection and every
     /// re-queue after a hop both count — this is the engine's total queue
-    /// work, one of the deterministic counters the perf gate pins).
+    /// work, one of the deterministic counters the perf gate pins). The
+    /// packet engine fires it once per packet per link, with `count` 1.
+    /// Within one step, engines may fire the packet hooks in any order.
     #[inline]
     fn record_queue_push(&mut self, _link: u32, _count: u64) {}
 
@@ -97,7 +104,9 @@ pub struct CountingRecorder {
     pub busy_total: u64,
     /// Packets pushed into link FIFOs (injections + re-queues).
     pub queue_pushes: u64,
-    /// Sum of queue depths observed at service time.
+    /// Sum of the queue lengths packets joined, themselves included
+    /// ([`Recorder::record_queue_depth`]). Without drops this is also the
+    /// sum, over steps and links, of the queue length at service time.
     pub queue_depth_sum: u64,
     /// Packets injected.
     pub injected: u64,
@@ -162,7 +171,9 @@ pub struct TraceRecorder {
     /// Delivery step of every packet, in delivery order (all injections
     /// happen at step 0, so this is also the per-packet latency).
     pub delivery_steps: Vec<u64>,
-    /// Per-link queue-depth high-water mark (indexed by directed link).
+    /// Per-link queue-depth high-water mark (indexed by directed link):
+    /// the longest the link's queue was when served, doomed queues on
+    /// failed links included.
     pub queue_high_water: Vec<usize>,
     /// Per-flow accounting, indexed by flow id.
     pub flows: Vec<FlowTrace>,

@@ -1,21 +1,25 @@
 //! Property tests for the simulators.
 //!
 //! The load-bearing ones are the old-vs-new engine equivalences: the
-//! reworked [`PacketSim::run`] / [`WormholeSim::run`] engines must produce
-//! bit-identical reports to the original straightforward implementations
-//! (kept as `run_reference`) on arbitrary workloads, the planned wormhole
-//! runs must match an independent step-every-worm oracle, and the planned
-//! runs must keep the fail-stop guarantees of the one fault model.
+//! event-driven [`PacketSim::run`] / [`WormholeSim::run`] engines must
+//! produce bit-identical reports to the original straightforward
+//! implementations (kept as `run_reference`) on arbitrary workloads, the
+//! planned runs of both engines must match independent steppers
+//! (per-link FIFO queues for packets, step-every-worm for worms), and the
+//! planned runs must keep the fail-stop guarantees of the one fault model.
 
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::faults::{random_fault_set, surviving_paths};
 use hyperpath_sim::routing::ecube_path;
-use hyperpath_sim::trace::Recorder;
-use hyperpath_sim::{FaultPlan, LinkEvent, NopRecorder, PacketSim, TraceRecorder, WormholeSim};
+use hyperpath_sim::trace::{CountingRecorder, Recorder};
+use hyperpath_sim::{
+    FaultPlan, LinkEvent, NopRecorder, PacketSim, PlanReport, SimReport, TraceRecorder, WormholeSim,
+};
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::VecDeque;
 
 /// A node walk and the packets (or flits) that travel it.
 type Walk = (Vec<Node>, u64);
@@ -222,6 +226,213 @@ fn plan_from_seeds(host: Hypercube, seeds: &[u64]) -> FaultPlan {
     plan
 }
 
+/// The recorders the packet comparisons read: the work totals, the
+/// per-step and per-link traces, and the event stream.
+#[derive(Default)]
+struct Tee(CountingRecorder, TraceRecorder, EventLog);
+
+impl Recorder for Tee {
+    fn record_step(&mut self, step: u64, busy: u64) {
+        self.0.record_step(step, busy);
+        self.1.record_step(step, busy);
+        self.2.record_step(step, busy);
+    }
+    fn record_queue_depth(&mut self, link: u32, depth: usize) {
+        self.0.record_queue_depth(link, depth);
+        self.1.record_queue_depth(link, depth);
+    }
+    fn record_injection(&mut self, flow: u32, packets: u64, step: u64) {
+        self.0.record_injection(flow, packets, step);
+        self.1.record_injection(flow, packets, step);
+        self.2.record_injection(flow, packets, step);
+    }
+    fn record_delivery(&mut self, flow: u32, step: u64) {
+        self.0.record_delivery(flow, step);
+        self.1.record_delivery(flow, step);
+        self.2.record_delivery(flow, step);
+    }
+    fn record_drop(&mut self, flow: u32, step: u64) {
+        self.0.record_drop(flow, step);
+        self.1.record_drop(flow, step);
+        self.2.record_drop(flow, step);
+    }
+    fn record_corrupt(&mut self, flow: u32, step: u64) {
+        self.0.record_corrupt(flow, step);
+        self.1.record_corrupt(flow, step);
+        self.2.record_corrupt(flow, step);
+    }
+    fn record_queue_push(&mut self, link: u32, count: u64) {
+        self.0.record_queue_push(link, count);
+        self.1.record_queue_push(link, count);
+    }
+}
+
+/// Everything a planned packet run reports: the plan report, the five
+/// per-flow vectors, the work totals, the busy count of every step, the
+/// queue high-water mark of every link, and the fired events with their
+/// steps, sorted (within a step, hooks may fire in any order).
+#[derive(Debug, PartialEq)]
+struct PacketOutcome {
+    report: PlanReport,
+    delivered: Vec<u64>,
+    lost: Vec<u64>,
+    corrupted: Vec<u64>,
+    dropped_at: Vec<u32>,
+    corrupted_at: Vec<u32>,
+    counts: CountingRecorder,
+    busy_per_step: Vec<u64>,
+    queue_high_water: Vec<usize>,
+    events: Vec<(&'static str, u64, u64)>,
+}
+
+impl PacketOutcome {
+    /// The outcome of a run with `report` and `per_flow` outcomes that
+    /// fired its events into `tee`.
+    fn new(report: PlanReport, per_flow: [Vec<u64>; 3], at: [Vec<u32>; 2], tee: Tee) -> Self {
+        let [delivered, lost, corrupted] = per_flow;
+        let [dropped_at, corrupted_at] = at;
+        let mut events = tee.2 .0;
+        events.sort_unstable();
+        PacketOutcome {
+            report,
+            delivered,
+            lost,
+            corrupted,
+            dropped_at,
+            corrupted_at,
+            counts: tee.0,
+            busy_per_step: tee.1.busy_per_step,
+            queue_high_water: tee.1.queue_high_water,
+            events,
+        }
+    }
+}
+
+/// The engine's outcome for the flows loaded in `sim` after a planned
+/// run recorded into `tee`.
+fn packet_outcome(sim: &PacketSim, report: PlanReport, tee: Tee) -> PacketOutcome {
+    let per_flow = [sim.flow_delivered(), sim.flow_lost(), sim.flow_corrupted()].map(<[_]>::to_vec);
+    let at = [sim.flow_dropped_at(), sim.flow_corrupted_at()].map(<[_]>::to_vec);
+    PacketOutcome::new(report, per_flow, at, tee)
+}
+
+/// Independent oracle for planned packet runs: one FIFO queue per directed
+/// link. Each step fires the plan's events, then every non-empty queue
+/// either drops its whole content (link down) or serves its head (taining
+/// it on its first corrupting link), then the served packets join their
+/// next queues in packet-id order. Drops and taints of one step settle in
+/// packet-id order, so a flow's first drop and first taint are its
+/// earliest by (step, packet id). A packet joining a queue records the
+/// queue's length, itself included.
+fn packet_oracle(host: Hypercube, flows: &[Walk], plan: &FaultPlan) -> PacketOutcome {
+    let links: Vec<Vec<usize>> = flows
+        .iter()
+        .map(|(path, _)| walk_edges(path).into_iter().map(|e| host.dir_edge_index(e)).collect())
+        .collect();
+    let num_links = host.num_directed_edges() as usize;
+    let mut failed = plan.initial().bits().to_vec();
+    let corrupting = plan.corrupting_bits();
+    let n = flows.len();
+    let mut tee = Tee::default();
+    let (mut delivered, mut lost, mut corrupted) = (vec![0; n], vec![0; n], vec![0; n]);
+    let (mut dropped_at, mut corrupted_at) = (vec![u32::MAX; n], vec![u32::MAX; n]);
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); num_links];
+    // Per packet (ids in (flow, seq) order, zero-hop flows skipped): its
+    // flow, hops crossed and taint.
+    let mut packets: Vec<(usize, usize, bool)> = Vec::new();
+    let join = |queues: &mut [VecDeque<usize>], link: usize, pid: usize, tee: &mut Tee| {
+        queues[link].push_back(pid);
+        tee.record_queue_push(link as u32, 1);
+        tee.record_queue_depth(link as u32, queues[link].len());
+    };
+    for (f, &(_, count)) in flows.iter().enumerate() {
+        tee.record_injection(f as u32, count, 0);
+        for _ in 0..count {
+            if links[f].is_empty() {
+                tee.record_delivery(f as u32, 0);
+                delivered[f] += 1;
+            } else {
+                join(&mut queues, links[f][0], packets.len(), &mut tee);
+                packets.push((f, 0, false));
+            }
+        }
+    }
+    let mut pending = packets.len();
+    let (mut step, mut next_event) = (0u64, 0usize);
+    let (mut hops, mut max_queue, mut total_lost, mut total_corrupted) = (0u64, 0usize, 0u64, 0u64);
+    while pending > 0 {
+        while let Some(&(_, edge, ev)) = plan.events().get(next_event).filter(|e| e.0 <= step) {
+            for idx in [host.dir_edge_index(edge), host.dir_edge_index(edge.reversed())] {
+                failed[idx] = ev == LinkEvent::Down;
+            }
+            next_event += 1;
+        }
+        let (mut moved, mut drops, mut taints) = (Vec::new(), Vec::new(), Vec::new());
+        for (link, q) in queues.iter_mut().enumerate() {
+            max_queue = max_queue.max(q.len());
+            if failed[link] {
+                drops.extend(q.drain(..).map(|pid| (pid, link)));
+            } else if let Some(pid) = q.pop_front() {
+                if corrupting[link] && !packets[pid].2 {
+                    packets[pid].2 = true;
+                    taints.push((pid, link));
+                }
+                moved.push(pid);
+            }
+        }
+        drops.sort_unstable();
+        for (pid, link) in drops {
+            let f = packets[pid].0;
+            tee.record_drop(f as u32, step);
+            lost[f] += 1;
+            total_lost += 1;
+            if dropped_at[f] == u32::MAX {
+                dropped_at[f] = link as u32;
+            }
+            pending -= 1;
+        }
+        taints.sort_unstable();
+        for (pid, link) in taints {
+            let f = packets[pid].0;
+            tee.record_corrupt(f as u32, step);
+            total_corrupted += 1;
+            if corrupted_at[f] == u32::MAX {
+                corrupted_at[f] = link as u32;
+            }
+        }
+        hops += moved.len() as u64;
+        tee.record_step(step, moved.len() as u64);
+        moved.sort_unstable();
+        for pid in moved {
+            let (f, pos, tainted) = &mut packets[pid];
+            *pos += 1;
+            if let Some(&next) = links[*f].get(*pos) {
+                join(&mut queues, next, pid, &mut tee);
+            } else {
+                tee.record_delivery(*f as u32, step + 1);
+                delivered[*f] += 1;
+                corrupted[*f] += u64::from(*tainted);
+                pending -= 1;
+            }
+        }
+        step += 1;
+    }
+    let injected: u64 = flows.iter().map(|f| f.1).sum();
+    let report = SimReport {
+        makespan: step,
+        delivered: injected - total_lost,
+        packet_hops: hops,
+        mean_utilization: if step == 0 {
+            0.0
+        } else {
+            hops as f64 / (step as f64 * num_links as f64)
+        },
+        max_queue,
+    };
+    let report = PlanReport { report, lost: total_lost, corrupted: total_corrupted };
+    PacketOutcome::new(report, [delivered, lost, corrupted], [dropped_at, corrupted_at], tee)
+}
+
 /// The engine's outcome for the worms loaded in `sim`.
 fn sim_outcome(sim: &WormholeSim, log: EventLog) -> WormOutcome {
     WormOutcome {
@@ -263,6 +474,44 @@ proptest! {
         let flows: Vec<Walk> = seeds.iter().map(|&s| flow_from_seed(host, s)).collect();
         let mut sim = packet_sim(host, &flows);
         prop_assert_eq!(sim.run(1_000_000, &mut NopRecorder), sim.run_reference(1_000_000));
+    }
+
+    /// The event-driven packet engine against the per-link-queue oracle,
+    /// under random plans (static and timed cuts, outages, restores, node
+    /// faults, corrupting links), on random walks that may revisit links,
+    /// with up to four packets per flow. One simulator is reused across
+    /// both runs of every case: `run_planned` must match the oracle, and
+    /// `run` the oracle under an empty plan.
+    #[test]
+    fn packet_planned_engines_agree(
+        n in 2u32..5,
+        seeds in proptest::collection::vec(any::<u64>(), 1..12),
+        faults in proptest::collection::vec(any::<u64>(), 0..10),
+    ) {
+        let host = Hypercube::new(n);
+        let flows: Vec<Walk> = seeds
+            .iter()
+            .map(|&s| {
+                let (path, flits) = walk_from_seed(host, s);
+                (path, 1 + flits % 4)
+            })
+            .collect();
+        let plan = plan_from_seeds(host, &faults);
+        let mut sim = packet_sim(host, &flows);
+        let mut tee = Tee::default();
+        let report = sim.run_planned(1_000_000, &plan, &mut tee);
+        prop_assert_eq!(packet_outcome(&sim, report, tee), packet_oracle(host, &flows, &plan));
+
+        let mut tee = Tee::default();
+        let report = sim.run(1_000_000, &mut tee);
+        let oracle = packet_oracle(host, &flows, &FaultPlan::none(&host));
+        let plain = PacketOutcome::new(
+            PlanReport { report, ..oracle.report.clone() },
+            [oracle.delivered.clone(), oracle.lost.clone(), oracle.corrupted.clone()],
+            [oracle.dropped_at.clone(), oracle.corrupted_at.clone()],
+            tee,
+        );
+        prop_assert_eq!(plain, oracle);
     }
 
     /// Same for the wormhole engine, on deadlock-free e-cube worm sets.

@@ -721,15 +721,60 @@ const MAX_DECOMPOSE_DIMS: u32 = 13;
 /// it (`extend_even`), so e.g. `Q_12` is built by the chain
 /// `Q_8 → Q_9 → Q_10 → Q_11 → Q_12`.
 pub fn decompose(n: u32) -> Result<Decomposition, String> {
+    decompose_keeping(n, 0, &mut None)
+}
+
+/// The decompositions of `Q_small` and `Q_large` (`small ≤ large`) from
+/// one walk up the chain to `Q_large`: a `Q_small` the walk passes is kept
+/// on the way instead of being built again. Equal sizes share the one
+/// decomposition, so the first is then `None`. A `large` out of range
+/// fails before anything is built.
+pub(crate) fn decompose_pair(
+    small: u32,
+    large: u32,
+) -> Result<(Option<Decomposition>, Decomposition), String> {
+    debug_assert!(small <= large, "Q_{small} is the smaller cube");
+    if small == large {
+        return Ok((None, decompose(large)?));
+    }
+    let mut kept = None;
+    let large = decompose_keeping(large, small, &mut kept)?;
+    let small = match kept {
+        Some(dec) => dec,
+        None => decompose(small)?,
+    };
+    Ok((Some(small), large))
+}
+
+/// The error [`decompose`] returns for an `n` it does not build.
+pub(crate) fn decompose_range(n: u32) -> Result<(), String> {
     if n == 0 || n > MAX_DECOMPOSE_DIMS {
         return Err(format!(
             "decompose builds Q_1 through Q_{MAX_DECOMPOSE_DIMS}; Q_{n} is out of range"
         ));
     }
+    Ok(())
+}
+
+/// [`decompose`], keeping in `kept` a copy of the chain's `Q_keep` if the
+/// chain to `Q_n` builds it below `n` (`keep == 0` keeps nothing).
+fn decompose_keeping(
+    n: u32,
+    keep: u32,
+    kept: &mut Option<Decomposition>,
+) -> Result<Decomposition, String> {
+    decompose_range(n)?;
     let cube = Hypercube::new(n);
+    let below = |kept: &mut Option<Decomposition>| {
+        let dec = decompose_keeping(n - 1, keep, kept)?;
+        if n - 1 == keep {
+            *kept = Some(dec.clone());
+        }
+        Ok::<_, String>(dec)
+    };
     match n {
         1 => Ok(Decomposition { cube, cycles: Vec::new(), matching: vec![DirEdge::new(0, 0)] }),
-        n if n % 2 == 1 => merge_odd(&decompose(n - 1)?),
+        n if n % 2 == 1 => merge_odd(&below(kept)?),
         2 => decomposition_from_base(cube, frozen::Q2),
         4 => decomposition_from_base(cube, frozen::Q4),
         6 => decomposition_from_base(cube, frozen::Q6),
@@ -742,7 +787,7 @@ pub fn decompose(n: u32) -> Result<Decomposition, String> {
             verify_decomposition(&dec)?;
             Ok(dec)
         }
-        _ => extend_even(&decompose(n - 1)?),
+        _ => extend_even(&below(kept)?),
     }
 }
 
@@ -893,16 +938,38 @@ mod tests {
     #[ignore = "doubles up to Q_12, about 40 s in a release build"]
     fn q12_q13_decompositions_by_doubling() {
         // Theorem1Plan at n = 24..=27 and Theorem2Plan at n >= 22 decompose
-        // these row and column subcubes.
-        let q12 = decompose(12).unwrap();
+        // these row and column subcubes; Theorem2Plan at n = 25 takes both
+        // from one walk up the chain.
+        let (q12, q13) = decompose_pair(12, 13).unwrap();
+        let q12 = q12.expect("distinct sizes");
         assert_eq!(q12.cycles.len(), 6);
         assert!(q12.matching.is_empty());
         verify_decomposition(&q12).unwrap();
         // decompose(13) is this splice of Q_12.
-        let q13 = merge_odd(&q12).unwrap();
+        let splice = merge_odd(&q12).unwrap();
+        assert_eq!((&q13.cycles, &q13.matching), (&splice.cycles, &splice.matching));
         assert_eq!(q13.cycles.len(), 6);
         assert_eq!(q13.matching.len() as u64, 1u64 << 12);
         verify_decomposition(&q13).unwrap();
+    }
+
+    #[test]
+    fn decompose_pair_matches_two_calls() {
+        // Small sizes on and off the chain to the large one, and equal
+        // sizes, which share one decomposition.
+        for (small, large) in [(4u32, 9u32), (8, 9), (8, 10), (9, 10), (9, 11), (6, 6), (10, 10)] {
+            let (s, l) = decompose_pair(small, large).unwrap();
+            let want = decompose(large).unwrap();
+            assert_eq!((&l.cycles, &l.matching), (&want.cycles, &want.matching));
+            match s {
+                None => assert_eq!(small, large),
+                Some(s) => {
+                    let want = decompose(small).unwrap();
+                    assert_eq!((&s.cycles, &s.matching), (&want.cycles, &want.matching));
+                }
+            }
+        }
+        assert!(decompose_pair(12, 14).unwrap_err().contains("Q_14 is out of range"));
     }
 
     #[test]

@@ -31,7 +31,9 @@
 
 use crate::cube::{Dim, Node};
 use crate::gray::{gray_code, transition};
-use crate::hamiltonian::{decompose, directed_cycles, DirectedHamCycle};
+use crate::hamiltonian::{
+    decompose, decompose_pair, decompose_range, directed_cycles, DirectedHamCycle,
+};
 use crate::moment::moment;
 
 /// The Gray-dimension relabeling for the theorems' column ordering:
@@ -83,9 +85,7 @@ impl Theorem1Plan {
     /// `Q_{2⌊n/4⌋}` must be within [`decompose`]'s range (`Q_1`–`Q_13`).
     /// Other `n` are an error.
     pub fn new(n: u32) -> Result<Self, String> {
-        if n < 4 {
-            return Err("Theorem 1 requires n >= 4 (k >= 1)".into());
-        }
+        Self::accepts(n)?;
         let k = n / 4;
         let r = n % 4;
         let row_bits = 2 * k;
@@ -135,6 +135,15 @@ impl Theorem1Plan {
         }
 
         Ok(Theorem1Plan { k, r, row_bits, col_bits, dims: n, pi, cycle_at, start_pos })
+    }
+
+    /// Whether [`new`](Self::new) accepts `n`, with the error it would
+    /// return, without building anything.
+    pub fn accepts(n: u32) -> Result<(), String> {
+        if n < 4 {
+            return Err("Theorem 1 requires n >= 4 (k >= 1)".into());
+        }
+        decompose_range(2 * (n / 4))
     }
 
     /// Host dimension count `n`.
@@ -251,9 +260,11 @@ impl Theorem2Plan {
             _ => unreachable!(),
         };
         // The column subcube is never the smaller one, so an out-of-range
-        // n fails here before the row subcube is built.
-        let row_dirs = directed_cycles(&decompose(col_bits)?);
-        let col_dirs = directed_cycles(&decompose(row_bits)?);
+        // n fails here before anything is built, and one walk up the
+        // Lemma 1 chain builds both subcubes.
+        let (row_dec, col_dec) = decompose_pair(row_bits, col_bits)?;
+        let row_dirs = directed_cycles(&col_dec);
+        let col_dirs = row_dec.as_ref().map_or_else(|| row_dirs.clone(), directed_cycles);
         let claimed = match (full_width, r) {
             (false, 2 | 3) => n / 2 - 1,
             _ => n / 2,
@@ -547,6 +558,18 @@ mod tests {
         // The cost-3 variant at n = 26 needs a Q_14 column subcube.
         let err = Theorem2Plan::new(26, false).unwrap_err();
         assert!(err.contains("Q_14"), "{err}");
+    }
+
+    #[test]
+    fn theorem2_plan_builds_its_subcubes_once_as_two_calls_would() {
+        // The row subcube is Q_8; the column subcube is Q_8, Q_9, Q_10.
+        for n in [16u32, 17, 18] {
+            let plan = Theorem2Plan::new(n, false).unwrap();
+            assert_eq!(plan.row_bits, 8, "n={n}");
+            let dirs = |bits: u32| format!("{:?}", directed_cycles(&decompose(bits).unwrap()));
+            assert_eq!(format!("{:?}", plan.row_dirs), dirs(plan.col_bits), "n={n}");
+            assert_eq!(format!("{:?}", plan.col_dirs), dirs(plan.row_bits), "n={n}");
+        }
     }
 
     /// Decodes a dense undirected link index back to `(base node, dim)` —
