@@ -5,7 +5,8 @@
 //! chaos_soak [--seed S] [--trials N] [--dims N] [--tenants] [--threads N] [--json [PATH]]
 //! ```
 //!
-//! Defaults: the CI smoke preset (`--seed 42 --trials 16 --dims 6`).
+//! Defaults: the CI smoke preset (`--seed 42 --trials 16 --dims 6`). A
+//! `--dims` value the mode's harness refuses exits 2 before any trial.
 //! `--tenants` runs the multi-tenant chaos mode instead: randomized
 //! host-level [`TenantFaultPlan`]s against the fault-aware tenant engine,
 //! checking conservation, no-wrong-bytes, empty-plan bit-identity with
@@ -22,7 +23,7 @@
 //!
 //! [`TenantFaultPlan`]: hyperpath_sim::tenants::TenantFaultPlan
 
-use hyperpath_bench::experiments::{parse_cli_for, CliAccepts};
+use hyperpath_bench::experiments::{exit_usage, parse_cli_for, CliAccepts};
 use hyperpath_bench::json::{Json, ToJson};
 use hyperpath_sim::chaos::{
     run_chaos, run_chaos_tenants, ChaosConfig, ChaosReport, ChaosTenantsReport,
@@ -155,6 +156,9 @@ fn main() {
             std::process::exit(2);
         }
         cfg.dims = dims[0];
+    }
+    if let Err(msg) = cfg.check_dims(opts.tenants) {
+        exit_usage(&msg, accepts);
     }
     let json_path = opts.json.as_ref().map(|p| match p {
         Some(path) => path.clone(),

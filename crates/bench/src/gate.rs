@@ -301,23 +301,20 @@ pub const IDA_ROWOPS_SPEEDUP_MIN: f64 = 5.0;
 /// spiked readings pass it.
 pub const TENANTS_POOLED_SPEEDUP_MIN: f64 = 1.8;
 
-/// Minimum `wormhole/run_reference/ccc8 / wormhole/run/ccc8` wall-clock
-/// ratio: the event-driven wormhole engine (parked heads, calendar-ring
-/// releases and completions) against the visit-every-worm reference
-/// stepper on the same e-cube permutation. Measured 15.2–21.4x over seven
-/// full-preset runs on a 2-vCPU x86-64 VM; the floor is half the lowest,
-/// rounded down, so a 2x regression of the engine fails the gate.
-pub const WORMHOLE_SPEEDUP_MIN: f64 = 7.0;
+/// Minimum `wormhole/oracle/ccc8 / wormhole/run/ccc8` wall-clock ratio:
+/// the event-driven wormhole engine (a fresh load plus the run) against
+/// [`crate::oracle::wormhole_oracle`] on the same e-cube permutation under
+/// an empty plan. Measured 10.5–15.2x over 14 full-preset runs on a
+/// 2-vCPU x86-64 VM; the floor is half the lowest, rounded down, so a
+/// regression that more than halves the lowest ratio fails the gate.
+pub const WORMHOLE_SPEEDUP_MIN: f64 = 5.0;
 
-/// Minimum `packet/run_reference/n10 / packet/run/n10` wall-clock ratio:
-/// the event-driven packet engine (one visit per packet per hop, a
-/// next-free step per link) against the step-every-link reference
-/// stepper on the same Theorem 1 phase. The engine record times a fresh
-/// load plus the run; the reference record times only its run. Measured
-/// 4.51–5.81x over 23 of 24 full-preset runs on a 2-vCPU x86-64 VM; in
-/// the 24th the engine record's median of 5 reps spiked to 1,591 µs
-/// against its usual 271–499 µs, reading 1.48x. The floor is half of
-/// 4.51, rounded down, so a 2x regression of the engine fails the gate.
+/// Minimum `packet/oracle/n10 / packet/run/n10` wall-clock ratio: the
+/// event-driven packet engine (a fresh load plus the run) against
+/// [`crate::oracle::packet_oracle`] on the same Theorem 1 phase under an
+/// empty plan. Measured 4.6–8.5x over 14 full-preset runs on a 2-vCPU
+/// x86-64 VM; the floor is half the lowest, rounded down, so a regression
+/// that more than halves the lowest ratio fails the gate.
 pub const PACKET_SPEEDUP_MIN: f64 = 2.0;
 
 /// Enforces the cross-record speedup floors on a *fresh* run (no baseline
@@ -340,10 +337,12 @@ pub const PACKET_SPEEDUP_MIN: f64 = 2.0;
 ///   [`TENANTS_POOLED_SPEEDUP_MIN`]× slower than `tenants/pooled/n<N>`
 ///   (the pooled multi-tenant engine vs its per-round-allocating
 ///   reference; both sides measured serially);
-/// * `wormhole/run_reference/ccc8` must be at least
-///   [`WORMHOLE_SPEEDUP_MIN`]× slower than `wormhole/run/ccc8`;
-/// * `packet/run_reference/n10` must be at least [`PACKET_SPEEDUP_MIN`]×
-///   slower than `packet/run/n10`.
+/// * `wormhole/oracle/ccc8` must be at least [`WORMHOLE_SPEEDUP_MIN`]×
+///   slower than `wormhole/run/ccc8` (the event-driven wormhole engine vs
+///   its oracle);
+/// * `packet/oracle/n10` must be at least [`PACKET_SPEEDUP_MIN`]× slower
+///   than `packet/run/n10` (the event-driven packet engine vs its
+///   oracle).
 ///
 /// A pair whose kernel side is missing while its reference side exists is
 /// an issue — the suite must measure what the gate enforces. `Err` means
@@ -432,8 +431,8 @@ pub fn check_speedups(current: &Json) -> Result<GateReport, String> {
         let fast = format!("tenants/pooled/{suffix}");
         require(slow, &fast, TENANTS_POOLED_SPEEDUP_MIN, &mut report);
     }
-    require("wormhole/run_reference/ccc8", "wormhole/run/ccc8", WORMHOLE_SPEEDUP_MIN, &mut report);
-    require("packet/run_reference/n10", "packet/run/n10", PACKET_SPEEDUP_MIN, &mut report);
+    require("wormhole/oracle/ccc8", "wormhole/run/ccc8", WORMHOLE_SPEEDUP_MIN, &mut report);
+    require("packet/oracle/n10", "packet/run/n10", PACKET_SPEEDUP_MIN, &mut report);
     Ok(report)
 }
 
@@ -707,7 +706,7 @@ mod tests {
             ("ida/disperse/w8k4", &[], 100),
             ("ida/reconstruct_reference/w8k4", &[], 400),
             ("ida/reconstruct/w8k4", &[], 100),
-            ("packet/run_reference/n10", &[], 2_000),
+            ("packet/oracle/n10", &[], 2_000),
             ("packet/run/n10", &[], 1_000),
         ]);
         let r = check_speedups(&healthy).unwrap();
@@ -725,15 +724,14 @@ mod tests {
         assert!(r.issues[0].detail.contains("floor 10.0x"), "{}", r.issues[0].detail);
 
         // The packet engine slipped below 2x.
-        let slipped =
-            doc(&[("packet/run_reference/n10", &[], 1_999), ("packet/run/n10", &[], 1_000)]);
+        let slipped = doc(&[("packet/oracle/n10", &[], 1_999), ("packet/run/n10", &[], 1_000)]);
         let r = check_speedups(&slipped).unwrap();
         assert_eq!(r.issues.len(), 1);
         assert_eq!(r.issues[0].record, "packet/run/n10");
         assert!(r.issues[0].detail.contains("floor 2.0x"), "{}", r.issues[0].detail);
 
         // A measured reference with no kernel counterpart is an issue.
-        for reference in ["mc/structural/scalar/n8", "packet/run_reference/n10"] {
+        for reference in ["mc/structural/scalar/n8", "packet/oracle/n10"] {
             let r = check_speedups(&doc(&[(reference, &[], 9_999)])).unwrap();
             assert_eq!(r.issues.len(), 1);
             assert!(r.issues[0].detail.contains("missing"), "{}", r.issues[0].detail);
@@ -823,29 +821,29 @@ mod tests {
     }
 
     #[test]
-    fn wormhole_floor_pairs_reference_with_event_driven_engine() {
+    fn wormhole_floor_pairs_oracle_with_event_driven_engine() {
         // Healthy: the engine clears the floor; ccc4 has no floor of its
         // own.
         let healthy = doc(&[
-            ("wormhole/run_reference/ccc4", &[], 1_000),
+            ("wormhole/oracle/ccc4", &[], 1_000),
             ("wormhole/run/ccc4", &[], 900),
-            ("wormhole/run_reference/ccc8", &[], 17_000),
+            ("wormhole/oracle/ccc8", &[], 12_000),
             ("wormhole/run/ccc8", &[], 1_000),
         ]);
         let r = check_speedups(&healthy).unwrap();
         assert!(r.passed(), "{}", r.render());
         assert_eq!(r.time_checks, 1);
 
-        // The engine slipped below 7x: one issue.
+        // The engine slipped below 5x: one issue.
         let slipped =
-            doc(&[("wormhole/run_reference/ccc8", &[], 6_999), ("wormhole/run/ccc8", &[], 1_000)]);
+            doc(&[("wormhole/oracle/ccc8", &[], 4_999), ("wormhole/run/ccc8", &[], 1_000)]);
         let r = check_speedups(&slipped).unwrap();
         assert_eq!(r.issues.len(), 1);
         assert_eq!(r.issues[0].record, "wormhole/run/ccc8");
-        assert!(r.issues[0].detail.contains("floor 7.0x"), "{}", r.issues[0].detail);
+        assert!(r.issues[0].detail.contains("floor 5.0x"), "{}", r.issues[0].detail);
 
-        // A measured reference with no engine counterpart is an issue.
-        let orphaned = doc(&[("wormhole/run_reference/ccc8", &[], 9_999)]);
+        // A measured oracle with no engine counterpart is an issue.
+        let orphaned = doc(&[("wormhole/oracle/ccc8", &[], 9_999)]);
         let r = check_speedups(&orphaned).unwrap();
         assert_eq!(r.issues.len(), 1);
         assert!(r.issues[0].detail.contains("missing"), "{}", r.issues[0].detail);

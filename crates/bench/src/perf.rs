@@ -17,17 +17,19 @@
 //! workload is warmed up once *before* the allocation measurement so lazy
 //! one-time initialization never pollutes the counts.
 //!
-//! The suite is the repo's defense of PR 1's zero-allocation and speedup
-//! claims: `packet/run` vs `packet/run_reference`, `wormhole/run` vs
-//! `wormhole/run_reference`, the planned runs on empty and static-cut
-//! plans, IDA disperse/reconstruct, `PhaseSchedule::verify`, and a full
-//! `deliver_phase_plan` — plus, appended after the original suite, the
-//! planned engines under a mixed adversary, tagged dispersal, the
-//! oracle-free adaptive delivery protocol, share fingerprints, the theorem
-//! constructions and the Hamiltonian decompositions.
+//! The suite is the repo's defense of the engines' zero-allocation and
+//! speedup claims: `packet/run` vs `packet/oracle` and `wormhole/run` vs
+//! `wormhole/oracle` (each engine against its [`crate::oracle`] stepper),
+//! the planned runs on empty and static-cut plans, IDA disperse and
+//! reconstruct, `PhaseSchedule::verify`, and a full `deliver_phase_plan` —
+//! plus, appended after the original suite, the planned engines under a
+//! mixed adversary, tagged dispersal, the oracle-free adaptive delivery
+//! protocol, share fingerprints, the theorem constructions and the
+//! Hamiltonian decompositions.
 
 use crate::json::{Json, ToJson};
 use crate::measure::{measure_allocs, measure_peak, median_wall_ns};
+use crate::oracle::{packet_oracle, phase_flows, wormhole_oracle, Walk};
 use crate::table::Table;
 use hyperpath_core::ccc_copies::ccc_multi_copy;
 use hyperpath_core::cycles::theorem1;
@@ -246,7 +248,7 @@ fn count_set(flags: &[bool]) -> u64 {
 pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
     let mut records = Vec::new();
 
-    // --- Packet engine: production vs reference, plain vs planned. Each
+    // --- Packet engine: production vs oracle, plain vs planned. Each
     // timed engine run loads a fresh simulator first. ---
     for &n in &cfg.packet_ns {
         let t1 = theorem1(n).expect("theorem 1");
@@ -271,23 +273,24 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || load().run(SIM_CAP, &mut NopRecorder)),
         });
 
-        // Reference engine: the specification the production engine must
-        // keep matching — and keep beating on wall-clock.
-        let sim = load();
-        let ref_report = sim.run_reference(SIM_CAP);
-        assert_eq!(ref_report, report, "engines diverged on n={n}");
+        // The oracle under an empty plan: the specification the engine
+        // must keep matching — and keep beating on wall-clock.
+        let flows = phase_flows(e, cfg.packets_per_edge);
+        let empty = FaultPlan::none(&e.host);
+        let oracle = || packet_oracle(e.host, &flows, &empty, &mut NopRecorder).report.report;
+        let spec = oracle();
+        assert_eq!(spec, report, "packet engine diverged from the oracle on n={n}");
         records.push(PerfRecord {
-            name: format!("packet/run_reference/n{n}"),
+            name: format!("packet/oracle/n{n}"),
             counters: vec![
-                ("steps".into(), ref_report.makespan),
-                ("packet_hops".into(), ref_report.packet_hops),
-                ("delivered".into(), ref_report.delivered),
+                ("steps".into(), spec.makespan),
+                ("packet_hops".into(), spec.packet_hops),
+                ("delivered".into(), spec.delivered),
             ],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_reference(SIM_CAP)),
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, oracle),
         });
 
         // Planned engine, empty plan: must cost like the plain run.
-        let empty = FaultPlan::none(&e.host);
         let pr = load().run_planned(SIM_CAP, &empty, &mut NopRecorder);
         let (_, pa) = measure_allocs(|| load().run_planned(SIM_CAP, &empty, &mut NopRecorder));
         records.push(PerfRecord {
@@ -349,19 +352,21 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
             wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || load().run(SIM_CAP, &mut NopRecorder)),
         });
 
-        let ref_report = sim.run_reference(SIM_CAP);
+        let worms: Vec<Walk> = paths.iter().map(|p| (p.clone(), cfg.worm_flits)).collect();
+        let empty = FaultPlan::none(&host);
+        let oracle = || wormhole_oracle(host, &worms, &empty, &mut NopRecorder);
+        let spec = oracle();
         assert_eq!(
-            (ref_report.makespan, &ref_report.completion[..]),
+            (spec.makespan(), &spec.completion[..]),
             (makespan, sim.completion()),
-            "wormhole engines diverged on ccc{n}"
+            "wormhole engine diverged from the oracle on ccc{n}"
         );
         records.push(PerfRecord {
-            name: format!("wormhole/run_reference/ccc{n}"),
-            counters: vec![("makespan".into(), ref_report.makespan)],
-            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, || sim.run_reference(SIM_CAP)),
+            name: format!("wormhole/oracle/ccc{n}"),
+            counters: vec![("makespan".into(), spec.makespan())],
+            wall_ns: median_wall_ns(cfg.warmup, cfg.reps, oracle),
         });
 
-        let empty = FaultPlan::none(&host);
         let makespan = sim.run_planned(SIM_CAP, &empty, &mut NopRecorder);
         records.push(PerfRecord {
             name: format!("wormhole/run_planned/empty/ccc{n}"),
@@ -1061,11 +1066,11 @@ mod tests {
         let names: Vec<&str> = a.records.iter().map(|r| r.name.as_str()).collect();
         for prefix in [
             "packet/run/",
-            "packet/run_reference/",
+            "packet/oracle/",
             "packet/run_planned/empty/",
             "packet/run_planned/cuts/",
             "wormhole/run/",
-            "wormhole/run_reference/",
+            "wormhole/oracle/",
             "wormhole/run_planned/empty/",
             "wormhole/run_planned/cuts/",
             "ida/disperse/",

@@ -741,17 +741,18 @@ impl SlicedPaths {
         acc
     }
 
-    /// Lanes in which at least one **non-empty** path of bundle `bundle`
-    /// is fully alive — the lanes where a retry round has a fault-free
-    /// path to re-send dead shares over. Empty paths are excluded
-    /// because a zero-length path delivers its own share for free but
-    /// cannot carry another share across the machine (the engine's
-    /// retry planner filters them identically).
-    pub fn bundle_survivors<W: LaneWord>(&self, block: &BitTrialBlock<W>, bundle: usize) -> W {
+    /// [`Self::bundle_survivors_in`] on every live lane of `block`.
+    #[cfg(test)]
+    fn bundle_survivors<W: LaneWord>(&self, block: &BitTrialBlock<W>, bundle: usize) -> W {
         self.bundle_survivors_in(block, bundle, block.live_mask())
     }
 
-    /// [`Self::bundle_survivors`] on the lanes of `live` only.
+    /// Lanes of `live` in which at least one **non-empty** path of bundle
+    /// `bundle` is fully alive — the lanes where a retry round has a
+    /// fault-free path to re-send dead shares over. Empty paths are
+    /// excluded because a zero-length path delivers its own share for
+    /// free but cannot carry another share across the machine (the
+    /// engine's retry planner filters them identically).
     fn bundle_survivors_in<W: LaneWord>(
         &self,
         block: &BitTrialBlock<W>,

@@ -47,7 +47,7 @@ use crate::wormhole::WormholeSim;
 use hyperpath_core::cycles::theorem1;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_ida::{Ida, Share};
-use hyperpath_topology::host::{BinomialTreePlan, GridPlan};
+use hyperpath_topology::host::{BinomialTreePlan, GridPlan, Theorem1Plan};
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use rand::{RngExt, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -64,7 +64,7 @@ pub struct ChaosConfig {
     pub seed: u64,
     /// Number of trials.
     pub trials: usize,
-    /// Host dimension `n` (even, ≥ 4 — Theorem 1's bundle construction).
+    /// Host dimension `n` ([`check_dims`](Self::check_dims)).
     pub dims: u32,
     /// Message length per guest edge, bytes.
     pub message_len: usize,
@@ -77,6 +77,17 @@ impl ChaosConfig {
     /// kind and both plan regimes.
     pub fn smoke(seed: u64) -> Self {
         ChaosConfig { seed, trials: 16, dims: 6, message_len: 48, max_retries: 2 }
+    }
+
+    /// Checks [`dims`](Self::dims) with the reason the harness of one mode
+    /// would panic with: [`run_chaos`] needs a dimension Theorem 1 accepts
+    /// (`4..=27`), [`run_chaos_tenants`] at least four `Q_4` windows.
+    pub fn check_dims(&self, tenants: bool) -> Result<(), String> {
+        match self.dims {
+            n if !tenants => Theorem1Plan::accepts(n),
+            n if n < 6 => Err(format!("tenants chaos needs dims >= 6: Q_4 windows, got {n}")),
+            _ => Ok(()),
+        }
     }
 }
 
@@ -350,9 +361,8 @@ fn run_trial(e: &MultiPathEmbedding, cfg: &ChaosConfig, t: usize) -> ChaosTrial 
 /// identical configs, regardless of thread count (trials are seeded
 /// independently and collected in trial order).
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
-    let e = theorem1(cfg.dims)
-        .expect("chaos harness needs an even dimension >= 4 for Theorem 1 bundles")
-        .embedding;
+    let e =
+        theorem1(cfg.dims).expect("chaos harness needs a dimension Theorem 1 accepts").embedding;
     let trials: Vec<ChaosTrial> =
         (0..cfg.trials).into_par_iter().map(|t| run_trial(&e, cfg, t)).collect();
     let violations = trials.iter().map(|t| t.violations.len()).sum();
@@ -692,7 +702,9 @@ fn run_tenants_trial(cfg: &ChaosConfig, t: usize) -> ChaosTenantsTrial {
 /// and tenant count. Deterministic: identical reports for identical
 /// configs, regardless of thread count.
 pub fn run_chaos_tenants(cfg: &ChaosConfig) -> ChaosTenantsReport {
-    assert!(cfg.dims >= 6, "tenants chaos needs dims >= 6: Q_4 windows, at least 4 of them");
+    if let Err(msg) = cfg.check_dims(true) {
+        panic!("{msg}");
+    }
     let trials: Vec<ChaosTenantsTrial> =
         (0..cfg.trials).into_par_iter().map(|t| run_tenants_trial(cfg, t)).collect();
     let violations = trials.iter().map(|t| t.violations.len()).sum();

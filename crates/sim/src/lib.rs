@@ -19,11 +19,11 @@
 //!   Each simulator is one pooled type: it allocates its link-indexed
 //!   machine state once per host cube, is loaded with node walks or
 //!   precomputed hop links, and can be cleared and reloaded round after
-//!   round. It has three runs: `run` (fault-free) and `run_planned` (under
+//!   round. It has two runs: `run` (fault-free) and `run_planned` (under
 //!   a [`FaultPlan`]), both reporting to a [`Recorder`] and leaving
-//!   per-flow or per-worm outcomes in the simulator's accessors, and
-//!   `run_reference`, the original stepper kept as the executable
-//!   specification the property tests pin the engine against.
+//!   per-flow or per-worm outcomes in the simulator's accessors. Each
+//!   engine's one specification, an independent stepper, ships outside
+//!   this crate, in `hyperpath_bench::oracle`.
 //! * [`routing`] — path generators: greedy e-cube, Valiant two-phase
 //!   random-intermediate, and Section 7's CCC-copy split routes.
 //! * [`faults`] — the one fault model, [`FaultPlan`]: link cuts before
@@ -91,4 +91,4 @@ pub use tenants::{
     TenantRun, TenantSpec, TenantsConfig, ENGINE_MAX_DIMS,
 };
 pub use trace::{CountingRecorder, NopRecorder, Recorder, TraceRecorder, TraceSummary};
-pub use wormhole::{WormReport, WormholeSim};
+pub use wormhole::WormholeSim;

@@ -23,11 +23,8 @@
 //! A warmed simulator allocates nothing per run, so one simulator serves a
 //! whole sequence of rounds: [`clear`](PacketSim::clear), load, run.
 //!
-//! [`PacketSim::run_reference`] is the original straightforward stepper
-//! (per-link `VecDeque`s, per-step `Vec`s plus an explicit `sort_by_key`)
-//! over the same loaded flows. It is kept as the executable specification;
-//! property tests in `tests/props.rs` assert both produce bit-identical
-//! [`SimReport`]s.
+//! The engine's specification, a per-link-FIFO stepper, lives outside the
+//! product: `hyperpath_bench::oracle::packet_oracle`.
 //!
 //! Every run reports to a [`Recorder`] (`sim::trace`); the
 //! [`NopRecorder`](crate::trace::NopRecorder) monomorphizes every hook to
@@ -49,7 +46,6 @@ use crate::faults::{FaultPlan, LinkEvent};
 use crate::trace::Recorder;
 use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_topology::{DirEdge, Hypercube, Node};
-use std::collections::VecDeque;
 
 /// Simulation outcome. The default is the report of a run with no flows.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -105,14 +101,6 @@ const DROP: u32 = 1 << 30;
 const DEPART: u32 = 1 << 29;
 /// The `pkt_hop` bits holding the hop-table index.
 const HOP: u32 = DEPART - 1;
-
-/// One packet of [`PacketSim::run_reference`].
-struct Packet {
-    flow: u32,
-    seq: u32,
-    /// Hops the packet has crossed: its next hop is the flow's hop `pos`.
-    pos: u32,
-}
 
 /// The directed-link indices ([`Hypercube::dir_edge_index`]) a walk
 /// crosses, in order. The caller has checked the walk.
@@ -718,107 +706,6 @@ impl PacketSim {
         PlanReport { lost: self.total_injected - report.delivered, report, corrupted }
     }
 
-    /// The original engine, kept verbatim as the executable specification:
-    /// per-step `Vec`s plus an explicit `(flow, seq)` sort, over the loaded
-    /// hop table. Property tests assert [`run`](Self::run) matches it bit
-    /// for bit; it is not meant for production use.
-    ///
-    /// # Panics
-    /// Panics if packets remain undelivered after `max_steps`.
-    pub fn run_reference(&self, max_steps: u64) -> SimReport {
-        let num_links = self.host.num_directed_edges() as usize;
-        // Per-link FIFO queues of packets waiting to cross it.
-        let mut queues: Vec<VecDeque<Packet>> = (0..num_links).map(|_| VecDeque::new()).collect();
-        let mut active: Vec<u32> = Vec::new(); // link indices with waiters
-        let mut in_active = vec![false; num_links];
-
-        let mut pending = 0u64;
-        let enqueue = |pkt: Packet,
-                       queues: &mut Vec<VecDeque<Packet>>,
-                       active: &mut Vec<u32>,
-                       in_active: &mut Vec<bool>|
-         -> bool {
-            let idx = self.hop_links[(self.flow_off[pkt.flow as usize] + pkt.pos) as usize];
-            if idx == END {
-                return false; // delivered
-            }
-            let idx = idx as usize;
-            // Keep FIFO order with (flow, seq) priority at insertion: queues
-            // are served FIFO; packets are inserted in (flow, seq) order at
-            // injection and re-queued on arrival, which preserves
-            // determinism.
-            queues[idx].push_back(pkt);
-            if !in_active[idx] {
-                in_active[idx] = true;
-                active.push(idx as u32);
-            }
-            true
-        };
-
-        // Inject (flows are already in id order; packets in seq order).
-        for (fid, &packets) in self.flow_packets.iter().enumerate() {
-            for seq in 0..packets {
-                let pkt = Packet { flow: fid as u32, seq: seq as u32, pos: 0 };
-                if enqueue(pkt, &mut queues, &mut active, &mut in_active) {
-                    pending += 1;
-                }
-            }
-        }
-        let total_injected = self.total_injected;
-
-        let mut step = 0u64;
-        let mut packet_hops = 0u64;
-        let mut busy_accum = 0u64;
-        let mut max_queue = 0usize;
-        while pending > 0 {
-            if step >= max_steps {
-                panic!("simulation did not finish within {max_steps} steps ({pending} pending)");
-            }
-            // One packet per active link.
-            let mut next_active: Vec<u32> = Vec::with_capacity(active.len());
-            let mut moved: Vec<Packet> = Vec::with_capacity(active.len());
-            let mut busy = 0u64;
-            for &idx in &active {
-                let q = &mut queues[idx as usize];
-                max_queue = max_queue.max(q.len());
-                if let Some(mut pkt) = q.pop_front() {
-                    pkt.pos += 1;
-                    moved.push(pkt);
-                    busy += 1;
-                }
-                if q.is_empty() {
-                    in_active[idx as usize] = false;
-                } else {
-                    next_active.push(idx);
-                }
-            }
-            packet_hops += busy;
-            busy_accum += busy;
-            active = next_active;
-            // Re-queue moved packets (deterministic order: by link index,
-            // which we iterated in insertion order; ties cannot occur since
-            // one packet per link per step).
-            moved.sort_by_key(|p| (p.flow, p.seq));
-            for pkt in moved {
-                if !enqueue(pkt, &mut queues, &mut active, &mut in_active) {
-                    pending -= 1;
-                }
-            }
-            step += 1;
-        }
-        SimReport {
-            makespan: step,
-            delivered: total_injected,
-            packet_hops,
-            mean_utilization: if step == 0 {
-                0.0
-            } else {
-                busy_accum as f64 / (step as f64 * num_links as f64)
-            },
-            max_queue,
-        }
-    }
-
     /// The one buffer-preparation path: stamps a new epoch, lays out the
     /// packet slab, the ready set and the calendar ring (and, when `PLAN`,
     /// the per-flow outcomes and the side of every link with plan events),
@@ -1082,17 +969,6 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_on_contended_workload() {
-        // Smoke-level old-vs-new equivalence (the exhaustive randomized
-        // version lives in tests/props.rs).
-        let e = theorem1(6).unwrap().embedding;
-        for m in [1u64, 5, 32] {
-            let mut sim = PacketSim::phase_workload(&e, m);
-            assert_eq!(sim.run(100_000, &mut NopRecorder), sim.run_reference(100_000), "m={m}");
-        }
-    }
-
-    #[test]
     fn initial_fault_drops_every_packet_of_the_flow() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
@@ -1208,15 +1084,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_hop_flows_deliver_instantly_in_both_engines() {
+    fn zero_hop_flows_deliver_instantly() {
         let host = Hypercube::new(3);
         let mut sim = PacketSim::new(host);
         sim.add_flow(&[4], 3);
         sim.add_flow(&[0, 1], 2);
-        let r = sim.run(100, &mut NopRecorder);
-        assert_eq!(r, sim.run_reference(100));
-        assert_eq!(r.delivered, 5);
-        assert_eq!(r.makespan, 2);
+        let mut trace = TraceRecorder::new();
+        let r = sim.run(100, &mut trace);
+        assert_eq!((r.delivered, r.makespan, r.packet_hops, r.max_queue), (5, 2, 2, 2));
+        assert_eq!(trace.delivery_steps, [0, 0, 0, 1, 2], "zero-hop packets arrive at step 0");
     }
 
     #[test]

@@ -928,11 +928,8 @@ impl TenantEngine {
 
     /// Reference implementation of [`TenantEngine::run_planned`] (see
     /// [`TenantEngine::run_reference`]).
-    pub fn run_planned_reference(
-        &self,
-        plan: &TenantFaultPlan,
-        routing: FaultRouting,
-    ) -> EngineReport {
+    #[cfg(test)]
+    fn run_planned_reference(&self, plan: &TenantFaultPlan, routing: FaultRouting) -> EngineReport {
         self.run_reference_impl(Some((plan, routing)), &mut NopRecorder)
     }
 

@@ -20,24 +20,13 @@
 //! woken when that hop lets go; both due times a head crossing sets —
 //! the hop's release and, on the last hop, the completion — go into a
 //! calendar ring. Each step visits its ready worms in ascending id order,
-//! exactly the reference stepper's arbitration.
-//! [`WormholeSim::run_reference`] keeps the original visit-every-worm
-//! stepper, over the same hop table, as the executable specification the
-//! property tests pin the engine against.
+//! the arbitration of the engine's specification, the step-every-worm
+//! `hyperpath_bench::oracle::wormhole_oracle` outside the product.
 
 use crate::faults::{FaultPlan, LinkEvent};
 use crate::packet::walk_links;
 use crate::trace::Recorder;
 use hyperpath_topology::{DirEdge, Hypercube, Node};
-
-/// Outcome of [`WormholeSim::run_reference`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WormReport {
-    /// Step after which every tail had arrived.
-    pub makespan: u64,
-    /// Per-worm completion times (tail arrival).
-    pub completion: Vec<u64>,
-}
 
 /// "No worm / no hop" in the engine's link fields and intrusive lists.
 const NONE: u32 = u32::MAX;
@@ -483,97 +472,6 @@ impl WormholeSim {
         self.run_core::<R, true>(max_steps, Some(plan), rec)
     }
 
-    /// The original visit-every-worm stepper over the loaded hop table,
-    /// kept as the executable specification for the old-vs-new property
-    /// tests; not meant for production use. Like [`run`](Self::run) it
-    /// releases a link only from the hop that holds it.
-    ///
-    /// # Panics
-    /// Panics if worms remain unfinished after `max_steps`.
-    pub fn run_reference(&self, max_steps: u64) -> WormReport {
-        let num_links = self.host.num_directed_edges() as usize;
-        // Which worm holds each link, through which of its hops (worm
-        // u32::MAX = free): a release frees only its own hop's link.
-        const FREE: (u32, usize) = (u32::MAX, 0);
-        let mut holder: Vec<(u32, usize)> = vec![FREE; num_links];
-        // Per worm: hops the head has crossed, flits the tail has pushed
-        // through the first held link (tail progress), completion time.
-        #[derive(Clone)]
-        struct State {
-            head: usize,       // hops crossed by the head
-            entered: Vec<u64>, // step at which the head crossed hop i
-            done: Option<u64>,
-        }
-        let hops_of = |w: usize| (self.worm_off[w + 1] - self.worm_off[w]) as usize;
-        let mut st: Vec<State> = (0..self.num_worms())
-            .map(|w| State { head: 0, entered: vec![0; hops_of(w)], done: None })
-            .collect();
-        let link_of =
-            |w: usize, hop: usize| self.worm_links[self.worm_off[w] as usize + hop] as usize;
-
-        let mut step = 0u64;
-        loop {
-            let mut all_done = true;
-            for (wid, &flits) in self.worm_flits.iter().enumerate() {
-                if st[wid].done.is_some() {
-                    continue;
-                }
-                all_done = false;
-                let hops = hops_of(wid);
-                if hops == 0 {
-                    st[wid].done = Some(step);
-                    continue;
-                }
-                if st[wid].head < hops {
-                    // Try to advance the head across the next link.
-                    let idx = link_of(wid, st[wid].head);
-                    if holder[idx] == FREE {
-                        let h = st[wid].head;
-                        holder[idx] = (wid as u32, h);
-                        st[wid].entered[h] = step;
-                        st[wid].head += 1;
-                    }
-                    // Heads that cannot move stall (links stay held).
-                } else {
-                    // Head arrived; the tail clears link i once `flits`
-                    // flits have crossed it: release at entered[i] + flits.
-                    // Only the last hop can still hold its link.
-                    let release = st[wid].entered[hops - 1] + flits;
-                    if step + 1 >= release {
-                        let last = link_of(wid, hops - 1);
-                        if holder[last] == (wid as u32, hops - 1) {
-                            holder[last] = FREE;
-                        }
-                        st[wid].done = Some(release);
-                    }
-                }
-            }
-            // Release links behind the tail as it streams forward.
-            for (wid, &flits) in self.worm_flits.iter().enumerate() {
-                if st[wid].done.is_some() {
-                    continue;
-                }
-                let hops = hops_of(wid);
-                for hop in 0..st[wid].head.min(hops) {
-                    let idx = link_of(wid, hop);
-                    if holder[idx] == (wid as u32, hop) && step + 1 >= st[wid].entered[hop] + flits
-                    {
-                        holder[idx] = FREE;
-                    }
-                }
-            }
-            if all_done {
-                break;
-            }
-            step += 1;
-            if step > max_steps {
-                panic!("wormhole simulation did not finish within {max_steps} steps");
-            }
-        }
-        let completion: Vec<u64> = st.iter().map(|s| s.done.unwrap()).collect();
-        WormReport { makespan: completion.iter().copied().max().unwrap_or(0), completion }
-    }
-
     /// The one buffer-preparation path: re-prepares the per-worm vectors
     /// (the fault state and per-worm outcomes only when `PLAN`) and runs
     /// [`worm_core`].
@@ -838,9 +736,8 @@ mod tests {
         sim.add_worm(&[0, 1, 3, 7], 2);
         sim.add_worm(&[0, 1], 5);
         sim.add_worm(&[0, 1], 1);
-        sim.run(1000, &mut NopRecorder);
+        assert_eq!(sim.run(1000, &mut NopRecorder), 7);
         assert_eq!(sim.completion(), [4, 7, 7]);
-        assert_eq!(sim.run_reference(1000).completion, vec![4, 7, 7]);
     }
 
     #[test]
@@ -851,9 +748,8 @@ mod tests {
         let mut sim = WormholeSim::new(host);
         sim.add_worm(&[3, 1, 0, 1, 0], 4);
         sim.add_worm(&[0, 1, 0, 2, 3], 3);
-        sim.run(1000, &mut NopRecorder);
+        assert_eq!(sim.run(1000, &mut NopRecorder), 13);
         assert_eq!(sim.completion(), [9, 13]);
-        assert_eq!(sim.run_reference(1000).completion, vec![9, 13]);
     }
 
     #[test]
@@ -864,20 +760,5 @@ mod tests {
         let mut sim = WormholeSim::new(host);
         sim.add_worm(&[0, 1, 3], 1 << 40);
         sim.run(100, &mut NopRecorder);
-    }
-
-    #[test]
-    fn engines_agree_under_contention() {
-        // Smoke-level old-vs-new equivalence (the randomized version lives
-        // in tests/props.rs).
-        let host = Hypercube::new(4);
-        let mut sim = WormholeSim::new(host);
-        sim.add_worm(&[0, 1, 3, 7], 6);
-        sim.add_worm(&[0, 1, 5], 3);
-        sim.add_worm(&[2, 3, 7, 15], 9);
-        sim.add_worm(&[8], 2);
-        let makespan = sim.run(10_000, &mut NopRecorder);
-        let reference = sim.run_reference(10_000);
-        assert_eq!((makespan, sim.completion()), (reference.makespan, &reference.completion[..]));
     }
 }
