@@ -6,7 +6,6 @@
 //! events, sharing nothing else with [`PacketSim`] and [`WormholeSim`].
 //! `tests/engine_oracles.rs` and the perf suite hold the engines to them.
 
-use hyperpath_embedding::MultiPathEmbedding;
 use hyperpath_sim::trace::Recorder;
 use hyperpath_sim::{FaultPlan, LinkEvent, PacketSim, PlanReport, SimReport, WormholeSim};
 use hyperpath_topology::{DirEdge, Hypercube, Node};
@@ -15,31 +14,10 @@ use std::collections::VecDeque;
 /// A node walk and the packets (or flits) that travel it.
 pub type Walk = (Vec<Node>, u64);
 
-/// The directed edges a node walk crosses, in order.
-pub fn walk_edges(path: &[Node]) -> Vec<DirEdge> {
-    path.windows(2).map(|w| DirEdge::new(w[0], (w[0] ^ w[1]).trailing_zeros())).collect()
-}
-
-/// The directed-link indices each walk of `walks` crosses.
+/// The directed-link indices each walk of `walks` crosses, in order.
 fn walk_links(host: Hypercube, walks: &[Walk]) -> Vec<Vec<usize>> {
-    walks
-        .iter()
-        .map(|(path, _)| walk_edges(path).into_iter().map(|e| host.dir_edge_index(e)).collect())
-        .collect()
-}
-
-/// The flows of [`PacketSim::phase_workload`] with `p` packets per guest
-/// edge, restated: path `i` of a `w`-path bundle carries `⌈(p - i)/w⌉`
-/// packets, and paths that carry none or have no hops are left out.
-pub fn phase_flows(e: &MultiPathEmbedding, p: u64) -> Vec<Walk> {
-    let mut flows = Vec::new();
-    for bundle in &e.edge_paths {
-        let w = bundle.len() as u64;
-        for (i, path) in (0..p).zip(bundle).filter(|(_, path)| !path.is_empty()) {
-            flows.push((path.nodes().to_vec(), (p + w - 1 - i) / w));
-        }
-    }
-    flows
+    let link = |w: &[Node]| host.dir_edge_index(DirEdge::new(w[0], (w[0] ^ w[1]).trailing_zeros()));
+    walks.iter().map(|(path, _)| path.windows(2).map(link).collect()).collect()
 }
 
 /// Every event one run fires on its [`Recorder`], in firing order.
@@ -47,10 +25,14 @@ pub fn phase_flows(e: &MultiPathEmbedding, p: u64) -> Vec<Walk> {
 pub struct EventLog(pub Vec<(&'static str, u64, u64)>);
 
 impl EventLog {
-    /// The events sorted: packet hooks may fire in any order within a step,
-    /// so packet runs compare this multiset, which fixes every counter.
-    pub fn sorted(mut self) -> Vec<(&'static str, u64, u64)> {
-        self.0.sort_unstable();
+    /// The events in a canonical order. Packet hooks may fire in any order
+    /// within a step, so every event but the step events is sorted; those
+    /// must fire for every step in order, so they keep their firing order.
+    /// Packet runs compare this form, which fixes every counter total,
+    /// `TraceRecorder::busy_per_step` and the per-link queue maxima.
+    pub fn canonical(mut self) -> Vec<(&'static str, u64, u64)> {
+        self.0
+            .sort_by_key(|&(kind, a, b)| if kind == "step" { (kind, 0, 0) } else { (kind, a, b) });
         self.0
     }
 }

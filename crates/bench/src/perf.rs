@@ -29,7 +29,7 @@
 
 use crate::json::{Json, ToJson};
 use crate::measure::{measure_allocs, measure_peak, median_wall_ns};
-use crate::oracle::{packet_oracle, phase_flows, wormhole_oracle, Walk};
+use crate::oracle::{packet_oracle, wormhole_oracle, Walk};
 use crate::table::Table;
 use hyperpath_core::ccc_copies::ccc_multi_copy;
 use hyperpath_core::cycles::theorem1;
@@ -275,7 +275,9 @@ pub fn run_perf_suite(cfg: &PerfConfig) -> PerfOutput {
 
         // The oracle under an empty plan: the specification the engine
         // must keep matching — and keep beating on wall-clock.
-        let flows = phase_flows(e, cfg.packets_per_edge);
+        let flows: Vec<Walk> = PacketSim::phase_flows(e, cfg.packets_per_edge, usize::MAX)
+            .map(|(path, packets)| (path.to_vec(), packets))
+            .collect();
         let empty = FaultPlan::none(&e.host);
         let oracle = || packet_oracle(e.host, &flows, &empty, &mut NopRecorder).report.report;
         let spec = oracle();

@@ -1,14 +1,16 @@
 //! Both simulators against their oracles (`hyperpath_bench::oracle`):
 //! every run must reproduce its oracle's report, per-flow (per-worm)
 //! outcomes and events, under random fault plans and, through `run`,
-//! under none.
+//! under none. `flow_from_seed`, `worm_from_seed` and `wormhole_sim` are
+//! copies of `hyperpath-sim`'s `tests/props.rs` helpers, whose tests
+//! cannot reach this crate: it depends on `hyperpath-sim`.
 
 use hyperpath_bench::oracle::{
-    packet_oracle, phase_flows, wormhole_oracle, EventLog, PacketOutcome, Walk, WormOutcome,
+    packet_oracle, wormhole_oracle, EventLog, PacketOutcome, Walk, WormOutcome,
 };
 use hyperpath_core::cycles::theorem1;
 use hyperpath_sim::routing::ecube_path;
-use hyperpath_sim::{FaultPlan, PacketSim, WormholeSim};
+use hyperpath_sim::{FaultPlan, NopRecorder, PacketSim, WormholeSim};
 use hyperpath_topology::{DirEdge, Hypercube, Node};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -80,12 +82,14 @@ fn wormhole_sim(host: Hypercube, worms: &[Walk]) -> WormholeSim {
 }
 
 /// `run` of `sim`, loaded with `flows`, against the oracle under an empty
-/// plan: the report and the events.
+/// plan: the report and the events, and the report of the recorder-free
+/// run, which settles deliveries on its own path.
 fn assert_plain_packet_run_matches_oracle(sim: &mut PacketSim, flows: &[Walk]) {
     let (mut log, mut oracle_log) = (EventLog::default(), EventLog::default());
     let report = sim.run(1_000_000, &mut log);
     let oracle = packet_oracle(sim.host(), flows, &FaultPlan::none(&sim.host()), &mut oracle_log);
-    assert_eq!((report, log.sorted()), (oracle.report.report, oracle_log.sorted()));
+    assert_eq!(sim.run(1_000_000, &mut NopRecorder), oracle.report.report);
+    assert_eq!((report, log.canonical()), (oracle.report.report, oracle_log.canonical()));
 }
 
 /// `run` of `sim`, loaded with `worms`, against the oracle under an empty
@@ -106,8 +110,8 @@ proptest! {
     /// faults, corrupting links). Two input families: random walks that
     /// may revisit links with up to four packets per flow, and the short
     /// seeded flows of `flow_from_seed`. One simulator is reused across
-    /// both runs of every case: `run_planned` must match the oracle, and
-    /// `run` the oracle under an empty plan.
+    /// every run of a case: `run_planned`, recorded or not, must match the
+    /// oracle, and `run` the oracle under an empty plan.
     #[test]
     fn packet_planned_engines_agree(
         n in 2u32..6,
@@ -135,7 +139,9 @@ proptest! {
         let report = sim.run_planned(1_000_000, &plan, &mut log);
         let oracle = packet_oracle(host, &flows, &plan, &mut oracle_log);
         prop_assert_eq!(PacketOutcome::of_engine(&sim, report), oracle);
-        prop_assert_eq!(log.sorted(), oracle_log.sorted());
+        prop_assert_eq!(log.canonical(), oracle_log.canonical());
+        let quiet = sim.run_planned(1_000_000, &plan, &mut NopRecorder);
+        prop_assert_eq!(PacketOutcome::of_engine(&sim, quiet), oracle);
         assert_plain_packet_run_matches_oracle(&mut sim, &flows);
     }
 
@@ -171,8 +177,9 @@ proptest! {
 fn packet_engine_matches_oracle_on_contended_phase() {
     let e = theorem1(6).unwrap().embedding;
     for m in [1u64, 5, 32] {
-        let mut sim = PacketSim::phase_workload(&e, m);
-        assert_plain_packet_run_matches_oracle(&mut sim, &phase_flows(&e, m));
+        let flows: Vec<Walk> =
+            PacketSim::phase_flows(&e, m, usize::MAX).map(|(w, k)| (w.to_vec(), k)).collect();
+        assert_plain_packet_run_matches_oracle(&mut PacketSim::phase_workload(&e, m), &flows);
     }
 }
 

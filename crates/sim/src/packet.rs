@@ -608,17 +608,7 @@ impl PacketSim {
         packets_per_edge: u64,
         width: usize,
     ) -> PacketSim {
-        // Path `i` of a `w`-path bundle carries ⌈(p - i)/w⌉ packets, so
-        // it carries some exactly when `i < p`.
-        let flows = || {
-            e.edge_paths.iter().flat_map(move |bundle| {
-                let w = bundle.len().min(width).max(1) as u64;
-                let paths = bundle.iter().take(w as usize).enumerate();
-                paths
-                    .filter(move |&(i, path)| !path.is_empty() && (i as u64) < packets_per_edge)
-                    .map(move |(i, path)| (path.nodes(), (packets_per_edge + w - 1 - i as u64) / w))
-            })
-        };
+        let flows = || Self::phase_flows(e, packets_per_edge, width);
         let (num, hops) =
             flows().fold((0, 0), |(num, hops), (path, _)| (num + 1, hops + path.len() - 1));
         let mut sim = PacketSim::new(e.host);
@@ -627,6 +617,24 @@ impl PacketSim {
             sim.add_flow(path, packets);
         }
         sim
+    }
+
+    /// The flows [`phase_workload_with_width`](Self::phase_workload_with_width)
+    /// loads, in load order: each path's node walk and its packet count.
+    pub fn phase_flows(
+        e: &MultiPathEmbedding,
+        packets_per_edge: u64,
+        width: usize,
+    ) -> impl Iterator<Item = (&[Node], u64)> {
+        // Path `i` of a `w`-path bundle carries ⌈(p - i)/w⌉ packets, so
+        // it carries some exactly when `i < p`.
+        e.edge_paths.iter().flat_map(move |bundle| {
+            let w = bundle.len().min(width).max(1) as u64;
+            let paths = bundle.iter().take(w as usize).enumerate();
+            paths
+                .filter(move |&(i, path)| !path.is_empty() && (i as u64) < packets_per_edge)
+                .map(move |(i, path)| (path.nodes(), (packets_per_edge + w - 1 - i as u64) / w))
+        })
     }
 
     /// Adds one flow as a sequence of directed link indices
